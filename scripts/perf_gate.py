@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Perf regression gates: profile odds + benchmark trajectory.
+"""Perf regression gate: profile self-time odds vs a committed baseline.
 
-**Profile mode** (default) compares the self-time odds of the gated hot
-sections (``engine.dispatch``, ``routing.gpsr`` by default) in a fresh
+Compares the self-time odds of the gated hot sections
+(``engine.dispatch``, ``routing.gpsr`` by default) in a fresh
 ``repro profile --json`` output against a committed baseline, and fails
 when a section's odds regressed by more than ``--max-regression``
 (relative).
@@ -16,13 +16,6 @@ slow.  Odds rather than plain fractions because fractions saturate: a
 section already at 70 % of self-time can never grow +50 % in share, but
 its odds triple when its cost triples.
 
-**Bench-trajectory mode** (``--bench``) reads the committed sequence of
-``benchmarks/perf/BENCH_*.json`` records (written by ``repro bench
---json``) and fails when any scenario's fast/reference kernel speedup in
-the **latest** record fell below ``--min-speedup``.  The speedup is a
-ratio of two runs on the same machine in the same record, so it is
-machine-independent — the trajectory gate holds on slow CI runners.
-
 Usage::
 
     python -m repro profile --nodes 20 --items 80 --duration 120 \
@@ -30,14 +23,10 @@ Usage::
     python scripts/perf_gate.py profile.json          # gate
     python scripts/perf_gate.py profile.json --update # rebless baseline
 
-    python -m repro bench --quick --json /tmp/bench.json
-    python scripts/perf_gate.py --bench /tmp/bench.json   # gate one record
-    python scripts/perf_gate.py --bench                   # gate committed
-                                                          # trajectory
-
 The committed baseline (``scripts/perf_baseline.json``) must be
 regenerated with the same workload arguments whenever the gate's
-workload changes.
+workload changes.  Throughput and latency claims are not this script's
+business: they name a ``BENCHMARK.json`` metric and workload.
 """
 
 from __future__ import annotations
@@ -48,9 +37,6 @@ import sys
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "perf_baseline.json"
-DEFAULT_BENCH_DIR = (
-    Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
-)
 DEFAULT_SECTIONS = ("engine.dispatch", "routing.gpsr")
 
 
@@ -88,9 +74,8 @@ def odds(payload: dict, section: str) -> float:
 def gate_profile(args: argparse.Namespace) -> int:
     if args.profile is None:
         print(
-            "error: profile mode needs a fresh 'repro profile --json' "
-            "file as the positional argument (or pass --bench for the "
-            "benchmark-trajectory gate)",
+            "error: the gate needs a fresh 'repro profile --json' file as "
+            "the positional argument",
             file=sys.stderr,
         )
         return 2
@@ -182,91 +167,10 @@ def gate_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def load_bench(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "scenarios" not in payload:
-        raise ValueError(
-            f"{path}: not a 'repro bench --json' payload "
-            "(missing 'scenarios')"
-        )
-    return payload
-
-
-def gate_bench(args: argparse.Namespace) -> int:
-    """Benchmark-trajectory gate over BENCH_*.json records."""
-    if args.profile is not None:
-        records = [args.profile]
-    else:
-        records = sorted(args.bench_dir.glob("BENCH_*.json"))
-        if not records:
-            print(
-                f"error: no BENCH_*.json records under {args.bench_dir}.\n"
-                "record one with:\n"
-                "  python -m repro bench --bench-id BENCH_0001 "
-                f"--json {args.bench_dir}/BENCH_0001.json",
-                file=sys.stderr,
-            )
-            return 2
-
-    trajectory = []
-    for path in records:
-        try:
-            trajectory.append((path, load_bench(path)))
-        except OSError as exc:
-            print(f"error: cannot read bench record {path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    print(f"{'record':<18} {'scenario':<10} {'ev/s (fast)':>12} "
-          f"{'speedup':>8}")
-    for path, payload in trajectory:
-        for name, rec in payload["scenarios"].items():
-            fast = rec.get("fast", {})
-            speedup = rec.get("speedup")
-            tag = f"{speedup:7.2f}x" if speedup else "      —"
-            print(f"{path.stem:<18} {name:<10} "
-                  f"{fast.get('events_per_s', 0.0):>12,.0f} {tag:>8}")
-
-    latest_path, latest = trajectory[-1]
-    failed = False
-    for name, rec in latest["scenarios"].items():
-        speedup = rec.get("speedup")
-        if speedup is None:
-            print(
-                f"error: latest record {latest_path} has no reference-"
-                f"kernel measurement for scenario {name!r} (recorded "
-                "with --no-reference?) — the trajectory gate needs the "
-                "fast/reference speedup; re-record without "
-                "--no-reference",
-                file=sys.stderr,
-            )
-            return 2
-        if speedup < args.min_speedup:
-            print(
-                f"bench gate FAIL: scenario {name!r} fast-kernel speedup "
-                f"{speedup:.2f}x fell below the floor "
-                f"{args.min_speedup:.2f}x (latest record: {latest_path})",
-                file=sys.stderr,
-            )
-            failed = True
-    if failed:
-        return 1
-    print(f"bench gate OK (latest record: {latest_path.name}, "
-          f"floor {args.min_speedup:.2f}x)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("profile", type=Path, nargs="?", default=None,
-                        help="fresh 'repro profile --json' output "
-                             "(profile mode), or a single bench record "
-                             "(--bench mode; default: the committed "
-                             "trajectory)")
+                        help="fresh 'repro profile --json' output")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     parser.add_argument("--sections", nargs="+", default=list(DEFAULT_SECTIONS),
                         help="profiled sections to gate on")
@@ -275,21 +179,7 @@ def main(argv=None) -> int:
                              "exceeds this (default 0.5 = +50%%)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from the fresh profile")
-    parser.add_argument("--bench", action="store_true",
-                        help="benchmark-trajectory mode: gate the latest "
-                             "BENCH_*.json fast/reference speedup")
-    parser.add_argument("--bench-dir", type=Path, default=DEFAULT_BENCH_DIR,
-                        help="directory of BENCH_*.json records "
-                             "(default: benchmarks/perf)")
-    parser.add_argument("--min-speedup", type=float, default=1.3,
-                        help="bench mode: minimum fast/reference speedup "
-                             "per scenario (default 1.3 — conservative "
-                             "so CI noise cannot flake the gate)")
-    args = parser.parse_args(argv)
-
-    if args.bench:
-        return gate_bench(args)
-    return gate_profile(args)
+    return gate_profile(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--warmup", type=float, default=200.0)
     run_p.add_argument("--items", type=int, default=1000)
     run_p.add_argument("--seed", type=int, default=1)
-    _add_kernel_args(run_p)
 
     fig_p = sub.add_parser("fig", help="regenerate a paper figure's data")
     fig_p.add_argument("figure", choices=["4", "5", "6", "7", "8", "9a", "9b", "all"])
@@ -274,35 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 0.5; the closed form is mean-field)")
     en_p.add_argument("--json", default=None, metavar="PATH",
                       help="also write the reconciliation report as JSON")
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="event-kernel microbenchmarks on pinned scenarios "
-             "(fast vs reference kernel; see docs/PERFORMANCE.md)",
-    )
-    bench_p.add_argument(
-        "--scenario", action="append", default=None, metavar="NAME",
-        help="pinned scenario to run (repeatable; default: all)",
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="shrink virtual duration for CI smoke runs "
-             "(results are NOT trajectory-comparable)",
-    )
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="runs per kernel; best run is reported "
-                              "(default 3)")
-    bench_p.add_argument(
-        "--no-reference", dest="reference", action="store_false",
-        default=True,
-        help="skip the scalar reference kernel (no speedup column)",
-    )
-    bench_p.add_argument("--bench-id", default=None, metavar="ID",
-                         help="identifier recorded in the payload "
-                              "(e.g. BENCH_0006)")
-    bench_p.add_argument("--json", default=None, metavar="PATH",
-                         help="write the payload as JSON (the "
-                              "benchmarks/perf/BENCH_*.json format)")
 
     watch_p = sub.add_parser(
         "watch",
@@ -559,20 +529,6 @@ def _resilience_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
-    """``--fast-kernel`` / ``--no-fast-kernel`` escape hatch."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--fast-kernel", dest="fast_kernel", action="store_true", default=True,
-        help="vectorized/cached event kernel (default; bit-identical "
-             "results, enforced by the golden-digest equivalence tests)",
-    )
-    group.add_argument(
-        "--no-fast-kernel", dest="fast_kernel", action="store_false",
-        help="scalar reference kernel (the equivalence baseline)",
-    )
-
-
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     """Simulation knobs shared by the trace/profile subcommands."""
     parser.add_argument("--nodes", type=int, default=40)
@@ -601,7 +557,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         help="head-based trace sampling probability in [0, 1] "
              "(default 1.0 = trace every request; digest-neutral)",
     )
-    _add_kernel_args(parser)
 
 
 def _workload_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
@@ -611,7 +566,6 @@ def _workload_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
     overrides.setdefault(
         "trace_sample_rate", getattr(args, "trace_sample_rate", 1.0)
     )
-    overrides.setdefault("fast_kernel", getattr(args, "fast_kernel", True))
     return SimulationConfig(
         n_nodes=args.nodes,
         n_regions=args.regions,
@@ -718,7 +672,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
-    overrides.setdefault("fast_kernel", getattr(args, "fast_kernel", True))
     return SimulationConfig(
         n_nodes=args.nodes,
         n_regions=args.regions,
@@ -1045,27 +998,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import format_bench, run_bench, write_bench
-
-    try:
-        payload = run_bench(
-            scenarios=args.scenario,
-            quick=args.quick,
-            repeats=args.repeats,
-            reference=args.reference,
-            bench_id=args.bench_id,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_bench(payload))
-    if args.json is not None:
-        write_bench(payload, args.json)
-        print(f"wrote bench payload to {args.json}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import (
         CHAOS_GRAMMAR,
@@ -1342,8 +1274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_profile(args)
     if args.command == "energy":
         return _cmd_energy(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "watch":
         return _cmd_watch(args)
     if args.command == "serve":

@@ -175,14 +175,6 @@ class SimulationConfig:
     #: Bloom hash count.
     digest_hashes: int = 4
 
-    # -- simulation kernel -----------------------------------------------------------------------
-    #: Vectorized event-kernel fast paths: per-topology-generation
-    #: neighbor/planarization/region-membership memos, batched broadcast
-    #: delivery, and handle-free delivery events.  Bit-identical to the
-    #: reference paths (the golden-digest suite enforces on ≡ off); off
-    #: is an escape hatch for debugging and for measuring the speedup.
-    fast_kernel: bool = True
-
     # -- observability ---------------------------------------------------------------------------
     #: Keep a bounded structured event log of protocol events
     #: (request lifecycle, custody movement, region operations).

@@ -88,7 +88,6 @@ class PReCinCtNetwork:
             radio=radio,
             energy_params=EnergyParams(idle_mw=cfg.idle_power_mw),
             stats=self.stats,
-            fast_kernel=cfg.fast_kernel,
         )
         self.stack = NetworkStack(self.network)
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.cache import CachedCopy
 
-__all__ = ["ReplacementPolicy", "GDLDPolicy", "GDSizePolicy", "LRUPolicy"]
+__all__ = ["ReplacementPolicy", "GDLDPolicy", "GDSizePolicy", "LRUPolicy", "LFUPolicy"]
 
 
 class ReplacementPolicy:

@@ -233,13 +233,8 @@ def run_scenario(
     seed: int = 42,
     check_invariants: bool = True,
     observers=None,
-    fast_kernel=None,
 ):
     """Run one audited scenario; return ``(net, report, RunDigest)``.
-
-    ``fast_kernel`` overrides the scenario config's vectorized-kernel
-    flag when not ``None`` — the golden equivalence suite runs every
-    scenario with it forced off and demands byte-identical digests.
 
     Invariants are checked at every fault boundary (via the installed
     :class:`~repro.faults.injectors.FaultController`) and once after the
@@ -259,10 +254,7 @@ def run_scenario(
         ) from None
     from repro.core.network import PReCinCtNetwork
 
-    cfg = factory(seed)
-    if fast_kernel is not None:
-        cfg = replace(cfg, fast_kernel=fast_kernel)
-    net = PReCinCtNetwork(cfg, observers=observers)
+    net = PReCinCtNetwork(factory(seed), observers=observers)
     if net.faults is not None:
         net.faults.check_invariants = check_invariants
     report = net.run()

@@ -76,7 +76,6 @@ class WirelessNetwork:
         radio: RadioParams = RadioParams(),
         energy_params: EnergyParams = EnergyParams(),
         stats: Optional[StatRegistry] = None,
-        fast_kernel: bool = True,
     ):
         self.sim = sim
         self.mobility = mobility
@@ -86,23 +85,13 @@ class WirelessNetwork:
         self.energy = EnergyLedger(self.n_nodes, energy_params)
         self.stats = stats if stats is not None else StatRegistry()
         self.alive = np.ones(self.n_nodes, dtype=bool)
-        #: Vectorized/cached hot paths (per-generation neighbor memo,
-        #: batched broadcast delivery, handle-free delivery events).
-        #: Bit-identical to the reference paths — ``fast_kernel=False``
-        #: is the escape hatch the equivalence tests diff against.
-        self.fast_kernel = bool(fast_kernel)
         # Half-duplex sender serialization: a node's transmissions queue
         # behind each other; _busy_until[i] is when node i's radio frees.
         self._busy_until = np.zeros(self.n_nodes)
         # Radio-on (alive) time bookkeeping, for idle-power accounting.
         self._alive_since = np.zeros(self.n_nodes)
         self._accumulated_uptime = np.zeros(self.n_nodes)
-        self._grid = SpatialGrid(
-            mobility.width,
-            mobility.height,
-            cell_size=radio.range_m,
-            cache_neighbors=self.fast_kernel,
-        )
+        self._grid = SpatialGrid(mobility.width, mobility.height, cell_size=radio.range_m)
         self._last_sample_time = -np.inf
         self._receive_handler: Optional[ReceiveHandler] = None
         self._batch_receive_handler = None
@@ -123,7 +112,7 @@ class WirelessNetwork:
         self._receive_handler = handler
 
     def set_batch_receive_handler(self, handler) -> None:
-        """Register an optional whole-broadcast upcall for the fast kernel.
+        """Register an optional whole-broadcast upcall.
 
         Called as ``handler(live_receivers, packet)`` before the
         per-receiver loop of a batched broadcast delivery; returning
@@ -150,8 +139,7 @@ class WirelessNetwork:
             return
         positions = self.mobility.positions_at(self.sim.now)
         if (
-            self.fast_kernel
-            and not force
+            not force
             and self._grid._positions is not None
             and np.array_equal(positions, self._grid._positions)
         ):
@@ -176,11 +164,11 @@ class WirelessNetwork:
     def node_in_polygon(self, node_id: int, polygon) -> bool:
         """Is ``node_id`` (at its sampled position) inside ``polygon``?
 
-        Memoized per topology generation under the fast kernel — region
-        membership is re-tested for every flood reception and every
-        route-to-region arrival check, almost always against the same
-        handful of region polygons.  The first query of a polygon in a
-        generation classifies *all* nodes in one vectorized pass
+        Memoized per topology generation — region membership is
+        re-tested for every flood reception and every route-to-region
+        arrival check, almost always against the same handful of region
+        polygons.  The first query of a polygon in a generation
+        classifies *all* nodes in one vectorized pass
         (:class:`repro.geom.PolygonTester` is elementwise bit-identical
         to the scalar test).
         """
@@ -193,12 +181,9 @@ class WirelessNetwork:
     def polygon_members(self, polygon):
         """Per-generation ``bool[N]`` membership array for ``polygon``.
 
-        Returns ``None`` when unavailable (reference kernel, or an
-        unhashable polygon) — callers then fall back to the scalar
-        :func:`~repro.geom.point_in_polygon` test.
+        Returns ``None`` for an unhashable polygon — callers then fall
+        back to the scalar :func:`~repro.geom.point_in_polygon` test.
         """
-        if not self.fast_kernel:
-            return None
         self._refresh_positions()
         gen = self._grid.generation
         if gen != self._polygon_cache_gen:
@@ -347,14 +332,14 @@ class WirelessNetwork:
                 attributor.close()
         self._count_sent("net.broadcast_sent", packet.category, size)
         delay = self._hop_delay(src, size)
-        if self.fast_kernel and self._fault_filter is None:
+        if self._fault_filter is None:
             # All receivers share one delivery time, and nothing scheduled
             # later can obtain an earlier (time, priority, seq) key — so a
             # single batch event delivering in receiver order is
             # order-equivalent to one event per receiver.  Fault filters
             # can perturb per-receiver timing, so they keep the loop.
             if receivers.size:
-                self.sim.schedule_fast(delay, self._deliver_batch, receivers, packet)
+                self.sim.schedule(delay, self._deliver_batch, receivers, packet)
             return receivers
         for receiver in receivers:
             receiver = int(receiver)
@@ -363,10 +348,7 @@ class WirelessNetwork:
                 self.stats.count("net.broadcast_dropped.injected")
                 continue
             for extra in deliveries:
-                if self.fast_kernel:
-                    self.sim.schedule_fast(delay + extra, self._deliver, receiver, packet)
-                else:
-                    self.sim.schedule(delay + extra, self._deliver, receiver, packet)
+                self.sim.schedule(delay + extra, self._deliver, receiver, packet)
         return receivers
 
     def unicast(self, src: int, dst: int, packet: Packet) -> bool:
@@ -414,10 +396,7 @@ class WirelessNetwork:
                 return True
             self.energy.charge_p2p_recv(dst, size)
             for extra in deliveries:
-                if self.fast_kernel:
-                    self.sim.schedule_fast(delay + extra, self._deliver, dst, packet)
-                else:
-                    self.sim.schedule(delay + extra, self._deliver, dst, packet)
+                self.sim.schedule(delay + extra, self._deliver, dst, packet)
             return True
         finally:
             if attributor is not None:
@@ -451,8 +430,8 @@ class WirelessNetwork:
 
         One heap entry stands in for ``len(receivers)`` logical delivery
         events; the counter is topped up so ``events_executed`` counts
-        logical events identically under both kernels (the bench's
-        events/sec and the slow-kernel reference stay comparable).
+        logical events, the same number the per-receiver path (taken
+        under a fault filter) executes.
 
         ``net.delivered`` is bumped once for the whole batch: counter
         values are integers in float64, exact up to 2**53, so one add of

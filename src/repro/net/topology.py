@@ -12,14 +12,14 @@ refreshes it lazily as simulation time advances.
 
 Each rebuild starts a new *topology generation* (monotone counter).
 Positions are frozen within a generation, so per-node query results are
-pure functions of (generation, node) — with ``cache_neighbors=True``
-the grid memoizes :meth:`neighbors_of` per generation, filling a whole
-cell's occupants in one vectorized pass the first time any of them asks.
+pure functions of (generation, node) — the grid memoizes
+:meth:`neighbors_of` per (generation, radius), filling a whole cell's
+occupants in one vectorized pass the first time any of them asks.
 The cached arrays are built by exactly the same candidate-ordering and
-distance arithmetic as the uncached path (3x3 cell block in row-major
-order, ascending node id within each cell, float64 ops elementwise
-identical), so cached and uncached answers are bit-identical — the
-golden-digest suite depends on this.
+distance arithmetic as the :meth:`within_range` cell walk (3x3 cell
+block in row-major order, ascending node id within each cell, float64
+ops elementwise identical), so memoized and walked answers are
+bit-identical — the golden-digest suite depends on this.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ class SpatialGrid:
         Cell side; use the radio range so a 3x3 cell block covers it.
     """
 
-    def __init__(
-        self, width: float, height: float, cell_size: float, cache_neighbors: bool = False
-    ):
+    def __init__(self, width: float, height: float, cell_size: float):
         if cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self.width = float(width)
@@ -61,7 +59,6 @@ class SpatialGrid:
         self._cells: Dict[int, np.ndarray] = {}
         #: Monotone rebuild counter; consumers key per-topology caches on it.
         self.generation = 0
-        self.cache_neighbors = bool(cache_neighbors)
         self._cell_of: Optional[np.ndarray] = None  # per-node clamped cell id
         self._rows: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
@@ -154,22 +151,23 @@ class SpatialGrid:
     def neighbors_of(self, node_id: int, radius: float) -> np.ndarray:
         """Live nodes within ``radius`` of ``node_id``, excluding itself.
 
-        With ``cache_neighbors`` on, results are memoized per topology
-        generation; the returned array is shared across calls and must
-        not be mutated by callers.
+        Results are memoized per (topology generation, radius); the
+        returned array is shared across calls and must not be mutated by
+        callers.  Dead nodes are not memoized and take the cell walk.
         """
         if self._positions is None:
             raise RuntimeError("SpatialGrid.rebuild() must be called before querying")
-        if self.cache_neighbors:
-            cached = self._neighbor_cache.get(node_id)
-            if cached is None:
-                if self._cache_radius is None:
-                    self._bulk_fill_neighbor_cache(radius)
-                    cached = self._neighbor_cache.get(node_id)
-                if cached is None:
-                    cached = self._fill_neighbor_cache(node_id, radius)
-            if cached is not None:
-                return cached
+        if radius != self._cache_radius:
+            # Single-radius memo: the owning network always queries at
+            # radio range.  An off-radius query flushes and re-keys.
+            self._neighbor_cache = {}
+            self._cache_radius = radius
+            self._bulk_fill_neighbor_cache(radius)
+        cached = self._neighbor_cache.get(node_id)
+        if cached is None:
+            cached = self._fill_neighbor_cache(node_id, radius)
+        if cached is not None:
+            return cached
         point = (float(self._positions[node_id, 0]), float(self._positions[node_id, 1]))
         ids = self.within_range(point, radius)
         return ids[ids != node_id]
@@ -177,7 +175,7 @@ class SpatialGrid:
     def _bulk_fill_neighbor_cache(self, radius: float) -> None:
         """Memoize every live node's neighbor set in one vectorized pass.
 
-        Runs once per (generation, radius), on the first cached query.
+        Runs once per (generation, radius), on the first query.
         The per-node candidate *order* of the cell-walk path — 3x3 block
         row-major, ascending id within each cell — is reproduced by
         sorting each node's in-range pairs on (relative-cell block
@@ -188,7 +186,6 @@ class SpatialGrid:
         bit-identical.  Populations above :attr:`bulk_fill_limit` skip
         this (O(live^2) memory) and fill cell by cell instead.
         """
-        self._cache_radius = radius
         if radius > self.cell_size * (1 + 1e-9):
             return
         live_ids = np.flatnonzero(self._alive)
@@ -228,20 +225,15 @@ class SpatialGrid:
         All occupants of a cell share the same 3x3 candidate block, so
         one broadcasted (occupants x candidates) distance pass fills the
         whole cell.  Returns ``node_id``'s entry, or ``None`` when the
-        node is not cacheable (dead, or a different query radius) — the
-        caller then falls back to the uncached path.
+        node is not cacheable (dead, or an oversize radius) — the caller
+        then falls back to the cell walk.
         """
-        if self._cache_radius != radius:
-            # Single-radius memo: the owning network always queries at
-            # radio range.  An off-radius query flushes and re-keys.
-            self._neighbor_cache = {}
-            self._cache_radius = radius
         if radius > self.cell_size * (1 + 1e-9):
             return None
         cell = int(self._cell_of[node_id])
         bucket = self._cells.get(cell)
         if bucket is None or node_id not in bucket:
-            return None  # dead node: keep the legacy per-call behaviour
+            return None  # dead node: not memoized
         row, col = divmod(cell, self.n_cols)
         chunks: List[np.ndarray] = []
         for dr in (-1, 0, 1):

@@ -18,12 +18,7 @@ application (peer protocol) layer.
 from repro.routing.envelopes import FloodEnvelope, GeoEnvelope
 from repro.routing.flooding import Flooder
 from repro.routing.gpsr import GpsrRouter
-from repro.routing.planarization import (
-    IncrementalGabriel,
-    PlanarizationCache,
-    gabriel_neighbors,
-    relative_neighborhood,
-)
+from repro.routing.planarization import gabriel_neighbors, relative_neighborhood
 from repro.routing.stack import NetworkStack
 
 __all__ = [
@@ -31,9 +26,7 @@ __all__ = [
     "Flooder",
     "GeoEnvelope",
     "GpsrRouter",
-    "IncrementalGabriel",
     "NetworkStack",
-    "PlanarizationCache",
     "gabriel_neighbors",
     "relative_neighborhood",
 ]

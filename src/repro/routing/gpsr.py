@@ -38,7 +38,7 @@ from repro.geom import angle_of, distance
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
 from repro.routing.envelopes import GREEDY, PERIMETER, GeoEnvelope
-from repro.routing.planarization import PlanarizationCache, gabriel_neighbors
+from repro.routing.planarization import gabriel_neighbors
 
 __all__ = ["GpsrRouter"]
 
@@ -62,13 +62,10 @@ class GpsrRouter:
         self.on_drop = on_drop
         self.planarizer = planarizer
         self.stats = network.stats
-        # Fast-kernel memos, all keyed on the network's topology
-        # generation (positions are frozen within one): the planar
-        # neighbor set + its edge angles per node, and the gathered
-        # neighbor-position array per node.  Contents are bit-identical
-        # to what the uncached code recomputes per packet.
-        self._fast = getattr(network, "fast_kernel", False)
-        self._planar_cache = PlanarizationCache(planarizer)
+        # Memos keyed on the network's topology generation (positions
+        # are frozen within one): the planar neighbor set + its edge
+        # angles per node, and the gathered neighbor-position array per
+        # node.  Contents are bit-identical to a per-packet recompute.
         self._angle_cache: dict = {}
         self._nbr_pos_cache: dict = {}
         self._cache_generation = -1
@@ -148,10 +145,9 @@ class GpsrRouter:
         here = self.network.position_of(node_id)
         dest = envelope.dest_point
         positions = self.network.positions()
-        if self._fast:
-            # neighbors_of() above already refreshed the spatial index,
-            # so the generation is stable for the rest of this decision.
-            self._sync_caches()
+        # neighbors_of() above already refreshed the spatial index, so
+        # the generation is stable for the rest of this decision.
+        self._sync_caches()
 
         if envelope.mode == PERIMETER:
             # Escape back to greedy as soon as we beat the entry point.
@@ -192,8 +188,6 @@ class GpsrRouter:
             self._cache_generation = generation
             self._angle_cache.clear()
             self._nbr_pos_cache.clear()
-        self._planar_cache.planarizer = self.planarizer
-        self._planar_cache.sync(generation)
 
     def _greedy_next(
         self,
@@ -204,13 +198,9 @@ class GpsrRouter:
         positions: np.ndarray,
     ) -> Optional[int]:
         """Neighbor strictly closer to dest than we are, else None."""
-        if self._fast:
-            nbr_pos = self._nbr_pos_cache.get(node_id)
-            if nbr_pos is None:
-                nbr_pos = positions[neighbors]
-                self._nbr_pos_cache[node_id] = nbr_pos
-        else:
-            nbr_pos = positions[neighbors]
+        nbr_pos = self._nbr_pos_cache.get(node_id)
+        if nbr_pos is None:
+            nbr_pos = self._nbr_pos_cache[node_id] = positions[neighbors]
         diff = nbr_pos - np.asarray(dest, dtype=float)
         dists = np.hypot(diff[:, 0], diff[:, 1])
         best = int(np.argmin(dists))
@@ -227,32 +217,25 @@ class GpsrRouter:
     ):
         """Planar neighbor ids of ``node_id`` with their edge angles.
 
-        Both are pure functions of the topology generation, so under the
-        fast kernel they are computed once per (generation, node) rather
-        than once per perimeter-mode packet.  The angles come from the
-        same :func:`repro.geom.angle_of` (CPython ``math.atan2``) as the
-        uncached path — never a numpy reimplementation, whose libm could
-        round differently and silently split the digests.
+        Both are pure functions of the topology generation, so they are
+        computed once per (generation, node) rather than once per
+        perimeter-mode packet.  The angles come from
+        :func:`repro.geom.angle_of` (CPython ``math.atan2``) — never a
+        numpy reimplementation, whose libm could round differently and
+        silently split the digests.
         """
-        if self._fast:
-            cached = self._angle_cache.get(node_id)
-            if cached is not None:
-                return cached
-            planar = self._planar_cache.planar(
-                node_id, np.asarray(here, dtype=float), positions[neighbors], neighbors
-            )
-        else:
-            planar = self.planarizer(
-                np.asarray(here, dtype=float), positions[neighbors], neighbors
-            )
+        cached = self._angle_cache.get(node_id)
+        if cached is not None:
+            return cached
+        planar = self.planarizer(
+            np.asarray(here, dtype=float), positions[neighbors], neighbors
+        )
         planar_ids = [int(nid) for nid in planar]
         angles = [
             angle_of(here, (positions[nid][0], positions[nid][1]))
             for nid in planar_ids
         ]
-        result = (planar_ids, angles)
-        if self._fast:
-            self._angle_cache[node_id] = result
+        result = self._angle_cache[node_id] = (planar_ids, angles)
         return result
 
     def _perimeter_next(

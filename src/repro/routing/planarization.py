@@ -14,35 +14,13 @@ GG keeps more edges (RNG is a subgraph of GG), giving shorter perimeter
 detours; GPSR works with either.  The router defaults to Gabriel.
 
 Both filters here are vectorized over the candidate neighbor set.
-
-Beyond the per-call filters, two *not-per-call* layers amortize
-planarization across the run:
-
-* :class:`PlanarizationCache` — memoizes each node's planar neighbor
-  set per topology generation (positions are frozen between spatial-
-  index rebuilds, so the planar set is a pure function of
-  ``(generation, node)``); the GPSR router consults it on every
-  perimeter-mode hop instead of re-filtering per packet.
-* :class:`IncrementalGabriel` — a delta-maintained dynamic Gabriel
-  structure for join/leave/move workloads: an update dirties only the
-  moved node and the nodes whose unit-disk neighborhoods it enters or
-  leaves, and only those planar sets are re-filtered.  The property
-  suite checks it edge-for-edge against full recomputation after
-  arbitrary update sequences.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
-
 import numpy as np
 
-__all__ = [
-    "gabriel_neighbors",
-    "relative_neighborhood",
-    "PlanarizationCache",
-    "IncrementalGabriel",
-]
+__all__ = ["gabriel_neighbors", "relative_neighborhood"]
 
 
 def gabriel_neighbors(
@@ -98,191 +76,3 @@ def relative_neighborhood(
     np.fill_diagonal(worse, False)
     keep = ~worse.any(axis=1)
     return neighbor_ids[keep]
-
-
-class PlanarizationCache:
-    """Per-topology-generation memo of per-node planar neighbor sets.
-
-    Positions are constant within a spatial-index generation, so a
-    node's planar filter output — which depends only on its own position
-    and its neighbors' ids/positions — is computed at most once per
-    generation instead of once per forwarded packet.  The memo stores
-    the planarizer's exact output array, so cached and uncached routing
-    decisions are bit-identical.
-    """
-
-    def __init__(self, planarizer: Callable[..., np.ndarray] = gabriel_neighbors):
-        self.planarizer = planarizer
-        self._generation: Optional[int] = None
-        self._sets: Dict[int, np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def sync(self, generation: int) -> None:
-        """Drop all memos when the topology generation advanced."""
-        if generation != self._generation:
-            self._generation = generation
-            self._sets.clear()
-
-    def planar(
-        self,
-        node_id: int,
-        self_pos: np.ndarray,
-        neighbor_pos: np.ndarray,
-        neighbor_ids: np.ndarray,
-    ) -> np.ndarray:
-        """Planar subset of ``neighbor_ids``, memoized for this generation."""
-        cached = self._sets.get(node_id)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = self.planarizer(self_pos, neighbor_pos, neighbor_ids)
-        self._sets[node_id] = result
-        return result
-
-
-class IncrementalGabriel:
-    """Delta-maintained Gabriel planarization of a dynamic unit-disk graph.
-
-    Nodes join, leave, and move; :meth:`planar_neighbors` answers from
-    maintained state instead of recomputing the whole graph.  The GG
-    criterion is *local*: node ``u``'s planar set depends only on
-    ``pos(u)`` and the ids/positions of nodes within ``radius`` of it
-    (every witness for an edge ``(u, v)`` lies inside the circle with
-    diameter ``uv``, hence within ``radius`` of ``u``).  An update to
-    node ``x`` therefore dirties exactly ``{x} ∪ N(x_old) ∪ N(x_new)``,
-    and only those planar sets are re-filtered — on a bounded-density
-    plane that is O(1) filter runs per update versus O(n) for full
-    recomputation.
-
-    Neighbor candidates are found through the same uniform cell grid as
-    :class:`~repro.net.topology.SpatialGrid` (cell side = ``radius``).
-    Per-node neighbor ids are kept in ascending order, making
-    :meth:`edges` / :meth:`planar_neighbors` deterministic for the
-    property suite.
-    """
-
-    def __init__(self, radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        self.radius = float(radius)
-        self._pos: Dict[int, Tuple[float, float]] = {}
-        self._cell_members: Dict[Tuple[int, int], Set[int]] = {}
-        self._planar: Dict[int, np.ndarray] = {}
-        self.refilter_count = 0  # filter runs, for delta-vs-full accounting
-
-    # -- cell index ------------------------------------------------------
-
-    def _cell(self, pos: Tuple[float, float]) -> Tuple[int, int]:
-        return (int(np.floor(pos[0] / self.radius)), int(np.floor(pos[1] / self.radius)))
-
-    def _neighbors_of_point(
-        self, pos: Tuple[float, float], exclude: Optional[int] = None
-    ) -> List[int]:
-        """Ids within ``radius`` of ``pos`` (inclusive), ascending."""
-        cx, cy = self._cell(pos)
-        r_sq = self.radius * self.radius
-        found: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for nid in self._cell_members.get((cx + dx, cy + dy), ()):
-                    if nid == exclude:
-                        continue
-                    px, py = self._pos[nid]
-                    if (px - pos[0]) ** 2 + (py - pos[1]) ** 2 <= r_sq:
-                        found.append(nid)
-        found.sort()
-        return found
-
-    # -- updates ---------------------------------------------------------
-
-    def join(self, node_id: int, pos: Tuple[float, float]) -> None:
-        """Insert a new node and re-filter only the affected neighborhoods."""
-        if node_id in self._pos:
-            raise ValueError(f"node {node_id} already present")
-        pos = (float(pos[0]), float(pos[1]))
-        affected = self._neighbors_of_point(pos)
-        self._pos[node_id] = pos
-        self._cell_members.setdefault(self._cell(pos), set()).add(node_id)
-        self._refilter([node_id, *affected])
-
-    def leave(self, node_id: int) -> None:
-        """Remove a node; its former neighbors get re-filtered."""
-        pos = self._pos.pop(node_id, None)
-        if pos is None:
-            raise KeyError(f"node {node_id} not present")
-        cell = self._cell(pos)
-        members = self._cell_members.get(cell)
-        if members is not None:
-            members.discard(node_id)
-            if not members:
-                del self._cell_members[cell]
-        self._planar.pop(node_id, None)
-        self._refilter(self._neighbors_of_point(pos))
-
-    def move(self, node_id: int, pos: Tuple[float, float]) -> None:
-        """Relocate a node; old and new neighborhoods get re-filtered."""
-        old = self._pos.get(node_id)
-        if old is None:
-            raise KeyError(f"node {node_id} not present")
-        pos = (float(pos[0]), float(pos[1]))
-        dirty = set(self._neighbors_of_point(old, exclude=node_id))
-        old_cell, new_cell = self._cell(old), self._cell(pos)
-        if old_cell != new_cell:
-            members = self._cell_members.get(old_cell)
-            if members is not None:
-                members.discard(node_id)
-                if not members:
-                    del self._cell_members[old_cell]
-            self._cell_members.setdefault(new_cell, set()).add(node_id)
-        self._pos[node_id] = pos
-        dirty.update(self._neighbors_of_point(pos, exclude=node_id))
-        dirty.add(node_id)
-        self._refilter(dirty)
-
-    def _refilter(self, node_ids: Iterable[int]) -> None:
-        for nid in node_ids:
-            pos = self._pos.get(nid)
-            if pos is None:
-                continue
-            neighbor_ids = np.asarray(
-                self._neighbors_of_point(pos, exclude=nid), dtype=np.intp
-            )
-            if neighbor_ids.size == 0:
-                self._planar[nid] = neighbor_ids
-            else:
-                neighbor_pos = np.array([self._pos[j] for j in neighbor_ids])
-                self._planar[nid] = gabriel_neighbors(
-                    np.asarray(pos), neighbor_pos, neighbor_ids
-                )
-            self.refilter_count += 1
-
-    # -- queries ---------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._pos)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._pos
-
-    def planar_neighbors(self, node_id: int) -> np.ndarray:
-        """Gabriel-kept neighbor ids of ``node_id``, ascending."""
-        if node_id not in self._pos:
-            raise KeyError(f"node {node_id} not present")
-        return self._planar[node_id]
-
-    def edges(self) -> Set[Tuple[int, int]]:
-        """All Gabriel edges as ``(min_id, max_id)`` pairs.
-
-        The GG keep-criterion is symmetric on a unit-disk graph (every
-        witness of edge ``(u, v)`` is in range of both endpoints), so
-        collecting each node's kept set yields each edge from both
-        sides; the property suite asserts exactly that by comparing
-        against per-node full recomputation.
-        """
-        out: Set[Tuple[int, int]] = set()
-        for u, kept in self._planar.items():
-            for v in kept.tolist():
-                out.add((u, v) if u < v else (v, u))
-        return out

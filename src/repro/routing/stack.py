@@ -161,7 +161,7 @@ class NetworkStack:
             self._deliver(node_id, payload, packet)
 
     def _on_receive_batch(self, receivers, packet: Packet) -> bool:
-        """Whole-broadcast upcall from the fast kernel.
+        """Whole-broadcast upcall from the radio.
 
         Only bare payloads are batchable: geo/flood envelopes carry
         per-receiver routing state (dedup sets, region scoping) and take

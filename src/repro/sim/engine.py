@@ -16,40 +16,34 @@ API are offered:
 
 Event records
 -------------
-Heap entries come in two layouts sharing one ``(time, priority, seq)``
-key prefix, so both sort through the same :mod:`heapq`:
-
-* ``(time, priority, seq, EventHandle, None)`` — a *cancellable* event;
-  the handle allows O(1) lazy cancellation, and
-* ``(time, priority, seq, callback, args)`` — a *fast* event
-  (:meth:`Simulator.schedule_fast`): the record is the heap tuple
-  itself, with no per-event handle object allocated.  Fire-and-forget
-  traffic (packet deliveries, batched broadcasts) uses this layout.
-
-The two layouts are told apart by slot 4: ``None`` marks a handle entry
-(``args`` of a fast event is always a tuple).  The shared ``seq``
-counter means tuple comparison never reaches slot 3, so handles and
-callbacks never need ordering of their own.
+Every scheduled callback is one :class:`Event`: a list
+``[time, priority, seq, callback, args]`` that *is* the heap entry, so
+:mod:`heapq` orders events by plain C-level list comparison and nothing
+else is allocated per event.  ``seq`` is unique, so comparison never
+reaches the callback slot.  :meth:`Simulator.schedule` returns the
+event; callers that may need to withdraw it keep the reference and call
+:meth:`Event.cancel`, everyone else (packet deliveries, batched
+broadcasts) drops it.
 
 Determinism
 -----------
 Events scheduled for the same virtual time are executed in ``(priority,
 sequence)`` order, where ``sequence`` is a monotonically increasing
-insertion counter shared by both event layouts.  Given identical inputs
-and seeds a run is exactly reproducible, which the test suite relies on.
+insertion counter.  Given identical inputs and seeds a run is exactly
+reproducible, which the test suite relies on.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "CancelledError",
-    "EventHandle",
+    "Event",
     "Interrupt",
     "Process",
     "Signal",
@@ -78,24 +72,20 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class EventHandle:
-    """Handle for a scheduled callback, allowing cancellation.
+class Event(list):
+    """A scheduled callback: the heap entry and its cancellation token.
 
-    Cancellation is lazy: the heap entry stays in place but is skipped when
-    popped.  This is O(1) and avoids heap surgery.
+    Laid out as ``[time, priority, seq, callback, args]``.  Cancellation
+    is lazy: the entry stays in the heap with its callback cleared and is
+    skipped when popped.  This is O(1) and avoids heap surgery.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
+    __slots__ = ()
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
-        self.cancelled = True
+        """Prevent the callback from running.  Idempotent, and a no-op
+        once the event has fired."""
+        self[3] = None
 
 
 class _Waitable:
@@ -121,8 +111,7 @@ class Timeout(_Waitable):
         self.value = value
 
     def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        handle = sim.schedule(self.delay, process._resume, self.value)
-        return handle.cancel
+        return sim.schedule(self.delay, process._resume, self.value).cancel
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timeout({self.delay!r})"
@@ -162,8 +151,7 @@ class Signal(_Waitable):
 
     def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
         if self.triggered:
-            handle = sim.schedule(0.0, process._resume, self.value)
-            return handle.cancel
+            return sim.schedule(0.0, process._resume, self.value).cancel
         self._waiters.append(process)
 
         def unsubscribe() -> None:
@@ -366,9 +354,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Entries: (time, priority, seq, EventHandle, None) — cancellable —
-        # or (time, priority, seq, callback, args) — fast, fire-and-forget.
-        self._queue: List[Tuple[float, int, int, Any, Any]] = []
+        self._queue: List[Event] = []
         self._sequence = itertools.count()
         self._live_processes: set = set()
         self._running = False
@@ -389,15 +375,18 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Run ``callback(*args)`` after ``delay`` units of virtual time.
 
         ``priority`` breaks ties among same-time events (lower first);
-        insertion order breaks remaining ties.
+        insertion order breaks remaining ties.  The returned
+        :class:`Event` can be cancelled; ignoring it costs nothing.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
+        event = Event((self.now + delay, priority, next(self._sequence), callback, args))
+        heapq.heappush(self._queue, event)
+        return event
 
     def schedule_at(
         self,
@@ -405,54 +394,15 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time!r}, now={self.now!r})"
             )
-        handle = EventHandle(time, callback, args)
-        heapq.heappush(self._queue, (time, priority, next(self._sequence), handle, None))
-        return handle
-
-    def schedule_fast(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> None:
-        """Schedule a *fire-and-forget* callback: no cancellation handle.
-
-        Same time/priority/insertion-order semantics as :meth:`schedule`
-        (the two share one sequence counter, so fast and cancellable
-        events interleave exactly by insertion order), but the event
-        record is the heap tuple itself — nothing else is allocated.
-        Use for the delivery-heavy network hot path; anything that may
-        need :meth:`EventHandle.cancel` must use :meth:`schedule`.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        heapq.heappush(
-            self._queue,
-            (self.now + delay, priority, next(self._sequence), callback, args),
-        )
-
-    def schedule_at_fast(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> None:
-        """Absolute-time variant of :meth:`schedule_fast`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time!r}, now={self.now!r})"
-            )
-        heapq.heappush(
-            self._queue, (time, priority, next(self._sequence), callback, args)
-        )
+        event = Event((time, priority, next(self._sequence), callback, args))
+        heapq.heappush(self._queue, event)
+        return event
 
     def spawn(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Start a generator as a cooperative process."""
@@ -475,11 +425,8 @@ class Simulator:
         """Execute the next event.  Returns False when the queue is empty."""
         while self._queue:
             time, _priority, _seq, target, args = heapq.heappop(self._queue)
-            if args is None:  # cancellable entry: target is an EventHandle
-                if target.cancelled:
-                    continue
-                args = target.args
-                target = target.callback
+            if target is None:  # cancelled
+                continue
             self.now = time
             self.events_executed += 1
             try:
@@ -498,7 +445,7 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Virtual time of the next pending event, or None if idle."""
         queue = self._queue
-        while queue and queue[0][4] is None and queue[0][3].cancelled:
+        while queue and queue[0][3] is None:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
@@ -522,7 +469,8 @@ class Simulator:
             # identical (same skip/clock/counter/hook behaviour).
             while queue:
                 head = queue[0]
-                if head[4] is None and head[3].cancelled:
+                target = head[3]
+                if target is None:  # cancelled
                     pop(queue)
                     continue
                 time = head[0]
@@ -531,11 +479,7 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 pop(queue)
-                target = head[3]
                 args = head[4]
-                if args is None:
-                    args = target.args
-                    target = target.callback
                 self.now = time
                 self.events_executed += 1
                 try:
@@ -557,11 +501,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(
-            1
-            for entry in self._queue
-            if entry[4] is not None or not entry[3].cancelled
-        )
+        return sum(1 for event in self._queue if event[3] is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now!r}, pending={self.pending_events})"

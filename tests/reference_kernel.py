@@ -1,0 +1,67 @@
+"""Test-side reference kernel: the scalar behaviour the vectorized kernel
+replaced, rebuilt from seams production code keeps for other reasons.
+
+No flag in ``src/`` selects any of this.  :func:`degrade` patches one
+built :class:`~repro.core.network.PReCinCtNetwork` instance so that
+
+* neighbor queries take the uncached 3x3 cell walk (the path dead nodes
+  always take) instead of the per-generation memo,
+* region membership takes the scalar point-in-polygon test (the path an
+  unhashable polygon always takes) instead of the vectorized memo,
+* every broadcast schedules one delivery event per receiver (the path a
+  fault filter always forces) instead of one batch event, so floods are
+  handled per node and HELLO beacons are dispatched per receiver, and
+* GPSR recomputes neighbor positions and planarization per decision.
+
+The golden-digest suite requires a degraded run to fingerprint
+byte-identically to the production kernel on every canonical scenario.
+"""
+
+from __future__ import annotations
+
+from repro.core.network import PReCinCtNetwork
+from repro.faults.audit import SCENARIOS, RunDigest, eventlog_digest, report_digest
+
+
+def walk_neighbors(grid, node_id: int, radius: float):
+    """``SpatialGrid.neighbors_of`` by the uncached cell walk."""
+    ids = grid.within_range(grid.position_of(node_id), radius)
+    return ids[ids != node_id]
+
+
+def _pass_through(src, dst, packet):
+    return None  # deliver normally
+
+
+def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
+    """Strip every memo and batch from ``net`` (this instance only)."""
+    radio = net.network
+    grid = radio._grid
+    grid.neighbors_of = lambda node_id, radius: walk_neighbors(grid, node_id, radius)
+    radio.polygon_members = lambda polygon: None
+    if radio._fault_filter is None:
+        radio.set_fault_filter(_pass_through)
+    router = net.stack.router
+    forward = router._forward_impl
+
+    def forward_unmemoized(node_id, packet):
+        router._angle_cache.clear()
+        router._nbr_pos_cache.clear()
+        forward(node_id, packet)
+
+    router._forward_impl = forward_unmemoized
+    return net
+
+
+def run_reference_scenario(name: str, seed: int = 42) -> RunDigest:
+    """``repro.faults.audit.run_scenario`` on the degraded kernel."""
+    net = degrade(PReCinCtNetwork(SCENARIOS[name](seed)))
+    report = net.run()
+    # A memo that filled means the oracle ran production paths.
+    assert not net.network._grid._neighbor_cache and not net.network._polygon_cache
+    return RunDigest(
+        scenario=name,
+        seed=seed,
+        eventlog=eventlog_digest(net.log),
+        report=report_digest(report),
+    )

@@ -1,11 +1,10 @@
-"""Tests for the microbenchmark harness and the perf/bench gates.
+"""Tests for the profile-odds perf gate and the committed BENCH record.
 
-Covers ``repro.experiments.bench`` (pinned scenarios, quick mode,
-payload shape, kernel equivalence of event counts) and
-``scripts/perf_gate.py`` — in particular the *actionable failure*
-contract: a missing baseline, a baseline without a gated section, or a
-malformed record must produce a clear ``error:`` message and exit code
-2, never a traceback.
+Covers ``scripts/perf_gate.py`` — in particular the *actionable
+failure* contract: a missing baseline, a baseline without a gated
+section, or a malformed record must produce a clear ``error:`` message
+and exit code 2, never a traceback — and the historical
+``benchmarks/perf/BENCH_0006.json`` record.
 """
 
 from __future__ import annotations
@@ -13,16 +12,6 @@ from __future__ import annotations
 import importlib.util
 import json
 from pathlib import Path
-
-import pytest
-
-from repro.experiments.bench import (
-    BENCH_SCENARIOS,
-    bench_scenario,
-    format_bench,
-    run_bench,
-    write_bench,
-)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -39,62 +28,12 @@ def _load_perf_gate():
 perf_gate = _load_perf_gate()
 
 
-# ---------------------------------------------------------------------------
-# repro.experiments.bench
-# ---------------------------------------------------------------------------
-
-class TestBenchHarness:
-    def test_pinned_scenarios_present(self):
-        assert {"kernel", "audit"} <= set(BENCH_SCENARIOS)
-        # The headline scenario exercises the beacon-heavy fast paths.
-        assert BENCH_SCENARIOS["kernel"].gpsr_beacon_interval == 1.0
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench scenario"):
-            run_bench(scenarios=["nope"])
-
-    def test_quick_bench_kernel_equivalence(self, tmp_path):
-        """Quick mode: fast and reference kernels execute the SAME
-        logical event sequence — identical event and request counts —
-        and the payload round-trips through write_bench."""
-        rec = bench_scenario("audit", quick=True, repeats=1)
-        assert rec["fast"]["events"] == rec["reference"]["events"]
-        assert rec["fast"]["requests"] == rec["reference"]["requests"]
-        assert rec["speedup"] > 0
-        payload = {"schema": 1, "bench_id": "t", "quick": True,
-                   "scenarios": {"audit": rec}}
-        out = tmp_path / "b.json"
-        write_bench(payload, out)
-        assert json.loads(out.read_text())["scenarios"]["audit"]["fast"][
-            "events"] == rec["fast"]["events"]
-        table = format_bench(payload)
-        assert "audit" in table and "reference" in table and "x" in table
-
-    def test_no_reference_skips_speedup(self):
-        rec = bench_scenario("audit", quick=True, repeats=1, reference=False)
-        assert "reference" not in rec and "speedup" not in rec
-
-    def test_payload_records_host_metadata(self):
-        import platform
-
-        payload = run_bench(
-            scenarios=["audit"], quick=True, repeats=1, reference=False
-        )
-        host = payload["host"]
-        assert host["python"] == platform.python_version()
-        assert host["implementation"] == platform.python_implementation()
-        assert host["platform"] == platform.platform()
-        assert host["machine"] == platform.machine()
-        assert isinstance(host["cpu_count"], int) and host["cpu_count"] >= 1
-        # ... and it survives the JSON round trip write_bench does.
-        json.loads(json.dumps(payload["host"]))
-
-
 class TestCommittedTrajectory:
     def test_bench_0006_meets_acceptance(self):
-        """The committed first record holds the PR's acceptance claim:
-        >= 3x events/sec vs the pre-PR kernel on the pinned 'kernel'
-        scenario, with identical event counts under every kernel."""
+        """The historical PR 6 record (written by the since-removed
+        ``repro bench``) holds that PR's acceptance claim: >= 3x
+        events/sec vs the pre-PR kernel on the pinned 'kernel' scenario,
+        with identical event counts under every kernel."""
         path = REPO / "benchmarks" / "perf" / "BENCH_0006.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         kern = payload["scenarios"]["kernel"]
@@ -106,92 +45,7 @@ class TestCommittedTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# scripts/perf_gate.py — bench-trajectory mode
-# ---------------------------------------------------------------------------
-
-def _bench_record(speedup=2.0, with_reference=True):
-    rec = {
-        "schema": 1, "bench_id": "t", "quick": True,
-        "scenarios": {
-            "kernel": {
-                "config": {"n_nodes": 4},
-                "fast": {"events": 10, "events_per_s": 100.0 * speedup,
-                         "requests": 1, "requests_per_s": 1.0,
-                         "wall_s": 0.1},
-            },
-        },
-    }
-    if with_reference:
-        rec["scenarios"]["kernel"]["reference"] = {
-            "events": 10, "events_per_s": 100.0, "requests": 1,
-            "requests_per_s": 1.0, "wall_s": 0.1 * speedup,
-        }
-        rec["scenarios"]["kernel"]["speedup"] = speedup
-    return rec
-
-
-class TestBenchGate:
-    def test_trajectory_ok(self, tmp_path, capsys):
-        d = tmp_path / "perf"
-        d.mkdir()
-        for i, s in enumerate([1.5, 2.5], start=1):
-            (d / f"BENCH_{i:04d}.json").write_text(
-                json.dumps(_bench_record(s)))
-        rc = perf_gate.main(["--bench", "--bench-dir", str(d)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "bench gate OK" in out and "BENCH_0002" in out
-
-    def test_latest_record_below_floor_fails(self, tmp_path, capsys):
-        d = tmp_path / "perf"
-        d.mkdir()
-        (d / "BENCH_0001.json").write_text(json.dumps(_bench_record(3.0)))
-        (d / "BENCH_0002.json").write_text(json.dumps(_bench_record(1.1)))
-        rc = perf_gate.main(["--bench", "--bench-dir", str(d)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "fell below the floor" in err and "1.10x" in err
-
-    def test_empty_trajectory_is_actionable(self, tmp_path, capsys):
-        d = tmp_path / "empty"
-        d.mkdir()
-        rc = perf_gate.main(["--bench", "--bench-dir", str(d)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "no BENCH_*.json records" in err
-        assert "repro bench" in err  # tells the user how to record one
-
-    def test_missing_reference_is_actionable(self, tmp_path, capsys):
-        d = tmp_path / "perf"
-        d.mkdir()
-        (d / "BENCH_0001.json").write_text(
-            json.dumps(_bench_record(with_reference=False)))
-        rc = perf_gate.main(["--bench", "--bench-dir", str(d)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "no reference-kernel measurement" in err
-
-    def test_single_record_positional(self, tmp_path, capsys):
-        p = tmp_path / "bench.json"
-        p.write_text(json.dumps(_bench_record(2.0)))
-        rc = perf_gate.main(["--bench", str(p)])
-        assert rc == 0
-
-    def test_non_bench_payload_rejected(self, tmp_path, capsys):
-        p = tmp_path / "bench.json"
-        p.write_text(json.dumps({"wrong": True}))
-        rc = perf_gate.main(["--bench", str(p)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "not a 'repro bench --json' payload" in err
-
-    def test_committed_trajectory_passes_default_gate(self, capsys):
-        rc = perf_gate.main(["--bench"])
-        assert rc == 0, capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# scripts/perf_gate.py — profile mode: actionable failures
+# scripts/perf_gate.py: actionable failures
 # ---------------------------------------------------------------------------
 
 def _profile_payload(sections):
@@ -242,7 +96,7 @@ class TestProfileGateErrors:
         rc = perf_gate.main([])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "profile mode needs" in err
+        assert "needs a fresh 'repro profile --json' file" in err
 
     def test_gate_passes_against_itself(self, tmp_path, capsys):
         prof = tmp_path / "p.json"

@@ -403,67 +403,3 @@ class TestEnergyAndAnomalyExecution:
         out = capsys.readouterr().out
         assert "attributed energy:" in out
         assert " mJ" in out
-
-
-class TestKernelAndBenchParser:
-    def test_fast_kernel_defaults_on(self):
-        for argv in (["run"], ["trace"], ["profile"]):
-            assert build_parser().parse_args(argv).fast_kernel is True
-
-    def test_no_fast_kernel_flag(self):
-        for argv in (["run"], ["trace"], ["profile"]):
-            args = build_parser().parse_args(argv + ["--no-fast-kernel"])
-            assert args.fast_kernel is False
-
-    def test_kernel_flags_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--fast-kernel", "--no-fast-kernel"]
-            )
-
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.command == "bench"
-        assert args.scenario is None  # all pinned scenarios
-        assert args.quick is False
-        assert args.repeats == 3
-        assert args.reference is True
-        assert args.json is None
-
-    def test_bench_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--repeats", "1", "--scenario", "audit",
-             "--no-reference", "--bench-id", "BENCH_9999",
-             "--json", "out.json"]
-        )
-        assert args.quick and args.repeats == 1
-        assert args.scenario == ["audit"]
-        assert args.reference is False
-        assert args.bench_id == "BENCH_9999"
-        assert args.json == "out.json"
-
-    def test_bench_unknown_scenario_errors(self, capsys):
-        rc = main(["bench", "--scenario", "nope", "--repeats", "1"])
-        assert rc == 2
-        assert "unknown bench scenario" in capsys.readouterr().err
-
-
-class TestBenchExecution:
-    def test_bench_quick_writes_payload(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--repeats", "1",
-                   "--scenario", "audit", "--bench-id", "t",
-                   "--json", str(out)])
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert "audit" in printed and "speedup" in printed
-        import json as _json
-        payload = _json.loads(out.read_text())
-        assert payload["quick"] is True
-        rec = payload["scenarios"]["audit"]
-        assert rec["fast"]["events"] == rec["reference"]["events"]
-
-    def test_run_no_fast_kernel_executes(self, capsys):
-        rc = main(["run", "--nodes", "10", "--duration", "30",
-                   "--warmup", "5", "--no-fast-kernel", "--seed", "2"])
-        assert rc == 0

@@ -1,14 +1,15 @@
-"""Bit-equivalence tests for the vectorized fast-kernel paths.
+"""Bit-equivalence tests for the kernel's vectorized and memoized paths.
 
 The golden-digest suite (tests/test_golden_digests.py) catches *any*
-fast/reference divergence end-to-end; the tests here pin each fast path
-in isolation so a divergence points at the responsible layer:
+divergence from the test-side reference kernel end-to-end; the tests
+here pin each layer against the scalar primitive that stays in ``src/``,
+so a divergence points at the responsible layer:
 
 * ``PolygonTester`` / ``points_in_polygon`` vs the scalar
   ``point_in_polygon`` — including boundary points, vertices, and
   degenerate polygons;
 * the spatial grid's one-shot bulk neighbor fill vs the per-cell fill
-  vs uncached per-call queries — not just the same *sets*, the same
+  vs the ``within_range`` cell walk — not just the same *sets*, the same
   *order* (neighbor order feeds RNG draw order downstream);
 * ``Flooder.handle_batch`` vs per-receiver ``handle`` — same
   deliveries, same delivery order, same duplicate/out-of-scope counter
@@ -22,6 +23,7 @@ import pytest
 
 from repro.geom import PolygonTester, point_in_polygon, points_in_polygon
 from repro.net.topology import SpatialGrid
+from tests.reference_kernel import walk_neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -82,65 +84,83 @@ class TestPointsInPolygon:
 
 
 # ---------------------------------------------------------------------------
-# Spatial grid: bulk fill vs per-cell fill vs uncached, order-exact
+# Spatial grid: bulk fill vs per-cell fill vs the cell walk, order-exact
 # ---------------------------------------------------------------------------
 
-def _grids_with_nodes(n=120, seed=5, radius=90.0, alive_frac=1.0):
+def _grid_with_nodes(n=120, seed=5, radius=90.0, alive_frac=1.0):
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 600.0, size=(n, 2))
     alive = rng.random(n) < alive_frac
-    cached = SpatialGrid(600.0, 600.0, cell_size=radius, cache_neighbors=True)
-    uncached = SpatialGrid(600.0, 600.0, cell_size=radius,
-                           cache_neighbors=False)
-    cached.rebuild(pos, alive.copy())
-    uncached.rebuild(pos, alive.copy())
-    return cached, uncached, np.flatnonzero(alive), radius
+    grid = SpatialGrid(600.0, 600.0, cell_size=radius)
+    grid.rebuild(pos, alive)
+    return grid, np.flatnonzero(alive), radius
 
 
 class TestGridNeighborOrderExactness:
     @pytest.mark.parametrize("alive_frac", [1.0, 0.7])
     def test_bulk_fill_matches_uncached_order(self, alive_frac):
-        cached, uncached, live, radius = _grids_with_nodes(
-            alive_frac=alive_frac
-        )
+        grid, live, radius = _grid_with_nodes(alive_frac=alive_frac)
         for nid in live.tolist():
-            a = cached.neighbors_of(nid, radius)
-            b = uncached.neighbors_of(nid, radius)
+            a = grid.neighbors_of(nid, radius)
+            b = walk_neighbors(grid, nid, radius)
             assert a.tolist() == b.tolist(), f"node {nid}"
-        assert cached._cache_radius == radius
+        assert grid._cache_radius == radius
+        assert set(grid._neighbor_cache) == set(live.tolist())
 
     def test_per_cell_fallback_matches_bulk(self):
         # Force the per-cell fallback by dropping the bulk limit to 0;
-        # both cached strategies must agree with the uncached walk.
-        bulk, uncached, live, radius = _grids_with_nodes()
-        percell, _, _, _ = _grids_with_nodes()
+        # both memo strategies must agree with the uncached walk.
+        bulk, live, radius = _grid_with_nodes()
+        percell, _, _ = _grid_with_nodes()
         percell.bulk_fill_limit = 0
         for nid in live.tolist():
-            want = uncached.neighbors_of(nid, radius).tolist()
+            want = walk_neighbors(bulk, nid, radius).tolist()
             assert bulk.neighbors_of(nid, radius).tolist() == want
             assert percell.neighbors_of(nid, radius).tolist() == want
 
+    def test_dead_node_takes_the_walk(self):
+        grid, live, radius = _grid_with_nodes(alive_frac=0.7)
+        dead = next(i for i in range(120) if i not in set(live.tolist()))
+        got = grid.neighbors_of(dead, radius)
+        assert got.tolist() == walk_neighbors(grid, dead, radius).tolist()
+        assert dead not in grid._neighbor_cache
+
+    @pytest.mark.parametrize("bulk_fill_limit", [1500, 0])
+    def test_second_radius_is_not_served_from_the_first_radius_memo(
+        self, bulk_fill_limit
+    ):
+        # Regression: the memo was keyed on node id only, so a query at
+        # a second radius returned the first radius's neighbor set.
+        grid, live, radius = _grid_with_nodes()
+        grid.bulk_fill_limit = bulk_fill_limit
+        for r in (radius, 0.4 * radius, radius):
+            for nid in live.tolist():
+                assert (grid.neighbors_of(nid, r).tolist()
+                        == walk_neighbors(grid, nid, r).tolist()), (nid, r)
+            assert grid._cache_radius == r
+
     def test_oversize_radius_rejected_cached_and_uncached(self):
         # radius > cell_size breaks the 3x3-block precondition; both
-        # the cached (bulk-fill) and uncached paths must refuse rather
-        # than answer with missing neighbors.
-        cached, uncached, live, _ = _grids_with_nodes()
-        radius = cached.cell_size * 2.5
+        # the memoized query and the walk must refuse rather than answer
+        # with missing neighbors.
+        grid, live, _ = _grid_with_nodes()
+        radius = grid.cell_size * 2.5
         nid = int(live[0])
         with pytest.raises(ValueError, match="exceeds cell_size"):
-            cached.neighbors_of(nid, radius)
+            grid.neighbors_of(nid, radius)
         with pytest.raises(ValueError, match="exceeds cell_size"):
-            uncached.neighbors_of(nid, radius)
+            walk_neighbors(grid, nid, radius)
 
     def test_rebuild_invalidates_cache(self):
-        cached, _, live, radius = _grids_with_nodes()
+        grid, live, radius = _grid_with_nodes()
         nid = int(live[0])
-        cached.neighbors_of(nid, radius)
-        gen = cached.generation
+        grid.neighbors_of(nid, radius)
+        gen = grid.generation
         rng = np.random.default_rng(99)
-        cached.rebuild(rng.uniform(0.0, 600.0, size=(120, 2)))
-        assert cached.generation == gen + 1
-        assert cached._cache_radius is None
+        grid.rebuild(rng.uniform(0.0, 600.0, size=(120, 2)))
+        assert grid.generation == gen + 1
+        assert grid._cache_radius is None
+        assert not grid._neighbor_cache
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +282,27 @@ class TestHandleBatchEquivalence:
         flooder._seen[packet.packet_id] = np.zeros(10, dtype=bool)
         flooder.forget(packet.packet_id)
         assert packet.packet_id not in flooder._seen
+
+
+# ---------------------------------------------------------------------------
+# One kernel: nothing under src/ or scripts/ may select another
+# ---------------------------------------------------------------------------
+
+def test_no_kernel_fork_in_source():
+    import re
+    from pathlib import Path
+
+    from repro.cli import build_parser
+
+    repo = Path(__file__).resolve().parent.parent
+    banned = re.compile(r"fast_kernel|schedule_(at_)?fast|cache_neighbors")
+    hits = [
+        f"{path.relative_to(repo)}:{lineno}: {line.strip()}"
+        for root in ("src", "scripts")
+        for path in sorted((repo / root).rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "kernel fork reappeared:\n" + "\n".join(hits)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench"])

@@ -19,6 +19,7 @@ import pytest
 
 from repro.faults.audit import CANONICAL_SCENARIOS, load_golden, run_scenario
 from repro.obs import Observers
+from tests.reference_kernel import run_reference_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 
@@ -49,24 +50,20 @@ def test_scenario_matches_golden_digest(scenario, golden):
 
 
 @pytest.mark.parametrize("scenario", CANONICAL_SCENARIOS)
-def test_fast_kernel_is_digest_neutral(scenario, golden):
+def test_reference_kernel_matches_golden(scenario, golden):
     """The vectorized kernel is an *optimization*, never a behaviour.
 
-    Every golden scenario must fingerprint byte-identically with the
-    fast kernel forced OFF — the scalar reference paths (per-call
-    neighbor scans, per-node flood handling, scalar point-in-polygon,
-    unbatched delivery) and the vectorized ones must replay the exact
-    same logical event sequence.  Digest-affecting divergence between
-    the kernels lands here, not in a silently different result.
+    Every golden scenario must fingerprint byte-identically on the
+    test-side reference kernel (tests/reference_kernel.py: per-call
+    neighbor walks, per-node flood handling, scalar point-in-polygon,
+    one delivery event per receiver, unmemoized GPSR) — it and the
+    production kernel must replay the exact same logical event sequence.
     """
     entry = golden[scenario]
-    _, _, digest = run_scenario(
-        scenario, seed=int(entry["seed"]), fast_kernel=False
-    )
+    digest = run_reference_scenario(scenario, seed=int(entry["seed"]))
     assert digest.eventlog == entry["eventlog"], (
-        f"reference kernel (fast_kernel=False) diverged from the golden "
-        f"event-log digest of {scenario!r}: the vectorized fast paths "
-        f"are not digest-neutral"
+        f"reference kernel diverged from the golden event-log digest of "
+        f"{scenario!r}: a memoized or batched path is not digest-neutral"
     )
     assert digest.report == entry["report"]
 

@@ -81,151 +81,3 @@ class TestRNG:
         ids = np.array([3])
         out = relative_neighborhood(np.zeros(2), np.array([[5.0, 5.0]]), ids)
         assert out.tolist() == [3]
-
-
-# ---------------------------------------------------------------------------
-# IncrementalGabriel: delta maintenance ≡ full recomputation
-# ---------------------------------------------------------------------------
-
-from repro.routing.planarization import IncrementalGabriel  # noqa: E402
-
-
-def full_gabriel_edges(positions, radius):
-    """Reference: full Gabriel recomputation of a unit-disk graph.
-
-    ``positions`` is ``{node_id: (x, y)}``; returns the kept edge set as
-    ``(min_id, max_id)`` pairs, filtering every node's in-range neighbor
-    set through the same :func:`gabriel_neighbors` the incremental
-    structure uses.
-    """
-    ids = sorted(positions)
-    r_sq = radius * radius
-    edges = set()
-    for u in ids:
-        ux, uy = positions[u]
-        nbr = [
-            v for v in ids
-            if v != u
-            and (positions[v][0] - ux) ** 2 + (positions[v][1] - uy) ** 2 <= r_sq
-        ]
-        if not nbr:
-            continue
-        kept = gabriel_neighbors(
-            np.array([ux, uy]),
-            np.array([positions[v] for v in nbr], dtype=float),
-            np.asarray(nbr, dtype=np.intp),
-        )
-        for v in kept.tolist():
-            edges.add((u, v) if u < v else (v, u))
-    return edges
-
-
-def assert_matches_full(inc, positions):
-    assert inc.edges() == full_gabriel_edges(positions, inc.radius)
-    for u, pos in positions.items():
-        ux, uy = pos
-        r_sq = inc.radius * inc.radius
-        expect = sorted(
-            v for v, (vx, vy) in positions.items()
-            if v != u and (vx - ux) ** 2 + (vy - uy) ** 2 <= r_sq
-        )
-        kept = inc.planar_neighbors(u).tolist()
-        assert kept == sorted(kept)
-        assert set(kept) <= set(expect)
-
-
-class TestIncrementalGabrielBasics:
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            IncrementalGabriel(0.0)
-
-    def test_join_leave_move_errors(self):
-        inc = IncrementalGabriel(10.0)
-        inc.join(1, (0.0, 0.0))
-        with pytest.raises(ValueError):
-            inc.join(1, (5.0, 5.0))
-        with pytest.raises(KeyError):
-            inc.leave(2)
-        with pytest.raises(KeyError):
-            inc.move(2, (1.0, 1.0))
-        with pytest.raises(KeyError):
-            inc.planar_neighbors(2)
-        assert 1 in inc and 2 not in inc and len(inc) == 1
-
-    def test_witness_removal_and_restoration(self):
-        # u---v kept until witness w moves inside their diameter circle.
-        inc = IncrementalGabriel(100.0)
-        inc.join(0, (0.0, 0.0))
-        inc.join(1, (40.0, 0.0))
-        assert inc.edges() == {(0, 1)}
-        inc.join(2, (20.0, 1.0))  # inside the (0,1) diameter circle
-        assert (0, 1) not in inc.edges()
-        inc.move(2, (20.0, 90.0))  # witness leaves: edge restored
-        assert (0, 1) in inc.edges()
-        inc.leave(2)
-        assert inc.edges() == {(0, 1)}
-
-    def test_delta_refilters_fewer_than_full(self):
-        # Two far-apart clusters: moving inside one must not re-filter
-        # the other.
-        inc = IncrementalGabriel(10.0)
-        for i in range(5):
-            inc.join(i, (float(i), 0.0))          # cluster A near origin
-        for i in range(5, 10):
-            inc.join(i, (1000.0 + i, 0.0))        # cluster B far away
-        before = inc.refilter_count
-        inc.move(0, (0.5, 0.5))
-        touched = inc.refilter_count - before
-        assert touched <= 6  # node + its cluster, never cluster B
-        positions = {i: (float(i), 0.0) for i in range(1, 5)}
-        positions[0] = (0.5, 0.5)
-        positions.update({i: (1000.0 + i, 0.0) for i in range(5, 10)})
-        assert_matches_full(inc, positions)
-
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-#: Dyadic coordinates: exactly representable, so the incremental and
-#: full-recompute paths see bit-identical positions and the strict
-#: witness inequality tie-breaks the same way in both.
-coord = st.integers(0, 2048).map(lambda k: k / 1024.0)
-
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("join"), st.integers(0, 11), coord, coord),
-        st.tuples(st.just("leave"), st.integers(0, 11)),
-        st.tuples(st.just("move"), st.integers(0, 11), coord, coord),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-class TestIncrementalGabrielProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=ops, radius=st.sampled_from([0.25, 0.5, 1.0, 2.5]))
-    def test_equivalent_to_full_recompute(self, ops, radius):
-        """After ANY join/leave/move sequence the delta-maintained
-        structure is edge-for-edge identical to recomputing the Gabriel
-        graph of the surviving nodes from scratch."""
-        inc = IncrementalGabriel(radius)
-        positions = {}
-        for op in ops:
-            kind, nid = op[0], op[1]
-            if kind == "join":
-                if nid in positions:
-                    continue
-                positions[nid] = (op[2], op[3])
-                inc.join(nid, (op[2], op[3]))
-            elif kind == "leave":
-                if nid not in positions:
-                    continue
-                del positions[nid]
-                inc.leave(nid)
-            else:
-                if nid not in positions:
-                    continue
-                positions[nid] = (op[2], op[3])
-                inc.move(nid, (op[2], op[3]))
-            assert_matches_full(inc, positions)

@@ -103,3 +103,16 @@ class TestLRU:
 
     def test_does_not_use_inflation(self):
         assert not LRUPolicy().uses_inflation
+
+
+def test_every_policy_is_exported():
+    import repro.core
+    from repro.core import replacement
+
+    policies = {
+        name for name, obj in vars(replacement).items()
+        if isinstance(obj, type) and issubclass(obj, replacement.ReplacementPolicy)
+    }
+    assert "LFUPolicy" in policies
+    assert policies == set(replacement.__all__)
+    assert repro.core.LFUPolicy is replacement.LFUPolicy

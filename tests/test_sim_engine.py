@@ -303,40 +303,41 @@ class TestProcesses:
 class TestSameTimestampFIFO:
     """Regression: FIFO ordering of same-timestamp events.
 
-    The slab-style fast queue entries (``schedule_fast`` pushes the heap
-    tuple itself, no ``EventHandle``) share ONE ``itertools.count``
-    sequence with cancellable entries, so events at the same (time,
-    priority) must always fire in insertion order — regardless of which
-    scheduling API created each one, and regardless of heap-internal
-    sift order.
+    Every event draws its tiebreaker from ONE ``itertools.count``
+    sequence, so events at the same (time, priority) must always fire in
+    insertion order — whether or not the caller kept the returned
+    :class:`Event` to cancel it, whichever of ``schedule`` /
+    ``schedule_at`` created it, and regardless of heap-internal sift
+    order.
     """
 
-    def test_fast_entries_fifo_at_same_time(self):
+    def test_fifo_at_same_time(self):
         sim = Simulator()
         seen = []
         for i in range(50):
-            sim.schedule_fast(1.0, seen.append, i)
+            sim.schedule(1.0, seen.append, i)
         sim.run()
         assert seen == list(range(50))
 
-    def test_mixed_fast_and_cancellable_interleave_by_insertion(self):
+    def test_kept_and_dropped_events_interleave_by_insertion(self):
         sim = Simulator()
         seen = []
-        # Alternate APIs at one timestamp: insertion order must win.
+        kept = []
+        # Keep every other cancellation token: insertion order must win.
         for i in range(40):
+            event = sim.schedule(2.0, seen.append, i)
             if i % 2:
-                sim.schedule(2.0, seen.append, i)
-            else:
-                sim.schedule_fast(2.0, seen.append, i)
+                kept.append(event)
         sim.run()
         assert seen == list(range(40))
+        assert len(kept) == 20
 
     def test_priority_beats_insertion_then_fifo_within_priority(self):
         sim = Simulator()
         seen = []
-        sim.schedule_fast(1.0, seen.append, "late-a", priority=1)
+        sim.schedule(1.0, seen.append, "late-a", priority=1)
         sim.schedule(1.0, seen.append, "early-a", priority=0)
-        sim.schedule_fast(1.0, seen.append, "early-b", priority=0)
+        sim.schedule(1.0, seen.append, "early-b", priority=0)
         sim.schedule(1.0, seen.append, "late-b", priority=1)
         sim.run()
         assert seen == ["early-a", "early-b", "late-a", "late-b"]
@@ -344,19 +345,46 @@ class TestSameTimestampFIFO:
     def test_cancelled_entry_does_not_disturb_fifo(self):
         sim = Simulator()
         seen = []
-        sim.schedule_fast(1.0, seen.append, 0)
-        handle = sim.schedule(1.0, seen.append, "cancelled")
-        sim.schedule_fast(1.0, seen.append, 1)
-        handle.cancel()
+        sim.schedule(1.0, seen.append, 0)
+        event = sim.schedule(1.0, seen.append, "cancelled")
+        sim.schedule(1.0, seen.append, 1)
+        event.cancel()
         sim.run()
         assert seen == [0, 1]
+        assert sim.events_executed == 2
 
     def test_schedule_at_variants_share_the_sequence(self):
         sim = Simulator()
         seen = []
         sim.schedule_at(3.0, seen.append, "a")
-        sim.schedule_at_fast(3.0, seen.append, "b")
+        sim.schedule(3.0, seen.append, "b")
         sim.schedule_at(3.0, seen.append, "c")
-        sim.schedule_at_fast(3.0, seen.append, "d")
+        sim.schedule(3.0, seen.append, "d")
         sim.run()
         assert seen == ["a", "b", "c", "d"]
+
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(1.0, seen.append, "x")
+        sim.schedule(2.0, seen.append, "y")
+        sim.run(until=1.5)
+        event.cancel()
+        event.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert seen == ["x", "y"]
+
+    def test_step_peek_and_pending_skip_cancelled_entries(self):
+        sim = Simulator()
+        seen = []
+        first = sim.schedule(1.0, seen.append, "first")
+        sim.schedule(2.0, seen.append, "second")
+        last = sim.schedule(3.0, seen.append, "last")
+        first.cancel()
+        last.cancel()
+        assert sim.pending_events == 1
+        assert sim.peek() == 2.0
+        assert sim.step() is True and seen == ["second"]
+        assert sim.peek() is None and sim.step() is False
+        assert sim.events_executed == 1

@@ -41,6 +41,18 @@ class TestSpatialGrid:
         grid.rebuild(positions, alive)
         assert set(grid.neighbors_of(0, 250).tolist()) == {2}
 
+    def test_neighbors_requeried_at_a_smaller_radius(self):
+        # The per-generation memo is keyed on the radius too: a second,
+        # smaller radius must not be answered with the first one's set.
+        rng = np.random.default_rng(2)
+        positions = rng.uniform(0, 400, (80, 2))
+        grid = SpatialGrid(400, 400, cell_size=100)
+        grid.rebuild(positions)
+        for radius in (100.0, 40.0, 100.0):
+            for node in range(80):
+                want = brute_force_within(positions, positions[node], radius)
+                assert set(grid.neighbors_of(node, radius).tolist()) == want - {node}
+
     def test_radius_inclusive(self):
         positions = np.array([[0.0, 0.0], [250.0, 0.0]])
         grid = SpatialGrid(1000, 1000, cell_size=250)
