@@ -12,6 +12,9 @@ of :mod:`repro.ports` with wall-clock adapters plugged in.
 Read path (mirrors Fig. 1 + §4):
 
 * **fresh hit** — the copy's TTR window is open: serve locally.
+  :meth:`CacheService.get_nowait` is this branch alone, synchronous,
+  for callers (the server's await-free path) that have nothing to
+  await; :meth:`CacheService.get` starts with it.
 * **validation** — TTR expired: poll the origin (the home-region poll
   of Push-with-Adaptive-Pull); matching version restarts the window,
   a lagging one refetches.
@@ -154,21 +157,38 @@ class CacheService:
 
     # -- read path -----------------------------------------------------------
 
+    def get_nowait(
+        self, key: int, steered: bool = False
+    ) -> Optional[CacheResponse]:
+        """Serve a fresh hit synchronously, or return None.
+
+        None means the read needs the origin (miss, or TTR window
+        closed) and **nothing was booked**: the caller goes on to
+        :meth:`get`, which counts the request exactly once.
+        """
+        entry = self.cache.get(key)
+        if entry is None:
+            return None
+        now = self.clock.now()
+        if self.scheme.needs_validation(entry, now):
+            return None
+        self._book_get(key)
+        return self._serve_local(entry, now, "hit-fresh", steered)
+
     async def get(
         self, key: int, *, probe: bool = False, steered: bool = False
     ) -> CacheResponse:
         """Serve one read; never raises on origin trouble (degrades)."""
+        response = self.get_nowait(key, steered)
+        if response is not None:
+            return response
         now = self.clock.now()
-        self.requests += 1
-        self.stats.count("service.get")
-        self._access_counts[key] = self._access_counts.get(key, 0) + 1
+        self._book_get(key)
         deadline = (
             self.resilience.deadline_for(now)
             if self.resilience is not None else None
         )
         entry = self.cache.get(key)
-        if entry is not None and not self.scheme.needs_validation(entry, now):
-            return self._serve_local(entry, now, "hit-fresh", steered)
 
         # The copy is absent or past its TTR window: origin interaction.
         verdict = None
@@ -357,6 +377,11 @@ class CacheService:
         }
 
     # -- internals -----------------------------------------------------------
+
+    def _book_get(self, key: int) -> None:
+        self.requests += 1
+        self.stats.count("service.get")
+        self._access_counts[key] = self._access_counts.get(key, 0) + 1
 
     def _serve_local(
         self, entry: CachedCopy, now: float, status: str, steered: bool

@@ -8,11 +8,25 @@ object per line, ordered per connection.
 
 What the server adds around the core:
 
+* **connections** — one :class:`asyncio.Protocol` per client, working
+  per *read*: every buffered line is parsed once and dispatched, its
+  encoded response or its op's task goes on a per-connection deque,
+  and the completed head of the deque leaves in one
+  ``transport.write`` (a task's done-callback flushes the rest), so
+  responses keep request order.  A full write buffer pauses reading
+  until the client drains it; a request line is bounded at 64 KiB;
 * **shard workers** — each shard has an admission queue drained by a
   worker task; ops on one shard are admitted in arrival order while
   slow origin waits never block other shards (or later fresh hits on
   the same shard: the worker fans each admitted op out to its own
   task);
+* **the await-free path** — a fresh-hit get or a put whose home worker
+  is *idle* (:meth:`_ShardWorker.idle`: not draining, runner alive and
+  not wedged, queue empty, no task bound for the shard still unstarted,
+  in-flight below ``max_inflight``; hot-key policy off for gets) would
+  be the next thing that worker runs, so the server runs it itself:
+  no task, no future, no queue hop, heartbeat stamped.  Everything
+  else takes the awaitable ``_get``/``_put``/``_submit`` path;
 * **write dissemination** — an in-process
   :class:`~repro.ports.ConsistencyTransport`: an UpdatePush is applied
   at the home shard first (which folds eq. 2 into the TTR) and then at
@@ -34,8 +48,9 @@ What the server adds around the core:
   metrics-snapshot / ``--watch`` sinks the simulation uses, with the
   same series names — ``repro watch`` renders a service run unchanged;
 * **graceful drain** — SIGTERM/SIGINT stops accepting connections,
-  lets queued and in-flight ops finish, flushes a final telemetry row,
-  writes the live export's end record, and exits 0.
+  lets queued and in-flight ops finish, closes idle connections and
+  lets busy ones write what they owe first, flushes a final telemetry
+  row, writes the live export's end record, and exits 0.
 
 The wire protocol (newline-delimited JSON)::
 
@@ -47,6 +62,11 @@ The wire protocol (newline-delimited JSON)::
     {"op": "chaos", "action": "stall" | "resume"}       # origin switch
     {"op": "chaos", "action": "inject",
      "spec": "origin-error-rate:at=0,p=0.5,duration=2"}  # any fault spec
+
+``key`` must be a JSON integer in ``[0, n_items)`` and a line a JSON
+object; anything else is answered ``{"ok": false, "error": ...}`` and
+the connection stays usable (an over-long line is answered, then the
+connection closes).  Every line counts once in ``service.requests``.
 """
 
 from __future__ import annotations
@@ -55,8 +75,9 @@ import asyncio
 import json
 import signal
 import sys
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Deque, Dict, Optional, Set, Union
 
 import numpy as np
 
@@ -271,8 +292,9 @@ class _ShardWorker:
 
     Survival extras: admission is bounded by ``max_inflight`` (past
     it, :meth:`submit` raises :class:`WorkerOverloaded` — explicit
-    load shedding); the runner stamps a heartbeat each loop turn so
-    the supervisor can tell a wedged worker from an idle one; and
+    load shedding); the runner stamps a heartbeat each loop turn (and
+    the server one per op it runs inline, see :meth:`idle`) so the
+    supervisor can tell a wedged worker from an idle one; and
     :meth:`abort`/:meth:`restart` implement the supervisor's
     kill-and-rebirth cycle.
     """
@@ -284,8 +306,15 @@ class _ShardWorker:
         self._pending: Set[asyncio.Task] = set()
         self._runner: Optional[asyncio.Task] = None
         self._stopped = False
-        #: Loop-time of the runner's last progress mark.
+        #: Loop-time of the last progress mark (runner turn or inline op).
         self.last_beat = 0.0
+        #: The runner is sitting in an injected wedge.
+        self._blocked = False
+        #: Tasks made for ops bound for this shard that have not taken
+        #: their first step: the server's, on their way to
+        #: :meth:`submit`, and the runner's, on their way out of the
+        #: queue.  An op run inline now would overtake them.
+        self.unstarted = 0
         #: Times this worker has been reborn by the supervisor.
         self.restarts = 0
 
@@ -319,14 +348,38 @@ class _ShardWorker:
         """Admitted-but-unfinished ops (queued + in flight)."""
         return self.queue.qsize() + len(self._pending)
 
+    def idle(self) -> bool:
+        """An op submitted now would be the next thing the runner starts.
+
+        The server's await-free path runs such an op itself instead of
+        handing it over: same admission verdict (:meth:`submit` would
+        neither refuse nor shed it), same order (nothing is queued
+        ahead of it), no queue hop.
+        """
+        return (
+            not self._stopped
+            and not self._blocked
+            and self.alive()
+            and self.queue.empty()
+            and not self.unstarted
+            and (
+                self.max_inflight is None
+                or len(self._pending) < self.max_inflight
+            )
+        )
+
+    def beat(self) -> None:
+        """Progress mark: the shard just started or ran an op inline."""
+        self.last_beat = asyncio.get_running_loop().time()
+
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        self.last_beat = asyncio.get_event_loop().time()
+        self.beat()
         self._runner = asyncio.ensure_future(self._run())
 
     async def _run(self) -> None:
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         while True:
             job = await self.queue.get()
             self.last_beat = loop.time()
@@ -337,16 +390,21 @@ class _ShardWorker:
             if isinstance(job, _Wedge):
                 # Block the loop itself: queued ops pile up and the
                 # heartbeat goes stale — exactly a wedged worker.
-                await asyncio.sleep(job.duration)
+                self._blocked = True
+                try:
+                    await asyncio.sleep(job.duration)
+                finally:
+                    self._blocked = False
                 self.last_beat = loop.time()
                 continue
             coro, future = job
+            self.unstarted += 1
             task = asyncio.ensure_future(self._execute(coro, future))
             self._pending.add(task)
             task.add_done_callback(self._pending.discard)
 
-    @staticmethod
-    async def _execute(coro, future: asyncio.Future) -> None:
+    async def _execute(self, coro, future: asyncio.Future) -> None:
+        self.unstarted -= 1
         try:
             result = await coro
         except asyncio.CancelledError:
@@ -381,7 +439,7 @@ class _ShardWorker:
         if self.max_inflight is not None and self.load() >= self.max_inflight:
             coro.close()
             raise WorkerOverloaded("admission bound full")
-        future = asyncio.get_event_loop().create_future()
+        future = asyncio.get_running_loop().create_future()
         # put_nowait: no await between the state checks above and the
         # enqueue, so a job can never land behind the drain sentinel.
         self.queue.put_nowait((coro, future))
@@ -524,6 +582,117 @@ class _ShardTransport:
         server.stats.count("consistency.invalidations")
 
 
+#: Longest request line accepted, newline excluded (bytes).
+MAX_LINE = 2 ** 16
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: parse per read, answer in order, flush once.
+
+    Every read is split into lines and each line handed to
+    :meth:`EdgeCacheServer._process`, which returns either the encoded
+    response or the task that will produce it.  Both go on one deque;
+    whatever prefix of it is complete leaves in a single
+    ``transport.write``, and a task's done-callback flushes again, so
+    responses keep request order however ops interleave.  Dispatching
+    every line of a read before answering is also what lets a
+    pipelining client reach the shard admission bounds instead of
+    piling up in socket buffers.
+
+    Backpressure is the transport's: when the write buffer passes its
+    high-water mark reading is paused, so a client that does not read
+    its responses stops being served instead of growing the buffer.
+    """
+
+    def __init__(self, server: "EdgeCacheServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        #: Resolved by :meth:`connection_lost` (the drain awaits it).
+        self.closed = asyncio.get_running_loop().create_future()
+        #: Bytes received after the last newline.
+        self._tail = b""
+        #: Responses owed, oldest first: bytes, or a task resolving to them.
+        self._owed: Deque[Union[bytes, "asyncio.Task[bytes]"]] = deque()
+        #: Reads are ignored; the transport closes once ``_owed`` is flushed.
+        self._closing = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.stats.count("service.connections")
+
+    def data_received(self, data: bytes) -> None:
+        if self._closing:
+            return
+        server = self.server
+        started = server.clock.now()
+        lines = (self._tail + data).split(b"\n")
+        self._tail = lines.pop()
+        if len(self._tail) > MAX_LINE:
+            lines.append(self._tail)  # refused below, line end or not
+        for line in lines:
+            response = server._process(line, started)
+            if not isinstance(response, bytes):
+                response.add_done_callback(self._flush)
+            self._owed.append(response)
+            if len(line) > MAX_LINE:
+                # No way to resynchronise on a stream with no line end
+                # in sight: that one verdict, then the connection closes.
+                self._tail = b""
+                self._closing = True
+                break
+        self._flush()
+
+    def eof_received(self) -> bool:
+        # A half-closing client may still be reading: serve an
+        # unterminated last line, then keep the transport open until
+        # everything owed has been written.
+        if self._tail:
+            self.data_received(b"\n")
+        self._closing = True
+        return bool(self._owed)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closing = True
+        self.server._connections.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def drain(self) -> None:
+        """Graceful close: at once if idle, else after the last response."""
+        self._closing = True
+        if not self._owed:
+            self.transport.close()
+
+    def _flush(self, _task: Optional[asyncio.Task] = None) -> None:
+        """Write the completed head of ``_owed`` in one call."""
+        owed = self._owed
+        chunks = []
+        while owed:
+            head = owed[0]
+            if not isinstance(head, bytes):
+                if not head.done():
+                    break
+                if head.cancelled():  # loop teardown: nothing more to say
+                    self.transport.abort()
+                    return
+                head = head.result()
+            chunks.append(head)
+            owed.popleft()
+        if self.transport.is_closing():
+            return  # the client went away; ops still run to completion
+        if chunks:
+            self.transport.write(b"".join(chunks))
+        if self._closing and not owed:
+            self.transport.close()
+
+
 class EdgeCacheServer:
     """The asyncio edge-cache service (see module docstring).
 
@@ -627,12 +796,7 @@ class EdgeCacheServer:
         self.bus = None
         self._dashboard = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
-        #: Writers currently between request receipt and response flush;
-        #: the drain closes only idle (readline-parked) connections and
-        #: lets busy ones deliver their response first.
-        self._busy: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
         self._telemetry_task: Optional[asyncio.Task] = None
         self._duration_task: Optional[asyncio.Task] = None
         self._shutdown = asyncio.Event()
@@ -648,8 +812,8 @@ class EdgeCacheServer:
         if self.supervisor is not None:
             self.supervisor.start()
         self.injector.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.cfg.host, self.cfg.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.cfg.host, self.cfg.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.bus is not None:
@@ -677,8 +841,7 @@ class EdgeCacheServer:
         if self._duration_task is not None:
             self._duration_task.cancel()
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.close()  # stop accepting; open connections stay
         # Chaos and supervision stop first: no new faults land and no
         # restart cycle races the drain.
         await self.injector.stop()
@@ -688,15 +851,14 @@ class EdgeCacheServer:
         # (a chaos-stalled origin stays stalled: parked ops resolve
         # through their deadlines, so the drain still terminates).
         await asyncio.gather(*(w.drain() for w in self.workers.values()))
-        # ... handlers get a beat to flush their responses ...
-        await asyncio.sleep(0)
-        # ... then idle connections (parked in readline) are closed;
-        # busy ones exit their loop after flushing the response.
-        for writer in list(self._writers):
-            if writer not in self._busy:
-                writer.close()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        # ... then idle connections are closed; busy ones close
+        # themselves after writing the last response they owe.
+        connections = list(self._connections)
+        for connection in connections:
+            connection.drain()
+        await asyncio.gather(*(c.closed for c in connections))
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._telemetry_task is not None:
             self._telemetry_task.cancel()
             try:
@@ -747,94 +909,96 @@ class EdgeCacheServer:
 
     # -- request handling ----------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One connection: pipelined dispatch, in-order responses.
-
-        Requests are dispatched the moment they are read — a client
-        that pipelines N requests gets N concurrent ops instead of
-        head-of-line blocking behind the first slow one (without
-        this, open-loop overload piles up in socket buffers and never
-        reaches the shard admission bounds that exist to shed it).
-        Responses still go out in request order: a flusher task awaits
-        each dispatch future in sequence.
-        """
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self._writers.add(writer)
-        self.stats.count("service.connections")
-        pending: asyncio.Queue = asyncio.Queue()
-        flusher = asyncio.ensure_future(self._flush_responses(writer, pending))
+    def _process(
+        self, line: bytes, started: float
+    ) -> Union[bytes, "asyncio.Task[bytes]"]:
+        """One request line in; its encoded response, or the task owing it."""
+        self.stats.count("service.requests")
         try:
-            while not self._shutdown.is_set():
-                line = await reader.readline()
-                if not line:
-                    break
-                self._busy.add(writer)
-                pending.put_nowait(
-                    asyncio.ensure_future(
-                        self._process(line, self.clock.now())
-                    )
-                )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-exchange; nothing to flush
-        finally:
-            pending.put_nowait(None)
-            try:
-                await flusher
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # client went away; drop the unflushed tail
-            self._busy.discard(writer)
-            self._writers.discard(writer)
-            self._connections.discard(task)
-            writer.close()
-
-    async def _flush_responses(
-        self, writer: asyncio.StreamWriter, pending: asyncio.Queue
-    ) -> None:
-        while True:
-            future = await pending.get()
-            if future is None:
-                return
-            response = await future
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
-            if pending.empty():
-                self._busy.discard(writer)
-
-    async def _process(self, line: bytes, started: float) -> dict:
-        try:
+            if len(line) > MAX_LINE:
+                raise ValueError(f"request line exceeds {MAX_LINE} bytes")
             request = json.loads(line)
-            response = await self._dispatch(request)
-        except (ValueError, KeyError, TypeError) as exc:
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+            op = request.get("op")
+            if op in ("get", "put", "invalidate"):
+                return self._shard_op(op, self._checked_key(request), started)
+            if op == "stats":
+                response = self.describe()
+            elif op == "ping":
+                response = {"op": "ping", "ok": True, "t": self.clock.now()}
+            elif op == "chaos":
+                response = self._chaos(request)
+            else:
+                raise ValueError(f"unknown op {op!r}")
+        except (ValueError, RecursionError) as exc:  # malformed request
             response = {"ok": False, "error": str(exc)}
+        return self._encode(response, started)
+
+    def _checked_key(self, request: dict) -> int:
+        """The request's key: a JSON integer naming an item, or ValueError."""
+        key = request.get("key")
+        if type(key) is not int or not 0 <= key < self.cfg.n_items:
+            raise ValueError(
+                f"key must be an integer in [0, {self.cfg.n_items}), "
+                f"got {key!r}"
+            )
+        return key
+
+    def _shard_op(
+        self, op: str, key: int, started: float
+    ) -> Union[bytes, "asyncio.Task[bytes]"]:
+        """Run a get/put/invalidate inline if nothing has to be awaited.
+
+        The await-free path: when the home worker is
+        :meth:`~_ShardWorker.idle` - it would start this op next and
+        would not refuse it - a fresh-hit get and a put need no task,
+        future or queue hop, so the server runs them here and stamps
+        the worker's heartbeat.  Everything else becomes a task on the
+        awaitable ``_get``/``_put``/``_submit`` path.
+        """
+        home = self.directory.home_region(key)
+        worker = self.workers[home]
+        if worker.idle():
+            served = None
+            if op == "get" and self._hot_keys is None:
+                served = self.shards[home].get_nowait(key)
+            elif op == "put":
+                served = self.shards[home].put(key, updater=-1)
+            if served is not None:
+                worker.beat()
+                return self._encode(served.to_dict(), started)
+        if op == "get":
+            pending = self._get(key)
+        elif op == "put":
+            pending = self._put(key)
+        else:
+            pending = self._submit(
+                home, self._invalidate(key, home), op="invalidate", key=key
+            )
+        worker.unstarted += 1
+        return asyncio.ensure_future(self._answer(worker, pending, started))
+
+    async def _answer(
+        self, worker: _ShardWorker, pending, started: float
+    ) -> bytes:
+        # This first step runs ``pending`` into the shard queue before
+        # anything else can look at the worker.
+        worker.unstarted -= 1
+        try:
+            response = (await pending).to_dict()
+        except Exception as exc:  # noqa: BLE001 - the client is owed a line
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "edge-cache: op failed", "exception": exc}
+            )
+            response = {"ok": False, "error": repr(exc)}
+        return self._encode(response, started)
+
+    def _encode(self, response: dict, started: float) -> bytes:
         response["latency_ms"] = round(
             (self.clock.now() - started) * 1e3, 3
         )
-        return response
-
-    async def _dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        self.stats.count("service.requests")
-        if op == "get":
-            return (await self._get(int(request["key"]))).to_dict()
-        if op == "put":
-            return (await self._put(int(request["key"]))).to_dict()
-        if op == "invalidate":
-            key = int(request["key"])
-            home = self.directory.home_region(key)
-            response = await self._submit(
-                home, self._invalidate(key, home), op="invalidate", key=key
-            )
-            return response.to_dict()
-        if op == "stats":
-            return self.describe()
-        if op == "ping":
-            return {"op": "ping", "ok": True, "t": self.clock.now()}
-        if op == "chaos":
-            return self._chaos(request)
-        raise ValueError(f"unknown op {op!r}")
+        return json.dumps(response).encode() + b"\n"
 
     async def _submit(
         self, shard_id: int, coro, *, op: str, key: int
@@ -880,7 +1044,7 @@ class EdgeCacheServer:
             if lead is not None:
                 self.stats.count("service.hot_key_coalesced")
                 return await asyncio.shield(lead)
-            future = asyncio.get_event_loop().create_future()
+            future = asyncio.get_running_loop().create_future()
             future.add_done_callback(
                 lambda f: f.exception() if not f.cancelled() else None
             )

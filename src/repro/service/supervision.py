@@ -137,7 +137,7 @@ class ShardSupervisor:
     # -- detection -----------------------------------------------------------
 
     async def _watch(self) -> None:
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.check_interval)
             now = loop.time()

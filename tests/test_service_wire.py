@@ -1,0 +1,624 @@
+"""The edge-cache server's wire boundary and its await-free request path.
+
+Three things are pinned here, all over a real loopback connection:
+
+* **the wire boundary** — key validation, non-object lines, the 64 KiB
+  line bound, split and batched reads, read-pausing backpressure and
+  per-connection response order;
+* **inline ≡ awaitable** — a get/put stream served over the wire (fresh
+  hits and puts run inline, no task) and the same stream driven through
+  ``await server._get/_put`` on a twin server produce the same responses
+  and the same counters, under every consistency scheme;
+* **the inline guard** — a wedged, crashed, drained or full shard and an
+  armed hot-key policy all keep today's awaitable path.
+
+Waits are on events, futures and socket reads; a timeout only ever
+bounds a failure (see :func:`until`).
+"""
+
+import asyncio
+import json
+import socket
+
+import numpy as np
+import pytest
+
+from repro.service import EdgeCacheServer, ManualClock, ServiceConfig
+from repro.service.server import MAX_LINE, _ShardWorker
+
+
+def wire_config(**overrides):
+    base = dict(port=0, n_shards=2, n_items=50, cache_fraction=1.0,
+                deadline=None, supervise=False)
+    base.update(overrides)
+    return ServiceConfig(**base)
+
+
+async def until(predicate, timeout=5.0):
+    """Let the loop run until ``predicate()`` holds (timeout = failure)."""
+    async def spin():
+        while not predicate():
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(spin(), timeout)
+
+
+def encode(*payloads):
+    return b"".join(json.dumps(p).encode() + b"\n" for p in payloads)
+
+
+class Client:
+    """One pipelining client connection."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+
+    @classmethod
+    async def connect(cls, server):
+        return cls(*await asyncio.open_connection("127.0.0.1", server.port))
+
+    async def read(self, count=1):
+        lines = [
+            await asyncio.wait_for(self.reader.readline(), timeout=5.0)
+            for _ in range(count)
+        ]
+        return [json.loads(line) for line in lines]
+
+    async def ask_raw(self, data, count=1):
+        self.writer.write(data)
+        return await self.read(count)
+
+    async def ask(self, *payloads):
+        """Send the requests in one segment; their responses, in order."""
+        return await self.ask_raw(encode(*payloads), len(payloads))
+
+    def close(self):
+        self.writer.close()
+
+
+def serve(scenario, **overrides):
+    """Run ``scenario(server, client)`` against a started server."""
+    server = EdgeCacheServer(wire_config(**overrides))
+
+    async def main():
+        await server.start()
+        client = await Client.connect(server)
+        try:
+            await scenario(server, client)
+        finally:
+            client.close()
+            await server.shutdown()
+
+    asyncio.run(main())
+    return server
+
+
+def keys_homed_at(server, shard_id, replica=None):
+    return [
+        k for k in range(server.cfg.n_items)
+        if server.directory.home_region(k) == shard_id
+        and replica in (None, server.directory.replica_region(k))
+    ]
+
+
+def spy_on_answer(server):
+    """Record every op that leaves the inline path (one entry per task)."""
+    spawned = []
+    answer = server._answer
+
+    def spy(worker, pending, started):
+        spawned.append(pending)
+        return answer(worker, pending, started)
+
+    server._answer = spy
+    return spawned
+
+
+def use_manual_clock(server):
+    clock = ManualClock()
+    server.clock = clock
+    for shard in server.shards.values():
+        shard.clock = clock
+    return clock
+
+
+def no_asyncio_errors(caplog):
+    return not [r for r in caplog.records if r.name == "asyncio"]
+
+
+BAD_KEYS = [99999, 50, -1, "7", 1.5, True, None]
+
+
+class TestWireValidation:
+    @pytest.mark.parametrize("op", ["get", "put", "invalidate"])
+    def test_bad_key_is_a_structured_error_and_the_connection_survives(
+        self, op, caplog
+    ):
+        async def scenario(server, client):
+            for key in BAD_KEYS:
+                (bad,) = await client.ask({"op": op, "key": key})
+                assert bad["ok"] is False
+                assert "key must be an integer in [0, 50)" in bad["error"]
+            (missing,) = await client.ask({"op": op})
+            assert missing["ok"] is False and "key" in missing["error"]
+            (good,) = await client.ask({"op": op, "key": 49})
+            assert good["ok"] is True and good["key"] == 49
+
+        server = serve(scenario)
+        # every line counted once; nothing was served, cached or
+        # committed under a phantom key
+        assert server.stats.value("service.requests") == len(BAD_KEYS) + 2
+        assert server.origin.fetches + server.origin.puts <= 1
+        for shard in server.shards.values():
+            assert set(shard.cache.entries) <= {49}
+        assert no_asyncio_errors(caplog)
+
+    def test_non_object_and_malformed_lines_get_one_error_each(self, caplog):
+        lines = [b"[1]", b"7", b'"x"', b"null", b"{nope", b"", b"\xff\xfe"]
+
+        async def scenario(server, client):
+            for line in lines:
+                (bad,) = await client.ask_raw(line + b"\n")
+                assert bad["ok"] is False and bad["error"]
+            (pong,) = await client.ask({"op": "ping"})
+            assert pong["ok"] is True
+
+        server = serve(scenario)
+        assert server.stats.value("service.requests") == len(lines) + 1
+        assert no_asyncio_errors(caplog)
+
+    def test_line_bound_is_64_kib(self, caplog):
+        """A line of exactly MAX_LINE bytes is served; one byte more is
+        refused with one response and the connection then closes."""
+        assert MAX_LINE == 2 ** 16
+        head, tail = b'{"op": "ping"', b"}"
+        longest = head + b" " * (MAX_LINE - len(head) - len(tail)) + tail
+
+        async def scenario(server, client):
+            (pong,) = await client.ask_raw(longest + b"\n")
+            assert pong["ok"] is True
+            refused, = await client.ask_raw(
+                longest[:-1] + b" }\n" + encode({"op": "ping"})
+            )
+            assert refused["ok"] is False
+            assert "exceeds 65536 bytes" in refused["error"]
+            assert await client.reader.read() == b""  # closed, ping dropped
+
+        server = serve(scenario)
+        assert server.stats.value("service.requests") == 2
+        assert no_asyncio_errors(caplog)
+
+    def test_unterminated_flood_is_refused_at_the_bound(self, caplog):
+        async def scenario(server, client):
+            refused, = await client.ask_raw(b"x" * (MAX_LINE + 1))
+            assert "exceeds 65536 bytes" in refused["error"]
+            assert await client.reader.read() == b""
+
+        serve(scenario)
+        assert no_asyncio_errors(caplog)
+
+    def test_request_split_across_two_segments_parses(self):
+        async def scenario(server, client):
+            line = encode({"op": "get", "key": 3})
+            client.writer.write(line[:9])
+            (connection,) = server._connections
+            await until(lambda: connection._tail == line[:9])
+            assert server.stats.value("service.requests") == 0
+            (response,) = await client.ask_raw(line[9:])
+            assert response["status"] == "miss" and response["key"] == 3
+
+        serve(scenario)
+
+    def test_ten_requests_in_one_segment_leave_in_one_write(self):
+        async def scenario(server, client):
+            keys = list(range(10))
+            await client.ask(*({"op": "get", "key": k} for k in keys))
+            (connection,) = server._connections
+            writes = []
+            write = connection.transport.write
+            connection.transport.write = lambda data: (
+                writes.append(data), write(data)
+            )[1]
+            hits = await client.ask(*({"op": "get", "key": k} for k in keys))
+            assert [h["key"] for h in hits] == keys
+            assert {h["status"] for h in hits} == {"hit-fresh"}
+            assert len(writes) == 1 and writes[0].count(b"\n") == 10
+
+        serve(scenario)
+
+    def test_half_closing_client_gets_its_unterminated_last_line(self):
+        async def scenario(server, client):
+            client.writer.write(encode({"op": "get", "key": 1})
+                                + b'{"op": "ping"}')
+            client.writer.write_eof()
+            miss, pong = await client.read(2)
+            assert miss["status"] == "miss" and pong["op"] == "ping"
+            assert await client.reader.read() == b""
+
+        serve(scenario)
+
+
+class TestConnectionOrderAndFlow:
+    def test_responses_keep_request_order_behind_a_slow_miss(self):
+        """Per-connection response order: three hits completed long
+        before the miss ahead of them are written only after it."""
+        async def scenario(server, client):
+            cold = keys_homed_at(server, 0)[0]
+            warm = keys_homed_at(server, 1)[:3]  # served inline
+            await client.ask(*({"op": "get", "key": k} for k in warm))
+            server.origin.stall()
+            client.writer.write(encode(
+                *({"op": "get", "key": k} for k in [cold] + warm)
+            ))
+            (connection,) = server._connections
+            await until(lambda: len(connection._owed) == 4)
+            miss, *hits = connection._owed
+            assert not miss.done()
+            assert all(isinstance(hit, bytes) for hit in hits)
+            assert server.stats.value("cache.hits") == 3
+            server.origin.resume()
+            responses = await client.read(4)
+            assert [r["key"] for r in responses] == [cold] + warm
+            assert [r["status"] for r in responses] == (
+                ["miss"] + ["hit-fresh"] * 3
+            )
+
+        serve(scenario)
+
+    def test_purge_then_get_in_one_segment_misses(self):
+        """Effect order: an inline hit must not overtake the purge sent
+        just before it, whose task has not started yet."""
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            await client.ask({"op": "get", "key": key})
+            purged, after = await client.ask(
+                {"op": "invalidate", "key": key}, {"op": "get", "key": key}
+            )
+            assert purged["status"] == "invalidated"
+            assert after["status"] == "miss"
+
+        serve(scenario)
+
+    def test_latency_is_stamped_from_line_receipt(self):
+        """latency_ms runs from the read that carried the line to the
+        op's completion — not to the (later, ordered) flush."""
+        server = EdgeCacheServer(wire_config())
+        clock = use_manual_clock(server)
+
+        async def main():
+            await server.start()
+            client = await Client.connect(server)
+            cold, warm = keys_homed_at(server, 0)[:2]
+            await client.ask({"op": "get", "key": warm})
+            clock.advance(1.0)
+            server.origin.stall()
+            client.writer.write(encode({"op": "get", "key": cold},
+                                       {"op": "get", "key": warm}))
+            (connection,) = server._connections
+            await until(lambda: len(connection._owed) == 2
+                        and connection._owed[1].done())
+            clock.advance(0.25)
+            server.origin.resume()
+            miss, hit = await client.read(2)
+            assert miss["latency_ms"] == 250.0
+            assert hit["latency_ms"] == 0.0
+            client.close()
+            await server.shutdown()
+
+        asyncio.run(main())
+
+    def test_unread_responses_pause_reading_until_the_client_drains(self):
+        """Backpressure: a client that pipelines without reading makes
+        the server stop reading (bounded write buffer); reading resumes
+        once the client drains."""
+        first, second = 4000, 50
+
+        async def main():
+            server = EdgeCacheServer(wire_config())
+            await server.start()
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await loop.sock_connect(sock, ("127.0.0.1", server.port))
+            await until(lambda: server._connections)
+            (connection,) = server._connections
+            paused, resumed = asyncio.Event(), asyncio.Event()
+            pause, resume = connection.pause_writing, connection.resume_writing
+            connection.pause_writing = lambda: (pause(), paused.set())
+            connection.resume_writing = lambda: (resume(), resumed.set())
+
+            await loop.sock_sendall(sock, b'{"op": "stats"}\n' * first)
+            await asyncio.wait_for(paused.wait(), timeout=20.0)
+            transport = connection.transport
+            assert not transport.is_reading()
+            held = transport.get_write_buffer_size()
+            assert held > 0
+            counted = server.stats.value("service.requests")
+            await loop.sock_sendall(sock, b'{"op": "ping"}\n' * second)
+            for _ in range(20):
+                await asyncio.sleep(0)
+            # nothing was read, so nothing was served or buffered on top
+            assert server.stats.value("service.requests") == counted
+            assert transport.get_write_buffer_size() <= held
+
+            received = 0
+            while received < first + second:
+                chunk = await asyncio.wait_for(
+                    loop.sock_recv(sock, 1 << 20), timeout=20.0
+                )
+                assert chunk, "server closed before answering everything"
+                received += chunk.count(b"\n")
+            assert resumed.is_set() and transport.is_reading()
+            assert server.stats.value("service.requests") == first + second
+            sock.close()
+            await server.shutdown()
+
+        asyncio.run(main())
+
+    def test_drain_closes_idle_connections_and_empties_the_registry(self):
+        async def main():
+            server = EdgeCacheServer(wire_config())
+            await server.start()
+            clients = [await Client.connect(server) for _ in range(3)]
+            for client in clients:
+                await client.ask({"op": "ping"})
+            assert len(server._connections) == 3
+            await asyncio.wait_for(server.shutdown(), timeout=5.0)
+            assert len(server._connections) == 0
+            for client in clients:
+                assert await client.reader.read() == b""
+                client.close()
+
+        asyncio.run(main())
+
+
+class TestInlinePath:
+    def test_fresh_hit_and_put_cost_no_task_and_count_once(self):
+        """Exactly one service.requests per line, inline or not."""
+        async def scenario(server, client):
+            spawned = spy_on_answer(server)
+            (miss,) = await client.ask({"op": "get", "key": 5})
+            assert miss["status"] == "miss" and len(spawned) == 1
+            tasks = len(asyncio.all_tasks())
+            hit, put = await client.ask({"op": "get", "key": 5},
+                                        {"op": "put", "key": 5})
+            assert hit["status"] == "hit-fresh"
+            assert put["status"] == "updated"
+            assert len(spawned) == 1
+            assert len(asyncio.all_tasks()) == tasks
+            (stats,) = await client.ask({"op": "stats"})
+            assert stats["telemetry"]["service.requests"] == 4
+            assert stats["telemetry"]["service.get"] == 2
+            assert stats["telemetry"]["service.put"] == 1
+
+        serve(scenario)
+
+    def test_heartbeat_advances_under_inline_only_traffic(self):
+        """An all-hit workload never wakes the runner; it must still
+        not look wedged to the supervisor."""
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            await client.ask({"op": "get", "key": key})
+            worker = server.workers[0]
+            spawned = spy_on_answer(server)
+            beats = [worker.last_beat]
+            for _ in range(5):
+                (hit,) = await client.ask({"op": "get", "key": key})
+                assert hit["status"] == "hit-fresh"
+                beats.append(worker.last_beat)
+            assert beats == sorted(beats) and beats[-1] > beats[0]
+            assert not spawned
+            now = asyncio.get_running_loop().time()
+            assert not worker.wedged(now, server.cfg.heartbeat_timeout)
+
+        server = serve(scenario, supervise=True, heartbeat_timeout=0.05)
+        assert server.workers[0].restarts == 0
+
+    def test_worker_is_idle_only_once_admitted_ops_have_begun(self):
+        """The guard, step by step: queued, popped-but-unstarted and
+        wedge-blocked all mean "an inline op would overtake"."""
+        server = EdgeCacheServer(wire_config())
+
+        async def main():
+            worker = _ShardWorker(server.shards[0], max_inflight=2)
+            assert not worker.idle()  # never started
+            worker.start()
+            assert worker.idle()
+            release = asyncio.Event()
+            begun = []
+
+            async def op():
+                begun.append(True)
+                await release.wait()
+
+            waiter = asyncio.ensure_future(worker.submit(op()))
+            await asyncio.sleep(0)  # submit() ran: the op is queued
+            assert worker.queue.qsize() == 1 and not worker.idle()
+            await asyncio.sleep(0)  # runner popped it into a task
+            assert worker.queue.empty() and not begun
+            assert not worker.idle()
+            await asyncio.sleep(0)  # the op took its first step
+            assert begun and worker.idle()
+            second = asyncio.ensure_future(worker.submit(op()))
+            await until(lambda: len(begun) == 2)
+            assert not worker.idle()  # in-flight == max_inflight
+            release.set()
+            await asyncio.gather(waiter, second)
+            assert worker.idle()
+            worker.inject_wedge(30.0)
+            assert not worker.idle()  # the marker is queued ...
+            await asyncio.sleep(0)
+            assert worker.queue.empty() and not worker.idle()  # ... then blocks
+            await worker.abort(drop_queue=False)
+            assert not worker.idle()  # no runner
+            worker.restart()
+            assert worker.idle()
+            await worker.drain()
+            assert not worker.idle()
+
+        asyncio.run(main())
+
+
+def run_stream(scheme, ops, over_the_wire):
+    """Serve ``ops`` on a fresh server; (responses, counters, tasks)."""
+    server = EdgeCacheServer(wire_config(
+        n_items=64, cache_fraction=0.08, consistency=scheme,
+    ))
+    clock = use_manual_clock(server)
+    spawned = spy_on_answer(server)
+    responses = []
+
+    async def main():
+        await server.start()
+        client = await Client.connect(server)
+        for op, key in ops:
+            clock.advance(0.05)
+            if over_the_wire:
+                (response,) = await client.ask({"op": op, "key": key})
+                del response["latency_ms"]
+            else:
+                call = server._get if op == "get" else server._put
+                response = json.loads(json.dumps((await call(key)).to_dict()))
+            responses.append(response)
+        client.close()
+        await server.shutdown()
+
+    asyncio.run(main())
+    counters = dict(server.stats.snapshot())
+    counters.update({
+        f"origin.{name}": getattr(server.origin, name)
+        for name in ("fetches", "validations", "puts")
+    })
+    return responses, counters, len(spawned)
+
+
+class TestInlineEqualsAwaitable:
+    @pytest.mark.parametrize(
+        "scheme", ["push-adaptive-pull", "plain-push", "pull-every-time"]
+    )
+    def test_wire_stream_matches_the_awaitable_twin(self, scheme):
+        rng = np.random.default_rng(20050404)
+        n = 2000
+        keys = np.minimum(rng.zipf(1.3, n) - 1, 63).tolist()
+        ops = [("put" if p else "get", k)
+               for p, k in zip((rng.random(n) < 0.3).tolist(), keys)]
+
+        wire, wire_counters, wire_tasks = run_stream(scheme, ops, True)
+        twin, twin_counters, twin_tasks = run_stream(scheme, ops, False)
+
+        assert wire == twin
+        # the wire run is the only one that saw lines and a connection
+        assert wire_counters.pop("service.requests") == n
+        assert wire_counters.pop("service.connections") == 1
+        assert "service.requests" not in twin_counters
+        twin_counters.pop("service.connections")
+        assert wire_counters == twin_counters
+        disseminated = ("consistency.invalidations" if scheme == "plain-push"
+                        else "consistency.pushes")
+        for name in ("service.get", "cache.hits", "origin.fetches",
+                     disseminated):
+            assert wire_counters[name] > 0
+        # ... and the only one that took the inline path: a task per op
+        # that awaited the origin, none for fresh hits and puts
+        inline = sum(r["status"] in ("hit-fresh", "updated") for r in wire)
+        assert twin_tasks == 0
+        assert wire_tasks == n - inline
+        assert inline >= sum(op == "put" for op, _ in ops)
+        if scheme != "pull-every-time":
+            assert any(r["status"] == "hit-fresh" for r in wire)
+        assert wire_tasks > 0
+
+
+class TestInlineGuard:
+    def test_wedged_shard_queues_hits_until_the_supervisor_restarts_it(self):
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            await client.ask({"op": "get", "key": key})
+            (hit,) = await client.ask({"op": "get", "key": key})
+            assert hit["status"] == "hit-fresh"
+            spawned = spy_on_answer(server)
+            worker = server.workers[0]
+            worker.inject_wedge(30.0)  # >> heartbeat timeout
+            # Answered only by the restarted runner: the hit waited in
+            # the queue (stale heartbeat + queued work = wedged).
+            (queued,) = await client.ask({"op": "get", "key": key})
+            assert queued["status"] == "hit-fresh"
+            assert len(spawned) == 1
+            assert worker.restarts == 1
+
+        server = serve(scenario, supervise=True, heartbeat_timeout=0.1,
+                       restart_backoff_base=0.01)
+        assert server.stats.value("resilience.shard_restarts") == 1
+
+    def test_crashed_shard_fails_over_instead_of_serving_inline(self):
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0, replica=1)[0]
+            await client.ask({"op": "get", "key": key},
+                             {"op": "put", "key": key})  # replica warm
+            worker = server.workers[0]
+            worker.inject_crash()
+            await asyncio.wait({worker._runner}, timeout=5.0)
+            assert worker.crashed()
+            (response,) = await client.ask({"op": "get", "key": key})
+            assert response["ok"] and response["failover"] == "replica"
+            assert response["served_class"] == "degraded"
+            (put,) = await client.ask({"op": "put", "key": key})
+            assert put["status"] == "unavailable"
+            assert put["reason"] == "shard-down"
+
+        server = serve(scenario)
+        assert server.stats.value("service.replica_failover") == 1
+        assert server.origin.puts == 1
+
+    def test_drained_shards_answer_unavailable(self):
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            await client.ask({"op": "get", "key": key})
+            for worker in server.workers.values():
+                await worker.drain()
+            (response,) = await client.ask({"op": "get", "key": key})
+            assert response["status"] == "unavailable"
+            assert response["reason"] == "shard-drained"
+
+        server = serve(scenario)
+        assert server.stats.value("cache.hits") == 0
+
+    def test_full_shard_sheds_the_hit_behind_its_admission_bound(self):
+        async def scenario(server, client):
+            warm, *cold = keys_homed_at(server, 0)[:3]
+            await client.ask({"op": "get", "key": warm})
+            server.origin.stall()  # both misses park, filling the bound
+            client.writer.write(encode(
+                *({"op": "get", "key": k} for k in cold + [warm])
+            ))
+            await until(
+                lambda: server.stats.value("service.shed.queue_full") == 1
+            )
+            assert server.stats.value("cache.hits") == 0
+            server.origin.resume()
+            first, second, shed = await client.read(3)
+            assert first["status"] == second["status"] == "miss"
+            assert shed["status"] == "overloaded"
+            assert shed["reason"] == "queue-full"
+
+        serve(scenario, max_inflight=2)
+
+    def test_hot_key_shed_policy_still_sheds_over_the_wire(self):
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            spawned = spy_on_answer(server)
+            (first,) = await client.ask({"op": "get", "key": key})
+            (second,) = await client.ask({"op": "get", "key": key})
+            (hot,) = await client.ask({"op": "get", "key": key})
+            assert first["status"] == "miss"
+            assert second["status"] == "hit-fresh"
+            assert hot["status"] == "overloaded"
+            assert hot["reason"] == "hot-key"
+            assert len(spawned) == 3  # no get is inline with the policy on
+            (put,) = await client.ask({"op": "put", "key": key})
+            assert put["status"] == "updated" and len(spawned) == 3
+
+        server = serve(scenario, hot_key_policy="shed", hot_key_threshold=3,
+                       hot_key_window=60.0)
+        assert server.stats.value("service.shed.hot_key") == 1
