@@ -4,9 +4,9 @@
 A team adopting PReCinCt for a logistics yard (forklifts + handhelds
 sharing manifests) needs to pick a consistency scheme and cache budget.
 This example runs the decision matrix as a *campaign*: every cell is
-simulated (in parallel across CPU cores), results persist to
-``results/`` so re-runs only compute what's missing, and the final
-comparison table ranks the candidates.
+one job of a run-graph (simulated in parallel across CPU cores), the
+journaled artifact tree under ``results/`` makes re-runs compute only
+what's missing, and the final comparison table ranks the candidates.
 
 Run:
     python examples/scheme_selection_campaign.py
@@ -16,7 +16,8 @@ Run:
 from dataclasses import replace
 
 from repro import SimulationConfig
-from repro.experiments.campaign import Campaign
+from repro.analysis.compare import compare_reports
+from repro.experiments.orchestrator import RunGraph, run_graph
 
 BASE = SimulationConfig(
     n_nodes=48,
@@ -33,11 +34,11 @@ BASE = SimulationConfig(
 )
 
 CANDIDATES = [
-    ("pwap-1%", dict(consistency="push-adaptive-pull", cache_fraction=0.01)),
-    ("pwap-4%", dict(consistency="push-adaptive-pull", cache_fraction=0.04)),
-    ("pull-4%", dict(consistency="pull-every-time", cache_fraction=0.04)),
-    ("plain-4%", dict(consistency="plain-push", cache_fraction=0.04)),
-    ("pwap-4%+digest", dict(
+    ("pwap-1pct", dict(consistency="push-adaptive-pull", cache_fraction=0.01)),
+    ("pwap-4pct", dict(consistency="push-adaptive-pull", cache_fraction=0.04)),
+    ("pull-4pct", dict(consistency="pull-every-time", cache_fraction=0.04)),
+    ("plain-4pct", dict(consistency="plain-push", cache_fraction=0.04)),
+    ("pwap-4pct+digest", dict(
         consistency="push-adaptive-pull", cache_fraction=0.04,
         enable_digest=True,
     )),
@@ -45,19 +46,16 @@ CANDIDATES = [
 
 
 def main() -> None:
-    campaign = Campaign("scheme-selection", store_dir="results")
+    graph = RunGraph()
     for label, overrides in CANDIDATES:
-        campaign.add(label, replace(BASE, **overrides))
+        graph.add(label, replace(BASE, **overrides))
 
-    pending = campaign.pending
-    if pending:
-        print(f"running {len(pending)} cell(s) in parallel: {', '.join(pending)}")
-    else:
-        print("all cells cached in results/scheme-selection.json")
-    campaign.run(processes=None)  # None = one worker per CPU core
+    # processes=None = one worker per CPU core; finished cells found in
+    # results/scheme-selection are digest-verified and reused.
+    reports = run_graph(graph, processes=None, root="results/scheme-selection")
 
-    print()
-    print(campaign.summary(baseline=0))
+    labels = graph.job_ids
+    print(compare_reports([reports[l] for l in labels], labels=labels, baseline=0))
     print(
         "\nHow to read it: Pull-Every-time buys FHR=0 with the highest"
         "\nlatency; Plain-Push floods the radio; Push-with-Adaptive-Pull"

@@ -36,6 +36,7 @@ from repro.config import SimulationConfig
 from repro.core.messages import CONTROL_BYTES
 from repro.core.network import PReCinCtNetwork
 from repro.experiments.figures import (
+    QUICK_SCALE,
     format_cache_sweep,
     format_consistency_sweep,
     format_energy_points,
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--quick", action="store_true",
                        help="smaller/faster sweep (noisier curves)")
     fig_p.add_argument("--processes", type=int, default=1, metavar="N",
-                       help="fan seed replications of figs 4-8 out over "
+                       help="fan the figure's whole grid of runs out over "
                             "N worker processes (default 1 = serial)")
 
     th_p = sub.add_parser("theory", help="closed-form energy model (eqs. 11, 13)")
@@ -415,11 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _campaign_exec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--runner", choices=("inprocess", "pool", "remote-stub"),
+            "--runner", choices=("inprocess", "pool"),
             default="pool",
-            help="execution backend: sequential in-process, a contained "
-                 "process pool, or serialize job specs to DIR/queue for "
-                 "an external executor (default pool)",
+            help="execution backend: sequential in-process or a "
+                 "contained process pool (default pool)",
         )
         p.add_argument("--processes", type=int, default=None, metavar="N",
                        help="pool width (default: CPU count)")
@@ -694,7 +694,8 @@ def _run_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
-    quick = dict(duration=500.0, warmup=100.0, seeds=(1,)) if args.quick else {}
+    quick = dict(QUICK_SCALE, seeds=(1,)) if args.quick else {}
+    quick9 = dict(duration=400.0, warmup=80.0, seeds=(1,)) if args.quick else {}
     want = args.figure
 
     if want in ("4", "5", "all"):
@@ -706,13 +707,11 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         print("=== Figs. 6-8: consistency schemes vs update rate ===")
         print(format_consistency_sweep(points))
     if want in ("9a", "all"):
-        kw = dict(duration=400.0, warmup=80.0, seeds=(1,)) if args.quick else {}
-        points = run_fig9a(**kw)
+        points = run_fig9a(processes=args.processes, **quick9)
         print("=== Fig. 9(a): energy vs node count ===")
         print(format_energy_points(points, "nodes"))
     if want in ("9b", "all"):
-        kw = dict(duration=400.0, warmup=80.0, seeds=(1,)) if args.quick else {}
-        points = run_fig9b(**kw)
+        points = run_fig9b(processes=args.processes, **quick9)
         print("=== Fig. 9(b): energy vs region count ===")
         print(format_energy_points(points, "regions"))
     return 0
@@ -1102,18 +1101,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_runner(args: argparse.Namespace, root):
+def _campaign_runner(args: argparse.Namespace):
     """Build the Runtime the campaign flags describe."""
-    from repro.experiments.orchestrator import (
-        InProcessRunner,
-        PoolRunner,
-        RemoteStubRunner,
-    )
+    from repro.experiments.orchestrator import InProcessRunner, PoolRunner
 
     if args.runner == "inprocess":
         return InProcessRunner()
-    if args.runner == "remote-stub":
-        return RemoteStubRunner(root / "queue")
     return PoolRunner(processes=args.processes, timeout=args.timeout)
 
 
@@ -1138,7 +1131,7 @@ def _campaign_execute(args: argparse.Namespace, root, name: str,
             )
     try:
         summary = execute_graph(
-            graph, _campaign_runner(args, root), root,
+            graph, _campaign_runner(args), root,
             name=name, bus=bus, max_jobs=args.max_jobs,
         )
     finally:
@@ -1159,9 +1152,6 @@ def _campaign_execute(args: argparse.Namespace, root, name: str,
         print(f"interrupted after {args.max_jobs} job(s) — "
               f"'repro campaign resume {root}' continues it")
         return 3
-    if summary.count("deferred"):
-        print(f"{summary.count('deferred')} job(s) serialized to "
-              f"{root / 'queue'} for external execution")
     return 0
 
 

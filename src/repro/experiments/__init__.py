@@ -23,10 +23,8 @@ from repro.experiments.figures import (
     run_fig9a,
     run_fig9b,
 )
-from repro.experiments.runner import run_config
 
 __all__ = [
-    "run_config",
     "run_fig4_fig5",
     "run_fig6_fig7_fig8",
     "run_fig9a",

@@ -28,6 +28,7 @@ from repro.experiments.orchestrator.artifacts import (
 from repro.experiments.orchestrator.executor import (
     CampaignSummary,
     execute_graph,
+    run_graph,
 )
 from repro.experiments.orchestrator.graph import RunGraph
 from repro.experiments.orchestrator.journal import (
@@ -46,7 +47,6 @@ from repro.experiments.orchestrator.presets import (
 from repro.experiments.orchestrator.runtime import (
     InProcessRunner,
     PoolRunner,
-    RemoteStubRunner,
     Runtime,
 )
 from repro.experiments.orchestrator.spec import (
@@ -75,7 +75,6 @@ __all__ = [
     "JournalState",
     "PRESETS",
     "PoolRunner",
-    "RemoteStubRunner",
     "RunGraph",
     "Runtime",
     "build_preset",
@@ -92,6 +91,7 @@ __all__ = [
     "replay_journal",
     "save_definition",
     "resolve_entry",
+    "run_graph",
     "run_simulation",
     "slugify",
     "spec_digest",

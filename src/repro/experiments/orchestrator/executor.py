@@ -9,10 +9,10 @@
    therefore just "execute the same graph at the same root again".
 2. **Schedule** — remaining jobs run in dependency waves through the
    chosen :class:`~repro.experiments.orchestrator.runtime.Runtime`;
-   each transition lands in the journal (``start``/``done``/``fail``/
-   ``defer``) the moment it happens, and completed artifacts are
-   committed by the workers themselves, so a kill at any instant loses
-   at most the jobs in flight.
+   each transition lands in the journal (``start``/``done``/``fail``)
+   the moment it happens, and completed artifacts are committed by the
+   workers themselves, so a kill at any instant loses at most the jobs
+   in flight.
 3. **Report** — per-job progress rows and failure events go to an
    optional :class:`~repro.obs.stream.TelemetryBus` (the same bus the
    live ``--watch`` dashboard and ``repro watch`` consume), with
@@ -23,23 +23,31 @@
 stopping early (journalled as an interrupted ``end``) — the
 deterministic interrupt hook the crash-and-resume tests and the CI
 kill-and-resume smoke are built on.
+
+:func:`run_graph` is the one-call form every multi-run caller (figures,
+examples) uses: graph in, ``{job_id: report}`` out.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.analysis.metrics import RunReport
 from repro.experiments.orchestrator.artifacts import verify_artifact
 from repro.experiments.orchestrator.graph import RunGraph
 from repro.experiments.orchestrator.journal import Journal
-from repro.experiments.orchestrator.runtime import Runtime
+from repro.experiments.orchestrator.runtime import (
+    InProcessRunner,
+    PoolRunner,
+    Runtime,
+)
 from repro.experiments.orchestrator.worker import JobResult
 
-__all__ = ["CampaignSummary", "execute_graph"]
+__all__ = ["CampaignSummary", "execute_graph", "run_graph"]
 
 PathLike = Union[str, Path]
 
@@ -54,7 +62,7 @@ class CampaignSummary:
 
     name: str
     #: job_id -> "done" | "reused" | "failed" | "crashed" | "timeout"
-    #: | "blocked" | "deferred" | "pending"
+    #: | "blocked" | "pending"
     statuses: Dict[str, str] = field(default_factory=dict)
     #: Reports of every successful job (fresh or verified-reused).
     reports: Dict[str, RunReport] = field(default_factory=dict)
@@ -82,7 +90,7 @@ class CampaignSummary:
 
     @property
     def n_pending(self) -> int:
-        return self.count("pending", "deferred")
+        return self.count("pending")
 
     @property
     def ok(self) -> bool:
@@ -108,7 +116,6 @@ def execute_graph(
     name: str = "campaign",
     bus=None,
     max_jobs: Optional[int] = None,
-    on_result: Optional[Callable[[JobResult], None]] = None,
 ) -> CampaignSummary:
     """Run (or resume) a campaign graph at ``root``; see module docs."""
     graph.validate()
@@ -150,7 +157,6 @@ def execute_graph(
                 "campaign.done": float(summary.n_done),
                 "campaign.reused": float(summary.n_reused),
                 "campaign.failed": float(summary.n_failed),
-                "campaign.deferred": float(summary.count("deferred")),
                 "campaign.pending": float(summary.count("pending")),
                 "campaign.wall_s": time.monotonic() - started_wall,
             }
@@ -169,10 +175,9 @@ def execute_graph(
                 if set(graph[jid].after) <= succeeded
             ]
             if not ready:
-                # Nothing runnable: mark jobs whose dependencies failed
-                # as blocked; anything else (e.g. waiting on a deferred
-                # remote job) stays pending for a later resume.
-                blocked_any = False
+                # Nothing runnable: in an acyclic graph that means a
+                # dependency failed.  Mark those jobs blocked (which
+                # cascades to their own dependents on the next pass).
                 for jid in pending:
                     blockers = [
                         dep for dep in graph[jid].after
@@ -186,13 +191,10 @@ def execute_graph(
                         summary.statuses[jid] = "blocked"
                         summary.errors[jid] = f"blocked on {', '.join(blockers)}"
                         _publish("job-blocked", {"rule": f"{jid} blocked"})
-                        blocked_any = True
                 pending = [
                     jid for jid in pending
                     if summary.statuses[jid] == "pending"
                 ]
-                if not blocked_any:
-                    break
                 continue
             if max_jobs is not None:
                 ready = ready[: max(max_jobs - consumed, 0)]
@@ -211,8 +213,6 @@ def execute_graph(
                         )
                     else:
                         _publish()
-                    if on_result is not None:
-                        on_result(result)
                     consumed += 1
                     if max_jobs is not None and consumed >= max_jobs:
                         interrupted = True
@@ -248,9 +248,38 @@ def _record(
         summary.reports[result.job_id] = result.report
         summary.report_digests[result.job_id] = result.report_digest
         succeeded.add(result.job_id)
-    elif result.status == "deferred":
-        journal.defer(result.job_id, "queued for remote execution")
     else:
         journal.fail(result.job_id, result.status, result.error or "")
         summary.errors[result.job_id] = result.error or result.status
     summary.statuses[result.job_id] = result.status
+
+
+def run_graph(
+    graph: RunGraph,
+    processes: Optional[int] = 1,
+    root: Optional[PathLike] = None,
+) -> Dict[str, RunReport]:
+    """Run every job of ``graph``; return ``{job_id: report}``.
+
+    ``processes <= 1`` runs in-process, anything else through a
+    :class:`PoolRunner` of that width (``None`` = CPU count).  With a
+    ``root`` the journal and artifact tree are kept there, so calling
+    again digest-verifies and reuses what is already done; without one
+    they land in a throwaway directory.  A job that fails raises
+    ``RuntimeError`` naming every failed job — after the surviving
+    jobs' artifacts were committed.
+    """
+    runner = (
+        InProcessRunner()
+        if processes is not None and processes <= 1
+        else PoolRunner(processes=processes)
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-graph-") as tmp:
+        summary = execute_graph(graph, runner, tmp if root is None else root)
+    if summary.errors:
+        failures = "; ".join(
+            f"{job}: {summary.statuses[job]} — {error.splitlines()[0]}"
+            for job, error in sorted(summary.errors.items())
+        )
+        raise RuntimeError(f"{len(summary.errors)} job(s) failed — {failures}")
+    return summary.reports

@@ -1,14 +1,13 @@
 """The campaign journal: an append-only JSONL log of job transitions.
 
 Every state change of a campaign — job started, finished, failed,
-reused from a verified artifact, invalidated as stale, deferred to a
-remote queue — is appended to ``journal.jsonl`` in the campaign
-directory, flushed and fsynced per record so a SIGKILL loses at most
-the line being written.  Resume replays the journal (tolerating a torn
-final line) to learn where the campaign stood; the journal is also the
-audit trail the resume property tests count events in ("no job executed
-twice" is literally "one ``start`` record per job across all journal
-segments").
+reused from a verified artifact, invalidated as stale — is appended to
+``journal.jsonl`` in the campaign directory, flushed and fsynced per
+record so a SIGKILL loses at most the line being written.  Resume
+replays the journal (tolerating a torn final line) to learn where the
+campaign stood; the journal is also the audit trail the resume property
+tests count events in ("no job executed twice" is literally "one
+``start`` record per job across all journal segments").
 
 Record grammar (one JSON object per line)::
 
@@ -19,7 +18,6 @@ Record grammar (one JSON object per line)::
                        "error": ...}
     {"event": "reuse", "job": ID, "report_digest": ...}
     {"event": "stale", "job": ID, "reason": "stale-spec|corrupt-report|..."}
-    {"event": "defer", "job": ID, "path": ...}
     {"event": "end",   "done": D, "failed": F, "reused": R,
                        "interrupted": bool, "wall": ...}
 
@@ -42,7 +40,7 @@ __all__ = ["Journal", "JournalState", "replay_journal"]
 PathLike = Union[str, Path]
 
 #: Events that set a job's current state (latest wins on replay).
-_JOB_EVENTS = ("start", "done", "fail", "reuse", "stale", "defer")
+_JOB_EVENTS = ("start", "done", "fail", "reuse", "stale")
 
 
 class Journal:
@@ -82,9 +80,6 @@ class Journal:
 
     def stale(self, job_id: str, reason: str) -> None:
         self.append("stale", job=job_id, reason=reason)
-
-    def defer(self, job_id: str, path: str) -> None:
-        self.append("defer", job=job_id, path=path)
 
     def end(self, done: int, failed: int, reused: int,
             interrupted: bool) -> None:

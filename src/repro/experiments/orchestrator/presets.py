@@ -4,10 +4,10 @@
 
 * ``mini`` — a 2 policies × 2 cache sizes × seeds smoke grid of
   seconds-long simulations (the CI kill-and-resume campaign);
-* ``cache-study`` — the Figs. 4-5 axes (replacement policy × cache
-  fraction × seeds) at quick scale;
-* ``consistency`` — the Figs. 6-8 axes (consistency scheme × update
-  ratio × seeds) at quick scale.
+* ``cache-study`` — the Figs. 4-5 grid (replacement policy × cache
+  fraction × seeds) of ``repro.experiments.figures`` at quick scale;
+* ``consistency`` — the Figs. 6-8 grid (consistency scheme × update
+  ratio × seeds) of ``repro.experiments.figures`` at quick scale.
 
 The chosen preset and its parameters are written to
 ``<campaign-dir>/campaign.json`` on the first ``run``, so
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -66,43 +65,18 @@ def _mini(seeds: Sequence[int]) -> RunGraph:
 
 
 def _cache_study(seeds: Sequence[int]) -> RunGraph:
-    """Figs. 4-5 axes at quick scale: policy × cache fraction × seed."""
-    base = SimulationConfig(
-        n_nodes=80,
-        max_speed=6.0,
-        duration=500.0,
-        warmup=100.0,
-        n_items=1000,
-        consistency="none",
-    )
-    return RunGraph.grid(
-        base,
-        replacement_policy=["gd-size", "gd-ld"],
-        cache_fraction=[0.005, 0.015, 0.025],
-        seed=list(seeds),
-    )
+    """The Figs. 4-5 grid (policy × cache fraction × seed), quick scale."""
+    # Imported late: figures itself runs on this package.
+    from repro.experiments.figures import QUICK_SCALE, fig4_fig5_graph
+
+    return fig4_fig5_graph(seeds=seeds, **QUICK_SCALE)
 
 
 def _consistency(seeds: Sequence[int]) -> RunGraph:
-    """Figs. 6-8 axes at quick scale: scheme × update ratio × seed."""
-    base = SimulationConfig(
-        n_nodes=80,
-        max_speed=6.0,
-        duration=500.0,
-        warmup=100.0,
-        n_items=1000,
-        t_request=30.0,
-        cache_fraction=0.02,
-    )
-    graph = RunGraph()
-    for scheme in ("plain-push", "pull-every-time", "push-adaptive-pull"):
-        for ratio in (1.0, 3.0, 5.0):
-            for seed in seeds:
-                cfg = replace(
-                    base, consistency=scheme, t_update=30.0 * ratio, seed=seed
-                )
-                graph.add(f"{scheme}_r{ratio:g}_s{seed}", cfg)
-    return graph
+    """The Figs. 6-8 grid (scheme × update ratio × seed), quick scale."""
+    from repro.experiments.figures import QUICK_SCALE, fig6_fig7_fig8_graph
+
+    return fig6_fig7_fig8_graph(seeds=seeds, **QUICK_SCALE)
 
 
 PRESETS: Dict[str, object] = {

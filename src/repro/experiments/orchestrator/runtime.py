@@ -17,13 +17,6 @@ process management only.
   there is no shared executor to break.  Each worker commits its own
   artifact before reporting back, so even the orchestrator dying right
   after a job finishes loses nothing.
-* :class:`RemoteStubRunner` — serializes each job spec as a JSON file
-  into a queue directory and yields ``deferred`` results.  The file
-  format is the contract for future slurm/distributed backends: a
-  remote agent that picks a spec up, runs
-  :func:`repro.experiments.orchestrator.worker.execute_job`, and writes
-  the artifact directory produces a campaign the local orchestrator
-  resumes seamlessly (the artifacts digest-verify like any other).
 """
 
 from __future__ import annotations
@@ -33,10 +26,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from repro.experiments.orchestrator.artifacts import (
-    atomic_write_json,
-    load_artifact_report,
-)
+from repro.experiments.orchestrator.artifacts import load_artifact_report
 from repro.experiments.orchestrator.spec import JobSpec
 from repro.experiments.orchestrator.worker import (
     JobResult,
@@ -47,7 +37,6 @@ from repro.experiments.orchestrator.worker import (
 __all__ = [
     "InProcessRunner",
     "PoolRunner",
-    "RemoteStubRunner",
     "Runtime",
 ]
 
@@ -220,38 +209,3 @@ class PoolRunner(Runtime):
         else:
             proc.join()
 
-
-class RemoteStubRunner(Runtime):
-    """Serialize job specs for a future slurm/distributed backend.
-
-    Each job becomes ``<queue_dir>/<job_id>.json`` (atomic rename)
-    holding the full spec, the campaign artifact root, and the digest a
-    remote executor must reproduce.  Jobs are yielded as ``deferred`` —
-    the campaign leaves them pending until a remote agent fills in the
-    artifact directories and a resume pass verifies them.
-    """
-
-    name = "remote-stub"
-
-    def __init__(self, queue_dir: PathLike):
-        self.queue_dir = Path(queue_dir)
-
-    def run(
-        self,
-        jobs: Sequence[JobSpec],
-        root: PathLike,
-        on_start: OnStart = None,
-    ) -> Iterator[JobResult]:
-        self.queue_dir.mkdir(parents=True, exist_ok=True)
-        for spec in jobs:
-            payload = {
-                "schema": "repro.orchestrator.remote-job/v1",
-                "job": spec.to_dict(),
-                "artifact_root": str(Path(root).resolve()),
-                "entry": spec.entry,
-            }
-            path = self.queue_dir / f"{spec.job_id}.json"
-            atomic_write_json(path, payload)
-            yield JobResult(
-                spec.job_id, "deferred", error=None, wall_s=0.0,
-            )

@@ -5,9 +5,8 @@ a :class:`~repro.config.SimulationConfig`, an *entry point* (the
 module-level function that executes the config), optional dependencies
 on other jobs, and an optional per-job wall-clock timeout.  Specs are
 frozen, picklable (so they cross process boundaries under any start
-method), and JSON-serializable (so a :class:`RemoteStubRunner` can ship
-them to a future slurm/distributed backend and so each job's artifact
-directory records exactly what produced it).
+method), and JSON-serializable (so each job's artifact directory
+records exactly what produced it).
 
 Two digests anchor the resume machinery:
 

@@ -1,18 +1,18 @@
 """Job execution: entry resolution and the in-worker commit path.
 
-Every runner — in-process, pool worker, or a future remote backend —
-funnels through :func:`execute_job`: resolve the spec's entry point,
-run it, and **commit the artifact from inside the worker** the moment
-the report exists.  Committing in the worker (not the orchestrator)
+Every runner — in-process or pool worker — funnels through
+:func:`execute_job`: resolve the spec's entry point, run it, and
+**commit the artifact from inside the worker** the moment the report
+exists.  Committing in the worker (not the orchestrator)
 means a campaign killed between a job finishing and the orchestrator
 noticing still finds the completed artifact on resume.
 
 Entry points are module-level functions named ``"module.path:function"``
 with the signature ``fn(config, artifact_dir) -> RunReport``.  The
-string form serializes (JSON for the remote stub, pickle-by-reference
-for process pools under any start method); ``artifact_dir`` lets
-entries park extra artifacts (trace exports, custom metrics) next to
-the committed report.
+string form serializes (JSON in each job's ``spec.json``,
+pickle-by-reference for process pools under any start method);
+``artifact_dir`` lets entries park extra artifacts (trace exports,
+custom metrics) next to the committed report.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class JobResult:
     """Outcome of one job attempt."""
 
     job_id: str
-    #: "done" | "failed" | "crashed" | "timeout" | "deferred" | "blocked"
+    #: "done" | "failed" | "crashed" | "timeout" | "blocked"
     status: str
     report: Optional[RunReport] = None
     report_digest: Optional[str] = None

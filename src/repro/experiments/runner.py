@@ -1,53 +1,21 @@
-"""Run helpers shared by the experiment drivers and benchmarks."""
+"""Folding the seed replications of one experiment cell."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.metrics import RunReport
-from repro.config import SimulationConfig
-from repro.core.network import PReCinCtNetwork
 
-__all__ = ["run_config", "run_seeds", "average_reports"]
-
-
-def run_config(cfg: SimulationConfig, label: Optional[str] = None) -> RunReport:
-    """Build, run, and report one PReCinCt simulation."""
-    net = PReCinCtNetwork(cfg)
-    report = net.run()
-    if label is not None:
-        report = replace_label(report, label)
-    return report
-
-
-def replace_label(report: RunReport, label: str) -> RunReport:
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(report, config_label=label)
-
-
-def run_seeds(
-    cfg: SimulationConfig,
-    seeds: Sequence[int],
-    label: str,
-    processes: Optional[int] = 1,
-) -> RunReport:
-    """Run the same configuration over several seeds and average.
-
-    Averaging across independent replications is how the paper's curves
-    are produced; counters are summed, ratios and latencies averaged.
-    Replications are independent simulations, so ``processes > 1`` fans
-    them out through the campaign runtime's contained process pool.
-    """
-    from repro.experiments.sweeps import run_sweep
-
-    cells = [replace(cfg, seed=seed) for seed in seeds]
-    reports = [report for _, report in run_sweep(cells, processes=processes)]
-    return average_reports(reports, label)
+__all__ = ["average_reports"]
 
 
 def average_reports(reports: List[RunReport], label: str) -> RunReport:
+    """Fold independent replications of one configuration into one report.
+
+    Averaging across replications is how the paper's curves are
+    produced; counters (``served_by_class`` and ``extra`` included) are
+    summed key-wise, ratios and latencies averaged.
+    """
     if not reports:
         raise ValueError("need at least one report to average")
     n = len(reports)
@@ -55,10 +23,13 @@ def average_reports(reports: List[RunReport], label: str) -> RunReport:
     def mean(attr: str) -> float:
         return sum(getattr(r, attr) for r in reports) / n
 
-    merged_classes = {}
-    for r in reports:
-        for cls, count in r.served_by_class.items():
-            merged_classes[cls] = merged_classes.get(cls, 0) + count
+    def summed(attr: str) -> Dict:
+        merged: Dict = {}
+        for r in reports:
+            for key, value in getattr(r, attr).items():
+                merged[key] = merged.get(key, 0) + value
+        return merged
+
     return RunReport(
         config_label=label,
         duration=reports[0].duration,
@@ -72,5 +43,6 @@ def average_reports(reports: List[RunReport], label: str) -> RunReport:
         consistency_messages=mean("consistency_messages"),
         total_messages=mean("total_messages"),
         energy_total_uj=mean("energy_total_uj") * n,  # keep per-request math exact
-        served_by_class=merged_classes,
+        served_by_class=summed("served_by_class"),
+        extra=summed("extra"),
     )

@@ -4,7 +4,7 @@ This subpackage provides the simulation substrate used by every other part
 of the PReCinCt reproduction: a deterministic event-queue scheduler
 (:class:`~repro.sim.engine.Simulator`), a lightweight generator-based
 process layer (:class:`~repro.sim.engine.Process`,
-:class:`~repro.sim.engine.Timeout`, :class:`~repro.sim.engine.Signal`),
+:class:`~repro.sim.engine.Timeout`),
 seeded random-stream management (:class:`~repro.sim.rng.RngRegistry`) and
 statistics collection (:mod:`repro.sim.trace`).
 
@@ -13,12 +13,7 @@ those live in :mod:`repro.net` and :mod:`repro.core`.
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    CancelledError,
-    Interrupt,
     Process,
-    Signal,
     SimulationError,
     Simulator,
     Timeout,
@@ -27,14 +22,9 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import Counter, StatRegistry, TimeSeries, WelfordAccumulator
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "CancelledError",
     "Counter",
-    "Interrupt",
     "Process",
     "RngRegistry",
-    "Signal",
     "SimulationError",
     "Simulator",
     "StatRegistry",

@@ -9,10 +9,9 @@ API are offered:
   :meth:`Simulator.schedule_at` register a plain callable to run at a
   virtual time; this is the fast path used by the network substrate, and
 * a **process layer** — :meth:`Simulator.spawn` drives a Python generator
-  as a cooperative process that may ``yield`` :class:`Timeout`,
-  :class:`Signal`, :class:`Process`, :class:`AllOf` or :class:`AnyOf`
-  instances to suspend itself; this is the convenient path used by
-  workload generators and peer behaviours.
+  as a cooperative process that may ``yield`` a :class:`Timeout` to
+  suspend itself; this is the convenient path used by workload
+  generators and peer behaviours.
 
 Event records
 -------------
@@ -37,16 +36,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "CancelledError",
     "Event",
-    "Interrupt",
     "Process",
-    "Signal",
     "SimulationError",
     "Simulator",
     "Timeout",
@@ -55,21 +49,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduler usage (e.g. scheduling in the past)."""
-
-
-class CancelledError(SimulationError):
-    """Raised inside a process whose pending wait was cancelled."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event(list):
@@ -88,15 +67,7 @@ class Event(list):
         self[3] = None
 
 
-class _Waitable:
-    """Base class for things a process may ``yield`` on."""
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        """Arrange for *process* to be resumed; return an unsubscribe thunk."""
-        raise NotImplementedError
-
-
-class Timeout(_Waitable):
+class Timeout:
     """Suspend the yielding process for ``delay`` units of virtual time.
 
     ``value`` is returned to the process when the timeout fires.
@@ -110,151 +81,20 @@ class Timeout(_Waitable):
         self.delay = float(delay)
         self.value = value
 
-    def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        return sim.schedule(self.delay, process._resume, self.value).cancel
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timeout({self.delay!r})"
 
 
-class Signal(_Waitable):
-    """A one-shot, multi-waiter event that processes can wait on.
-
-    A :class:`Signal` starts *untriggered*.  Any number of processes may
-    ``yield`` it; when :meth:`trigger` is called every waiter is resumed at
-    the current virtual time with the trigger value.  Processes yielding an
-    already-triggered signal resume immediately (next scheduler step).
-    """
-
-    __slots__ = ("_sim", "triggered", "value", "_waiters", "name")
-
-    def __init__(self, sim: "Simulator", name: str = ""):
-        self._sim = sim
-        self.triggered = False
-        self.value: Any = None
-        self._waiters: List[Process] = []
-        self.name = name
-
-    def trigger(self, value: Any = None) -> None:
-        """Fire the signal, waking all current waiters.
-
-        Triggering twice is an error: one-shot semantics keep protocol
-        logic honest about reply/response lifecycles.
-        """
-        if self.triggered:
-            raise SimulationError(f"signal {self.name!r} triggered twice")
-        self.triggered = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self._sim.schedule(0.0, process._resume, value)
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        if self.triggered:
-            return sim.schedule(0.0, process._resume, self.value).cancel
-        self._waiters.append(process)
-
-        def unsubscribe() -> None:
-            try:
-                self._waiters.remove(process)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self.triggered else "pending"
-        return f"Signal({self.name!r}, {state})"
-
-
-class AllOf(_Waitable):
-    """Wait until *all* component waitables complete.
-
-    The resume value is a list of the component values, in the order the
-    components were given.
-    """
-
-    def __init__(self, waitables: Iterable[_Waitable]):
-        self.waitables = list(waitables)
-        if not self.waitables:
-            raise SimulationError("AllOf requires at least one waitable")
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        remaining = len(self.waitables)
-        values: List[Any] = [None] * remaining
-        unsubs: List[Callable[[], None]] = []
-        done = False
-
-        def make_collector(index: int) -> "Process":
-            def body() -> Generator[Any, Any, None]:
-                value = yield self.waitables[index]
-                nonlocal remaining, done
-                values[index] = value
-                remaining -= 1
-                if remaining == 0 and not done:
-                    done = True
-                    sim.schedule(0.0, process._resume, values)
-
-            return sim.spawn(body(), name=f"allof-{index}")
-
-        for i in range(len(self.waitables)):
-            make_collector(i)
-
-        def unsubscribe() -> None:
-            nonlocal done
-            done = True
-            for unsub in unsubs:
-                unsub()
-
-        return unsubscribe
-
-
-class AnyOf(_Waitable):
-    """Wait until *any one* component waitable completes.
-
-    The resume value is ``(index, value)`` of the first completion.
-    Remaining components keep running; their values are discarded.
-    """
-
-    def __init__(self, waitables: Iterable[_Waitable]):
-        self.waitables = list(waitables)
-        if not self.waitables:
-            raise SimulationError("AnyOf requires at least one waitable")
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        done = False
-
-        def make_racer(index: int) -> "Process":
-            def body() -> Generator[Any, Any, None]:
-                value = yield self.waitables[index]
-                nonlocal done
-                if not done:
-                    done = True
-                    sim.schedule(0.0, process._resume, (index, value))
-
-            return sim.spawn(body(), name=f"anyof-{index}")
-
-        for i in range(len(self.waitables)):
-            make_racer(i)
-
-        def unsubscribe() -> None:
-            nonlocal done
-            done = True
-
-        return unsubscribe
-
-
-class Process(_Waitable):
+class Process:
     """A generator-driven cooperative process.
 
-    Created via :meth:`Simulator.spawn`.  The generator may yield any
-    :class:`_Waitable`; the value the waitable produces is sent back into
-    the generator.  When the generator returns, the process completes and
-    anything waiting on the process itself is resumed with the generator's
-    return value.
+    Created via :meth:`Simulator.spawn`.  The generator yields
+    :class:`Timeout` s; each timeout's value is sent back into the
+    generator when it fires.  When the generator returns, the process
+    completes and its return value is kept in ``result``.
     """
 
-    __slots__ = ("sim", "name", "_gen", "alive", "result", "_completion", "_unsubscribe")
+    __slots__ = ("sim", "name", "_gen", "alive", "result", "_wakeup")
 
     def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any], name: str = ""):
         self.sim = sim
@@ -262,76 +102,35 @@ class Process(_Waitable):
         self._gen = gen
         self.alive = True
         self.result: Any = None
-        self._completion = Signal(sim, name=f"{self.name}.done")
-        self._unsubscribe: Optional[Callable[[], None]] = None
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _start(self) -> None:
-        self.sim.schedule(0.0, self._resume, None)
+        #: The pending timeout's event (cancelled by :meth:`kill`).
+        self._wakeup: Optional[Event] = None
 
     def _resume(self, value: Any = None) -> None:
         if not self.alive:
             return
-        self._unsubscribe = None
         try:
             target = self._gen.send(value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._wait_on(target)
-
-    def _throw(self, exc: BaseException) -> None:
-        if not self.alive:
-            return
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        try:
-            target = self._gen.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupt:
-            # Process chose not to handle the interrupt: treat as termination.
-            self._finish(None)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        if not isinstance(target, _Waitable):
+        if not isinstance(target, Timeout):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, which is not a waitable"
             )
-        self._unsubscribe = target._subscribe(self.sim, self)
+        self._wakeup = self.sim.schedule(target.delay, self._resume, target.value)
 
     def _finish(self, result: Any) -> None:
         self.alive = False
         self.result = result
-        self.sim._live_processes.discard(self)
-        if not self._completion.triggered:
-            self._completion.trigger(result)
-
-    # -- public API ------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.alive:
-            self.sim.schedule(0.0, self._throw, Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process immediately without running it further."""
         if not self.alive:
             return
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        if self._wakeup is not None:
+            self._wakeup.cancel()
         self._gen.close()
         self._finish(None)
-
-    def _subscribe(self, sim: "Simulator", process: "Process") -> Callable[[], None]:
-        # Waiting on a process means waiting on its completion signal.
-        return self._completion._subscribe(sim, process)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"
@@ -356,7 +155,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue: List[Event] = []
         self._sequence = itertools.count()
-        self._live_processes: set = set()
         self._running = False
         self.events_executed: int = 0
         #: Optional :class:`repro.obs.profile.PerfProfiler`; when set,
@@ -407,17 +205,8 @@ class Simulator:
     def spawn(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Start a generator as a cooperative process."""
         process = Process(self, gen, name=name)
-        self._live_processes.add(process)
-        process._start()
+        self.schedule(0.0, process._resume, None)
         return process
-
-    def signal(self, name: str = "") -> Signal:
-        """Create a fresh :class:`Signal` bound to this simulator."""
-        return Signal(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` (convenience mirror of SimPy's API)."""
-        return Timeout(delay, value)
 
     # -- execution -------------------------------------------------------
 

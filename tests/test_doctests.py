@@ -9,14 +9,12 @@ import doctest
 import pytest
 
 import repro.core.regions
-import repro.experiments.sweeps
 import repro.sim.engine
 import repro.sim.rng
 
 MODULES = [
     repro.sim.rng,
     repro.sim.engine,
-    repro.experiments.sweeps,
 ]
 
 

@@ -1,70 +1,11 @@
-"""Edge-case tests for the event engine's combinators and lifecycle."""
+"""Edge-case tests for the event engine's process lifecycle."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
+from repro.sim import Timeout
 
 
 class TestProcessLifecycle:
-    def test_kill_while_waiting_on_signal_unsubscribes(self, sim):
-        sig = sim.signal()
-
-        def proc():
-            yield sig
-
-        p = sim.spawn(proc())
-        sim.run()
-        p.kill()
-        # Triggering afterwards must not resurrect the dead process.
-        sig.trigger("late")
-        sim.run()
-        assert not p.alive
-        assert p.result is None
-
-    def test_process_waiting_on_killed_process_gets_none(self, sim):
-        def child():
-            yield Timeout(100.0)
-
-        results = []
-
-        def parent(c):
-            value = yield c
-            results.append(value)
-
-        c = sim.spawn(child())
-        sim.spawn(parent(c))
-        sim.schedule(1.0, c.kill)
-        sim.run()
-        assert results == [None]
-
-    def test_interrupt_dead_process_is_noop(self, sim):
-        def proc():
-            return 5
-            yield  # pragma: no cover
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert not p.alive
-        p.interrupt("too late")
-        sim.run()
-        assert p.result == 5
-
-    def test_interrupt_can_be_handled_and_continue(self, sim):
-        trace = []
-
-        def proc():
-            try:
-                yield Timeout(100.0)
-            except Interrupt:
-                trace.append("caught")
-            yield Timeout(1.0)
-            trace.append("continued")
-
-        p = sim.spawn(proc())
-        sim.schedule(5.0, p.interrupt)
-        sim.run()
-        assert trace == ["caught", "continued"]
-
     def test_generator_exception_propagates(self, sim):
         def proc():
             yield Timeout(1.0)
@@ -76,61 +17,6 @@ class TestProcessLifecycle:
 
 
 class TestCombinatorEdges:
-    def test_allof_with_signals(self, sim):
-        sig_a = sim.signal()
-        sig_b = sim.signal()
-        got = []
-
-        def proc():
-            values = yield AllOf([sig_a, sig_b])
-            got.append((sim.now, values))
-
-        sim.spawn(proc())
-        sim.schedule(2.0, sig_a.trigger, "a")
-        sim.schedule(7.0, sig_b.trigger, "b")
-        sim.run()
-        assert got == [(7.0, ["a", "b"])]
-
-    def test_anyof_with_mixed_waitables(self, sim):
-        sig = sim.signal()
-        got = []
-
-        def proc():
-            index, value = yield AnyOf([sig, Timeout(3.0, "timeout")])
-            got.append((index, value))
-
-        sim.spawn(proc())
-        sim.schedule(1.0, sig.trigger, "signal-won")
-        sim.run()
-        assert got == [(0, "signal-won")]
-
-    def test_anyof_losers_keep_running_harmlessly(self, sim):
-        got = []
-
-        def proc():
-            result = yield AnyOf([Timeout(1.0, "fast"), Timeout(50.0, "slow")])
-            got.append(result)
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [(0, "fast")]
-        assert sim.now == 50.0  # the loser timeout still drained
-
-    def test_nested_combinators(self, sim):
-        got = []
-
-        def proc():
-            values = yield AllOf([
-                Timeout(1.0, "x"),
-                Timeout(2.0, "y"),
-            ])
-            index, inner = yield AnyOf([Timeout(5.0, values)])
-            got.append(inner)
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [["x", "y"]]
-
     def test_timeout_zero_runs_next_step(self, sim):
         order = []
 

@@ -2,8 +2,8 @@
 
 Covers the serializable job specs, the run-graph, the journal, atomic
 artifact commits + digest verification, in-process execution with
-resume/reuse, the remote-stub contract, the per-cell persistence fix in
-``Campaign.run``, and the ``repro campaign`` CLI.
+resume/reuse, the one-call ``run_graph`` helper, and the
+``repro campaign`` CLI.
 """
 
 from dataclasses import replace
@@ -14,11 +14,9 @@ import pytest
 
 from repro.cli import main
 from repro.config import SimulationConfig
-from repro.experiments.campaign import Campaign
 from repro.experiments.orchestrator import (
     InProcessRunner,
     JobSpec,
-    RemoteStubRunner,
     RunGraph,
     commit_artifact,
     config_from_dict,
@@ -27,12 +25,12 @@ from repro.experiments.orchestrator import (
     execute_job,
     job_dir,
     replay_journal,
+    run_graph,
     slugify,
     spec_digest,
     verify_artifact,
 )
 from repro.experiments.orchestrator.journal import Journal
-from repro.experiments.report_io import reports_from_json
 from repro.faults.plan import FaultPlan
 
 #: A real but seconds-long simulation (used where the report matters).
@@ -305,90 +303,77 @@ class TestExecuteGraph:
         graph = RunGraph()
         graph.add("parent", MINI, entry=TINY)
         graph.add("child", MINI, entry=TINY, after=("parent",))
-        order = []
-        execute_graph(
-            graph, InProcessRunner(), tmp_path,
-            on_result=lambda r: order.append(r.job_id),
-        )
-        assert order == ["parent", "child"]
-
-
-class TestRemoteStub:
-    def test_queue_contract_round_trips(self, tmp_path):
-        graph = tiny_graph(2)
-        queue_dir = tmp_path / "queue"
-        summary = execute_graph(
-            graph, RemoteStubRunner(queue_dir), tmp_path
-        )
-        assert summary.count("deferred") == 2
-        payload = json.loads((queue_dir / "job-0.json").read_text())
-        assert payload["schema"] == "repro.orchestrator.remote-job/v1"
-
-        # A "remote agent": rebuild the spec from the queue file, run
-        # it, write the artifact — then a local resume verifies+reuses.
-        for path in sorted(queue_dir.glob("*.json")):
-            payload = json.loads(path.read_text())
-            spec = JobSpec.from_dict(payload["job"])
-            result = execute_job(spec, payload["artifact_root"])
-            assert result.status == "done"
-        resumed = execute_graph(graph, InProcessRunner(), tmp_path)
-        assert resumed.ok and resumed.n_reused == 2
+        execute_graph(graph, InProcessRunner(), tmp_path)
+        state = replay_journal(tmp_path / "journal.jsonl")
+        order = [
+            (r["event"], r["job"]) for r in state.records if "job" in r
+        ]
+        assert order == [
+            ("start", "parent"), ("done", "parent"),
+            ("start", "child"), ("done", "child"),
+        ]
 
 
 class TestCampaignPersistence:
-    """Satellite 1: cells persist as they complete, not per batch."""
+    """``run_graph`` with a root: what finished stays finished."""
 
-    def build(self, tmp_path, seeds=(1, 2, 3)):
-        campaign = Campaign("persist-test", store_dir=str(tmp_path))
+    def graph(self, seeds=(1, 2, 3)):
+        graph = RunGraph()
         for seed in seeds:
-            campaign.add(f"seed-{seed}", replace(MINI, seed=seed))
-        return campaign
+            graph.add(f"seed-{seed}", replace(MINI, seed=seed))
+        return graph
 
     def test_interrupted_run_keeps_completed_cells(self, tmp_path):
-        campaign = self.build(tmp_path)
-        campaign.run(max_cells=2)
-        # The store on disk — not just memory — already holds both
-        # completed cells even though the campaign was cut short.
-        stored = reports_from_json(tmp_path / "persist-test.json")
-        assert len(stored) == 2
+        graph = self.graph()
+        cut = execute_graph(graph, InProcessRunner(), tmp_path, max_jobs=2)
+        assert cut.interrupted
+        # The artifact tree on disk already holds both completed cells
+        # even though the campaign was cut short.
+        assert sum(verify_artifact(tmp_path, spec).ok for spec in graph) == 2
 
-        fresh = self.build(tmp_path)  # a brand-new instance, same store
-        assert len(fresh.pending) == 1
-        reports = fresh.run()
-        assert [r.config_label for r in reports] == [
-            "seed-1", "seed-2", "seed-3",
-        ]
+        reports = run_graph(graph, root=tmp_path)
+        assert sorted(reports) == ["seed-1", "seed-2", "seed-3"]
+        state = replay_journal(tmp_path / "journal.jsonl")
+        assert state.event_count("start") == 3  # only the missing cell ran
 
     def test_interrupt_then_resume_matches_straight_run(self, tmp_path):
-        interrupted = self.build(tmp_path / "a")
-        interrupted.run(max_cells=1)
-        resumed = self.build(tmp_path / "a")
-        reports_a = resumed.run()
-
-        straight = self.build(tmp_path / "b")
-        reports_b = straight.run()
-        assert [
-            (r.config_label, r.requests_issued, r.average_latency)
-            for r in reports_a
-        ] == [
-            (r.config_label, r.requests_issued, r.average_latency)
-            for r in reports_b
-        ]
+        graph = self.graph()
+        execute_graph(graph, InProcessRunner(), tmp_path / "a", max_jobs=1)
+        resumed = run_graph(graph, root=tmp_path / "a")
+        straight = run_graph(graph)  # throwaway root
+        assert {
+            job: (r.requests_issued, r.average_latency)
+            for job, r in resumed.items()
+        } == {
+            job: (r.requests_issued, r.average_latency)
+            for job, r in straight.items()
+        }
 
     def test_campaign_artifacts_reused_on_resume(self, tmp_path):
-        campaign = self.build(tmp_path, seeds=(1, 2))
-        campaign.run(max_cells=1)
-        # Drop the store but keep the artifacts: the resumed campaign
-        # digest-verifies the finished cell instead of re-running it.
-        (tmp_path / "persist-test.json").unlink()
-        fresh = self.build(tmp_path, seeds=(1, 2))
-        assert len(fresh.pending) == 2
-        reports = fresh.run()
-        assert len(reports) == 2
-        state = replay_journal(
-            tmp_path / "persist-test.campaign" / "journal.jsonl"
-        )
-        assert state.event_count("start") == 2  # never a third execution
+        """A failing job raises by name; the survivors are committed
+        under the root and a second call reuses them."""
+        graph = self.graph(seeds=(1, 2))
+        graph.add("bad", MINI, entry="tests.orchestrator_entries:raising_entry")
+        graph.add("child", MINI, entry=TINY, after=("bad",))
+        for attempt in (1, 2):
+            with pytest.raises(RuntimeError) as err:
+                run_graph(graph, root=tmp_path)
+            message = str(err.value)
+            assert "2 job(s) failed" in message
+            assert "bad: failed" in message
+            assert "intentional job failure" in message
+            assert "child: blocked" in message
+            assert "seed-1" not in message and "seed-2" not in message
+            for job in ("seed-1", "seed-2"):
+                assert verify_artifact(tmp_path, graph[job]).ok
+        state = replay_journal(tmp_path / "journal.jsonl")
+        assert state.event_count("start", "seed-1") == 1
+        assert state.event_count("start", "seed-2") == 1
+        assert state.event_count("reuse") == 2
+        assert state.event_count("start", "bad") == 2  # retried, not trusted
+
+    def test_empty_graph_runs_to_nothing(self):
+        assert run_graph(RunGraph()) == {}
 
 
 class TestCampaignCli:
@@ -453,3 +438,48 @@ class TestCampaignCli:
         for sub in ("status", "verify", "resume"):
             assert self.run_cli("campaign", sub, str(tmp_path)) == 2
         assert "no campaign.json" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One experiment runner: nothing may grow a second one back
+# ---------------------------------------------------------------------------
+
+def test_one_experiment_runner_in_source():
+    import ast
+    import re
+    from pathlib import Path
+
+    from repro.cli import build_parser
+
+    repo = Path(__file__).resolve().parent.parent
+    banned = re.compile(
+        r"Campaign\(|run_sweep|fault_sweep|sweep_grid|run_seeds|"
+        r"RemoteStubRunner|remote-stub|deferred"
+    )
+    hits = [
+        f"{path.relative_to(repo)}:{lineno}: {line.strip()}"
+        for root in ("src", "scripts", "examples", "benchmarks")
+        for path in sorted((repo / root).rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "a second experiment runner reappeared:\n" + "\n".join(hits)
+    for gone in ("campaign.py", "sweeps.py"):
+        assert not (repo / "src/repro/experiments" / gone).exists()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["campaign", "run", "x", "--runner", "remote-stub"]
+        )
+
+    # figures.py runs simulations through the graph: a network is
+    # constructed only inside its orchestrator entry functions.
+    figures = repo / "src/repro/experiments/figures.py"
+    builders = {
+        func.name
+        for func in ast.walk(ast.parse(figures.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "").endswith("Network")
+    }
+    assert builders == {"run_precinct_energy", "run_flooding_energy"}

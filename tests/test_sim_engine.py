@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Signal,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from repro.sim import SimulationError, Simulator, Timeout
 
 
 class TestScheduling:
@@ -165,77 +157,6 @@ class TestProcesses:
         assert not p.alive
         assert p.result == 42
 
-    def test_waiting_on_process_returns_its_result(self, sim):
-        results = []
-
-        def child():
-            yield Timeout(2.0)
-            return "child-result"
-
-        def parent():
-            value = yield sim.spawn(child())
-            results.append((sim.now, value))
-
-        sim.spawn(parent())
-        sim.run()
-        assert results == [(2.0, "child-result")]
-
-    def test_signal_wakes_all_waiters(self, sim):
-        sig = sim.signal("go")
-        woken = []
-
-        def waiter(tag):
-            value = yield sig
-            woken.append((tag, value, sim.now))
-
-        sim.spawn(waiter("a"))
-        sim.spawn(waiter("b"))
-        sim.schedule(5.0, sig.trigger, "hello")
-        sim.run()
-        assert sorted(woken) == [("a", "hello", 5.0), ("b", "hello", 5.0)]
-
-    def test_signal_trigger_twice_rejected(self, sim):
-        sig = sim.signal()
-        sig.trigger()
-        with pytest.raises(SimulationError):
-            sig.trigger()
-
-    def test_yield_on_triggered_signal_resumes_immediately(self, sim):
-        sig = sim.signal()
-        sig.trigger("early")
-        got = []
-
-        def proc():
-            value = yield sig
-            got.append((value, sim.now))
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [("early", 0.0)]
-
-    def test_interrupt_is_thrown_into_process(self, sim):
-        trace = []
-
-        def proc():
-            try:
-                yield Timeout(100.0)
-            except Interrupt as exc:
-                trace.append(("interrupted", exc.cause, sim.now))
-
-        p = sim.spawn(proc())
-        sim.schedule(2.0, p.interrupt, "reason")
-        sim.run()
-        assert trace == [("interrupted", "reason", 2.0)]
-
-    def test_unhandled_interrupt_terminates_process(self, sim):
-        def proc():
-            yield Timeout(100.0)
-
-        p = sim.spawn(proc())
-        sim.schedule(1.0, p.interrupt)
-        sim.run()
-        assert not p.alive
-
     def test_kill_stops_process_and_cancels_wait(self, sim):
         trace = []
 
@@ -256,36 +177,6 @@ class TestProcesses:
         sim.spawn(proc())
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_allof_waits_for_every_component(self, sim):
-        got = []
-
-        def proc():
-            values = yield AllOf([Timeout(1.0, "a"), Timeout(5.0, "b"), Timeout(3.0, "c")])
-            got.append((sim.now, values))
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [(5.0, ["a", "b", "c"])]
-
-    def test_anyof_returns_first_completion(self, sim):
-        got = []
-
-        def proc():
-            index, value = yield AnyOf([Timeout(5.0, "slow"), Timeout(1.0, "fast")])
-            got.append((sim.now, index, value))
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [(1.0, 1, "fast")]
-
-    def test_empty_allof_rejected(self):
-        with pytest.raises(SimulationError):
-            AllOf([])
-
-    def test_empty_anyof_rejected(self):
-        with pytest.raises(SimulationError):
-            AnyOf([])
 
     def test_chained_processes_deterministic(self, sim):
         trace = []

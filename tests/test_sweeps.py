@@ -1,9 +1,13 @@
-"""Tests for parallel parameter sweeps (repro.experiments.sweeps)."""
+"""Parallel parameter sweeps: ``RunGraph.grid`` + ``run_graph``."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro import PReCinCtNetwork
 from repro.config import SimulationConfig
-from repro.experiments.sweeps import fault_sweep, run_sweep, sweep_grid
+from repro.experiments.orchestrator import RunGraph, run_graph
+from repro.faults.audit import report_digest
 from repro.faults.plan import FaultPlan
 
 
@@ -17,76 +21,92 @@ BASE = SimulationConfig(
 )
 
 
+def digests(reports):
+    return {job: report_digest(report) for job, report in reports.items()}
+
+
 class TestSweepGrid:
     def test_cartesian_product(self):
-        cells = sweep_grid(BASE, cache_fraction=[0.01, 0.02], seed=[1, 2, 3])
-        assert len(cells) == 6
-        fractions = {c.cache_fraction for c in cells}
-        seeds = {c.seed for c in cells}
-        assert fractions == {0.01, 0.02}
-        assert seeds == {1, 2, 3}
+        graph = RunGraph.grid(BASE, cache_fraction=[0.01, 0.02], seed=[1, 2, 3])
+        assert len(graph) == 6
+        assert {s.config.cache_fraction for s in graph} == {0.01, 0.02}
+        assert {s.config.seed for s in graph} == {1, 2, 3}
 
     def test_no_axes_returns_base(self):
-        assert sweep_grid(BASE) == [BASE]
+        assert [s.config for s in RunGraph.grid(BASE)] == [BASE]
 
     def test_invalid_field_rejected(self):
         with pytest.raises(TypeError):
-            sweep_grid(BASE, not_a_field=[1])
+            RunGraph.grid(BASE, not_a_field=[1])
 
     def test_validation_still_applies(self):
         with pytest.raises(ValueError):
-            sweep_grid(BASE, cache_fraction=[2.0])
+            RunGraph.grid(BASE, cache_fraction=[2.0])
 
 
 class TestRunSweep:
     def test_serial_execution(self):
-        cells = sweep_grid(BASE, seed=[1, 2])
-        results = run_sweep(cells, processes=1)
-        assert len(results) == 2
-        for cfg, report in results:
+        reports = run_graph(RunGraph.grid(BASE, seed=[1, 2]), processes=1)
+        assert sorted(reports) == ["s1", "s2"]
+        for report in reports.values():
             assert report.requests_served > 0
 
     def test_results_in_submission_order(self):
-        cells = sweep_grid(BASE, seed=[5, 6, 7])
-        results = run_sweep(cells, processes=1)
-        assert [cfg.seed for cfg, _ in results] == [5, 6, 7]
+        """Reports are keyed by job, whatever order the pool finishes in:
+        each one is exactly its own cell's run."""
+        reports = run_graph(RunGraph.grid(BASE, seed=[5, 6, 7]), processes=2)
+        assert list(sorted(reports)) == ["s5", "s6", "s7"]
+        for seed in (5, 6, 7):
+            alone = PReCinCtNetwork(replace(BASE, seed=seed)).run()
+            assert report_digest(reports[f"s{seed}"]) == report_digest(alone)
 
     def test_parallel_matches_serial(self):
-        cells = sweep_grid(BASE, seed=[1, 2])
-        serial = run_sweep(cells, processes=1)
-        parallel = run_sweep(cells, processes=2)
-        for (_, a), (_, b) in zip(serial, parallel):
-            assert a.requests_issued == b.requests_issued
-            assert a.average_latency == pytest.approx(b.average_latency)
-            assert a.energy_total_uj == pytest.approx(b.energy_total_uj)
+        graph = RunGraph.grid(BASE, seed=[1, 2])
+        assert digests(run_graph(graph, processes=2)) == digests(
+            run_graph(graph, processes=1)
+        )
 
 
 class TestFaultSweep:
+    """A grid crossed with fault plans is a plain ``graph.add`` loop."""
+
     PLANS = [None, FaultPlan.parse(["drop:p=0.3,start=30"])]
 
+    def graph(self, plans, seeds):
+        graph = RunGraph()
+        for i, plan in enumerate(plans):
+            for seed in seeds:
+                graph.add(
+                    f"plan{i}_s{seed}",
+                    replace(BASE, fault_plan=plan, seed=seed),
+                )
+        return graph
+
     def test_crosses_plans_with_grid(self):
-        results = fault_sweep(BASE, self.PLANS, processes=1, seed=[1, 2])
-        assert len(results) == 4
-        # Plan-major, grid-minor submission order, plan recorded on cfg.
-        assert [cfg.fault_plan for cfg, _ in results] == [
-            None, None, self.PLANS[1], self.PLANS[1],
+        graph = self.graph(self.PLANS, seeds=(1, 2))
+        assert [(s.config.fault_plan, s.config.seed) for s in graph] == [
+            (None, 1), (None, 2), (self.PLANS[1], 1), (self.PLANS[1], 2),
         ]
-        assert [cfg.seed for cfg, _ in results] == [1, 2, 1, 2]
-        for _, report in results:
+        reports = run_graph(graph)
+        assert sorted(reports) == graph.job_ids
+        for report in reports.values():
             assert report.requests_issued > 0
 
     def test_faulted_cells_degrade_hit_delivery(self):
-        results = fault_sweep(BASE, self.PLANS, processes=1, seed=[1])
-        (control_cfg, control), (faulted_cfg, faulted) = results
-        assert control_cfg.fault_plan is None
-        assert faulted_cfg.fault_plan is self.PLANS[1]
+        reports = run_graph(self.graph(self.PLANS, seeds=(1,)))
         # A 30 % drop rate must lose at least some deliveries relative
         # to the control run of the same seed.
-        assert faulted.requests_served <= control.requests_served
+        assert (
+            reports["plan1_s1"].requests_served
+            <= reports["plan0_s1"].requests_served
+        )
 
     def test_faulted_cells_pickle_into_process_pool(self):
-        results = fault_sweep(BASE, [self.PLANS[1]], processes=2, seed=[1, 2])
-        assert len(results) == 2
-        for cfg, report in results:
-            assert cfg.fault_plan == self.PLANS[1]
+        """A config carrying a (frozen) fault plan crosses the pool's
+        process boundary and comes back equal to the in-process run."""
+        graph = self.graph([self.PLANS[1]], seeds=(1, 2))
+        pooled = run_graph(graph, processes=2)
+        assert len(pooled) == 2
+        assert digests(pooled) == digests(run_graph(graph, processes=1))
+        for report in pooled.values():
             assert report.requests_issued > 0
