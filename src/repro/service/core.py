@@ -25,9 +25,14 @@ Read path (mirrors Fig. 1 + §4):
   (``stale-hit``; served class "degraded") rather than failing the
   request, else report ``unavailable``/``deadline``.
 
-Concurrent gets for the same missing key coalesce on one origin fetch
-(dog-pile protection); every await is bounded by the request's
-absolute deadline.
+The origin is awaited in the op's own task, under one timer armed for
+the request's absolute deadline (:class:`_Deadline`); a budget already
+spent answers without calling the origin.  Concurrent gets for the
+same missing key coalesce on one origin fetch (dog-pile protection):
+the first waiter runs it and resolves a future the followers wait on,
+each under its own deadline; if the first waiter times out or is
+cancelled the followers start the fetch over instead of failing
+(:meth:`CacheService._fetch_coalesced`).
 """
 
 from __future__ import annotations
@@ -54,6 +59,51 @@ __all__ = ["CacheResponse", "CacheService", "DeadlineExceeded"]
 
 class DeadlineExceeded(Exception):
     """A request's total latency budget ran out mid-flight."""
+
+
+class _Deadline:
+    """One timer bounding the calling task's origin interaction.
+
+    ``with _Deadline(remaining): await ...`` raises
+    :class:`DeadlineExceeded` out of the block once ``remaining``
+    seconds have passed — at once, before anything in the block runs,
+    when the budget is already spent.  The timer cancels the task and
+    ``__exit__`` turns that one cancellation into the verdict; a
+    cancellation from anywhere else passes through.  (What
+    ``asyncio.timeout`` does, on every Python this package supports.)
+    ``remaining=None`` bounds nothing.
+    """
+
+    __slots__ = ("_remaining", "_task", "_handle", "expired")
+
+    def __init__(self, remaining: Optional[float]):
+        self._remaining = remaining
+        self._task: Optional[asyncio.Task] = None
+        self._handle: Optional[asyncio.TimerHandle] = None
+        self.expired = False
+
+    def __enter__(self) -> "_Deadline":
+        if self._remaining is not None:
+            if self._remaining <= 0.0:
+                raise DeadlineExceeded()
+            self._task = asyncio.current_task()
+            self._handle = asyncio.get_running_loop().call_later(
+                self._remaining, self._expire
+            )
+        return self
+
+    def _expire(self) -> None:
+        self.expired = True
+        self._task.cancel()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._handle is not None:
+            self._handle.cancel()
+        if self.expired and isinstance(exc, asyncio.CancelledError):
+            if hasattr(self._task, "uncancel"):  # Python >= 3.11
+                self._task.uncancel()
+            raise DeadlineExceeded() from None
+        return False
 
 
 @dataclass
@@ -176,18 +226,26 @@ class CacheService:
         return self._serve_local(entry, now, "hit-fresh", steered)
 
     async def get(
-        self, key: int, *, probe: bool = False, steered: bool = False
+        self,
+        key: int,
+        *,
+        probe: bool = False,
+        steered: bool = False,
+        deadline: Optional[float] = None,
     ) -> CacheResponse:
-        """Serve one read; never raises on origin trouble (degrades)."""
+        """Serve one read; never raises on origin trouble (degrades).
+
+        ``deadline`` is the request's absolute deadline when the caller
+        already fixed one (a failover spending what the home attempt
+        left); by default the budget starts now.
+        """
         response = self.get_nowait(key, steered)
         if response is not None:
             return response
         now = self.clock.now()
         self._book_get(key)
-        deadline = (
-            self.resilience.deadline_for(now)
-            if self.resilience is not None else None
-        )
+        if deadline is None and self.resilience is not None:
+            deadline = self.resilience.deadline_for(now)
         entry = self.cache.get(key)
 
         # The copy is absent or past its TTR window: origin interaction.
@@ -201,15 +259,15 @@ class CacheService:
             probe = verdict == ROUTE_PROBE
 
         try:
-            if entry is not None:
-                item = await self._bounded(
-                    self._origin_attempts(
+            # The op's one timer, armed for the origin interaction; the
+            # origin is awaited right here, in the op's own task.
+            with _Deadline(None if deadline is None else deadline - now):
+                if entry is not None:
+                    item = await self._origin_attempts(
                         lambda: self.origin.validate(key)
-                    ),
-                    deadline,
-                )
-            else:
-                item = await self._fetch_coalesced(key, deadline)
+                    )
+                else:
+                    item = await self._fetch_coalesced(key)
         except DeadlineExceeded:
             now = self.clock.now()
             self.stats.count("resilience.deadline_exceeded")
@@ -293,12 +351,14 @@ class CacheService:
 
         Called by the supervisor when the shard worker died — a real
         shard process taking its cache, popularity counts, and
-        in-flight fetches with it.  The authoritative tier (origin)
-        and the shared resilience state survive, exactly as they
-        would a single-box crash.
+        in-flight fetch registry with it (anyone still following a
+        fetch starts it over against the fresh state).  The
+        authoritative tier (origin) and the shared resilience state
+        survive, exactly as they would a single-box crash.
         """
-        for fut in self._inflight.values():
-            fut.cancel()
+        for shared in self._inflight.values():
+            if not shared.done():
+                shared.set_result(None)  # followers start over
         self._inflight.clear()
         self._access_counts.clear()
         self.cache.clear()
@@ -450,30 +510,46 @@ class CacheService:
             self.stats.count("cache.evictions", float(len(evicted)))
         return item.key in self.cache
 
-    async def _fetch_coalesced(self, key: int, deadline: Optional[float]):
+    async def _fetch_coalesced(self, key: int) -> DataItem:
         """One origin fetch per key, however many waiters pile on.
 
-        The shared fetch carries the retry budget and hedging, so a
-        brownout costs one retry ladder per key — not one per waiter.
+        The first waiter leads: it registers a bare future under the
+        key, runs the fetch in its own task — retry budget and hedging
+        included, so a brownout costs one retry ladder per key, not one
+        per waiter — and resolves the future with the item, or with
+        the ladder's final :class:`OriginError`.  Followers wait on
+        the future, each under its own deadline.  A leader that runs
+        out of budget or is cancelled resolves it with None instead:
+        the followers start over, the first to wake leads a new fetch
+        and the rest follow that one.
         """
-        fut = self._inflight.get(key)
-        if fut is None:
-            fut = asyncio.ensure_future(
-                self._origin_attempts(lambda: self.origin.fetch(key))
-            )
-            self._inflight[key] = fut
-
-            def _done(f: "asyncio.Future", _key: int = key) -> None:
-                self._inflight.pop(_key, None)
-                if not f.cancelled():
-                    f.exception()  # retrieved: no "never retrieved" noise
-
-            fut.add_done_callback(_done)
-            self.stats.count("cache.origin_fetches")
-        else:
+        shared = self._inflight.get(key)
+        if shared is not None:
             self.stats.count("cache.coalesced_fetches")
-        # shield(): one waiter's deadline must not cancel the shared fetch.
-        return await self._bounded(asyncio.shield(fut), deadline)
+        while shared is not None:
+            # shield(): this waiter's deadline must not cancel the
+            # future the others are waiting on.
+            item = await asyncio.shield(shared)
+            if item is not None:
+                return item
+            shared = self._inflight.get(key)
+        shared = asyncio.get_running_loop().create_future()
+        self._inflight[key] = shared
+        self.stats.count("cache.origin_fetches")
+        item = None
+        try:
+            item = await self._origin_attempts(lambda: self.origin.fetch(key))
+            return item
+        except OriginError as exc:
+            if not shared.done():
+                shared.set_exception(exc)
+                shared.exception()  # retrieved: no "never retrieved" noise
+            raise
+        finally:
+            if self._inflight.get(key) is shared:
+                del self._inflight[key]
+            if not shared.done():
+                shared.set_result(item)
 
     async def _origin_attempts(self, factory):
         """Retry budget + hedging around one origin interaction.
@@ -537,21 +613,6 @@ class CacheService:
             for task in tasks:
                 if not task.done():
                     task.cancel()
-
-    async def _bounded(self, awaitable, deadline: Optional[float]):
-        """Await under the request's absolute deadline (fail fast)."""
-        if deadline is None:
-            return await awaitable
-        remaining = deadline - self.clock.now()
-        if remaining <= 0.0:
-            # Cancel eagerly so a pre-spent budget never touches origin.
-            fut = asyncio.ensure_future(awaitable)
-            fut.cancel()
-            raise DeadlineExceeded()
-        try:
-            return await asyncio.wait_for(awaitable, remaining)
-        except asyncio.TimeoutError:
-            raise DeadlineExceeded() from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.geohash import GeographicHash
 from repro.core.regions import RegionTable
+from repro.geom import Point
 
 __all__ = ["ShardDirectory"]
 
@@ -48,15 +49,16 @@ class ShardDirectory:
         self.n_shards = int(n_shards)
         self.table = RegionTable.grid(PLANE_SIDE, PLANE_SIDE, self.n_shards)
         self.geohash = GeographicHash(PLANE_SIDE, PLANE_SIDE, salt=salt)
-        self._home_cache: Dict[int, Tuple[int, int]] = {}
+        #: key -> (home, replica, hashed location); one entry per item.
+        self._home_cache: Dict[int, Tuple[int, int, Point]] = {}
 
     # -- PeerDirectory protocol ---------------------------------------------
 
     def home_region(self, key: int) -> int:
-        return self._home_and_replica(key)[0]
+        return self._placement(key)[0]
 
     def replica_region(self, key: int) -> int:
-        return self._home_and_replica(key)[1]
+        return self._placement(key)[1]
 
     def region_ids(self) -> List[int]:
         return self.table.region_ids()
@@ -73,15 +75,18 @@ class ShardDirectory:
         entries: how far the authoritative location of the key lies
         from the shard serving it.
         """
-        loc = self.geohash.location_of(key)
+        loc = self._placement(key)[2]
         center = self.table.get(region_id).center
         return math.hypot(loc[0] - center[0], loc[1] - center[1])
 
-    def _home_and_replica(self, key: int) -> Tuple[int, int]:
+    def _placement(self, key: int) -> Tuple[int, int, Point]:
         cached = self._home_cache.get(key)
         if cached is None:
             home, replica = self.geohash.home_and_replica(key, self.table)
-            cached = (home.region_id, replica.region_id)
+            cached = (
+                home.region_id, replica.region_id,
+                self.geohash.location_of(key),
+            )
             self._home_cache[key] = cached
         return cached
 

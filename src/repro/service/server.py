@@ -15,25 +15,32 @@ What the server adds around the core:
   ``transport.write`` (a task's done-callback flushes the rest), so
   responses keep request order.  A full write buffer pauses reading
   until the client drains it; a request line is bounded at 64 KiB;
-* **shard workers** — each shard has an admission queue drained by a
-  worker task; ops on one shard are admitted in arrival order while
-  slow origin waits never block other shards (or later fresh hits on
-  the same shard: the worker fans each admitted op out to its own
-  task);
+* **shard workers** — each shard admits its ops in arrival order.  An
+  op with nothing ahead of it is *admitted in place*: its coroutine
+  runs in the caller's task — the connection's answer task — so an
+  awaited op (miss, validation, failover, invalidate) costs one task,
+  no queue hop and no relay future, while still counting in the
+  shard's load, its admission bound, its drain and its heartbeat.  An
+  op that does have something ahead of it (a wedged, restarting or
+  backlogged shard) waits in the shard's queue; the runner admits
+  those in order and fans each out to its own task, so a slow origin
+  wait never blocks other shards or the fresh hits queued behind it;
 * **the await-free path** — a fresh-hit get or a put whose home worker
-  is *idle* (:meth:`_ShardWorker.idle`: not draining, runner alive and
-  not wedged, queue empty, no task bound for the shard still unstarted,
-  in-flight below ``max_inflight``; hot-key policy off for gets) would
-  be the next thing that worker runs, so the server runs it itself:
-  no task, no future, no queue hop, heartbeat stamped.  Everything
-  else takes the awaitable ``_get``/``_put``/``_submit`` path;
+  is *idle* (:meth:`_ShardWorker.idle`: the in-place admission guard —
+  not draining, runner alive and not wedged, queue empty, nothing
+  popped but not begun, in-flight below ``max_inflight`` — plus no
+  answer task bound for the shard still unstarted; hot-key policy off
+  for gets) has nothing to await, so the server runs it in the read
+  callback: no task at all, heartbeat stamped.  Everything else takes
+  the awaitable ``_get``/``_put``/``_submit`` path in one answer task;
 * **write dissemination** — an in-process
   :class:`~repro.ports.ConsistencyTransport`: an UpdatePush is applied
   at the home shard first (which folds eq. 2 into the TTR) and then at
   the replica shard, an invalidation floods every shard;
 * **replica failover** — a get the home shard cannot serve (breaker
-  open and no local copy, or deadline trip) is retried once against
-  the key's replica shard (§2.4), marked as a degraded serve;
+  open and no local copy, deadline trip, worker down or aborted) is
+  retried once against the key's replica shard (§2.4), marked as a
+  degraded serve, within what is left of the request's one deadline;
 * **shard supervision** — a :class:`ShardSupervisor` watchdog detects
   a crashed or wedged worker, restarts it with exponential backoff,
   and warm-rebuilds a crashed shard's cache from replica-held copies
@@ -283,19 +290,25 @@ class _Wedge:
 
 
 class _ShardWorker:
-    """Admission queue + fan-out executor for one shard.
+    """Arrival-order admission for one shard: in place, else queued.
 
-    Ops are *admitted* in arrival order (one queue per shard) but each
-    runs in its own task, so a stalled origin fetch never head-of-line
-    blocks the fresh hits queued behind it.  ``drain()`` stops
-    admission and waits for everything already admitted to finish.
+    An op with nothing ahead of it on the shard is *admitted in place*:
+    :meth:`submit` runs its coroutine in the caller's task (the
+    connection's answer task) — no queue hop, no relay future, no
+    second task.  The queue and its runner exist for the ops that do
+    have something ahead of them — a wedged, restarting or backlogged
+    shard: those are queued in arrival order and the runner fans each
+    out to its own task, so a stalled origin fetch never head-of-line
+    blocks the fresh hits queued behind it.  Either way the op is in
+    :meth:`load` until it finishes, and ``drain()`` stops admission and
+    waits for everything already admitted.
 
     Survival extras: admission is bounded by ``max_inflight`` (past
     it, :meth:`submit` raises :class:`WorkerOverloaded` — explicit
-    load shedding); the runner stamps a heartbeat each loop turn (and
-    the server one per op it runs inline, see :meth:`idle`) so the
-    supervisor can tell a wedged worker from an idle one; and
-    :meth:`abort`/:meth:`restart` implement the supervisor's
+    load shedding); the runner stamps a heartbeat each loop turn, and
+    every op admitted in place or run inline (see :meth:`idle`) stamps
+    one too, so the supervisor can tell a wedged worker from an idle
+    one; and :meth:`abort`/:meth:`restart` implement the supervisor's
     kill-and-rebirth cycle.
     """
 
@@ -303,18 +316,27 @@ class _ShardWorker:
         self.shard = shard
         self.max_inflight = max_inflight
         self.queue: asyncio.Queue = asyncio.Queue()
+        #: Tasks running an admitted op: the caller's for an op admitted
+        #: in place, the runner's fan-out task for a queued one.
         self._pending: Set[asyncio.Task] = set()
+        #: Resolved when ``_pending`` empties (see :meth:`_settle`).
+        self._settled: Optional[asyncio.Future] = None
         self._runner: Optional[asyncio.Task] = None
         self._stopped = False
-        #: Loop-time of the last progress mark (runner turn or inline op).
+        #: A crash-abort cancelled everything pending; cleared by start().
+        self._aborted = False
+        #: Loop-time of the last progress mark (runner turn, op admitted
+        #: in place, or inline op).
         self.last_beat = 0.0
         #: The runner is sitting in an injected wedge.
         self._blocked = False
-        #: Tasks made for ops bound for this shard that have not taken
-        #: their first step: the server's, on their way to
-        #: :meth:`submit`, and the runner's, on their way out of the
-        #: queue.  An op run inline now would overtake them.
+        #: Answer tasks the server made for ops bound for this shard
+        #: that have not taken their first step, i.e. not reached
+        #: :meth:`submit` yet.  An op run inline now would overtake them.
         self.unstarted = 0
+        #: Ops the runner popped off the queue whose task has not taken
+        #: its first step.  An op admitted now would overtake them.
+        self._dequeued = 0
         #: Times this worker has been reborn by the supervisor.
         self.restarts = 0
 
@@ -348,19 +370,26 @@ class _ShardWorker:
         """Admitted-but-unfinished ops (queued + in flight)."""
         return self.queue.qsize() + len(self._pending)
 
+    def _nothing_ahead(self) -> bool:
+        """Nothing admitted earlier is still waiting to begin."""
+        return (
+            not self._blocked
+            and not self._dequeued
+            and self.queue.empty()
+        )
+
     def idle(self) -> bool:
-        """An op submitted now would be the next thing the runner starts.
+        """An op run right now would be admitted, in place and in order.
 
         The server's await-free path runs such an op itself instead of
         handing it over: same admission verdict (:meth:`submit` would
-        neither refuse nor shed it), same order (nothing is queued
-        ahead of it), no queue hop.
+        neither refuse nor shed it), same order (nothing is queued or
+        on its way to :meth:`submit` ahead of it), no task.
         """
         return (
             not self._stopped
-            and not self._blocked
             and self.alive()
-            and self.queue.empty()
+            and self._nothing_ahead()
             and not self.unstarted
             and (
                 self.max_inflight is None
@@ -375,6 +404,7 @@ class _ShardWorker:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
+        self._aborted = False
         self.beat()
         self._runner = asyncio.ensure_future(self._run())
 
@@ -398,13 +428,14 @@ class _ShardWorker:
                 self.last_beat = loop.time()
                 continue
             coro, future = job
-            self.unstarted += 1
+            self._dequeued += 1
             task = asyncio.ensure_future(self._execute(coro, future))
             self._pending.add(task)
-            task.add_done_callback(self._pending.discard)
+            task.add_done_callback(self._finished)
 
     async def _execute(self, coro, future: asyncio.Future) -> None:
-        self.unstarted -= 1
+        """Run one *queued* op and relay its outcome to the waiter."""
+        self._dequeued -= 1
         try:
             result = await coro
         except asyncio.CancelledError:
@@ -423,13 +454,32 @@ class _ShardWorker:
             if not future.cancelled():
                 future.set_result(result)
 
+    def _finished(self, task: asyncio.Task) -> None:
+        self._pending.discard(task)
+        if self._settled is not None and not self._pending:
+            self._settled.set_result(None)
+            self._settled = None
+
+    async def _settle(self) -> None:
+        """Wait until no admitted op is unfinished."""
+        while self._pending:
+            if self._settled is None:
+                self._settled = asyncio.get_running_loop().create_future()
+            await asyncio.shield(self._settled)
+
     async def submit(self, coro):
         """Admit one op on this shard and await its result.
 
-        Fails fast instead of enqueueing into a worker that will never
+        Fails fast instead of admitting into a worker that will never
         run the op: a drained or down worker raises
         :class:`WorkerUnavailable`; a full one (``max_inflight``
         admitted-but-unfinished ops) raises :class:`WorkerOverloaded`.
+
+        With nothing ahead of it the op runs right here, in the
+        caller's task, which stands in ``_pending`` for its duration;
+        a crash-abort cancelling it surfaces as the same
+        :class:`WorkerUnavailable` a queued op's waiter gets.  Otherwise
+        the op waits its turn in the queue.
         """
         if self._stopped or not self.alive():
             coro.close()
@@ -439,11 +489,26 @@ class _ShardWorker:
         if self.max_inflight is not None and self.load() >= self.max_inflight:
             coro.close()
             raise WorkerOverloaded("admission bound full")
-        future = asyncio.get_running_loop().create_future()
-        # put_nowait: no await between the state checks above and the
-        # enqueue, so a job can never land behind the drain sentinel.
-        self.queue.put_nowait((coro, future))
-        return await future
+        if not self._nothing_ahead():
+            future = asyncio.get_running_loop().create_future()
+            # put_nowait: no await between the state checks above and
+            # the enqueue, so a job can never land behind the drain
+            # sentinel.
+            self.queue.put_nowait((coro, future))
+            return await future
+        task = asyncio.current_task()
+        self._pending.add(task)
+        self.beat()
+        try:
+            return await coro
+        except asyncio.CancelledError:
+            if not self._aborted:
+                raise
+            if hasattr(task, "uncancel"):  # Python >= 3.11
+                task.uncancel()
+            raise WorkerUnavailable("shard worker aborted") from None
+        finally:
+            self._finished(task)
 
     async def drain(self) -> None:
         self._stopped = True
@@ -456,8 +521,7 @@ class _ShardWorker:
         # Jobs stuck behind a crash (the runner died before popping
         # them) would hang their waiters forever: fail them instead.
         self._flush_queue()
-        if self._pending:
-            await asyncio.gather(*self._pending, return_exceptions=True)
+        await self._settle()
 
     # -- supervisor hooks ----------------------------------------------------
 
@@ -474,8 +538,9 @@ class _ShardWorker:
 
         ``drop_queue`` is the crash case: queued waiters fail fast
         with :class:`WorkerUnavailable` and in-flight ops are
-        cancelled (the shard "process" died mid-work).  A wedge keeps
-        both — the cache and the admitted work survive a loop stall.
+        cancelled (the shard "process" died mid-work), wherever they
+        run.  A wedge keeps both — the cache and the admitted work
+        survive a loop stall.
         """
         runner, self._runner = self._runner, None
         if runner is not None:
@@ -487,10 +552,10 @@ class _ShardWorker:
                 pass
         if drop_queue:
             self._flush_queue()
+            self._aborted = True
             for task in list(self._pending):
                 task.cancel()
-            if self._pending:
-                await asyncio.gather(*self._pending, return_exceptions=True)
+            await self._settle()
 
     def restart(self) -> None:
         self.restarts += 1
@@ -954,8 +1019,9 @@ class EdgeCacheServer:
         :meth:`~_ShardWorker.idle` - it would start this op next and
         would not refuse it - a fresh-hit get and a put need no task,
         future or queue hop, so the server runs them here and stamps
-        the worker's heartbeat.  Everything else becomes a task on the
-        awaitable ``_get``/``_put``/``_submit`` path.
+        the worker's heartbeat.  Everything else becomes one task on
+        the awaitable ``_get``/``_put``/``_submit`` path, which the
+        worker admits in place when nothing is ahead of the op.
         """
         home = self.directory.home_region(key)
         worker = self.workers[home]
@@ -982,8 +1048,9 @@ class EdgeCacheServer:
     async def _answer(
         self, worker: _ShardWorker, pending, started: float
     ) -> bytes:
-        # This first step runs ``pending`` into the shard queue before
-        # anything else can look at the worker.
+        # This first step takes ``pending`` to its shard's admission
+        # (in place, or into the queue) before anything else can look
+        # at the worker.
         worker.unstarted -= 1
         try:
             response = (await pending).to_dict()
@@ -1064,6 +1131,9 @@ class EdgeCacheServer:
 
     async def _routed_get(self, key: int) -> CacheResponse:
         home = self.directory.home_region(key)
+        # One latency budget per request: a failover spends what the
+        # home attempt left of it, not a fresh one.
+        deadline = self.resilience.deadline_for(self.clock.now())
         response = await self._submit(
             home, self.shards[home].get(key), op="get", key=key
         )
@@ -1076,7 +1146,10 @@ class EdgeCacheServer:
                 # which may hold a pushed copy even when the home path
                 # is dark.  Steered: no breaker re-consultation there.
                 fallback = await self._submit(
-                    replica, self.shards[replica].get(key, steered=True),
+                    replica,
+                    self.shards[replica].get(
+                        key, steered=True, deadline=deadline
+                    ),
                     op="get", key=key,
                 )
                 if fallback.ok:

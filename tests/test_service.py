@@ -13,6 +13,7 @@ pytest-asyncio dependency); deterministic timing uses ManualClock.
 
 import asyncio
 import json
+import math
 import os
 import signal
 import socket
@@ -89,6 +90,15 @@ class TestShardRouting:
         d = ShardDirectory(4)
         assert d.key_distance(1, 0) >= 0.0
         assert d.region_distance(0, 0) == 0.0
+        # The hashed location is memoized beside home/replica: the same
+        # bits as hashing afresh (GD-LD priorities must not move), one
+        # entry per key however many shards ask.
+        for key in range(50):
+            x, y = d.geohash.location_of(key)
+            for region in d.region_ids():
+                cx, cy = d.table.get(region).center
+                assert d.key_distance(key, region) == math.hypot(x - cx, y - cy)
+        assert len(d._home_cache) == 50
 
 
 class TestCacheServiceReads:

@@ -10,13 +10,18 @@ Three things are pinned here, all over a real loopback connection:
   ``await server._get/_put`` on a twin server produce the same responses
   and the same counters, under every consistency scheme;
 * **the inline guard** — a wedged, crashed, drained or full shard and an
-  armed hot-key policy all keep today's awaitable path.
+  armed hot-key policy all keep the awaitable path;
+* **one task per awaited op** — a miss runs in its connection's answer
+  task (admitted in place, origin awaited there, one deadline timer):
+  pinned by count, with abort, drain, coalescing, deadline and failover
+  semantics each checked on that path.
 
 Waits are on events, futures and socket reads; a timeout only ever
 bounds a failure (see :func:`until`).
 """
 
 import asyncio
+import gc
 import json
 import socket
 
@@ -24,7 +29,12 @@ import numpy as np
 import pytest
 
 from repro.service import EdgeCacheServer, ManualClock, ServiceConfig
-from repro.service.server import MAX_LINE, _ShardWorker
+from repro.service.server import (
+    MAX_LINE,
+    WorkerOverloaded,
+    WorkerUnavailable,
+    _ShardWorker,
+)
 
 
 def wire_config(**overrides):
@@ -394,6 +404,47 @@ class TestInlinePath:
 
         serve(scenario)
 
+    def test_cold_get_costs_one_task_and_one_timer_a_fresh_hit_neither(self):
+        """Counted, not timed: N misses on an idle server make N tasks
+        (the answer tasks, nothing behind them) and arm at most N
+        deadline timers; the N fresh hits that follow make neither."""
+        async def scenario(server, client):
+            loop = asyncio.get_running_loop()
+            tasks, timers = [], []
+
+            def factory(loop, coro, **kwargs):
+                tasks.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            call_later = loop.call_later
+            loop.set_task_factory(factory)
+            loop.call_later = lambda *args, **kwargs: (
+                timers.append(args), call_later(*args, **kwargs)
+            )[1]
+            try:
+                keys = keys_homed_at(server, 0)[:4] + keys_homed_at(server, 1)[:4]
+                request = encode(*({"op": "get", "key": k} for k in keys))
+                for status in ("miss", "hit-fresh"):
+                    del tasks[:], timers[:]
+                    client.writer.write(request)
+                    # bare readline: the client side makes no task or timer
+                    responses = [json.loads(await client.reader.readline())
+                                 for _ in keys]
+                    assert [r["key"] for r in responses] == keys
+                    assert {r["status"] for r in responses} == {status}
+                    if status == "miss":
+                        assert len(tasks) == len(keys)
+                        assert 0 < len(timers) <= len(keys)
+                    else:
+                        assert not tasks and not timers
+            finally:
+                loop.set_task_factory(None)
+                del loop.call_later
+
+        server = serve(scenario, deadline=5.0)
+        assert server.origin.fetches == 8
+        assert server.stats.value("service.requests") == 16
+
     def test_heartbeat_advances_under_inline_only_traffic(self):
         """An all-hit workload never wakes the runner; it must still
         not look wedged to the supervisor."""
@@ -416,8 +467,11 @@ class TestInlinePath:
         assert server.workers[0].restarts == 0
 
     def test_worker_is_idle_only_once_admitted_ops_have_begun(self):
-        """The guard, step by step: queued, popped-but-unstarted and
-        wedge-blocked all mean "an inline op would overtake"."""
+        """Admission, step by step.  With nothing ahead of it an op is
+        admitted in place: it begins inside ``submit()``, skips the
+        queue, counts in ``load()`` and fills ``max_inflight``.  Behind
+        a wedge-blocked runner, a queued op or one popped but not yet
+        begun, an op goes through the queue and is not overtaken."""
         server = EdgeCacheServer(wire_config())
 
         async def main():
@@ -428,34 +482,73 @@ class TestInlinePath:
             release = asyncio.Event()
             begun = []
 
-            async def op():
-                begun.append(True)
+            async def op(name):
+                begun.append(name)
                 await release.wait()
+                return name
 
-            waiter = asyncio.ensure_future(worker.submit(op()))
-            await asyncio.sleep(0)  # submit() ran: the op is queued
-            assert worker.queue.qsize() == 1 and not worker.idle()
-            await asyncio.sleep(0)  # runner popped it into a task
-            assert worker.queue.empty() and not begun
-            assert not worker.idle()
-            await asyncio.sleep(0)  # the op took its first step
-            assert begun and worker.idle()
-            second = asyncio.ensure_future(worker.submit(op()))
-            await until(lambda: len(begun) == 2)
-            assert not worker.idle()  # in-flight == max_inflight
+            first = asyncio.ensure_future(worker.submit(op("a")))
+            await asyncio.sleep(0)  # one step: admitted and begun, no hop
+            assert begun == ["a"] and worker.queue.empty()
+            assert worker.load() == 1 and first in worker._pending
+            assert worker.idle()  # one below the bound
+            second = asyncio.ensure_future(worker.submit(op("b")))
+            await asyncio.sleep(0)
+            assert begun == ["a", "b"] and worker.load() == 2
+            assert not worker.idle()  # in flight == max_inflight
+            with pytest.raises(WorkerOverloaded):
+                await worker.submit(op("shed"))
             release.set()
-            await asyncio.gather(waiter, second)
-            assert worker.idle()
+            assert await asyncio.gather(first, second) == ["a", "b"]
+            assert worker.load() == 0 and worker.idle()
+
+            worker.max_inflight = None  # the order half: three at once
+            release.clear()
+            del begun[:]
             worker.inject_wedge(30.0)
             assert not worker.idle()  # the marker is queued ...
             await asyncio.sleep(0)
             assert worker.queue.empty() and not worker.idle()  # ... then blocks
+            behind_wedge = asyncio.ensure_future(worker.submit(op("c")))
+            behind_queued = asyncio.ensure_future(worker.submit(op("d")))
+            await asyncio.sleep(0)
+            assert worker.queue.qsize() == 2 and not begun
+            assert worker.load() == 2
             await worker.abort(drop_queue=False)
             assert not worker.idle()  # no runner
+            with pytest.raises(WorkerUnavailable, match="shard-down"):
+                await worker.submit(op("down"))
             worker.restart()
-            assert worker.idle()
+            await asyncio.sleep(0)  # the new runner popped both into tasks
+            assert worker.queue.empty() and not begun
+            assert worker.load() == 2 and not worker.idle()
+            release.set()
+            # arrives while c and d are popped but have not begun: queued
+            assert await worker.submit(op("e")) == "e"
+            assert begun == ["c", "d", "e"]
+            assert await asyncio.gather(behind_wedge, behind_queued) == ["c", "d"]
+            assert worker.load() == 0 and worker.idle()
             await worker.drain()
             assert not worker.idle()
+
+        asyncio.run(main())
+
+    def test_in_place_admission_stamps_the_heartbeat(self):
+        """A shard whose ops all run in their answer tasks never wakes
+        its runner; each admission is its progress mark."""
+        server = EdgeCacheServer(wire_config())
+
+        async def main():
+            worker = _ShardWorker(server.shards[0])
+            worker.start()
+            worker.last_beat = 0.0
+
+            async def op():
+                return worker.last_beat
+
+            assert await worker.submit(op()) > 0.0
+            assert worker.queue.empty()
+            await worker.drain()
 
         asyncio.run(main())
 
@@ -622,3 +715,254 @@ class TestInlineGuard:
         server = serve(scenario, hot_key_policy="shed", hot_key_threshold=3,
                        hot_key_window=60.0)
         assert server.stats.value("service.shed.hot_key") == 1
+
+
+def count_calls(obj, name):
+    """Count calls to ``obj.name`` (calls made, not calls completed)."""
+    calls, original = [], getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    setattr(obj, name, counted)
+    return calls
+
+
+async def parked(server, shard_id, count=1):
+    """Wait until ``count`` ops are admitted and unfinished on a shard."""
+    await until(lambda: server.workers[shard_id].load() == count)
+
+
+class TestOneTaskPath:
+    """An awaited op lives in its connection's answer task: what the
+    queue hop, the relay future and ``shield``/``wait_for`` used to
+    guarantee is checked here on the path that replaced them."""
+
+    def test_crash_abort_of_an_in_place_miss_fails_over_and_keeps_the_connection(
+        self, caplog
+    ):
+        async def scenario(server, client):
+            key, other = keys_homed_at(server, 0, replica=1)[:2]
+            await client.ask({"op": "get", "key": key},
+                             {"op": "put", "key": key})  # replica warm
+            server.shards[0].cache.evict(key)
+            worker = server.workers[0]
+            server.origin.stall()
+            client.writer.write(encode({"op": "get", "key": key}))
+            await parked(server, 0)
+            assert worker.queue.empty()  # running in its answer task
+            (connection,) = server._connections
+            (answer,) = connection._owed
+
+            worker.inject_crash()
+            await asyncio.wait({worker._runner}, timeout=5.0)
+            assert worker.crashed() and worker.load() == 1
+            await asyncio.wait_for(worker.abort(drop_queue=True), timeout=5.0)
+            assert worker.load() == 0
+            (response,) = await client.read()
+            assert response["ok"] and response["failover"] == "replica"
+            assert answer.done() and not answer.cancelled()
+
+            worker.restart()
+            server.origin.resume()
+            (after,) = await client.ask({"op": "get", "key": other})
+            assert after["status"] == "miss" and "failover" not in after
+
+        server = serve(scenario)
+        assert server.stats.value("service.worker_unavailable") == 1
+        assert server.stats.value("service.replica_failover") == 1
+        assert no_asyncio_errors(caplog)
+
+    def test_shutdown_waits_for_an_in_place_op_and_its_response_is_written(self):
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            server.origin.stall()
+            client.writer.write(encode({"op": "get", "key": key}))
+            await parked(server, 0)
+            assert server.workers[0].queue.empty()
+            shutdown = asyncio.ensure_future(server.shutdown())
+            await until(lambda: all(w.draining for w in server.workers.values()))
+            for _ in range(20):
+                await asyncio.sleep(0)
+            assert not shutdown.done()  # held by the one admitted op
+            server.origin.resume()
+            (response,) = await client.read()
+            assert response["status"] == "miss" and response["key"] == key
+            assert await client.reader.read() == b""  # answered, then closed
+            await asyncio.wait_for(shutdown, timeout=5.0)
+
+        serve(scenario)
+
+    @staticmethod
+    def cold_shard(**overrides):
+        server = EdgeCacheServer(wire_config(**overrides))
+        clock = use_manual_clock(server)
+        return server, server.shards[0], clock, keys_homed_at(server, 0)[0]
+
+    @pytest.mark.parametrize("demise", ["deadline", "cancelled"])
+    def test_follower_outlives_its_leader(self, demise):
+        """The first waiter fetches in its own task, so its deadline or
+        cancellation takes the fetch with it - and must not take the
+        followers: they start the fetch over within their own budget."""
+        server, shard, clock, key = self.cold_shard(deadline=30.0)
+
+        async def main():
+            server.origin.stall()
+            leader = asyncio.ensure_future(shard.get(
+                key, deadline=clock.now() + (0.02 if demise == "deadline"
+                                             else 30.0)
+            ))
+            await until(lambda: key in shard._inflight)
+            followers = [asyncio.ensure_future(shard.get(key))
+                         for _ in range(2)]
+            await until(
+                lambda: shard.stats.value("cache.coalesced_fetches") == 2
+            )
+            if demise == "deadline":
+                assert (await leader).status == "deadline"
+            else:
+                leader.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await leader
+            # one follower takes the lead, the other follows that fetch
+            await until(
+                lambda: shard.stats.value("cache.origin_fetches") == 2
+            )
+            assert not any(f.done() for f in followers)
+            server.origin.resume()
+            served = await asyncio.wait_for(asyncio.gather(*followers), 5.0)
+            assert [r.status for r in served] == ["miss", "miss"]
+            assert not shard._inflight
+
+        asyncio.run(main())
+        # one fetch at a time: the leader's died with it, the second
+        # served both followers
+        assert server.origin.fetches == 1
+        assert shard.stats.value("resilience.deadline_exceeded") == (
+            1 if demise == "deadline" else 0
+        )
+
+    def test_reset_mid_fetch_leaves_no_waiter_hanging(self, caplog):
+        server, shard, clock, key = self.cold_shard()
+
+        async def main():
+            server.origin.stall()
+            waiters = [asyncio.ensure_future(shard.get(key)) for _ in range(3)]
+            await until(
+                lambda: shard.stats.value("cache.coalesced_fetches") == 2
+            )
+            shard.reset()
+            assert not shard._inflight
+            server.origin.resume()
+            served = await asyncio.wait_for(asyncio.gather(*waiters), 5.0)
+            assert all(r.ok for r in served)
+
+        asyncio.run(main())
+        gc.collect()
+        assert no_asyncio_errors(caplog)
+
+    def test_one_retry_ladder_fails_every_waiter_and_logs_nothing(self, caplog):
+        server, shard, clock, key = self.cold_shard(
+            origin_latency=0.001, suspect_after=100.0,
+        )
+
+        async def main():
+            server.origin.set_error_rate(1.0, np.random.default_rng(1))
+            served = await asyncio.wait_for(
+                asyncio.gather(*(shard.get(key) for _ in range(3))), 5.0
+            )
+            assert {r.status for r in served} == {"unavailable"}
+            assert {r.extra["reason"] for r in served} == {"origin-error"}
+            alone = await shard.get(key + 1)  # a leader nobody followed
+            assert alone.status == "unavailable"
+
+        asyncio.run(main())
+        assert server.origin.errors == 2  # one per key, not one per waiter
+        gc.collect()
+        assert no_asyncio_errors(caplog)
+
+    def test_pre_spent_budget_never_calls_the_origin(self):
+        server, shard, clock, key = self.cold_shard(deadline=1.0)
+        fetches = count_calls(server.origin, "fetch")
+        validations = count_calls(server.origin, "validate")
+
+        async def main():
+            cold = await shard.get(key, deadline=clock.now())
+            assert cold.status == "deadline" and not fetches
+            assert (await shard.get(key)).status == "miss"
+            clock.advance(shard.cache.get(key).ttr + 1.0)  # window closed
+            stale = await shard.get(key, deadline=clock.now() - 1.0)
+            assert stale.status == "stale-hit"
+            assert stale.extra["reason"] == "deadline"
+
+        asyncio.run(main())
+        assert len(fetches) == 1 and not validations
+        assert shard.stats.value("resilience.deadline_exceeded") == 2
+
+    def test_deadline_trip_books_once_per_op(self):
+        server, shard, clock, key = self.cold_shard(deadline=0.02)
+        timeouts = count_calls(server.resilience, "on_home_timeout")
+
+        async def main():
+            server.origin.stall()
+            tripped = await asyncio.wait_for(shard.get(key), 5.0)
+            assert tripped.status == "deadline"
+            server.origin.resume()
+            assert (await shard.get(key)).status == "miss"
+            clock.advance(shard.cache.get(key).ttr + 1.0)
+            server.origin.stall()
+            stale = await asyncio.wait_for(shard.get(key), 5.0)
+            assert stale.status == "stale-hit"
+
+        asyncio.run(main())
+        assert shard.stats.value("resilience.deadline_exceeded") == 2
+        assert shard.stats.value("cache.deadline_miss") == 1
+        assert len(timeouts) == 2
+
+    @pytest.mark.parametrize("replica_copy", ["none", "fresh", "stale"])
+    def test_failover_spends_what_the_home_attempt_left(self, replica_copy):
+        """``deadline`` is the budget of the request, not of each
+        attempt: once the home attempt has spent it, the failover
+        serves what the replica shard holds, or answers ``deadline``
+        at once - it does not wait on the origin a second time."""
+        budget = 0.05
+        server = EdgeCacheServer(wire_config(
+            deadline=budget, suspect_after=100.0,
+        ))
+        clock = use_manual_clock(server)
+        fetches = count_calls(server.origin, "fetch")
+        validations = count_calls(server.origin, "validate")
+
+        async def main():
+            for worker in server.workers.values():
+                worker.start()
+            key = keys_homed_at(server, 0, replica=1)[0]
+            if replica_copy != "none":
+                await server._get(key)
+                await server._put(key)  # the push admits a replica copy
+                server.shards[0].cache.evict(key)
+                if replica_copy == "stale":
+                    clock.advance(server.shards[1].cache.get(key).ttr + 1.0)
+            del fetches[:]
+            server.origin.stall()
+            request = asyncio.ensure_future(server._get(key))
+            await parked(server, 0)
+            clock.advance(budget)  # the home attempt spends all of it
+            response = await asyncio.wait_for(request, 5.0)
+            # no second wait on the origin: the one call is the home
+            # attempt's, and it never completed
+            assert len(fetches) == 1 and not validations
+            if replica_copy == "none":
+                assert response.status == "deadline" and not response.ok
+            else:
+                assert response.ok and response.extra["failover"] == "replica"
+                assert response.status == (
+                    "hit-fresh" if replica_copy == "fresh" else "stale-hit"
+                )
+            server.origin.resume()
+            for worker in server.workers.values():
+                await worker.drain()
+
+        asyncio.run(main())
+        assert server.origin.fetches == (0 if replica_copy == "none" else 1)
