@@ -15,12 +15,30 @@ Replacement (§3.3, Fig. 1 ``CacheReplacementPolicy``): evict minimum-
 priority entries until the new item fits; the cache's inflation floor
 ``L`` advances to each victim's priority, and the incoming entry is
 primed at ``L + U(d)``.
+
+Victim index.  The Greedy-Dual family is specified as a priority queue
+plus ``L``, and that is what the cache keeps: a ``heapq`` of
+``(priority, seq, key)`` records, ``seq`` being a per-cache admission
+counter stamped on every :meth:`PeerCache.insert`.  A victim is the
+live entry with the smallest ``(priority, seq)`` — among equal
+priorities, the one admitted (or re-admitted) first, which is also the
+first in ``entries`` order.  The heap is repaired lazily, when a victim
+is needed, not on every hit: the one invariant is that **every live
+entry has a record carrying its ``seq`` whose recorded priority is <=
+its current priority**.  A hit therefore touches the heap only when the
+policy *lowered* the priority (one push); raised priorities are caught
+up with one ``heapreplace`` when their stale record surfaces, and
+records of entries that left (or were re-admitted under a new ``seq``)
+are discarded there as tombstones.  Under the invariant a top record
+that matches its entry exactly is the true minimum, so eviction costs
+O(log n) amortised instead of a scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.replacement import GDLDPolicy, ReplacementPolicy
 
@@ -47,14 +65,32 @@ class CachedCopy:
     priority: float = 0.0
     #: Recency timestamp (used by LRU; refreshed on every hit).
     last_access: float = 0.0
+    #: Admission sequence number, stamped by :meth:`PeerCache.insert`
+    #: (the victim tie-break); not part of the copy's identity.
+    seq: int = field(default=0, init=False, compare=False, repr=False)
 
     def is_fresh(self, now: float) -> bool:
         """True while the TTR window is open (Push-with-Adaptive-Pull)."""
         return now < self.validated_at + self.ttr
 
 
+#: Heap records tolerated beyond two per live entry before the index is
+#: rebuilt from ``entries`` (keeps tiny caches from rebuilding constantly).
+INDEX_SLACK = 16
+
+
 class PeerCache:
     """The dynamic cache of a single peer.
+
+    Victims come from a lazily repaired min-heap of ``(priority, seq,
+    key)`` records (see the module docstring): equal priorities break by
+    admission order, a hit does heap work only if it lowered the
+    priority, and stale records are repaired or dropped when they reach
+    the top during an eviction.  ``len(heap) <= 2 * len(entries) +
+    INDEX_SLACK`` between calls.  Code outside the cache and its policy
+    must not assign ``entry.priority``: a priority lowered behind the
+    cache's back breaks the index invariant
+    (:func:`repro.core.invariants.check_cache` detects it).
 
     Parameters
     ----------
@@ -78,6 +114,9 @@ class PeerCache:
         self.used_bytes = 0.0
         #: Greedy-Dual inflation floor L (priority of the last victim).
         self.inflation = 0.0
+        #: Victim index: ``(recorded priority, seq, key)`` min-heap.
+        self._heap: List[Tuple[float, int, int]] = []
+        self._next_seq = 0
         # -- statistics --
         self.insertions = 0
         self.evictions = 0
@@ -109,7 +148,12 @@ class PeerCache:
         if entry is None:
             return None
         entry.last_access = now
+        before = entry.priority
         self.policy.on_hit(entry, self.inflation, now)
+        if entry.priority < before:
+            # The old record now overstates the priority; a raise needs
+            # nothing (repaired when its record surfaces).
+            self._record(entry)
         return entry
 
     @property
@@ -142,19 +186,21 @@ class PeerCache:
         evicted: List[int] = []
         old = self.entries.pop(entry.key, None)
         if old is not None:
-            self.used_bytes -= old.size_bytes
-        while self.used_bytes + entry.size_bytes > self.capacity_bytes:
-            victim_key = min(self.entries, key=lambda k: self.entries[k].priority)
-            victim = self.entries.pop(victim_key)
-            self.used_bytes -= victim.size_bytes
+            self._release(old)
+        while self.used_bytes + entry.size_bytes > self.capacity_bytes and self.entries:
+            victim = self._pop_victim()
+            self._release(victim)
             if self.policy.uses_inflation:
                 # L = min utility in cache (the victim's priority).
                 self.inflation = victim.priority
-            evicted.append(victim_key)
+            evicted.append(victim.key)
             self.evictions += 1
         self.policy.prime(entry, self.inflation, now)
+        entry.seq = self._next_seq
+        self._next_seq += 1
         self.entries[entry.key] = entry
         self.used_bytes += entry.size_bytes
+        self._record(entry)
         self.insertions += 1
         return evicted
 
@@ -163,13 +209,53 @@ class PeerCache:
         entry = self.entries.pop(key, None)
         if entry is None:
             return False
-        self.used_bytes -= entry.size_bytes
+        self._release(entry)
+        self._trim_index()
         self.evictions += 1
         return True
 
     def clear(self) -> None:
         self.entries.clear()
+        self._heap.clear()
         self.used_bytes = 0.0
+
+    # -- victim index --------------------------------------------------------
+
+    def _release(self, entry: CachedCopy) -> None:
+        """Un-account an entry already removed from ``entries``."""
+        if self.entries:
+            self.used_bytes -= entry.size_bytes
+        else:
+            # A running float sum does not return to zero by itself.
+            self.clear()
+
+    def _record(self, entry: CachedCopy) -> None:
+        """Index ``entry`` (already in ``entries``) at its current priority."""
+        heappush(self._heap, (entry.priority, entry.seq, entry.key))
+        self._trim_index()
+
+    def _trim_index(self) -> None:
+        """Rebuild from ``entries`` once stale records outnumber live ones."""
+        heap = self._heap
+        if len(heap) > 2 * len(self.entries) + INDEX_SLACK:
+            heap[:] = [(e.priority, e.seq, k) for k, e in self.entries.items()]
+            heapify(heap)
+
+    def _pop_victim(self) -> CachedCopy:
+        """Remove and return the live entry with the least (priority, seq)."""
+        heap = self._heap
+        entries = self.entries
+        while True:
+            priority, seq, key = heap[0]
+            entry = entries.get(key)
+            if entry is None or entry.seq != seq or entry.priority < priority:
+                heappop(heap)  # tombstone, or superseded by a lower record
+            elif entry.priority > priority:
+                heapreplace(heap, (entry.priority, seq, key))
+            else:
+                heappop(heap)
+                del entries[key]
+                return entry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

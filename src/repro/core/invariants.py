@@ -5,7 +5,9 @@ express the PReCinCt state invariants as executable assertions over a
 live :class:`~repro.core.network.PReCinCtNetwork`:
 
 * **cache accounting** — every peer's ``used_bytes`` equals the sum of
-  its resident entries and never exceeds capacity;
+  its resident entries and never exceeds capacity, and its victim index
+  covers every entry (a record with the entry's admission ``seq`` at or
+  below its current priority) within the index's size bound;
 * **custody sanity** — a key is never custodied twice by one peer (set
   semantics) and total custody never exceeds the configured copy count;
 * **pending consistency** — every pending request has a live timeout
@@ -24,13 +26,17 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.core.cache import INDEX_SLACK
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.cache import PeerCache
     from repro.core.network import PReCinCtNetwork
 
 __all__ = [
     "InvariantViolation",
     "attach_periodic_checker",
     "check_all",
+    "check_cache",
     "check_cache_accounting",
     "check_custody",
     "check_pending_requests",
@@ -43,20 +49,46 @@ class InvariantViolation(AssertionError):
     """Raised when a system invariant does not hold."""
 
 
+def check_cache(cache: "PeerCache", owner: str = "cache") -> None:
+    """Byte accounting and victim-index invariants of one cache.
+
+    The index half is what makes heap eviction exact (see
+    :mod:`repro.core.cache`); it fails when something assigns a lower
+    ``entry.priority`` without going through :meth:`PeerCache.hit`.
+    """
+    actual = sum(e.size_bytes for e in cache.entries.values())
+    if not math.isclose(actual, cache.used_bytes, rel_tol=1e-9, abs_tol=1e-6):
+        raise InvariantViolation(
+            f"{owner}: used_bytes={cache.used_bytes} but entries "
+            f"sum to {actual}"
+        )
+    if cache.used_bytes > cache.capacity_bytes + 1e-6:
+        raise InvariantViolation(
+            f"{owner}: cache over capacity "
+            f"({cache.used_bytes} > {cache.capacity_bytes})"
+        )
+    heap = cache._heap
+    if len(heap) > 2 * len(cache.entries) + INDEX_SLACK:
+        raise InvariantViolation(
+            f"{owner}: victim index holds {len(heap)} records for "
+            f"{len(cache.entries)} entries"
+        )
+    covered = set()
+    for priority, seq, key in heap:
+        entry = cache.entries.get(key)
+        if entry is not None and entry.seq == seq and priority <= entry.priority:
+            covered.add(key)
+    for key, entry in cache.entries.items():
+        if key not in covered:
+            raise InvariantViolation(
+                f"{owner}: key {key} (priority {entry.priority}, seq "
+                f"{entry.seq}) has no index record at or below its priority"
+            )
+
+
 def check_cache_accounting(net: "PReCinCtNetwork") -> None:
     for peer in net.peers:
-        cache = peer.cache
-        actual = sum(e.size_bytes for e in cache.entries.values())
-        if not math.isclose(actual, cache.used_bytes, rel_tol=1e-9, abs_tol=1e-6):
-            raise InvariantViolation(
-                f"peer {peer.id}: used_bytes={cache.used_bytes} but entries "
-                f"sum to {actual}"
-            )
-        if cache.used_bytes > cache.capacity_bytes + 1e-6:
-            raise InvariantViolation(
-                f"peer {peer.id}: cache over capacity "
-                f"({cache.used_bytes} > {cache.capacity_bytes})"
-            )
+        check_cache(peer.cache, f"peer {peer.id}")
 
 
 def check_custody(net: "PReCinCtNetwork") -> None:

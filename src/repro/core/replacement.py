@@ -100,6 +100,15 @@ class GDSizePolicy(ReplacementPolicy):
     thus a large popular data item stands less chance of being cached"
     (paper §6.2.1).  The ``scale`` keeps priorities commensurate with
     GD-LD's so mixed-policy experiments compare like for like.
+
+    Over equal-sized items this is *not* exactly LRU in this cache (the
+    Cao & Irani reduction holds up to ties): a priority is ``L`` at the
+    last touch plus a constant, so a victim is always an entry last
+    touched under the smallest ``L`` of any live entry, but entries
+    touched under the same ``L`` tie, and :class:`~repro.core.cache.
+    PeerCache` breaks ties by admission order where LRU uses recency.
+    The two evict identically whenever an eviction separates every two
+    touches of different entries (``tests/test_replacement.py``).
     """
 
     def __init__(self, scale: float = 1024.0):

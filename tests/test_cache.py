@@ -1,5 +1,7 @@
 """Unit tests for the peer cache (repro.core.cache)."""
 
+import random
+
 import pytest
 
 from repro.core.cache import CachedCopy, PeerCache
@@ -57,6 +59,43 @@ class TestBasicOperations:
         assert len(cache) == 0
         assert cache.used_bytes == 0
 
+    def test_emptied_cache_holds_exactly_zero_bytes(self):
+        """``used_bytes`` is a running float sum: evicting in another
+        order than admitting leaves a residue (~2e-12) unless the cache
+        zeroes it when the last entry leaves — and with a residue, an
+        item as large as the capacity went looking for a victim in an
+        empty cache."""
+        for seed in range(13):
+            rng = random.Random(seed)
+            sizes = [rng.uniform(1000, 10000) for _ in range(6)]
+            capacity = 0.0
+            for size in sizes:
+                capacity += size
+            cache = PeerCache(capacity)
+            for key, size in enumerate(sizes):
+                assert cache.insert(copy(key, size=size), now=0.0) == []
+            assert cache.used_bytes == capacity
+            order = list(range(6))
+            rng.shuffle(order)
+            for key in order:
+                assert cache.evict(key)
+            assert cache.used_bytes == 0.0
+            assert cache.insert(copy(9, size=capacity), now=1.0) == []
+            assert 9 in cache and cache.used_bytes == capacity
+
+    def test_last_entry_leaving_through_insert_zeroes_the_bytes(self):
+        """The replaced-copy pop and the victim loop empty a cache too."""
+        for replace in (True, False):
+            capacity = 0.1 + 0.3
+            cache = PeerCache(capacity)
+            cache.insert(copy(1, size=0.1), now=0.0)
+            cache.insert(copy(2, size=0.3), now=0.0)
+            cache.evict(1)
+            assert cache.used_bytes > 0.3  # 0.1 + 0.3 - 0.1 = 0.30000000000000004
+            evicted = cache.insert(copy(2 if replace else 3, size=capacity), now=1.0)
+            assert evicted == ([] if replace else [2])
+            assert cache.used_bytes == capacity
+
     def test_zero_capacity_caches_nothing(self):
         cache = PeerCache(0)
         assert cache.insert(copy(1, size=1), now=0.0) == []
@@ -65,6 +104,31 @@ class TestBasicOperations:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             PeerCache(-1)
+
+
+class TestAdmissionSequence:
+    def test_ties_go_to_the_entry_admitted_first(self):
+        """Equal priorities break by admission order; a re-insert counts
+        as a new admission (it also moves the key to the end of
+        ``entries``)."""
+        cache = PeerCache(300, policy=GDSizePolicy())
+        for key in (1, 2, 3):
+            cache.insert(copy(key, size=100), now=0.0)
+        cache.insert(copy(1, size=100), now=0.0)  # re-admitted: now last
+        assert list(cache.entries) == [2, 3, 1]
+        assert cache.insert(copy(4, size=200), now=0.0) == [2, 3]
+
+    def test_sequence_is_not_part_of_a_copy(self):
+        import inspect
+
+        first, second = copy(1), copy(1)
+        cache = PeerCache(1000)
+        cache.insert(copy(0), now=0.0)
+        cache.insert(second, now=0.0)
+        second.priority = first.priority
+        assert second.seq != first.seq
+        assert first == second and repr(first) == repr(second)
+        assert "seq" not in inspect.signature(CachedCopy).parameters
 
 
 class TestReplacement:

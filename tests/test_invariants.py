@@ -62,6 +62,30 @@ class TestViolationsDetected:
         with pytest.raises(InvariantViolation):
             check_cache_accounting(net)
 
+    def test_priority_lowered_behind_the_cache_is_caught(self):
+        """The victim heap is exact only while every entry has a record
+        at or below its priority; an edit that assigns ``priority``
+        without going through ``PeerCache.hit`` shows up here, by peer
+        and key, rather than as a wrong victim."""
+        net = PReCinCtNetwork(tiny_config())
+        cache = net.peers[2].cache
+        for key in (4, 5):
+            cache.insert(CachedCopy(key=key, size_bytes=10.0, version=0), now=0.0)
+        check_cache_accounting(net)
+        cache.get(5).priority += 1.0  # a raise is repaired lazily: legal
+        check_cache_accounting(net)
+        cache.get(5).priority -= 2.0
+        with pytest.raises(InvariantViolation, match=r"peer 2: key 5 "):
+            check_cache_accounting(net)
+
+    def test_index_over_its_size_bound_is_caught(self):
+        net = PReCinCtNetwork(tiny_config())
+        cache = net.peers[1].cache
+        cache.insert(CachedCopy(key=4, size_bytes=10.0, version=0), now=0.0)
+        cache._heap.extend([cache._heap[0]] * 40)
+        with pytest.raises(InvariantViolation, match=r"peer 1: victim index"):
+            check_cache_accounting(net)
+
     def test_custody_violation(self):
         net = PReCinCtNetwork(tiny_config())
         # Give one key to four peers: exceeds replication degree + slack.

@@ -1,9 +1,12 @@
 """Unit tests for replacement policies (repro.core.replacement)."""
 
+import random
+
 import pytest
 
-from repro.core.cache import CachedCopy
-from repro.core.replacement import GDLDPolicy, GDSizePolicy, LRUPolicy
+from repro.core.cache import CachedCopy, PeerCache
+from repro.core.replacement import GDLDPolicy, GDSizePolicy, LFUPolicy, LRUPolicy
+from tests.reference_cache import Pair, run_stream
 
 
 def copy(key=0, size=1024.0, ac=0, reg_dst=0.0, **kw):
@@ -116,3 +119,88 @@ def test_every_policy_is_exported():
     assert "LFUPolicy" in policies
     assert policies == set(replacement.__all__)
     assert repro.core.LFUPolicy is replacement.LFUPolicy
+
+
+# -- policy identities as metamorphic oracles (Joy & Jacob's reductions) --------
+
+
+def assert_same_policy(first, second):
+    """Decision- and priority-identical on seeded op streams (hits raise
+    and lower counts; sizes and distances vary)."""
+    for seed in range(12):
+        pair = run_stream(
+            seed,
+            lambda capacity: Pair(PeerCache(capacity, first),
+                                  PeerCache(capacity, second)),
+            2000,
+        )
+        assert pair.cache.evictions > 100
+
+
+class TestPolicyIdentities:
+    def test_gdld_popularity_only_is_lfu(self):
+        """GD-LD(wr=1, wd=0, ws=0) decides and prices exactly as LFU."""
+        assert_same_policy(GDLDPolicy(wr=1.0, wd=0.0, ws=0.0), LFUPolicy())
+
+    @pytest.mark.parametrize("scale", [1024.0, 3.0, 977.0])
+    def test_gdld_size_only_is_gdsize(self, scale):
+        """GD-LD(wr=0, wd=0, ws=s) decides and prices exactly as GD-Size(s)."""
+        assert_same_policy(GDLDPolicy(wr=0.0, wd=0.0, ws=scale),
+                           GDSizePolicy(scale=scale))
+
+    def test_gdsize_over_equal_sizes_is_not_exactly_lru(self):
+        """Two entries touched under the same L tie; GD-Size breaks the
+        tie by admission order, LRU by recency."""
+        victims = {}
+        for name, policy in (("gdsize", GDSizePolicy()), ("lru", LRUPolicy())):
+            cache = PeerCache(200.0, policy)
+            cache.insert(copy(1, size=100.0), 0.0)
+            cache.insert(copy(2, size=100.0), 1.0)
+            cache.hit(1, 2.0)
+            victims[name] = cache.insert(copy(3, size=100.0), 3.0)
+        assert victims == {"gdsize": [1], "lru": [2]}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gdsize_victim_was_touched_under_the_smallest_floor(self, seed):
+        """The form of the Cao & Irani reduction that does hold: over
+        equal sizes a GD-Size victim is always an entry last touched
+        (admitted or hit) under the smallest L of any live entry — the
+        earliest admitted of those."""
+        rng = random.Random(seed)
+        cache = PeerCache(1200.0, GDSizePolicy())
+        touched_under, admitted_at = {}, {}
+        evictions = 0
+        for step in range(3000):
+            key = rng.randrange(30)
+            if rng.random() < 0.5:
+                if cache.hit(key, float(step)) is not None:
+                    touched_under[key] = cache.inflation
+                continue
+            before = {k: (touched_under[k], admitted_at[k])
+                      for k in cache.entries if k != key}
+            for victim in cache.insert(copy(key, size=100.0), float(step)):
+                assert before[victim] == min(before.values())
+                del before[victim]
+                evictions += 1
+            touched_under[key], admitted_at[key] = cache.inflation, step
+        assert evictions > 300
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gdsize_is_lru_when_an_eviction_separates_every_two_touches(self, seed):
+        """Fill at distinct times, then only evicting inserts, each
+        optionally followed by hits on the entry just admitted: no two
+        entries are ever touched under one L, and GD-Size over equal
+        sizes evicts in exactly LRU order.  (size == scale keeps L an
+        integer, so no two floors collide by rounding.)"""
+        logs = []
+        for policy in (GDSizePolicy(scale=1024.0), LRUPolicy()):
+            rng = random.Random(seed)
+            cache = PeerCache(8 * 1024.0, policy)
+            log = []
+            for key in range(500):
+                log.append(cache.insert(copy(key, size=1024.0), float(key)))
+                for _ in range(rng.randrange(3)):
+                    cache.hit(key, key + 0.5)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert sum(len(evicted) for evicted in logs[0]) == 492

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.consistency import PushAdaptivePull
+from repro.core.invariants import check_cache
 from repro.ports import CounterStatSink
 from repro.resilience.manager import ResilienceManager
 from repro.service import (
@@ -165,6 +166,7 @@ class TestCacheServiceReads:
         asyncio.run(scenario())
         assert shard.cache.used_bytes <= capacity
         assert shard.cache.evictions > 0
+        check_cache(shard.cache, "shard 0")
 
 
 class TestConcurrency:
@@ -221,9 +223,8 @@ class TestConcurrency:
                 await worker.drain()
 
         asyncio.run(scenario())
-        for shard in server.shards.values():
-            used = sum(e.size_bytes for e in shard.cache.entries.values())
-            assert used == pytest.approx(shard.cache.used_bytes)
+        for shard_id, shard in server.shards.items():
+            check_cache(shard.cache, f"shard {shard_id}")
             for entry in shard.cache.entries.values():
                 assert entry.version <= server.database[entry.key].version
 
