@@ -186,10 +186,6 @@ class RunReport:
     #: report digest (``repro.faults.audit.report_summary`` enumerates
     #: hashed fields explicitly).
     eventlog_dropped: int = 0
-    #: Wall-clock self-time per profiled section
-    #: (``{section: {calls, total_s, self_s}}``).  Machine-dependent by
-    #: nature, hence also excluded from the report digest.
-    profile: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def energy_per_request_mj(self) -> float:
@@ -212,7 +208,6 @@ class RunReport:
         stats: StatRegistry,
         energy_total_uj: float,
         eventlog_dropped: int = 0,
-        profile: Dict[str, Dict[str, float]] = None,
     ) -> "RunReport":
         total_msgs = stats.value("net.broadcast_sent") + stats.value("net.unicast_sent")
         # Per-category transmission counts (request/response/consistency/
@@ -242,11 +237,10 @@ class RunReport:
             latency_p99=metrics.latency_quantiles.value(0.99),
             served_by_class=dict(metrics.served_by_class),
             eventlog_dropped=eventlog_dropped,
-            profile=profile if profile is not None else {},
         )
 
     def row(self) -> str:
-        """One human-readable results row (used by the bench harness)."""
+        """One human-readable results row."""
         return (
             f"{self.config_label:<32} "
             f"lat={self.average_latency:7.4f}s  "

@@ -101,15 +101,6 @@ def describe_run(
         f"evictions {evictions}")
     add(f"  custody copies {custody} (keys {len(net.db)})")
 
-    if report.profile:
-        add("")
-        add("profile (wall-clock)")
-        for name, rec in sorted(
-            report.profile.items(), key=lambda kv: -kv[1]["self_s"]
-        ):
-            add(f"  {name:<22} calls {rec['calls']:>9,.0f}  "
-                f"total {rec['total_s']:8.3f}s  self {rec['self_s']:8.3f}s")
-
     if net.log is not None:
         add("")
         add(f"event log: {len(net.log)} events kept, "

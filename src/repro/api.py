@@ -20,9 +20,9 @@ The facade re-exports (it defines nothing of its own):
 ``RunReport``
     The end-of-run metrics bundle (:mod:`repro.analysis.metrics`).
 ``Observers``
-    Composition of all observer subsystems — tracing, telemetry,
-    profiling, flight recorder, span-level energy attribution, anomaly
-    triggers — attached to an engine through one entry point
+    Composition of all observer subsystems — tracing, telemetry, flight
+    recorder, span-level energy attribution, anomaly triggers —
+    attached to an engine through one entry point
     (:mod:`repro.obs.observers`).
 ``run_scenario`` / ``audit_scenario``
     Canonical named scenarios and the determinism audit over them

@@ -12,7 +12,6 @@ any Python::
     python -m repro audit --seed 42 --scenario default
     python -m repro trace --slowest 5 --export-chrome trace.json
     python -m repro trace diff baseline.jsonl faulted.jsonl
-    python -m repro profile --duration 400 --json profile.json
     python -m repro energy --scenario baseline --tolerance 0.5
     python -m repro run --anomaly 'mac.backlog_max_s>5' --bundle-dir bundles/
     python -m repro run --watch --live-export live.jsonl
@@ -159,28 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     flt_p = sub.add_parser(
         "faults", help="run one simulation under a declarative fault plan"
     )
-    flt_p.add_argument("--nodes", type=int, default=40)
-    flt_p.add_argument("--regions", type=int, default=9)
-    flt_p.add_argument("--speed", type=float, default=6.0,
-                       help="max node speed m/s (0 = static)")
-    flt_p.add_argument("--cache", type=float, default=0.02)
-    flt_p.add_argument(
-        "--consistency",
-        choices=["none", "plain-push", "pull-every-time", "push-adaptive-pull"],
-        default="push-adaptive-pull",
-    )
-    flt_p.add_argument("--t-update", type=float, default=60.0,
-                       help="mean inter-update time (s); 0 disables updates")
-    flt_p.add_argument("--duration", type=float, default=600.0)
-    flt_p.add_argument("--warmup", type=float, default=100.0)
-    flt_p.add_argument("--items", type=int, default=500)
-    flt_p.add_argument("--seed", type=int, default=1)
-    flt_p.add_argument(
-        "--fault", action="append", default=[], metavar="SPEC",
-        help="fault rule, e.g. 'drop:p=0.1,start=100,end=400', "
-             "'crash:at=200,nodes=3+7', 'partition:start=100,end=200,regions=0'; "
-             "repeatable",
-    )
+    _add_workload_args(flt_p, duration=600.0, warmup=100.0)
     flt_p.add_argument("--plan-file", default=None,
                        help="JSON fault-plan file (merged after --fault rules)")
     flt_p.add_argument("--check-invariants", action="store_true",
@@ -238,7 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the diff report as JSON")
     diff_p.add_argument("--top", type=int, default=0, metavar="N",
                         help="list only the N worst phases (0 = all)")
-    _add_workload_args(tr_p)
+    _add_workload_args(tr_p, duration=400.0, warmup=50.0)
+    tr_p.add_argument(
+        "--trace-sample-rate", type=float, default=1.0, metavar="RATE",
+        help="head-based trace sampling probability in [0, 1] "
+             "(default 1.0 = trace every request; digest-neutral)",
+    )
     tr_p.add_argument("--slowest", type=int, default=5, metavar="N",
                       help="show the N slowest requests with per-phase "
                            "latency breakdowns")
@@ -250,16 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--export-chrome", default=None, metavar="PATH",
                       help="write a Chrome trace-event file "
                            "(chrome://tracing, Perfetto)")
-
-    pr_p = sub.add_parser(
-        "profile",
-        help="run one simulation with wall-clock profiling and report "
-             "per-section self-times",
-    )
-    _add_workload_args(pr_p)
-    pr_p.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the per-section profile as JSON "
-                           "(the perf-gate baseline format)")
 
     en_p = sub.add_parser(
         "energy",
@@ -529,8 +502,10 @@ def _resilience_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    """Simulation knobs shared by the trace/profile subcommands."""
+def _add_workload_args(
+    parser: argparse.ArgumentParser, duration: float, warmup: float
+) -> None:
+    """Simulation knobs shared by the faults/trace subcommands."""
     parser.add_argument("--nodes", type=int, default=40)
     parser.add_argument("--regions", type=int, default=9)
     parser.add_argument("--speed", type=float, default=6.0,
@@ -544,28 +519,19 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--t-update", type=float, default=60.0,
                         help="mean inter-update time (s); 0 disables updates")
-    parser.add_argument("--duration", type=float, default=400.0)
-    parser.add_argument("--warmup", type=float, default=50.0)
+    parser.add_argument("--duration", type=float, default=duration)
+    parser.add_argument("--warmup", type=float, default=warmup)
     parser.add_argument("--items", type=int, default=500)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--fault", action="append", default=[], metavar="SPEC",
-        help="fault rule, e.g. 'drop:p=0.1,start=100,end=300'; repeatable",
-    )
-    parser.add_argument(
-        "--trace-sample-rate", type=float, default=1.0, metavar="RATE",
-        help="head-based trace sampling probability in [0, 1] "
-             "(default 1.0 = trace every request; digest-neutral)",
+        help="fault rule, e.g. 'drop:p=0.1,start=100,end=400', "
+             "'crash:at=200,nodes=3+7', 'partition:start=100,end=200,regions=0'; "
+             "repeatable",
     )
 
 
-def _workload_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
-    from repro.faults.plan import FaultPlan
-
-    plan = FaultPlan.parse(args.fault)
-    overrides.setdefault(
-        "trace_sample_rate", getattr(args, "trace_sample_rate", 1.0)
-    )
+def _workload_config(args: argparse.Namespace, plan, **overrides) -> SimulationConfig:
     return SimulationConfig(
         n_nodes=args.nodes,
         n_regions=args.regions,
@@ -740,20 +706,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print(f"error: invalid fault plan: {exc}", file=sys.stderr)
         return 2
     plan = FaultPlan(tuple(specs))
-    cfg = SimulationConfig(
-        n_nodes=args.nodes,
-        n_regions=args.regions,
-        max_speed=args.speed if args.speed > 0 else None,
-        cache_fraction=args.cache,
-        consistency=args.consistency,
-        t_update=args.t_update if args.t_update > 0 else None,
-        duration=args.duration,
-        warmup=args.warmup,
-        n_items=args.items,
-        seed=args.seed,
-        fault_plan=plan if plan else None,
-        **_resilience_overrides(args),
-    )
+    cfg = _workload_config(args, plan, **_resilience_overrides(args))
     print(plan.describe(), file=sys.stderr)
     print(f"running: {cfg.n_nodes} nodes, {cfg.duration:.0f}s virtual time, "
           f"{len(plan)} fault rule(s) ...", file=sys.stderr)
@@ -822,10 +775,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.faults.plan import FaultPlan
     from repro.obs.observers import Observers
 
     try:
-        cfg = _workload_config(args, enable_tracing=True)
+        cfg = _workload_config(
+            args, FaultPlan.parse(args.fault), enable_tracing=True,
+            trace_sample_rate=args.trace_sample_rate,
+        )
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -905,45 +862,6 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     if args.json is not None:
         diff.write_json(args.json)
         print(f"wrote diff report to {args.json}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    try:
-        cfg = _workload_config(args, enable_profiling=True)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"running profiled: {cfg.n_nodes} nodes, {cfg.duration:.0f}s "
-          f"virtual time ...", file=sys.stderr)
-    net = PReCinCtNetwork(cfg)
-    report = net.run()
-    print(report.row())
-    profile = report.profile
-    if not profile:
-        print("no profiled sections recorded")
-        return 0
-    print(f"{'section':<24} {'calls':>10} {'total':>10} {'self':>10}")
-    for name, rec in sorted(
-        profile.items(), key=lambda kv: -kv[1]["self_s"]
-    ):
-        print(f"{name:<24} {rec['calls']:>10,.0f} "
-              f"{rec['total_s']:>9.3f}s {rec['self_s']:>9.3f}s")
-    if args.json is not None:
-        import json
-
-        from repro.obs.export import export_path
-
-        payload = {
-            "sections": {name: dict(rec) for name, rec in profile.items()},
-            "self_total_s": sum(rec["self_s"] for rec in profile.values()),
-        }
-        path = export_path(args.json)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote profile to {args.json}")
     return 0
 
 
@@ -1260,8 +1178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "trace_cmd", None) == "diff":
             return _cmd_trace_diff(args)
         return _cmd_trace(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "energy":
         return _cmd_energy(args)
     if args.command == "watch":

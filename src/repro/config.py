@@ -194,9 +194,6 @@ class SimulationConfig:
     enable_telemetry: bool = False
     #: Simulated seconds between telemetry samples.
     telemetry_interval: float = 5.0
-    #: Measure wall-clock self-time of engine dispatch, routing, and
-    #: cache replacement (reported, excluded from determinism digests).
-    enable_profiling: bool = False
     #: Directory for flight-recorder incident bundles (invariant
     #: violations, failed requests, engine crashes); None disarms the
     #: recorder.

@@ -121,9 +121,6 @@ class PeerCache:
         self.insertions = 0
         self.evictions = 0
         self.rejections = 0
-        #: Optional :class:`repro.obs.profile.PerfProfiler`; when set,
-        #: admission/replacement is timed under "cache.replacement".
-        self.profile = None
 
     # -- queries -----------------------------------------------------------
 
@@ -174,12 +171,6 @@ class PeerCache:
         with an empty cache it is rejected (no eviction churn).
         Re-inserting an existing key replaces the old copy in place.
         """
-        if self.profile is not None:
-            with self.profile.perf_section("cache.replacement"):
-                return self._insert_impl(entry, now)
-        return self._insert_impl(entry, now)
-
-    def _insert_impl(self, entry: CachedCopy, now: float) -> List[int]:
         if entry.size_bytes > self.capacity_bytes:
             self.rejections += 1
             return []

@@ -186,10 +186,6 @@ class PReCinCtNetwork:
         return self.observers.telemetry
 
     @property
-    def profiler(self):
-        return self.observers.profiler
-
-    @property
     def recorder(self):
         return self.observers.recorder
 
@@ -931,5 +927,4 @@ class PReCinCtNetwork:
             energy_total_uj=self.network.energy.total()
             + self.network.idle_energy_uj(),
             eventlog_dropped=self.log.dropped if self.log is not None else 0,
-            profile=self.profiler.report() if self.profiler is not None else None,
         )

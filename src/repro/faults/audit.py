@@ -241,8 +241,8 @@ def run_scenario(
     run, unless ``check_invariants`` is False.
 
     ``observers`` is a :class:`repro.obs.Observers` composition — the
-    one surface for attaching tracing, telemetry, profiling, the flight
-    recorder, energy attribution, and anomaly triggers.  All observers
+    one surface for attaching tracing, telemetry, the flight recorder,
+    energy attribution, and anomaly triggers.  All observers
     are digest-neutral by construction, so any combination must leave
     both digests byte-identical — the test suite verifies exactly that.
     """
@@ -340,7 +340,7 @@ def audit_scenario(
         if bundle_dir is not None:
             options["recorder_dir"] = str(bundle_dir)
         if want_tracing and index == runs - 1:
-            options.update(tracing=True, telemetry=True, profiling=True)
+            options.update(tracing=True, telemetry=True)
         net, _, digest = run_scenario(
             name, seed, observers=Observers(**options)
         )

@@ -86,6 +86,10 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        for name in ("start", "end", "at"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite time >= 0, got {value}")
         if self.end is not None and self.end <= self.start:
             raise ValueError(f"empty fault window [{self.start}, {self.end})")
         # Normalize sequences so specs hash/pickle/compare reliably.

@@ -13,8 +13,6 @@ golden event-log and report digests byte-identical):
   JSONL exports, rank per-phase latency regressions, attribute faults;
 * :mod:`repro.obs.telemetry` — periodic columnar time-series of
   counters, cache occupancy, and MAC backlog, delta-encoded;
-* :mod:`repro.obs.profile` — wall-clock self-time of engine/routing/
-  cache hot paths (reported, but excluded from digests);
 * :mod:`repro.obs.recorder` — flight-recorder bundles dumped on
   invariant violations, unserved requests, and audit divergence;
 * :mod:`repro.obs.anomaly` — declarative telemetry threshold rules
@@ -39,7 +37,6 @@ from repro.obs.anomaly import AnomalyRule, AnomalyWatcher
 from repro.obs.dashboard import Dashboard
 from repro.obs.export import export_path, read_jsonl, write_jsonl
 from repro.obs.observers import Observers
-from repro.obs.profile import NULL_PROFILER, PerfProfiler
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sampling import TraceSampler, make_sampler
 from repro.obs.stream import (
@@ -60,9 +57,7 @@ __all__ = [
     "FlightRecorder",
     "JsonlLiveSink",
     "MetricsSnapshotWriter",
-    "NULL_PROFILER",
     "Observers",
-    "PerfProfiler",
     "RingSubscriber",
     "Span",
     "TelemetryBus",

@@ -1,10 +1,10 @@
 """One composition object for every observer subsystem.
 
-Before this module, each observer (tracer, telemetry sampler, perf
-profiler, flight recorder) was wired into
-:class:`~repro.core.network.PReCinCtNetwork` by its own ad-hoc block of
-duck-typed hook assignments.  :class:`Observers` replaces those with a
-single declarative surface and one :meth:`attach` entry point::
+Before this module, each observer (tracer, telemetry sampler, flight
+recorder) was wired into :class:`~repro.core.network.PReCinCtNetwork`
+by its own ad-hoc block of duck-typed hook assignments.
+:class:`Observers` replaces those with a single declarative surface and
+one :meth:`attach` entry point::
 
     from repro.api import Observers, SimulationConfig
     from repro.core.network import PReCinCtNetwork
@@ -47,9 +47,6 @@ class Observers:
     telemetry / telemetry_interval:
         Periodic state snapshots
         (:class:`~repro.obs.telemetry.TelemetrySampler`).
-    profiling:
-        Wall-clock section profiling
-        (:class:`~repro.obs.profile.PerfProfiler`).
     recorder_dir / recorder_events / recorder_max_dumps:
         Flight-recorder bundles
         (:class:`~repro.obs.recorder.FlightRecorder`).
@@ -83,7 +80,6 @@ class Observers:
         trace_sample_rate: Optional[float] = _INHERIT,
         telemetry: Optional[bool] = _INHERIT,
         telemetry_interval: Optional[float] = _INHERIT,
-        profiling: Optional[bool] = _INHERIT,
         recorder_dir=_INHERIT,
         recorder_events: Optional[int] = _INHERIT,
         recorder_max_dumps: Optional[int] = _INHERIT,
@@ -102,7 +98,6 @@ class Observers:
             "trace_sample_rate": trace_sample_rate,
             "telemetry": telemetry,
             "telemetry_interval": telemetry_interval,
-            "profiling": profiling,
             "recorder_dir": recorder_dir,
             "recorder_events": recorder_events,
             "recorder_max_dumps": recorder_max_dumps,
@@ -118,7 +113,6 @@ class Observers:
         }
         self.tracer = None
         self.telemetry = None
-        self.profiler = None
         self.recorder = None
         self.energy = None
         self.anomaly = None
@@ -178,16 +172,6 @@ class Observers:
                 tracer=self.tracer, region_of=region_of
             )
             net.network.energy.observer = self.energy
-
-        if self._opt("profiling", cfg.enable_profiling):
-            from repro.obs.profile import PerfProfiler
-
-            self.profiler = PerfProfiler()
-            net.sim.profile = self.profiler
-            net.stack.router.profile = self.profiler
-            net.stack.flooder.profile = self.profiler
-            for peer in net.peers:
-                peer.cache.profile = self.profiler
 
         # Any live consumer (a sink, the dashboard, or an explicit
         # stream=True) arms the bus, and the bus implies the sampler:
@@ -293,7 +277,6 @@ class Observers:
             name for name, obj in (
                 ("tracer", self.tracer),
                 ("telemetry", self.telemetry),
-                ("profiler", self.profiler),
                 ("recorder", self.recorder),
                 ("energy", self.energy),
                 ("anomaly", self.anomaly),

@@ -78,6 +78,12 @@ class FloodEnvelope:
     ``record_path`` makes every hop append the forwarding node id to a
     per-copy ``path`` list, letting baseline schemes send responses back
     along the reverse path.
+
+    ``seen`` is the flood's duplicate-suppression mask (``bool[n_nodes]``,
+    "this node already processed the flood"), created by
+    :meth:`~repro.routing.flooding.Flooder.flood` and shared by reference
+    with every hop copy, so it lives exactly as long as some copy of the
+    flood is in flight.
     """
 
     inner: Any
@@ -86,6 +92,7 @@ class FloodEnvelope:
     ttl: Optional[int] = None
     record_path: bool = False
     path: Tuple[int, ...] = ()
+    seen: Any = field(default=None, compare=False, repr=False)
 
     def hop_copy(self, via: int, ttl: Optional[int]) -> "FloodEnvelope":
         """Copy for rebroadcast by ``via`` with decremented TTL."""
@@ -96,6 +103,7 @@ class FloodEnvelope:
             ttl=ttl,
             record_path=self.record_path,
             path=self.path + (via,) if self.record_path else (),
+            seen=self.seen,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

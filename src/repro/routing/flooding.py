@@ -11,14 +11,16 @@ Three uses in the reproduction:
 * **TTL-bounded flooding** — the expanding-ring baseline (Lv et al.),
   which retries with growing TTLs until the data is found.
 
-Duplicate suppression is per (node, logical packet id): every node
-processes and rebroadcasts a given flood exactly once, exactly as in the
-paper's cost model where a flood is processed by every node once.
+Duplicate suppression is per (node, flood): every node processes and
+rebroadcasts a given flood exactly once, exactly as in the paper's cost
+model where a flood is processed by every node once.  The "processed"
+mask travels on the flood's envelopes, so it is released with the last
+in-flight copy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,14 +37,7 @@ class Flooder:
     def __init__(self, network: WirelessNetwork):
         self.network = network
         self.stats = network.stats
-        # Duplicate suppression: packet_id -> bool[n_nodes] "processed"
-        # mask.  A whole receiver batch dedups in one fancy-indexed read
-        # instead of per-node set probes.
-        self._seen: Dict[int, np.ndarray] = {}
         self._n_nodes = network.n_nodes
-        #: Optional :class:`repro.obs.profile.PerfProfiler`; when set,
-        #: flood handling is timed under "routing.flood".
-        self.profile = None
 
     def flood(
         self,
@@ -58,6 +53,11 @@ class Flooder:
         """
         if envelope.record_path:
             envelope = envelope.hop_copy(via=origin, ttl=envelope.ttl)
+        # Duplicate suppression: one bool[n_nodes] "processed" mask per
+        # flood, shared by every hop copy.  A whole receiver batch dedups
+        # in one fancy-indexed read instead of per-node set probes.
+        seen = envelope.seen = np.zeros(self._n_nodes, dtype=bool)
+        seen[origin] = True
         packet = Packet(
             payload=envelope,
             size_bytes=size_bytes,
@@ -65,8 +65,6 @@ class Flooder:
             created_at=self.network.sim.now,
             category=category,
         )
-        seen = self._seen[packet.packet_id] = np.zeros(self._n_nodes, dtype=bool)
-        seen[origin] = True
         self.stats.count("flood.initiated")
         self.network.broadcast(origin, packet)
         return packet
@@ -79,20 +77,12 @@ class Flooder:
         application layer.  Rebroadcast happens here when scope and TTL
         allow.
         """
-        if self.profile is not None:
-            with self.profile.perf_section("routing.flood"):
-                return self._handle_impl(node_id, packet)
-        return self._handle_impl(node_id, packet)
-
-    def _handle_impl(self, node_id: int, packet: Packet) -> bool:
-        seen = self._seen.get(packet.packet_id)
-        if seen is None:
-            seen = self._seen[packet.packet_id] = np.zeros(self._n_nodes, dtype=bool)
+        envelope: FloodEnvelope = packet.payload
+        seen = envelope.seen
         if seen[node_id]:
             self.stats.count("flood.duplicate")
             return False
         seen[node_id] = True
-        envelope: FloodEnvelope = packet.payload
 
         # Region scoping: out-of-region nodes drop without processing.
         # Membership goes through the network's per-generation memo (the
@@ -126,14 +116,12 @@ class Flooder:
         ``deliver(node_id, inner, packet)`` is invoked for each
         first-time in-scope reception.
         """
-        seen = self._seen.get(packet.packet_id)
-        if seen is None:
-            seen = self._seen[packet.packet_id] = np.zeros(self._n_nodes, dtype=bool)
+        envelope: FloodEnvelope = packet.payload
+        seen = envelope.seen
         dup_mask = seen[receivers]
         duplicates = int(dup_mask.sum())
         fresh = receivers[~dup_mask] if duplicates else receivers
         seen[fresh] = True
-        envelope: FloodEnvelope = packet.payload
         region = envelope.region
         network = self.network
         out_of_scope = 0
@@ -176,7 +164,3 @@ class Flooder:
         )
         self.stats.count("flood.rebroadcast")
         self.network.broadcast(node_id, hop)
-
-    def forget(self, packet_id: int) -> None:
-        """Release duplicate-suppression state for a finished flood."""
-        self._seen.pop(packet_id, None)

@@ -72,9 +72,6 @@ class GpsrRouter:
         #: Optional ``callback(src, dst, packet)`` fired on every hop
         #: decision — the tracer's ``gpsr.hop`` span hook.
         self.on_hop = None
-        #: Optional :class:`repro.obs.profile.PerfProfiler`; when set,
-        #: forwarding decisions are timed under "routing.gpsr".
-        self.profile = None
 
     # -- public API ------------------------------------------------------
 
@@ -124,13 +121,6 @@ class GpsrRouter:
     # -- forwarding machinery ----------------------------------------------
 
     def _forward(self, node_id: int, packet: Packet) -> None:
-        if self.profile is not None:
-            with self.profile.perf_section("routing.gpsr"):
-                self._forward_impl(node_id, packet)
-        else:
-            self._forward_impl(node_id, packet)
-
-    def _forward_impl(self, node_id: int, packet: Packet) -> None:
         envelope: GeoEnvelope = packet.payload
         if envelope.hops_remaining <= 0:
             self._drop(node_id, packet, "hop_budget")

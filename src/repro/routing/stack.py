@@ -163,18 +163,14 @@ class NetworkStack:
     def _on_receive_batch(self, receivers, packet: Packet) -> bool:
         """Whole-broadcast upcall from the radio.
 
-        Only bare payloads are batchable: geo/flood envelopes carry
-        per-receiver routing state (dedup sets, region scoping) and take
-        the per-receiver path.
+        Geo envelopes carry per-receiver routing state and take the
+        per-receiver path; floods dedup and scope the whole batch, bare
+        payloads go to the application's batch handler if it has one.
         """
         payload = packet.payload
         if isinstance(payload, GeoEnvelope):
             return False
         if isinstance(payload, FloodEnvelope):
-            if self.flooder.profile is not None:
-                # Keep the "routing.flood" profile section's per-call
-                # accounting intact under the profiler.
-                return False
             self.flooder.handle_batch(receivers, packet, self._deliver)
             return True
         if self._app_batch_handler is not None:

@@ -157,9 +157,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._running = False
         self.events_executed: int = 0
-        #: Optional :class:`repro.obs.profile.PerfProfiler`; when set,
-        #: every dispatched callback is timed under "engine.dispatch".
-        self.profile = None
         #: Optional ``callback(exc)`` invoked (before re-raising) when a
         #: dispatched event callback raises — the flight recorder's
         #: crash hook.
@@ -180,7 +177,7 @@ class Simulator:
         insertion order breaks remaining ties.  The returned
         :class:`Event` can be cancelled; ignoring it costs nothing.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         event = Event((self.now + delay, priority, next(self._sequence), callback, args))
         heapq.heappush(self._queue, event)
@@ -194,7 +191,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule into the past (time={time!r}, now={self.now!r})"
             )
@@ -210,37 +207,8 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        while self._queue:
-            time, _priority, _seq, target, args = heapq.heappop(self._queue)
-            if target is None:  # cancelled
-                continue
-            self.now = time
-            self.events_executed += 1
-            try:
-                if self.profile is not None:
-                    with self.profile.perf_section("engine.dispatch"):
-                        target(*args)
-                else:
-                    target(*args)
-            except Exception as exc:
-                if self.on_crash is not None:
-                    self.on_crash(exc)
-                raise
-            return True
-        return False
-
-    def peek(self) -> Optional[float]:
-        """Virtual time of the next pending event, or None if idle."""
-        queue = self._queue
-        while queue and queue[0][3] is None:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or the event
-        budget ``max_events`` is exhausted.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or ``until`` is reached.
 
         When ``until`` is given the clock is left exactly at ``until`` even
         if the queue drained earlier, matching SimPy semantics so that
@@ -249,13 +217,9 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        executed = 0
         queue = self._queue
         pop = heapq.heappop
         try:
-            # Inlined peek()+step(): one heap access per event instead of
-            # two, and no per-event method-call overhead — semantics are
-            # identical (same skip/clock/counter/hook behaviour).
             while queue:
                 head = queue[0]
                 target = head[3]
@@ -265,23 +229,16 @@ class Simulator:
                 time = head[0]
                 if until is not None and time > until:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
                 pop(queue)
                 args = head[4]
                 self.now = time
                 self.events_executed += 1
                 try:
-                    if self.profile is not None:
-                        with self.profile.perf_section("engine.dispatch"):
-                            target(*args)
-                    else:
-                        target(*args)
+                    target(*args)
                 except Exception as exc:
                     if self.on_crash is not None:
                         self.on_crash(exc)
                     raise
-                executed += 1
             if until is not None and self.now < until:
                 self.now = until
         finally:

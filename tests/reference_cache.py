@@ -2,7 +2,7 @@
 
 No flag in ``src/`` selects this.  :class:`ScanCache` is a
 :class:`~repro.core.cache.PeerCache` whose victim is picked the way
-``_insert_impl`` picked it before the index existed — ``min`` over
+``insert`` picked it before the index existed — ``min`` over
 ``entries`` by current priority, so ties go to the first key in dict
 order — and which never reads the heap.  Admission, accounting and the
 inflation rule are the production code; only *which entry leaves* has a

@@ -42,14 +42,14 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     if radio._fault_filter is None:
         radio.set_fault_filter(_pass_through)
     router = net.stack.router
-    forward = router._forward_impl
+    forward = router._forward
 
     def forward_unmemoized(node_id, packet):
         router._angle_cache.clear()
         router._nbr_pos_cache.clear()
         forward(node_id, packet)
 
-    router._forward_impl = forward_unmemoized
+    router._forward = forward_unmemoized
     return net
 
 

@@ -50,12 +50,6 @@ class TestParser:
         assert args.export_chrome == "t.json"
         assert args.fault == ["drop:p=0.1"]
 
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.command == "profile"
-        assert args.nodes == 40
-        assert args.duration == 400.0
-
     def test_audit_bundle_dir(self):
         args = build_parser().parse_args(["audit", "--bundle-dir", "bundles"])
         assert args.bundle_dir == "bundles"
@@ -282,10 +276,6 @@ class TestEnergyAndAnomalyParser:
         assert args.anomaly == []
         assert args.bundle_dir is None
 
-    def test_profile_json_flag(self):
-        args = build_parser().parse_args(["profile", "--json", "prof.json"])
-        assert args.json == "prof.json"
-
     def test_run_rejects_bad_anomaly_rule(self, capsys):
         # Validated by argparse type= — fails at parse time, before any
         # simulation state exists, with the grammar in the message.
@@ -380,19 +370,6 @@ class TestEnergyAndAnomalyExecution:
         assert "anomaly triggers:" in out
         assert "energy.total_uj>1" in out
         assert "flight recorder:" in out
-
-    def test_profile_json_export(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "prof.json"
-        rc = main(
-            ["profile", "--nodes", "16", "--duration", "60", "--warmup",
-             "10", "--items", "60", "--json", str(path)]
-        )
-        assert rc == 0
-        payload = json.loads(path.read_text())
-        assert "engine.dispatch" in payload["sections"]
-        assert payload["self_total_s"] >= 0
 
     def test_trace_shows_joules(self, capsys):
         rc = main(

@@ -51,6 +51,8 @@ def test_event_content_feeds_the_digest():
     # Recomputing from the same artifacts is stable ...
     assert eventlog_digest(net.log) == digest.eventlog
     assert report_digest(report) == digest.report
+    # (the log ring's drop count is bookkeeping, not a result: unhashed)
+    assert "eventlog_dropped" not in report_summary(report)
     # ... and sensitive to content: perturb one event and re-hash.
     first = next(iter(net.log))
     net.log.record(first.time, "tamper", note="extra event")

@@ -87,6 +87,10 @@ class TestPlanParsing:
         "partition:start=0",           # partition without regions
         "drop:bogus=1",                # unknown parameter
         "drop:p",                      # malformed parameter
+        "crash:at=nan,nodes=1",        # NaN event time
+        "crash:at=-5,nodes=1",         # negative event time
+        "drop:start=nan",              # NaN window start
+        "partition:start=inf,regions=0",  # window never opens
     ])
     def test_invalid_specs_rejected(self, expr):
         with pytest.raises(ValueError):

@@ -197,13 +197,9 @@ def _flood_fixture(n=10, members=None, ttl=None, region=None):
     from repro.routing.flooding import Flooder
 
     net = _StubNetwork(n, members=members)
-    flooder = Flooder.__new__(Flooder)
-    flooder.network = net
-    flooder.stats = net.stats
-    flooder._seen = {}
-    flooder._n_nodes = n
-    flooder.profile = None
-    env = FloodEnvelope(inner=("payload",), origin=0, ttl=ttl, region=region)
+    flooder = Flooder(net)
+    env = FloodEnvelope(inner=("payload",), origin=0, ttl=ttl, region=region,
+                        seen=np.zeros(n, dtype=bool))
     packet = Packet(payload=env, size_bytes=100.0, src=0, created_at=0.0)
     return net, flooder, packet
 
@@ -214,7 +210,6 @@ class TestHandleBatchEquivalence:
         net, flooder, packet = _flood_fixture(
             members=members, ttl=ttl, region=region
         )
-        flooder._seen[packet.packet_id] = np.zeros(10, dtype=bool)
         delivered = []
         for batch in batches:
             flooder.handle_batch(
@@ -227,7 +222,6 @@ class TestHandleBatchEquivalence:
         net, flooder, packet = _flood_fixture(
             members=members, ttl=ttl, region=region
         )
-        flooder._seen[packet.packet_id] = np.zeros(10, dtype=bool)
         delivered = []
         for batch in batches:
             for nid in batch:
@@ -268,7 +262,6 @@ class TestHandleBatchEquivalence:
             members=members, ttl=None, region=((0.0, 0.0),)
         )
         net.polygon_members = lambda polygon: None  # e.g. unhashable region
-        flooder._seen[packet.packet_id] = np.zeros(10, dtype=bool)
         delivered = []
         flooder.handle_batch(
             np.asarray([4, 5, 6], dtype=np.intp), packet,
@@ -277,15 +270,10 @@ class TestHandleBatchEquivalence:
         assert delivered == [4, 6]
         assert net.stats.counter("flood.out_of_scope").value == 1
 
-    def test_forget_releases_seen_state(self):
-        net, flooder, packet = _flood_fixture()
-        flooder._seen[packet.packet_id] = np.zeros(10, dtype=bool)
-        flooder.forget(packet.packet_id)
-        assert packet.packet_id not in flooder._seen
-
 
 # ---------------------------------------------------------------------------
-# One kernel: nothing under src/ or scripts/ may select another
+# One kernel, one perf truth: nothing under src/ or scripts/ may select
+# another kernel or time itself (bench/ profiles from outside)
 # ---------------------------------------------------------------------------
 
 def test_no_kernel_fork_in_source():
@@ -295,7 +283,11 @@ def test_no_kernel_fork_in_source():
     from repro.cli import build_parser
 
     repo = Path(__file__).resolve().parent.parent
-    banned = re.compile(r"fast_kernel|schedule_(at_)?fast|cache_neighbors")
+    banned = re.compile(
+        r"fast_kernel|schedule_(at_)?fast|cache_neighbors"
+        r"|perf_section|enable_profiling|PerfProfiler|NULL_PROFILER"
+        r"|_insert_impl|_handle_impl|_forward_impl|perf_gate|perf_baseline"
+    )
     hits = [
         f"{path.relative_to(repo)}:{lineno}: {line.strip()}"
         for root in ("src", "scripts")
@@ -303,6 +295,7 @@ def test_no_kernel_fork_in_source():
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if banned.search(line)
     ]
-    assert not hits, "kernel fork reappeared:\n" + "\n".join(hits)
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench"])
+    assert not hits, "kernel fork or in-source profiler reappeared:\n" + "\n".join(hits)
+    for removed in ("bench", "profile"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([removed])

@@ -25,7 +25,6 @@ class TestObserversAttach:
         net = PReCinCtNetwork(cfg)
         assert net.tracer is not None
         assert net.telemetry is not None
-        assert net.profiler is None
         assert net.energy_attribution is None
         assert net.anomaly is None
 
@@ -38,12 +37,11 @@ class TestObserversAttach:
         assert net.network.energy.observer is observers.energy
 
     def test_engine_properties_mirror_observers(self):
-        observers = Observers(tracing=True, telemetry=True, profiling=True,
+        observers = Observers(tracing=True, telemetry=True,
                               energy_attribution=True)
         net = PReCinCtNetwork(_quick_cfg(), observers=observers)
         assert net.tracer is observers.tracer
         assert net.telemetry is observers.telemetry
-        assert net.profiler is observers.profiler
         assert net.energy_attribution is observers.energy
 
     def test_anomaly_rules_wire_telemetry_to_recorder(self, tmp_path):
@@ -67,6 +65,38 @@ class TestObserversAttach:
         assert not observers.attached
         PReCinCtNetwork(_quick_cfg(), observers=observers)
         assert observers.attached
+
+
+class TestObserverPathNeutrality:
+    """Digests cannot see a path switch — ``events_executed`` is topped
+    up for batched deliveries — so count the flood calls themselves."""
+
+    @pytest.mark.parametrize("faults", [(), ("drop:p=0.1",)],
+                             ids=["batched", "per-receiver"])
+    def test_observed_run_takes_the_bare_runs_flood_path(self, faults):
+        from repro.faults.plan import FaultPlan
+        from repro.routing.flooding import Flooder
+
+        cfg = _quick_cfg(fault_plan=FaultPlan.parse(faults) or None)
+
+        def flood_calls(observers):
+            calls = {"handle": 0, "handle_batch": 0}
+            with pytest.MonkeyPatch.context() as patch:
+                for name in calls:
+                    def counted(self, *args, _name=name,
+                                _original=getattr(Flooder, name)):
+                        calls[_name] += 1
+                        return _original(self, *args)
+
+                    patch.setattr(Flooder, name, counted)
+                PReCinCtNetwork(cfg, observers=observers).run()
+            return calls
+
+        bare = flood_calls(None)
+        assert bare["handle" if faults else "handle_batch"] > 0
+        assert flood_calls(Observers(
+            tracing=True, telemetry=True, energy_attribution=True,
+        )) == bare
 
 
 class TestRunScenarioObserversOnly:
@@ -93,13 +123,12 @@ class TestRunScenarioObserversOnly:
         net, report, digest = run_scenario(
             "baseline", seed=42,
             observers=Observers(
-                tracing=True, telemetry=True, profiling=True,
+                tracing=True, telemetry=True,
                 trace_sample_rate=0.5, recorder_dir=tmp_path / "bundles",
             ),
         )
         assert net.tracer is not None
         assert net.telemetry is not None
-        assert net.profiler is not None
         assert net.recorder is not None
         assert net.tracer.sampled_out > 0
 

@@ -1,11 +1,11 @@
-"""Tests for telemetry time-series and wall-clock profiling (repro.obs)."""
+"""Tests for telemetry time-series (repro.obs.telemetry)."""
 
 import math
 
 import pytest
 
 from repro.core.network import PReCinCtNetwork
-from repro.obs import NULL_PROFILER, PerfProfiler, TelemetrySampler, TelemetryTable
+from repro.obs import TelemetrySampler, TelemetryTable
 from repro.sim import Simulator
 from tests.conftest import tiny_config
 
@@ -211,50 +211,3 @@ class TestTelemetrySampler:
         ]
         assert sent == sorted(sent)
         assert sent[-1] > 0
-
-
-class TestPerfProfiler:
-    def test_self_time_excludes_children(self):
-        fake = iter([0.0, 1.0, 9.0, 10.0]).__next__
-        prof = PerfProfiler(clock=fake)
-        with prof.perf_section("outer"):
-            with prof.perf_section("inner"):
-                pass
-        report = prof.report()
-        assert report["outer"]["calls"] == 1
-        assert report["outer"]["total_s"] == pytest.approx(10.0)
-        assert report["outer"]["self_s"] == pytest.approx(2.0)
-        assert report["inner"]["total_s"] == pytest.approx(8.0)
-        assert report["inner"]["self_s"] == pytest.approx(8.0)
-
-    def test_exception_still_accounted(self):
-        prof = PerfProfiler()
-        with pytest.raises(RuntimeError):
-            with prof.perf_section("s"):
-                raise RuntimeError("boom")
-        assert prof.report()["s"]["calls"] == 1
-
-    def test_null_profiler_is_reusable_no_op(self):
-        with NULL_PROFILER.perf_section("anything"):
-            pass
-        assert NULL_PROFILER.report() == {}
-
-    def test_profiled_run_reports_sections(self):
-        net = PReCinCtNetwork(tiny_config(enable_profiling=True, seed=39))
-        report = net.run()
-        assert set(report.profile) >= {
-            "engine.dispatch", "routing.gpsr", "routing.flood",
-            "cache.replacement",
-        }
-        for rec in report.profile.values():
-            assert rec["calls"] > 0
-            assert rec["self_s"] <= rec["total_s"] + 1e-12
-
-    def test_profile_excluded_from_report_digest(self):
-        from repro.faults.audit import report_summary
-
-        net = PReCinCtNetwork(tiny_config(enable_profiling=True, seed=39))
-        report = net.run()
-        summary = report_summary(report)
-        assert "profile" not in summary
-        assert "eventlog_dropped" not in summary

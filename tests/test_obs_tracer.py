@@ -3,7 +3,7 @@
 The two acceptance properties of the observability layer live here:
 
 * **digest neutrality** — the faulted golden scenario run with full
-  observability (tracing + telemetry + profiling) produces byte-
+  observability (tracing + telemetry) produces byte-
   identical event-log and report digests to the same run without;
 * **phase-sum identity** — each completed request's phase spans
   partition its latency exactly.
@@ -179,20 +179,19 @@ class TestTracedRuns:
         assert checked > 0
 
     def test_observability_is_digest_neutral_on_faulted_scenario(self):
-        """Acceptance: tracing+telemetry+profiling never change digests."""
+        """Acceptance: tracing+telemetry never change digests."""
         from repro.obs import Observers
 
         _, _, plain = run_scenario("faulted", seed=42)
-        net, report, observed = run_scenario(
+        net, _, observed = run_scenario(
             "faulted", seed=42,
-            observers=Observers(tracing=True, telemetry=True, profiling=True),
+            observers=Observers(tracing=True, telemetry=True),
         )
         assert observed.eventlog == plain.eventlog
         assert observed.report == plain.report
         # ... and the observers actually observed something.
         assert len(net.tracer) > 0
         assert len(net.telemetry.table) > 0
-        assert report.profile
 
 
 class TestTraceCli:
@@ -223,15 +222,3 @@ class TestTraceCli:
         assert rc == 0
         assert jsonl.exists() and chrome.exists()
         assert json.loads(chrome.read_text())["traceEvents"]
-
-    def test_profile_command(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            ["profile", "--nodes", "16", "--items", "60", "--duration", "80",
-             "--warmup", "10"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "engine.dispatch" in out
-        assert "routing.gpsr" in out
