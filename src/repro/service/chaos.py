@@ -121,7 +121,16 @@ class ServiceFaultInjector:
     # -- execution -----------------------------------------------------------
 
     def inject(self, spec: ServiceFaultSpec) -> None:
-        """Runtime injection: apply ``spec.at`` seconds from now."""
+        """Runtime injection: apply ``spec.at`` seconds from now.
+
+        Held to the plan's rule: a spec naming a shard the server does
+        not have raises ValueError, before applying or scheduling.
+        """
+        if spec.shard is not None and spec.shard not in self.workers:
+            raise ValueError(
+                f"fault spec targets shard {spec.shard}, but the server "
+                f"only has shards {sorted(self.workers)}"
+            )
         if spec.at <= 0.0:
             self.apply(spec)
         else:

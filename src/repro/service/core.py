@@ -38,6 +38,7 @@ cancelled the followers start the fetch over instead of failing
 from __future__ import annotations
 
 import asyncio
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -106,9 +107,20 @@ class _Deadline:
         return False
 
 
+#: How the C JSON encoder prints a float, numpy scalars included
+#: (``repr`` of a ``numpy.float64`` is ``np.float64(...)``).
+_float_repr = float.__repr__
+
+
 @dataclass
 class CacheResponse:
-    """Outcome of one service operation, wire-serializable."""
+    """Outcome of one service operation, wire-serializable.
+
+    :meth:`encode` writes the wire line itself - the six fixed members,
+    ``version`` and ``size_bytes`` when set, ``extra``, ``latency_ms``,
+    in that order - without building a dict or calling ``json``;
+    :meth:`to_dict` is the same response as a dict.
+    """
 
     op: str
     key: int
@@ -142,6 +154,30 @@ class CacheResponse:
             out["size_bytes"] = self.size_bytes
         out.update(self.extra)
         return out
+
+    def encode(self, latency_ms: float) -> bytes:
+        """The response's wire line, ``latency_ms`` stamped last.
+
+        Byte for byte ``json.dumps({**self.to_dict(), "latency_ms":
+        latency_ms}).encode() + b"\\n"``.  ``op``, ``status`` and
+        ``served_class`` are this module's own plain words and go out
+        as they are; ``extra`` can hold anything (a ``reason`` string)
+        and goes through ``json``.
+        """
+        optional = ""
+        if self.version >= 0:
+            optional = f', "version": {self.version}'
+        if self.size_bytes:
+            optional += f', "size_bytes": {_float_repr(self.size_bytes)}'
+        if self.extra:
+            optional += ", " + json.dumps(self.extra)[1:-1]
+        return (
+            f'{{"op": "{self.op}", "key": {self.key}, '
+            f'"status": "{self.status}", "shard": {self.shard}, '
+            f'"ok": {"true" if self.ok else "false"}, '
+            f'"served_class": "{self.served_class}"{optional}, '
+            f'"latency_ms": {_float_repr(latency_ms)}}}\n'
+        ).encode()
 
 
 class CacheService:

@@ -217,7 +217,12 @@ async def _client(
     stop_at: float,
     summary: LoadSummary,
 ) -> None:
-    """One closed-loop client: connect once, request back-to-back."""
+    """One closed-loop client: requests back-to-back, one in flight.
+
+    The protocol has no request id, so a response landing after its
+    request timed out would be read as the next request's: a timeout
+    abandons the connection and the loop goes on over a fresh one.
+    """
     reader, writer = await asyncio.open_connection(cfg.host, cfg.port)
     try:
         while clock.now() < stop_at:
@@ -231,6 +236,10 @@ async def _client(
                 )
             except asyncio.TimeoutError:
                 summary.record_timeout()
+                writer.close()
+                reader, writer = await asyncio.open_connection(
+                    cfg.host, cfg.port
+                )
                 continue
             if not line:
                 break  # server drained mid-run; stop this client

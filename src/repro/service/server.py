@@ -14,7 +14,12 @@ What the server adds around the core:
   and the completed head of the deque leaves in one
   ``transport.write`` (a task's done-callback flushes the rest), so
   responses keep request order.  A full write buffer pauses reading
-  until the client drains it; a request line is bounded at 64 KiB;
+  until the client drains it; a request line is bounded at 64 KiB.
+  A get/put/invalidate line in the two-member spelling below is read
+  off a compiled pattern and every shard-op response writes its own
+  line (:meth:`CacheResponse.encode`), byte for byte what ``json``
+  would read and write, so a hit makes no ``json`` call; any other
+  spelling and the dict-shaped replies go through ``json`` as before;
 * **shard workers** — each shard admits its ops in arrival order.  An
   op with nothing ahead of it is *admitted in place*: its coroutine
   runs in the caller's task — the connection's answer task — so an
@@ -71,8 +76,9 @@ The wire protocol (newline-delimited JSON)::
      "spec": "origin-error-rate:at=0,p=0.5,duration=2"}  # any fault spec
 
 ``key`` must be a JSON integer in ``[0, n_items)`` and a line a JSON
-object; anything else is answered ``{"ok": false, "error": ...}`` and
-the connection stays usable (an over-long line is answered, then the
+object, in any JSON spelling (member order, whitespace, escapes);
+anything else is answered ``{"ok": false, "error": ...}`` and the
+connection stays usable (an over-long line is answered, then the
 connection closes).  Every line counts once in ``service.requests``.
 """
 
@@ -80,6 +86,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 import sys
 from collections import deque
@@ -650,6 +657,20 @@ class _ShardTransport:
 #: Longest request line accepted, newline excluded (bytes).
 MAX_LINE = 2 ** 16
 
+#: The spelling of a shard op every client in the tree sends:
+#: ``{"op": "get" | "put" | "invalidate", "key": N}``, exactly those two
+#: members in that order, JSON whitespace wherever JSON allows it (not
+#: ``\s``, which also admits ``\v`` and ``\f``), N a JSON integer
+#: without sign or leading zeros and short enough for any ``int()``.  A
+#: line of this shape is read off the match; every other line - valid
+#: JSON or not - goes to ``json.loads``, so the two never disagree.
+_SHARD_OP_LINE = re.compile(
+    rb"[ \t\r]*".join([
+        rb"", rb"\{", rb'"op"', rb":", rb'"(get|put|invalidate)"', rb",",
+        rb'"key"', rb":", rb"(0|[1-9][0-9]{0,17})", rb"\}", rb"",
+    ])
+).fullmatch
+
 
 class _Connection(asyncio.Protocol):
     """One client connection: parse per read, answer in order, flush once.
@@ -982,13 +1003,25 @@ class EdgeCacheServer:
         try:
             if len(line) > MAX_LINE:
                 raise ValueError(f"request line exceeds {MAX_LINE} bytes")
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            op = request.get("op")
+            shard_op = _SHARD_OP_LINE(line)
+            if shard_op is not None:
+                op, key = shard_op.group(1).decode(), int(shard_op.group(2))
+            else:
+                request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+                op, key = request.get("op"), request.get("key")
             if op in ("get", "put", "invalidate"):
-                return self._shard_op(op, self._checked_key(request), started)
-            if op == "stats":
+                if type(key) is not int or not 0 <= key < self.cfg.n_items:
+                    raise ValueError(
+                        f"key must be an integer in [0, {self.cfg.n_items}), "
+                        f"got {key!r}"
+                    )
+                try:
+                    return self._shard_op(op, key, started)
+                except Exception as exc:  # noqa: BLE001 - an inline op raised
+                    response = self._op_failed(exc)
+            elif op == "stats":
                 response = self.describe()
             elif op == "ping":
                 response = {"op": "ping", "ok": True, "t": self.clock.now()}
@@ -999,16 +1032,6 @@ class EdgeCacheServer:
         except (ValueError, RecursionError) as exc:  # malformed request
             response = {"ok": False, "error": str(exc)}
         return self._encode(response, started)
-
-    def _checked_key(self, request: dict) -> int:
-        """The request's key: a JSON integer naming an item, or ValueError."""
-        key = request.get("key")
-        if type(key) is not int or not 0 <= key < self.cfg.n_items:
-            raise ValueError(
-                f"key must be an integer in [0, {self.cfg.n_items}), "
-                f"got {key!r}"
-            )
-        return key
 
     def _shard_op(
         self, op: str, key: int, started: float
@@ -1033,7 +1056,7 @@ class EdgeCacheServer:
                 served = self.shards[home].put(key, updater=-1)
             if served is not None:
                 worker.beat()
-                return self._encode(served.to_dict(), started)
+                return served.encode(self._latency_ms(started))
         if op == "get":
             pending = self._get(key)
         elif op == "put":
@@ -1053,18 +1076,24 @@ class EdgeCacheServer:
         # at the worker.
         worker.unstarted -= 1
         try:
-            response = (await pending).to_dict()
-        except Exception as exc:  # noqa: BLE001 - the client is owed a line
-            asyncio.get_running_loop().call_exception_handler(
-                {"message": "edge-cache: op failed", "exception": exc}
-            )
-            response = {"ok": False, "error": repr(exc)}
-        return self._encode(response, started)
+            return (await pending).encode(self._latency_ms(started))
+        except Exception as exc:  # noqa: BLE001 - an awaited op raised
+            return self._encode(self._op_failed(exc), started)
+
+    def _op_failed(self, exc: Exception) -> dict:
+        """A shard op raised, inline or awaited: the client is owed a
+        line all the same, and the loop's exception handler the report."""
+        asyncio.get_running_loop().call_exception_handler(
+            {"message": "edge-cache: op failed", "exception": exc}
+        )
+        return {"ok": False, "error": repr(exc)}
+
+    def _latency_ms(self, started: float) -> float:
+        return round((self.clock.now() - started) * 1e3, 3)
 
     def _encode(self, response: dict, started: float) -> bytes:
-        response["latency_ms"] = round(
-            (self.clock.now() - started) * 1e3, 3
-        )
+        """The dict-shaped replies: stats, ping, chaos and errors."""
+        response["latency_ms"] = self._latency_ms(started)
         return json.dumps(response).encode() + b"\n"
 
     async def _submit(
@@ -1181,7 +1210,8 @@ class EdgeCacheServer:
 
         ``stall``/``resume`` map onto immediate origin fault specs;
         ``inject`` parses any compact fault expression (``at`` is
-        relative to now).  Unknown actions are rejected with a
+        relative to now).  Unknown actions, unparsable specs and specs
+        naming a shard the server does not have are rejected with a
         structured error echoing the supported grammar.
         """
         action = request.get("action")
@@ -1196,12 +1226,12 @@ class EdgeCacheServer:
                 spec = ServiceFaultPlan.parse_spec(
                     str(request.get("spec", ""))
                 )
+                self.injector.inject(spec)
             except ValueError as exc:
                 return {
                     "op": "chaos", "ok": False, "error": str(exc),
                     "grammar": list(CHAOS_GRAMMAR),
                 }
-            self.injector.inject(spec)
             return {
                 "op": "chaos", "ok": True, "action": "inject",
                 "spec": spec.to_dict(),

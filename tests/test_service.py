@@ -421,6 +421,52 @@ class TestServerEndToEnd:
         assert telemetry["request.hit_ratio"] > 0.0
         assert telemetry["request.byte_hit_ratio"] > 0.0
 
+    def test_loadgen_closed_loop_books_each_request_once_after_a_timeout(self):
+        """No request id on the wire: a response that lands after the
+        client gave up on it must not be read as the next request's.
+        The stub holds its first response until it sees the client
+        reconnect, so nothing here is decided by how long a wait took."""
+        received = []
+
+        async def scenario():
+            reconnected = asyncio.Event()
+
+            async def stub(reader, writer):
+                first_connection = not received
+                if not first_connection:
+                    reconnected.set()
+                while True:
+                    line = await reader.readline()
+                    if not line:
+                        break
+                    request = json.loads(line)
+                    received.append(request)
+                    if first_connection and len(received) == 1:
+                        await reconnected.wait()  # answered too late
+                    writer.write(json.dumps({
+                        **request, "status": "hit-fresh", "shard": 0,
+                        "ok": True, "served_class": "local",
+                        "latency_ms": 0.01,
+                    }).encode() + b"\n")
+                writer.close()
+
+            server = await asyncio.start_server(stub, "127.0.0.1", 0)
+            summary = await run_loadgen(LoadGenConfig(
+                port=server.sockets[0].getsockname()[1], clients=1,
+                duration=0.5, timeout=0.2, n_items=16,
+            ))
+            server.close()
+            await server.wait_closed()
+            return summary, reconnected.is_set()
+
+        summary, reconnected = asyncio.run(scenario())
+        assert reconnected
+        assert summary.by_outcome == {
+            "timeout": 1, "served": len(received) - 1,
+        }
+        assert summary.timeouts == 1 and summary.errors == 0
+        assert summary.requests == len(received) - 1 > 0
+
     def test_graceful_drain_completes_inflight_request(self):
         """Shutdown waits for admitted ops: a request whose origin wait
         is mid-flight still gets its (deadline) response."""

@@ -1,0 +1,390 @@
+"""The wire codec's fence: same bytes, same verdicts, and what it costs.
+
+A shard-op line of the two-member spelling is read off a compiled
+pattern and every shard-op response writes its own line; neither may
+be told apart, on the wire, from ``json.loads`` and ``json.dumps``:
+
+* **parser differential** - any line, served by a server with the
+  pattern and by one whose pattern never matches (disabled here, in the
+  test: ``src/`` has no such switch), gets the same response bytes and
+  leaves the same counters;
+* **encoder differential** - ``CacheResponse.encode(x)`` is byte for
+  byte ``json.dumps`` of ``to_dict()`` plus ``latency_ms``;
+* **cost by count** - fresh hits and idle-shard puts make no ``json``
+  call at all, a miss at most one (its ``extra`` member).
+
+Servers are driven through ``EdgeCacheServer._process`` on a manual
+clock - no socket, and ``latency_ms`` is 0.0 on both sides.
+"""
+
+import asyncio
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.service import CacheResponse, EdgeCacheServer
+from repro.service import core as core_module
+from repro.service import server as server_module
+from repro.service.server import MAX_LINE
+from tests.test_service_wire import use_manual_clock, wire_config
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,  # reproducible CI: examples derive from the test name
+)
+
+OPS = ("get", "put", "invalidate")
+
+
+def serve(scenario):
+    """Run ``scenario(ask)`` on a fresh manual-clock server with its shard
+    workers up; ``await ask(lines)`` is the response line of each."""
+    server = EdgeCacheServer(wire_config())
+    use_manual_clock(server)
+
+    async def ask(lines):
+        responses = []
+        for line in lines:
+            response = server._process(line, server.clock.now())
+            if not isinstance(response, bytes):
+                response = await response
+            responses.append(response)
+        return responses
+
+    async def main():
+        for worker in server.workers.values():
+            worker.start()
+        try:
+            return await scenario(ask)
+        finally:
+            for worker in server.workers.values():
+                await worker.drain()
+
+    return asyncio.run(main()), server
+
+
+def drive(lines):
+    """Feed ``lines`` to a fresh server; (response lines, server)."""
+    return serve(lambda ask: ask(lines))
+
+
+def counters(server):
+    out = dict(server.stats.snapshot())
+    out.update({
+        f"origin.{name}": getattr(server.origin, name)
+        for name in ("fetches", "validations", "puts")
+    })
+    return out
+
+
+# -- (a) the parser ---------------------------------------------------------
+
+WS = st.text(" \t\r", max_size=2)
+KEYS = st.one_of(
+    st.integers(0, 49),  # served: the differential covers hits and puts too
+    st.integers(0, 10 ** 19),
+    st.sampled_from([50, 10 ** 18 - 1, 10 ** 18, 2 ** 63, 10 ** 19]),
+)
+
+
+@st.composite
+def spelled(draw):
+    """A valid spelling: whitespace at every position JSON allows it."""
+    w = [draw(WS) for _ in range(10)]
+    op, key = draw(st.sampled_from(OPS)), draw(KEYS)
+    return (
+        f'{w[0]}{{{w[1]}"op"{w[2]}:{w[3]}"{op}"{w[4]},{w[5]}"key"{w[6]}:'
+        f'{w[7]}{key}{w[8]}}}{w[9]}'
+    ).encode()
+
+
+def padded(line, size):
+    return line + b" " * (size - len(line))
+
+
+NEAR_MISSES = [
+    b'{"op":"get","key":3\x0b}',  # \v and \f: whitespace to \s, not to JSON
+    b'\x0c{"op":"get","key":3}',
+    b'{"op":"get",\x0b"key":3}',
+    b'{"op":"get","key":007}',
+    b'{"op":"get","key":00}',
+    b'{"op":"get","key":-0}',
+    b'{"op":"get","key":-1}',
+    b'{"op":"get","key":1.0}',
+    b'{"op":"get","key":1e2}',
+    b'{"op":"get","key":true}',
+    b'{"op":"get","key":null}',
+    b'{"op":"get","key":"17"}',
+    b'{"op":"get","key":[3]}',
+    b'{"op":"get","key":}',
+    b'{"op":"get"}',
+    b'{"key":3}',
+    b'{"key":3,"op":"get"}',
+    b'{"op":"get","op":"put","key":3}',
+    b'{"op":"put","key":3,"key":4}',
+    b'{"op":"get","key":3,"key":"x"}',
+    b'{"op":"get","key":3,"trace":1}',
+    b'{"trace":1,"op":"get","key":3}',
+    b'{"op":"\\u0067et","key":3}',
+    b'{"\\u006fp":"get","key":3}',
+    b'{"op":"GET","key":3}',
+    b'{"op":"delete","key":3}',
+    b'{"op":["get"],"key":3}',
+    b'{"op":"get","key":3}x',
+    b'{"op":"get","key":3}{}',
+    b'{"op":"get","key":3},',
+    b'{"op":"get","key":3',
+    b'"op":"get","key":3}',
+    b'[{"op":"get","key":3}]',
+    b"{'op':'get','key':3}",
+    b'{op:"get",key:3}',
+    b'{"op":"get","key":3}\xff',
+    b'{"op":"g\xffet","key":3}',
+    b"\xff\xfe",
+    b'\xef\xbb\xbf{"op":"get","key":3}',  # a BOM: json.loads reads past it
+    '{"op":"get","key":3}'.encode("utf-16"),
+    '{"op":"put","key":3}'.encode("utf-32-le"),
+    b"",
+    b" ",
+    b"\r",
+    b"{}",
+    b"[1]",
+    b"7",
+    b"null",
+    b'{"op":"get","key":1' + b"0" * 4400 + b"}",  # past int()'s digit limit
+    b"[" * 5000,  # RecursionError
+    b'{"op":"stats","key":3}',
+    b'{"op":"ping","key":3}',
+    b'{"op":"ping"}',
+    b'{"op":"chaos","key":3}',
+    b'{"op":"chaos","action":"inject","spec":"shard-kill:at=0,shard=99"}',
+]
+#: The line bound sits in front of the pattern and of ``json.loads`` alike.
+LONG_LINES = [
+    padded(b'{"op":"get","key":3}', MAX_LINE),  # the longest line served
+    padded(b'{"op":"get","key":3}', MAX_LINE + 1),
+    padded(b'{"op":"get","key":3,"x":1}', MAX_LINE + 1),
+]
+
+#: Bytes that turn a valid spelling into a near miss when spliced in.
+SPLICES = st.sampled_from(
+    [b"\x0b", b"\x0c", b"\x00", b"0", b"-", b".", b"e", b'"', b"\\", b"{",
+     b"}", b":", b",", b"x", b" ", b"\xff", b"\xc3\xa9"]
+)
+
+
+@st.composite
+def mutated(draw):
+    """A valid spelling with one byte spliced in, dropped or swapped."""
+    line = draw(spelled())
+    at = draw(st.integers(0, len(line)))
+    how = draw(st.sampled_from(["insert", "drop", "swap"]))
+    splice = b"" if how == "drop" else draw(SPLICES)
+    return line[:at] + splice + line[at + (how != "insert"):]
+
+
+LINES = st.lists(
+    st.one_of(spelled(), spelled(), mutated(),
+              st.sampled_from(NEAR_MISSES + LONG_LINES)),
+    min_size=1, max_size=12,
+)
+
+
+def never_matches(line):
+    return None
+
+
+def assert_pattern_changes_nothing(lines):
+    matched, with_pattern = drive(lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module, "_SHARD_OP_LINE", never_matches)
+        loaded, without_pattern = drive(lines)
+    assert matched == loaded
+    assert len(matched) == len(lines)
+    assert counters(with_pattern) == counters(without_pattern)
+    assert with_pattern.stats.value("service.requests") == len(lines)
+    for line in matched:
+        assert isinstance(json.loads(line), dict) and line.endswith(b"\n")
+
+
+class TestParserDifferential:
+    @SETTINGS
+    @given(lines=LINES)
+    def test_any_line_is_answered_as_json_loads_answers_it(self, lines):
+        assert_pattern_changes_nothing(lines)
+
+    @pytest.mark.parametrize(
+        "odd", NEAR_MISSES + LONG_LINES, ids=lambda line: repr(line[:40])
+    )
+    def test_each_odd_line_between_two_served_gets(self, odd):
+        get = b'{"op": "get", "key": 3}'
+        assert_pattern_changes_nothing([get, odd, get])
+
+    def test_the_spellings_clients_send_skip_the_general_parser(self):
+        """Every client in the tree sends ``json.dumps`` of op-then-key;
+        the pattern reads that spelling, compact or padded, and nothing
+        that ``json.loads`` would read differently."""
+        match = server_module._SHARD_OP_LINE
+        for op in OPS:
+            for key in (0, 7, 49, 10 ** 18 - 1):
+                for line in (
+                    json.dumps({"op": op, "key": key}),
+                    json.dumps({"op": op, "key": key}, separators=(",", ":")),
+                    f' {{ "op" : "{op}" ,\t"key" : {key} }} \r',
+                ):
+                    found = match(line.encode())
+                    assert found is not None, line
+                    assert (found.group(1).decode(), int(found.group(2))) == (
+                        op, key,
+                    )
+        for miss in NEAR_MISSES:
+            assert match(miss) is None, miss
+        assert match(b'{"op":"get","key":' + b"9" * 19 + b"}") is None
+
+
+# -- (b) the encoder --------------------------------------------------------
+
+STATUSES = (
+    "hit-fresh", "hit-validated", "refreshed", "miss", "stale-hit",
+    "unavailable", "deadline", "updated", "invalidated", "absent",
+    "overloaded",
+)
+SERVED_CLASSES = ("local", "origin", "degraded", "shed", "failed")
+SIZES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e22, 1e-7,
+                     1234.5678, 10240.0]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+REASONS = st.one_of(
+    st.sampled_from([
+        "queue-full", "hot-key", "shard-down", "breaker-open",
+        'say "when"', "back\\slash", "two\nlines\ttabbed", "café",
+        "\U0001f525 on fire", "\x00\x1f\x7f", "</script>", " ",
+    ]),
+    st.text(max_size=20),
+)
+EXTRAS = st.fixed_dictionaries({}, optional={
+    "admitted": st.booleans(),
+    "reason": REASONS,
+    "failover": st.just("replica"),
+})
+LATENCIES = st.one_of(
+    st.sampled_from([0.0, 1e-3, 12.346, 1e16]),
+    st.floats(min_value=0.0, max_value=1e7).map(lambda x: round(x, 3)),
+)
+
+
+@st.composite
+def responses(draw):
+    size = draw(SIZES)
+    if draw(st.booleans()):
+        size = np.float64(size)  # what a Database built from numpy may hold
+    return CacheResponse(
+        draw(st.sampled_from(OPS)),
+        draw(st.integers(0, 10 ** 6)),
+        draw(st.sampled_from(STATUSES)),
+        draw(st.integers(0, 63)),
+        version=draw(st.sampled_from([-1, 0, 1, 2 ** 31, 2 ** 63, 10 ** 30])),
+        size_bytes=size,
+        served_class=draw(st.sampled_from(SERVED_CLASSES)),
+        extra=draw(EXTRAS),
+    )
+
+
+def oracle(response, latency_ms):
+    return json.dumps(
+        {**response.to_dict(), "latency_ms": latency_ms}
+    ).encode() + b"\n"
+
+
+class TestEncoderDifferential:
+    @SETTINGS
+    @given(response=responses(), latency_ms=LATENCIES)
+    @example(CacheResponse("get", 0, "unavailable", 0), 0.0)
+    @example(
+        CacheResponse("get", 17, "miss", 3, version=0,
+                      size_bytes=np.float64(5123.25), served_class="origin",
+                      extra={"admitted": True, "failover": "replica"}),
+        1e16,
+    )
+    @example(
+        CacheResponse("put", 5, "unavailable", 1,
+                      extra={"reason": 'x"\\\né\U0001f525'}),
+        1e-3,
+    )
+    def test_encode_is_json_dumps_of_to_dict(self, response, latency_ms):
+        assert response.encode(latency_ms) == oracle(response, latency_ms)
+
+    def test_every_response_the_server_builds_is_encoded_alike(self):
+        """A mixed stream through a real server: each line on the wire
+        is the oracle's encoding of the response object behind it."""
+        built = []
+        encode = CacheResponse.encode
+
+        def recording(self, latency_ms):
+            built.append((self, latency_ms))
+            return encode(self, latency_ms)
+
+        rng = np.random.default_rng(20)
+        lines = [
+            json.dumps({"op": OPS[int(o)], "key": int(k)}).encode()
+            for o, k in zip(rng.choice(3, 400, p=[0.7, 0.2, 0.1]),
+                            rng.integers(0, 50, 400))
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CacheResponse, "encode", recording)
+            wire, server = drive(lines)
+        assert len(built) == len(lines)
+        assert wire == [oracle(r, x) for r, x in built]
+        statuses = {r.status for r, _ in built}
+        assert {"miss", "hit-fresh", "updated", "invalidated"} <= statuses
+
+
+# -- (c) cost by count ------------------------------------------------------
+
+class TestCostByCount:
+    def test_hits_and_puts_make_no_json_call_a_miss_at_most_one(
+        self, monkeypatch
+    ):
+        """Counted, not timed: the canonical spelling never reaches
+        ``json.loads`` and a shard-op response never ``json.dumps`` -
+        but for the ``extra`` member a miss carries."""
+        counting = mock.Mock(wraps=json)  # counts, then delegates
+        monkeypatch.setattr(server_module, "json", counting)
+        monkeypatch.setattr(core_module, "json", counting)
+
+        def take():
+            calls = (counting.loads.call_count, counting.dumps.call_count)
+            counting.reset_mock()
+            return calls
+
+        def statuses(responses):
+            return {json.loads(r)["status"] for r in responses}
+
+        async def scenario(ask):
+            keys = list(range(8))
+
+            def lines(op):
+                return [json.dumps({"op": op, "key": k}).encode() for k in keys]
+
+            assert statuses(await ask(lines("get"))) == {"miss"}
+            loads, dumps = take()
+            assert loads == 0 and 0 < dumps <= len(keys)
+            assert statuses(await ask(lines("get"))) == {"hit-fresh"}
+            assert take() == (0, 0)
+            assert statuses(await ask(lines("put"))) == {"updated"}
+            assert take() == (0, 0)
+            (stats,) = await ask([b'{"op": "stats"}'])
+            assert take() == (1, 1)
+            return json.loads(stats)
+
+        stats, server = serve(scenario)
+        assert stats["telemetry"]["service.requests"] == 3 * 8 + 1
+        assert server.origin.fetches == 8 and server.origin.puts == 8

@@ -451,6 +451,50 @@ class TestChaosWireOp:
         assert response["ok"] is False
         assert response["grammar"] == list(CHAOS_GRAMMAR)
 
+    @pytest.mark.parametrize("at", [0, 0.05])
+    def test_inject_naming_a_missing_shard_is_refused_like_a_bad_spec(
+        self, at, caplog
+    ):
+        """Runtime injection is held to a plan's rule (shard < n_shards):
+        the line is refused before anything is applied or scheduled, and
+        the connection and the answers it already owes survive it."""
+        async def scenario():
+            server = EdgeCacheServer(survival_config(supervise=False))
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            tasks = len(asyncio.all_tasks())
+            ping = {"op": "ping"}
+            inject = {"op": "chaos", "action": "inject",
+                      "spec": f"shard-kill:at={at},shard=99"}
+            writer.write(b"".join(
+                json.dumps(p).encode() + b"\n" for p in (ping, inject, ping)
+            ))
+            first, refused, last = [
+                json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                for _ in range(3)
+            ]
+            assert first["op"] == last["op"] == "ping"
+            assert first["ok"] is True and last["ok"] is True
+            assert refused["op"] == "chaos" and refused["ok"] is False
+            assert "shard 99" in refused["error"]
+            assert refused["grammar"] == list(CHAOS_GRAMMAR)
+            assert server.injector.applied == 0
+            assert not server.injector._timers
+            assert len(asyncio.all_tasks()) == tasks
+            writer.write(json.dumps(ping).encode() + b"\n")  # still usable
+            again = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+            assert again["ok"] is True
+            writer.close()
+            await server.shutdown()
+            return server
+
+        server = asyncio.run(scenario())
+        assert server.stats.value("service.chaos_events") == 0
+        assert all(w.restarts == 0 for w in server.workers.values())
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_stall_resume_aliases_drive_the_injector(self):
         async def scenario():
             server = EdgeCacheServer(survival_config(supervise=False))

@@ -28,7 +28,12 @@ import socket
 import numpy as np
 import pytest
 
-from repro.service import EdgeCacheServer, ManualClock, ServiceConfig
+from repro.service import (
+    CacheService,
+    EdgeCacheServer,
+    ManualClock,
+    ServiceConfig,
+)
 from repro.service.server import (
     MAX_LINE,
     WorkerOverloaded,
@@ -715,6 +720,48 @@ class TestInlineGuard:
         server = serve(scenario, hot_key_policy="shed", hot_key_threshold=3,
                        hot_key_window=60.0)
         assert server.stats.value("service.shed.hot_key") == 1
+
+    def test_an_op_that_raises_answers_one_error_line_inline_or_awaited(
+        self, monkeypatch, caplog
+    ):
+        """Inline ≡ awaitable on failure too: the client is owed a line
+        and the loop's exception handler one report, whether the op ran
+        in the read callback or in an answer task."""
+        def broken_put(self, key, updater):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(CacheService, "put", broken_put)
+
+        async def scenario(server, client):
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            spawned = spy_on_answer(server)
+            key, cold = keys_homed_at(server, 0)[:2]
+            ping, put = {"op": "ping"}, {"op": "put", "key": key}
+            pong, inline, pong_again = await client.ask(ping, put, ping)
+            assert pong["op"] == pong_again["op"] == "ping"
+            assert pong["ok"] is True and pong_again["ok"] is True
+            assert not spawned and len(reported) == 1
+            assert reported[0]["message"] == "edge-cache: op failed"
+            assert isinstance(reported[0]["exception"], RuntimeError)
+            # behind a miss that has not begun its shard is not idle:
+            # the same put, on the awaitable path
+            miss, awaited = await client.ask({"op": "get", "key": cold}, put)
+            assert miss["status"] == "miss"
+            assert len(spawned) == 2 and len(reported) == 2
+            for failed in (inline, awaited):
+                del failed["latency_ms"]
+            assert inline == awaited == {
+                "ok": False, "error": "RuntimeError('disk on fire')",
+            }
+            (connection,) = server._connections  # still the same one
+            assert not connection._closing
+
+        server = serve(scenario)
+        assert server.stats.value("service.requests") == 5
+        assert no_asyncio_errors(caplog)
 
 
 def count_calls(obj, name):
