@@ -108,7 +108,7 @@ def describe_run(
     if net.tracer is not None:
         sampled = (
             f", {net.tracer.sampled_out} sampled out "
-            f"(rate {net.cfg.trace_sample_rate})"
+            f"(rate {net.observers.trace_sample_rate})"
             if net.tracer.sampled_out else ""
         )
         add(f"traces: {len(net.tracer)} completed, "

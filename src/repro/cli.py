@@ -551,50 +551,44 @@ def _workload_config(args: argparse.Namespace, plan, **overrides) -> SimulationC
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.observers import Observers
 
-    tracing = (
-        args.trace_sample_rate is not None or args.export_trace is not None
-    )
-    sample_rate = (
-        args.trace_sample_rate if args.trace_sample_rate is not None else 1.0
-    )
+    # Flags left unset keep the Observers defaults.
+    given = {
+        "trace_sample_rate": args.trace_sample_rate,
+        "watch_interval": args.watch_interval,
+    }
     try:
-        trace_overrides = dict(
-            enable_tracing=tracing, trace_sample_rate=sample_rate
-        ) if tracing else {}
-        # The --watch flag family routes through the config (not the
-        # Observers options) so its validation errors surface here as
-        # exit code 2 like every other bad flag value.
-        watch_overrides = {}
-        if args.watch:
-            watch_overrides["enable_dashboard"] = True
-        if args.watch or args.no_color:
-            watch_overrides["dashboard_mode"] = (
-                "plain" if args.no_color else "auto"
-            )
-        if args.watch_interval is not None:
-            watch_overrides["watch_interval"] = args.watch_interval
-        if args.live_export is not None:
-            watch_overrides["live_export_path"] = args.live_export
-        if args.metrics_snapshot is not None:
-            watch_overrides["metrics_snapshot_path"] = args.metrics_snapshot
-        cfg = _run_config(
-            args, **trace_overrides, **watch_overrides,
-            **_resilience_overrides(args),
-        )
-        obs_opts = {}
-        if args.anomaly:
+        cfg = _run_config(args, **_resilience_overrides(args))
+        observers = Observers(
+            tracing=(
+                args.trace_sample_rate is not None
+                or args.export_trace is not None
+            ),
             # Specs were validated at argparse time (_anomaly_rule).
-            obs_opts.update(telemetry=True, anomaly_rules=tuple(args.anomaly))
-        if args.bundle_dir is not None:
-            obs_opts.update(recorder_dir=args.bundle_dir)
+            telemetry=bool(args.anomaly),
+            anomaly_rules=tuple(args.anomaly),
+            recorder_dir=args.bundle_dir,
+            live_export=args.live_export,
+            metrics_snapshot=args.metrics_snapshot,
+            dashboard=args.watch,
+            dashboard_mode="plain" if args.no_color else "auto",
+            **{k: v for k, v in given.items() if v is not None},
+        )
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"running: {cfg.n_nodes} nodes, {cfg.n_regions} regions, "
           f"{cfg.duration:.0f}s virtual time ...", file=sys.stderr)
-    observers = Observers(**obs_opts) if obs_opts else None
     net = PReCinCtNetwork(cfg, observers=observers)
     report = net.run()
+    if args.export_trace is not None:
+        n = net.tracer.to_jsonl(args.export_trace)
+        print(f"wrote {n} trace(s) to {args.export_trace}")
+    if observers.live_sink is not None:
+        print(f"live export: {observers.live_sink.rows_written} row(s) to "
+              f"{args.live_export}")
+    if observers.metrics_sink is not None:
+        print(f"metrics snapshot: {observers.metrics_sink.snapshots_written} "
+              f"rewrite(s) of {args.metrics_snapshot}")
     if args.report:
         from repro.analysis.summary import describe_run
 
@@ -610,10 +604,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if net.tracer is not None:
         print(f"  traces: {len(net.tracer)} completed, "
               f"{net.tracer.sampled_out} sampled out "
-              f"(rate {cfg.trace_sample_rate})")
-        if args.export_trace is not None:
-            n = net.tracer.to_jsonl(args.export_trace)
-            print(f"  wrote {n} trace(s) to {args.export_trace}")
+              f"(rate {observers.trace_sample_rate})")
     if net.anomaly is not None:
         print(f"  anomaly triggers: {net.anomaly.triggers} firing(s) "
               f"across {len(net.anomaly.rules)} rule(s)")
@@ -622,14 +613,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if net.recorder is not None and net.recorder.manifests:
         print(f"  flight recorder: {len(net.recorder.manifests)} "
               f"bundle(s) under {args.bundle_dir}")
-    live_sink = net.observers.live_sink
-    if live_sink is not None:
-        print(f"  live export: {live_sink.rows_written} row(s) to "
-              f"{args.live_export}")
-    metrics_sink = net.observers.metrics_sink
-    if metrics_sink is not None:
-        print(f"  metrics snapshot: {metrics_sink.snapshots_written} "
-              f"rewrite(s) of {args.metrics_snapshot}")
     if args.map:
         from repro.analysis.topology_map import render_topology
 
@@ -779,25 +762,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.observers import Observers
 
     try:
-        cfg = _workload_config(
-            args, FaultPlan.parse(args.fault), enable_tracing=True,
-            trace_sample_rate=args.trace_sample_rate,
+        cfg = _workload_config(args, FaultPlan.parse(args.fault))
+        # Energy attribution rides along (digest-neutral) so every span
+        # breakdown shows joules next to seconds.
+        observers = Observers(
+            tracing=True, trace_sample_rate=args.trace_sample_rate,
+            energy_attribution=True,
         )
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"running traced: {cfg.n_nodes} nodes, {cfg.duration:.0f}s "
           f"virtual time ...", file=sys.stderr)
-    # Energy attribution rides along (digest-neutral) so every span
-    # breakdown shows joules next to seconds.
-    net = PReCinCtNetwork(cfg, observers=Observers(energy_attribution=True))
+    net = PReCinCtNetwork(cfg, observers=observers)
     report = net.run()
     tracer = net.tracer
     print(report.row())
     print(f"traces: {len(tracer)} completed, {tracer.dropped_traces} dropped, "
           f"{tracer.open_traces} still open at end of run")
-    if cfg.trace_sample_rate < 1.0:
-        print(f"sampling: rate {cfg.trace_sample_rate}, "
+    if args.trace_sample_rate < 1.0:
+        print(f"sampling: rate {args.trace_sample_rate}, "
               f"{tracer.sampled_out} request(s) sampled out")
 
     print("outcomes:")

@@ -15,7 +15,7 @@ Experiments construct variations with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.faults.plan import FaultPlan
 
@@ -24,7 +24,11 @@ __all__ = ["SimulationConfig"]
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """All parameters of one simulation run."""
+    """All parameters of one simulation run — its identity.
+
+    A field belongs here iff changing it can change a run's digests;
+    observers cannot, and are armed through :class:`repro.obs.Observers`.
+    """
 
     # -- plane and regions -------------------------------------------------
     width: float = 1200.0
@@ -50,8 +54,6 @@ class SimulationConfig:
     #: Maximum node speed (m/s); 0 or None selects a stationary topology.
     max_speed: Optional[float] = 6.0
     pause_time: float = 5.0
-    #: How often peers check their position for inter-region moves (§2.3).
-    region_check_interval: float = 1.0
     #: RPGM parameters (mobility_model == "group").
     group_count: int = 6
     group_radius: float = 120.0
@@ -79,9 +81,6 @@ class SimulationConfig:
     t_update: Optional[float] = None
     #: Zipf skew (the paper's Theta) for read accesses.
     zipf_theta: float = 0.8
-    #: Zipf skew of the *update* key distribution.  The paper specifies
-    #: Zipf for accesses only; updates default to uniform (0.0).
-    update_zipf_theta: float = 0.0
     #: Virtual time of a flash-crowd popularity shift: the read
     #: distribution's rank-to-key mapping is re-drawn, turning the hot
     #: set over at once.  None disables the shift.
@@ -139,8 +138,6 @@ class SimulationConfig:
     #: sets from ground truth; set (e.g. 1.0, GPSR's default) to charge
     #: the beacon traffic and energy the real protocol would spend.
     gpsr_beacon_interval: Optional[float] = None
-    #: On-air size of one HELLO beacon (node id + position), bytes.
-    gpsr_beacon_bytes: float = 24.0
 
     # -- protocol timers --------------------------------------------------------------------
     #: Wait for a regional (local) response before going to the home region.
@@ -158,10 +155,6 @@ class SimulationConfig:
     enable_prefetch: bool = False
     #: Prefetch evaluation period per peer (s).
     prefetch_interval: float = 30.0
-    #: Keys prefetched per evaluation.
-    prefetch_batch: int = 1
-    #: Minimum regional access count before a key is prefetch-worthy.
-    prefetch_min_count: int = 2
 
     # -- regional cache digests (Summary Cache, paper ref. [5]) -----------------------------------
     #: Announce Bloom-filter cache summaries within each region so
@@ -170,68 +163,12 @@ class SimulationConfig:
     enable_digest: bool = False
     #: Announcement period (s).
     digest_interval: float = 20.0
-    #: Bloom filter size in bits (multiple of 64).
-    digest_bits: int = 2048
-    #: Bloom hash count.
-    digest_hashes: int = 4
 
-    # -- observability ---------------------------------------------------------------------------
+    # -- event log -------------------------------------------------------------------------------
     #: Keep a bounded structured event log of protocol events
-    #: (request lifecycle, custody movement, region operations).
+    #: (request lifecycle, custody movement, region operations) — the
+    #: input of the audit's event-log digest.
     enable_event_log: bool = False
-    #: Record a per-request causal trace (typed spans on simulated time,
-    #: fault tags, JSONL / Chrome trace-event export).  Pure observer:
-    #: enabling it never changes run digests.
-    enable_tracing: bool = False
-    #: Head-based trace sampling probability in [0, 1]: each request is
-    #: traced fully with this probability and not at all otherwise,
-    #: bounding tracer memory on huge runs.  The decision draws from a
-    #: dedicated observer RNG stream, so any rate leaves the run's
-    #: digests byte-identical (1.0 = trace everything, draw-free).
-    trace_sample_rate: float = 1.0
-    #: Sample counters, per-region cache occupancy, and MAC backlog into
-    #: a delta-encoded time-series every ``telemetry_interval`` seconds.
-    enable_telemetry: bool = False
-    #: Simulated seconds between telemetry samples.
-    telemetry_interval: float = 5.0
-    #: Directory for flight-recorder incident bundles (invariant
-    #: violations, failed requests, engine crashes); None disarms the
-    #: recorder.
-    flight_recorder_dir: Optional[str] = None
-    #: Event-log tail length included in each bundle.
-    flight_recorder_events: int = 200
-    #: Maximum bundles written per run.
-    flight_recorder_max_dumps: int = 5
-    #: Attribute every energy-ledger debit to its span kind, request
-    #: phase, sender region, and packet category
-    #: (:class:`repro.energy.attribution.EnergyAttributor`).  Pure
-    #: observer: enabling it never changes run digests.
-    enable_energy_attribution: bool = False
-    #: Telemetry threshold rules ("series>threshold" / "series<threshold"
-    #: strings) that fire flight-recorder bundles mid-run; requires
-    #: ``enable_telemetry`` (the rules are checked per sampled row).
-    anomaly_rules: tuple = ()
-    #: Publish each sampled telemetry row to a live
-    #: :class:`repro.obs.stream.TelemetryBus` (ring-buffer subscribers,
-    #: live sinks).  Implied by any of the three knobs below; implies
-    #: telemetry sampling.  Pure fan-out of already-collected rows, so
-    #: it never changes run digests.
-    enable_stream: bool = False
-    #: Append-per-sample JSONL live export (flushed per record, so
-    #: ``tail -f`` / ``repro watch --follow`` work mid-run); None
-    #: disables.  Implies the stream.
-    live_export_path: Optional[str] = None
-    #: Prometheus-style text-exposition snapshot file, atomically
-    #: rewritten per sample; None disables.  Implies the stream.
-    metrics_snapshot_path: Optional[str] = None
-    #: Render the live terminal dashboard during the run
-    #: (``repro run --watch``).  Implies the stream (and telemetry).
-    enable_dashboard: bool = False
-    #: Dashboard rendering mode: "auto" (ANSI on a TTY, plain
-    #: one-line summaries otherwise), "ansi", or "plain".
-    dashboard_mode: str = "auto"
-    #: Minimum wall-clock seconds between dashboard repaints.
-    watch_interval: float = 1.0
 
     # -- request resilience (repro.resilience) ---------------------------------------------------
     #: Enable the adaptive request-resilience layer: bounded in-phase
@@ -244,10 +181,6 @@ class SimulationConfig:
     #: Retry budget per remote phase (home / replica); 0 disables
     #: in-phase retries.
     resilience_retries: int = 1
-    #: Backoff before the first retry (s); doubles per attempt by default.
-    resilience_backoff_base: float = 0.5
-    #: Backoff multiplier per additional attempt (>= 1).
-    resilience_backoff_factor: float = 2.0
     #: Jitter fraction in [0, 1]: each backoff delay is stretched by a
     #: uniform factor in [1, 1 + jitter), drawn from the dedicated
     #: "resilience" RNG stream (0 disables the draw entirely).
@@ -262,10 +195,13 @@ class SimulationConfig:
     #: Home-region suspicion threshold: consecutive home-phase timeouts
     #: needed (each +1, α-decayed on success) before the breaker trips.
     resilience_suspect_after: float = 3.0
-    #: Suspicion decay factor on success (the α of the paper's eq. 2).
-    resilience_alpha: float = 0.5
     #: Open-breaker cool-down before a half-open probe is let through (s).
     resilience_breaker_cooldown: float = 10.0
+    #: Constants, not fields (never set): first-retry delay (s), backoff
+    #: multiplier per attempt, suspicion decay on success (eq. 2's α).
+    resilience_backoff_base: ClassVar[float] = 0.5
+    resilience_backoff_factor: ClassVar[float] = 2.0
+    resilience_alpha: ClassVar[float] = 0.5
 
     # -- fault injection (repro.faults) ----------------------------------------------------------
     #: Declarative fault schedule (message drop/duplicate/delay/reorder,
@@ -315,33 +251,9 @@ class SimulationConfig:
             raise ValueError(
                 f"fault_plan must be a repro.faults.FaultPlan, got {self.fault_plan!r}"
             )
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"
-            )
-        if self.telemetry_interval <= 0:
-            raise ValueError(
-                f"telemetry_interval must be positive, got {self.telemetry_interval}"
-            )
-        if self.flight_recorder_events <= 0:
-            raise ValueError(
-                f"flight_recorder_events must be positive, got {self.flight_recorder_events}"
-            )
-        if self.flight_recorder_max_dumps <= 0:
-            raise ValueError(
-                f"flight_recorder_max_dumps must be positive, got {self.flight_recorder_max_dumps}"
-            )
         if self.resilience_retries < 0:
             raise ValueError(
                 f"resilience_retries must be >= 0, got {self.resilience_retries}"
-            )
-        if self.resilience_backoff_base <= 0:
-            raise ValueError(
-                f"resilience_backoff_base must be positive, got {self.resilience_backoff_base}"
-            )
-        if self.resilience_backoff_factor < 1.0:
-            raise ValueError(
-                f"resilience_backoff_factor must be >= 1, got {self.resilience_backoff_factor}"
             )
         if not 0.0 <= self.resilience_backoff_jitter <= 1.0:
             raise ValueError(
@@ -355,41 +267,11 @@ class SimulationConfig:
             raise ValueError(
                 f"resilience_suspect_after must be positive, got {self.resilience_suspect_after}"
             )
-        if not 0.0 <= self.resilience_alpha < 1.0:
-            raise ValueError(
-                f"resilience_alpha must be in [0, 1), got {self.resilience_alpha}"
-            )
         if self.resilience_breaker_cooldown <= 0:
             raise ValueError(
                 f"resilience_breaker_cooldown must be positive, got "
                 f"{self.resilience_breaker_cooldown}"
             )
-        if self.dashboard_mode not in ("auto", "ansi", "plain"):
-            raise ValueError(
-                f"dashboard_mode must be 'auto', 'ansi', or 'plain', "
-                f"got {self.dashboard_mode!r}"
-            )
-        if self.watch_interval <= 0:
-            raise ValueError(
-                f"watch_interval must be positive, got {self.watch_interval}"
-            )
-        if self.anomaly_rules:
-            if not (
-                self.enable_telemetry
-                or self.enable_stream
-                or self.enable_dashboard
-                or self.live_export_path is not None
-                or self.metrics_snapshot_path is not None
-            ):
-                raise ValueError(
-                    "anomaly_rules require enable_telemetry=True (or a "
-                    "stream/dashboard knob that implies it) — rules are "
-                    "checked against sampled telemetry rows"
-                )
-            from repro.obs.anomaly import AnomalyRule
-
-            for spec in self.anomaly_rules:
-                AnomalyRule.parse(spec)  # raises ValueError on bad specs
 
     @property
     def cache_capacity_bytes_hint(self) -> float:

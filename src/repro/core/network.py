@@ -65,6 +65,18 @@ from repro.workload import Database, WorkloadGenerator, ZipfSampler
 
 __all__ = ["PReCinCtNetwork"]
 
+#: How often peers check their position for inter-region moves (§2.3), s.
+REGION_CHECK_INTERVAL = 1.0
+#: Zipf skew of the *update* key distribution.  The paper specifies
+#: Zipf for accesses only; updates are uniform.
+UPDATE_ZIPF_THETA = 0.0
+#: On-air size of one GPSR HELLO beacon (node id + position), bytes.
+HELLO_BEACON_BYTES = 24.0
+#: Keys prefetched per evaluation, and the regional access count a key
+#: needs before it is prefetch-worthy.
+PREFETCH_BATCH = 1
+PREFETCH_MIN_COUNT = 2
+
 
 class PReCinCtNetwork:
     """A fully wired PReCinCt simulation."""
@@ -167,7 +179,7 @@ class PReCinCtNetwork:
         # -- observability (pure observers: digest-neutral by design) --------
         # All observer wiring lives in Observers.attach; the engine
         # just accepts a composition object (or builds the default one,
-        # which inherits every setting from cfg).
+        # which arms nothing).
         from repro.obs.observers import Observers
 
         if observers is None:
@@ -755,7 +767,7 @@ class PReCinCtNetwork:
             if self.network.is_alive(peer_id):
                 beacon = Packet(
                     payload=("hello", peer_id),
-                    size_bytes=cfg.gpsr_beacon_bytes,
+                    size_bytes=HELLO_BEACON_BYTES,
                     src=peer_id,
                     category="beacon",
                 )
@@ -775,7 +787,7 @@ class PReCinCtNetwork:
             if self.network.is_alive(peer_id):
                 peer = self.peers[peer_id]
                 for key in peer.prefetch_candidates(
-                    cfg.prefetch_batch, cfg.prefetch_min_count
+                    PREFETCH_BATCH, PREFETCH_MIN_COUNT
                 ):
                     peer.prefetch(key)
             yield Timeout(cfg.prefetch_interval)
@@ -816,11 +828,10 @@ class PReCinCtNetwork:
 
     def _region_sweep(self):
         """Periodic position check for inter-region mobility (§2.3)."""
-        interval = self.cfg.region_check_interval
         from repro.sim import Timeout
 
         while True:
-            yield Timeout(interval)
+            yield Timeout(REGION_CHECK_INTERVAL)
             positions = self.network.positions()
             ids = self.table.regions_of_points(positions)
             changed = np.flatnonzero(
@@ -847,7 +858,7 @@ class PReCinCtNetwork:
         cfg = self.cfg
         sampler = ZipfSampler(cfg.n_items, cfg.zipf_theta, self.rngs.get("zipf"))
         update_sampler = ZipfSampler(
-            cfg.n_items, cfg.update_zipf_theta, self.rngs.get("zipf-updates")
+            cfg.n_items, UPDATE_ZIPF_THETA, self.rngs.get("zipf-updates")
         )
         self.read_sampler = sampler
         if cfg.popularity_shift_at is not None:

@@ -1092,8 +1092,7 @@ class Peer:
         """Broadcast a Bloom summary of served keys within the region."""
         from repro.core.digest import BloomFilter, DigestAnnounce
 
-        cfg = self._cfg
-        bloom = BloomFilter(cfg.digest_bits, cfg.digest_hashes)
+        bloom = BloomFilter()
         bloom.add_many(self.static_keys)
         bloom.add_many(self.cache.entries.keys())
         if self.current_region_id < 0:

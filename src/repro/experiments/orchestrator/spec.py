@@ -59,7 +59,6 @@ def config_to_dict(cfg: SimulationConfig) -> Dict[str, Any]:
     data = asdict(cfg)
     if cfg.fault_plan is not None:
         data["fault_plan"] = cfg.fault_plan.to_dict()
-    data["anomaly_rules"] = list(cfg.anomaly_rules)
     return data
 
 
@@ -73,8 +72,6 @@ def config_from_dict(data: Mapping[str, Any]) -> SimulationConfig:
         )
     if kwargs.get("fault_plan") is not None:
         kwargs["fault_plan"] = FaultPlan.from_dict(kwargs["fault_plan"])
-    if "anomaly_rules" in kwargs:
-        kwargs["anomaly_rules"] = tuple(kwargs["anomaly_rules"])
     return SimulationConfig(**kwargs)
 
 

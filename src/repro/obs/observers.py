@@ -1,10 +1,8 @@
 """One composition object for every observer subsystem.
 
-Before this module, each observer (tracer, telemetry sampler, flight
-recorder) was wired into :class:`~repro.core.network.PReCinCtNetwork`
-by its own ad-hoc block of duck-typed hook assignments.
-:class:`Observers` replaces those with a single declarative surface and
-one :meth:`attach` entry point::
+:class:`Observers` is the single declarative surface, with one
+:meth:`attach` entry point, through which every observer is wired into
+a :class:`~repro.core.network.PReCinCtNetwork`::
 
     from repro.api import Observers, SimulationConfig
     from repro.core.network import PReCinCtNetwork
@@ -15,48 +13,50 @@ one :meth:`attach` entry point::
     net.run()
     print(obs.energy.by_phase())
 
-Every option defaults to ``None`` — *inherit the setting from the
-engine's* :class:`~repro.config.SimulationConfig` — so ``Observers()``
-reproduces exactly what the config flags ask for, and an explicit
-``True``/``False``/value overrides the config without rebuilding it.
+This is the *only* way to arm an observer: ``Observers()`` arms
+nothing and ``PReCinCtNetwork(cfg)`` is the bare run.  Option values
+are checked at construction, before any engine exists.
 
 All attached subsystems are pure observers (no RNG from simulation
 streams, no stat writes, no lazily-refreshing position queries), so a
 run with any combination attached is digest-identical to the bare run
-— the invariant the golden-digest tests pin.
+— the invariant the golden-digest tests pin, and the reason no option
+here is a :class:`~repro.config.SimulationConfig` field.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = ["Observers"]
-
-#: Sentinel distinguishing "not given" from an explicit ``None``.
-_INHERIT = None
 
 
 class Observers:
     """Composition of all observer subsystems for one simulation run.
 
-    Parameters (``None`` = inherit from the engine's config):
+    Parameters (everything off by default):
 
     tracing / trace_sample_rate:
         Request tracing (:class:`~repro.obs.tracer.Tracer`) and its
-        head-based sample rate.
+        head-based sample rate in [0, 1]: each request is traced fully
+        with this probability and not at all otherwise (1.0 = trace
+        everything, draw-free).
     telemetry / telemetry_interval:
         Periodic state snapshots
-        (:class:`~repro.obs.telemetry.TelemetrySampler`).
-    recorder_dir / recorder_events / recorder_max_dumps:
+        (:class:`~repro.obs.telemetry.TelemetrySampler`) every
+        ``telemetry_interval`` simulated seconds.
+    recorder_dir / recorder_max_dumps:
         Flight-recorder bundles
-        (:class:`~repro.obs.recorder.FlightRecorder`).
+        (:class:`~repro.obs.recorder.FlightRecorder`): the directory
+        that arms the recorder and the bundle cap per run.
     energy_attribution:
         Span-level energy attribution
         (:class:`~repro.energy.attribution.EnergyAttributor`).
     anomaly_rules:
         Telemetry threshold rules
         (:class:`~repro.obs.anomaly.AnomalyWatcher`); implies nothing
-        by itself — telemetry must be on for rules to be checked.
+        by itself — rules without a telemetry source (``telemetry`` or
+        any live consumer below) are rejected.
     stream / live_export / metrics_snapshot:
         Live streaming (:class:`~repro.obs.stream.TelemetryBus`):
         ``stream=True`` arms the bus; ``live_export=PATH`` attaches an
@@ -76,30 +76,72 @@ class Observers:
     def __init__(
         self,
         *,
-        tracing: Optional[bool] = _INHERIT,
-        trace_sample_rate: Optional[float] = _INHERIT,
-        telemetry: Optional[bool] = _INHERIT,
-        telemetry_interval: Optional[float] = _INHERIT,
-        recorder_dir=_INHERIT,
-        recorder_events: Optional[int] = _INHERIT,
-        recorder_max_dumps: Optional[int] = _INHERIT,
-        energy_attribution: Optional[bool] = _INHERIT,
-        anomaly_rules: Optional[Sequence[Union[str, object]]] = _INHERIT,
-        stream: Optional[bool] = _INHERIT,
-        live_export=_INHERIT,
-        metrics_snapshot=_INHERIT,
-        dashboard: Optional[bool] = _INHERIT,
-        dashboard_mode: Optional[str] = _INHERIT,
-        watch_interval: Optional[float] = _INHERIT,
-        dashboard_out=_INHERIT,
+        tracing: bool = False,
+        trace_sample_rate: float = 1.0,
+        telemetry: bool = False,
+        telemetry_interval: float = 5.0,
+        recorder_dir=None,
+        recorder_max_dumps: int = 5,
+        energy_attribution: bool = False,
+        anomaly_rules: Sequence[Union[str, object]] = (),
+        stream: bool = False,
+        live_export=None,
+        metrics_snapshot=None,
+        dashboard: bool = False,
+        dashboard_mode: str = "auto",
+        watch_interval: float = 1.0,
+        dashboard_out=None,
     ):
+        if not 0.0 <= trace_sample_rate <= 1.0:
+            raise ValueError(
+                f"trace_sample_rate must be in [0, 1], got {trace_sample_rate}"
+            )
+        if telemetry_interval <= 0:
+            raise ValueError(
+                f"telemetry_interval must be positive, got {telemetry_interval}"
+            )
+        if recorder_max_dumps <= 0:
+            raise ValueError(
+                f"recorder_max_dumps must be positive, got {recorder_max_dumps}"
+            )
+        if dashboard_mode not in ("auto", "ansi", "plain"):
+            raise ValueError(
+                f"dashboard_mode must be 'auto', 'ansi', or 'plain', "
+                f"got {dashboard_mode!r}"
+            )
+        if watch_interval <= 0:
+            raise ValueError(
+                f"watch_interval must be positive, got {watch_interval}"
+            )
+        # Any live consumer (a sink, the dashboard, or an explicit
+        # stream=True) arms the bus, and the bus implies the sampler:
+        # live views are fed by the same periodic rows as the table.
+        stream = bool(
+            stream
+            or live_export is not None
+            or metrics_snapshot is not None
+            or dashboard
+        )
+        if anomaly_rules:
+            if not (telemetry or stream):
+                raise ValueError(
+                    "anomaly_rules require telemetry=True (or a "
+                    "stream/dashboard option that implies it) — rules are "
+                    "checked against sampled telemetry rows"
+                )
+            from repro.obs.anomaly import AnomalyRule
+
+            anomaly_rules = tuple(
+                r if isinstance(r, AnomalyRule) else AnomalyRule.parse(r)
+                for r in anomaly_rules  # raises ValueError on bad specs
+            )
+        #: Head-based sample rate, printed by the run summaries.
+        self.trace_sample_rate = trace_sample_rate
         self._opts = {
             "tracing": tracing,
-            "trace_sample_rate": trace_sample_rate,
-            "telemetry": telemetry,
+            "telemetry": telemetry or stream,
             "telemetry_interval": telemetry_interval,
             "recorder_dir": recorder_dir,
-            "recorder_events": recorder_events,
             "recorder_max_dumps": recorder_max_dumps,
             "energy_attribution": energy_attribution,
             "anomaly_rules": anomaly_rules,
@@ -123,10 +165,6 @@ class Observers:
         self._net = None
         self._finished = False
 
-    def _opt(self, name: str, cfg_value):
-        value = self._opts[name]
-        return cfg_value if value is _INHERIT else value
-
     @property
     def attached(self) -> bool:
         return self._net is not None
@@ -144,23 +182,24 @@ class Observers:
                 "Observers instance is already attached to an engine"
             )
         self._net = net
-        cfg = net.cfg
+        opts = self._opts
 
-        if self._opt("tracing", cfg.enable_tracing):
+        if opts["tracing"]:
             from repro.obs.sampling import make_sampler
             from repro.obs.tracer import Tracer
 
             # The head-based sampler draws from the dedicated "obs"
             # stream: stream independence keeps any sample rate
             # digest-neutral.  Rate 1.0 installs no sampler at all.
-            rate = self._opt("trace_sample_rate", cfg.trace_sample_rate)
-            sampler = make_sampler(rate, rng=net.rngs.get("obs"))
+            sampler = make_sampler(
+                self.trace_sample_rate, rng=net.rngs.get("obs")
+            )
             self.tracer = Tracer(lambda: net.sim.now, sampler=sampler)
             net.stack.router.on_hop = net._on_gpsr_hop
             if net.faults is not None and net.faults.injector is not None:
                 net.faults.injector.observer = net._on_fault_fired
 
-        if self._opt("energy_attribution", cfg.enable_energy_attribution):
+        if opts["energy_attribution"]:
             from repro.energy.attribution import EnergyAttributor
 
             peers = net.peers
@@ -173,32 +212,17 @@ class Observers:
             )
             net.network.energy.observer = self.energy
 
-        # Any live consumer (a sink, the dashboard, or an explicit
-        # stream=True) arms the bus, and the bus implies the sampler:
-        # live views are fed by the same periodic rows as the table.
-        live_export = self._opt("live_export", cfg.live_export_path)
-        metrics_snapshot = self._opt(
-            "metrics_snapshot", cfg.metrics_snapshot_path
-        )
-        dashboard_on = self._opt("dashboard", cfg.enable_dashboard)
-        stream_on = (
-            self._opt("stream", cfg.enable_stream)
-            or live_export is not None
-            or metrics_snapshot is not None
-            or dashboard_on
-        )
-
-        if self._opt("telemetry", cfg.enable_telemetry) or stream_on:
+        if opts["telemetry"]:
             from repro.obs.telemetry import TelemetrySampler
 
             self.telemetry = TelemetrySampler(
                 net.sim,
                 net._telemetry_snapshot,
-                self._opt("telemetry_interval", cfg.telemetry_interval),
-                until=cfg.duration,
+                opts["telemetry_interval"],
+                until=net.cfg.duration,
             )
 
-        if stream_on:
+        if opts["stream"]:
             from repro.obs.stream import (
                 JsonlLiveSink,
                 MetricsSnapshotWriter,
@@ -207,50 +231,44 @@ class Observers:
 
             self.bus = TelemetryBus()
             self.telemetry.bus = self.bus
-            if live_export is not None:
-                self.live_sink = JsonlLiveSink(live_export)
+            if opts["live_export"] is not None:
+                self.live_sink = JsonlLiveSink(opts["live_export"])
                 self.bus.attach_sink(self.live_sink)
-            if metrics_snapshot is not None:
-                self.metrics_sink = MetricsSnapshotWriter(metrics_snapshot)
+            if opts["metrics_snapshot"] is not None:
+                self.metrics_sink = MetricsSnapshotWriter(
+                    opts["metrics_snapshot"]
+                )
                 self.bus.attach_sink(self.metrics_sink)
 
-        recorder_dir = self._opt("recorder_dir", cfg.flight_recorder_dir)
-        if recorder_dir is not None:
+        if opts["recorder_dir"] is not None:
             from repro.obs.recorder import FlightRecorder
 
             self.recorder = FlightRecorder(
-                recorder_dir,
+                opts["recorder_dir"],
                 eventlog=net.log,
                 tracer=self.tracer,
                 telemetry=self.telemetry.table if self.telemetry else None,
-                last_events=self._opt(
-                    "recorder_events", cfg.flight_recorder_events
-                ),
-                max_dumps=self._opt(
-                    "recorder_max_dumps", cfg.flight_recorder_max_dumps
-                ),
+                max_dumps=opts["recorder_max_dumps"],
             )
             net.sim.on_crash = net._on_engine_crash
 
-        rules = self._opt("anomaly_rules", cfg.anomaly_rules)
-        if rules:
+        if opts["anomaly_rules"]:
             from repro.obs.anomaly import AnomalyWatcher
 
             self.anomaly = AnomalyWatcher(
-                rules, recorder=self.recorder, bus=self.bus
+                opts["anomaly_rules"], recorder=self.recorder, bus=self.bus
             )
-            if self.telemetry is not None:
-                self.telemetry.on_sample = self.anomaly.check
+            self.telemetry.on_sample = self.anomaly.check
 
-        if dashboard_on:
+        if opts["dashboard"]:
             from repro.obs.dashboard import Dashboard
 
             self.dashboard = Dashboard(
                 self.bus,
-                duration=cfg.duration,
-                interval=self._opt("watch_interval", cfg.watch_interval),
-                mode=self._opt("dashboard_mode", cfg.dashboard_mode),
-                out=self._opt("dashboard_out", None),
+                duration=net.cfg.duration,
+                interval=opts["watch_interval"],
+                mode=opts["dashboard_mode"],
+                out=opts["dashboard_out"],
                 anomaly=self.anomaly,
             )
         return self

@@ -53,6 +53,11 @@ class FlightRecorder:
         last_events: int = 200,
         max_dumps: int = 5,
     ):
+        # last_events=0 would slice list(log)[-0:] — the whole log.
+        if last_events <= 0:
+            raise ValueError(f"last_events must be positive, got {last_events}")
+        if max_dumps <= 0:
+            raise ValueError(f"max_dumps must be positive, got {max_dumps}")
         self.bundle_dir = Path(bundle_dir)
         self.eventlog = eventlog
         self.tracer = tracer

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -125,6 +127,21 @@ class TestExecution:
         assert rc == 0
         out = capsys.readouterr().out
         assert "alive" in out  # the topology map status line
+
+    def test_run_report_still_exports_trace(self, capsys, tmp_path):
+        # Regression: --report returned before the export and wrote nothing.
+        path = tmp_path / "t.jsonl"
+        rc = main(
+            ["run", "--nodes", "16", "--duration", "40", "--warmup", "5",
+             "--items", "50", "--speed", "0", "--report",
+             "--export-trace", str(path)]
+        )
+        assert rc == 0
+        lines = path.read_text().splitlines()
+        assert lines and all(json.loads(line) for line in lines)
+        out = capsys.readouterr().out
+        assert f"wrote {len(lines)} trace(s)" in out
+        assert "=== " in out and "served[" not in out  # report, not the row
 
     def test_faults_command(self, capsys):
         rc = main(

@@ -1,10 +1,12 @@
 """Unit tests for SimulationConfig validation (repro.config)."""
 
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.config import SimulationConfig
+from repro.obs import Observers
 
 
 class TestValidation:
@@ -63,34 +65,24 @@ class TestValidation:
             SimulationConfig(consistency=scheme)
 
 
-class TestStreamingKnobs:
-    def test_defaults_off(self):
-        cfg = SimulationConfig()
-        assert cfg.enable_stream is False
-        assert cfg.live_export_path is None
-        assert cfg.metrics_snapshot_path is None
-        assert cfg.enable_dashboard is False
-        assert cfg.dashboard_mode == "auto"
-        assert cfg.watch_interval == 1.0
+class TestConfigIsTheRunIdentity:
+    """A field belongs in the config iff it can change a run's digests."""
 
-    def test_rejects_bad_dashboard_mode(self):
-        with pytest.raises(ValueError, match="dashboard_mode"):
-            SimulationConfig(dashboard_mode="fancy")
+    def test_no_field_is_an_observer_option(self):
+        names = {f.name for f in fields(SimulationConfig)}
+        assert names & set(inspect.signature(Observers).parameters) == set()
 
-    def test_rejects_nonpositive_watch_interval(self):
-        with pytest.raises(ValueError, match="watch_interval"):
-            SimulationConfig(watch_interval=0.0)
-        with pytest.raises(ValueError, match="watch_interval"):
-            SimulationConfig(watch_interval=-1.0)
+    def test_never_set_knobs_are_constants(self):
+        names = {f.name for f in fields(SimulationConfig)}
+        for gone in ("gpsr_beacon_bytes", "prefetch_batch", "digest_bits",
+                     "region_check_interval", "update_zipf_theta",
+                     "resilience_backoff_base", "resilience_alpha"):
+            assert gone not in names
+        # The resilience three are class constants: readable, not settable.
+        assert SimulationConfig().resilience_backoff_factor == 2.0
+        with pytest.raises(TypeError):
+            SimulationConfig(resilience_backoff_factor=3.0)
 
-    def test_anomaly_rules_satisfied_by_any_live_consumer(self):
-        # Telemetry is implied by every streaming consumer, so anomaly
-        # rules are valid with any of them (not only enable_telemetry).
-        rules = ("mac.backlog_max_s>5",)
-        SimulationConfig(anomaly_rules=rules, enable_telemetry=True)
-        SimulationConfig(anomaly_rules=rules, enable_stream=True)
-        SimulationConfig(anomaly_rules=rules, enable_dashboard=True)
-        SimulationConfig(anomaly_rules=rules, live_export_path="x.jsonl")
-        SimulationConfig(anomaly_rules=rules, metrics_snapshot_path="m.prom")
-        with pytest.raises(ValueError, match="anomaly_rules"):
-            SimulationConfig(anomaly_rules=rules)
+    def test_field_count_ratchet(self):
+        # Only ever lower this bound (ROADMAP item 7).
+        assert len(fields(SimulationConfig)) <= 59

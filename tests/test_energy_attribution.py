@@ -299,9 +299,8 @@ class TestFullRunIntegration:
         from repro.core.network import PReCinCtNetwork
         from repro.obs.observers import Observers
 
-        cfg = tiny_config(consistency="push-adaptive-pull", t_update=40.0,
-                          enable_tracing=True)
-        observers = Observers(energy_attribution=True)
+        cfg = tiny_config(consistency="push-adaptive-pull", t_update=40.0)
+        observers = Observers(tracing=True, energy_attribution=True)
         net = PReCinCtNetwork(cfg, observers=observers)
         net.run()
         attributor = observers.energy

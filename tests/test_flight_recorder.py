@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.core.network import PReCinCtNetwork
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs import FlightRecorder, TelemetryTable, Tracer
+from repro.obs import FlightRecorder, Observers, TelemetryTable, Tracer
 from repro.sim.eventlog import EventLog
 from tests.conftest import tiny_config
 
@@ -66,6 +68,14 @@ class TestFlightRecorderUnit:
         assert recorder.triggers == 3
         assert len(recorder.dumps_written) == 2
 
+    @pytest.mark.parametrize("bad", [{"last_events": 0}, {"max_dumps": 0}],
+                             ids=["last_events", "max_dumps"])
+    def test_nonpositive_bounds_rejected(self, tmp_path, bad):
+        # last_events=0 used to put the whole log in every bundle
+        # (list(log)[-0:]); max_dumps=0 armed a recorder that never wrote.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            FlightRecorder(tmp_path, **bad)
+
     def test_reason_slugified(self, tmp_path):
         recorder = FlightRecorder(tmp_path)
         bundle = recorder.dump("weird reason: %$!")
@@ -79,13 +89,12 @@ class TestRecorderWiring:
             FaultSpec("drop", start=0.0, end=150.0, probability=0.9),
         ))
         net = PReCinCtNetwork(
-            tiny_config(
-                fault_plan=plan,
-                enable_tracing=True,
-                flight_recorder_dir=str(tmp_path),
-                flight_recorder_max_dumps=3,
-                seed=41,
-            )
+            tiny_config(fault_plan=plan, seed=41),
+            observers=Observers(
+                tracing=True,
+                recorder_dir=str(tmp_path),
+                recorder_max_dumps=3,
+            ),
         )
         report = net.run()
         assert report.requests_failed > 0
@@ -100,7 +109,6 @@ class TestRecorderWiring:
 
     def test_recorder_is_digest_neutral(self, tmp_path):
         from repro.faults.audit import run_scenario
-        from repro.obs import Observers
 
         _, _, plain = run_scenario("faulted", seed=42)
         net, _, armed = run_scenario(

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import SimulationConfig
 from repro.obs.anomaly import AnomalyRule, AnomalyWatcher
 
 
@@ -82,22 +81,6 @@ class TestAnomalyWatcher:
         assert manifest["context"]["rule"] == "x>5"
         assert manifest["context"]["value"] == 8.25
         assert manifest["sim_time"] == 3.5
-
-
-class TestConfigValidation:
-    def test_rules_require_telemetry(self):
-        with pytest.raises(ValueError, match="telemetry"):
-            SimulationConfig(anomaly_rules=("x>1",))
-
-    def test_bad_rule_spec_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(enable_telemetry=True,
-                             anomaly_rules=("not a rule",))
-
-    def test_valid_rules_accepted(self):
-        cfg = SimulationConfig(enable_telemetry=True,
-                               anomaly_rules=("mac.backlog_max_s>5",))
-        assert cfg.anomaly_rules == ("mac.backlog_max_s>5",)
 
 
 class TestEndToEnd:

@@ -6,6 +6,7 @@ are gone; ``TestRunScenarioObserversOnly`` pins both their removal and
 that the ``observers=`` replacement covers everything they did.
 """
 
+import inspect
 import warnings
 
 import pytest
@@ -20,22 +21,6 @@ def _quick_cfg(**overrides):
 
 
 class TestObserversAttach:
-    def test_default_observers_inherit_config_flags(self):
-        cfg = _quick_cfg(enable_tracing=True, enable_telemetry=True)
-        net = PReCinCtNetwork(cfg)
-        assert net.tracer is not None
-        assert net.telemetry is not None
-        assert net.energy_attribution is None
-        assert net.anomaly is None
-
-    def test_explicit_options_override_config(self):
-        cfg = _quick_cfg(enable_tracing=True)
-        observers = Observers(tracing=False, energy_attribution=True)
-        net = PReCinCtNetwork(cfg, observers=observers)
-        assert net.tracer is None
-        assert net.energy_attribution is observers.energy
-        assert net.network.energy.observer is observers.energy
-
     def test_engine_properties_mirror_observers(self):
         observers = Observers(tracing=True, telemetry=True,
                               energy_attribution=True)
@@ -65,6 +50,73 @@ class TestObserversAttach:
         assert not observers.attached
         PReCinCtNetwork(_quick_cfg(), observers=observers)
         assert observers.attached
+
+
+class TestOptionValidation:
+    """Every rule raises at ``Observers(...)``, before any engine exists."""
+
+    def test_defaults_off(self):
+        defaults = {
+            name: p.default
+            for name, p in inspect.signature(Observers).parameters.items()
+        }
+        assert defaults == dict(
+            tracing=False, trace_sample_rate=1.0, telemetry=False,
+            telemetry_interval=5.0, recorder_dir=None, recorder_max_dumps=5,
+            energy_attribution=False, anomaly_rules=(), stream=False,
+            live_export=None, metrics_snapshot=None, dashboard=False,
+            dashboard_mode="auto", watch_interval=1.0, dashboard_out=None,
+        )
+        observers = PReCinCtNetwork(_quick_cfg()).observers
+        assert repr(observers) == "Observers(none active)"
+        assert observers.live_sink is observers.metrics_sink is None
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"tracing": True, "trace_sample_rate": 2.0}, "trace_sample_rate"),
+            ({"telemetry_interval": 0.0}, "telemetry_interval"),
+            ({"recorder_dir": "b", "recorder_max_dumps": 0},
+             "recorder_max_dumps"),
+            ({"dashboard_mode": "fancy"}, "dashboard_mode"),
+            ({"watch_interval": 0.0}, "watch_interval"),
+            ({"watch_interval": -1.0}, "watch_interval"),
+            ({"anomaly_rules": ("mac.backlog_max_s>1",)}, "telemetry"),
+            ({"telemetry": True, "anomaly_rules": ("not a rule",)},
+             "anomaly rule"),
+        ],
+        ids=["rate-above-1", "telemetry-interval-zero", "max-dumps-zero",
+             "dashboard-mode", "watch-interval-zero",
+             "watch-interval-negative", "rules-without-telemetry",
+             "bad-rule-spec"],
+    )
+    def test_bad_values_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            Observers(**bad)
+
+    def test_anomaly_rules_satisfied_by_any_live_consumer(self):
+        # Telemetry is implied by every streaming consumer, so anomaly
+        # rules are valid with any of them (not only telemetry=True).
+        rules = ("mac.backlog_max_s>5",)
+        Observers(anomaly_rules=rules, telemetry=True)
+        Observers(anomaly_rules=rules, stream=True)
+        Observers(anomaly_rules=rules, dashboard=True)
+        Observers(anomaly_rules=rules, live_export="x.jsonl")
+        Observers(anomaly_rules=rules, metrics_snapshot="m.prom")
+        with pytest.raises(ValueError, match="anomaly_rules"):
+            Observers(anomaly_rules=rules)
+
+    def test_valid_rules_accepted(self):
+        from repro.obs.anomaly import AnomalyRule
+
+        rule = AnomalyRule.parse("energy.total_uj<1")
+        observers = Observers(
+            telemetry=True, anomaly_rules=("mac.backlog_max_s>5", rule)
+        )
+        PReCinCtNetwork(_quick_cfg(), observers=observers)
+        assert [r.spec for r in observers.anomaly.rules] == [
+            "mac.backlog_max_s>5", "energy.total_uj<1",
+        ]
 
 
 class TestObserverPathNeutrality:

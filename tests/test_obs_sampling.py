@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import PReCinCtNetwork
+from repro.obs import Observers
 from repro.obs.sampling import TraceSampler, make_sampler
 from tests.conftest import tiny_config
 
@@ -59,10 +60,10 @@ class TestTraceSampler:
 
 
 def _traced_run(rate: float, seed: int = 29):
-    net = PReCinCtNetwork(tiny_config(
-        enable_tracing=True, trace_sample_rate=rate, seed=seed,
-        duration=80.0, warmup=10.0,
-    ))
+    net = PReCinCtNetwork(
+        tiny_config(seed=seed, duration=80.0, warmup=10.0),
+        observers=Observers(tracing=True, trace_sample_rate=rate),
+    )
     net.run()
     return net
 
@@ -115,6 +116,6 @@ class TestSamplingDeterminism:
 
     def test_config_rejects_out_of_range_rate(self):
         with pytest.raises(ValueError, match="trace_sample_rate"):
-            tiny_config(trace_sample_rate=1.5)
+            Observers(trace_sample_rate=1.5)
         with pytest.raises(ValueError, match="trace_sample_rate"):
-            tiny_config(trace_sample_rate=-0.25)
+            Observers(trace_sample_rate=-0.25)

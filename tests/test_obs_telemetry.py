@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.network import PReCinCtNetwork
-from repro.obs import TelemetrySampler, TelemetryTable
+from repro.obs import Observers, TelemetrySampler, TelemetryTable
 from repro.sim import Simulator
 from tests.conftest import tiny_config
 
@@ -184,9 +184,8 @@ class TestTelemetrySampler:
         # Regression: duration < sample interval used to finish with
         # zero telemetry rows; the engine now finalizes at stop time.
         net = PReCinCtNetwork(
-            tiny_config(
-                enable_telemetry=True, telemetry_interval=500.0, seed=37
-            )
+            tiny_config(seed=37),
+            observers=Observers(telemetry=True, telemetry_interval=500.0),
         )
         net.run()
         table = net.telemetry.table
@@ -195,7 +194,8 @@ class TestTelemetrySampler:
 
     def test_run_level_sampling(self):
         net = PReCinCtNetwork(
-            tiny_config(enable_telemetry=True, telemetry_interval=10.0, seed=37)
+            tiny_config(seed=37),
+            observers=Observers(telemetry=True, telemetry_interval=10.0),
         )
         net.run()
         table = net.telemetry.table

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.network import PReCinCtNetwork
 from repro.faults.audit import run_scenario
-from repro.obs import Tracer
+from repro.obs import Observers, Tracer
 from tests.conftest import tiny_config
 
 
@@ -138,7 +138,9 @@ class TestTracerUnit:
 
 class TestTracedRuns:
     def test_traced_run_records_requests(self):
-        net = PReCinCtNetwork(tiny_config(enable_tracing=True, seed=31))
+        net = PReCinCtNetwork(
+            tiny_config(seed=31), observers=Observers(tracing=True)
+        )
         report = net.run()
         tracer = net.tracer
         assert tracer is not None
@@ -157,7 +159,8 @@ class TestTracedRuns:
     def test_phase_sum_equals_latency_on_every_trace(self):
         """Acceptance: per-span breakdowns sum to the request latency."""
         net = PReCinCtNetwork(
-            tiny_config(enable_tracing=True, seed=33, max_speed=8.0)
+            tiny_config(seed=33, max_speed=8.0),
+            observers=Observers(tracing=True),
         )
         net.run()
         request_outcomes = {
@@ -180,8 +183,6 @@ class TestTracedRuns:
 
     def test_observability_is_digest_neutral_on_faulted_scenario(self):
         """Acceptance: tracing+telemetry never change digests."""
-        from repro.obs import Observers
-
         _, _, plain = run_scenario("faulted", seed=42)
         net, _, observed = run_scenario(
             "faulted", seed=42,

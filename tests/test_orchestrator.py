@@ -6,7 +6,7 @@ resume/reuse, the one-call ``run_graph`` helper, and the
 ``repro campaign`` CLI.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import json
 
@@ -59,13 +59,28 @@ def tiny_graph(n=3, **kwargs):
 
 class TestSpec:
     def test_config_round_trip(self):
+        # One non-default field from every section of the config.
         cfg = replace(
             MINI,
+            width=900.0, range_m=200.0, idle_power_mw=900.0,
+            mobility_model="group", group_count=3,
+            churn_uptime=300.0, churn_crash_fraction=0.5,
+            min_item_bytes=512.0,
+            t_update=40.0, popularity_shift_at=30.0,
+            cache_fraction=0.02, gdld_wd=0.5, static_capacity_fraction=0.1,
+            consistency="push-adaptive-pull", ttr_alpha=0.25,
+            enable_replication=False,
+            dynamic_regions=True, region_min_peers=3,
+            gpsr_beacon_interval=1.0, poll_timeout=2.0,
+            enable_prefetch=True, prefetch_interval=15.0,
+            enable_digest=True, digest_interval=10.0,
+            enable_event_log=True,
+            resilience=True, resilience_retries=2, request_deadline=None,
             fault_plan=FaultPlan.parse(["drop:p=0.1,start=5"]),
-            enable_telemetry=True,
-            anomaly_rules=("mac.backlog_max_s>5",),
         )
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        data = config_to_dict(cfg)
+        assert set(data) == {f.name for f in fields(type(cfg))}
+        again = config_from_dict(json.loads(json.dumps(data)))
         assert again == cfg
 
     def test_config_unknown_field_rejected(self):

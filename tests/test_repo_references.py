@@ -1,9 +1,10 @@
 """Docs, CI and the verify skill may only name things that exist.
 
-A workflow step or doc line that names a deleted script, test file or
-subcommand used to fail only in the workflow (or never); this lint makes
-it fail tier-1.  ``CHANGES.md`` and ``ROADMAP.md`` are history and
-``bench/`` is frozen by ``BENCHMARK.json``, so none of them is read.
+A workflow step or doc line that names a deleted script, test file,
+subcommand or config field used to fail only in the workflow (or never);
+this lint makes it fail tier-1.  ``CHANGES.md`` and ``ROADMAP.md`` are
+history and ``bench/`` is frozen by ``BENCHMARK.json``, so none of them
+is read.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser
+from repro.config import SimulationConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -39,6 +42,27 @@ PATH_RE = re.compile(
     r"(?<![\w/.-])(?:scripts|tests|benchmarks|src/repro|docs|examples)/[\w./-]*\.\w+"
 )
 SUBCOMMAND_RE = re.compile(r"python3? -m repro ([a-z][\w-]*)")
+#: ``name=`` at the start of an argument (not ``==``, not an attribute).
+KEYWORD_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def config_call_keywords(text: str) -> set:
+    """Keyword names of every ``SimulationConfig(...)`` call in ``text``.
+
+    Only the call's own arguments count: text inside a nested
+    parenthesis (``fault_plan=FaultPlan.parse(...)``) is skipped.
+    """
+    names = set()
+    for call in re.finditer(r"SimulationConfig\(", text):
+        depth, own = 1, []
+        for ch in text[call.end():]:
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0:
+                break
+            if depth == 1:
+                own.append(ch)
+        names.update(KEYWORD_RE.findall("".join(own)))
+    return names
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -64,3 +88,15 @@ def test_named_subcommands_parse(source):
         if exit_info.value.code != 0:
             unknown.append(sub)
     assert not unknown, f"{source} names unknown subcommands: {unknown}"
+
+
+@pytest.mark.parametrize("source", [s for s in SOURCES if s.endswith(".md")])
+def test_named_config_fields_exist(source):
+    text = (REPO / source).read_text(encoding="utf-8")
+    unknown = sorted(
+        config_call_keywords(text) - {f.name for f in fields(SimulationConfig)}
+    )
+    assert not unknown, (
+        f"{source} passes SimulationConfig keywords that are not fields: "
+        f"{unknown}"
+    )
