@@ -84,7 +84,7 @@ def analyze_connectivity(network: "WirelessNetwork") -> ConnectivityReport:
         return ConnectivityReport(0, 0, 0.0, 0.0)
     counts = np.bincount(live_labels)
     degrees = [
-        network.neighbors_of(int(i)).size for i in np.flatnonzero(alive)
+        len(network.neighbors_of(int(i))) for i in np.flatnonzero(alive)
     ]
     return ConnectivityReport(
         n_alive=n_alive,

@@ -28,7 +28,7 @@ ledger reports it separately and ablations can zero it out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -81,18 +81,22 @@ class EnergyParams:
 
 
 class EnergyLedger:
-    """Vectorized per-node energy accounting.
+    """Per-node energy accounting.
 
-    Maintains one float array per traffic category so experiments can
-    report both total consumption and its breakdown.  Mutating methods
-    take either a single node id or an integer array of node ids (for
-    broadcast receive charging the whole neighborhood at once).
+    Maintains one ``list[float]`` per traffic category so experiments
+    can report both total consumption and its breakdown.  The radio
+    charges one node (or one neighbor list) per transmission, so the
+    ledgers are plain Python lists updated element by element; readers
+    reduce them through ``np.asarray(...)``, whose pairwise summation is
+    the one the report digests were pinned with.  The per-receiver
+    methods take any sequence of node ids; a repeated id is charged once
+    per occurrence.
 
     An optional :attr:`observer` (duck-typed; see
     :class:`repro.energy.attribution.EnergyAttributor`) is notified of
     every debit with ``on_charge(category, cost_uj)`` and of
     :meth:`reset` with ``on_reset()``.  The observer sees aggregate
-    costs only — it cannot perturb the per-node arrays — so attribution
+    costs only — it cannot perturb the per-node ledgers — so attribution
     stays a pure read of the same charges the ledger books.
     """
 
@@ -103,8 +107,8 @@ class EnergyLedger:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         self.n_nodes = n_nodes
         self.params = params
-        self._by_category: Dict[str, np.ndarray] = {
-            cat: np.zeros(n_nodes) for cat in self.CATEGORIES
+        self._by_category: Dict[str, List[float]] = {
+            cat: [0.0] * n_nodes for cat in self.CATEGORIES
         }
         #: Charge observer with ``on_charge(category, cost_uj)`` /
         #: ``on_reset()`` callbacks; ``None`` disables notification.
@@ -134,63 +138,51 @@ class EnergyLedger:
         self._notify("bcast_send", cost)
         return cost
 
-    def charge_bcast_recv(self, nodes: np.ndarray, size: float, *, unique: bool = False) -> float:
-        """Charge every node in ``nodes``; returns the aggregate cost.
+    def charge_bcast_recv(self, nodes: Sequence[int], size: float) -> float:
+        """Charge every node in ``nodes``; returns the aggregate cost."""
+        return self._charge_each("bcast_recv", nodes, self.params.bcast_recv(size))
 
-        ``unique=True`` promises the ids are distinct (true for neighbor
-        sets) and takes a plain fancy-indexed add — several times faster
-        than ``np.add.at``, which must handle repeated indices.
-        """
-        nodes = np.asarray(nodes, dtype=np.intp)
-        if nodes.size == 0:
-            return 0.0
-        cost = self.params.bcast_recv(size)
-        if unique:
-            self._by_category["bcast_recv"][nodes] += cost
-        else:
-            np.add.at(self._by_category["bcast_recv"], nodes, cost)
-        total = cost * nodes.size
-        self._notify("bcast_recv", total)
-        return total
-
-    def charge_discard(self, nodes: np.ndarray, size: float, *, unique: bool = False) -> float:
+    def charge_discard(self, nodes: Sequence[int], size: float) -> float:
         """Charge overhearing nodes for a p2p message not addressed to them."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        if nodes.size == 0:
+        return self._charge_each("discard", nodes, self.params.discard(size))
+
+    def _charge_each(self, category: str, nodes: Sequence[int], cost: float) -> float:
+        if not len(nodes):
             return 0.0
-        cost = self.params.discard(size)
-        if unique:
-            self._by_category["discard"][nodes] += cost
-        else:
-            np.add.at(self._by_category["discard"], nodes, cost)
-        total = cost * nodes.size
-        self._notify("discard", total)
+        ledger = self._by_category[category]
+        for node in nodes:
+            ledger[node] += cost
+        total = cost * len(nodes)
+        self._notify(category, total)
         return total
 
     # -- reporting -------------------------------------------------------
 
     def node_total(self, node: int) -> float:
         """Total energy consumed by one node across all categories (uJ)."""
-        return float(sum(arr[node] for arr in self._by_category.values()))
+        return float(sum(ledger[node] for ledger in self._by_category.values()))
 
     def total(self) -> float:
         """Network-wide energy consumption (uJ)."""
-        return float(sum(arr.sum() for arr in self._by_category.values()))
+        return float(sum(np.asarray(ledger).sum() for ledger in self._by_category.values()))
 
     def total_by_category(self) -> Dict[str, float]:
-        return {cat: float(arr.sum()) for cat, arr in self._by_category.items()}
+        return {
+            cat: float(np.asarray(ledger).sum())
+            for cat, ledger in self._by_category.items()
+        }
 
     def per_node(self) -> np.ndarray:
         """``(n_nodes,)`` array of per-node totals (uJ)."""
         out = np.zeros(self.n_nodes)
-        for arr in self._by_category.values():
-            out += arr
+        for ledger in self._by_category.values():
+            out += np.asarray(ledger)
         return out
 
     def reset(self) -> None:
         """Zero all ledgers (e.g. after a warm-up phase)."""
-        for arr in self._by_category.values():
-            arr.fill(0.0)
+        for ledger in self._by_category.values():
+            ledger[:] = [0.0] * self.n_nodes
         if self.observer is not None:
             self.observer.on_reset()
 

@@ -17,7 +17,7 @@ substitution is recorded in DESIGN.md §7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.net.topology import SpatialGrid
 from repro.sim import Simulator, StatRegistry
 
 __all__ = ["FaultFilter", "RadioParams", "WirelessNetwork"]
+
+#: MAC jitter draws fetched from the ``"mac"`` stream per refill.
+_JITTER_BLOCK = 1024
 
 ReceiveHandler = Callable[[int, Packet], None]
 
@@ -87,7 +90,9 @@ class WirelessNetwork:
         self.alive = np.ones(self.n_nodes, dtype=bool)
         # Half-duplex sender serialization: a node's transmissions queue
         # behind each other; _busy_until[i] is when node i's radio frees.
-        self._busy_until = np.zeros(self.n_nodes)
+        self._busy_until = [0.0] * self.n_nodes
+        # Contention jitter still to be used, next draw last (see _hop_delay).
+        self._jitters: List[float] = []
         # Radio-on (alive) time bookkeeping, for idle-power accounting.
         self._alive_since = np.zeros(self.n_nodes)
         self._accumulated_uptime = np.zeros(self.n_nodes)
@@ -96,7 +101,7 @@ class WirelessNetwork:
         self._receive_handler: Optional[ReceiveHandler] = None
         self._batch_receive_handler = None
         self._fault_filter: Optional[FaultFilter] = None
-        # Per-generation polygon-membership memo: polygon -> bool[N];
+        # Per-generation polygon-membership memo: polygon -> list[bool];
         # testers (precomputed edge constants) persist across generations.
         self._polygon_cache: dict = {}
         self._polygon_cache_gen = -1
@@ -176,10 +181,10 @@ class WirelessNetwork:
         if members is None:
             self._refresh_positions()
             return point_in_polygon(self._grid.position_of(node_id), polygon)
-        return bool(members[node_id])
+        return members[node_id]
 
     def polygon_members(self, polygon):
-        """Per-generation ``bool[N]`` membership array for ``polygon``.
+        """Per-generation membership list for ``polygon``, indexed by node id.
 
         Returns ``None`` for an unhashable polygon — callers then fall
         back to the scalar :func:`~repro.geom.point_in_polygon` test.
@@ -197,7 +202,7 @@ class WirelessNetwork:
             tester = self._polygon_testers.get(polygon)
             if tester is None:
                 tester = self._polygon_testers[polygon] = PolygonTester(polygon)
-            members = tester.contains(self._grid.positions)
+            members = tester.contains(self._grid.positions).tolist()
             self._polygon_cache[polygon] = members
         return members
 
@@ -211,8 +216,11 @@ class WirelessNetwork:
         self._refresh_positions()
         return self._grid.positions
 
-    def neighbors_of(self, node_id: int) -> np.ndarray:
-        """Live nodes currently within radio range of ``node_id``."""
+    def neighbors_of(self, node_id: int) -> List[int]:
+        """Live nodes currently within radio range of ``node_id``.
+
+        The list is the spatial index's memo: callers must not mutate it.
+        """
         self._refresh_positions()
         return self._grid.neighbors_of(node_id, self.radio.range_m)
 
@@ -265,7 +273,7 @@ class WirelessNetwork:
         """
         if now is None:
             now = self.sim.now
-        return np.maximum(self._busy_until - now, 0.0)
+        return np.maximum(np.asarray(self._busy_until) - now, 0.0)
 
     def _hop_delay(self, src: int, size_bytes: float) -> float:
         """Delay from now until this transmission completes.
@@ -277,12 +285,16 @@ class WirelessNetwork:
         flood — therefore queues, as on a real shared medium.
         """
         now = self.sim.now
-        start = max(now, float(self._busy_until[src]))
-        # Same stream position and bit-identical value as
-        # ``rng.uniform(0.0, j)`` (which computes ``0.0 + j * u``), one
-        # cheaper Generator call.
-        jitter = self.rng.random() * self.radio.max_jitter_s
-        end = start + self.radio.tx_delay(size_bytes) + jitter
+        start = max(now, self._busy_until[src])
+        # The "mac" stream feeds nothing else, so its draws are fetched a
+        # block at a time: ``rng.random(n)`` yields the same doubles as n
+        # calls of ``rng.random()``, and scaling them elementwise gives
+        # the values ``rng.random() * max_jitter_s`` would, in order.
+        jitters = self._jitters
+        if not jitters:
+            block = self.rng.random(_JITTER_BLOCK) * self.radio.max_jitter_s
+            jitters = self._jitters = block[::-1].tolist()
+        end = start + self.radio.tx_delay(size_bytes) + jitters.pop()
         self._busy_until[src] = end
         return end - now
 
@@ -310,15 +322,16 @@ class WirelessNetwork:
 
     # -- transmission primitives -----------------------------------------
 
-    def broadcast(self, src: int, packet: Packet) -> np.ndarray:
+    def broadcast(self, src: int, packet: Packet) -> List[int]:
         """One-hop broadcast from ``src``.
 
         Every live node in radio range receives the packet after one MAC
         delay.  Energy: broadcast-send for the sender, broadcast-receive
-        for each in-range node (paper eq. 8).  Returns the receiver ids.
+        for each in-range node (paper eq. 8).  Returns the receiver ids
+        (the neighbor memo's list: callers must not mutate it).
         """
         if not self.alive[src]:
-            return np.empty(0, dtype=np.intp)
+            return []
         receivers = self.neighbors_of(src)
         size = packet.size_bytes
         attributor = self.energy.observer
@@ -326,7 +339,7 @@ class WirelessNetwork:
             attributor.open(packet, sender=src)
         try:
             self.energy.charge_bcast_send(src, size)
-            self.energy.charge_bcast_recv(receivers, size, unique=True)
+            self.energy.charge_bcast_recv(receivers, size)
         finally:
             if attributor is not None:
                 attributor.close()
@@ -338,11 +351,10 @@ class WirelessNetwork:
             # single batch event delivering in receiver order is
             # order-equivalent to one event per receiver.  Fault filters
             # can perturb per-receiver timing, so they keep the loop.
-            if receivers.size:
+            if receivers:
                 self.sim.schedule(delay, self._deliver_batch, receivers, packet)
             return receivers
         for receiver in receivers:
-            receiver = int(receiver)
             deliveries = self._filter_delivery(src, receiver, packet)
             if deliveries is None:
                 self.stats.count("net.broadcast_dropped.injected")
@@ -374,13 +386,13 @@ class WirelessNetwork:
             self.energy.charge_p2p_send(src, size)
             self._count_sent("net.unicast_sent", packet.category, size)
             neighbors = self.neighbors_of(src)
-            others = neighbors != dst
-            self.energy.charge_discard(neighbors[others], size, unique=True)
+            overhearers = [node for node in neighbors if node != dst]
+            self.energy.charge_discard(overhearers, size)
             if not self.alive[dst]:
                 self.stats.count("net.unicast_dropped")
                 self.stats.count("net.unicast_dropped.dead")
                 return False
-            if others.all():  # dst not among the neighbors
+            if len(overhearers) == len(neighbors):  # dst not among the neighbors
                 self.stats.count("net.unicast_dropped")
                 self.stats.count("net.unicast_dropped.out_of_range")
                 return False
@@ -392,7 +404,7 @@ class WirelessNetwork:
                 # frame) but never reaches the application.
                 self.stats.count("net.unicast_dropped")
                 self.stats.count("net.unicast_dropped.injected")
-                self.energy.charge_discard(np.asarray([dst]), size)
+                self.energy.charge_discard((dst,), size)
                 return True
             self.energy.charge_p2p_recv(dst, size)
             for extra in deliveries:
@@ -425,7 +437,7 @@ class WirelessNetwork:
         if self._receive_handler is not None:
             self._receive_handler(node_id, packet)
 
-    def _deliver_batch(self, receivers: np.ndarray, packet: Packet) -> None:
+    def _deliver_batch(self, receivers: List[int], packet: Packet) -> None:
         """Deliver one broadcast to all its receivers in a single event.
 
         One heap entry stands in for ``len(receivers)`` logical delivery
@@ -439,16 +451,17 @@ class WirelessNetwork:
         event's execution reads the counter in between.
         """
         self.sim.events_executed += len(receivers) - 1
-        live = receivers[self.alive[receivers]]
-        if live.size == 0:
+        alive = self.alive
+        live = [node for node in receivers if alive[node]]
+        if not live:
             return
-        self.stats.count("net.delivered", int(live.size))
+        self.stats.count("net.delivered", len(live))
         batch_handler = self._batch_receive_handler
         if batch_handler is not None and batch_handler(live, packet):
             return
         handler = self._receive_handler
         if handler is not None:
-            for receiver in live.tolist():
+            for receiver in live:
                 handler(receiver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,7 +15,10 @@ Positions are frozen within a generation, so per-node query results are
 pure functions of (generation, node) — the grid memoizes
 :meth:`neighbors_of` per (generation, radius), filling a whole cell's
 occupants in one vectorized pass the first time any of them asks.
-The cached arrays are built by exactly the same candidate-ordering and
+Each answer is memoized as a plain ``list[int]``: the radio walks it
+once per transmission, which Python does faster than numpy can on
+neighborhoods of a dozen nodes.
+The cached lists are built by exactly the same candidate-ordering and
 distance arithmetic as the :meth:`within_range` cell walk (3x3 cell
 block in row-major order, ascending node id within each cell, float64
 ops elementwise identical), so memoized and walked answers are
@@ -62,7 +65,7 @@ class SpatialGrid:
         self._cell_of: Optional[np.ndarray] = None  # per-node clamped cell id
         self._rows: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
-        self._neighbor_cache: Dict[int, np.ndarray] = {}
+        self._neighbor_cache: Dict[int, List[int]] = {}
         self._cache_radius: Optional[float] = None
         #: Above this many live nodes the one-shot all-pairs fill would
         #: need O(L^2) memory; larger populations fill cell by cell.
@@ -148,11 +151,11 @@ class SpatialGrid:
         dist_sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
         return cand[dist_sq <= radius * radius]
 
-    def neighbors_of(self, node_id: int, radius: float) -> np.ndarray:
+    def neighbors_of(self, node_id: int, radius: float) -> List[int]:
         """Live nodes within ``radius`` of ``node_id``, excluding itself.
 
         Results are memoized per (topology generation, radius); the
-        returned array is shared across calls and must not be mutated by
+        returned list is shared across calls and must not be mutated by
         callers.  Dead nodes are not memoized and take the cell walk.
         """
         if self._positions is None:
@@ -170,7 +173,7 @@ class SpatialGrid:
             return cached
         point = (float(self._positions[node_id, 0]), float(self._positions[node_id, 1]))
         ids = self.within_range(point, radius)
-        return ids[ids != node_id]
+        return ids[ids != node_id].tolist()
 
     def _bulk_fill_neighbor_cache(self, radius: float) -> None:
         """Memoize every live node's neighbor set in one vectorized pass.
@@ -201,25 +204,21 @@ class SpatialGrid:
         cols = self._cols[live_ids]
         ii, jj = np.nonzero(mask)
         cache = self._neighbor_cache
+        for nid in live_ids.tolist():
+            cache[nid] = []
         if ii.size == 0:
-            empty = np.empty(0, dtype=np.intp)
-            for nid in live_ids.tolist():
-                cache[nid] = empty
             return
         block = (rows[jj] - rows[ii] + 1) * 3 + (cols[jj] - cols[ii] + 1)
         order = np.lexsort((jj, block, ii))
         ii = ii[order]
-        neighbors_sorted = live_ids[jj[order]]
-        starts = np.flatnonzero(np.diff(ii)) + 1
-        bounds = np.concatenate([[0], starts, [ii.size]])
-        empty = np.empty(0, dtype=np.intp)
-        for nid in live_ids.tolist():
-            cache[nid] = empty
-        for k in range(bounds.size - 1):
-            s = int(bounds[k])
-            cache[int(live_ids[ii[s]])] = neighbors_sorted[s : int(bounds[k + 1])]
+        neighbors_sorted = live_ids[jj[order]].tolist()
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(ii)) + 1])
+        bounds = starts.tolist() + [ii.size]
+        owners = live_ids[ii[starts]].tolist()
+        for k, owner in enumerate(owners):
+            cache[owner] = neighbors_sorted[bounds[k] : bounds[k + 1]]
 
-    def _fill_neighbor_cache(self, node_id: int, radius: float) -> Optional[np.ndarray]:
+    def _fill_neighbor_cache(self, node_id: int, radius: float) -> Optional[List[int]]:
         """Memoize neighbor sets for every live occupant of ``node_id``'s cell.
 
         All occupants of a cell share the same 3x3 candidate block, so
@@ -255,7 +254,7 @@ class SpatialGrid:
         cache = self._neighbor_cache
         for k, occupant in enumerate(bucket.tolist()):
             ids = cand[mask[k]]
-            cache[occupant] = ids[ids != occupant]
+            cache[occupant] = ids[ids != occupant].tolist()
         return cache[node_id]
 
     def position_of(self, node_id: int) -> Point:

@@ -79,8 +79,9 @@ class FloodEnvelope:
     per-copy ``path`` list, letting baseline schemes send responses back
     along the reverse path.
 
-    ``seen`` is the flood's duplicate-suppression mask (``bool[n_nodes]``,
-    "this node already processed the flood"), created by
+    ``seen`` is the flood's duplicate-suppression mask (a
+    ``bytearray(n_nodes)``, non-zero where "this node already processed
+    the flood"), created by
     :meth:`~repro.routing.flooding.Flooder.flood` and shared by reference
     with every hop copy, so it lives exactly as long as some copy of the
     flood is in flight.

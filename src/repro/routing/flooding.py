@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
 from repro.routing.envelopes import FloodEnvelope
@@ -53,11 +51,10 @@ class Flooder:
         """
         if envelope.record_path:
             envelope = envelope.hop_copy(via=origin, ttl=envelope.ttl)
-        # Duplicate suppression: one bool[n_nodes] "processed" mask per
-        # flood, shared by every hop copy.  A whole receiver batch dedups
-        # in one fancy-indexed read instead of per-node set probes.
-        seen = envelope.seen = np.zeros(self._n_nodes, dtype=bool)
-        seen[origin] = True
+        # Duplicate suppression: one byte per node ("processed this
+        # flood"), shared by every hop copy.
+        seen = envelope.seen = bytearray(self._n_nodes)
+        seen[origin] = 1
         packet = Packet(
             payload=envelope,
             size_bytes=size_bytes,
@@ -82,7 +79,7 @@ class Flooder:
         if seen[node_id]:
             self.stats.count("flood.duplicate")
             return False
-        seen[node_id] = True
+        seen[node_id] = 1
 
         # Region scoping: out-of-region nodes drop without processing.
         # Membership goes through the network's per-generation memo (the
@@ -104,7 +101,7 @@ class Flooder:
         """Process one broadcast's whole receiver batch in order.
 
         ``receivers`` must be free of intra-batch duplicates — the
-        caller passes one broadcast's neighbor array, whose ids are
+        caller passes one broadcast's neighbor list, whose ids are
         unique by construction (duplicate *suppression* is about the
         same node hearing different broadcasts of the same flood).
 
@@ -118,27 +115,28 @@ class Flooder:
         """
         envelope: FloodEnvelope = packet.payload
         seen = envelope.seen
-        dup_mask = seen[receivers]
-        duplicates = int(dup_mask.sum())
-        fresh = receivers[~dup_mask] if duplicates else receivers
-        seen[fresh] = True
+        fresh = []
+        for node_id in receivers:
+            if not seen[node_id]:
+                seen[node_id] = 1
+                fresh.append(node_id)
+        duplicates = len(receivers) - len(fresh)
         region = envelope.region
         network = self.network
         out_of_scope = 0
         scalar_scope_check = False
-        if region is not None and fresh.size:
+        if region is not None and fresh:
             members = network.polygon_members(region)
             if members is None:
                 scalar_scope_check = True  # unhashable region: per-node test
             else:
-                in_scope = members[fresh]
-                out_of_scope = fresh.size - int(in_scope.sum())
-                if out_of_scope:
-                    fresh = fresh[in_scope]
+                in_scope = [node_id for node_id in fresh if members[node_id]]
+                out_of_scope = len(fresh) - len(in_scope)
+                fresh = in_scope
         ttl = envelope.ttl
         next_ttl = None if ttl is None else ttl - 1
         inner = envelope.inner
-        for node_id in fresh.tolist():
+        for node_id in fresh:
             if scalar_scope_check and not network.node_in_polygon(node_id, region):
                 out_of_scope += 1
                 continue

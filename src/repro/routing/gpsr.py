@@ -30,7 +30,7 @@ region center.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class GpsrRouter:
         self.stats = network.stats
         # Memos keyed on the network's topology generation (positions
         # are frozen within one): the planar neighbor set + its edge
-        # angles per node, and the gathered neighbor-position array per
+        # angles per node, and the gathered neighbor x and y columns per
         # node.  Contents are bit-identical to a per-packet recompute.
         self._angle_cache: dict = {}
         self._nbr_pos_cache: dict = {}
@@ -104,19 +104,18 @@ class GpsrRouter:
         pos = self.network.position_of(node_id)
         return distance(pos, envelope.dest_point) <= envelope.arrival_radius
 
-    def handle(self, node_id: int, packet: Packet) -> bool:
+    def handle(self, node_id: int, packet: Packet, arrived: bool) -> None:
         """Process a geo-routed packet at a receiving node.
 
-        Returns True if the packet has arrived (caller delivers the inner
-        payload to the application); otherwise the packet was forwarded
-        (or dropped) and False is returned.
+        ``arrived`` is the caller's :meth:`arrived` verdict for this
+        reception (a pure function of topology generation, node and
+        envelope, so it is computed once).  An arrived packet is left
+        for the caller to deliver; otherwise it is forwarded (or
+        dropped).
         """
-        envelope: GeoEnvelope = packet.payload
-        envelope.path.append(node_id)
-        if self.arrived(node_id, envelope):
-            return True
-        self._forward(node_id, packet)
-        return False
+        packet.payload.path.append(node_id)
+        if not arrived:
+            self._forward(node_id, packet)
 
     # -- forwarding machinery ----------------------------------------------
 
@@ -128,7 +127,7 @@ class GpsrRouter:
         envelope.hops_remaining -= 1
 
         neighbors = self.network.neighbors_of(node_id)
-        if neighbors.size == 0:
+        if not neighbors:
             self._drop(node_id, packet, "isolated")
             return
 
@@ -184,25 +183,33 @@ class GpsrRouter:
         node_id: int,
         here,
         dest,
-        neighbors: np.ndarray,
+        neighbors: List[int],
         positions: np.ndarray,
     ) -> Optional[int]:
-        """Neighbor strictly closer to dest than we are, else None."""
-        nbr_pos = self._nbr_pos_cache.get(node_id)
-        if nbr_pos is None:
-            nbr_pos = self._nbr_pos_cache[node_id] = positions[neighbors]
-        diff = nbr_pos - np.asarray(dest, dtype=float)
-        dists = np.hypot(diff[:, 0], diff[:, 1])
-        best = int(np.argmin(dists))
+        """Neighbor strictly closer to dest than we are, else None.
+
+        Distances stay ``np.hypot``: ``math.hypot`` rounds differently in
+        the last bit on some inputs, and a different tie would split the
+        digests.
+        """
+        columns = self._nbr_pos_cache.get(node_id)
+        if columns is None:
+            columns = self._nbr_pos_cache[node_id] = (
+                positions[neighbors, 0],
+                positions[neighbors, 1],
+            )
+        xs, ys = columns
+        dists = np.hypot(xs - dest[0], ys - dest[1])
+        best = int(dists.argmin())
         if dists[best] < distance(here, dest):
-            return int(neighbors[best])
+            return neighbors[best]
         return None
 
     def _planar_with_angles(
         self,
         node_id: int,
         here,
-        neighbors: np.ndarray,
+        neighbors: List[int],
         positions: np.ndarray,
     ):
         """Planar neighbor ids of ``node_id`` with their edge angles.
@@ -218,7 +225,9 @@ class GpsrRouter:
         if cached is not None:
             return cached
         planar = self.planarizer(
-            np.asarray(here, dtype=float), positions[neighbors], neighbors
+            np.asarray(here, dtype=float),
+            positions[neighbors],
+            np.asarray(neighbors, dtype=np.intp),
         )
         planar_ids = [int(nid) for nid in planar]
         angles = [
@@ -233,7 +242,7 @@ class GpsrRouter:
         node_id: int,
         here,
         envelope: GeoEnvelope,
-        neighbors: np.ndarray,
+        neighbors: List[int],
         positions: np.ndarray,
     ) -> Optional[int]:
         """Right-hand-rule next hop on the planarized neighbor set."""

@@ -143,14 +143,17 @@ class NetworkStack:
     def _on_receive(self, node_id: int, packet: Packet) -> None:
         payload = packet.payload
         if isinstance(payload, GeoEnvelope):
-            if self._intercept_handler is not None and not self.router.arrived(
-                node_id, payload
+            arrived = self.router.arrived(node_id, payload)
+            if (
+                not arrived
+                and self._intercept_handler is not None
+                and self._intercept_handler(node_id, payload.inner, packet)
             ):
-                if self._intercept_handler(node_id, payload.inner, packet):
-                    self.stats.count("stack.intercepted")
-                    self._deliver(node_id, payload.inner, packet)
-                    return
-            if self.router.handle(node_id, packet):
+                self.stats.count("stack.intercepted")
+                self._deliver(node_id, payload.inner, packet)
+                return
+            self.router.handle(node_id, packet, arrived)
+            if arrived:
                 self._deliver(node_id, payload.inner, packet)
         elif isinstance(payload, FloodEnvelope):
             if self.flooder.handle(node_id, packet):

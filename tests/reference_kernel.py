@@ -10,7 +10,9 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
   unhashable polygon always takes) instead of the vectorized memo,
 * every broadcast schedules one delivery event per receiver (the path a
   fault filter always forces) instead of one batch event, so floods are
-  handled per node and HELLO beacons are dispatched per receiver, and
+  handled per node and HELLO beacons are dispatched per receiver,
+* MAC jitter is drawn one scalar ``rng.random()`` per hop instead of
+  from the radio's block of pre-drawn values, and
 * GPSR recomputes neighbor positions and planarization per decision.
 
 The golden-digest suite requires a degraded run to fingerprint
@@ -26,7 +28,17 @@ from repro.faults.audit import SCENARIOS, RunDigest, eventlog_digest, report_dig
 def walk_neighbors(grid, node_id: int, radius: float):
     """``SpatialGrid.neighbors_of`` by the uncached cell walk."""
     ids = grid.within_range(grid.position_of(node_id), radius)
-    return ids[ids != node_id]
+    return [nid for nid in ids.tolist() if nid != node_id]
+
+
+def scalar_hop_delay(radio, src: int, size_bytes: float) -> float:
+    """``WirelessNetwork._hop_delay`` with one Generator call per hop."""
+    now = radio.sim.now
+    start = max(now, radio._busy_until[src])
+    jitter = radio.rng.random() * radio.radio.max_jitter_s
+    end = start + radio.radio.tx_delay(size_bytes) + jitter
+    radio._busy_until[src] = end
+    return end - now
 
 
 def _pass_through(src, dst, packet):
@@ -39,15 +51,18 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     grid = radio._grid
     grid.neighbors_of = lambda node_id, radius: walk_neighbors(grid, node_id, radius)
     radio.polygon_members = lambda polygon: None
+    radio._hop_delay = lambda src, size_bytes: scalar_hop_delay(radio, src, size_bytes)
     if radio._fault_filter is None:
         radio.set_fault_filter(_pass_through)
     router = net.stack.router
     forward = router._forward
 
     def forward_unmemoized(node_id, packet):
-        router._angle_cache.clear()
-        router._nbr_pos_cache.clear()
-        forward(node_id, packet)
+        try:
+            forward(node_id, packet)
+        finally:
+            router._angle_cache.clear()
+            router._nbr_pos_cache.clear()
 
     router._forward = forward_unmemoized
     return net
@@ -58,7 +73,10 @@ def run_reference_scenario(name: str, seed: int = 42) -> RunDigest:
     net = degrade(PReCinCtNetwork(SCENARIOS[name](seed)))
     report = net.run()
     # A memo that filled means the oracle ran production paths.
-    assert not net.network._grid._neighbor_cache and not net.network._polygon_cache
+    radio, router = net.network, net.stack.router
+    assert not radio._grid._neighbor_cache and not radio._polygon_cache
+    assert not radio._jitters
+    assert not router._angle_cache and not router._nbr_pos_cache
     return RunDigest(
         scenario=name,
         seed=seed,

@@ -49,7 +49,7 @@ class TestEnergyLedger:
         assert ledger.total() == 0.0
 
     def test_duplicate_receivers_charged_twice(self):
-        """np.add.at semantics: repeated ids accumulate."""
+        """Repeated ids accumulate: one charge per occurrence."""
         ledger = EnergyLedger(3)
         ledger.charge_bcast_recv(np.array([1, 1]), 100)
         assert ledger.node_total(1) == pytest.approx(2 * (0.5 * 100 + 56))
@@ -82,3 +82,95 @@ class TestEnergyLedger:
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             EnergyLedger(0)
+
+
+# ---------------------------------------------------------------------------
+# The list-backed ledger against a numpy-array reference, bit for bit
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+class NumpyLedger:
+    """The array ledger the list ledger replaced: ``np.add.at`` charges,
+    ``ndarray.sum()`` reductions."""
+
+    def __init__(self, n_nodes, params):
+        self.params = params
+        self.arrays = {cat: np.zeros(n_nodes) for cat in EnergyLedger.CATEGORIES}
+
+    def charge(self, category, nodes, size):
+        cost = getattr(self.params, category)(size)
+        nodes = np.asarray(nodes, dtype=np.intp)
+        np.add.at(self.arrays[category], nodes, cost)
+        return cost * nodes.size
+
+    def reset(self):
+        for arr in self.arrays.values():
+            arr.fill(0.0)
+
+    def total(self):
+        return float(sum(arr.sum() for arr in self.arrays.values()))
+
+    def total_by_category(self):
+        return {cat: float(arr.sum()) for cat, arr in self.arrays.items()}
+
+    def per_node(self):
+        out = np.zeros(next(iter(self.arrays.values())).size)
+        for arr in self.arrays.values():
+            out += arr
+        return out
+
+
+#: Above numpy's 8-wide unrolled block, so ``ndarray.sum()`` is not a
+#: left-to-right sum and a reader that summed the lists directly would
+#: round differently.
+N_NODES = 40
+_SIZES = st.floats(min_value=0.0, max_value=1e5, allow_nan=False, allow_infinity=False)
+_NODE = st.integers(0, N_NODES - 1)
+_OP = st.one_of(
+    st.tuples(st.sampled_from(["p2p_send", "p2p_recv", "bcast_send"]), _NODE, _SIZES),
+    # Per-receiver charges: empty sets and repeated ids included.
+    st.tuples(st.sampled_from(["bcast_recv", "discard"]),
+              st.lists(_NODE, max_size=60), _SIZES),
+    st.just(("reset", None, None)),
+)
+
+
+class TestListLedgerMatchesArrayLedger:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_OP, max_size=80))
+    def test_bit_equal_to_numpy_reference(self, ops):
+        params = EnergyParams(m_p2p_send=1.9, b_p2p_send=454.1, m_discard=0.3)
+        ledger, ref = EnergyLedger(N_NODES, params), NumpyLedger(N_NODES, params)
+        methods = {
+            "p2p_send": ledger.charge_p2p_send,
+            "p2p_recv": ledger.charge_p2p_recv,
+            "bcast_send": ledger.charge_bcast_send,
+            "bcast_recv": ledger.charge_bcast_recv,
+            "discard": ledger.charge_discard,
+        }
+        for kind, nodes, size in ops:
+            if kind == "reset":
+                ledger.reset()
+                ref.reset()
+                continue
+            got = methods[kind](nodes, size)
+            want = ref.charge(kind, [nodes] if isinstance(nodes, int) else nodes, size)
+            assert got == want
+        for cat in EnergyLedger.CATEGORIES:
+            assert (np.asarray(ledger._by_category[cat]).tobytes()
+                    == ref.arrays[cat].tobytes()), cat
+        assert ledger.total() == ref.total()
+        assert ledger.total_by_category() == ref.total_by_category()
+        assert ledger.per_node().tobytes() == ref.per_node().tobytes()
+        for node in range(N_NODES):
+            assert ledger.node_total(node) == float(
+                sum(arr[node] for arr in ref.arrays.values()))
+
+    def test_charges_accept_ndarrays_and_lists_alike(self):
+        a, b = EnergyLedger(4), EnergyLedger(4)
+        a.charge_bcast_recv(np.array([3, 1, 3]), 70.0)
+        b.charge_bcast_recv([3, 1, 3], 70.0)
+        assert a.per_node().tolist() == b.per_node().tolist()

@@ -5,8 +5,11 @@ The ports-and-adapters redesign promises that the policy core —
 and :mod:`repro.ports` — can be hosted in a runtime that has *no*
 simulation kernel and *no* radio stack.  These tests make the promise
 mechanical: they import and exercise the core in a subprocess where
-``repro.sim`` and ``repro.net`` are blocked at the import-machinery
-level, so any direct or transitive import of either fails loudly.
+the simulator's own packages — the kernel (``repro.sim``), the radio
+(``repro.net``), routing, the energy model and mobility — are blocked
+at the import-machinery level, so any direct or transitive import of
+one fails loudly.  That also keeps simulator-only work out of every
+module the edge-cache service loads.
 
 A subprocess (rather than an in-process ``sys.modules`` dance) keeps
 the check honest: nothing another test imported earlier can mask a
@@ -20,11 +23,14 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Installed before any repro import: a meta-path finder that refuses
-#: to load the simulation kernel or the radio stack.
+#: to load the simulation kernel, the radio stack or the other
+#: simulator-only packages.
 BLOCKER = """
 import sys
 
-BLOCKED = ("repro.sim", "repro.net")
+BLOCKED = (
+    "repro.sim", "repro.net", "repro.routing", "repro.energy", "repro.mobility",
+)
 
 class Blocker:
     def find_spec(self, name, path=None, target=None):
@@ -114,10 +120,11 @@ class TestCoreImportIsolation:
         assert "SURVIVAL-CLEAN" in result.stdout
 
     def test_blocker_actually_blocks(self):
-        """Sanity: the meta-path hook really refuses repro.sim."""
-        result = run_blocked("import repro.sim\n")
-        assert result.returncode != 0
-        assert "BLOCKED" in result.stderr
+        """Sanity: the meta-path hook really refuses each blocked package."""
+        for module in ("repro.sim", "repro.routing", "repro.energy", "repro.mobility"):
+            result = run_blocked(f"import {module}\n")
+            assert result.returncode != 0, module
+            assert "BLOCKED" in result.stderr, module
 
     def test_sim_adapters_satisfy_the_ports(self):
         """In-process: the simulation's own objects fit the protocols."""

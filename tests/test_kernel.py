@@ -13,7 +13,10 @@ so a divergence points at the responsible layer:
   *order* (neighbor order feeds RNG draw order downstream);
 * ``Flooder.handle_batch`` vs per-receiver ``handle`` — same
   deliveries, same delivery order, same duplicate/out-of-scope counter
-  totals.
+  totals;
+* and, by count, that the radio's per-transmission path (broadcast,
+  unicast, batch delivery, flood dedup and scoping) makes no numpy call
+  once the topology generation's memos are filled.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ class TestGridNeighborOrderExactness:
         for nid in live.tolist():
             a = grid.neighbors_of(nid, radius)
             b = walk_neighbors(grid, nid, radius)
-            assert a.tolist() == b.tolist(), f"node {nid}"
+            assert type(a) is list and a == b, f"node {nid}"
         assert grid._cache_radius == radius
         assert set(grid._neighbor_cache) == set(live.tolist())
 
@@ -114,15 +117,15 @@ class TestGridNeighborOrderExactness:
         percell, _, _ = _grid_with_nodes()
         percell.bulk_fill_limit = 0
         for nid in live.tolist():
-            want = walk_neighbors(bulk, nid, radius).tolist()
-            assert bulk.neighbors_of(nid, radius).tolist() == want
-            assert percell.neighbors_of(nid, radius).tolist() == want
+            want = walk_neighbors(bulk, nid, radius)
+            assert bulk.neighbors_of(nid, radius) == want
+            assert percell.neighbors_of(nid, radius) == want
 
     def test_dead_node_takes_the_walk(self):
         grid, live, radius = _grid_with_nodes(alive_frac=0.7)
         dead = next(i for i in range(120) if i not in set(live.tolist()))
         got = grid.neighbors_of(dead, radius)
-        assert got.tolist() == walk_neighbors(grid, dead, radius).tolist()
+        assert got == walk_neighbors(grid, dead, radius)
         assert dead not in grid._neighbor_cache
 
     @pytest.mark.parametrize("bulk_fill_limit", [1500, 0])
@@ -135,8 +138,8 @@ class TestGridNeighborOrderExactness:
         grid.bulk_fill_limit = bulk_fill_limit
         for r in (radius, 0.4 * radius, radius):
             for nid in live.tolist():
-                assert (grid.neighbors_of(nid, r).tolist()
-                        == walk_neighbors(grid, nid, r).tolist()), (nid, r)
+                assert (grid.neighbors_of(nid, r)
+                        == walk_neighbors(grid, nid, r)), (nid, r)
             assert grid._cache_radius == r
 
     def test_oversize_radius_rejected_cached_and_uncached(self):
@@ -178,7 +181,7 @@ class _StubNetwork:
         self.sim = Simulator()
         self.stats = StatRegistry()
         self.broadcasts = []
-        self._members = members  # bool[n] or None
+        self._members = members  # list[bool] or None
 
     def broadcast(self, origin, packet):
         self.broadcasts.append((origin, packet.payload.ttl))
@@ -187,8 +190,7 @@ class _StubNetwork:
         return self._members
 
     def node_in_polygon(self, node_id, polygon):
-        return bool(self._members[node_id]) if self._members is not None \
-            else True
+        return self._members[node_id] if self._members is not None else True
 
 
 def _flood_fixture(n=10, members=None, ttl=None, region=None):
@@ -199,7 +201,7 @@ def _flood_fixture(n=10, members=None, ttl=None, region=None):
     net = _StubNetwork(n, members=members)
     flooder = Flooder(net)
     env = FloodEnvelope(inner=("payload",), origin=0, ttl=ttl, region=region,
-                        seen=np.zeros(n, dtype=bool))
+                        seen=bytearray(n))
     packet = Packet(payload=env, size_bytes=100.0, src=0, created_at=0.0)
     return net, flooder, packet
 
@@ -213,8 +215,7 @@ class TestHandleBatchEquivalence:
         delivered = []
         for batch in batches:
             flooder.handle_batch(
-                np.asarray(batch, dtype=np.intp), packet,
-                lambda nid, inner, pkt: delivered.append(nid),
+                batch, packet, lambda nid, inner, pkt: delivered.append(nid),
             )
         return net, delivered
 
@@ -242,8 +243,7 @@ class TestHandleBatchEquivalence:
             assert net_b.stats.counter(key).value == net_s.stats.counter(key).value, key
 
     def test_region_scoping_matches_scalar(self):
-        members = np.zeros(10, dtype=bool)
-        members[[1, 3, 5]] = True
+        members = [i in (1, 3, 5) for i in range(10)]
         batches = [[1, 2, 3], [4, 5]]
         region = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
         net_b, got = self._run(batches, members=members, region=region, ttl=2)
@@ -255,8 +255,7 @@ class TestHandleBatchEquivalence:
                 == net_s.stats.counter("flood.out_of_scope").value == 2)
 
     def test_unhashable_region_falls_back_to_scalar_membership(self):
-        members = np.zeros(10, dtype=bool)
-        members[[4, 6]] = True
+        members = [i in (4, 6) for i in range(10)]
 
         net, flooder, packet = _flood_fixture(
             members=members, ttl=None, region=((0.0, 0.0),)
@@ -264,11 +263,90 @@ class TestHandleBatchEquivalence:
         net.polygon_members = lambda polygon: None  # e.g. unhashable region
         delivered = []
         flooder.handle_batch(
-            np.asarray([4, 5, 6], dtype=np.intp), packet,
-            lambda nid, inner, pkt: delivered.append(nid),
+            [4, 5, 6], packet, lambda nid, inner, pkt: delivered.append(nid),
         )
         assert delivered == [4, 6]
         assert net.stats.counter("flood.out_of_scope").value == 1
+
+
+# ---------------------------------------------------------------------------
+# Cost by count: a transmission makes no numpy call once memos are filled
+# ---------------------------------------------------------------------------
+
+def _numpy_calls(stats) -> dict:
+    """Profiled functions that live in numpy, with their call counts.
+
+    cProfile sees numpy's Python functions, builtins and ndarray methods;
+    it does not see ufunc calls, indexing or ``Generator`` methods, so
+    the test counts the radio's random draws through a stand-in stream.
+    """
+    return {
+        f"{path}:{name}": entry[1]
+        for (path, _line, name), entry in stats.stats.items()
+        if "numpy" in path or "numpy" in name
+    }
+
+
+class _CountingStream:
+    """A ``Generator`` stand-in that counts ``random`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self._rng.random(*args)
+
+
+class TestRadioPathMakesNoNumpyCalls:
+    def test_broadcasts_unicasts_and_floods(self):
+        import cProfile
+        import pstats
+
+        from repro.mobility import StationaryModel
+        from repro.net import RadioParams, WirelessNetwork
+        from repro.net.packet import Packet
+        from repro.routing.stack import NetworkStack
+        from repro.sim import Simulator
+
+        n, rounds = 40, 100
+        rng = np.random.default_rng(8)
+        positions = rng.uniform(0.0, 700.0, size=(n, 2))
+        mobility = StationaryModel(n, 700.0, 700.0, rng=rng, positions=positions)
+        # One topology generation for the whole test: no periodic resample.
+        radio = RadioParams(position_refresh_s=1e9)
+        sim = Simulator()
+        stream = _CountingStream(9)
+        net = WirelessNetwork(sim, mobility, rng=stream, radio=radio)
+        stack = NetworkStack(net)
+        heard = []
+        stack.set_app_handler(lambda node, inner, packet: heard.append(node))
+        region = ((0.0, 0.0), (450.0, 0.0), (450.0, 450.0), (0.0, 450.0))
+        pairs = [(src, net.neighbors_of(src)[0]) for src in range(n)
+                 if net.neighbors_of(src)]
+
+        def traffic():
+            for k in range(rounds):
+                stack.direct_send(*pairs[k % len(pairs)], ("u", k), 64.0)
+                net.broadcast(k % n, Packet(payload=("b", k), size_bytes=32.0,
+                                            src=k % n))
+            stack.flood_send(0, ("flood",), 80.0, region=region)
+            stack.flood_send(1, ("flood",), 80.0)
+            sim.run()
+
+        traffic()  # fills the neighbor and membership memos, draws jitter
+        assert len(net._jitters) > 3 * rounds + 2 * n  # no refill below
+        before, draws = len(heard), stream.calls
+        profiler = cProfile.Profile()
+        profiler.enable()
+        traffic()
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        assert len(heard) - before > 3 * rounds  # the traffic was delivered
+        assert stats.total_calls > 10 * rounds
+        assert _numpy_calls(stats) == {}
+        assert stream.calls == draws
 
 
 # ---------------------------------------------------------------------------

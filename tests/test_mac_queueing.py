@@ -85,3 +85,53 @@ class TestTransmitQueue:
             net.unicast(0, 1, Packet(payload="m", size_bytes=200, src=0, dst=1))
         net.sim.run()
         assert times[-1] == pytest.approx(n * tx)
+
+
+class TestBlockDrawnJitter:
+    def test_hop_delays_match_one_scalar_draw_per_hop(self):
+        """The radio fetches its jitter a block at a time; across several
+        refills every hop still gets ``rng.random() * max_jitter_s`` from
+        the same stream position, and the backlog it leaves is the same."""
+        from repro.mobility import StationaryModel
+        from repro.net import WirelessNetwork
+        from repro.net.network import _JITTER_BLOCK
+        from repro.sim import Simulator
+
+        n_nodes = 3
+        sim = Simulator()
+        mobility = StationaryModel(
+            n_nodes, 100.0, 100.0, rng=np.random.default_rng(0),
+            positions=np.zeros((n_nodes, 2)),
+        )
+        net = WirelessNetwork(sim, mobility, rng=np.random.default_rng(2024))
+        twin_rng = np.random.default_rng(2024)
+        busy = [0.0] * n_nodes
+        steps = 2 * _JITTER_BLOCK + 37
+        got, want, backlogs = [], [], []
+
+        def hop(k):
+            src, size = k % n_nodes, 40.0 + (k % 7) * 100.0
+            got.append(net._hop_delay(src, size))
+            now = sim.now
+            start = max(now, busy[src])
+            jitter = twin_rng.random() * net.radio.max_jitter_s
+            end = start + net.radio.tx_delay(size) + jitter
+            busy[src] = end
+            want.append(end - now)
+            backlogs.append((net.mac_backlog().tobytes(),
+                             np.maximum(np.asarray(busy) - now, 0.0).tobytes()))
+
+        for k in range(steps):
+            # Bursts at shared instants queue; the gaps let radios drain.
+            sim.schedule_at(0.004 * (k // 5), hop, k)
+        sim.run()
+        assert len(got) == steps
+        assert got == want
+        assert all(a == b for a, b in backlogs)
+        assert net.mac_backlog().dtype == np.float64
+        # Both streams are at the same position after the last refill.
+        drawn = -(-steps // _JITTER_BLOCK) * _JITTER_BLOCK
+        assert len(net._jitters) == drawn - steps
+        for _ in range(drawn - steps):
+            twin_rng.random()
+        assert net.rng.random() == twin_rng.random()

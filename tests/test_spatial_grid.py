@@ -31,7 +31,7 @@ class TestSpatialGrid:
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [500.0, 500.0]])
         grid = SpatialGrid(1000, 1000, cell_size=250)
         grid.rebuild(positions)
-        n0 = set(grid.neighbors_of(0, 250).tolist())
+        n0 = set(grid.neighbors_of(0, 250))
         assert n0 == {1}
 
     def test_dead_nodes_excluded(self):
@@ -39,7 +39,7 @@ class TestSpatialGrid:
         alive = np.array([True, False, True])
         grid = SpatialGrid(1000, 1000, cell_size=250)
         grid.rebuild(positions, alive)
-        assert set(grid.neighbors_of(0, 250).tolist()) == {2}
+        assert set(grid.neighbors_of(0, 250)) == {2}
 
     def test_neighbors_requeried_at_a_smaller_radius(self):
         # The per-generation memo is keyed on the radius too: a second,
@@ -51,13 +51,13 @@ class TestSpatialGrid:
         for radius in (100.0, 40.0, 100.0):
             for node in range(80):
                 want = brute_force_within(positions, positions[node], radius)
-                assert set(grid.neighbors_of(node, radius).tolist()) == want - {node}
+                assert set(grid.neighbors_of(node, radius)) == want - {node}
 
     def test_radius_inclusive(self):
         positions = np.array([[0.0, 0.0], [250.0, 0.0]])
         grid = SpatialGrid(1000, 1000, cell_size=250)
         grid.rebuild(positions)
-        assert set(grid.neighbors_of(0, 250).tolist()) == {1}
+        assert set(grid.neighbors_of(0, 250)) == {1}
 
     def test_radius_larger_than_cell_rejected(self):
         grid = SpatialGrid(1000, 1000, cell_size=100)
@@ -70,7 +70,7 @@ class TestSpatialGrid:
         positions = np.array([[1000.0, 1000.0], [999.0, 999.0]])
         grid = SpatialGrid(1000, 1000, cell_size=250)
         grid.rebuild(positions)
-        assert set(grid.neighbors_of(0, 250).tolist()) == {1}
+        assert set(grid.neighbors_of(0, 250)) == {1}
 
     def test_query_before_rebuild_raises(self):
         grid = SpatialGrid(100, 100, cell_size=50)
@@ -102,6 +102,6 @@ class TestSpatialGrid:
     def test_rebuild_replaces_old_state(self):
         grid = SpatialGrid(1000, 1000, cell_size=250)
         grid.rebuild(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        assert grid.neighbors_of(0, 250).size == 1
+        assert len(grid.neighbors_of(0, 250)) == 1
         grid.rebuild(np.array([[0.0, 0.0], [900.0, 900.0]]))
-        assert grid.neighbors_of(0, 250).size == 0
+        assert len(grid.neighbors_of(0, 250)) == 0
