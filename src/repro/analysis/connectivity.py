@@ -9,9 +9,11 @@ current positions — the first thing to check when delivery drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.net.topology import SpatialGrid
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.net.network import WirelessNetwork
@@ -19,37 +21,45 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 __all__ = ["ConnectivityReport", "analyze_connectivity", "components"]
 
 
+def _label(
+    n: int, live: Sequence[int], neighbors_of: Callable[[int], List[int]]
+) -> Tuple[np.ndarray, int]:
+    """BFS component labels (-1 for dead nodes) and the live degree sum."""
+    labels = [-1] * n
+    degree_sum = 0
+    current = 0
+    for start in live:
+        if labels[start] != -1:
+            continue
+        labels[start] = current
+        stack = [start]
+        while stack:
+            nbrs = neighbors_of(stack.pop())
+            degree_sum += len(nbrs)
+            for v in nbrs:
+                if labels[v] == -1:
+                    labels[v] = current
+                    stack.append(v)
+        current += 1
+    return np.array(labels, dtype=int), degree_sum
+
+
 def components(positions: np.ndarray, radius: float, alive=None) -> np.ndarray:
     """Connected-component labels of the unit-disk graph.
 
-    Dead nodes get label -1.  BFS over the adjacency derived from
-    pairwise distances — O(N^2) memory, fine for simulation-scale N.
+    Dead nodes get label -1.  BFS over :class:`SpatialGrid` neighbor
+    lists (the radio's squared-distance predicate), so memory is
+    O(N x neighbors), not O(N^2).
     """
-    positions = np.asarray(positions, dtype=float)
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     n = positions.shape[0]
-    if alive is None:
-        alive = np.ones(n, dtype=bool)
-    d = np.hypot(
-        positions[:, 0][:, None] - positions[:, 0][None, :],
-        positions[:, 1][:, None] - positions[:, 1][None, :],
-    )
-    adjacency = (d <= radius) & ~np.eye(n, dtype=bool)
-    adjacency &= alive[:, None] & alive[None, :]
-    labels = np.full(n, -1, dtype=int)
-    current = 0
-    for start in range(n):
-        if labels[start] != -1 or not alive[start]:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adjacency[u]):
-                if labels[v] == -1:
-                    labels[v] = current
-                    stack.append(int(v))
-        current += 1
-    return labels
+    alive = np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
+    # Positions beyond the far edges are clamped into the boundary cells.
+    width, height = positions.max(axis=0) if n else (radius, radius)
+    grid = SpatialGrid(width, height, cell_size=radius)
+    grid.rebuild(positions, alive)
+    live = np.flatnonzero(alive).tolist()
+    return _label(n, live, lambda i: grid.neighbors_of(i, radius))[0]
 
 
 @dataclass(frozen=True)
@@ -75,20 +85,14 @@ class ConnectivityReport:
 
 def analyze_connectivity(network: "WirelessNetwork") -> ConnectivityReport:
     """Connectivity of the network's *current* sampled topology."""
-    positions = network.positions()
-    alive = network.alive
-    labels = components(positions, network.radio.range_m, alive)
-    n_alive = int(alive.sum())
-    live_labels = labels[labels >= 0]
-    if live_labels.size == 0:
+    live = np.flatnonzero(network.alive).tolist()
+    if not live:
         return ConnectivityReport(0, 0, 0.0, 0.0)
-    counts = np.bincount(live_labels)
-    degrees = [
-        len(network.neighbors_of(int(i))) for i in np.flatnonzero(alive)
-    ]
+    labels, degree_sum = _label(network.alive.size, live, network.neighbors_of)
+    counts = np.bincount(labels[labels >= 0])
     return ConnectivityReport(
-        n_alive=n_alive,
+        n_alive=len(live),
         n_components=int(counts.size),
-        largest_fraction=float(counts.max() / n_alive),
-        mean_degree=float(np.mean(degrees)) if degrees else 0.0,
+        largest_fraction=float(counts.max() / len(live)),
+        mean_degree=degree_sum / len(live),
     )

@@ -8,17 +8,21 @@ all in-range nodes of a point lie in its 3x3 cell neighborhood.
 
 The index is rebuilt from a full ``(N, 2)`` position array (a single
 vectorized pass); the owning :class:`~repro.net.network.WirelessNetwork`
-refreshes it lazily as simulation time advances.
+refreshes it lazily as simulation time advances.  It is one cell-sorted
+table: live node ids sorted by cell (ascending id within a cell) plus
+per-cell start offsets, so the three cells of one block row are one
+contiguous slice.
 
 Each rebuild starts a new *topology generation* (monotone counter).
 Positions are frozen within a generation, so per-node query results are
 pure functions of (generation, node) — the grid memoizes
-:meth:`neighbors_of` per (generation, radius), filling a whole cell's
-occupants in one vectorized pass the first time any of them asks.
+:meth:`neighbors_of` per (generation, radius), filling every live node's
+list in one vectorized pass over the table the first time any node asks.
+That pass costs O(live nodes x block occupancy); nothing in it is N x N.
 Each answer is memoized as a plain ``list[int]``: the radio walks it
 once per transmission, which Python does faster than numpy can on
 neighborhoods of a dozen nodes.
-The cached lists are built by exactly the same candidate-ordering and
+The cached lists are built by exactly the same candidate ordering and
 distance arithmetic as the :meth:`within_range` cell walk (3x3 cell
 block in row-major order, ascending node id within each cell, float64
 ops elementwise identical), so memoized and walked answers are
@@ -34,6 +38,8 @@ import numpy as np
 from repro.geom import Point
 
 __all__ = ["SpatialGrid"]
+
+_BLOCK_ROWS = np.array([-1, 0, 1])
 
 
 class SpatialGrid:
@@ -57,19 +63,14 @@ class SpatialGrid:
         self.n_cols = max(1, int(np.ceil(width / cell_size)))
         self.n_rows = max(1, int(np.ceil(height / cell_size)))
         self._positions: Optional[np.ndarray] = None
-        self._alive: Optional[np.ndarray] = None
-        # cell id -> array of node ids in that cell (live nodes only)
-        self._cells: Dict[int, np.ndarray] = {}
         #: Monotone rebuild counter; consumers key per-topology caches on it.
         self.generation = 0
         self._cell_of: Optional[np.ndarray] = None  # per-node clamped cell id
-        self._rows: Optional[np.ndarray] = None
-        self._cols: Optional[np.ndarray] = None
+        # Live node ids sorted by cell; cell c holds _ids[_offsets[c]:_offsets[c + 1]].
+        self._ids: Optional[np.ndarray] = None
+        self._offsets: Optional[np.ndarray] = None
         self._neighbor_cache: Dict[int, List[int]] = {}
         self._cache_radius: Optional[float] = None
-        #: Above this many live nodes the one-shot all-pairs fill would
-        #: need O(L^2) memory; larger populations fill cell by cell.
-        self.bulk_fill_limit = 1500
 
     # -- building --------------------------------------------------------
 
@@ -80,63 +81,23 @@ class SpatialGrid:
         from all queries (they neither receive nor forward).
         """
         positions = np.asarray(positions, dtype=float)
-        n = positions.shape[0]
-        if alive is None:
-            alive = np.ones(n, dtype=bool)
-        self._positions = positions
-        self._alive = alive
         cols = np.clip((positions[:, 0] / self.cell_size).astype(np.intp), 0, self.n_cols - 1)
         rows = np.clip((positions[:, 1] / self.cell_size).astype(np.intp), 0, self.n_rows - 1)
-        cell_ids = rows * self.n_cols + cols
-        live_ids = np.flatnonzero(alive)
-        self._cells = {}
+        cell_of = rows * self.n_cols + cols
+        live = np.arange(positions.shape[0]) if alive is None else np.flatnonzero(alive)
+        live_cells = cell_of[live]
+        self._positions = positions
+        self._cell_of = cell_of
+        self._ids = live[np.argsort(live_cells, kind="stable")]
+        counts = np.bincount(live_cells, minlength=self.n_rows * self.n_cols)
+        self._offsets = np.concatenate(([0], np.cumsum(counts)))
         self.generation += 1
-        self._cell_of = cell_ids
-        self._rows = rows
-        self._cols = cols
         self._neighbor_cache = {}
         self._cache_radius = None
-        if live_ids.size == 0:
-            return
-        live_cells = cell_ids[live_ids]
-        order = np.argsort(live_cells, kind="stable")
-        sorted_cells = live_cells[order]
-        sorted_ids = live_ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_cells)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [sorted_cells.size]])
-        for s, e in zip(starts, ends):
-            self._cells[int(sorted_cells[s])] = sorted_ids[s:e]
 
     # -- queries ---------------------------------------------------------
 
-    def _candidates_near(self, point: Point) -> np.ndarray:
-        """Node ids in the 3x3 cell block around ``point``."""
-        col = min(max(int(point[0] / self.cell_size), 0), self.n_cols - 1)
-        row = min(max(int(point[1] / self.cell_size), 0), self.n_rows - 1)
-        chunks: List[np.ndarray] = []
-        for dr in (-1, 0, 1):
-            r = row + dr
-            if r < 0 or r >= self.n_rows:
-                continue
-            base = r * self.n_cols
-            for dc in (-1, 0, 1):
-                c = col + dc
-                if c < 0 or c >= self.n_cols:
-                    continue
-                bucket = self._cells.get(base + c)
-                if bucket is not None:
-                    chunks.append(bucket)
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(chunks)
-
-    def within_range(self, point: Point, radius: float) -> np.ndarray:
-        """Live node ids within ``radius`` of ``point`` (inclusive).
-
-        ``radius`` must not exceed ``cell_size`` or the 3x3 block would
-        under-cover the disk.
-        """
+    def _check_radius(self, radius: float) -> None:
         if self._positions is None:
             raise RuntimeError("SpatialGrid.rebuild() must be called before querying")
         if radius > self.cell_size * (1 + 1e-9):
@@ -144,9 +105,23 @@ class SpatialGrid:
                 f"radius {radius} exceeds cell_size {self.cell_size}; "
                 "the 3x3 block would miss neighbors"
             )
-        cand = self._candidates_near(point)
-        if cand.size == 0:
-            return cand
+
+    def within_range(self, point: Point, radius: float) -> np.ndarray:
+        """Live node ids within ``radius`` of ``point`` (inclusive).
+
+        ``radius`` must not exceed ``cell_size`` or the 3x3 block would
+        under-cover the disk.
+        """
+        self._check_radius(radius)
+        col = min(max(int(point[0] / self.cell_size), 0), self.n_cols - 1)
+        row = min(max(int(point[1] / self.cell_size), 0), self.n_rows - 1)
+        first = max(col - 1, 0)
+        end = min(col + 1, self.n_cols - 1) + 1
+        offsets = self._offsets
+        cand = np.concatenate([
+            self._ids[offsets[r * self.n_cols + first]:offsets[r * self.n_cols + end]]
+            for r in range(max(row - 1, 0), min(row + 2, self.n_rows))
+        ])
         diff = self._positions[cand] - np.asarray(point, dtype=float)
         dist_sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
         return cand[dist_sq <= radius * radius]
@@ -158,104 +133,47 @@ class SpatialGrid:
         returned list is shared across calls and must not be mutated by
         callers.  Dead nodes are not memoized and take the cell walk.
         """
-        if self._positions is None:
-            raise RuntimeError("SpatialGrid.rebuild() must be called before querying")
         if radius != self._cache_radius:
             # Single-radius memo: the owning network always queries at
             # radio range.  An off-radius query flushes and re-keys.
-            self._neighbor_cache = {}
+            self._check_radius(radius)
+            self._neighbor_cache = self._fill_neighbor_cache(radius)
             self._cache_radius = radius
-            self._bulk_fill_neighbor_cache(radius)
         cached = self._neighbor_cache.get(node_id)
-        if cached is None:
-            cached = self._fill_neighbor_cache(node_id, radius)
         if cached is not None:
             return cached
-        point = (float(self._positions[node_id, 0]), float(self._positions[node_id, 1]))
-        ids = self.within_range(point, radius)
+        ids = self.within_range(self.position_of(node_id), radius)
         return ids[ids != node_id].tolist()
 
-    def _bulk_fill_neighbor_cache(self, radius: float) -> None:
-        """Memoize every live node's neighbor set in one vectorized pass.
+    def _fill_neighbor_cache(self, radius: float) -> Dict[int, List[int]]:
+        """Every live node's neighbor list, in one pass over the cell table.
 
-        Runs once per (generation, radius), on the first query.
-        The per-node candidate *order* of the cell-walk path — 3x3 block
-        row-major, ascending id within each cell — is reproduced by
-        sorting each node's in-range pairs on (relative-cell block
-        index, node id); in-range pairs always lie in adjacent cells
-        (``radius <= cell_size``), so the block index is well defined.
-        Distance arithmetic is the same elementwise float64 subtract/
-        square/compare as :meth:`within_range`, keeping cached answers
-        bit-identical.  Populations above :attr:`bulk_fill_limit` skip
-        this (O(live^2) memory) and fill cell by cell instead.
+        Each node's candidates are its 3x3 block's three row slices of
+        the cell-sorted table, enumerated node-major and block-row by
+        block-row — already the walk's order (block row-major, ascending
+        id within each cell), so nothing is sorted.  The distance filter
+        is the walk's elementwise float64 subtract/square/compare.
         """
-        if radius > self.cell_size * (1 + 1e-9):
-            return
-        live_ids = np.flatnonzero(self._alive)
-        n_live = live_ids.size
-        if n_live == 0 or n_live > self.bulk_fill_limit:
-            return
-        pos = self._positions[live_ids]
-        diff = pos[None, :, :] - pos[:, None, :]
-        dist_sq = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-        mask = dist_sq <= radius * radius
-        np.fill_diagonal(mask, False)
-        rows = self._rows[live_ids]
-        cols = self._cols[live_ids]
-        ii, jj = np.nonzero(mask)
-        cache = self._neighbor_cache
-        for nid in live_ids.tolist():
-            cache[nid] = []
-        if ii.size == 0:
-            return
-        block = (rows[jj] - rows[ii] + 1) * 3 + (cols[jj] - cols[ii] + 1)
-        order = np.lexsort((jj, block, ii))
-        ii = ii[order]
-        neighbors_sorted = live_ids[jj[order]].tolist()
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(ii)) + 1])
-        bounds = starts.tolist() + [ii.size]
-        owners = live_ids[ii[starts]].tolist()
-        for k, owner in enumerate(owners):
-            cache[owner] = neighbors_sorted[bounds[k] : bounds[k + 1]]
-
-    def _fill_neighbor_cache(self, node_id: int, radius: float) -> Optional[List[int]]:
-        """Memoize neighbor sets for every live occupant of ``node_id``'s cell.
-
-        All occupants of a cell share the same 3x3 candidate block, so
-        one broadcasted (occupants x candidates) distance pass fills the
-        whole cell.  Returns ``node_id``'s entry, or ``None`` when the
-        node is not cacheable (dead, or an oversize radius) — the caller
-        then falls back to the cell walk.
-        """
-        if radius > self.cell_size * (1 + 1e-9):
-            return None
-        cell = int(self._cell_of[node_id])
-        bucket = self._cells.get(cell)
-        if bucket is None or node_id not in bucket:
-            return None  # dead node: not memoized
-        row, col = divmod(cell, self.n_cols)
-        chunks: List[np.ndarray] = []
-        for dr in (-1, 0, 1):
-            r = row + dr
-            if r < 0 or r >= self.n_rows:
-                continue
-            base = r * self.n_cols
-            for dc in (-1, 0, 1):
-                c = col + dc
-                if c < 0 or c >= self.n_cols:
-                    continue
-                blk = self._cells.get(base + c)
-                if blk is not None:
-                    chunks.append(blk)
-        cand = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-        diff = self._positions[cand][None, :, :] - self._positions[bucket][:, None, :]
-        dist_sq = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-        mask = dist_sq <= radius * radius
-        cache = self._neighbor_cache
-        for k, occupant in enumerate(bucket.tolist()):
-            ids = cand[mask[k]]
-            cache[occupant] = ids[ids != occupant].tolist()
-        return cache[node_id]
+        ids, offsets = self._ids, self._offsets
+        rows, cols = np.divmod(self._cell_of[ids], self.n_cols)
+        block_rows = rows[:, None] + _BLOCK_ROWS
+        in_plane = (block_rows >= 0) & (block_rows < self.n_rows)
+        bases = np.clip(block_rows, 0, self.n_rows - 1) * self.n_cols
+        starts = offsets[bases + np.maximum(cols - 1, 0)[:, None]]
+        ends = offsets[bases + np.minimum(cols + 1, self.n_cols - 1)[:, None] + 1]
+        lengths = np.where(in_plane, ends - starts, 0).ravel()
+        # Concatenate the slices [start, start + length) in order.
+        slots = np.arange(lengths.sum())
+        slots += np.repeat(starts.ravel() - (np.cumsum(lengths) - lengths), lengths)
+        cand = ids[slots]
+        per_node = lengths.reshape(-1, 3).sum(axis=1)
+        owner = np.repeat(ids, per_node)
+        diff = self._positions[cand] - self._positions[owner]
+        keep = (diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius) & (cand != owner)
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        bounds = kept_before[np.concatenate(([0], np.cumsum(per_node)))].tolist()
+        flat = cand[keep].tolist()
+        return {nid: flat[bounds[k]:bounds[k + 1]] for k, nid in enumerate(ids.tolist())}
 
     def position_of(self, node_id: int) -> Point:
         if self._positions is None:

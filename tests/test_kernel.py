@@ -8,9 +8,10 @@ so a divergence points at the responsible layer:
 * ``PolygonTester`` / ``points_in_polygon`` vs the scalar
   ``point_in_polygon`` — including boundary points, vertices, and
   degenerate polygons;
-* the spatial grid's one-shot bulk neighbor fill vs the per-cell fill
-  vs the ``within_range`` cell walk — not just the same *sets*, the same
-  *order* (neighbor order feeds RNG draw order downstream);
+* the spatial grid's one-pass neighbor fill vs the ``within_range``
+  cell walk — not just the same *sets*, the same *order* (neighbor order
+  feeds RNG draw order downstream) — and, by bytes and by count, that
+  the fill stays O(N·k): no N×N temporary, no per-node numpy loop;
 * ``Flooder.handle_batch`` vs per-receiver ``handle`` — same
   deliveries, same delivery order, same duplicate/out-of-scope counter
   totals;
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geom import PolygonTester, point_in_polygon, points_in_polygon
 from repro.net.topology import SpatialGrid
@@ -87,7 +90,7 @@ class TestPointsInPolygon:
 
 
 # ---------------------------------------------------------------------------
-# Spatial grid: bulk fill vs per-cell fill vs the cell walk, order-exact
+# Spatial grid: the one neighbor fill vs the cell walk, order-exact
 # ---------------------------------------------------------------------------
 
 def _grid_with_nodes(n=120, seed=5, radius=90.0, alive_frac=1.0):
@@ -110,17 +113,6 @@ class TestGridNeighborOrderExactness:
         assert grid._cache_radius == radius
         assert set(grid._neighbor_cache) == set(live.tolist())
 
-    def test_per_cell_fallback_matches_bulk(self):
-        # Force the per-cell fallback by dropping the bulk limit to 0;
-        # both memo strategies must agree with the uncached walk.
-        bulk, live, radius = _grid_with_nodes()
-        percell, _, _ = _grid_with_nodes()
-        percell.bulk_fill_limit = 0
-        for nid in live.tolist():
-            want = walk_neighbors(bulk, nid, radius)
-            assert bulk.neighbors_of(nid, radius) == want
-            assert percell.neighbors_of(nid, radius) == want
-
     def test_dead_node_takes_the_walk(self):
         grid, live, radius = _grid_with_nodes(alive_frac=0.7)
         dead = next(i for i in range(120) if i not in set(live.tolist()))
@@ -128,14 +120,10 @@ class TestGridNeighborOrderExactness:
         assert got == walk_neighbors(grid, dead, radius)
         assert dead not in grid._neighbor_cache
 
-    @pytest.mark.parametrize("bulk_fill_limit", [1500, 0])
-    def test_second_radius_is_not_served_from_the_first_radius_memo(
-        self, bulk_fill_limit
-    ):
+    def test_second_radius_is_not_served_from_the_first_radius_memo(self):
         # Regression: the memo was keyed on node id only, so a query at
         # a second radius returned the first radius's neighbor set.
         grid, live, radius = _grid_with_nodes()
-        grid.bulk_fill_limit = bulk_fill_limit
         for r in (radius, 0.4 * radius, radius):
             for nid in live.tolist():
                 assert (grid.neighbors_of(nid, r)
@@ -164,6 +152,103 @@ class TestGridNeighborOrderExactness:
         assert grid.generation == gen + 1
         assert grid._cache_radius is None
         assert not grid._neighbor_cache
+
+
+def _assert_fill_matches_walk(grid, alive, radius):
+    """Every node's answer is the walk's, list for list, in order; only
+    live nodes are memoized."""
+    for nid in range(alive.size):
+        got = grid.neighbors_of(nid, radius)
+        assert type(got) is list and got == walk_neighbors(grid, nid, radius), nid
+    assert grid._cache_radius == (radius if alive.size else None)
+    assert sorted(grid._neighbor_cache) == np.flatnonzero(alive).tolist()
+
+
+@st.composite
+def _grid_cases(draw):
+    """A plane of 1x1 to 6x6 cells, possibly not a whole number of them,
+    with nodes on cell boundaries, outside the plane and dead."""
+    cell = draw(st.sampled_from([50.0, 37.5, 100.0]))
+    width = cell * (draw(st.integers(1, 6)) - draw(st.sampled_from([0.0, 0.4])))
+    height = cell * (draw(st.integers(1, 6)) - draw(st.sampled_from([0.0, 0.4])))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.uniform(-cell, cell, size=(n, 2)) + rng.uniform(
+        0.0, 1.0, size=(n, 2)) * (width, height)
+    # Snap a share of coordinates onto exact multiples of the cell side.
+    snap = rng.random((n, 2)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    pos[snap] = np.round(pos[snap] / cell) * cell
+    alive = rng.random(n) < draw(st.sampled_from([1.0, 0.8, 0.0]))
+    radius = draw(st.sampled_from([cell, 0.6 * cell]))
+    return width, height, cell, pos, alive, radius
+
+
+class TestOneFillMatchesTheWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(_grid_cases())
+    def test_list_for_list_on_generated_grids(self, case):
+        width, height, cell, pos, alive, radius = case
+        grid = SpatialGrid(width, height, cell_size=cell)
+        grid.rebuild(pos, alive)
+        _assert_fill_matches_walk(grid, alive, radius)
+        # The order both follow: by (cell row, cell col, id) of the
+        # clamped cells, i.e. 3x3 block row-major, ascending id per cell.
+        cols = np.clip((pos[:, 0] / cell).astype(np.intp), 0, grid.n_cols - 1)
+        rows = np.clip((pos[:, 1] / cell).astype(np.intp), 0, grid.n_rows - 1)
+        for nid in np.flatnonzero(alive).tolist():
+            d = pos - pos[nid]
+            near = np.flatnonzero(alive & (d[:, 0] ** 2 + d[:, 1] ** 2 <= radius * radius))
+            want = sorted((j for j in near.tolist() if j != nid),
+                          key=lambda j: (rows[j], cols[j], j))
+            assert grid.neighbors_of(nid, radius) == want, nid
+
+    def test_above_the_old_all_pairs_limit(self):
+        rng = np.random.default_rng(17)
+        n = 2000
+        side = 3200.0 * (n / 500) ** 0.5
+        pos = rng.uniform(0.0, side, size=(n, 2))
+        alive = rng.random(n) < 0.95
+        grid = SpatialGrid(side, side, cell_size=250.0)
+        grid.rebuild(pos, alive)
+        _assert_fill_matches_walk(grid, alive, 250.0)
+
+
+def _fill_at_density(n, radius=250.0):
+    """A grid of ``n`` nodes at ``sim_scale_500``'s density (~9 neighbors)."""
+    side = 3200.0 * (n / 500) ** 0.5
+    grid = SpatialGrid(side, side, cell_size=radius)
+    grid.rebuild(np.random.default_rng(n).uniform(0.0, side, size=(n, 2)))
+    return grid
+
+
+class TestFillCost:
+    def test_peak_memory_has_no_all_pairs_temporary(self):
+        import tracemalloc
+
+        grid = _fill_at_density(4000)
+        tracemalloc.start()
+        try:
+            grid.neighbors_of(0, 250.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An N x N pass over 4,000 nodes needs ~270 MB; O(N·k) is ~9 MiB.
+        assert peak < 32 * 2**20, peak
+
+    def test_numpy_call_count_does_not_grow_with_n(self):
+        import cProfile
+        import pstats
+
+        counts = []
+        for n in (500, 2000):
+            grid = _fill_at_density(n)
+            profiler = cProfile.Profile()
+            profiler.enable()
+            grid.neighbors_of(0, 250.0)
+            profiler.disable()
+            counts.append(_numpy_calls(pstats.Stats(profiler)))
+        assert sum(counts[0].values()) > 5  # the profiler saw the fill
+        assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +450,7 @@ def test_no_kernel_fork_in_source():
         r"fast_kernel|schedule_(at_)?fast|cache_neighbors"
         r"|perf_section|enable_profiling|PerfProfiler|NULL_PROFILER"
         r"|_insert_impl|_handle_impl|_forward_impl|perf_gate|perf_baseline"
+        r"|bulk_fill_limit|_bulk_fill_neighbor_cache"
     )
     hits = [
         f"{path.relative_to(repo)}:{lineno}: {line.strip()}"
