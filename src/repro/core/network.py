@@ -448,6 +448,22 @@ class PReCinCtNetwork:
         if target is None:
             self.on_keys_orphaned(region_id, keys)
             return
+        self.stats.count("peer.custody_spills")
+        # retries=1: one spill hop left before orphaning
+        self.send_custody(holder, target, keys, region_id, retries=1)
+
+    def send_custody(
+        self,
+        source: int,
+        target: int,
+        keys: List[int],
+        region_id: int,
+        category: str = "handoff",
+        retries: int = 0,
+    ) -> None:
+        """Geo-route custody of ``keys`` from ``source`` to ``target``:
+        one :class:`KeyHandoff` carrying each key's authoritative state
+        and its data bytes (§2.3)."""
         db = self.db
         entries = tuple(
             (
@@ -459,23 +475,21 @@ class PReCinCtNetwork:
             )
             for key in keys
         )
-        total = float(sum(db[key].size_bytes for key in keys))
         msg = KeyHandoff(
-            from_peer=holder,
+            from_peer=source,
             to_peer=target,
             entries=entries,
-            total_data_bytes=total,
+            total_data_bytes=float(sum(db[key].size_bytes for key in keys)),
             region_id=region_id,
-            retries=1,  # one spill hop left before orphaning
+            retries=retries,
         )
-        self.stats.count("peer.custody_spills")
         self.stack.geo_send(
-            holder,
+            source,
             msg,
             msg.size_bytes,
             dest_point=self.position_of(target),
             dest_node=target,
-            category="handoff",
+            category=category,
         )
 
     def repair_custody(self) -> int:
@@ -528,34 +542,8 @@ class PReCinCtNetwork:
                 keys.discard(key)
                 repaired += 1
             for source, batch in batches.items():
-                db = self.db
-                entries = tuple(
-                    (
-                        k,
-                        db[k].version,
-                        db[k].last_update_time,
-                        db[k].last_update_interval,
-                        db[k].ttr,
-                    )
-                    for k in batch
-                )
-                total = float(sum(db[k].size_bytes for k in batch))
-                msg = KeyHandoff(
-                    from_peer=source,
-                    to_peer=target,
-                    entries=entries,
-                    total_data_bytes=total,
-                    region_id=region_id,
-                )
                 self.stats.count("custody.repaired", len(batch))
-                self.stack.geo_send(
-                    source,
-                    msg,
-                    msg.size_bytes,
-                    dest_point=self.position_of(target),
-                    dest_node=target,
-                    category="handoff",
-                )
+                self.send_custody(source, target, batch, region_id)
             if not keys:
                 del self._orphaned_keys[region_id]
         return repaired
@@ -656,9 +644,7 @@ class PReCinCtNetwork:
             from repro.core.digest import DigestAnnounce
             from repro.core.region_manager import RegionTableUpdate
 
-            if isinstance(inner, tuple) and inner and inner[0] == "hello":
-                self.stats.count("peer.beacons_heard")
-            elif isinstance(inner, DigestAnnounce):
+            if isinstance(inner, DigestAnnounce):
                 peer.on_digest_announce(inner)
             elif isinstance(inner, RegionTableUpdate):
                 # The table object is shared in the simulation; peers

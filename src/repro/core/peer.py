@@ -1033,29 +1033,9 @@ class Peer:
             # later re-join) covers these keys (§2.4).
             self.host.on_keys_orphaned(region_id, keys)
             return
-        db = self.host.db
-        entries = tuple(
-            (
-                key,
-                db[key].version,
-                db[key].last_update_time,
-                db[key].last_update_interval,
-                db[key].ttr,
-            )
-            for key in keys
-        )
-        total = float(sum(db[key].size_bytes for key in keys))
-        msg = KeyHandoff(self.id, target, entries, total, region_id=region_id)
         self.host.trace("custody.handoff_sent", peer=self.id, target=target,
                         region=region_id, n_keys=len(keys))
-        self.host.stack.geo_send(
-            self.id,
-            msg,
-            msg.size_bytes,
-            dest_point=self.host.position_of(target),
-            dest_node=target,
-            category="handoff",
-        )
+        self.host.send_custody(self.id, target, keys, region_id)
 
     def prepare_departure(self, graceful: bool) -> None:
         """The peer is about to disconnect.

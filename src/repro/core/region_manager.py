@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.messages import CONTROL_BYTES, KeyHandoff
+from repro.core.messages import CONTROL_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.network import PReCinCtNetwork
@@ -249,33 +249,9 @@ class DynamicRegionManager:
                 host.stats.count("regions.custody_dropped")
 
         for (source, target), keys in batches.items():
-            db = host.db
-            entries = tuple(
-                (
-                    key,
-                    db[key].version,
-                    db[key].last_update_time,
-                    db[key].last_update_interval,
-                    db[key].ttr,
-                )
-                for key in keys
-            )
-            total = float(sum(db[key].size_bytes for key in keys))
-            target_region = host.peers[target].current_region_id
-            msg = KeyHandoff(
-                from_peer=source,
-                to_peer=target,
-                entries=entries,
-                total_data_bytes=total,
-                region_id=target_region,
-            )
             host.stats.count("regions.relocation_batches")
-            host.stack.geo_send(
-                source,
-                msg,
-                msg.size_bytes,
-                dest_point=host.position_of(target),
-                dest_node=target,
+            host.send_custody(
+                source, target, keys, host.peers[target].current_region_id,
                 category="management",
             )
 

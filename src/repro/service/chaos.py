@@ -6,11 +6,11 @@ that walks the plan's :meth:`~repro.service.faultplan.ServiceFaultPlan.timeline`
 and applies each spec when the server's :class:`WallClock` reaches its
 ``at``:
 
-* ``shard-kill`` — poison the shard worker's runner task so it dies
-  with an unhandled exception (the supervisor sees a crash; the
+* ``shard-kill`` — crash the shard worker: it stops admitting and the
+  ops waiting for their turn fail (the supervisor sees a crash; the
   shard's cache is lost);
-* ``shard-wedge`` — block the runner loop for ``duration`` seconds
-  (heartbeat overrun; the cache survives);
+* ``shard-wedge`` — stall the shard worker for ``duration`` seconds:
+  ops admitted meanwhile wait (heartbeat overrun; the cache survives);
 * ``origin-stall`` / ``origin-resume`` — the origin's hang switch,
   with an optional auto-resume after ``duration``;
 * ``origin-error-rate`` — browned-out origin failing each call with

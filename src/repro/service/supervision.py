@@ -1,25 +1,24 @@
 """Shard supervision: crash/wedge detection, backoff restarts, warm rebuild.
 
-A shard worker can die two ways: its runner task exits with an
-unhandled exception (**crash** — the shard "process" is gone and takes
-its cache with it) or the runner stops making progress while work is
-queued (**wedge** — a heartbeat overrun; the cache survives but nothing
-drains).  Without supervision either one takes the region down for the
-life of the server, which is exactly the churn the cooperative-caching
-literature says region schemes must survive.
+A shard worker can fail two ways: it **crashes** (the shard "process"
+is gone and takes its cache with it) or it **wedges** (ops wait but no
+heartbeat comes; the cache survives but nothing starts).  Without
+supervision either one takes the region down for the life of the
+server, which is exactly the churn the cooperative-caching literature
+says region schemes must survive.
 
-:class:`ShardSupervisor` watches every :class:`_ShardWorker` on a short
-check interval and, on failure:
+:class:`ShardSupervisor` watches every :class:`_ShardWorker` four times
+per heartbeat timeout and, on failure:
 
 1. marks the shard **down** (``resilience.shard_down`` counter, the
    per-shard up gauge drops, a ``shard_down`` bus event fires);
 2. waits out an exponential-backoff delay via the existing
    :class:`~repro.resilience.backoff.BackoffPolicy` (attempt counts
-   reset once a shard has stayed healthy for ``healthy_after``
-   seconds, so an old flap does not tax a fresh failure);
-3. aborts the dead worker — a crashed worker's queued ops fail fast
-   with ``unavailable`` (replica failover is the availability story
-   while the shard is dark), a wedged worker keeps its queue;
+   reset once a shard has stayed healthy for ten heartbeat timeouts,
+   so an old flap does not tax a fresh failure);
+3. aborts the dead worker — a crashed worker's admitted ops fail with
+   ``unavailable`` (replica failover is the availability story while
+   the shard is dark), a wedged worker keeps its admitted ops;
 4. on a crash, resets the shard core (cache, popularity counts,
    in-flight fetches: crash semantics) and **warm-rebuilds** it from
    the *other* shards' caches: every copy whose home region is the
@@ -56,17 +55,11 @@ class ShardSupervisor:
         Restart spacing; attempt ``n`` of a flapping shard waits
         ``backoff.delay(n)`` before the restart.
     heartbeat_timeout:
-        Seconds a worker may sit on queued work without a beat before
-        it is declared wedged.
-    check_interval:
-        Watch-loop period; defaults to a quarter heartbeat so a wedge
-        is caught within ~1.25 timeouts.
-    warm_rebuild:
-        Rebuild a crashed shard's cache from replica-held copies
-        before readmitting traffic (on by default).
-    healthy_after:
-        Seconds of uninterrupted uptime after which a shard's restart
-        attempt counter resets (default: 10 heartbeat timeouts).
+        Seconds a worker may keep ops waiting without a beat before it
+        is declared wedged.  The watch loop runs every quarter of it,
+        so a wedge is caught within ~1.25 timeouts, and a shard's
+        restart attempt counter resets after ten of it without a
+        failure.
     event_hook:
         Optional ``callable(kind, **fields)`` for ``shard_down`` /
         ``shard_restarted`` bus events.
@@ -82,9 +75,6 @@ class ShardSupervisor:
         stats,
         backoff: BackoffPolicy,
         heartbeat_timeout: float = 1.0,
-        check_interval: Optional[float] = None,
-        warm_rebuild: bool = True,
-        healthy_after: Optional[float] = None,
         event_hook=None,
     ):
         if heartbeat_timeout <= 0.0:
@@ -98,15 +88,6 @@ class ShardSupervisor:
         self.stats = stats
         self.backoff = backoff
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self.check_interval = (
-            float(check_interval) if check_interval is not None
-            else self.heartbeat_timeout / 4.0
-        )
-        self.warm_rebuild = warm_rebuild
-        self.healthy_after = (
-            float(healthy_after) if healthy_after is not None
-            else 10.0 * self.heartbeat_timeout
-        )
         self._event = event_hook
         #: Shards currently out of service (gauges read this).
         self.down: Set[int] = set()
@@ -139,7 +120,7 @@ class ShardSupervisor:
     async def _watch(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.check_interval)
+            await asyncio.sleep(self.heartbeat_timeout / 4.0)
             now = loop.time()
             for shard_id, worker in self.workers.items():
                 if worker.draining or shard_id in self._restarting:
@@ -166,7 +147,7 @@ class ShardSupervisor:
         # A long-healthy shard gets a fresh backoff ladder.
         if (
             loop_now - self._last_fail.get(shard_id, float("-inf"))
-            > self.healthy_after
+            > 10.0 * self.heartbeat_timeout
         ):
             self._attempts[shard_id] = 0
         self._last_fail[shard_id] = loop_now
@@ -178,16 +159,15 @@ class ShardSupervisor:
             # Shutdown may have started during the backoff wait.
             if worker.draining:
                 return
-            await worker.abort(drop_queue=crashed)
+            await worker.abort(crashed)
             warmed = 0
             if crashed:
                 self.shards[shard_id].reset()
-                if self.warm_rebuild:
-                    warmed = self._rebuild(shard_id)
-                    if warmed:
-                        self.stats.count(
-                            "resilience.shard_warm_keys", float(warmed)
-                        )
+                warmed = self._rebuild(shard_id)
+                if warmed:
+                    self.stats.count(
+                        "resilience.shard_warm_keys", float(warmed)
+                    )
             worker.restart()
             self.restarts += 1
             self.stats.count("resilience.shard_restarts")

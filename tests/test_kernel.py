@@ -463,3 +463,22 @@ def test_no_kernel_fork_in_source():
     for removed in ("bench", "profile"):
         with pytest.raises(SystemExit):
             build_parser().parse_args([removed])
+
+
+def test_one_admission_path_in_the_service():
+    """Every shard op runs in its caller's task: no per-shard runner,
+    queue, relay task, poison pill or wedge marker under service/."""
+    import re
+    from pathlib import Path
+
+    service = Path(__file__).resolve().parent.parent / "src" / "repro" / "service"
+    banned = re.compile(
+        r"asyncio\.Queue|_CRASH|_Wedge|_execute|_runner|_dequeued|_flush_queue"
+    )
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(service.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "a second admission path reappeared:\n" + "\n".join(hits)
