@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "detection, backoff restarts, warm rebuild)")
     srv_p.add_argument("--heartbeat-timeout", type=float, default=1.0,
                        metavar="S",
-                       help="seconds a shard may sit on queued work "
+                       help="seconds a shard may keep ops waiting "
                             "without progress before it is declared "
                             "wedged (default 1.0)")
     srv_p.add_argument("--hot-key-policy", choices=["off", "shed", "coalesce"],
