@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.metrics import RequestMetrics, RunReport
 from repro.config import SimulationConfig
@@ -136,7 +136,6 @@ class FloodingRetrievalNetwork:
             self._owned[int(owner)].add(key)
         self._pending: Dict[int, _Pending] = {}
         self._answered: set = set()
-        self.workload: Optional[WorkloadGenerator] = None
         self._ran = False
 
     # -- requester side ------------------------------------------------------
@@ -255,7 +254,7 @@ class FloodingRetrievalNetwork:
         self._ran = True
         cfg = self.cfg
         sampler = ZipfSampler(cfg.n_items, cfg.zipf_theta, self.rngs.get("zipf"))
-        self.workload = WorkloadGenerator(
+        WorkloadGenerator(
             self.sim,
             cfg.n_nodes,
             sampler,

@@ -171,11 +171,4 @@ def attach_periodic_checker(net: "PReCinCtNetwork", interval: float = 10.0) -> N
 
     Intended for debugging runs; adds noticeable overhead.
     """
-    from repro.sim import Timeout
-
-    def process():
-        while True:
-            yield Timeout(interval)
-            check_all(net)
-
-    net.sim.spawn(process(), name="invariant-checker")
+    net._every(interval, check_all, net)

@@ -67,6 +67,8 @@ __all__ = ["PReCinCtNetwork"]
 
 #: How often peers check their position for inter-region moves (§2.3), s.
 REGION_CHECK_INTERVAL = 1.0
+#: How often orphaned keys are retried for custody repair, s.
+CUSTODY_REPAIR_INTERVAL = 10.0
 #: Zipf skew of the *update* key distribution.  The paper specifies
 #: Zipf for accesses only; updates are uniform.
 UPDATE_ZIPF_THETA = 0.0
@@ -141,7 +143,6 @@ class PReCinCtNetwork:
         for item in self.db.items:
             item.ttr = self.scheme.initial_ttr(item)
 
-        self.workload: Optional[WorkloadGenerator] = None
         self.region_manager = None  # set in run() when cfg.dynamic_regions
         if cfg.enable_event_log:
             from repro.sim.eventlog import EventLog
@@ -548,14 +549,6 @@ class PReCinCtNetwork:
                 del self._orphaned_keys[region_id]
         return repaired
 
-    def _custody_repair_process(self, interval: float = 10.0):
-        from repro.sim import Timeout
-
-        while True:
-            yield Timeout(interval)
-            if self._orphaned_keys:
-                self.repair_custody()
-
     def push_update_to_regions(self, updater: int, key: int, category: str) -> None:
         """The Push phase (Fig. 2): deliver an update to the home and
         replica regions of ``key``."""
@@ -719,114 +712,112 @@ class PReCinCtNetwork:
             category="handoff",
         )
 
+    # -- timers ------------------------------------------------------------------------------
+
+    def _every(self, interval: float, work, *args, rng=None) -> None:
+        """Run ``work(*args)`` every ``interval`` virtual seconds.
+
+        A start event is scheduled now, at delay 0; it schedules the
+        first wakeup ``interval`` later or, given ``rng``, at a uniform
+        offset within the first period (drawn in the start event, which
+        desynchronizes per-peer timers).  Each wakeup does its work,
+        then schedules the next one.
+        """
+        sim = self.sim
+        interval = float(interval)
+
+        def tick() -> None:
+            work(*args)
+            sim.schedule(interval, tick)
+
+        def start() -> None:
+            first = interval if rng is None else float(rng.uniform(0.0, interval))
+            sim.schedule(first, tick)
+
+        sim.schedule(0.0, start)
+
     # -- regional digests (Summary-Cache optimization) -----------------------------------
 
-    def _digest_process(self, peer_id: int):
-        """Periodic cache-summary announcements (ref. [5])."""
-        from repro.sim import Timeout
-
-        cfg = self.cfg
-        rng = self.rngs.get("digest")
-        # Desynchronize announcers within the first period.
-        yield Timeout(float(rng.uniform(0.0, cfg.digest_interval)))
-        while True:
-            if self.network.is_alive(peer_id):
-                self.peers[peer_id].announce_digest()
-            yield Timeout(cfg.digest_interval)
+    def _announce_digest(self, peer_id: int) -> None:
+        """Periodic cache-summary announcement (ref. [5])."""
+        if self.network.is_alive(peer_id):
+            self.peers[peer_id].announce_digest()
 
     # -- GPSR beaconing cost model ----------------------------------------------------------
 
-    def _beacon_process(self, peer_id: int):
-        """Periodic GPSR HELLO broadcasts (pure cost accounting).
+    def _beacon(self, peer_id: int) -> None:
+        """Periodic GPSR HELLO broadcast (pure cost accounting).
 
-        Neighbor tables still come from the ground-truth index; this
-        process only charges the traffic and energy real beaconing
-        would cost, so energy results can include it when desired.
+        Neighbor tables still come from the ground-truth index; the
+        beacon only charges the traffic and energy real beaconing would
+        cost, so energy results can include it when desired.
         """
-        from repro.net.packet import Packet
-        from repro.sim import Timeout
-
-        cfg = self.cfg
-        rng = self.rngs.get("beacons")
-        yield Timeout(float(rng.uniform(0.0, cfg.gpsr_beacon_interval)))
-        while True:
-            if self.network.is_alive(peer_id):
-                beacon = Packet(
-                    payload=("hello", peer_id),
-                    size_bytes=HELLO_BEACON_BYTES,
-                    src=peer_id,
-                    category="beacon",
-                )
-                self.network.broadcast(peer_id, beacon)
-            yield Timeout(cfg.gpsr_beacon_interval)
+        if self.network.is_alive(peer_id):
+            beacon = Packet(
+                payload=("hello", peer_id),
+                size_bytes=HELLO_BEACON_BYTES,
+                src=peer_id,
+                category="beacon",
+            )
+            self.network.broadcast(peer_id, beacon)
 
     # -- popularity prefetching (ref. [14] extension) --------------------------------------
 
-    def _prefetch_process(self, peer_id: int):
+    def _prefetch(self, peer_id: int) -> None:
         """Periodically pull the hottest uncached regional keys."""
-        from repro.sim import Timeout
-
-        cfg = self.cfg
-        rng = self.rngs.get("prefetch")
-        yield Timeout(float(rng.uniform(0.0, cfg.prefetch_interval)))
-        while True:
-            if self.network.is_alive(peer_id):
-                peer = self.peers[peer_id]
-                for key in peer.prefetch_candidates(
-                    PREFETCH_BATCH, PREFETCH_MIN_COUNT
-                ):
-                    peer.prefetch(key)
-            yield Timeout(cfg.prefetch_interval)
+        if self.network.is_alive(peer_id):
+            peer = self.peers[peer_id]
+            for key in peer.prefetch_candidates(PREFETCH_BATCH, PREFETCH_MIN_COUNT):
+                peer.prefetch(key)
 
     # -- churn (node disconnections; paper future work) ---------------------------------
+    #
+    # Each peer alternates between connected and disconnected states.
+    # Up-times and down-times are exponential; each departure is graceful
+    # (keys handed off first) or a crash, per the configured crash fraction.
 
-    def _churn_process(self, peer_id: int):
-        """Alternate a peer between connected and disconnected states.
+    def _churn_up(self, peer_id: int) -> None:
+        """The peer is connected: draw its up-time, schedule its departure."""
+        uptime = float(self.rngs.get("churn").exponential(self.cfg.churn_uptime))
+        self.sim.schedule(uptime, self._churn_depart, peer_id)
 
-        Up-times and down-times are exponential; each departure is
-        graceful (keys handed off first) or a crash, per the configured
-        crash fraction.
-        """
-        from repro.sim import Timeout
-
+    def _churn_depart(self, peer_id: int) -> None:
         cfg = self.cfg
         rng = self.rngs.get("churn")
-        while True:
-            yield Timeout(float(rng.exponential(cfg.churn_uptime)))
-            peer = self.peers[peer_id]
-            graceful = bool(rng.random() >= cfg.churn_crash_fraction)
-            peer.prepare_departure(graceful)
-            self.network.fail_node(peer_id)
-            self.stats.count("churn.departures")
-            if graceful:
-                self.stats.count("churn.graceful")
-            yield Timeout(float(rng.exponential(cfg.churn_downtime)))
-            self.network.revive_node(peer_id)
-            positions = self.network.positions()
-            region_ids = self.table.regions_of_points(positions[peer_id : peer_id + 1])
-            new_region = int(region_ids[0])
-            if new_region >= 0:
-                self._region_of_peer[peer_id] = new_region
-                peer.on_rejoin(new_region)
-            self.stats.count("churn.rejoins")
+        peer = self.peers[peer_id]
+        graceful = bool(rng.random() >= cfg.churn_crash_fraction)
+        peer.prepare_departure(graceful)
+        self.network.fail_node(peer_id)
+        self.stats.count("churn.departures")
+        if graceful:
+            self.stats.count("churn.graceful")
+        downtime = float(rng.exponential(cfg.churn_downtime))
+        self.sim.schedule(downtime, self._churn_rejoin, peer_id)
+
+    def _churn_rejoin(self, peer_id: int) -> None:
+        self.network.revive_node(peer_id)
+        positions = self.network.positions()
+        region_ids = self.table.regions_of_points(positions[peer_id : peer_id + 1])
+        new_region = int(region_ids[0])
+        if new_region >= 0:
+            self._region_of_peer[peer_id] = new_region
+            self.peers[peer_id].on_rejoin(new_region)
+        self.stats.count("churn.rejoins")
+        self._churn_up(peer_id)
 
     # -- mobility sweep ----------------------------------------------------------------
 
-    def _region_sweep(self):
+    def _region_sweep(self) -> None:
         """Periodic position check for inter-region mobility (§2.3)."""
-        from repro.sim import Timeout
-
-        while True:
-            yield Timeout(REGION_CHECK_INTERVAL)
-            positions = self.network.positions()
-            ids = self.table.regions_of_points(positions)
-            changed = np.flatnonzero(
-                (ids != self._region_of_peer) & (ids >= 0) & self.network.alive
-            )
-            self._region_of_peer = np.where(ids >= 0, ids, self._region_of_peer)
-            for peer_id in changed:
-                self.peers[int(peer_id)].on_region_change(int(ids[peer_id]))
-                self.stats.count("peer.region_changes")
+        positions = self.network.positions()
+        ids = self.table.regions_of_points(positions)
+        changed = np.flatnonzero(
+            (ids != self._region_of_peer) & (ids >= 0) & self.network.alive
+        )
+        self._region_of_peer = np.where(ids >= 0, ids, self._region_of_peer)
+        for peer_id in changed:
+            self.peers[int(peer_id)].on_region_change(int(ids[peer_id]))
+            self.stats.count("peer.region_changes")
 
     # -- run control -------------------------------------------------------------------------
 
@@ -854,7 +845,7 @@ class PReCinCtNetwork:
                 self.trace("workload.popularity_shift")
 
             self.sim.schedule(cfg.popularity_shift_at, shift)
-        self.workload = WorkloadGenerator(
+        WorkloadGenerator(
             self.sim,
             cfg.n_nodes,
             sampler,
@@ -866,26 +857,27 @@ class PReCinCtNetwork:
             stop_at=cfg.duration,
             update_sampler=update_sampler,
         )
+        # Timer start order is part of the run's identity: it fixes the
+        # event sequence numbers and the order of the RNG draws.
         if cfg.max_speed and cfg.max_speed > 0:
-            self.sim.spawn(self._region_sweep(), name="region-sweep")
+            self._every(REGION_CHECK_INTERVAL, self._region_sweep)
         if (cfg.max_speed and cfg.max_speed > 0) or cfg.churn_uptime is not None:
-            self.sim.spawn(self._custody_repair_process(), name="custody-repair")
+            self._every(CUSTODY_REPAIR_INTERVAL, self.repair_custody)
         if cfg.churn_uptime is not None:
             for peer_id in range(cfg.n_nodes):
-                self.sim.spawn(self._churn_process(peer_id), name=f"churn-{peer_id}")
+                self.sim.schedule(0.0, self._churn_up, peer_id)
         if cfg.enable_digest:
+            rng = self.rngs.get("digest")
             for peer_id in range(cfg.n_nodes):
-                self.sim.spawn(self._digest_process(peer_id), name=f"digest-{peer_id}")
+                self._every(cfg.digest_interval, self._announce_digest, peer_id, rng=rng)
         if cfg.enable_prefetch:
+            rng = self.rngs.get("prefetch")
             for peer_id in range(cfg.n_nodes):
-                self.sim.spawn(
-                    self._prefetch_process(peer_id), name=f"prefetch-{peer_id}"
-                )
+                self._every(cfg.prefetch_interval, self._prefetch, peer_id, rng=rng)
         if cfg.gpsr_beacon_interval is not None:
+            rng = self.rngs.get("beacons")
             for peer_id in range(cfg.n_nodes):
-                self.sim.spawn(
-                    self._beacon_process(peer_id), name=f"beacon-{peer_id}"
-                )
+                self._every(cfg.gpsr_beacon_interval, self._beacon, peer_id, rng=rng)
         if cfg.dynamic_regions:
             from repro.core.region_manager import DynamicRegionManager
 
@@ -895,7 +887,7 @@ class PReCinCtNetwork:
                 min_peers=cfg.region_min_peers,
                 max_peers=cfg.region_max_peers,
             )
-            self.sim.spawn(self.region_manager.process(), name="region-manager")
+            self._every(self.region_manager.check_interval, self.region_manager.run_once)
         if cfg.warmup > 0:
             self.sim.schedule(cfg.warmup, self._end_warmup)
         if self.telemetry is not None:

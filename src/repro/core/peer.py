@@ -151,6 +151,16 @@ class Peer:
     def _position(self):
         return self.host.position_of(self.id)
 
+    def _held_region_id(self, region_id: int, peer_id: int) -> int:
+        """``region_id``, or the region now covering ``peer_id`` when a
+        Merge or Separate deleted it while a message naming it was in
+        flight (the region manager refreshes every ``current_region_id``)."""
+        try:
+            self.host.table.get(region_id)
+        except KeyError:
+            return self.host.peers[peer_id].current_region_id
+        return region_id
+
     # -- static store (custody) accounting ---------------------------------
 
     def static_bytes(self) -> float:
@@ -651,7 +661,8 @@ class Peer:
         if msg.key in self.static_keys:
             return  # already authoritative
         reg_dst = self.host.table.center_distance(
-            self.current_region_id, msg.responder_region_id
+            self.current_region_id,
+            self._held_region_id(msg.responder_region_id, msg.responder),
         )
         entry = CachedCopy(
             key=msg.key,
@@ -897,7 +908,9 @@ class Peer:
             self.serve(msg.request_id, msg.requester, msg.key)
             return
         if arrived_by_geo:
-            region = self.host.table.get(msg.target_region_id)
+            region = self.host.table.get(
+                self._held_region_id(msg.target_region_id, self.id)
+            )
             tracer = self.host.tracer
             if tracer is not None:
                 tracer.point_by_request(
@@ -952,7 +965,7 @@ class Peer:
         """Push arriving at its target region (geo arrival then flood)."""
         self.process_update_push(msg)
         if arrived_by_geo:
-            region = self.host.table.get(region_id)
+            region = self.host.table.get(self._held_region_id(region_id, self.id))
             self.host.stack.flood_send(
                 self.id,
                 msg,

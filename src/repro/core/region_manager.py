@@ -68,7 +68,6 @@ class DynamicRegionManager:
         check_interval: float = 60.0,
         min_peers: int = 2,
         max_peers: int = 24,
-        max_operations_per_check: int = 1,
     ):
         if min_peers < 1:
             raise ValueError(f"min_peers must be >= 1, got {min_peers}")
@@ -82,7 +81,6 @@ class DynamicRegionManager:
         self.check_interval = float(check_interval)
         self.min_peers = min_peers
         self.max_peers = max_peers
-        self.max_operations_per_check = max_operations_per_check
         self.merges = 0
         self.separates = 0
 
@@ -96,25 +94,12 @@ class DynamicRegionManager:
                 counts[rid] += 1
         return counts
 
-    # -- the periodic process ---------------------------------------------------
-
-    def process(self):
-        """Generator process: census, adapt, disseminate, relocate."""
-        from repro.sim import Timeout
-
-        while True:
-            yield Timeout(self.check_interval)
-            self.run_once()
+    # -- the periodic pass ------------------------------------------------------
 
     def run_once(self) -> int:
-        """One adaptation pass; returns the number of operations applied."""
-        operations = 0
-        for _ in range(self.max_operations_per_check):
-            if self._try_merge() or self._try_separate():
-                operations += 1
-            else:
-                break
-        return operations
+        """One adaptation pass (census, adapt, disseminate, relocate):
+        at most one merge or separate.  Returns the number applied."""
+        return 1 if self._try_merge() or self._try_separate() else 0
 
     # -- merge / separate decisions ------------------------------------------------
 

@@ -2,16 +2,12 @@
 
 The engine follows the classic event-queue design used by NS-2 and SimPy:
 a priority queue of ``(time, priority, sequence)``-ordered events whose
-callbacks are executed in nondecreasing virtual-time order.  Two layers of
-API are offered:
-
-* a **callback layer** — :meth:`Simulator.schedule` /
-  :meth:`Simulator.schedule_at` register a plain callable to run at a
-  virtual time; this is the fast path used by the network substrate, and
-* a **process layer** — :meth:`Simulator.spawn` drives a Python generator
-  as a cooperative process that may ``yield`` a :class:`Timeout` to
-  suspend itself; this is the convenient path used by workload
-  generators and peer behaviours.
+callbacks are executed in nondecreasing virtual-time order.  There is one
+way to put work on the clock: :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at` register a plain callable to run at a
+virtual time, and :meth:`Event.cancel` withdraws it.  A periodic or
+Poisson activity (a beacon, an arrival stream) is a callback that does
+its work and then schedules its own next wakeup.
 
 Event records
 -------------
@@ -36,14 +32,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = [
     "Event",
-    "Process",
     "SimulationError",
     "Simulator",
-    "Timeout",
 ]
 
 
@@ -65,76 +59,6 @@ class Event(list):
         """Prevent the callback from running.  Idempotent, and a no-op
         once the event has fired."""
         self[3] = None
-
-
-class Timeout:
-    """Suspend the yielding process for ``delay`` units of virtual time.
-
-    ``value`` is returned to the process when the timeout fires.
-    """
-
-    __slots__ = ("delay", "value")
-
-    def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        self.delay = float(delay)
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timeout({self.delay!r})"
-
-
-class Process:
-    """A generator-driven cooperative process.
-
-    Created via :meth:`Simulator.spawn`.  The generator yields
-    :class:`Timeout` s; each timeout's value is sent back into the
-    generator when it fires.  When the generator returns, the process
-    completes and its return value is kept in ``result``.
-    """
-
-    __slots__ = ("sim", "name", "_gen", "alive", "result", "_wakeup")
-
-    def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any], name: str = ""):
-        self.sim = sim
-        self.name = name or f"process-{id(gen):x}"
-        self._gen = gen
-        self.alive = True
-        self.result: Any = None
-        #: The pending timeout's event (cancelled by :meth:`kill`).
-        self._wakeup: Optional[Event] = None
-
-    def _resume(self, value: Any = None) -> None:
-        if not self.alive:
-            return
-        try:
-            target = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        if not isinstance(target, Timeout):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}, which is not a waitable"
-            )
-        self._wakeup = self.sim.schedule(target.delay, self._resume, target.value)
-
-    def _finish(self, result: Any) -> None:
-        self.alive = False
-        self.result = result
-
-    def kill(self) -> None:
-        """Terminate the process immediately without running it further."""
-        if not self.alive:
-            return
-        if self._wakeup is not None:
-            self._wakeup.cancel()
-        self._gen.close()
-        self._finish(None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.alive else "done"
-        return f"Process({self.name!r}, {state})"
 
 
 class Simulator:
@@ -198,12 +122,6 @@ class Simulator:
         event = Event((time, priority, next(self._sequence), callback, args))
         heapq.heappush(self._queue, event)
         return event
-
-    def spawn(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
-        """Start a generator as a cooperative process."""
-        process = Process(self, gen, name=name)
-        self.schedule(0.0, process._resume, None)
-        return process
 
     # -- execution -------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Per-peer Poisson arrival processes for requests and updates.
 
-Each peer runs two independent processes on the simulation clock:
+Each peer runs two independent arrival streams on the simulation clock:
 
 * a **request process** with exponential inter-arrival times of mean
   ``t_request`` (paper: 30 s), each arrival issuing a read for a
@@ -16,11 +16,11 @@ consistency scheme identically.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.sim import Process, Simulator, Timeout
+from repro.sim import Simulator
 from repro.workload.zipf import ZipfSampler
 
 __all__ = ["PoissonArrivals", "WorkloadGenerator"]
@@ -54,21 +54,18 @@ class PoissonArrivals:
         self.callback = callback
         self.rng = rng
         self.stop_at = stop_at
-        self.arrivals = 0
-        self.process: Process = sim.spawn(self._run(), name=f"arrivals-{peer_id}")
+        sim.schedule(0.0, self._start)
 
-    def _run(self) -> Generator:
-        yield Timeout(float(self.rng.uniform(0.0, self.mean_interval)))
-        while True:
-            if self.stop_at is not None and self.sim.now >= self.stop_at:
-                return
-            key = self.sampler.sample()
-            self.arrivals += 1
-            self.callback(self.peer_id, key)
-            yield Timeout(float(self.rng.exponential(self.mean_interval)))
+    def _start(self) -> None:
+        first = float(self.rng.uniform(0.0, self.mean_interval))
+        self.sim.schedule(first, self._arrive)
 
-    def stop(self) -> None:
-        self.process.kill()
+    def _arrive(self) -> None:
+        if self.stop_at is not None and self.sim.now >= self.stop_at:
+            return
+        self.callback(self.peer_id, self.sampler.sample())
+        gap = float(self.rng.exponential(self.mean_interval))
+        self.sim.schedule(gap, self._arrive)
 
 
 class WorkloadGenerator:
@@ -102,42 +99,17 @@ class WorkloadGenerator:
             The paper specifies Zipf for *accesses* only, so experiments
             typically pass a uniform sampler here.
         """
-        self.sim = sim
-        self.n_peers = n_peers
-        self.request_streams: List[PoissonArrivals] = []
-        self.update_streams: List[PoissonArrivals] = []
         noop: RequestCallback = lambda peer, key: None
         on_request = on_request or noop
         on_update = on_update or noop
         if update_sampler is None:
             update_sampler = sampler
         for peer in range(n_peers):
-            self.request_streams.append(
-                PoissonArrivals(
-                    sim, peer, t_request, sampler, on_request, rng, stop_at=stop_at
-                )
+            PoissonArrivals(
+                sim, peer, t_request, sampler, on_request, rng, stop_at=stop_at
             )
             if t_update is not None:
-                self.update_streams.append(
-                    PoissonArrivals(
-                        sim,
-                        peer,
-                        t_update,
-                        update_sampler,
-                        on_update,
-                        rng,
-                        stop_at=stop_at,
-                    )
+                PoissonArrivals(
+                    sim, peer, t_update, update_sampler, on_update, rng,
+                    stop_at=stop_at,
                 )
-
-    @property
-    def total_requests(self) -> int:
-        return sum(s.arrivals for s in self.request_streams)
-
-    @property
-    def total_updates(self) -> int:
-        return sum(s.arrivals for s in self.update_streams)
-
-    def stop(self) -> None:
-        for stream in self.request_streams + self.update_streams:
-            stream.stop()

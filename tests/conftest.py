@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,15 @@ def sim() -> Simulator:
 @pytest.fixture
 def rngs() -> RngRegistry:
     return RngRegistry(seed=12345)
+
+
+async def wait_until(predicate, timeout=5.0, interval=0.02):
+    """Poll ``predicate`` on the running loop until it holds."""
+    deadline = asyncio.get_event_loop().time() + timeout
+    while not predicate():
+        if asyncio.get_event_loop().time() > deadline:
+            raise AssertionError("condition not reached in time")
+        await asyncio.sleep(interval)
 
 
 def make_static_network(
@@ -56,6 +67,38 @@ def tiny_config(**overrides) -> SimulationConfig:
         # comparable to the paper's 80-node setup.
         width=800.0,
         height=800.0,
+    )
+    defaults.update(overrides)
+    return SimulationConfig(**defaults)
+
+
+def all_timers_config(**overrides) -> SimulationConfig:
+    """A run that wakes every timer kind: arrivals, region sweep, custody
+    repair, churn, digests, prefetch, beacons and the region manager
+    (attach the invariant checker for the ninth)."""
+    defaults = dict(
+        n_nodes=40,
+        n_items=120,
+        width=900,
+        height=900,
+        n_regions=9,
+        max_speed=8,
+        duration=300,
+        warmup=30,
+        t_request=8,
+        t_update=40,
+        consistency="push-adaptive-pull",
+        churn_uptime=120,
+        churn_downtime=30,
+        enable_digest=True,
+        enable_prefetch=True,
+        gpsr_beacon_interval=2,
+        dynamic_regions=True,
+        region_manage_interval=30,
+        region_min_peers=2,
+        region_max_peers=8,
+        enable_event_log=True,
+        seed=1,
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)

@@ -1,32 +1,22 @@
-"""Edge-case tests for the event engine's process lifecycle."""
+"""Edge-case tests for a timer process on the engine: a callback chain
+that reschedules itself."""
 
 import pytest
-
-from repro.sim import Timeout
 
 
 class TestProcessLifecycle:
     def test_generator_exception_propagates(self, sim):
-        def proc():
-            yield Timeout(1.0)
-            raise RuntimeError("boom")
+        """An exception raised in a self-rescheduling callback leaves
+        ``run()`` after the steps before it ran."""
+        steps = []
 
-        sim.spawn(proc())
+        def step():
+            steps.append(sim.now)
+            if len(steps) == 2:
+                raise RuntimeError("boom")
+            sim.schedule(1.0, step)
+
+        sim.schedule(0.0, step)
         with pytest.raises(RuntimeError, match="boom"):
             sim.run()
-
-
-class TestCombinatorEdges:
-    def test_timeout_zero_runs_next_step(self, sim):
-        order = []
-
-        def proc():
-            order.append("before")
-            yield Timeout(0.0)
-            order.append("after")
-
-        sim.spawn(proc())
-        sim.schedule(0.0, order.append, "event")
-        sim.run()
-        assert order[0] == "before"
-        assert set(order[1:]) == {"event", "after"}
+        assert steps == [0.0, 1.0]

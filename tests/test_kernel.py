@@ -15,9 +15,11 @@ so a divergence points at the responsible layer:
 * ``Flooder.handle_batch`` vs per-receiver ``handle`` — same
   deliveries, same delivery order, same duplicate/out-of-scope counter
   totals;
-* and, by count, that the radio's per-transmission path (broadcast,
+* by count, that the radio's per-transmission path (broadcast,
   unicast, batch delivery, flood dedup and scoping) makes no numpy call
-  once the topology generation's memos are filled.
+  once the topology generation's memos are filled;
+* and, by digest, that a run waking every timer kind replays the event
+  sequence it had when the timers were generator processes.
 """
 
 from __future__ import annotations
@@ -482,3 +484,54 @@ def test_one_admission_path_in_the_service():
         if banned.search(line)
     ]
     assert not hits, "a second admission path reappeared:\n" + "\n".join(hits)
+
+
+def test_one_way_to_schedule_an_event():
+    """Every timer is a callback that reschedules itself: no generator
+    process layer under src/."""
+    import re
+    from pathlib import Path
+
+    import repro.sim
+    from repro.sim import Simulator
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    banned = re.compile(
+        r"yield Timeout|\.spawn\(|from repro\.sim(\.engine)? import .*(Timeout|Process)"
+    )
+    hits = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, "a second way to schedule reappeared:\n" + "\n".join(hits)
+    assert not {"Process", "Timeout"} & set(repro.sim.__all__)
+    assert not hasattr(Simulator, "spawn")
+
+
+# ---------------------------------------------------------------------------
+# Every timer kind, pinned: the digests and event count of a run that
+# wakes all nine (recorded before the timers became callbacks)
+# ---------------------------------------------------------------------------
+
+def test_all_timer_kinds_replay_bit_for_bit():
+    from repro.core.invariants import attach_periodic_checker
+    from repro.core.network import PReCinCtNetwork
+    from repro.faults.audit import eventlog_digest, report_digest
+    from tests.conftest import all_timers_config
+
+    net = PReCinCtNetwork(all_timers_config())
+    attach_periodic_checker(net, interval=25)
+    report = net.run()
+    assert net.sim.events_executed == 129_942
+    assert report_digest(report) == (
+        "ea17f535062a465d46a7e3ac00273a6d920a41c18231270c3ea4009b329032e7"
+    )
+    assert eventlog_digest(net.log) == (
+        "bd6798041b0fcfac53345ac01d29f0f12012d7ab9a088ad8171fd9bf27570e65"
+    )
+    for woke in ("peer.region_changes", "custody.repaired", "churn.departures",
+                 "net.sent.digest", "prefetch.issued", "peer.beacons_heard",
+                 "regions.merged"):
+        assert net.stats.value(woke) > 0, woke

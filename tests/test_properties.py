@@ -12,7 +12,7 @@ from repro.core.regions import RegionTable
 from repro.core.replacement import GDLDPolicy, GDSizePolicy
 from repro.geom import point_in_polygon, polygon_centroid
 from repro.net import SpatialGrid
-from repro.sim import Simulator, Timeout, WelfordAccumulator
+from repro.sim import Simulator, WelfordAccumulator
 
 # ---------------------------------------------------------------------------
 # Simulator: event ordering is a total order by (time, insertion)
@@ -35,15 +35,19 @@ def test_simulator_executes_in_nondecreasing_time_order(delays):
     )
 )
 def test_process_timeouts_accumulate(delays):
+    """A timer process that reschedules itself after each delay ends at
+    the sum of its delays."""
     sim = Simulator()
     ends = []
+    pending = list(delays)
 
-    def proc():
-        for d in delays:
-            yield Timeout(d)
-        ends.append(sim.now)
+    def step():
+        if pending:
+            sim.schedule(pending.pop(0), step)
+        else:
+            ends.append(sim.now)
 
-    sim.spawn(proc())
+    sim.schedule(0.0, step)
     sim.run()
     assert ends[0] == sum(delays) or math.isclose(ends[0], sum(delays), rel_tol=1e-9)
 

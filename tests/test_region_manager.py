@@ -6,7 +6,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.network import PReCinCtNetwork
 from repro.core.region_manager import DynamicRegionManager, RegionTableUpdate
-from tests.conftest import tiny_config
+from tests.conftest import all_timers_config, tiny_config
 
 
 def make_net(**overrides):
@@ -140,3 +140,13 @@ class TestEndToEnd:
             )
         ).run()
         assert with_mgr.delivery_ratio > without.delivery_ratio * 0.7
+
+    @pytest.mark.parametrize("seed", [5, 9, 12])
+    def test_messages_naming_a_deleted_region_are_delivered(self, seed):
+        """A Merge or Separate deletes a region while a request, push or
+        response naming it is in flight: the id resolves to the region
+        now covering the peer instead of raising ``KeyError``."""
+        net = PReCinCtNetwork(all_timers_config(seed=seed))
+        report = net.run()
+        assert report.requests_served > 0
+        assert net.region_manager.merges >= 1

@@ -40,6 +40,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.workload.database import Database
+from tests.conftest import wait_until
 
 
 def make_origin(n_items=64, latency=0.0, seed=7):
@@ -482,7 +483,8 @@ class TestServerEndToEnd:
             )
             writer.write(b'{"op": "get", "key": 2}\n')
             await writer.drain()
-            await asyncio.sleep(0.05)  # op admitted, parked on origin
+            home = server.workers[server.directory.home_region(2)]
+            await wait_until(lambda: home.load() == 1)  # parked on origin
             shutdown = asyncio.ensure_future(server.shutdown())
             line = await asyncio.wait_for(reader.readline(), timeout=5.0)
             response = json.loads(line)
@@ -542,7 +544,7 @@ class TestTelemetryBridge:
                 port=server.port, clients=2, duration=0.4,
                 n_items=32, theta=0.9,
             ))
-            await asyncio.sleep(0.1)  # at least one sampled row
+            await wait_until(lambda: server.bus.rows_published >= 1)
             await server.shutdown()
 
         asyncio.run(scenario())
@@ -577,7 +579,7 @@ class TestTelemetryBridge:
             await run_loadgen(LoadGenConfig(
                 port=server.port, clients=2, duration=0.3, n_items=32,
             ))
-            await asyncio.sleep(0.1)
+            await wait_until(lambda: server.bus.rows_published >= 1)
             await server.shutdown()
 
         asyncio.run(scenario())

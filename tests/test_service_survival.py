@@ -40,6 +40,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.workload.database import Database
+from tests.conftest import wait_until
 
 
 def make_origin(n_items=64, latency=0.0, seed=7):
@@ -154,14 +155,6 @@ async def stop_workers(server):
         await server.supervisor.stop()
     for worker in server.workers.values():
         await worker.drain()
-
-
-async def wait_until(predicate, timeout=5.0, interval=0.02):
-    deadline = asyncio.get_event_loop().time() + timeout
-    while not predicate():
-        if asyncio.get_event_loop().time() > deadline:
-            raise AssertionError("condition not reached in time")
-        await asyncio.sleep(interval)
 
 
 class TestShardSupervision:
@@ -403,7 +396,9 @@ class TestBrownoutBudgets:
         async def scenario():
             origin.stall()
             fetch = asyncio.ensure_future(shard.get(3))
-            await asyncio.sleep(0.1)  # primary is slow: hedge fires
+            await wait_until(  # primary is slow: hedge fires
+                lambda: stats.value("resilience.hedged_fetches") >= 1
+            )
             origin.resume()
             response = await asyncio.wait_for(fetch, timeout=5.0)
             assert response.ok
@@ -541,7 +536,7 @@ class TestChaosWireOp:
             assert response["ok"] is True
             assert response["spec"]["kind"] == "latency-spike"
             assert server.origin.extra_latency == 0.25
-            await asyncio.sleep(0.2)  # auto-revert timer fires
+            await wait_until(lambda: server.origin.extra_latency == 0.0)
             assert server.origin.extra_latency == 0.0
             await server.shutdown()
 

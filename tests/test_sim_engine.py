@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, Timeout
+from repro.sim import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -109,78 +109,6 @@ class TestScheduling:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_executed == 4
-
-
-class TestProcesses:
-    def test_timeout_resumes_at_right_time(self, sim):
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield Timeout(3.0)
-            trace.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run()
-        assert trace == [0.0, 3.0]
-
-    def test_timeout_value_passed_back(self, sim):
-        got = []
-
-        def proc():
-            value = yield Timeout(1.0, value="payload")
-            got.append(value)
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == ["payload"]
-
-    def test_negative_timeout_rejected(self):
-        with pytest.raises(SimulationError):
-            Timeout(-1.0)
-
-    def test_process_completion_result(self, sim):
-        def proc():
-            yield Timeout(1.0)
-            return 42
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert not p.alive
-        assert p.result == 42
-
-    def test_kill_stops_process_and_cancels_wait(self, sim):
-        trace = []
-
-        def proc():
-            yield Timeout(10.0)
-            trace.append("should-not-happen")
-
-        p = sim.spawn(proc())
-        sim.schedule(1.0, p.kill)
-        sim.run()
-        assert trace == []
-        assert not p.alive
-
-    def test_yielding_non_waitable_raises(self, sim):
-        def proc():
-            yield "not-a-waitable"
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_chained_processes_deterministic(self, sim):
-        trace = []
-
-        def worker(tag, delay):
-            yield Timeout(delay)
-            trace.append(tag)
-
-        for tag, delay in [("x", 2.0), ("y", 1.0), ("z", 2.0)]:
-            sim.spawn(worker(tag, delay))
-        sim.run()
-        assert trace == ["y", "x", "z"]
 
 
 class TestSameTimestampFIFO:

@@ -118,16 +118,6 @@ class TestPoissonArrivals:
         sim.run(until=500.0)
         assert all(t <= 51.0 for t in count)
 
-    def test_stop_kills_process(self):
-        sim = Simulator()
-        rng = RngRegistry(7).get("w")
-        stream = PoissonArrivals(
-            sim, 0, 1.0, make_sampler(), lambda p, k: None, rng
-        )
-        sim.run(until=5.0)
-        stream.stop()
-        assert not stream.process.alive
-
     def test_invalid_interval(self):
         sim = Simulator()
         rng = RngRegistry(7).get("w")
@@ -140,25 +130,26 @@ class TestWorkloadGenerator:
         sim = Simulator()
         rng = RngRegistry(9).get("w")
         by_peer = {}
-        gen = WorkloadGenerator(
+        WorkloadGenerator(
             sim, 5, make_sampler(), rng, t_request=5.0,
             on_request=lambda p, k: by_peer.setdefault(p, []).append(k),
         )
         sim.run(until=200.0)
         assert set(by_peer) == {0, 1, 2, 3, 4}
-        assert gen.total_requests == sum(len(v) for v in by_peer.values())
+        assert all(len(keys) > 10 for keys in by_peer.values())
 
     def test_updates_disabled_when_none(self):
         sim = Simulator()
         rng = RngRegistry(9).get("w")
-        updates = []
-        gen = WorkloadGenerator(
+        requests, updates = [], []
+        WorkloadGenerator(
             sim, 3, make_sampler(), rng, t_request=5.0, t_update=None,
+            on_request=lambda p, k: requests.append(k),
             on_update=lambda p, k: updates.append(k),
         )
         sim.run(until=100.0)
+        assert requests
         assert updates == []
-        assert gen.total_updates == 0
 
     def test_update_stream_rate(self):
         sim = Simulator()
@@ -173,11 +164,17 @@ class TestWorkloadGenerator:
         assert rate == pytest.approx(4 / 10.0, rel=0.15)
 
     def test_stop_all(self):
+        """``stop_at`` ends every request and update stream, and each
+        stream's timer stops rescheduling itself."""
         sim = Simulator()
         rng = RngRegistry(9).get("w")
-        gen = WorkloadGenerator(sim, 3, make_sampler(), rng, t_request=1.0)
-        sim.run(until=5.0)
-        gen.stop()
-        before = gen.total_requests
+        arrivals = []
+        WorkloadGenerator(
+            sim, 3, make_sampler(), rng, t_request=1.0, t_update=2.0,
+            on_request=lambda p, k: arrivals.append(sim.now),
+            on_update=lambda p, k: arrivals.append(sim.now),
+            stop_at=5.0,
+        )
         sim.run(until=50.0)
-        assert gen.total_requests == before
+        assert arrivals and max(arrivals) < 5.0
+        assert sim.pending_events == 0
