@@ -22,8 +22,7 @@ from typing import Dict, Tuple
 
 from repro.analysis.metrics import RequestMetrics, RunReport
 from repro.config import SimulationConfig
-from repro.mobility import RandomWaypointModel, StationaryModel
-from repro.net import RadioParams, WirelessNetwork
+from repro.core.network import build_radio
 from repro.net.packet import Packet
 from repro.routing import NetworkStack
 from repro.sim import RngRegistry, Simulator, StatRegistry
@@ -103,23 +102,8 @@ class FloodingRetrievalNetwork:
         self.rngs = RngRegistry(cfg.seed)
         self.stats = StatRegistry()
         self.metrics = RequestMetrics()
-        if cfg.max_speed and cfg.max_speed > 0:
-            self.mobility = RandomWaypointModel(
-                cfg.n_nodes,
-                cfg.width,
-                cfg.height,
-                max_speed=cfg.max_speed,
-                pause_time=cfg.pause_time,
-                rng=self.rngs.get("mobility"),
-            )
-        else:
-            self.mobility = StationaryModel(
-                cfg.n_nodes, cfg.width, cfg.height, rng=self.rngs.get("placement")
-            )
-        radio = RadioParams(range_m=cfg.range_m, bandwidth_bps=cfg.bandwidth_bps)
-        self.network = WirelessNetwork(
-            self.sim, self.mobility, rng=self.rngs.get("mac"), radio=radio, stats=self.stats
-        )
+        self.network = build_radio(cfg, self.sim, self.rngs, self.stats)
+        self.mobility = self.network.mobility
         self.stack = NetworkStack(self.network)
         self.stack.set_app_handler(self._dispatch)
         self.db = Database(

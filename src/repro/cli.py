@@ -7,10 +7,10 @@ any Python::
     python -m repro fig 4          # regenerate one figure's data series
     python -m repro fig all        # regenerate everything
     python -m repro theory --nodes 20 40 60 80
-    python -m repro faults --fault 'drop:p=0.1,start=100,end=400'
+    python -m repro run --fault 'drop:p=0.1,start=100,end=400'
     python -m repro run --resilience --retries 2 --deadline 5
     python -m repro audit --seed 42 --scenario default
-    python -m repro trace --slowest 5 --export-chrome trace.json
+    python -m repro run --slowest 5 --export-chrome trace.json
     python -m repro trace diff baseline.jsonl faulted.jsonl
     python -m repro energy --scenario baseline --tolerance 0.5
     python -m repro run --anomaly 'mac.backlog_max_s>5' --bundle-dir bundles/
@@ -55,7 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one PReCinCt simulation")
+    run_p = sub.add_parser(
+        "run",
+        help="run one PReCinCt simulation, optionally under a fault plan "
+             "and with request tracing",
+    )
     run_p.add_argument("--nodes", type=int, default=80)
     run_p.add_argument("--regions", type=int, default=9)
     run_p.add_argument("--speed", type=float, default=6.0,
@@ -79,6 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean connected seconds per peer (enables churn)")
     run_p.add_argument("--map", action="store_true",
                        help="print an ASCII topology snapshot after the run")
+    # Every tracing flag arms tracing and span-level energy attribution,
+    # both digest-neutral.
     run_p.add_argument("--trace-sample-rate", type=float, default=None,
                        metavar="RATE",
                        help="enable request tracing with head-based "
@@ -87,6 +93,27 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--export-trace", default=None, metavar="PATH",
                        help="write the (sampled) traces as JSON lines "
                             "(implies tracing)")
+    run_p.add_argument("--slowest", type=int, default=None, metavar="N",
+                       help="show the N slowest requests with per-phase "
+                            "latency and energy breakdowns (implies "
+                            "tracing)")
+    run_p.add_argument("--outcome", default=None, metavar="CLASS",
+                       help="break down only traces with this outcome, "
+                            "e.g. 'failed', 'home', 'local-cache' "
+                            "(implies tracing)")
+    run_p.add_argument("--export-chrome", default=None, metavar="PATH",
+                       help="write a Chrome trace-event file "
+                            "(chrome://tracing, Perfetto; implies tracing)")
+    run_p.add_argument(
+        "--fault", action="append", default=[], metavar="SPEC",
+        help="fault rule, e.g. 'drop:p=0.1,start=100,end=400', "
+             "'crash:at=200,nodes=3+7', 'partition:start=100,end=200,regions=0'; "
+             "repeatable",
+    )
+    run_p.add_argument("--plan-file", default=None, metavar="PATH",
+                       help="JSON fault-plan file (merged after --fault rules)")
+    run_p.add_argument("--check-invariants", action="store_true",
+                       help="re-check system invariants at every fault boundary")
     run_p.add_argument(
         "--anomaly", action="append", default=[], metavar="RULE",
         type=_anomaly_rule,
@@ -127,7 +154,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the dashboard's plain one-line-summary mode "
              "(no ANSI; the CI-safe mode)",
     )
-    _add_resilience_args(run_p)
+    run_p.add_argument(
+        "--resilience", action="store_true",
+        help="enable the adaptive request-resilience layer: bounded "
+             "retries with backoff, per-request deadline budgets, and "
+             "per-region circuit breaking (see docs/RESILIENCE.md)",
+    )
+    run_p.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help="retry budget per remote phase (implies --resilience; "
+             "default from SimulationConfig)",
+    )
+    run_p.add_argument(
+        "--deadline", type=float, default=None, metavar="S",
+        help="total latency budget per request in seconds; 0 disables "
+             "deadlines (implies --resilience)",
+    )
     run_p.add_argument("--report", action="store_true",
                        help="print the full multi-section run summary")
     run_p.add_argument(
@@ -136,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     run_p.add_argument("--t-update", type=float, default=None,
-                       help="mean inter-update time (s); omit for read-only")
+                       help="mean inter-update time (s); omit or 0 for "
+                            "read-only")
     run_p.add_argument("--duration", type=float, default=1000.0)
     run_p.add_argument("--warmup", type=float, default=200.0)
     run_p.add_argument("--items", type=int, default=1000)
@@ -154,16 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     th_p.add_argument("--nodes", type=int, nargs="+", default=[20, 40, 60, 80])
     th_p.add_argument("--regions", type=int, default=9)
     th_p.add_argument("--area", type=float, default=600.0)
-
-    flt_p = sub.add_parser(
-        "faults", help="run one simulation under a declarative fault plan"
-    )
-    _add_workload_args(flt_p, duration=600.0, warmup=100.0)
-    flt_p.add_argument("--plan-file", default=None,
-                       help="JSON fault-plan file (merged after --fault rules)")
-    flt_p.add_argument("--check-invariants", action="store_true",
-                       help="re-check system invariants at every fault boundary")
-    _add_resilience_args(flt_p)
 
     aud_p = sub.add_parser(
         "audit",
@@ -198,11 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     tr_p = sub.add_parser(
-        "trace",
-        help="run one traced simulation and summarize the request "
-             "traces, or diff two trace exports (trace diff A B)",
+        "trace", help="diff two trace exports (trace diff A B)",
     )
-    tr_sub = tr_p.add_subparsers(dest="trace_cmd", metavar="{diff}")
+    tr_sub = tr_p.add_subparsers(dest="trace_cmd", metavar="{diff}",
+                                 required=True)
     diff_p = tr_sub.add_parser(
         "diff",
         help="align two Tracer.to_jsonl exports and rank per-phase "
@@ -216,23 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the diff report as JSON")
     diff_p.add_argument("--top", type=int, default=0, metavar="N",
                         help="list only the N worst phases (0 = all)")
-    _add_workload_args(tr_p, duration=400.0, warmup=50.0)
-    tr_p.add_argument(
-        "--trace-sample-rate", type=float, default=1.0, metavar="RATE",
-        help="head-based trace sampling probability in [0, 1] "
-             "(default 1.0 = trace every request; digest-neutral)",
-    )
-    tr_p.add_argument("--slowest", type=int, default=5, metavar="N",
-                      help="show the N slowest requests with per-phase "
-                           "latency breakdowns")
-    tr_p.add_argument("--outcome", default=None, metavar="CLASS",
-                      help="only summarize traces with this outcome "
-                           "(e.g. 'failed', 'home', 'local-cache')")
-    tr_p.add_argument("--export-jsonl", default=None, metavar="PATH",
-                      help="write every completed trace as JSON lines")
-    tr_p.add_argument("--export-chrome", default=None, metavar="PATH",
-                      help="write a Chrome trace-event file "
-                           "(chrome://tracing, Perfetto)")
 
     en_p = sub.add_parser(
         "energy",
@@ -467,26 +482,6 @@ def _anomaly_rule(spec: str) -> str:
     return spec
 
 
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Request-resilience knobs (run/faults subcommands)."""
-    parser.add_argument(
-        "--resilience", action="store_true",
-        help="enable the adaptive request-resilience layer: bounded "
-             "retries with backoff, per-request deadline budgets, and "
-             "per-region circuit breaking (see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry budget per remote phase (implies --resilience; "
-             "default from SimulationConfig)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="total latency budget per request in seconds; 0 disables "
-             "deadlines (implies --resilience)",
-    )
-
-
 def _resilience_overrides(args: argparse.Namespace) -> dict:
     """Config overrides from the --resilience/--retries/--deadline flags."""
     enabled = (
@@ -502,67 +497,38 @@ def _resilience_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _add_workload_args(
-    parser: argparse.ArgumentParser, duration: float, warmup: float
-) -> None:
-    """Simulation knobs shared by the faults/trace subcommands."""
-    parser.add_argument("--nodes", type=int, default=40)
-    parser.add_argument("--regions", type=int, default=9)
-    parser.add_argument("--speed", type=float, default=6.0,
-                        help="max node speed m/s (0 = static)")
-    parser.add_argument("--cache", type=float, default=0.02,
-                        help="cache fraction of database size")
-    parser.add_argument(
-        "--consistency",
-        choices=["none", "plain-push", "pull-every-time", "push-adaptive-pull"],
-        default="push-adaptive-pull",
-    )
-    parser.add_argument("--t-update", type=float, default=60.0,
-                        help="mean inter-update time (s); 0 disables updates")
-    parser.add_argument("--duration", type=float, default=duration)
-    parser.add_argument("--warmup", type=float, default=warmup)
-    parser.add_argument("--items", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="SPEC",
-        help="fault rule, e.g. 'drop:p=0.1,start=100,end=400', "
-             "'crash:at=200,nodes=3+7', 'partition:start=100,end=200,regions=0'; "
-             "repeatable",
-    )
+def _fault_plan(args: argparse.Namespace):
+    """The --fault rules, then the --plan-file rules; None when empty."""
+    from repro.faults.plan import FaultPlan
 
-
-def _workload_config(args: argparse.Namespace, plan, **overrides) -> SimulationConfig:
-    return SimulationConfig(
-        n_nodes=args.nodes,
-        n_regions=args.regions,
-        max_speed=args.speed if args.speed > 0 else None,
-        cache_fraction=args.cache,
-        consistency=args.consistency,
-        t_update=args.t_update if args.t_update > 0 else None,
-        duration=args.duration,
-        warmup=args.warmup,
-        n_items=args.items,
-        seed=args.seed,
-        fault_plan=plan if plan else None,
-        **overrides,
-    )
+    try:
+        specs = list(FaultPlan.parse(args.fault).specs)
+        if args.plan_file is not None:
+            with open(args.plan_file, "r", encoding="utf-8") as fh:
+                specs.extend(FaultPlan.from_json(fh.read()).specs)
+    except (ValueError, TypeError, OSError) as exc:
+        raise ValueError(f"invalid fault plan: {exc}") from None
+    return FaultPlan(tuple(specs)) or None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import describe_faults, describe_run, describe_traces
     from repro.obs.observers import Observers
 
+    tracing = any(flag is not None for flag in (
+        args.trace_sample_rate, args.export_trace, args.slowest,
+        args.outcome, args.export_chrome,
+    ))
     # Flags left unset keep the Observers defaults.
     given = {
         "trace_sample_rate": args.trace_sample_rate,
         "watch_interval": args.watch_interval,
     }
     try:
-        cfg = _run_config(args, **_resilience_overrides(args))
+        cfg = _run_config(args)
         observers = Observers(
-            tracing=(
-                args.trace_sample_rate is not None
-                or args.export_trace is not None
-            ),
+            tracing=tracing,
+            energy_attribution=tracing,
             # Specs were validated at argparse time (_anomaly_rule).
             telemetry=bool(args.anomaly),
             anomaly_rules=tuple(args.anomaly),
@@ -576,23 +542,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    plan = cfg.fault_plan
+    if plan is not None:
+        print(plan.describe(), file=sys.stderr)
+    rules = f", {len(plan)} fault rule(s)" if plan is not None else ""
     print(f"running: {cfg.n_nodes} nodes, {cfg.n_regions} regions, "
-          f"{cfg.duration:.0f}s virtual time ...", file=sys.stderr)
+          f"{cfg.duration:.0f}s virtual time{rules} ...", file=sys.stderr)
     net = PReCinCtNetwork(cfg, observers=observers)
+    if net.faults is not None and args.check_invariants:
+        net.faults.check_invariants = True
     report = net.run()
     if args.export_trace is not None:
         n = net.tracer.to_jsonl(args.export_trace)
         print(f"wrote {n} trace(s) to {args.export_trace}")
+    if args.export_chrome is not None:
+        n = net.tracer.to_chrome_trace(args.export_chrome)
+        print(f"wrote {n} trace event(s) to {args.export_chrome}")
     if observers.live_sink is not None:
         print(f"live export: {observers.live_sink.rows_written} row(s) to "
               f"{args.live_export}")
     if observers.metrics_sink is not None:
         print(f"metrics snapshot: {observers.metrics_sink.snapshots_written} "
               f"rewrite(s) of {args.metrics_snapshot}")
+    slowest = args.slowest or 0
     if args.report:
-        from repro.analysis.summary import describe_run
-
-        print(describe_run(net, report, topology=args.map))
+        print(describe_run(net, report, topology=args.map,
+                           outcome=args.outcome, slowest=slowest))
         return 0
     print(report.row())
     print(
@@ -601,10 +576,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     for cls, count in sorted(report.served_by_class.items()):
         print(f"  served[{cls}] = {count}")
-    if net.tracer is not None:
-        print(f"  traces: {len(net.tracer)} completed, "
-              f"{net.tracer.sampled_out} sampled out "
-              f"(rate {observers.trace_sample_rate})")
+    for section in (describe_faults(net),
+                    describe_traces(net, outcome=args.outcome, slowest=slowest)):
+        if section:
+            print(section)
     if net.anomaly is not None:
         print(f"  anomaly triggers: {net.anomaly.triggers} firing(s) "
               f"across {len(net.anomaly.rules)} rule(s)")
@@ -620,7 +595,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
+def _run_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig(
         n_nodes=args.nodes,
         n_regions=args.regions,
@@ -629,7 +604,7 @@ def _run_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
         cache_fraction=args.cache,
         replacement_policy=args.policy,
         consistency=args.consistency,
-        t_update=args.t_update,
+        t_update=args.t_update or None,  # 0 = read-only
         duration=args.duration,
         warmup=args.warmup,
         n_items=args.items,
@@ -638,7 +613,8 @@ def _run_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
         enable_prefetch=args.prefetch,
         dynamic_regions=args.dynamic_regions,
         churn_uptime=args.churn_uptime,
-        **overrides,
+        fault_plan=_fault_plan(args),
+        **_resilience_overrides(args),
     )
 
 
@@ -674,38 +650,6 @@ def _cmd_theory(args: argparse.Namespace) -> int:
             f"{n:>6} {model.flooding_energy_mj(n):>13.2f} "
             f"{model.precinct_energy_mj(n, args.regions):>13.2f}"
         )
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults.plan import FaultPlan
-
-    try:
-        specs = list(FaultPlan.parse(args.fault).specs)
-        if args.plan_file is not None:
-            with open(args.plan_file, "r", encoding="utf-8") as fh:
-                specs.extend(FaultPlan.from_json(fh.read()).specs)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: invalid fault plan: {exc}", file=sys.stderr)
-        return 2
-    plan = FaultPlan(tuple(specs))
-    cfg = _workload_config(args, plan, **_resilience_overrides(args))
-    print(plan.describe(), file=sys.stderr)
-    print(f"running: {cfg.n_nodes} nodes, {cfg.duration:.0f}s virtual time, "
-          f"{len(plan)} fault rule(s) ...", file=sys.stderr)
-    net = PReCinCtNetwork(cfg)
-    if net.faults is not None and args.check_invariants:
-        net.faults.check_invariants = True
-    report = net.run()
-    print(report.row())
-    snapshot = net.stats.snapshot()
-    fault_keys = sorted(
-        name for name in snapshot
-        if ".faults." in name or ".net.unicast_dropped" in name
-        or ".net.broadcast_dropped" in name or ".resilience." in name
-    )
-    for name in fault_keys:
-        print(f"  {name.split('count.', 1)[-1]} = {snapshot[name]:.0f}")
     return 0
 
 
@@ -755,83 +699,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     for message in result.messages:
         print(message, file=sys.stderr)
     return 0 if result.ok else 1
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.faults.plan import FaultPlan
-    from repro.obs.observers import Observers
-
-    try:
-        cfg = _workload_config(args, FaultPlan.parse(args.fault))
-        # Energy attribution rides along (digest-neutral) so every span
-        # breakdown shows joules next to seconds.
-        observers = Observers(
-            tracing=True, trace_sample_rate=args.trace_sample_rate,
-            energy_attribution=True,
-        )
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"running traced: {cfg.n_nodes} nodes, {cfg.duration:.0f}s "
-          f"virtual time ...", file=sys.stderr)
-    net = PReCinCtNetwork(cfg, observers=observers)
-    report = net.run()
-    tracer = net.tracer
-    print(report.row())
-    print(f"traces: {len(tracer)} completed, {tracer.dropped_traces} dropped, "
-          f"{tracer.open_traces} still open at end of run")
-    if args.trace_sample_rate < 1.0:
-        print(f"sampling: rate {args.trace_sample_rate}, "
-              f"{tracer.sampled_out} request(s) sampled out")
-
-    print("outcomes:")
-    total = max(len(tracer), 1)
-    for outcome, count in sorted(
-        tracer.outcome_counts().items(), key=lambda kv: -kv[1]
-    ):
-        print(f"  {outcome:<16} {count:>7}  ({100 * count / total:5.1f} %)")
-
-    print("spans:")
-    for name, count in sorted(
-        tracer.span_counts().items(), key=lambda kv: -kv[1]
-    ):
-        print(f"  {name:<20} {count:>9}")
-
-    attributor = net.energy_attribution
-    if attributor is not None and attributor.charges_seen:
-        print(f"attributed energy: {attributor.total() / 1e6:.3f} J "
-              f"({attributor.charges_seen} radio charges)")
-        for kind, uj in attributor.by_span().items():
-            print(f"  {kind:<20} {uj / 1e6:>9.3f} J")
-
-    traces = tracer.completed(args.outcome)
-    if args.outcome is not None:
-        print(f"filter outcome={args.outcome!r}: {len(traces)} trace(s)")
-    slowest = sorted(traces, key=lambda t: t.latency, reverse=True)
-    slowest = slowest[: max(args.slowest, 0)]
-    if slowest:
-        print(f"slowest {len(slowest)} request(s):")
-    for trace in slowest:
-        faults = f" faults={','.join(trace.fault_tags)}" if trace.fault_tags else ""
-        print(f"  #{trace.trace_id} peer={trace.peer} key={trace.key} "
-              f"outcome={trace.outcome} latency={trace.latency:.4f}s{faults}")
-        phases = trace.phase_breakdown()
-        for span in phases:
-            tags = f"  [{','.join(span.fault_tags)}]" if span.fault_tags else ""
-            print(f"      {span.name:<16} {span.duration:8.4f}s "
-                  f"{span.energy_uj / 1000.0:10.3f} mJ{tags}")
-        if phases:
-            print(f"      {'(phase sum)':<16} "
-                  f"{sum(s.duration for s in phases):8.4f}s "
-                  f"{sum(s.energy_uj for s in phases) / 1000.0:10.3f} mJ")
-
-    if args.export_jsonl is not None:
-        n = tracer.to_jsonl(args.export_jsonl)
-        print(f"wrote {n} trace(s) to {args.export_jsonl}")
-    if args.export_chrome is not None:
-        n = tracer.to_chrome_trace(args.export_chrome)
-        print(f"wrote {n} trace event(s) to {args.export_chrome}")
-    return 0
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
@@ -1154,14 +1021,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_fig(args)
     if args.command == "theory":
         return _cmd_theory(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
     if args.command == "audit":
         return _cmd_audit(args)
     if args.command == "trace":
-        if getattr(args, "trace_cmd", None) == "diff":
-            return _cmd_trace_diff(args)
-        return _cmd_trace(args)
+        return _cmd_trace_diff(args)
     if args.command == "energy":
         return _cmd_energy(args)
     if args.command == "watch":

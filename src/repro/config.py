@@ -223,6 +223,13 @@ class SimulationConfig:
             raise ValueError(f"n_regions must be positive, got {self.n_regions}")
         if not 0.0 <= self.cache_fraction <= 1.0:
             raise ValueError(f"cache_fraction must be in [0, 1], got {self.cache_fraction}")
+        if self.t_request <= 0:
+            raise ValueError(f"t_request must be positive, got {self.t_request}")
+        if self.t_update is not None and self.t_update <= 0:
+            raise ValueError(
+                f"t_update must be positive (None disables updates), "
+                f"got {self.t_update}"
+            )
         if self.warmup >= self.duration:
             raise ValueError(
                 f"warmup ({self.warmup}) must be shorter than duration ({self.duration})"

@@ -55,6 +55,7 @@ from repro.core.replacement import (
     LRUPolicy,
     ReplacementPolicy,
 )
+from repro.energy import EnergyParams
 from repro.geom import distance
 from repro.mobility import RandomWaypointModel, StationaryModel
 from repro.net import RadioParams, WirelessNetwork
@@ -63,7 +64,7 @@ from repro.routing import GeoEnvelope, NetworkStack
 from repro.sim import RngRegistry, Simulator, StatRegistry
 from repro.workload import Database, WorkloadGenerator, ZipfSampler
 
-__all__ = ["PReCinCtNetwork"]
+__all__ = ["PReCinCtNetwork", "build_radio"]
 
 #: How often peers check their position for inter-region moves (§2.3), s.
 REGION_CHECK_INTERVAL = 1.0
@@ -80,6 +81,67 @@ PREFETCH_BATCH = 1
 PREFETCH_MIN_COUNT = 2
 
 
+def build_radio(
+    cfg: SimulationConfig,
+    sim: Simulator,
+    rngs: RngRegistry,
+    stats: StatRegistry,
+) -> WirelessNetwork:
+    """The radio network every simulated scheme runs on.
+
+    Its ``mobility`` is the model ``cfg.mobility_model`` names
+    (stationary placement when ``cfg.max_speed`` is unset), and its
+    radio range, bandwidth and idle power come from ``cfg``, so
+    PReCinCt and the baselines share one substrate per config.
+    """
+    mobile = bool(cfg.max_speed and cfg.max_speed > 0)
+    if not mobile or cfg.mobility_model == "stationary":
+        mobility = StationaryModel(
+            cfg.n_nodes, cfg.width, cfg.height, rng=rngs.get("placement")
+        )
+    elif cfg.mobility_model == "manhattan":
+        from repro.mobility import ManhattanModel
+
+        mobility = ManhattanModel(
+            cfg.n_nodes,
+            cfg.width,
+            cfg.height,
+            rng=rngs.get("mobility"),
+            n_streets=cfg.n_streets,
+            max_speed=cfg.max_speed,
+        )
+    elif cfg.mobility_model == "group":
+        from repro.mobility import GroupMobilityModel
+
+        mobility = GroupMobilityModel(
+            cfg.n_nodes,
+            cfg.width,
+            cfg.height,
+            rng=rngs.get("mobility"),
+            n_groups=cfg.group_count,
+            group_radius=cfg.group_radius,
+            max_speed=cfg.max_speed,
+            pause_time=cfg.pause_time,
+        )
+    else:
+        mobility = RandomWaypointModel(
+            cfg.n_nodes,
+            cfg.width,
+            cfg.height,
+            max_speed=cfg.max_speed,
+            pause_time=cfg.pause_time,
+            rng=rngs.get("mobility"),
+        )
+    return WirelessNetwork(
+        sim,
+        mobility,
+        rng=rngs.get("mac"),
+        radio=RadioParams(range_m=cfg.range_m, bandwidth_bps=cfg.bandwidth_bps),
+        energy_params=EnergyParams(idle_mw=cfg.idle_power_mw),
+        stats=stats,
+    )
+
+
 class PReCinCtNetwork:
     """A fully wired PReCinCt simulation."""
 
@@ -91,18 +153,8 @@ class PReCinCtNetwork:
         self.metrics = RequestMetrics()
 
         # -- substrates ------------------------------------------------------
-        self.mobility = self._make_mobility(cfg)
-        radio = RadioParams(range_m=cfg.range_m, bandwidth_bps=cfg.bandwidth_bps)
-        from repro.energy import EnergyParams
-
-        self.network = WirelessNetwork(
-            self.sim,
-            self.mobility,
-            rng=self.rngs.get("mac"),
-            radio=radio,
-            energy_params=EnergyParams(idle_mw=cfg.idle_power_mw),
-            stats=self.stats,
-        )
+        self.network = build_radio(cfg, self.sim, self.rngs, self.stats)
+        self.mobility = self.network.mobility
         self.stack = NetworkStack(self.network)
 
         # -- PReCinCt state ---------------------------------------------------
@@ -287,46 +339,6 @@ class PReCinCtNetwork:
         return out
 
     # -- factories ------------------------------------------------------------
-
-    def _make_mobility(self, cfg: SimulationConfig):
-        mobile = bool(cfg.max_speed and cfg.max_speed > 0)
-        model = cfg.mobility_model if mobile else "stationary"
-        if model == "stationary":
-            return StationaryModel(
-                cfg.n_nodes, cfg.width, cfg.height, rng=self.rngs.get("placement")
-            )
-        if model == "manhattan":
-            from repro.mobility import ManhattanModel
-
-            return ManhattanModel(
-                cfg.n_nodes,
-                cfg.width,
-                cfg.height,
-                rng=self.rngs.get("mobility"),
-                n_streets=cfg.n_streets,
-                max_speed=cfg.max_speed,
-            )
-        if model == "group":
-            from repro.mobility import GroupMobilityModel
-
-            return GroupMobilityModel(
-                cfg.n_nodes,
-                cfg.width,
-                cfg.height,
-                rng=self.rngs.get("mobility"),
-                n_groups=cfg.group_count,
-                group_radius=cfg.group_radius,
-                max_speed=cfg.max_speed,
-                pause_time=cfg.pause_time,
-            )
-        return RandomWaypointModel(
-            cfg.n_nodes,
-            cfg.width,
-            cfg.height,
-            max_speed=cfg.max_speed,
-            pause_time=cfg.pause_time,
-            rng=self.rngs.get("mobility"),
-        )
 
     @staticmethod
     def _make_scheme(cfg: SimulationConfig) -> ConsistencyScheme:

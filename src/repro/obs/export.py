@@ -1,7 +1,8 @@
 """Shared path handling and JSONL I/O for every observer exporter.
 
 Tracer, TelemetryTable, EnergyLedger, and FlightRecorder all speak the
-same ``to_jsonl``/``from_jsonl`` pair; the path normalization they need
+same ``to_jsonl`` (read back by ``from_jsonl``, or for traces by
+:func:`repro.obs.tracediff.load_traces`); the path normalization they need
 (expand ``~``, create missing parent directories, reject directories
 with a clear error instead of failing inside ``open``) lives here once
 instead of being copied into each exporter.

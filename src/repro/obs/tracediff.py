@@ -58,10 +58,13 @@ DELTA_EPS = 1e-9
 # ---------------------------------------------------------------------------
 
 def load_traces(path) -> List[Dict[str, Any]]:
-    """Read a ``Tracer.to_jsonl`` export; blank lines are skipped.
+    """Read a ``Tracer.to_jsonl`` export back as trace dicts.
 
-    An empty file is a valid export of a run that completed no traces
-    (e.g. ``trace_sample_rate=0``) and loads as an empty list.
+    This is the one reader of a trace export.  Blank lines are skipped,
+    and an empty file is a valid export of a run that completed no
+    traces (e.g. ``trace_sample_rate=0``) and loads as an empty list.  A
+    line that is not a JSON object with ``trace_id`` and ``spans``
+    raises ``ValueError`` naming its ``path:lineno``.
     """
     traces: List[Dict[str, Any]] = []
     with open(Path(path).expanduser(), "r", encoding="utf-8") as fh:
@@ -80,6 +83,8 @@ def load_traces(path) -> List[Dict[str, Any]]:
                     f"{path}:{lineno}: trace record must be an object, "
                     f"got {type(record).__name__}"
                 )
+            if "trace_id" not in record or "spans" not in record:
+                raise ValueError(f"{path}:{lineno}: not a JSON trace record")
             traces.append(record)
     return traces
 

@@ -8,7 +8,7 @@ families exist:
   ``phase.poll``) partition the request's lifetime exactly: each phase
   span ends the moment the next begins, and the last one ends when the
   request is served or fails, so the phase durations sum to the
-  request's reported latency (the ``repro trace --slowest`` breakdown
+  request's reported latency (the ``repro run --slowest`` breakdown
   relies on this identity);
 * **point spans** (``geohash.resolve``, ``gpsr.hop``, ``region.flood``,
   ``cache.lookup``, ``cache.admit``, ``cache.evict``,
@@ -306,10 +306,11 @@ class Tracer:
             return list(self._completed)
         return [t for t in self._completed if t.outcome == outcome]
 
-    def slowest(self, n: int = 5) -> List[Trace]:
-        """The ``n`` highest-latency completed traces (served or failed)."""
+    def slowest(self, n: int = 5, outcome: Optional[str] = None) -> List[Trace]:
+        """The ``n`` highest-latency completed traces (served or failed),
+        optionally only those with ``outcome``."""
         return sorted(
-            self._completed, key=lambda t: t.latency, reverse=True
+            self.completed(outcome), key=lambda t: t.latency, reverse=True
         )[:n]
 
     def span_counts(self) -> Dict[str, int]:
@@ -341,23 +342,6 @@ class Tracer:
         from repro.obs.export import write_jsonl
 
         return write_jsonl(path, (t.to_dict() for t in self._completed))
-
-    @staticmethod
-    def from_jsonl(path) -> List[Dict[str, Any]]:
-        """Read a :meth:`to_jsonl` export back as trace dicts.
-
-        Returns plain dicts (the exported schema), which is what the
-        differ (:mod:`repro.obs.tracediff`) consumes; a line that is
-        not a JSON trace record raises ``ValueError`` with its
-        ``path:lineno``.
-        """
-        from repro.obs.export import read_jsonl
-
-        records = read_jsonl(path)
-        for i, record in enumerate(records, start=1):
-            if "trace_id" not in record or "spans" not in record:
-                raise ValueError(f"{path}:{i}: not a JSON trace record")
-        return records
 
     def to_chrome_trace(self, path) -> int:
         """Export the Chrome trace-event format (Perfetto-viewable).

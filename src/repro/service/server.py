@@ -126,6 +126,9 @@ __all__ = [
 #: Hot-key protection policies (``off`` disables the tracker).
 HOT_KEY_POLICIES = ("off", "shed", "coalesce")
 
+#: First origin-retry backoff (seconds) when ``origin_retries > 0``.
+RETRY_BACKOFF_BASE = 0.05
+
 #: Wire-protocol schemes -> constructors.
 _SCHEMES = {
     "push-adaptive-pull": PushAdaptivePull,
@@ -167,8 +170,6 @@ class ServiceConfig:
     #: only answered failures consume it — stalls are the deadline's
     #: problem).
     origin_retries: int = 0
-    #: First-retry backoff (seconds) when ``origin_retries > 0``.
-    retry_backoff_base: float = 0.05
     #: Launch a hedged duplicate after a origin call has been slow for
     #: this many seconds; None disables hedging.
     hedge_after: Optional[float] = None
@@ -222,11 +223,6 @@ class ServiceConfig:
         if self.origin_retries < 0:
             raise ValueError(
                 f"origin_retries must be >= 0, got {self.origin_retries}"
-            )
-        if self.retry_backoff_base <= 0:
-            raise ValueError(
-                f"retry_backoff_base must be positive, "
-                f"got {self.retry_backoff_base}"
             )
         if self.hedge_after is not None and self.hedge_after <= 0:
             raise ValueError(
@@ -733,7 +729,7 @@ class EdgeCacheServer:
         chaos_rng = np.random.default_rng([cfg.seed, 2])
         retry_backoff = (
             BackoffPolicy(
-                base=cfg.retry_backoff_base, jitter=0.1, rng=service_rng
+                base=RETRY_BACKOFF_BASE, jitter=0.1, rng=service_rng
             )
             if cfg.origin_retries > 0 else None
         )

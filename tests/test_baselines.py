@@ -52,6 +52,20 @@ class TestFloodingBaseline:
         precinct = PReCinCtNetwork(cfg).run()
         assert flood.energy_per_request_mj > precinct.energy_per_request_mj
 
+    def test_runs_on_the_configured_mobility_and_idle_power(self):
+        """The baseline gets the substrate PReCinCt gets from one config."""
+        from repro.mobility import ManhattanModel
+
+        cfg = base_cfg(max_speed=5.0, mobility_model="manhattan",
+                       idle_power_mw=900.0)
+        flood = FloodingRetrievalNetwork(cfg)
+        precinct = PReCinCtNetwork(cfg)
+        for net in (flood, precinct):
+            assert isinstance(net.mobility, ManhattanModel)
+            assert net.network.energy.params.idle_mw == 900.0
+        assert (flood.mobility.positions_at(0.0)
+                == precinct.mobility.positions_at(0.0)).all()
+
     def test_every_node_processes_each_flood(self):
         """Eq. 11 structure: one flood -> ~N broadcast transmissions."""
         net = FloodingRetrievalNetwork(base_cfg(duration=100.0, warmup=1.0))

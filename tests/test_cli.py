@@ -43,14 +43,27 @@ class TestParser:
 
     def test_trace_options(self):
         args = build_parser().parse_args(
-            ["trace", "--slowest", "3", "--outcome", "failed",
-             "--export-chrome", "t.json", "--fault", "drop:p=0.1"]
+            ["run", "--slowest", "3", "--outcome", "failed",
+             "--export-chrome", "t.json", "--fault", "drop:p=0.1",
+             "--plan-file", "plan.json", "--check-invariants"]
         )
-        assert args.command == "trace"
+        assert args.command == "run"
         assert args.slowest == 3
         assert args.outcome == "failed"
         assert args.export_chrome == "t.json"
         assert args.fault == ["drop:p=0.1"]
+        assert args.plan_file == "plan.json" and args.check_invariants
+
+    def test_folded_subcommands_exit_2(self, capsys):
+        # One subcommand runs one simulation: `faults` and the run form
+        # of `trace` are gone, and `trace` keeps only `diff`.
+        for argv in (["faults", "--fault", "drop:p=0.1"],
+                     ["trace", "--slowest", "3"], ["trace"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+        args = build_parser().parse_args(["trace", "diff", "a.jsonl", "b.jsonl"])
+        assert (args.command, args.trace_cmd) == ("trace", "diff")
 
     def test_audit_bundle_dir(self):
         args = build_parser().parse_args(["audit", "--bundle-dir", "bundles"])
@@ -75,13 +88,13 @@ class TestParser:
         assert args.export_trace == "out.jsonl"
 
     def test_trace_sample_rate_on_trace_command(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.trace_sample_rate == 1.0
-        assert args.trace_cmd is None
+        args = build_parser().parse_args(["run"])
+        assert args.slowest is None and args.outcome is None
+        assert args.export_chrome is None  # tracing stays off
         args = build_parser().parse_args(
-            ["trace", "--trace-sample-rate", "0.5"]
+            ["run", "--trace-sample-rate", "0.5", "--slowest", "2"]
         )
-        assert args.trace_sample_rate == 0.5
+        assert args.trace_sample_rate == 0.5 and args.slowest == 2
 
     def test_trace_diff_subcommand(self):
         args = build_parser().parse_args(
@@ -145,17 +158,18 @@ class TestExecution:
 
     def test_faults_command(self, capsys):
         rc = main(
-            ["faults", "--nodes", "20", "--duration", "120", "--warmup", "20",
+            ["run", "--nodes", "20", "--duration", "120", "--warmup", "20",
              "--items", "80", "--speed", "0", "--t-update", "0",
              "--fault", "drop:p=0.2,start=30",
              "--fault", "crash:at=60,nodes=1",
              "--check-invariants"]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "lat=" in out
-        assert "faults.crashes = 1" in out
-        assert "faults.injected_drop" in out
+        captured = capsys.readouterr()
+        assert "lat=" in captured.out
+        assert "faults.crashes = 1" in captured.out
+        assert "faults.injected_drop" in captured.out
+        assert "crash      at=60.0" in captured.err  # the plan description
 
     def test_faults_plan_file(self, capsys, tmp_path):
         from repro.faults.plan import FaultPlan
@@ -163,12 +177,46 @@ class TestExecution:
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(FaultPlan.parse(["delay:delay=0.05,p=0.5"]).to_json())
         rc = main(
-            ["faults", "--nodes", "20", "--duration", "120", "--warmup", "20",
+            ["run", "--nodes", "20", "--duration", "120", "--warmup", "20",
              "--items", "80", "--speed", "0", "--t-update", "0",
              "--plan-file", str(plan_file)]
         )
         assert rc == 0
         assert "faults.delayed" in capsys.readouterr().out
+
+    def test_run_bad_fault_plan_exits_2(self, capsys, tmp_path):
+        assert main(["run", "--fault", "drop:p=2"]) == 2
+        assert "error: invalid fault plan" in capsys.readouterr().err
+        assert main(["run", "--plan-file", str(tmp_path / "none.json")]) == 2
+        assert "error: invalid fault plan" in capsys.readouterr().err
+
+    def test_run_t_update_zero_is_read_only(self, capsys):
+        # --t-update 0 used to reach PoissonArrivals and die mid-run.
+        rc = main(
+            ["run", "--nodes", "16", "--duration", "40", "--warmup", "5",
+             "--items", "50", "--speed", "0", "--t-update", "0", "--report"]
+        )
+        assert rc == 0
+        assert "| updates 0" in capsys.readouterr().out
+        assert main(["run", "--t-update", "-5"]) == 2
+        assert "t_update must be positive" in capsys.readouterr().err
+
+    def test_run_faults_with_slowest_and_chrome_export(self, capsys, tmp_path):
+        chrome = tmp_path / "trace.json"
+        rc = main(
+            ["run", "--nodes", "20", "--duration", "120", "--warmup", "20",
+             "--items", "80", "--consistency", "push-adaptive-pull",
+             "--t-update", "60", "--fault", "drop:p=0.2,start=30",
+             "--slowest", "2", "--export-chrome", str(chrome)]
+        )
+        assert rc == 0
+        assert json.loads(chrome.read_text())["traceEvents"]
+        out = capsys.readouterr().out
+        assert f"trace event(s) to {chrome}" in out
+        assert "faults.injected_drop" in out
+        for section in ("outcomes:", "spans:", "attributed energy:",
+                        "slowest 2 request(s):", "(phase sum)"):
+            assert section in out
 
     def test_fig_command_dispatch(self, capsys, monkeypatch):
         """The fig subcommand routes to the right drivers (stubbed)."""
@@ -390,7 +438,7 @@ class TestEnergyAndAnomalyExecution:
 
     def test_trace_shows_joules(self, capsys):
         rc = main(
-            ["trace", "--nodes", "16", "--duration", "60", "--warmup", "10",
+            ["run", "--nodes", "16", "--duration", "60", "--warmup", "10",
              "--items", "60", "--slowest", "2"]
         )
         assert rc == 0

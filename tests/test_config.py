@@ -34,6 +34,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(duration=100.0, warmup=100.0)
 
+    @pytest.mark.parametrize("field", ["t_request", "t_update"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_rejects_non_positive_arrival_interval(self, field, value):
+        # Caught at construction, not mid-run inside PoissonArrivals.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             SimulationConfig(replacement_policy="arc")

@@ -8,6 +8,7 @@ from repro.energy import EnergyLedger, EnergyParams
 from repro.obs.export import export_path, read_jsonl, write_jsonl
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryTable
+from repro.obs.tracediff import load_traces
 from repro.obs.tracer import Tracer
 
 
@@ -58,7 +59,7 @@ class TestTracerRoundtrip:
         tracer.finish(trace, "local-cache")
         path = tmp_path / "traces.jsonl"
         assert tracer.to_jsonl(path) == 1
-        loaded = Tracer.from_jsonl(path)
+        loaded = load_traces(path)
         assert len(loaded) == 1
         assert loaded[0]["peer"] == 3
         assert loaded[0]["outcome"] == "local-cache"
@@ -68,7 +69,7 @@ class TestTracerRoundtrip:
         path = tmp_path / "not_traces.jsonl"
         write_jsonl(path, [{"foo": 1}])
         with pytest.raises(ValueError, match="not a JSON trace record"):
-            Tracer.from_jsonl(path)
+            load_traces(path)
 
 
 class TestTelemetryRoundtrip:

@@ -200,7 +200,7 @@ class TestTraceCli:
         from repro.cli import main
 
         rc = main(
-            ["trace", "--nodes", "20", "--items", "80", "--duration", "120",
+            ["run", "--nodes", "20", "--items", "80", "--duration", "120",
              "--warmup", "20", "--slowest", "5"]
         )
         assert rc == 0
@@ -216,10 +216,12 @@ class TestTraceCli:
         jsonl = tmp_path / "t.jsonl"
         chrome = tmp_path / "t.json"
         rc = main(
-            ["trace", "--nodes", "16", "--items", "60", "--duration", "80",
+            ["run", "--nodes", "16", "--items", "60", "--duration", "80",
              "--warmup", "10", "--slowest", "0",
-             "--export-jsonl", str(jsonl), "--export-chrome", str(chrome)]
+             "--export-trace", str(jsonl), "--export-chrome", str(chrome)]
         )
         assert rc == 0
         assert jsonl.exists() and chrome.exists()
+        # Any tracing flag arms energy attribution too.
+        assert "energy_uj" in jsonl.read_text()
         assert json.loads(chrome.read_text())["traceEvents"]

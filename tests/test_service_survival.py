@@ -160,14 +160,16 @@ async def stop_workers(server):
 class TestShardSupervision:
     def test_supervision_has_no_never_set_knobs(self):
         """Always warm-rebuild, check every quarter heartbeat, reset the
-        backoff ladder after ten: constants, not options."""
+        backoff ladder after ten, start origin retries at 50 ms:
+        constants, not options."""
         import dataclasses
         import inspect
 
         from repro.service.supervision import ShardSupervisor
 
         names = {f.name for f in dataclasses.fields(ServiceConfig)}
-        assert len(names) <= 28 and "warm_rebuild" not in names
+        assert len(names) <= 27
+        assert not names & {"warm_rebuild", "retry_backoff_base"}
         keywords = set(inspect.signature(ShardSupervisor).parameters)
         assert len(keywords) <= 8
         assert not keywords & {"check_interval", "healthy_after",

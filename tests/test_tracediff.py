@@ -204,6 +204,10 @@ class TestLoadTraces:
         path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match="must be an object"):
             load_traces(path)
+        path.write_text(json.dumps(make_trace(0, 1, 2, 0.0, [])) + "\n"
+                        '{"foo": 1}\n')
+        with pytest.raises(ValueError, match=r"t\.jsonl:2: not a JSON trace"):
+            load_traces(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -281,9 +285,10 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_trace_command_still_runs_without_subcommand(self):
+        # The traced run lives on `run`; `trace` is only `trace diff`.
         parser = build_parser()
-        args = parser.parse_args(["trace", "--slowest", "3"])
-        assert args.trace_cmd is None and args.slowest == 3
+        args = parser.parse_args(["run", "--slowest", "3"])
+        assert args.command == "run" and args.slowest == 3
         args = parser.parse_args(["trace", "diff", "a.jsonl", "b.jsonl",
                                   "--top", "2"])
         assert args.trace_cmd == "diff"
