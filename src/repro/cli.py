@@ -222,12 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     aud_p.add_argument(
         "--export-trace", default=None, metavar="PATH",
         help="also trace the final audit run (digest-neutral) and write "
-             "its traces as JSON lines — a baseline for later diffs",
-    )
-    aud_p.add_argument(
-        "--baseline-trace", default=None, metavar="PATH",
-        help="trace JSONL export to diff the audited run against: phase "
-             "regressions are flagged alongside digest divergence",
+             "its traces as JSON lines, for 'repro trace diff'",
     )
 
     tr_p = sub.add_parser(
@@ -679,7 +674,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             args.scenario, seed=args.seed, runs=args.runs, golden=golden,
             bundle_dir=args.bundle_dir,
             trace_path=args.export_trace,
-            baseline_trace=args.baseline_trace,
         )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -691,11 +685,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(f"determinism: {'OK' if result.deterministic else 'FAILED'}")
     if result.golden_match is not None:
         print(f"golden:      {'OK' if result.golden_match else 'MISMATCH'}")
-    if result.trace_diff is not None:
-        regressions = result.trace_diff.regressions()
-        print(f"phase regressions vs baseline trace: "
-              f"{len(regressions) or 'none'}")
-        print(result.trace_diff.render())
     for message in result.messages:
         print(message, file=sys.stderr)
     return 0 if result.ok else 1
@@ -880,7 +869,7 @@ def _campaign_runner(args: argparse.Namespace):
 
 
 def _campaign_execute(args: argparse.Namespace, root, name: str,
-                      graph) -> int:
+                      graph, runner) -> int:
     """Shared body of ``campaign run`` and ``campaign resume``."""
     from repro.experiments.orchestrator import execute_graph
     from repro.obs import Dashboard, JsonlLiveSink, TelemetryBus
@@ -900,7 +889,7 @@ def _campaign_execute(args: argparse.Namespace, root, name: str,
             )
     try:
         summary = execute_graph(
-            graph, _campaign_runner(args), root,
+            graph, runner, root,
             name=name, bus=bus, max_jobs=args.max_jobs,
         )
     finally:
@@ -956,10 +945,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if existing is not None:
             seeds = existing["seeds"]
         name = f"{args.preset}-campaign"
+        # Bad input (a repeated seed, --processes 0) fails here, before
+        # campaign.json exists to poison every later command on DIR.
+        try:
+            graph = build_preset(args.preset, seeds)
+            runner = _campaign_runner(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         root.mkdir(parents=True, exist_ok=True)
         save_definition(root, name=name, preset=args.preset, seeds=seeds)
-        graph = build_preset(args.preset, seeds)
-        return _campaign_execute(args, root, name, graph)
+        return _campaign_execute(args, root, name, graph, runner)
 
     definition = load_definition(root)
     if definition is None:
@@ -969,7 +965,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     graph = definition_graph(definition)
 
     if cmd == "resume":
-        return _campaign_execute(args, root, definition["name"], graph)
+        try:
+            runner = _campaign_runner(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return _campaign_execute(args, root, definition["name"], graph,
+                                 runner)
 
     checks = {spec.job_id: verify_artifact(root, spec) for spec in graph}
 

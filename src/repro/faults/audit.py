@@ -285,9 +285,6 @@ class AuditResult:
     #: None = not checked (no golden entry supplied for the scenario).
     golden_match: Optional[bool] = None
     messages: List[str] = field(default_factory=list)
-    #: Phase-level comparison against a supplied baseline trace export
-    #: (a :class:`repro.obs.tracediff.TraceDiff`); None = not requested.
-    trace_diff: Optional[Any] = None
 
     @property
     def deterministic(self) -> bool:
@@ -309,7 +306,6 @@ def audit_scenario(
     golden: Optional[Dict[str, Dict[str, Any]]] = None,
     bundle_dir: Optional[Union[str, Path]] = None,
     trace_path: Optional[Union[str, Path]] = None,
-    baseline_trace: Optional[Union[str, Path]] = None,
 ) -> AuditResult:
     """Run a scenario ``runs`` times from one seed and compare digests.
 
@@ -321,11 +317,7 @@ def audit_scenario(
 
     ``trace_path`` exports the final run's request traces as JSONL (the
     final run is traced, which is digest-neutral, so the audit itself is
-    unchanged).  ``baseline_trace`` diffs the final run's traces against
-    a previously exported baseline and records the phase-regression
-    report in :attr:`AuditResult.trace_diff` — alongside the digest
-    verdicts, this localizes *where* a divergent or slower run spends
-    its extra latency.
+    unchanged); ``repro trace diff`` compares two such exports.
     """
     if runs < 2:
         raise ValueError(f"an audit needs at least 2 runs, got {runs}")
@@ -333,13 +325,12 @@ def audit_scenario(
     result = AuditResult(scenario=canonical, seed=seed)
     from repro.obs.observers import Observers
 
-    want_tracing = trace_path is not None or baseline_trace is not None
     net = None
     for index in range(runs):
         options: Dict[str, Any] = {}
         if bundle_dir is not None:
             options["recorder_dir"] = str(bundle_dir)
-        if want_tracing and index == runs - 1:
+        if trace_path is not None and index == runs - 1:
             options.update(tracing=True, telemetry=True)
         net, _, digest = run_scenario(
             name, seed, observers=Observers(**options)
@@ -401,26 +392,9 @@ def audit_scenario(
         )
         if bundle is not None:
             result.messages.append(f"flight-recorder bundle: {bundle}")
-    if want_tracing and net is not None and net.tracer is not None:
-        if trace_path is not None:
-            count = net.tracer.to_jsonl(trace_path)
-            result.messages.append(f"wrote {count} trace(s) to {trace_path}")
-        if baseline_trace is not None:
-            from repro.obs.tracediff import diff_traces, load_traces
-
-            result.trace_diff = diff_traces(
-                load_traces(baseline_trace),
-                [t.to_dict() for t in net.tracer],
-                label_a="baseline",
-                label_b=canonical,
-            )
-            for stat in result.trace_diff.regressions():
-                result.messages.append(
-                    f"PHASE REGRESSION: {stat.phase} "
-                    f"{stat.p95_delta:+.4f}s p95 "
-                    f"({stat.total_delta:+.4f}s total over "
-                    f"{stat.regressed} regressed request(s))"
-                )
+    if trace_path is not None and net is not None:
+        count = net.tracer.to_jsonl(trace_path)
+        result.messages.append(f"wrote {count} trace(s) to {trace_path}")
     return result
 
 

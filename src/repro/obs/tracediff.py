@@ -42,6 +42,7 @@ __all__ = [
     "diff_files",
     "diff_traces",
     "load_traces",
+    "p95",
 ]
 
 #: Canonical request phases, in protocol order (display order for ties).
@@ -240,8 +241,9 @@ def align_traces(
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _p95(deltas: Sequence[float]) -> float:
-    """Deterministic nearest-rank p95 (no interpolation, no numpy)."""
+def p95(deltas: Sequence[float]) -> float:
+    """Deterministic nearest-rank p95 (no interpolation, no numpy);
+    0.0 for an empty sample."""
     if not deltas:
         return 0.0
     ordered = sorted(deltas)
@@ -576,12 +578,12 @@ def diff_traces(
     for phase, stat in phase_stats.items():
         deltas = per_phase_deltas.get(phase, [])
         stat.mean_delta = stat.total_delta / aligned if aligned else 0.0
-        stat.p95_delta = _p95(deltas)
+        stat.p95_delta = p95(deltas)
         stat.max_delta = max(deltas, default=0.0)
         stat.mean_energy_delta = (
             stat.total_energy_delta / aligned if aligned else 0.0
         )
-        stat.p95_energy_delta = _p95(per_phase_energy.get(phase, []))
+        stat.p95_energy_delta = p95(per_phase_energy.get(phase, []))
 
     # Rank worst-first; protocol phase order breaks exact ties so the
     # report (and its golden fixture) is fully deterministic.
@@ -602,7 +604,7 @@ def diff_traces(
         only_b=len(only_b),
         latency_total=sum(latency_deltas),
         latency_mean=sum(latency_deltas) / aligned if aligned else 0.0,
-        latency_p95=_p95(latency_deltas),
+        latency_p95=p95(latency_deltas),
         latency_max=max(latency_deltas, default=0.0),
         energy_total=sum(
             stat.total_energy_delta for stat in phase_stats.values()

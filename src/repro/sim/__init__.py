@@ -13,7 +13,7 @@ those live in :mod:`repro.net` and :mod:`repro.core`.
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Counter, StatRegistry, TimeSeries, WelfordAccumulator
+from repro.sim.trace import Counter, StatRegistry, WelfordAccumulator
 
 __all__ = [
     "Counter",
@@ -21,6 +21,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StatRegistry",
-    "TimeSeries",
     "WelfordAccumulator",
 ]

@@ -9,10 +9,9 @@ energy per request) happens in :mod:`repro.analysis.metrics`.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-__all__ = ["Counter", "TimeSeries", "WelfordAccumulator", "StatRegistry"]
+__all__ = ["Counter", "WelfordAccumulator", "StatRegistry"]
 
 
 class Counter:
@@ -34,103 +33,38 @@ class Counter:
 
 
 class WelfordAccumulator:
-    """One-pass mean/variance/min/max accumulator (Welford's algorithm).
+    """One-pass running mean (Welford's update), O(1) memory.
 
-    Numerically stable for long runs, O(1) memory — suitable for
-    accumulating per-request latencies across hundreds of thousands of
-    requests without storing them all.
+    Numerically stable for long runs — suitable for accumulating
+    per-request latencies across hundreds of thousands of requests
+    without storing them all.
     """
 
-    __slots__ = ("count", "_mean", "_m2", "min", "max", "total")
+    __slots__ = ("count", "_mean")
 
     def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.total = 0.0
 
     def add(self, x: float) -> None:
         self.count += 1
-        self.total += x
         delta = x - self._mean
         self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
 
     @property
     def mean(self) -> float:
         return self._mean if self.count else float("nan")
 
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1)."""
-        if self.count < 2:
-            return float("nan")
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else float("nan")
-
-    def merge(self, other: "WelfordAccumulator") -> "WelfordAccumulator":
-        """Combine two accumulators (Chan et al. parallel merge)."""
-        merged = WelfordAccumulator()
-        n = self.count + other.count
-        if n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged.count = n
-        merged.total = self.total + other.total
-        merged._mean = self._mean + delta * other.count / n
-        merged._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / n
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WelfordAccumulator(n={self.count}, mean={self.mean:.6g})"
 
 
-class TimeSeries:
-    """Append-only (time, value) series for post-run plotting or checks."""
-
-    __slots__ = ("name", "times", "values")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"time series {self.name!r} got out-of-order time {time} < {self.times[-1]}"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        if not self.times:
-            return None
-        return self.times[-1], self.values[-1]
-
-
 class StatRegistry:
-    """Namespace of counters, accumulators and series for one simulation run."""
+    """Namespace of counters and accumulators for one simulation run."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._accumulators: Dict[str, WelfordAccumulator] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -143,12 +77,6 @@ class StatRegistry:
         if a is None:
             a = self._accumulators[name] = WelfordAccumulator()
         return a
-
-    def series(self, name: str) -> TimeSeries:
-        s = self._series.get(name)
-        if s is None:
-            s = self._series[name] = TimeSeries(name)
-        return s
 
     # -- convenience -----------------------------------------------------
 
@@ -187,11 +115,7 @@ class StatRegistry:
         return a.mean if a else float("nan")
 
     def reset(self) -> None:
-        """Zero all counters and accumulators (end-of-warm-up hook).
-
-        Time series are kept: they are explicitly timestamped, so
-        post-run analysis can window them itself.
-        """
+        """Zero all counters and accumulators (end-of-warm-up hook)."""
         for c in self._counters.values():
             c.value = 0.0
         for name in list(self._accumulators):
@@ -210,5 +134,5 @@ class StatRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StatRegistry(counters={len(self._counters)}, "
-            f"accumulators={len(self._accumulators)}, series={len(self._series)})"
+            f"accumulators={len(self._accumulators)})"
         )

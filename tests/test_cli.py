@@ -69,13 +69,18 @@ class TestParser:
         args = build_parser().parse_args(["audit", "--bundle-dir", "bundles"])
         assert args.bundle_dir == "bundles"
 
-    def test_audit_trace_flags(self):
+    def test_audit_trace_flags(self, capsys):
         args = build_parser().parse_args(
-            ["audit", "--export-trace", "base.jsonl",
-             "--baseline-trace", "old.jsonl"]
+            ["audit", "--export-trace", "base.jsonl"]
         )
         assert args.export_trace == "base.jsonl"
-        assert args.baseline_trace == "old.jsonl"
+        # One way to diff an audited run: `repro trace diff` over two
+        # exports; the audit no longer diffs inline.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["audit", "--baseline-trace", "old.jsonl"]
+            )
+        assert exit_info.value.code == 2
 
     def test_run_trace_sampling_flags(self):
         args = build_parser().parse_args(["run"])

@@ -449,6 +449,24 @@ class TestCampaignCli:
         ) == 2
         assert "already holds campaign" in capsys.readouterr().err
 
+    def test_bad_run_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        root = tmp_path / "camp"
+        for bad in (["--seeds", "1", "1"],
+                    ["--seeds", "1", "--runner", "pool", "--processes", "0"]):
+            assert self.run_cli("campaign", "run", str(root), *bad) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not root.exists()
+        # The directory stays usable: a good run starts it afresh.
+        assert self.run_cli(
+            "campaign", "run", str(root), "--seeds", "1",
+            "--runner", "inprocess",
+        ) == 0
+        assert self.run_cli(
+            "campaign", "resume", str(root), "--processes", "0",
+        ) == 2
+        assert "processes must be >= 1" in capsys.readouterr().err
+        assert self.run_cli("campaign", "verify", str(root), "--strict") == 0
+
     def test_subcommands_need_a_campaign(self, tmp_path, capsys):
         for sub in ("status", "verify", "resume"):
             assert self.run_cli("campaign", sub, str(tmp_path)) == 2

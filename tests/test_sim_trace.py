@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim import Counter, StatRegistry, TimeSeries, WelfordAccumulator
+from repro.sim import Counter, StatRegistry, WelfordAccumulator
 
 
 class TestCounter:
@@ -30,86 +30,17 @@ class TestWelford:
             acc.add(float(x))
         assert acc.count == 1000
         assert acc.mean == pytest.approx(float(xs.mean()), rel=1e-12)
-        assert acc.variance == pytest.approx(float(xs.var(ddof=1)), rel=1e-9)
-        assert acc.std == pytest.approx(float(xs.std(ddof=1)), rel=1e-9)
-        assert acc.min == pytest.approx(float(xs.min()))
-        assert acc.max == pytest.approx(float(xs.max()))
-        assert acc.total == pytest.approx(float(xs.sum()), rel=1e-12)
 
     def test_empty_statistics_are_nan(self):
         acc = WelfordAccumulator()
+        assert acc.count == 0
         assert math.isnan(acc.mean)
-        assert math.isnan(acc.variance)
-        assert math.isnan(acc.std)
 
-    def test_single_sample_variance_nan(self):
+    def test_single_sample_mean_is_the_sample(self):
         acc = WelfordAccumulator()
         acc.add(3.0)
+        assert acc.count == 1
         assert acc.mean == 3.0
-        assert math.isnan(acc.variance)
-
-    def test_merge_equals_sequential(self):
-        rng = np.random.default_rng(1)
-        xs = rng.random(500)
-        a, b, whole = WelfordAccumulator(), WelfordAccumulator(), WelfordAccumulator()
-        for x in xs[:200]:
-            a.add(float(x))
-            whole.add(float(x))
-        for x in xs[200:]:
-            b.add(float(x))
-            whole.add(float(x))
-        merged = a.merge(b)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-9)
-        assert merged.min == whole.min
-        assert merged.max == whole.max
-
-    def test_merge_with_empty(self):
-        a = WelfordAccumulator()
-        b = WelfordAccumulator()
-        b.add(2.0)
-        merged = a.merge(b)
-        assert merged.count == 1
-        assert merged.mean == 2.0
-
-    def test_merge_two_singletons(self):
-        """Each side alone has undefined (n=1) variance; the merge's
-        variance comes entirely from the cross-term."""
-        a = WelfordAccumulator()
-        b = WelfordAccumulator()
-        a.add(1.0)
-        b.add(3.0)
-        merged = a.merge(b)
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(2.0)
-        assert merged.variance == pytest.approx(2.0)  # var([1, 3], ddof=1)
-        assert merged.min == 1.0
-        assert merged.max == 3.0
-
-    def test_merge_both_empty(self):
-        merged = WelfordAccumulator().merge(WelfordAccumulator())
-        assert merged.count == 0
-        assert math.isnan(merged.mean)
-        assert math.isnan(merged.variance)
-
-
-class TestTimeSeries:
-    def test_records_in_order(self):
-        ts = TimeSeries("s")
-        ts.record(0.0, 1.0)
-        ts.record(1.0, 2.0)
-        assert len(ts) == 2
-        assert ts.last() == (1.0, 2.0)
-
-    def test_rejects_out_of_order(self):
-        ts = TimeSeries("s")
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(4.0, 1.0)
-
-    def test_empty_last_is_none(self):
-        assert TimeSeries("s").last() is None
 
 
 class TestStatRegistry:
@@ -144,9 +75,3 @@ class TestStatRegistry:
         reg.reset()
         assert reg.value("msgs") == 0
         assert math.isnan(reg.mean("lat"))
-
-    def test_series_registry(self):
-        reg = StatRegistry()
-        s = reg.series("ts")
-        s.record(0.0, 1.0)
-        assert reg.series("ts") is s

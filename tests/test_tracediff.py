@@ -296,7 +296,8 @@ class TestCli:
 
 
 class TestAuditTraceFlags:
-    """`repro audit --export-trace / --baseline-trace` (fast scenarios)."""
+    """`repro audit --export-trace`, diffed by `repro trace diff`
+    (fast scenarios)."""
 
     @pytest.fixture(autouse=True)
     def fast_scenarios(self, monkeypatch):
@@ -315,19 +316,22 @@ class TestAuditTraceFlags:
         monkeypatch.setitem(audit.SCENARIOS, "default", tiny)
 
     def test_export_then_baseline_diff_is_zero(self, tmp_path, capsys):
-        export = tmp_path / "baseline.jsonl"
-        rc = main(["audit", "--seed", "42", "--scenario", "default",
-                   "--export-trace", str(export)])
-        assert rc == 0
-        assert export.exists() and load_traces(export)
+        exports = [tmp_path / "baseline.jsonl", tmp_path / "again.jsonl"]
+        for export in exports:
+            rc = main(["audit", "--seed", "42", "--scenario", "default",
+                       "--export-trace", str(export)])
+            assert rc == 0
+            assert export.exists() and load_traces(export)
 
-        rc = main(["audit", "--seed", "42", "--scenario", "default",
-                   "--baseline-trace", str(export)])
+        report = tmp_path / "diff.json"
+        rc = main(["trace", "diff", *map(str, exports), "--json", str(report)])
         assert rc == 0
-        out = capsys.readouterr().out
         # Identical scenario + seed: traced twice, zero regressions.
-        assert "phase regressions vs baseline trace: none" in out
-        assert "trace diff: baseline" in out
+        assert "no phase regressions beyond noise" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        assert data["traces"]["aligned"] > 0
+        assert data["traces"]["only_a"] == data["traces"]["only_b"] == 0
+        assert data["latency"]["total_delta_s"] == 0.0
 
 
 @pytest.fixture(scope="module")
