@@ -16,13 +16,14 @@ substitution is recorded in DESIGN.md §7.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.energy import EnergyLedger, EnergyParams
-from repro.geom import Point, PolygonTester, point_in_polygon
+from repro.geom import Point, PolygonTester, distance_sq, point_in_polygon
 from repro.mobility.base import MobilityModel
 from repro.net.packet import Packet
 from repro.net.topology import SpatialGrid
@@ -41,6 +42,31 @@ ReceiveHandler = Callable[[int, Packet], None]
 #: drop, or a list of extra delays — one scheduled delivery per element
 #: (``[0.0, 0.01]`` = the original plus a duplicate 10 ms later).
 FaultFilter = Callable[[int, int, Packet], Optional[list]]
+
+#: Metres added around a polygon's bounding box to make its sweep box.
+#: A node outside the box is farther than this from every edge, so
+#: neither the boundary test (its band around an edge of length L is
+#: ``eps * max(1, L) / L`` wide) nor the crossing parity can place it
+#: inside — provided no edge is shorter than this.  A polygon with a
+#: shorter edge gets an unbounded box; a zero-length edge, as in a
+#: closed ring, puts every point on the boundary.
+_SWEEP_MARGIN = 1.0
+
+
+def _sweep_box(polygon):
+    """``(x_lo, x_hi, y_lo, y_hi)`` prefilter of ``polygon`` for the
+    membership sweep, or None for a polygon of fewer than 3 vertices."""
+    verts = list(polygon)
+    if len(verts) < 3:
+        return None
+    if min(distance_sq(a, b) for a, b in zip(verts, verts[1:] + verts[:1])) < (
+        _SWEEP_MARGIN * _SWEEP_MARGIN
+    ):
+        return (-math.inf, math.inf, -math.inf, math.inf)
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
+    m = _SWEEP_MARGIN
+    return (min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m)
 
 
 @dataclass(frozen=True)
@@ -101,10 +127,15 @@ class WirelessNetwork:
         self._receive_handler: Optional[ReceiveHandler] = None
         self._batch_receive_handler = None
         self._fault_filter: Optional[FaultFilter] = None
-        # Per-generation polygon-membership memo: polygon -> list[bool];
-        # testers (precomputed edge constants) persist across generations.
+        # Per-generation polygon-membership memo: polygon -> list[bool],
+        # holding the polygons queried in this generation.  ``_swept``
+        # holds the sweep's answers for the ones not yet queried, and
+        # ``_unswept`` the last generation's polygons until the sweep
+        # runs.  Each polygon's tester and sweep box persist.
         self._polygon_cache: dict = {}
         self._polygon_cache_gen = -1
+        self._swept: dict = {}
+        self._unswept: list = []
         self._polygon_testers: dict = {}
         # (kind, category) -> cached Counter triple; see _count_sent.
         self._sent_counters: dict = {}
@@ -169,13 +200,10 @@ class WirelessNetwork:
     def node_in_polygon(self, node_id: int, polygon) -> bool:
         """Is ``node_id`` (at its sampled position) inside ``polygon``?
 
-        Memoized per topology generation — region membership is
-        re-tested for every flood reception and every route-to-region
-        arrival check, almost always against the same handful of region
-        polygons.  The first query of a polygon in a generation
-        classifies *all* nodes in one vectorized pass
-        (:class:`repro.geom.PolygonTester` is elementwise bit-identical
-        to the scalar test).
+        Memoized per topology generation (see :meth:`polygon_members`)
+        — region membership is re-tested for every flood reception and
+        every route-to-region arrival check, almost always against the
+        same handful of region polygons.
         """
         members = self.polygon_members(polygon)
         if members is None:
@@ -186,25 +214,106 @@ class WirelessNetwork:
     def polygon_members(self, polygon):
         """Per-generation membership list for ``polygon``, indexed by node id.
 
+        The generation's first miss classifies every polygon queried in
+        the previous generation in one pass (:meth:`_sweep`); a polygon
+        that generation did not query drops out of the next sweep.  A
+        polygon the sweep did not cover takes its own
+        :class:`repro.geom.PolygonTester` pass.  Both are elementwise
+        bit-identical to the scalar test.
+
         Returns ``None`` for an unhashable polygon — callers then fall
         back to the scalar :func:`~repro.geom.point_in_polygon` test.
         """
         self._refresh_positions()
         gen = self._grid.generation
         if gen != self._polygon_cache_gen:
+            self._unswept = list(self._polygon_cache)
             self._polygon_cache = {}
+            self._swept = {}
             self._polygon_cache_gen = gen
         try:
             members = self._polygon_cache.get(polygon)
         except TypeError:  # unhashable polygon
             return None
         if members is None:
-            tester = self._polygon_testers.get(polygon)
-            if tester is None:
-                tester = self._polygon_testers[polygon] = PolygonTester(polygon)
-            members = tester.contains(self._grid.positions).tolist()
+            if self._unswept:
+                self._swept = self._sweep(self._unswept)
+                self._unswept = []
+            members = self._swept.pop(polygon, None)
+            if members is None:
+                tester = self._polygon_record(polygon)[0]
+                members = tester.contains(self._grid.positions).tolist()
             self._polygon_cache[polygon] = members
         return members
+
+    def _polygon_record(self, polygon):
+        """``(tester, sweep box)`` of a polygon; the box is None for a
+        degenerate polygon, which the sweep skips."""
+        record = self._polygon_testers.get(polygon)
+        if record is None:
+            record = self._polygon_testers[polygon] = (
+                PolygonTester(polygon), _sweep_box(polygon)
+            )
+        return record
+
+    def _sweep(self, polygons) -> dict:
+        """Membership lists of many polygons in one numpy pass.
+
+        Only (polygon, node) pairs whose node lies in the polygon's sweep
+        box are tested; every other node is outside.  Each pair is
+        repeated over its polygon's edges, and the edges run
+        :meth:`PolygonTester.contains`'s arithmetic elementwise on the
+        tester's own edge constants, so every comparison resolves as
+        there.  Per pair, ``reduceat`` ORs the boundary hits and XORs
+        the crossing toggles, as ``contains`` reduces over its edge axis.
+        """
+        polygons = [p for p in polygons if self._polygon_record(p)[1] is not None]
+        if not polygons:
+            return {}
+        testers, boxes = zip(*(self._polygon_testers[p] for p in polygons))
+        ax, ay, bx, by, seg_tol, seg_len_sq = (
+            np.concatenate([getattr(t, name) for t in testers])
+            for name in ("_ax", "_ay", "_bx", "_by", "_seg_tol", "_seg_len_sq")
+        )
+        n_edges = np.array([t._ax.size for t in testers])
+        boxes = np.array(boxes)
+        positions = self._grid.positions
+        px, py = positions[:, 0], positions[:, 1]
+        in_box = (
+            (px >= boxes[:, 0:1]) & (px <= boxes[:, 1:2])
+            & (py >= boxes[:, 2:3]) & (py <= boxes[:, 3:4])
+        )
+        members = np.zeros(in_box.shape, dtype=bool)
+        poly, owner = np.nonzero(in_box)
+        if owner.size:
+            counts = n_edges[poly]
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            first_edge = np.cumsum(n_edges) - n_edges
+            edge = np.arange(ends[-1]) + np.repeat(first_edge[poly] - starts, counts)
+            node = np.repeat(owner, counts)
+            ax, ay, bx, by = ax[edge], ay[edge], bx[edge], by[edge]
+            px, py = px[node], py[node]
+            eps = PolygonTester._EPS
+            dbax = bx - ax
+            dbay = by - ay
+            dpax = px - ax
+            dpay = py - ay
+            cross = dbax * dpay - dbay * dpax
+            dot = dpax * dbax + dpay * dbay
+            on_boundary = (
+                (np.abs(cross) <= seg_tol[edge]) & (dot >= -eps)
+                & (dot <= seg_len_sq[edge])
+            )
+            straddles = (ay > py) != (by > py)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_cross = dbax * (py - ay) / dbay + ax
+            toggles = straddles & (px < x_cross)
+            members[poly, owner] = (
+                np.logical_or.reduceat(on_boundary, starts)
+                | np.bitwise_xor.reduceat(toggles, starts)
+            )
+        return dict(zip(polygons, members.tolist()))
 
     def position_of(self, node_id: int) -> Point:
         """Current (sampled) position of a node."""
@@ -347,7 +456,7 @@ class WirelessNetwork:
         delay = self._hop_delay(src, size)
         if self._fault_filter is None:
             # All receivers share one delivery time, and nothing scheduled
-            # later can obtain an earlier (time, priority, seq) key — so a
+            # later can obtain an earlier (time, seq) key — so a
             # single batch event delivering in receiver order is
             # order-equivalent to one event per receiver.  Fault filters
             # can perturb per-receiver timing, so they keep the loop.

@@ -21,7 +21,9 @@ list in one vectorized pass over the table the first time any node asks.
 That pass costs O(live nodes x block occupancy); nothing in it is N x N.
 Each answer is memoized as a plain ``list[int]``: the radio walks it
 once per transmission, which Python does faster than numpy can on
-neighborhoods of a dozen nodes.
+neighborhoods of a dozen nodes.  For the same reason
+:meth:`position_of` answers from one per-generation list of ``(x, y)``
+tuples of Python floats.
 The cached lists are built by exactly the same candidate ordering and
 distance arithmetic as the :meth:`within_range` cell walk (3x3 cell
 block in row-major order, ascending node id within each cell, float64
@@ -63,6 +65,9 @@ class SpatialGrid:
         self.n_cols = max(1, int(np.ceil(width / cell_size)))
         self.n_rows = max(1, int(np.ceil(height / cell_size)))
         self._positions: Optional[np.ndarray] = None
+        # The same positions as (x, y) tuples of Python floats, built on
+        # the generation's first position_of() and dropped by rebuild().
+        self._points: Optional[List[Point]] = None
         #: Monotone rebuild counter; consumers key per-topology caches on it.
         self.generation = 0
         self._cell_of: Optional[np.ndarray] = None  # per-node clamped cell id
@@ -87,6 +92,7 @@ class SpatialGrid:
         live = np.arange(positions.shape[0]) if alive is None else np.flatnonzero(alive)
         live_cells = cell_of[live]
         self._positions = positions
+        self._points = None
         self._cell_of = cell_of
         self._ids = live[np.argsort(live_cells, kind="stable")]
         counts = np.bincount(live_cells, minlength=self.n_rows * self.n_cols)
@@ -176,10 +182,15 @@ class SpatialGrid:
         return {nid: flat[bounds[k]:bounds[k + 1]] for k, nid in enumerate(ids.tolist())}
 
     def position_of(self, node_id: int) -> Point:
-        if self._positions is None:
-            raise RuntimeError("SpatialGrid.rebuild() must be called before querying")
-        p = self._positions[node_id]
-        return (float(p[0]), float(p[1]))
+        """``node_id``'s position as a tuple of Python floats.
+
+        The generation's tuples come from one ``tolist()`` (the same
+        doubles numpy holds), so a query is a list index.
+        """
+        points = self._points
+        if points is None:
+            points = self._points = list(map(tuple, self.positions.tolist()))
+        return points[node_id]
 
     @property
     def positions(self) -> np.ndarray:

@@ -30,7 +30,7 @@ region center.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +38,8 @@ from repro.geom import angle_of, distance
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
 from repro.routing.envelopes import GREEDY, PERIMETER, GeoEnvelope
-from repro.routing.planarization import gabriel_neighbors
 
-__all__ = ["GpsrRouter"]
+__all__ = ["GpsrRouter", "gabriel_planar"]
 
 DropHandler = Callable[[int, Packet], None]
 
@@ -52,15 +51,9 @@ class GpsrRouter:
     the packet's :class:`GeoEnvelope`, as in the real protocol.
     """
 
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        on_drop: Optional[DropHandler] = None,
-        planarizer: Callable[..., np.ndarray] = gabriel_neighbors,
-    ):
+    def __init__(self, network: WirelessNetwork, on_drop: Optional[DropHandler] = None):
         self.network = network
         self.on_drop = on_drop
-        self.planarizer = planarizer
         self.stats = network.stats
         # Memos keyed on the network's topology generation (positions
         # are frozen within one): the planar neighbor set + its edge
@@ -133,7 +126,6 @@ class GpsrRouter:
 
         here = self.network.position_of(node_id)
         dest = envelope.dest_point
-        positions = self.network.positions()
         # neighbors_of() above already refreshed the spatial index, so
         # the generation is stable for the rest of this decision.
         self._sync_caches()
@@ -146,7 +138,7 @@ class GpsrRouter:
                 envelope.first_edge = None
 
         if envelope.mode == GREEDY:
-            next_hop = self._greedy_next(node_id, here, dest, neighbors, positions)
+            next_hop = self._greedy_next(node_id, here, dest, neighbors)
             if next_hop is not None:
                 self._transmit(node_id, next_hop, packet, reset_prev=True)
                 return
@@ -157,7 +149,7 @@ class GpsrRouter:
             envelope.prev_node = None
             envelope.first_edge = None
 
-        next_hop = self._perimeter_next(node_id, here, envelope, neighbors, positions)
+        next_hop = self._perimeter_next(node_id, here, envelope, neighbors)
         if next_hop is None:
             self._drop(node_id, packet, "perimeter_dead_end")
             return
@@ -179,12 +171,7 @@ class GpsrRouter:
             self._nbr_pos_cache.clear()
 
     def _greedy_next(
-        self,
-        node_id: int,
-        here,
-        dest,
-        neighbors: List[int],
-        positions: np.ndarray,
+        self, node_id: int, here, dest, neighbors: List[int]
     ) -> Optional[int]:
         """Neighbor strictly closer to dest than we are, else None.
 
@@ -194,6 +181,7 @@ class GpsrRouter:
         """
         columns = self._nbr_pos_cache.get(node_id)
         if columns is None:
+            positions = self.network.positions()
             columns = self._nbr_pos_cache[node_id] = (
                 positions[neighbors, 0],
                 positions[neighbors, 1],
@@ -205,50 +193,30 @@ class GpsrRouter:
             return neighbors[best]
         return None
 
-    def _planar_with_angles(
-        self,
-        node_id: int,
-        here,
-        neighbors: List[int],
-        positions: np.ndarray,
-    ):
+    def _planar_with_angles(self, node_id: int, here, neighbors: List[int]):
         """Planar neighbor ids of ``node_id`` with their edge angles.
 
         Both are pure functions of the topology generation, so they are
         computed once per (generation, node) rather than once per
-        perimeter-mode packet.  The angles come from
-        :func:`repro.geom.angle_of` (CPython ``math.atan2``) — never a
-        numpy reimplementation, whose libm could round differently and
-        silently split the digests.
+        perimeter-mode packet, on Python floats (:func:`gabriel_planar`).
+        The angles come from :func:`repro.geom.angle_of` (CPython
+        ``math.atan2``) — never a numpy reimplementation, whose libm
+        could round differently and silently split the digests.
         """
         cached = self._angle_cache.get(node_id)
         if cached is not None:
             return cached
-        planar = self.planarizer(
-            np.asarray(here, dtype=float),
-            positions[neighbors],
-            np.asarray(neighbors, dtype=np.intp),
-        )
-        planar_ids = [int(nid) for nid in planar]
-        angles = [
-            angle_of(here, (positions[nid][0], positions[nid][1]))
-            for nid in planar_ids
-        ]
-        result = self._angle_cache[node_id] = (planar_ids, angles)
+        position_of = self.network.position_of
+        planar = gabriel_planar(here, neighbors, [position_of(nid) for nid in neighbors])
+        angles = [angle_of(here, position_of(nid)) for nid in planar]
+        result = self._angle_cache[node_id] = (planar, angles)
         return result
 
     def _perimeter_next(
-        self,
-        node_id: int,
-        here,
-        envelope: GeoEnvelope,
-        neighbors: List[int],
-        positions: np.ndarray,
+        self, node_id: int, here, envelope: GeoEnvelope, neighbors: List[int]
     ) -> Optional[int]:
         """Right-hand-rule next hop on the planarized neighbor set."""
-        planar_ids, angles = self._planar_with_angles(
-            node_id, here, neighbors, positions
-        )
+        planar_ids, angles = self._planar_with_angles(node_id, here, neighbors)
         if not planar_ids:
             return None
         # Reference direction: the edge we arrived on, or towards the
@@ -287,3 +255,36 @@ class GpsrRouter:
         self.stats.count(f"gpsr.dropped.{reason}")
         if self.on_drop is not None:
             self.on_drop(node_id, packet)
+
+
+def gabriel_planar(here, ids: Sequence[int], points: Sequence) -> List[int]:
+    """Gabriel-graph filter of one node's neighbors, on Python floats.
+
+    Keeps ``ids[i]`` unless some other neighbor lies strictly inside the
+    circle with diameter ``here``–``points[i]``; the first such witness
+    ends the scan.  Each test is the float arithmetic of
+    :func:`repro.routing.planarization.gabriel_neighbors` in the same
+    order (midpoint ``(v + u) / 2``, squared radius ``|v - u|² / 4``
+    shrunk by ``1 - 1e-12``), so both keep the same ids in the same
+    order.
+    """
+    if len(ids) <= 1:
+        return list(ids)
+    ux, uy = here
+    shrink = 1.0 - 1e-12
+    kept = []
+    for i, (vx, vy) in enumerate(points):
+        mx = (vx + ux) / 2.0
+        my = (vy + uy) / 2.0
+        dx = vx - ux
+        dy = vy - uy
+        r2 = (dx * dx + dy * dy) / 4.0 * shrink
+        for j, (wx, wy) in enumerate(points):
+            if j != i:
+                ex = wx - mx
+                ey = wy - my
+                if ex * ex + ey * ey < r2:
+                    break
+        else:
+            kept.append(ids[i])
+    return kept

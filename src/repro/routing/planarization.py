@@ -11,7 +11,10 @@ planarizations a node can compute from its one-hop neighbor positions:
   strictly inside the circle whose diameter is uv.
 
 GG keeps more edges (RNG is a subgraph of GG), giving shorter perimeter
-detours; GPSR works with either.  The router defaults to Gabriel.
+detours; GPSR works with either.  The router planarizes with Gabriel,
+through :func:`repro.routing.gpsr.gabriel_planar`, a scalar loop on
+Python floats; :func:`gabriel_neighbors` is the reference it is tested
+against, operation for operation.
 
 Both filters here are vectorized over the candidate neighbor set.
 """

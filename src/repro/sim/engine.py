@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation engine.
 
 The engine follows the classic event-queue design used by NS-2 and SimPy:
-a priority queue of ``(time, priority, sequence)``-ordered events whose
+a priority queue of ``(time, sequence)``-ordered events whose
 callbacks are executed in nondecreasing virtual-time order.  There is one
 way to put work on the clock: :meth:`Simulator.schedule` /
 :meth:`Simulator.schedule_at` register a plain callable to run at a
@@ -12,7 +12,7 @@ its work and then schedules its own next wakeup.
 Event records
 -------------
 Every scheduled callback is one :class:`Event`: a list
-``[time, priority, seq, callback, args]`` that *is* the heap entry, so
+``[time, seq, callback, args]`` that *is* the heap entry, so
 :mod:`heapq` orders events by plain C-level list comparison and nothing
 else is allocated per event.  ``seq`` is unique, so comparison never
 reaches the callback slot.  :meth:`Simulator.schedule` returns the
@@ -22,10 +22,11 @@ broadcasts) drops it.
 
 Determinism
 -----------
-Events scheduled for the same virtual time are executed in ``(priority,
-sequence)`` order, where ``sequence`` is a monotonically increasing
-insertion counter.  Given identical inputs and seeds a run is exactly
-reproducible, which the test suite relies on.
+Events scheduled for the same virtual time are executed in ``sequence``
+order, where ``sequence`` is a monotonically increasing insertion
+counter: same-time events run first in, first out.  Given identical
+inputs and seeds a run is exactly reproducible, which the test suite
+relies on.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class SimulationError(RuntimeError):
 class Event(list):
     """A scheduled callback: the heap entry and its cancellation token.
 
-    Laid out as ``[time, priority, seq, callback, args]``.  Cancellation
+    Laid out as ``[time, seq, callback, args]``.  Cancellation
     is lazy: the entry stays in the heap with its callback cleared and is
     skipped when popped.  This is O(1) and avoids heap surgery.
     """
@@ -58,7 +59,7 @@ class Event(list):
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent, and a no-op
         once the event has fired."""
-        self[3] = None
+        self[2] = None
 
 
 class Simulator:
@@ -88,38 +89,26 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Run ``callback(*args)`` after ``delay`` units of virtual time.
 
-        ``priority`` breaks ties among same-time events (lower first);
-        insertion order breaks remaining ties.  The returned
-        :class:`Event` can be cancelled; ignoring it costs nothing.
+        Insertion order breaks ties among same-time events.  The
+        returned :class:`Event` can be cancelled; ignoring it costs
+        nothing.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        event = Event((self.now + delay, priority, next(self._sequence), callback, args))
+        event = Event((self.now + delay, next(self._sequence), callback, args))
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule into the past (time={time!r}, now={self.now!r})"
             )
-        event = Event((time, priority, next(self._sequence), callback, args))
+        event = Event((time, next(self._sequence), callback, args))
         heapq.heappush(self._queue, event)
         return event
 
@@ -140,7 +129,7 @@ class Simulator:
         try:
             while queue:
                 head = queue[0]
-                target = head[3]
+                target = head[2]
                 if target is None:  # cancelled
                     pop(queue)
                     continue
@@ -148,7 +137,7 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 pop(queue)
-                args = head[4]
+                args = head[3]
                 self.now = time
                 self.events_executed += 1
                 try:
@@ -165,7 +154,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._queue if event[3] is not None)
+        return sum(1 for event in self._queue if event[2] is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now!r}, pending={self.pending_events})"

@@ -7,13 +7,18 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
 * neighbor queries take the uncached 3x3 cell walk (the path dead nodes
   always take) instead of the per-generation memo,
 * region membership takes the scalar point-in-polygon test (the path an
-  unhashable polygon always takes) instead of the vectorized memo,
+  unhashable polygon always takes) instead of the per-generation sweep,
+* positions are read from the grid's numpy array instead of its
+  per-generation list of float tuples,
 * every broadcast schedules one delivery event per receiver (the path a
   fault filter always forces) instead of one batch event, so floods are
   handled per node and HELLO beacons are dispatched per receiver,
 * MAC jitter is drawn one scalar ``rng.random()`` per hop instead of
   from the radio's block of pre-drawn values, and
-* GPSR recomputes neighbor positions and planarization per decision.
+* GPSR recomputes neighbor positions per decision, and planarizes each
+  decision through the numpy filter
+  :func:`repro.routing.planarization.gabriel_neighbors` instead of the
+  router's scalar witness loop and its memo.
 
 The golden-digest suite requires a degraded run to fingerprint
 byte-identically to the production kernel on every canonical scenario.
@@ -21,8 +26,12 @@ byte-identically to the production kernel on every canonical scenario.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.network import PReCinCtNetwork
 from repro.faults.audit import SCENARIOS, RunDigest, eventlog_digest, report_digest
+from repro.geom import angle_of
+from repro.routing.planarization import gabriel_neighbors
 
 
 def walk_neighbors(grid, node_id: int, radius: float):
@@ -41,6 +50,28 @@ def scalar_hop_delay(radio, src: int, size_bytes: float) -> float:
     return end - now
 
 
+def array_position(grid, node_id: int):
+    """``SpatialGrid.position_of`` read from the numpy position array."""
+    p = grid._positions[node_id]
+    return (float(p[0]), float(p[1]))
+
+
+def numpy_planar_with_angles(grid, here, neighbors):
+    """``GpsrRouter._planar_with_angles`` through the numpy Gabriel
+    filter, recomputed on every call."""
+    positions = grid._positions
+    planar = gabriel_neighbors(
+        np.asarray(here, dtype=float),
+        positions[neighbors],
+        np.asarray(neighbors, dtype=np.intp),
+    )
+    planar_ids = [int(nid) for nid in planar]
+    angles = [
+        angle_of(here, (positions[nid][0], positions[nid][1])) for nid in planar_ids
+    ]
+    return planar_ids, angles
+
+
 def _pass_through(src, dst, packet):
     return None  # deliver normally
 
@@ -50,18 +81,21 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     radio = net.network
     grid = radio._grid
     grid.neighbors_of = lambda node_id, radius: walk_neighbors(grid, node_id, radius)
+    grid.position_of = lambda node_id: array_position(grid, node_id)
     radio.polygon_members = lambda polygon: None
     radio._hop_delay = lambda src, size_bytes: scalar_hop_delay(radio, src, size_bytes)
     if radio._fault_filter is None:
         radio.set_fault_filter(_pass_through)
     router = net.stack.router
+    router._planar_with_angles = lambda node_id, here, neighbors: (
+        numpy_planar_with_angles(grid, here, neighbors)
+    )
     forward = router._forward
 
     def forward_unmemoized(node_id, packet):
         try:
             forward(node_id, packet)
         finally:
-            router._angle_cache.clear()
             router._nbr_pos_cache.clear()
 
     router._forward = forward_unmemoized
@@ -74,7 +108,8 @@ def run_reference_scenario(name: str, seed: int = 42) -> RunDigest:
     report = net.run()
     # A memo that filled means the oracle ran production paths.
     radio, router = net.network, net.stack.router
-    assert not radio._grid._neighbor_cache and not radio._polygon_cache
+    assert not radio._grid._neighbor_cache and radio._grid._points is None
+    assert not radio._polygon_cache and not radio._swept and not radio._unswept
     assert not radio._jitters
     assert not router._angle_cache and not router._nbr_pos_cache
     return RunDigest(

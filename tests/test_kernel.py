@@ -7,7 +7,10 @@ so a divergence points at the responsible layer:
 
 * ``PolygonTester`` / ``points_in_polygon`` vs the scalar
   ``point_in_polygon`` — including boundary points, vertices, and
-  degenerate polygons;
+  degenerate polygons — and the radio's per-generation membership sweep
+  vs both;
+* GPSR's scalar Gabriel witness loop vs the numpy ``gabriel_neighbors``,
+  list for list;
 * the spatial grid's one-pass neighbor fill vs the ``within_range``
   cell walk — not just the same *sets*, the same *order* (neighbor order
   feeds RNG draw order downstream) — and, by bytes and by count, that
@@ -16,8 +19,10 @@ so a divergence points at the responsible layer:
   deliveries, same delivery order, same duplicate/out-of-scope counter
   totals;
 * by count, that the radio's per-transmission path (broadcast,
-  unicast, batch delivery, flood dedup and scoping) makes no numpy call
-  once the topology generation's memos are filled;
+  unicast, batch delivery, flood dedup and scoping) and a GPSR
+  planarization miss make no numpy call once the topology generation's
+  memos are filled, and that the membership sweep's numpy calls do not
+  grow with the number of regions;
 * and, by digest, that a run waking every timer kind replays the event
   sequence it had when the timers were generator processes.
 """
@@ -89,6 +94,199 @@ class TestPointsInPolygon:
             want = np.array([point_in_polygon((x, y), CONCAVE)
                              for x, y in pts.tolist()])
             np.testing.assert_array_equal(tester.contains(pts), want)
+
+
+# ---------------------------------------------------------------------------
+# The generation's membership sweep vs per-polygon and scalar tests
+# ---------------------------------------------------------------------------
+
+#: Polygons the sweep must not prune: fewer than 3 vertices, a closed
+#: ring (zero-length closing edge), a repeated vertex, an edge shorter
+#: than the sweep margin, a zero-area sliver, and one smaller than the margin.
+ODD_POLYGONS = [
+    ((5.0, 5.0), (9.0, 9.0)),
+    ((0.0, 0.0), (300.0, 0.0), (300.0, 300.0), (0.0, 300.0), (0.0, 0.0)),
+    ((100.0, 100.0), (400.0, 100.0), (400.0, 100.0), (400.0, 400.0)),
+    ((100.0, 100.0), (400.0, 100.0), (400.0, 100.5), (100.0, 400.0)),
+    ((0.0, 50.0), (100.0, 50.0), (200.0, 50.0)),
+    ((10.0, 10.0), (10.5, 10.0), (10.5, 10.5)),
+]
+
+
+def _box_points(polygon, margin):
+    """Vertices, edge midpoints, and points exactly on and a hair either
+    side of the polygon's bounding box +- ``margin``."""
+    xs = [x for x, _ in polygon]
+    ys = [y for _, y in polygon]
+    xlo, xhi = min(xs) - margin, max(xs) + margin
+    ylo, yhi = min(ys) - margin, max(ys) + margin
+    xmid, ymid = (xlo + xhi) / 2.0, (ylo + yhi) / 2.0
+    pts = list(polygon)
+    pts += [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+            for a, b in zip(polygon, polygon[1:] + polygon[:1])]
+    for x in (xlo, xhi):
+        for nudge in (-1.0, 0.0, 1.0):
+            x_n = np.nextafter(x, x + nudge) if nudge else x
+            pts += [(float(x_n), ymid), (float(x_n), ylo), (float(x_n), yhi)]
+    for y in (ylo, yhi):
+        for nudge in (-1.0, 1.0):
+            pts.append((xmid, float(np.nextafter(y, y + nudge))))
+        pts.append((xmid, y))
+    return pts
+
+
+@st.composite
+def _sweep_cases(draw):
+    """Grid rectangles, merged hulls, separated halves, random simple
+    (star-shaped) polygons and odd polygons, with nodes anywhere on the
+    plane, on every polygon's edges and vertices and at its box +- margin;
+    some nodes dead."""
+    from repro.core.regions import RegionTable
+    from repro.net.network import _SWEEP_MARGIN
+
+    side = draw(st.sampled_from([600.0, 1000.0, 1500.0]))
+    table = RegionTable.grid(side, side, draw(st.sampled_from([1, 4, 9, 12, 16])))
+    for _ in range(draw(st.integers(0, 3))):
+        ids = table.region_ids()
+        rid = draw(st.sampled_from(ids))
+        adjacent = [r.region_id for r in table.neighbors_of_region(rid)]
+        if adjacent and draw(st.booleans()):
+            table.merge(rid, draw(st.sampled_from(adjacent)))
+        else:
+            table.separate(rid, axis=draw(st.sampled_from("xy")))
+    polygons = [region.vertices for region in table]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        k = int(rng.integers(3, 10))
+        cx, cy = rng.uniform(0.0, side, 2)
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+        radii = rng.uniform(1.0, side / 3, k)
+        polygons.append(tuple(
+            (float(cx + r * np.cos(a)), float(cy + r * np.sin(a)))
+            for a, r in zip(angles, radii)
+        ))
+    polygons += draw(st.lists(st.sampled_from(ODD_POLYGONS), max_size=3, unique=True))
+    polygons = list(dict.fromkeys(polygons))
+    points = [tuple(p) for p in rng.uniform(-50.0, side + 50.0, size=(
+        draw(st.integers(0, 200)), 2)).tolist()]
+    for polygon in draw(st.lists(st.sampled_from(polygons), max_size=4)):
+        points += _box_points(polygon, _SWEEP_MARGIN)
+    if not points:
+        points = [(0.0, 0.0)]
+    dead = draw(st.lists(st.integers(0, len(points) - 1), max_size=5))
+    return side, polygons, points, dead
+
+
+def _radio_at(points, side):
+    from tests.conftest import make_static_network
+
+    return make_static_network(points, width=side, height=side)
+
+
+class TestMembershipSweep:
+    @settings(max_examples=120, deadline=None)
+    @given(_sweep_cases())
+    def test_sweep_equals_per_polygon_and_scalar_tests(self, case):
+        side, polygons, points, dead = case
+        net = _radio_at(points, side)
+        for polygon in polygons:  # first sight: one pass per polygon
+            net.polygon_members(polygon)
+        for node in dead:  # each failure starts a generation
+            net.fail_node(node)
+        net.revive_node(0)
+        swept = net._sweep(polygons)
+        assert set(swept) == {p for p in polygons if len(p) >= 3}
+        positions = np.asarray(points, dtype=float)
+        for polygon in polygons:
+            want = [point_in_polygon(pt, polygon) for pt in points]
+            assert PolygonTester(polygon).contains(positions).tolist() == want
+            if polygon in swept:
+                assert swept[polygon] == want, polygon
+            # The generation's memo, first polygon filled by the sweep.
+            assert net.polygon_members(polygon) == want, polygon
+
+    def test_closed_ring_is_swept_unpruned(self):
+        ring = ODD_POLYGONS[1]
+        net = _radio_at([(5000.0, 5000.0), (150.0, 150.0), (-1.0, 7.0)], 6000.0)
+        assert net._sweep([ring])[ring] == [True, True, True]
+
+    def test_a_polygon_not_queried_for_a_generation_retires(self):
+        from repro.core.regions import RegionTable
+
+        a, b, c = (r.vertices for r in RegionTable.grid(600.0, 600.0, 3))
+        net = _radio_at(np.random.default_rng(4).uniform(0, 600, (30, 2)), 600.0)
+        for polygon in (a, b, c):
+            net.polygon_members(polygon)
+        net.fail_node(0)  # generation 2 queries a and b: the sweep covers all three
+        net.polygon_members(a)
+        assert set(net._swept) == {b, c}
+        net.polygon_members(b)
+        net.revive_node(0)  # generation 3: c was not queried in generation 2
+        net.polygon_members(a)
+        assert set(net._swept) == {b}
+        net.polygon_members(c)  # back by its own pass; swept again next time
+        assert set(net._polygon_cache) == {a, c} and set(net._swept) == {b}
+
+
+# ---------------------------------------------------------------------------
+# GPSR's scalar witness loop vs the numpy Gabriel filter
+# ---------------------------------------------------------------------------
+
+#: Lattice points on the circle of radius 25 about (25, 0): cocircular
+#: witnesses exactly on the Gabriel circle of the edge (0, 0)-(50, 0).
+_COCIRCLE = [(25.0 + dx, dy) for dx, dy in (
+    (0, 25), (0, -25), (7, 24), (-7, -24), (15, 20), (-15, 20), (20, -15),
+    (24, 7), (-24, -7), (25, 0), (-25, 0))]
+
+
+@st.composite
+def _neighborhoods(draw):
+    """0-30 neighbors around ``here``: uniform, duplicated, collinear,
+    cocircular or on an integer lattice."""
+    k = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["uniform", "duplicates", "collinear", "cocircular", "lattice"]))
+    here = (0.0, 0.0) if kind == "cocircular" else tuple(rng.uniform(0.0, 500.0, 2))
+    if kind == "uniform":
+        pts = rng.uniform(-250.0, 250.0, size=(k, 2)) + here
+    elif kind == "duplicates":
+        base = np.vstack([rng.uniform(-250.0, 250.0, size=(3, 2)) + here, [here]])
+        pts = base[rng.integers(0, len(base), size=k)]
+    elif kind == "collinear":
+        direction = rng.normal(size=2)
+        pts = np.asarray(here) + np.outer(rng.uniform(-250.0, 250.0, k), direction)
+    elif kind == "cocircular":
+        pts = np.asarray(_COCIRCLE + [(50.0, 0.0)] * 2)[rng.integers(0, 13, size=k)]
+    else:
+        pts = np.round(np.asarray(here)) + rng.integers(-3, 4, size=(k, 2)) * 40.0
+    pts = np.asarray(pts, dtype=float).reshape(k, 2)
+    ids = rng.permutation(1000)[:k]
+    return tuple(float(v) for v in here), pts, ids
+
+
+class TestWitnessLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(_neighborhoods())
+    def test_returns_the_numpy_filters_list(self, case):
+        from repro.routing.gpsr import gabriel_planar
+        from repro.routing.planarization import gabriel_neighbors
+
+        here, pts, ids = case
+        got = gabriel_planar(here, ids.tolist(), [tuple(p) for p in pts.tolist()])
+        want = gabriel_neighbors(np.asarray(here), pts, ids).tolist()
+        assert type(got) is list and got == want
+
+    def test_src_planarizes_only_through_the_loop(self):
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        callers = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if "gabriel_neighbors(" in path.read_text(encoding="utf-8")
+        ]
+        assert callers == ["routing/planarization.py"]  # its definition
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +633,55 @@ class TestRadioPathMakesNoNumpyCalls:
         assert _numpy_calls(stats) == {}
         assert stream.calls == draws
 
+    def test_perimeter_mode_miss(self):
+        import cProfile
+        import pstats
+
+        from repro.routing.envelopes import PERIMETER, GeoEnvelope
+        from repro.routing.gpsr import GpsrRouter
+
+        n = 60
+        net = _radio_at(np.random.default_rng(12).uniform(0.0, 900.0, size=(n, 2)), 900.0)
+        router = GpsrRouter(net)
+        # The generation's neighbor lists and position tuples are filled.
+        hoods = [(node, net.position_of(node), net.neighbors_of(node))
+                 for node in range(n)]
+        router._sync_caches()
+        envelope = GeoEnvelope(inner=None, dest_point=(450.0, 450.0), mode=PERIMETER)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for node, here, neighbors in hoods:
+            router._perimeter_next(node, here, envelope, neighbors)
+        profiler.disable()
+        assert len(router._angle_cache) == n  # every decision was a miss
+        assert sum(len(planar) for planar, _ in router._angle_cache.values()) > n
+        assert _numpy_calls(pstats.Stats(profiler)) == {}
+
+    def test_membership_sweep_cost_does_not_grow_with_regions(self):
+        import cProfile
+        import pstats
+
+        from repro.core.regions import RegionTable
+
+        side = 1600.0
+        positions = np.random.default_rng(6).uniform(0.0, side, size=(300, 2))
+        counts = []
+        for n_regions in (9, 64):
+            net = _radio_at(positions, side)
+            polygons = [r.vertices for r in RegionTable.grid(side, side, n_regions)]
+            for polygon in polygons:
+                net.polygon_members(polygon)
+            net.fail_node(0)  # a new generation: its first miss sweeps
+            profiler = cProfile.Profile()
+            profiler.enable()
+            members = [net.polygon_members(polygon) for polygon in polygons]
+            profiler.disable()
+            assert not net._swept  # every polygon came from the one sweep
+            assert sum(map(sum, members)) == len(positions)  # a tiling
+            counts.append(_numpy_calls(pstats.Stats(profiler)))
+        assert sum(counts[0].values()) > 5  # the profiler saw the sweep
+        assert counts[0] == counts[1]
+
 
 # ---------------------------------------------------------------------------
 # One kernel, one perf truth: nothing under src/ or scripts/ may select
@@ -488,7 +735,9 @@ def test_one_admission_path_in_the_service():
 
 def test_one_way_to_schedule_an_event():
     """Every timer is a callback that reschedules itself: no generator
-    process layer under src/."""
+    process layer under src/, and no tie-break slot besides insertion
+    order (nothing passes ``priority=``)."""
+    import inspect
     import re
     from pathlib import Path
 
@@ -498,6 +747,7 @@ def test_one_way_to_schedule_an_event():
     src = Path(__file__).resolve().parent.parent / "src"
     banned = re.compile(
         r"yield Timeout|\.spawn\(|from repro\.sim(\.engine)? import .*(Timeout|Process)"
+        r"|\bpriority="
     )
     hits = [
         f"{path.relative_to(src)}:{lineno}: {line.strip()}"
@@ -508,6 +758,8 @@ def test_one_way_to_schedule_an_event():
     assert not hits, "a second way to schedule reappeared:\n" + "\n".join(hits)
     assert not {"Process", "Timeout"} & set(repro.sim.__all__)
     assert not hasattr(Simulator, "spawn")
+    for method in (Simulator.schedule, Simulator.schedule_at):
+        assert "priority" not in inspect.signature(method).parameters
 
 
 # ---------------------------------------------------------------------------

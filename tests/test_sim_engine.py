@@ -28,12 +28,14 @@ class TestScheduling:
         sim.run()
         assert seen == [0, 1, 2, 3, 4]
 
-    def test_priority_breaks_same_time_ties(self, sim):
+    def test_same_time_ties_ignore_when_they_were_scheduled(self, sim):
+        # Both land on t=1.0, one scheduled from t=0 and one from t=0.5:
+        # the earlier insertion runs first.
         seen = []
-        sim.schedule(1.0, seen.append, "low", priority=5)
-        sim.schedule(1.0, seen.append, "high", priority=-5)
+        sim.schedule(1.0, seen.append, "first")
+        sim.schedule(0.5, lambda: sim.schedule(0.5, seen.append, "second"))
         sim.run()
-        assert seen == ["high", "low"]
+        assert seen == ["first", "second"]
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
@@ -115,7 +117,7 @@ class TestSameTimestampFIFO:
     """Regression: FIFO ordering of same-timestamp events.
 
     Every event draws its tiebreaker from ONE ``itertools.count``
-    sequence, so events at the same (time, priority) must always fire in
+    sequence, so events at the same time must always fire in
     insertion order — whether or not the caller kept the returned
     :class:`Event` to cancel it, whichever of ``schedule`` /
     ``schedule_at`` created it, and regardless of heap-internal sift
@@ -143,15 +145,21 @@ class TestSameTimestampFIFO:
         assert seen == list(range(40))
         assert len(kept) == 20
 
-    def test_priority_beats_insertion_then_fifo_within_priority(self):
+    def test_zero_delay_event_runs_after_queued_same_time_events(self):
         sim = Simulator()
         seen = []
-        sim.schedule(1.0, seen.append, "late-a", priority=1)
-        sim.schedule(1.0, seen.append, "early-a", priority=0)
-        sim.schedule(1.0, seen.append, "early-b", priority=0)
-        sim.schedule(1.0, seen.append, "late-b", priority=1)
+
+        def a():
+            seen.append("a")
+            sim.schedule(0.0, seen.append, "c")
+
+        sim.schedule(1.0, a)
+        sim.schedule(1.0, seen.append, "b")
         sim.run()
-        assert seen == ["early-a", "early-b", "late-a", "late-b"]
+        assert seen == ["a", "b", "c"]
+        # An event is [time, seq, callback, args]: no tie-break slot.
+        event = sim.schedule(2.0, seen.append, "d")
+        assert event[0] == 3.0 and event[2:] == [seen.append, ("d",)]
 
     def test_cancelled_entry_does_not_disturb_fifo(self):
         sim = Simulator()
