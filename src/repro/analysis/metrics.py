@@ -211,7 +211,7 @@ class RunReport:
     ) -> "RunReport":
         total_msgs = stats.value("net.broadcast_sent") + stats.value("net.unicast_sent")
         # Per-category transmission counts (request/response/consistency/
-        # handoff/management/...), exposed via `extra["sent.<category>"]`.
+        # handoff/digest/...), exposed via `extra["sent.<category>"]`.
         prefix = "count.net.sent."
         extra = {
             f"sent.{name[len(prefix):]}": value

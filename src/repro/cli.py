@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable Summary-Cache regional digests")
     run_p.add_argument("--prefetch", action="store_true",
                        help="enable popularity prefetching")
-    run_p.add_argument("--dynamic-regions", action="store_true",
-                       help="enable adaptive region Merge/Separate")
     run_p.add_argument("--churn-uptime", type=float, default=None,
                        help="mean connected seconds per peer (enables churn)")
     run_p.add_argument("--map", action="store_true",
@@ -606,7 +604,6 @@ def _run_config(args: argparse.Namespace) -> SimulationConfig:
         seed=args.seed,
         enable_digest=args.digest,
         enable_prefetch=args.prefetch,
-        dynamic_regions=args.dynamic_regions,
         churn_uptime=args.churn_uptime,
         fault_plan=_fault_plan(args),
         **_resilience_overrides(args),

@@ -122,16 +122,6 @@ class SimulationConfig:
     #: Maintain a replica custodian in the second-closest region (§2.4).
     enable_replication: bool = True
 
-    # -- dynamic region management (paper future work §7) -----------------------------------
-    #: Enable adaptive Merge/Separate of regions at runtime.
-    dynamic_regions: bool = False
-    #: Merge regions that fall below this many live members.
-    region_min_peers: int = 2
-    #: Separate regions that exceed this many live members.
-    region_max_peers: int = 24
-    #: Census period of the region manager (s).
-    region_manage_interval: float = 60.0
-
     # -- GPSR beaconing (optional realism) -------------------------------------------------
     #: Period of GPSR HELLO beacons (s).  None (default) models perfect
     #: beaconing at zero cost, as the simulator's routing reads neighbor
@@ -166,7 +156,7 @@ class SimulationConfig:
 
     # -- event log -------------------------------------------------------------------------------
     #: Keep a bounded structured event log of protocol events
-    #: (request lifecycle, custody movement, region operations) — the
+    #: (request lifecycle, custody movement, region changes) — the
     #: input of the audit's event-log digest.
     enable_event_log: bool = False
 
@@ -250,6 +240,18 @@ class SimulationConfig:
             "stationary",
         ):
             raise ValueError(f"unknown mobility model {self.mobility_model!r}")
+        # Timer periods: a zero period reschedules its timer at the same
+        # instant forever, so the clock never advances.
+        for name in ("gpsr_beacon_interval", "churn_uptime"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(
+                    f"{name} must be positive (None disables it), got {value}"
+                )
+        for name in ("digest_interval", "prefetch_interval", "churn_downtime"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 <= self.churn_crash_fraction <= 1.0:
             raise ValueError(
                 f"churn_crash_fraction must be in [0, 1], got {self.churn_crash_fraction}"

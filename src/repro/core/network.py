@@ -195,7 +195,6 @@ class PReCinCtNetwork:
         for item in self.db.items:
             item.ttr = self.scheme.initial_ttr(item)
 
-        self.region_manager = None  # set in run() when cfg.dynamic_regions
         if cfg.enable_event_log:
             from repro.sim.eventlog import EventLog
 
@@ -471,7 +470,6 @@ class PReCinCtNetwork:
         target: int,
         keys: List[int],
         region_id: int,
-        category: str = "handoff",
         retries: int = 0,
     ) -> None:
         """Geo-route custody of ``keys`` from ``source`` to ``target``:
@@ -502,7 +500,7 @@ class PReCinCtNetwork:
             msg.size_bytes,
             dest_point=self.position_of(target),
             dest_node=target,
-            category=category,
+            category="handoff",
         )
 
     def repair_custody(self) -> int:
@@ -520,9 +518,6 @@ class PReCinCtNetwork:
             if not keys:
                 del self._orphaned_keys[region_id]
                 continue
-            if region_id not in self.table.region_ids():
-                del self._orphaned_keys[region_id]  # region was deleted
-                continue
             target = self.pick_handoff_target(-1, region_id)
             if target is None:
                 continue  # still empty; try again later
@@ -535,8 +530,8 @@ class PReCinCtNetwork:
                     for p in self.peers
                 )
                 if already_covered:
-                    # Re-placed through another path (handoff retry,
-                    # region-manager relocation) while queued for repair.
+                    # Re-placed through another path (a handoff retry)
+                    # while queued for repair.
                     keys.discard(key)
                     continue
                 holder = next(
@@ -647,15 +642,9 @@ class PReCinCtNetwork:
             peer.on_key_handoff(inner)
         else:
             from repro.core.digest import DigestAnnounce
-            from repro.core.region_manager import RegionTableUpdate
 
             if isinstance(inner, DigestAnnounce):
                 peer.on_digest_announce(inner)
-            elif isinstance(inner, RegionTableUpdate):
-                # The table object is shared in the simulation; peers
-                # just acknowledge the version (the flood's cost is what
-                # the experiment measures).
-                self.stats.count("peer.table_updates_received")
             else:  # pragma: no cover - future message types
                 self.stats.count("dispatch.unknown")
 
@@ -890,16 +879,6 @@ class PReCinCtNetwork:
             rng = self.rngs.get("beacons")
             for peer_id in range(cfg.n_nodes):
                 self._every(cfg.gpsr_beacon_interval, self._beacon, peer_id, rng=rng)
-        if cfg.dynamic_regions:
-            from repro.core.region_manager import DynamicRegionManager
-
-            self.region_manager = DynamicRegionManager(
-                self,
-                check_interval=cfg.region_manage_interval,
-                min_peers=cfg.region_min_peers,
-                max_peers=cfg.region_max_peers,
-            )
-            self._every(self.region_manager.check_interval, self.region_manager.run_once)
         if cfg.warmup > 0:
             self.sim.schedule(cfg.warmup, self._end_warmup)
         if self.telemetry is not None:

@@ -1,7 +1,7 @@
 """Structured event logging.
 
 An optional, bounded, in-memory log of protocol-level events (request
-lifecycle, custody movement, region operations).  Disabled by default —
+lifecycle, custody movement, region changes).  Disabled by default —
 the hot path pays a single ``if`` — and enabled per run with
 ``SimulationConfig(enable_event_log=True)``.
 

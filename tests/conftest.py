@@ -74,8 +74,8 @@ def tiny_config(**overrides) -> SimulationConfig:
 
 def all_timers_config(**overrides) -> SimulationConfig:
     """A run that wakes every timer kind: arrivals, region sweep, custody
-    repair, churn, digests, prefetch, beacons and the region manager
-    (attach the invariant checker for the ninth)."""
+    repair, churn, digests, prefetch and beacons (attach the invariant
+    checker for the eighth)."""
     defaults = dict(
         n_nodes=40,
         n_items=120,
@@ -93,10 +93,6 @@ def all_timers_config(**overrides) -> SimulationConfig:
         enable_digest=True,
         enable_prefetch=True,
         gpsr_beacon_interval=2,
-        dynamic_regions=True,
-        region_manage_interval=30,
-        region_min_peers=2,
-        region_max_peers=8,
         enable_event_log=True,
         seed=1,
     )

@@ -195,6 +195,18 @@ class TestExecution:
         assert main(["run", "--plan-file", str(tmp_path / "none.json")]) == 2
         assert "error: invalid fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("uptime", ["0", "-5"])
+    def test_run_non_positive_churn_uptime_exits_2(self, capsys, uptime):
+        # Used to end in a numpy traceback ("scale < 0") mid-run.
+        assert main(["run", "--churn-uptime", uptime]) == 2
+        assert capsys.readouterr().err.startswith("error: churn_uptime")
+
+    def test_run_rejects_the_removed_merge_separate_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--dynamic-regions"])
+        assert exit_info.value.code == 2
+        assert "--dynamic-regions" in capsys.readouterr().err
+
     def test_run_t_update_zero_is_read_only(self, capsys):
         # --t-update 0 used to reach PoissonArrivals and die mid-run.
         rc = main(

@@ -41,6 +41,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [
+        "gpsr_beacon_interval", "churn_uptime", "digest_interval",
+        "prefetch_interval", "churn_downtime",
+    ])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_timer_period(self, field, value):
+        # A zero period rescheduled its timer at the same instant forever;
+        # a negative one died mid-run in the RNG or the digest view.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             SimulationConfig(replacement_policy="arc")
@@ -91,5 +102,5 @@ class TestConfigIsTheRunIdentity:
             SimulationConfig(resilience_backoff_factor=3.0)
 
     def test_field_count_ratchet(self):
-        # Only ever lower this bound (ROADMAP item 7).
-        assert len(fields(SimulationConfig)) <= 59
+        # Only ever lower this bound (ROADMAP item 10).
+        assert len(fields(SimulationConfig)) <= 55

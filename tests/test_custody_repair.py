@@ -69,12 +69,6 @@ class TestRepairMechanics:
         net.repair_custody()
         assert net.stats.value("custody.lost") > 0
 
-    def test_repair_skips_deleted_regions(self):
-        net = make_net()
-        net._orphaned_keys[999] = {1, 2}
-        assert net.repair_custody() == 0
-        assert 999 not in net._orphaned_keys
-
 
 class TestRepairEndToEnd:
     def test_churn_run_repairs_custody(self):

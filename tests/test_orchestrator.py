@@ -70,7 +70,6 @@ class TestSpec:
             cache_fraction=0.02, gdld_wd=0.5, static_capacity_fraction=0.1,
             consistency="push-adaptive-pull", ttr_alpha=0.25,
             enable_replication=False,
-            dynamic_regions=True, region_min_peers=3,
             gpsr_beacon_interval=1.0, poll_timeout=2.0,
             enable_prefetch=True, prefetch_interval=15.0,
             enable_digest=True, digest_interval=10.0,
