@@ -113,6 +113,8 @@ class EnergyLedger:
         #: Charge observer with ``on_charge(category, cost_uj)`` /
         #: ``on_reset()`` callbacks; ``None`` disables notification.
         self.observer = None
+        # size -> (bcast_send, bcast_recv) cost, for charge_broadcast.
+        self._bcast_costs: Dict[float, tuple] = {}
 
     # -- charging --------------------------------------------------------
 
@@ -141,6 +143,29 @@ class EnergyLedger:
     def charge_bcast_recv(self, nodes: Sequence[int], size: float) -> float:
         """Charge every node in ``nodes``; returns the aggregate cost."""
         return self._charge_each("bcast_recv", nodes, self.params.bcast_recv(size))
+
+    def charge_broadcast(self, src: int, receivers: Sequence[int], size: float) -> None:
+        """Book one broadcast: :meth:`charge_bcast_send` at ``src``, then
+        :meth:`charge_bcast_recv` over ``receivers``, with the same debits
+        and observer notifications, in one call."""
+        costs = self._bcast_costs.get(size)
+        if costs is None:
+            params = self.params
+            costs = self._bcast_costs[size] = (
+                params.bcast_send(size), params.bcast_recv(size)
+            )
+        send, recv = costs
+        self._by_category["bcast_send"][src] += send
+        ledger = self._by_category["bcast_recv"]
+        for node in receivers:
+            ledger[node] += recv
+        observer = self.observer
+        if observer is not None:
+            if send != 0.0:
+                observer.on_charge("bcast_send", send)
+            total = recv * len(receivers)
+            if total != 0.0:
+                observer.on_charge("bcast_recv", total)
 
     def charge_discard(self, nodes: Sequence[int], size: float) -> float:
         """Charge overhearing nodes for a p2p message not addressed to them."""

@@ -114,6 +114,9 @@ class WirelessNetwork:
         self.energy = EnergyLedger(self.n_nodes, energy_params)
         self.stats = stats if stats is not None else StatRegistry()
         self.alive = np.ones(self.n_nodes, dtype=bool)
+        # Number of False entries in ``alive``, kept by fail_node and
+        # revive_node: while it is 0 the radio skips every liveness test.
+        self._dead = 0
         # Half-duplex sender serialization: a node's transmissions queue
         # behind each other; _busy_until[i] is when node i's radio frees.
         self._busy_until = [0.0] * self.n_nodes
@@ -137,7 +140,7 @@ class WirelessNetwork:
         self._swept: dict = {}
         self._unswept: list = []
         self._polygon_testers: dict = {}
-        # (kind, category) -> cached Counter triple; see _count_sent.
+        # (kind, category) -> cached Counter triple; see _new_sent_counters.
         self._sent_counters: dict = {}
         self._refresh_positions(force=True)
 
@@ -345,12 +348,14 @@ class WirelessNetwork:
         """Crash a node: it stops receiving and forwarding immediately."""
         if self.alive[node_id]:
             self._accumulated_uptime[node_id] += self.sim.now - self._alive_since[node_id]
+            self._dead += 1
         self.alive[node_id] = False
         self._refresh_positions(force=True)
 
     def revive_node(self, node_id: int) -> None:
         if not self.alive[node_id]:
             self._alive_since[node_id] = self.sim.now
+            self._dead -= 1
         self.alive[node_id] = True
         self._refresh_positions(force=True)
 
@@ -407,27 +412,22 @@ class WirelessNetwork:
         self._busy_until[src] = end
         return end - now
 
-    def _count_sent(self, kind: str, category: str, size: float) -> None:
-        """Bump the three per-send counters through cached Counter objects.
+    def _new_sent_counters(self, kind: str, category: str) -> tuple:
+        """The three per-send Counters of a ``(kind, category)`` pair.
 
-        Counters are created lazily on the first send of each
-        (kind, category) pair — the same moment plain ``stats.count``
-        calls would create them — and ``StatRegistry.reset`` zeroes
-        counters in place, so the cached references stay live across the
-        end-of-warm-up reset.
+        The radio caches them in ``_sent_counters`` and bumps them in
+        place.  They are created on the first send of each pair — the
+        same moment plain ``stats.count`` calls would create them — and
+        ``StatRegistry.reset`` zeroes counters in place, so the cached
+        references stay live across the end-of-warm-up reset.
         """
-        cached = self._sent_counters.get((kind, category))
-        if cached is None:
-            stats = self.stats
-            cached = self._sent_counters[(kind, category)] = (
-                stats.counter(kind),
-                stats.counter("net.bytes_sent"),
-                stats.counter(f"net.sent.{category}"),
-            )
-        c_kind, c_bytes, c_cat = cached
-        c_kind.value += 1.0
-        c_bytes.value += size
-        c_cat.value += 1.0
+        stats = self.stats
+        counters = self._sent_counters[(kind, category)] = (
+            stats.counter(kind),
+            stats.counter("net.bytes_sent"),
+            stats.counter(f"net.sent.{category}"),
+        )
+        return counters
 
     # -- transmission primitives -----------------------------------------
 
@@ -439,20 +439,32 @@ class WirelessNetwork:
         for each in-range node (paper eq. 8).  Returns the receiver ids
         (the neighbor memo's list: callers must not mutate it).
         """
-        if not self.alive[src]:
+        if self._dead and not self.alive[src]:
             return []
-        receivers = self.neighbors_of(src)
+        # neighbors_of(src), reading the grid's memo directly on a hit
+        # (the radio is the grid's only client: the memo is at range_m).
+        if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
+            self._refresh_positions()
+        receivers = self._grid._neighbor_cache.get(src)
+        if receivers is None:
+            receivers = self._grid.neighbors_of(src, self.radio.range_m)
         size = packet.size_bytes
-        attributor = self.energy.observer
+        energy = self.energy
+        attributor = energy.observer
         if attributor is not None:
             attributor.open(packet, sender=src)
         try:
-            self.energy.charge_bcast_send(src, size)
-            self.energy.charge_bcast_recv(receivers, size)
+            energy.charge_broadcast(src, receivers, size)
         finally:
             if attributor is not None:
                 attributor.close()
-        self._count_sent("net.broadcast_sent", packet.category, size)
+        category = packet.category
+        c_kind, c_bytes, c_cat = self._sent_counters.get(
+            ("net.broadcast_sent", category)
+        ) or self._new_sent_counters("net.broadcast_sent", category)
+        c_kind.value += 1.0
+        c_bytes.value += size
+        c_cat.value += 1.0
         delay = self._hop_delay(src, size)
         if self._fault_filter is None:
             # All receivers share one delivery time, and nothing scheduled
@@ -485,19 +497,31 @@ class WirelessNetwork:
         as the aggregate.  Injected drops are silent — the method still
         returns True, and the loss surfaces as an upper-layer timeout.
         """
-        if not self.alive[src]:
+        if self._dead and not self.alive[src]:
             return False
-        attributor = self.energy.observer
+        energy = self.energy
+        attributor = energy.observer
         if attributor is not None:
             attributor.open(packet, sender=src)
         try:
             size = packet.size_bytes
-            self.energy.charge_p2p_send(src, size)
-            self._count_sent("net.unicast_sent", packet.category, size)
-            neighbors = self.neighbors_of(src)
+            energy.charge_p2p_send(src, size)
+            category = packet.category
+            c_kind, c_bytes, c_cat = self._sent_counters.get(
+                ("net.unicast_sent", category)
+            ) or self._new_sent_counters("net.unicast_sent", category)
+            c_kind.value += 1.0
+            c_bytes.value += size
+            c_cat.value += 1.0
+            # neighbors_of(src), reading the grid's memo directly on a hit.
+            if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
+                self._refresh_positions()
+            neighbors = self._grid._neighbor_cache.get(src)
+            if neighbors is None:
+                neighbors = self._grid.neighbors_of(src, self.radio.range_m)
             overhearers = [node for node in neighbors if node != dst]
-            self.energy.charge_discard(overhearers, size)
-            if not self.alive[dst]:
+            energy.charge_discard(overhearers, size)
+            if self._dead and not self.alive[dst]:
                 self.stats.count("net.unicast_dropped")
                 self.stats.count("net.unicast_dropped.dead")
                 return False
@@ -505,7 +529,10 @@ class WirelessNetwork:
                 self.stats.count("net.unicast_dropped")
                 self.stats.count("net.unicast_dropped.out_of_range")
                 return False
-            deliveries = self._filter_delivery(src, dst, packet)
+            deliveries = (
+                (0.0,) if self._fault_filter is None
+                else self._filter_delivery(src, dst, packet)
+            )
             delay = self._hop_delay(src, size)
             if deliveries is None:
                 # Silent channel loss: the frame was transmitted (energy
@@ -513,9 +540,9 @@ class WirelessNetwork:
                 # frame) but never reaches the application.
                 self.stats.count("net.unicast_dropped")
                 self.stats.count("net.unicast_dropped.injected")
-                self.energy.charge_discard((dst,), size)
+                energy.charge_discard((dst,), size)
                 return True
-            self.energy.charge_p2p_recv(dst, size)
+            energy.charge_p2p_recv(dst, size)
             for extra in deliveries:
                 self.sim.schedule(delay + extra, self._deliver, dst, packet)
             return True
@@ -524,14 +551,11 @@ class WirelessNetwork:
                 attributor.close()
 
     def _filter_delivery(self, src: int, dst: int, packet: Packet):
-        """Apply the fault filter to one would-be delivery.
+        """Apply the installed fault filter to one would-be delivery.
 
-        Returns the list of delivery delays (``[0.0]`` when no filter is
-        installed or the delivery is untouched) or ``None`` when the
-        delivery is injected-dropped.
+        Returns the list of delivery delays (``[0.0]`` when the delivery
+        is untouched) or ``None`` when the delivery is injected-dropped.
         """
-        if self._fault_filter is None:
-            return [0.0]
         plan = self._fault_filter(src, dst, packet)
         if plan is None:
             return [0.0]
@@ -540,7 +564,7 @@ class WirelessNetwork:
         return list(plan)
 
     def _deliver(self, node_id: int, packet: Packet) -> None:
-        if not self.alive[node_id]:
+        if self._dead and not self.alive[node_id]:
             return  # died in flight
         self.stats.count("net.delivered")
         if self._receive_handler is not None:
@@ -560,17 +584,18 @@ class WirelessNetwork:
         event's execution reads the counter in between.
         """
         self.sim.events_executed += len(receivers) - 1
-        alive = self.alive
-        live = [node for node in receivers if alive[node]]
-        if not live:
-            return
-        self.stats.count("net.delivered", len(live))
+        if self._dead:
+            alive = self.alive
+            receivers = [node for node in receivers if alive[node]]
+            if not receivers:
+                return
+        self.stats.count("net.delivered", len(receivers))
         batch_handler = self._batch_receive_handler
-        if batch_handler is not None and batch_handler(live, packet):
+        if batch_handler is not None and batch_handler(receivers, packet):
             return
         handler = self._receive_handler
         if handler is not None:
-            for receiver in live:
+            for receiver in receivers:
                 handler(receiver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

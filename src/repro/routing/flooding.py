@@ -20,8 +20,6 @@ in-flight copy.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
 from repro.routing.envelopes import FloodEnvelope
@@ -44,10 +42,13 @@ class Flooder:
         size_bytes: float,
         category: str = "data",
     ) -> Packet:
-        """Start a flood at ``origin``.
+        """Start a flood at ``origin``; returns the packet it broadcast.
 
         The origin itself counts as having processed the flood (it will
-        not re-process an echo of its own packet).
+        not re-process an echo of its own packet).  A ``record_path``
+        flood sends a copy of ``envelope`` whose path starts at the
+        origin, so the returned packet's payload is the envelope in
+        flight.
         """
         if envelope.record_path:
             envelope = envelope.hop_copy(via=origin, ttl=envelope.ttl)
@@ -91,10 +92,9 @@ class Flooder:
 
         # Rebroadcast if TTL allows.
         ttl = envelope.ttl
-        if ttl is None:
-            self._rebroadcast(node_id, packet, None)
-        elif ttl > 0:
-            self._rebroadcast(node_id, packet, ttl - 1)
+        if ttl is None or ttl > 0:
+            self.stats.count("flood.rebroadcast")
+            self.network.broadcast(node_id, self._hop_maker(packet)(node_id))
         return True
 
     def handle_batch(self, receivers, packet: Packet, deliver) -> None:
@@ -108,8 +108,8 @@ class Flooder:
         Effect-for-effect identical to calling :meth:`handle` per
         receiver (fresh receivers keep their batch order, so
         rebroadcasts draw RNG jitter and schedule events in the same
-        sequence); the duplicate and out-of-scope counters are bumped
-        once per batch, which yields the same totals.
+        sequence); the duplicate, out-of-scope and rebroadcast counters
+        are bumped once per batch, which yields the same totals.
         ``deliver(node_id, inner, packet)`` is invoked for each
         first-time in-scope reception.
         """
@@ -124,41 +124,45 @@ class Flooder:
         region = envelope.region
         network = self.network
         out_of_scope = 0
-        scalar_scope_check = False
         if region is not None and fresh:
             members = network.polygon_members(region)
-            if members is None:
-                scalar_scope_check = True  # unhashable region: per-node test
+            if members is None:  # unhashable region: per-node test
+                in_scope = [n for n in fresh if network.node_in_polygon(n, region)]
             else:
-                in_scope = [node_id for node_id in fresh if members[node_id]]
-                out_of_scope = len(fresh) - len(in_scope)
-                fresh = in_scope
+                in_scope = [n for n in fresh if members[n]]
+            out_of_scope = len(fresh) - len(in_scope)
+            fresh = in_scope
         ttl = envelope.ttl
-        next_ttl = None if ttl is None else ttl - 1
         inner = envelope.inner
-        for node_id in fresh:
-            if scalar_scope_check and not network.node_in_polygon(node_id, region):
-                out_of_scope += 1
-                continue
-            if ttl is None or ttl > 0:
-                self._rebroadcast(node_id, packet, next_ttl)
-            deliver(node_id, inner, packet)
+        if fresh and (ttl is None or ttl > 0):
+            next_hop = self._hop_maker(packet)
+            broadcast = network.broadcast
+            for node_id in fresh:
+                broadcast(node_id, next_hop(node_id))
+                deliver(node_id, inner, packet)
+            self.stats.count("flood.rebroadcast", len(fresh))
+        else:
+            for node_id in fresh:
+                deliver(node_id, inner, packet)
         if duplicates:
             self.stats.count("flood.duplicate", duplicates)
         if out_of_scope:
             self.stats.count("flood.out_of_scope", out_of_scope)
 
-    def _rebroadcast(self, node_id: int, packet: Packet, ttl: Optional[int]) -> None:
+    @staticmethod
+    def _hop_maker(packet: Packet):
+        """``node_id -> Packet``: the copy of a flood packet that
+        ``node_id`` rebroadcasts."""
         envelope: FloodEnvelope = packet.payload
-        hop_env = envelope.hop_copy(via=node_id, ttl=ttl)
-        hop = Packet(
-            payload=hop_env,
-            size_bytes=packet.size_bytes,
-            src=node_id,
-            hops=packet.hops + 1,
-            created_at=packet.created_at,
-            packet_id=packet.packet_id,
-            category=packet.category,
-        )
-        self.stats.count("flood.rebroadcast")
-        self.network.broadcast(node_id, hop)
+        ttl = envelope.ttl
+        if ttl is None and not envelope.record_path:
+            # hop_copy would change nothing: every hop shares the envelope.
+            return packet.next_hop_copy
+        next_ttl = None if ttl is None else ttl - 1
+
+        def hop(node_id: int) -> Packet:
+            copy = packet.next_hop_copy(node_id)
+            copy.payload = envelope.hop_copy(via=node_id, ttl=next_ttl)
+            return copy
+
+        return hop

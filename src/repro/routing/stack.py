@@ -33,6 +33,10 @@ InterceptHandler = Callable[[int, Any, Packet], bool]
 AppBatchHandler = Callable[[Any, Any, Packet], bool]
 
 
+def _ignore(node_id: int, inner: Any, packet: Packet) -> None:
+    """The application upcall while none is registered."""
+
+
 class NetworkStack:
     """Routing facade used by the peer protocol layer."""
 
@@ -42,7 +46,7 @@ class NetworkStack:
         self.stats = network.stats
         self.flooder = Flooder(network)
         self.router = GpsrRouter(network, on_drop=self._on_route_drop)
-        self._app_handler: Optional[AppHandler] = None
+        self._app_handler: AppHandler = _ignore
         self._drop_handler: Optional[DropHandler] = None
         self._intercept_handler: Optional[InterceptHandler] = None
         self._app_batch_handler: Optional[AppBatchHandler] = None
@@ -117,12 +121,15 @@ class NetworkStack:
         record_path: bool = False,
         category: str = "data",
     ) -> FloodEnvelope:
-        """Flood ``inner`` from ``src`` (regional, TTL-bounded, or global)."""
+        """Flood ``inner`` from ``src`` (regional, TTL-bounded, or global).
+
+        Returns the envelope in flight (for a ``record_path`` flood, the
+        origin's hop copy).
+        """
         envelope = FloodEnvelope(
             inner=inner, origin=src, region=region, ttl=ttl, record_path=record_path
         )
-        self.flooder.flood(src, envelope, size_bytes, category=category)
-        return envelope
+        return self.flooder.flood(src, envelope, size_bytes, category=category).payload
 
     def direct_send(
         self, src: int, dst: int, inner: Any, size_bytes: float, category: str = "data"
@@ -150,18 +157,18 @@ class NetworkStack:
                 and self._intercept_handler(node_id, payload.inner, packet)
             ):
                 self.stats.count("stack.intercepted")
-                self._deliver(node_id, payload.inner, packet)
+                self._app_handler(node_id, payload.inner, packet)
                 return
             self.router.handle(node_id, packet, arrived)
             if arrived:
-                self._deliver(node_id, payload.inner, packet)
+                self._app_handler(node_id, payload.inner, packet)
         elif isinstance(payload, FloodEnvelope):
             if self.flooder.handle(node_id, packet):
                 # The envelope (with its reverse path) stays reachable via
                 # packet.payload for baseline reverse-path responses.
-                self._deliver(node_id, payload.inner, packet)
+                self._app_handler(node_id, payload.inner, packet)
         else:
-            self._deliver(node_id, payload, packet)
+            self._app_handler(node_id, payload, packet)
 
     def _on_receive_batch(self, receivers, packet: Packet) -> bool:
         """Whole-broadcast upcall from the radio.
@@ -174,15 +181,11 @@ class NetworkStack:
         if isinstance(payload, GeoEnvelope):
             return False
         if isinstance(payload, FloodEnvelope):
-            self.flooder.handle_batch(receivers, packet, self._deliver)
+            self.flooder.handle_batch(receivers, packet, self._app_handler)
             return True
         if self._app_batch_handler is not None:
             return self._app_batch_handler(receivers, payload, packet)
         return False
-
-    def _deliver(self, node_id: int, inner: Any, packet: Packet) -> None:
-        if self._app_handler is not None:
-            self._app_handler(node_id, inner, packet)
 
     def _on_route_drop(self, node_id: int, packet: Packet) -> None:
         if self._drop_handler is not None:

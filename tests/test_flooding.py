@@ -94,6 +94,20 @@ class TestPathRecording:
         assert got[1] == (0,)
 
 
+class TestFloodSendReturnsTheEnvelopeInFlight:
+    def test_record_path_flood(self):
+        net = make_static_network([[0.0, 0.0], [200.0, 0.0], [400.0, 0.0]])
+        stack = NetworkStack(net)
+        heard = {}
+        stack.set_app_handler(lambda node, inner, pkt: heard.setdefault(node, pkt.payload))
+        envelope = stack.flood_send(0, "m", 64, record_path=True)
+        assert envelope.path == (0,)
+        assert envelope.seen is not None and envelope.seen[0]
+        net.sim.run()
+        assert heard[1] is envelope  # node 1 heard the origin's broadcast
+        assert heard[2].path == (0, 1) and heard[2].seen is envelope.seen
+
+
 class TestDedupStateLifetime:
     def test_no_flood_state_outlives_the_run(self):
         """The dedup mask rides on the flood's envelopes: once the last

@@ -16,13 +16,14 @@ so a divergence points at the responsible layer:
   feeds RNG draw order downstream) — and, by bytes and by count, that
   the fill stays O(N·k): no N×N temporary, no per-node numpy loop;
 * ``Flooder.handle_batch`` vs per-receiver ``handle`` — same
-  deliveries, same delivery order, same duplicate/out-of-scope counter
-  totals;
+  deliveries, same delivery order, same rebroadcast hops field by
+  field, same duplicate/out-of-scope/rebroadcast counter totals;
 * by count, that the radio's per-transmission path (broadcast,
   unicast, batch delivery, flood dedup and scoping) and a GPSR
   planarization miss make no numpy call once the topology generation's
-  memos are filled, and that the membership sweep's numpy calls do not
-  grow with the number of regions;
+  memos are filled, that a flood hop stays inside its call budget with
+  one energy-ledger call per broadcast, and that the membership
+  sweep's numpy calls do not grow with the number of regions;
 * and, by digest, that a run waking every timer kind replays the event
   sequence it had when the timers were generator processes.
 """
@@ -465,11 +466,20 @@ class _StubNetwork:
         self.n_nodes = n_nodes
         self.sim = Simulator()
         self.stats = StatRegistry()
-        self.broadcasts = []
+        self.broadcasts = []  # every rebroadcast hop, field by field
+        self.masks = []  # the dedup mask each hop carries
         self._members = members  # list[bool] or None
 
     def broadcast(self, origin, packet):
-        self.broadcasts.append((origin, packet.payload.ttl))
+        env = packet.payload
+        self.broadcasts.append(dict(
+            sender=origin, src=packet.src, dst=packet.dst, hops=packet.hops,
+            created_at=packet.created_at, packet_id=packet.packet_id,
+            category=packet.category, size_bytes=packet.size_bytes,
+            inner=env.inner, origin=env.origin, region=env.region,
+            ttl=env.ttl, path=env.path,
+        ))
+        self.masks.append(env.seen)
 
     def polygon_members(self, polygon):
         return self._members
@@ -478,7 +488,7 @@ class _StubNetwork:
         return self._members[node_id] if self._members is not None else True
 
 
-def _flood_fixture(n=10, members=None, ttl=None, region=None):
+def _flood_fixture(n=10, members=None, ttl=None, region=None, record_path=False):
     from repro.net.packet import Packet
     from repro.routing.envelopes import FloodEnvelope
     from repro.routing.flooding import Flooder
@@ -486,34 +496,65 @@ def _flood_fixture(n=10, members=None, ttl=None, region=None):
     net = _StubNetwork(n, members=members)
     flooder = Flooder(net)
     env = FloodEnvelope(inner=("payload",), origin=0, ttl=ttl, region=region,
+                        record_path=record_path, path=(0,) if record_path else (),
                         seen=bytearray(n))
-    packet = Packet(payload=env, size_bytes=100.0, src=0, created_at=0.0)
+    packet = Packet(payload=env, size_bytes=100.0, src=0, created_at=0.5,
+                    packet_id=77, category="request")
     return net, flooder, packet
 
 
+#: Flood shapes whose rebroadcast hops are compared field by field.
+_FLOODS = {
+    "untimed_regional": dict(
+        region=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
+        members=[i != 5 for i in range(10)],
+    ),
+    "ttl_3": dict(ttl=3),
+    "ttl_0": dict(ttl=0),
+    "record_path": dict(record_path=True),
+}
+
+
 class TestHandleBatchEquivalence:
-    def _run(self, batches, members=None, ttl=None, region=None):
+    def _run(self, batches, **flood):
         """Feed successive receiver batches through handle_batch."""
-        net, flooder, packet = _flood_fixture(
-            members=members, ttl=ttl, region=region
-        )
+        net, flooder, packet = _flood_fixture(**flood)
         delivered = []
         for batch in batches:
             flooder.handle_batch(
                 batch, packet, lambda nid, inner, pkt: delivered.append(nid),
             )
+        net.seen = packet.payload.seen
         return net, delivered
 
-    def _run_scalar(self, batches, members=None, ttl=None, region=None):
-        net, flooder, packet = _flood_fixture(
-            members=members, ttl=ttl, region=region
-        )
+    def _run_scalar(self, batches, **flood):
+        net, flooder, packet = _flood_fixture(**flood)
         delivered = []
         for batch in batches:
             for nid in batch:
                 if flooder.handle(nid, packet):
                     delivered.append(nid)
+        net.seen = packet.payload.seen
         return net, delivered
+
+    @pytest.mark.parametrize("flood", sorted(_FLOODS))
+    def test_rebroadcast_hops_match_scalar(self, flood):
+        batches = [[2, 5, 7], [5, 1, 2], [7, 2]]
+        net_b, got = self._run(batches, **_FLOODS[flood])
+        net_s, want = self._run_scalar(batches, **_FLOODS[flood])
+        assert got == want
+        assert net_b.broadcasts == net_s.broadcasts
+        assert len(net_b.broadcasts) == (0 if flood == "ttl_0" else len(got))
+        ttl = _FLOODS[flood].get("ttl")
+        for hop in net_b.broadcasts:
+            node = hop["sender"]
+            assert (hop["src"], hop["dst"], hop["hops"]) == (node, None, 1)
+            assert hop["ttl"] == (None if ttl is None else ttl - 1)
+            assert hop["path"] == ((0, node) if flood == "record_path" else ())
+        assert all(mask is net_b.seen for mask in net_b.masks)
+        assert all(mask is net_s.seen for mask in net_s.masks)
+        for key in ("flood.duplicate", "flood.rebroadcast", "flood.out_of_scope"):
+            assert net_b.stats.counter(key).value == net_s.stats.counter(key).value, key
 
     @pytest.mark.parametrize("ttl", [None, 3, 0])
     def test_matches_scalar_with_cross_batch_duplicates(self, ttl):
@@ -632,6 +673,53 @@ class TestRadioPathMakesNoNumpyCalls:
         assert stats.total_calls > 10 * rounds
         assert _numpy_calls(stats) == {}
         assert stream.calls == draws
+
+    def test_flood_hop_call_budget(self):
+        """A flood hop costs about one call per layer once memos are warm:
+        at most 34 profiled calls per broadcast (48 before the radio read
+        its memos directly and the ledger took one call per broadcast),
+        exactly one of them into the energy ledger."""
+        import cProfile
+        import pstats
+
+        from repro.energy import model as energy_model
+        from repro.mobility import StationaryModel
+        from repro.net import RadioParams, WirelessNetwork
+        from repro.routing.stack import NetworkStack
+        from repro.sim import Simulator
+
+        n, floods = 60, 20
+        rng = np.random.default_rng(5)
+        positions = rng.uniform(0.0, 900.0, size=(n, 2))
+        mobility = StationaryModel(n, 900.0, 900.0, rng=rng, positions=positions)
+        sim = Simulator()
+        net = WirelessNetwork(sim, mobility, rng=np.random.default_rng(6),
+                              radio=RadioParams(position_refresh_s=1e9))
+        stack = NetworkStack(net)
+        stack.set_app_handler(lambda node, inner, packet: None)
+        region = ((0.0, 0.0), (600.0, 0.0), (600.0, 600.0), (0.0, 600.0))
+
+        def traffic():
+            for k in range(floods):
+                stack.flood_send(k, ("regional", k), 80.0, region=region)
+                stack.flood_send(k + floods, ("global", k), 80.0)
+            sim.run()
+
+        traffic()  # fills the neighbor and membership memos
+        sent = net.stats.value("net.broadcast_sent")
+        profiler = cProfile.Profile()
+        profiler.enable()
+        traffic()
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        broadcasts = net.stats.value("net.broadcast_sent") - sent
+        assert broadcasts > 40 * floods  # the floods spread
+        assert stats.total_calls / broadcasts <= 34
+        ledger_calls = sum(
+            entry[1] for (path, _line, _name), entry in stats.stats.items()
+            if path == energy_model.__file__
+        )
+        assert ledger_calls == broadcasts
 
     def test_perimeter_mode_miss(self):
         import cProfile

@@ -19,8 +19,8 @@ PROTOCOL = REPO / "docs" / "PROTOCOL.md"
 KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 #: stats.count("literal.key"), stats.counter("literal.key") (cached
-#: hot-path Counter objects), and _count_sent("literal.key", ...).
-LITERAL_COUNT_RE = re.compile(r'(?:stats\.count(?:er)?|_count_sent)\(\s*"([^"]+)"')
+#: hot-path Counter objects), and _new_sent_counters("literal.key", ...).
+LITERAL_COUNT_RE = re.compile(r'(?:stats\.count(?:er)?|_new_sent_counters)\(\s*"([^"]+)"')
 #: stats.count(f"prefix.{expr}") — the static prefix before the brace.
 FSTRING_COUNT_RE = re.compile(r'stats\.count(?:er)?\(\s*f"([^"{]+)\{')
 

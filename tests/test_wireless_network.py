@@ -128,6 +128,106 @@ class TestLiveness:
         assert set(net.neighbors_of(1)) == {0, 2}
         assert set(net.nodes_near((0.0, 0.0)).tolist()) == {0, 1}
 
+    # While nobody is dead the radio skips its liveness tests, so these
+    # check that a death or revival in flight still decides delivery.
+
+    def test_receiver_failing_in_flight_is_not_delivered(self):
+        net = make_static_network(LINE)
+        received = collect(net)
+        net.broadcast(1, Packet(payload="x", size_bytes=10, src=1))
+        net.fail_node(2)
+        net.sim.run()
+        assert [n for n, _ in received] == [0]
+        assert net.stats.value("net.delivered") == 1
+
+    def test_receiver_failing_and_reviving_in_flight_is_delivered(self):
+        net = make_static_network(LINE)
+        received = collect(net)
+        net.broadcast(1, Packet(payload="x", size_bytes=10, src=1))
+        net.fail_node(2)
+        net.revive_node(2)
+        net.sim.run()
+        assert [n for n, _ in received] == [0, 2]
+        assert net.stats.value("net.delivered") == 2
+
+    def test_repeated_fail_and_revive_do_not_move_the_dead_count(self):
+        net = make_static_network(LINE)
+        received = collect(net)
+        net.fail_node(2)
+        net.fail_node(2)
+        net.revive_node(2)
+        assert net.alive.all() and net._dead == 0
+        net.broadcast(1, Packet(payload="x", size_bytes=10, src=1))
+        net.sim.run()
+        assert [n for n, _ in received] == [0, 2]
+        # Reviving a live node must not hide later deaths in flight.
+        net.revive_node(0)
+        net.revive_node(0)
+        net.broadcast(1, Packet(payload="y", size_bytes=10, src=1))
+        net.fail_node(0)
+        net.fail_node(2)
+        net.sim.run()
+        assert [n for n, _ in received] == [0, 2]
+
+    def test_unicast_receiver_failing_in_flight_is_not_delivered(self):
+        net = make_static_network(LINE)
+        received = collect(net)
+        assert net.unicast(0, 1, Packet(payload="m", size_bytes=50, src=0, dst=1))
+        net.fail_node(1)
+        net.sim.run()
+        assert received == []
+        assert net.stats.value("net.delivered") == 0
+
+    def test_unicast_receiver_failing_and_reviving_in_flight_is_delivered(self):
+        net = make_static_network(LINE)
+        received = collect(net)
+        assert net.unicast(0, 1, Packet(payload="m", size_bytes=50, src=0, dst=1))
+        net.fail_node(1)
+        net.revive_node(1)
+        net.sim.run()
+        assert [n for n, _ in received] == [1]
+        assert net.stats.value("net.delivered") == 1
+
+    def test_repeated_fail_and_revive_then_unicast(self):
+        net = make_static_network(LINE)
+        received = collect(net)
+        net.fail_node(1)
+        net.fail_node(1)
+        net.revive_node(1)
+        assert net.unicast(0, 1, Packet(payload="m", size_bytes=50, src=0, dst=1))
+        net.sim.run()
+        assert [n for n, _ in received] == [1]
+
+    def test_only_fail_and_revive_write_alive(self):
+        """The radio's dead count is kept by fail_node and revive_node,
+        so nothing else under src/ may write the ``alive`` mask."""
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        allowed = {"fail_node", "revive_node"}
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target] if isinstance(node, ast.AugAssign)
+                        else []
+                    )
+                    for target in targets:
+                        base = target.value if isinstance(target, ast.Subscript) else None
+                        name = (
+                            base.attr if isinstance(base, ast.Attribute)
+                            else base.id if isinstance(base, ast.Name) else None
+                        )
+                        if name == "alive" and func.name not in allowed:
+                            offenders.append(f"{path.name}:{node.lineno} {func.name}")
+        assert not offenders, offenders
+
 
 class TestRadioParams:
     def test_tx_delay(self):
