@@ -132,6 +132,8 @@ def reconcile_energy(
     from repro.faults.audit import SCENARIOS, canonical_scenario_name
     from repro.obs.observers import Observers
 
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     try:
         factory = SCENARIOS[scenario]
     except KeyError:

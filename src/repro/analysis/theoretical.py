@@ -35,6 +35,11 @@ __all__ = ["TheoreticalModel"]
 _MEAN_UNIT_SQUARE_DISTANCE = (2.0 + math.sqrt(2.0) + 5.0 * math.asinh(1.0)) / 15.0
 
 
+def _check_nodes(n_nodes: int) -> None:
+    if n_nodes <= 0:
+        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+
+
 @dataclass(frozen=True)
 class TheoreticalModel:
     """The paper's energy model for one request.
@@ -62,6 +67,10 @@ class TheoreticalModel:
     #: lengths at moderate density, where greedy progress per hop is
     #: well known to average roughly 60-70 % of the range.
     hop_progress: float = 0.65
+
+    def __post_init__(self):
+        if self.area_side <= 0:
+            raise ValueError(f"area_side must be positive, got {self.area_side}")
 
     # -- building blocks ----------------------------------------------------
 
@@ -107,6 +116,7 @@ class TheoreticalModel:
 
     def flooding_energy(self, n_nodes: int) -> float:
         """E_Flooding = N * E_total_bd + I * (E_p2p_sd + E_p2p_rv) (eq. 11), uJ."""
+        _check_nodes(n_nodes)
         i = self.intermediate_nodes()
         return n_nodes * self.broadcast_total(
             n_nodes, self.request_bytes
@@ -119,6 +129,7 @@ class TheoreticalModel:
         nodes flood it inside the region, and ``I`` p2p hops carry the
         response back.
         """
+        _check_nodes(n_nodes)
         if n_regions <= 0:
             raise ValueError(f"n_regions must be positive, got {n_regions}")
         i = self.intermediate_nodes()

@@ -523,7 +523,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tracing=tracing,
             energy_attribution=tracing,
             # Specs were validated at argparse time (_anomaly_rule).
-            telemetry=bool(args.anomaly),
             anomaly_rules=tuple(args.anomaly),
             recorder_dir=args.bundle_dir,
             live_export=args.live_export,
@@ -532,6 +531,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             dashboard_mode="plain" if args.no_color else "auto",
             **{k: v for k, v in given.items() if v is not None},
         )
+        net = PReCinCtNetwork(cfg, observers=observers)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -541,7 +541,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rules = f", {len(plan)} fault rule(s)" if plan is not None else ""
     print(f"running: {cfg.n_nodes} nodes, {cfg.n_regions} regions, "
           f"{cfg.duration:.0f}s virtual time{rules} ...", file=sys.stderr)
-    net = PReCinCtNetwork(cfg, observers=observers)
     if net.faults is not None and args.check_invariants:
         net.faults.check_invariants = True
     report = net.run()
@@ -635,13 +634,19 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:
-    model = TheoreticalModel(area_side=args.area, request_bytes=CONTROL_BYTES)
+    try:
+        model = TheoreticalModel(area_side=args.area, request_bytes=CONTROL_BYTES)
+        rows = [
+            (n, model.flooding_energy_mj(n),
+             model.precinct_energy_mj(n, args.regions))
+            for n in args.nodes
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'nodes':>6} {'flooding(mJ)':>13} {'precinct(mJ)':>13}")
-    for n in args.nodes:
-        print(
-            f"{n:>6} {model.flooding_energy_mj(n):>13.2f} "
-            f"{model.precinct_energy_mj(n, args.regions):>13.2f}"
-        )
+    for n, flooding, precinct in rows:
+        print(f"{n:>6} {flooding:>13.2f} {precinct:>13.2f}")
     return 0
 
 

@@ -220,9 +220,23 @@ class SimulationConfig:
                 f"t_update must be positive (None disables updates), "
                 f"got {self.t_update}"
             )
+        for name in ("warmup", "idle_power_mw", "local_timeout", "home_timeout",
+                     "replica_timeout", "poll_timeout"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.warmup >= self.duration:
             raise ValueError(
                 f"warmup ({self.warmup}) must be shorter than duration ({self.duration})"
+            )
+        if not self.bandwidth_bps > 0:
+            raise ValueError(f"bandwidth_bps must be positive, got {self.bandwidth_bps}")
+        if self.static_capacity_fraction is not None and not (
+            0.0 < self.static_capacity_fraction <= 1.0
+        ):
+            raise ValueError(
+                f"static_capacity_fraction must be in (0, 1] (None disables it), "
+                f"got {self.static_capacity_fraction}"
             )
         if self.replacement_policy not in ("gd-ld", "gd-size", "lru", "lfu"):
             raise ValueError(f"unknown replacement policy {self.replacement_policy!r}")

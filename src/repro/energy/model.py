@@ -211,56 +211,5 @@ class EnergyLedger:
         if self.observer is not None:
             self.observer.on_reset()
 
-    # -- exporters -------------------------------------------------------
-
-    def to_jsonl(self, path) -> int:
-        """Write a header record plus one record per node; returns the count.
-
-        The header carries the model coefficients; each node record
-        carries its per-category debits in microjoules.
-        """
-        from dataclasses import asdict
-
-        from repro.obs.export import write_jsonl
-
-        def records():
-            yield {
-                "record": "header",
-                "n_nodes": self.n_nodes,
-                "params": asdict(self.params),
-                "total_uj": self.total(),
-            }
-            for node in range(self.n_nodes):
-                yield {
-                    "record": "node",
-                    "node": node,
-                    **{cat: float(self._by_category[cat][node])
-                       for cat in self.CATEGORIES},
-                }
-
-        return write_jsonl(path, records())
-
-    @staticmethod
-    def from_jsonl(path) -> "EnergyLedger":
-        """Rebuild a ledger from a :meth:`to_jsonl` export."""
-        from repro.obs.export import read_jsonl
-
-        records = read_jsonl(path)
-        if not records or records[0].get("record") != "header":
-            raise ValueError(f"{path}: missing energy-ledger header record")
-        header = records[0]
-        ledger = EnergyLedger(
-            int(header["n_nodes"]), EnergyParams(**header["params"])
-        )
-        for record in records[1:]:
-            if record.get("record") != "node":
-                raise ValueError(
-                    f"{path}: unexpected record kind {record.get('record')!r}"
-                )
-            node = int(record["node"])
-            for cat in EnergyLedger.CATEGORIES:
-                ledger._by_category[cat][node] = float(record.get(cat, 0.0))
-        return ledger
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnergyLedger(n={self.n_nodes}, total={self.total():.1f} uJ)"

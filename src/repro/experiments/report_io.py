@@ -1,13 +1,12 @@
 """Saving and loading experiment results.
 
 Campaigns produce lists of :class:`RunReport`; these helpers persist
-them as JSON (lossless, nested) or CSV (flat, spreadsheet-friendly) and
-load them back, so sweeps can be analyzed without re-simulation.
+them as JSON (lossless, nested) and load them back, so sweeps can be
+analyzed without re-simulation.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -15,28 +14,9 @@ from typing import Iterable, List, Union
 
 from repro.analysis.metrics import RunReport
 
-__all__ = ["reports_to_json", "reports_from_json", "reports_to_csv"]
+__all__ = ["reports_to_json", "reports_from_json"]
 
 PathLike = Union[str, Path]
-
-#: Flat scalar columns exported to CSV (dict fields are flattened).
-_SCALAR_FIELDS = (
-    "config_label",
-    "duration",
-    "requests_issued",
-    "requests_served",
-    "requests_failed",
-    "updates_issued",
-    "average_latency",
-    "latency_p50",
-    "latency_p95",
-    "latency_p99",
-    "byte_hit_ratio",
-    "false_hit_ratio",
-    "consistency_messages",
-    "total_messages",
-    "energy_total_uj",
-)
 
 
 def reports_to_json(reports: Iterable[RunReport], path: PathLike) -> None:
@@ -56,31 +36,3 @@ def reports_from_json(path: PathLike) -> List[RunReport]:
         item["served_by_class"] = {str(k): int(v) for k, v in served.items()}
         reports.append(RunReport(**item))
     return reports
-
-
-def reports_to_csv(reports: Iterable[RunReport], path: PathLike) -> None:
-    """Flatten reports into a CSV table.
-
-    ``served_by_class`` becomes ``served_<class>`` columns and ``extra``
-    entries become their own columns; derived metrics
-    (``energy_per_request_mj``, ``delivery_ratio``) are included for
-    convenience.
-    """
-    reports = list(reports)
-    serve_classes = sorted({cls for r in reports for cls in r.served_by_class})
-    extra_keys = sorted({k for r in reports for k in r.extra})
-    header = (
-        list(_SCALAR_FIELDS)
-        + ["energy_per_request_mj", "delivery_ratio"]
-        + [f"served_{cls}" for cls in serve_classes]
-        + extra_keys
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in reports:
-            row = [getattr(r, name) for name in _SCALAR_FIELDS]
-            row += [r.energy_per_request_mj, r.delivery_ratio]
-            row += [r.served_by_class.get(cls, 0) for cls in serve_classes]
-            row += [r.extra.get(k, "") for k in extra_keys]
-            writer.writerow(row)

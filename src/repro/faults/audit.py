@@ -379,7 +379,7 @@ def audit_scenario(
             bundle_dir,
             eventlog=net.log,
             tracer=net.tracer,
-            telemetry=net.telemetry.table if net.telemetry is not None else None,
+            telemetry=net.telemetry.rows if net.telemetry is not None else None,
         )
         bundle = recorder.dump(
             reason,

@@ -11,15 +11,16 @@ golden event-log and report digests byte-identical):
   million-request runs, still digest-neutral);
 * :mod:`repro.obs.tracediff` — cross-run trace diffing: align two
   JSONL exports, rank per-phase latency regressions, attribute faults;
-* :mod:`repro.obs.telemetry` — periodic columnar time-series of
-  counters, cache occupancy, and MAC backlog, delta-encoded;
+* :mod:`repro.obs.telemetry` — periodic rows of counters, cache
+  occupancy, and MAC backlog, each published on a :class:`TelemetryBus`;
 * :mod:`repro.obs.recorder` — flight-recorder bundles dumped on
   invariant violations, unserved requests, and audit divergence;
 * :mod:`repro.obs.anomaly` — declarative telemetry threshold rules
   that fire flight-recorder bundles mid-run;
-* :mod:`repro.obs.stream` — the live :class:`TelemetryBus`: fan-out of
-  each sampled row to ring-buffer subscribers, an append-per-sample
-  JSONL live export, and a Prometheus-style metrics snapshot;
+* :mod:`repro.obs.stream` — the :class:`TelemetryBus`, the one path a
+  sampled row takes: fan-out to ring-buffer subscribers, an
+  append-per-sample JSONL live export, a Prometheus-style metrics
+  snapshot, anomaly rules, and the dashboard;
 * :mod:`repro.obs.dashboard` — the ``--watch`` terminal dashboard
   (in-place ANSI repaint, plain-line fallback) fed by the bus;
 * :mod:`repro.obs.watch` — ``repro watch``: follow or replay a live
@@ -27,15 +28,15 @@ golden event-log and report digests byte-identical):
 * :mod:`repro.obs.observers` — the :class:`Observers` composition
   object: one ``attach(engine)`` wiring for every pillar (including
   the span-level :class:`~repro.energy.attribution.EnergyAttributor`);
-* :mod:`repro.obs.export` — the shared ``to_jsonl``/``from_jsonl``
-  path handling all exporters delegate to.
+* :mod:`repro.obs.export` — the shared export-path handling and JSONL
+  writer.
 
 See ``docs/OBSERVABILITY.md`` for the user-facing tour.
 """
 
 from repro.obs.anomaly import AnomalyRule, AnomalyWatcher
 from repro.obs.dashboard import Dashboard
-from repro.obs.export import export_path, read_jsonl, write_jsonl
+from repro.obs.export import export_path, write_jsonl
 from repro.obs.observers import Observers
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sampling import TraceSampler, make_sampler
@@ -45,7 +46,7 @@ from repro.obs.stream import (
     RingSubscriber,
     TelemetryBus,
 )
-from repro.obs.telemetry import TelemetrySampler, TelemetryTable
+from repro.obs.telemetry import TelemetrySampler
 from repro.obs.tracediff import TraceDiff, diff_files, diff_traces, load_traces
 from repro.obs.tracer import Span, Trace, Tracer
 from repro.obs.watch import WatchResult, watch_file
@@ -66,13 +67,11 @@ __all__ = [
     "TraceSampler",
     "Tracer",
     "TelemetrySampler",
-    "TelemetryTable",
     "WatchResult",
     "diff_files",
     "diff_traces",
     "export_path",
     "load_traces",
     "make_sampler",
-    "read_jsonl",
     "write_jsonl",
 ]

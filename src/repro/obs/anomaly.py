@@ -9,8 +9,8 @@ joules-per-request spiking.
 
 A rule is ``<series><op><threshold>`` with ``op`` one of ``>``/``<``,
 e.g. ``mac.backlog_max_s>5`` or ``stat.requests.served<1``.  Rules are
-checked against every sampled telemetry row (the
-:class:`~repro.obs.telemetry.TelemetrySampler` ``on_sample`` hook); a
+checked against every sampled telemetry row (:meth:`AnomalyWatcher.check`
+is a :class:`~repro.obs.stream.TelemetryBus` listener); a
 rule that fires dumps one bundle and re-arms only after the series
 returns to the safe side (hysteresis), so a persistently-breached
 threshold produces one bundle per excursion instead of one per sample.

@@ -1,20 +1,19 @@
-"""Shared path handling and JSONL I/O for every observer exporter.
+"""Shared path handling and JSONL writing for the observer exporters.
 
-Tracer, TelemetryTable, EnergyLedger, and FlightRecorder all speak the
-same ``to_jsonl`` (read back by ``from_jsonl``, or for traces by
-:func:`repro.obs.tracediff.load_traces`); the path normalization they need
-(expand ``~``, create missing parent directories, reject directories
-with a clear error instead of failing inside ``open``) lives here once
-instead of being copied into each exporter.
+:meth:`~repro.obs.tracer.Tracer.to_jsonl` (read back by
+:func:`repro.obs.tracediff.load_traces`) and the live telemetry sinks
+(:mod:`repro.obs.stream`) need the same path normalization (expand
+``~``, create missing parent directories, reject directories with a
+clear error instead of failing inside ``open``); it lives here once.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
-__all__ = ["export_path", "write_jsonl", "read_jsonl"]
+__all__ = ["export_path", "write_jsonl"]
 
 
 def export_path(path) -> Path:
@@ -44,25 +43,3 @@ def write_jsonl(path, records: Iterable[Dict[str, Any]]) -> int:
             fh.write("\n")
             n += 1
     return n
-
-
-def read_jsonl(path) -> List[Dict[str, Any]]:
-    """Read a JSONL export back as a list of dicts.
-
-    Blank lines are skipped; a non-object line raises ``ValueError``
-    naming the offending ``path:lineno``.
-    """
-    src = Path(path).expanduser()
-    records: List[Dict[str, Any]] = []
-    with open(src, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{src}:{lineno}: not a JSON object record"
-                )
-            records.append(record)
-    return records

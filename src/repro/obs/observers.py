@@ -54,23 +54,20 @@ class Observers:
         (:class:`~repro.energy.attribution.EnergyAttributor`).
     anomaly_rules:
         Telemetry threshold rules
-        (:class:`~repro.obs.anomaly.AnomalyWatcher`); implies nothing
-        by itself — rules without a telemetry source (``telemetry`` or
-        any live consumer below) are rejected.
-    stream / live_export / metrics_snapshot:
-        Live streaming (:class:`~repro.obs.stream.TelemetryBus`):
-        ``stream=True`` arms the bus; ``live_export=PATH`` attaches an
-        append-per-sample JSONL sink
+        (:class:`~repro.obs.anomaly.AnomalyWatcher`), checked against
+        each published row; implies telemetry.
+    live_export / metrics_snapshot:
+        Sinks on the sampler's :class:`~repro.obs.stream.TelemetryBus`:
+        ``live_export=PATH`` attaches an append-per-sample JSONL sink
         (:class:`~repro.obs.stream.JsonlLiveSink`);
         ``metrics_snapshot=PATH`` attaches the Prometheus-style
-        snapshot writer.  Either sink (or the dashboard) implies the
-        bus, and any of them implies the telemetry sampler.
+        snapshot writer.  Either implies telemetry.
     dashboard / dashboard_mode / watch_interval / dashboard_out:
         Live terminal dashboard
         (:class:`~repro.obs.dashboard.Dashboard`): render mode
         (``auto``/``ansi``/``plain``), minimum wall seconds between
         repaints, and the output stream (defaults to stderr; tests
-        inject a ``StringIO``).
+        inject a ``StringIO``).  Implies telemetry.
     """
 
     def __init__(
@@ -84,7 +81,6 @@ class Observers:
         recorder_max_dumps: int = 5,
         energy_attribution: bool = False,
         anomaly_rules: Sequence[Union[str, object]] = (),
-        stream: bool = False,
         live_export=None,
         metrics_snapshot=None,
         dashboard: bool = False,
@@ -113,22 +109,7 @@ class Observers:
             raise ValueError(
                 f"watch_interval must be positive, got {watch_interval}"
             )
-        # Any live consumer (a sink, the dashboard, or an explicit
-        # stream=True) arms the bus, and the bus implies the sampler:
-        # live views are fed by the same periodic rows as the table.
-        stream = bool(
-            stream
-            or live_export is not None
-            or metrics_snapshot is not None
-            or dashboard
-        )
         if anomaly_rules:
-            if not (telemetry or stream):
-                raise ValueError(
-                    "anomaly_rules require telemetry=True (or a "
-                    "stream/dashboard option that implies it) — rules are "
-                    "checked against sampled telemetry rows"
-                )
             from repro.obs.anomaly import AnomalyRule
 
             anomaly_rules = tuple(
@@ -139,13 +120,20 @@ class Observers:
         self.trace_sample_rate = trace_sample_rate
         self._opts = {
             "tracing": tracing,
-            "telemetry": telemetry or stream,
+            # Every consumer reads the sampler's bus, so any of them
+            # arms the sampler.
+            "telemetry": bool(
+                telemetry
+                or anomaly_rules
+                or live_export is not None
+                or metrics_snapshot is not None
+                or dashboard
+            ),
             "telemetry_interval": telemetry_interval,
             "recorder_dir": recorder_dir,
             "recorder_max_dumps": recorder_max_dumps,
             "energy_attribution": energy_attribution,
             "anomaly_rules": anomaly_rules,
-            "stream": stream,
             "live_export": live_export,
             "metrics_snapshot": metrics_snapshot,
             "dashboard": dashboard,
@@ -213,6 +201,7 @@ class Observers:
             net.network.energy.observer = self.energy
 
         if opts["telemetry"]:
+            from repro.obs.stream import JsonlLiveSink, MetricsSnapshotWriter
             from repro.obs.telemetry import TelemetrySampler
 
             self.telemetry = TelemetrySampler(
@@ -221,16 +210,7 @@ class Observers:
                 opts["telemetry_interval"],
                 until=net.cfg.duration,
             )
-
-        if opts["stream"]:
-            from repro.obs.stream import (
-                JsonlLiveSink,
-                MetricsSnapshotWriter,
-                TelemetryBus,
-            )
-
-            self.bus = TelemetryBus()
-            self.telemetry.bus = self.bus
+            self.bus = self.telemetry.bus
             if opts["live_export"] is not None:
                 self.live_sink = JsonlLiveSink(opts["live_export"])
                 self.bus.attach_sink(self.live_sink)
@@ -247,7 +227,7 @@ class Observers:
                 opts["recorder_dir"],
                 eventlog=net.log,
                 tracer=self.tracer,
-                telemetry=self.telemetry.table if self.telemetry else None,
+                telemetry=self.telemetry.rows if self.telemetry else None,
                 max_dumps=opts["recorder_max_dumps"],
             )
             net.sim.on_crash = net._on_engine_crash
@@ -258,7 +238,9 @@ class Observers:
             self.anomaly = AnomalyWatcher(
                 opts["anomaly_rules"], recorder=self.recorder, bus=self.bus
             )
-            self.telemetry.on_sample = self.anomaly.check
+            # Registered before the dashboard's listener, so the frame
+            # painted for a row already shows the firings it caused.
+            self.bus.add_listener(self.anomaly.check)
 
         if opts["dashboard"]:
             from repro.obs.dashboard import Dashboard

@@ -34,9 +34,13 @@ class FlightRecorder:
     ----------
     bundle_dir:
         Root directory; each incident becomes a subdirectory.
-    eventlog, tracer, telemetry:
+    eventlog, tracer:
         Optional live sources; whichever are present are included in
         every bundle.
+    telemetry:
+        Optional list of the ``(t, values)`` rows published so far
+        (:attr:`~repro.obs.telemetry.TelemetrySampler.rows`); its last
+        50 go into every bundle.
     last_events:
         Event-log tail length per bundle.
     max_dumps:
@@ -117,10 +121,11 @@ class FlightRecorder:
                           default=repr)
             manifest["contents"].append("trace.json")
 
-        if self.telemetry is not None and len(self.telemetry):
+        if self.telemetry:
+            tail = [{"t": t, **values} for t, values in self.telemetry[-50:]]
             with open(bundle / "telemetry_tail.json", "w",
                       encoding="utf-8") as fh:
-                json.dump(self.telemetry.tail(50), fh, indent=2)
+                json.dump(tail, fh, indent=2)
             manifest["contents"].append("telemetry_tail.json")
 
         with open(bundle / "manifest.json", "w", encoding="utf-8") as fh:
@@ -130,29 +135,6 @@ class FlightRecorder:
         self.manifests.append(manifest)
         self.dumps_written.append(bundle)
         return bundle
-
-    # -- exporters --------------------------------------------------------
-
-    def to_jsonl(self, path) -> int:
-        """Write one record per bundle manifest; returns the count.
-
-        The single-file index of a run's incidents — greppable without
-        walking the bundle tree.
-        """
-        from repro.obs.export import write_jsonl
-
-        return write_jsonl(path, self.manifests)
-
-    @staticmethod
-    def from_jsonl(path) -> List[Dict[str, Any]]:
-        """Read a manifest index back as a list of manifest dicts."""
-        from repro.obs.export import read_jsonl
-
-        records = read_jsonl(path)
-        for i, record in enumerate(records, start=1):
-            if "reason" not in record or "contents" not in record:
-                raise ValueError(f"{path}:{i}: not a bundle manifest record")
-        return records
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,9 +1,8 @@
 """Streaming telemetry bus: fan-out of live samples to pure consumers.
 
-The :class:`~repro.obs.telemetry.TelemetrySampler` buffers every sampled
-row into a post-hoc :class:`~repro.obs.telemetry.TelemetryTable`; long
-runs are flying blind until they finish.  :class:`TelemetryBus` adds the
-*live* path: the sampler publishes each row to the bus the moment it is
+:class:`TelemetryBus` is the one path a telemetry row takes: the
+simulation's :class:`~repro.obs.telemetry.TelemetrySampler` and the
+edge-cache service's sampler task publish each row the moment it is
 taken, and the bus fans it out to any number of subscribers:
 
 * :class:`RingSubscriber` — a bounded in-memory window of recent rows
@@ -15,7 +14,7 @@ taken, and the bus fans it out to any number of subscribers:
   file, atomically rewritten per sample, for scraping the *current*
   gauge values;
 * plain callables registered with :meth:`TelemetryBus.add_listener`
-  (the dashboard's render hook).
+  (anomaly rules, then the dashboard's render hook).
 
 Besides rows, the bus carries **events** — out-of-band markers such as
 anomaly-rule firings (:meth:`TelemetryBus.publish_event`).  Sinks write
@@ -90,12 +89,8 @@ class JsonlLiveSink:
     events), and ends with a ``{"record": "end", "rows": N}`` line when
     the run closes the bus — which is how a follower distinguishes "the
     run is finished" from "the run is just quiet".
-
-    The format is a strict superset of
-    :meth:`~repro.obs.telemetry.TelemetryTable.to_jsonl`, so a finished
-    live export loads back with
-    :meth:`~repro.obs.telemetry.TelemetryTable.from_jsonl` (event
-    records are skipped on load).
+    :func:`~repro.obs.watch.watch_file` reads it back, live or after
+    the fact.
     """
 
     def __init__(self, path):

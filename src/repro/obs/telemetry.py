@@ -1,17 +1,17 @@
-"""Telemetry time-series: periodic in-run snapshots, delta-encoded.
+"""Telemetry time-series: periodic in-run snapshots, published on a bus.
 
 End-of-run aggregates (``RunReport``) answer *what happened overall*;
-the telemetry table answers *when*: cache occupancy climbing after the
-warmup, MAC backlog spiking during a partition, a counter that only
-starts moving once the first TTR poll fires.
+telemetry answers *when*: cache occupancy climbing after the warmup,
+MAC backlog spiking during a partition, a counter that only starts
+moving once the first TTR poll fires.
 
-Storage is **columnar with delta encoding**: each column stores its
-first value followed by successive differences, which collapses the
-common cases (monotone counters, near-constant gauges) to small
-numbers and makes the JSON export compact.  Columns may appear
-mid-run (a counter minted by a late first event); earlier rows are
-backfilled with zeros, and a column missing from a later sample
-carries its previous value forward.
+Each sampled row is a ``(t, values)`` pair.  The sampler keeps the rows
+it took in a plain list and publishes each one on its
+:class:`~repro.obs.stream.TelemetryBus`; every consumer (live export,
+metrics snapshot, anomaly rules, dashboard) attaches to that bus, the
+same way the edge-cache service publishes its telemetry.  A column
+minted mid-run (a counter created by a late first event) is simply
+absent from the earlier rows.
 
 The sampler piggybacks on the simulator's own event queue.  Extra
 scheduled events do not perturb determinism: tie-breaking among the
@@ -22,180 +22,15 @@ stats writes, and none of the lazily-refreshing position queries.
 
 from __future__ import annotations
 
-import json
-import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["TelemetryTable", "TelemetrySampler"]
+from repro.obs.stream import TelemetryBus
 
-
-class TelemetryTable:
-    """Columnar, delta-encoded time-series of named float samples."""
-
-    def __init__(self):
-        self._time_deltas: List[float] = []
-        self._deltas: Dict[str, List[float]] = {}
-        self._last: Dict[str, float] = {}
-        self._last_time = 0.0
-        self._rows = 0
-
-    def __len__(self) -> int:
-        return self._rows
-
-    @property
-    def columns(self) -> List[str]:
-        return sorted(self._deltas)
-
-    def append(self, t: float, values: Dict[str, float]) -> None:
-        """Add one sample row at time ``t``.
-
-        A NaN value is stored as a NaN *marker* delta: the row decodes
-        to NaN, but the running value is left at the last finite
-        observation, so one bad gauge sample never poisons the rest of
-        its column (the delta chain resumes from the pre-NaN value).
-        """
-        self._time_deltas.append(t - self._last_time)
-        self._last_time = t
-        for name, value in values.items():
-            column = self._deltas.get(name)
-            if column is None:
-                # Late-appearing column: zero-backfill the rows before it.
-                column = self._deltas[name] = [0.0] * self._rows
-                self._last[name] = 0.0
-            value = float(value)
-            if math.isnan(value):
-                column.append(value)  # marker; _last keeps the finite value
-            else:
-                column.append(value - self._last[name])
-                self._last[name] = value
-        for name, column in self._deltas.items():
-            if len(column) <= self._rows:  # absent this row: carry forward
-                column.append(0.0)
-        self._rows += 1
-
-    # -- reconstruction ---------------------------------------------------
-
-    def times(self) -> List[float]:
-        out, acc = [], 0.0
-        for delta in self._time_deltas:
-            acc += delta
-            out.append(acc)
-        return out
-
-    def column(self, name: str) -> List[float]:
-        """Decoded raw values of one column (zeros before it appeared).
-
-        NaN marker deltas decode to NaN for their row only; the running
-        value continues from the last finite observation.
-        """
-        out, acc = [], 0.0
-        for delta in self._deltas[name]:
-            if math.isnan(delta):
-                out.append(delta)
-                continue
-            acc += delta
-            out.append(acc)
-        return out
-
-    def rows(self) -> List[Dict[str, float]]:
-        """Decoded rows as ``{"t": ..., column: value, ...}`` dicts."""
-        decoded = {name: self.column(name) for name in self._deltas}
-        out = []
-        for i, t in enumerate(self.times()):
-            row: Dict[str, float] = {"t": t}
-            for name, series in sorted(decoded.items()):
-                row[name] = series[i]
-            out.append(row)
-        return out
-
-    def tail(self, n: int) -> List[Dict[str, float]]:
-        """The last ``n`` decoded rows (flight-recorder view)."""
-        return self.rows()[-n:] if n > 0 else []
-
-    # -- persistence ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rows": self._rows,
-            "time_deltas": list(self._time_deltas),
-            "columns": {k: list(v) for k, v in sorted(self._deltas.items())},
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TelemetryTable":
-        table = cls()
-        table._rows = int(data["rows"])
-        table._time_deltas = [float(v) for v in data["time_deltas"]]
-        table._last_time = sum(table._time_deltas)
-        for name, deltas in data["columns"].items():
-            column = [float(v) for v in deltas]
-            table._deltas[name] = column
-            # NaN markers carry no delta: the running value is the sum
-            # of the finite deltas only.
-            table._last[name] = math.fsum(
-                v for v in column if not math.isnan(v)
-            )
-        return table
-
-    @classmethod
-    def from_json(cls, path) -> "TelemetryTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_jsonl(self, path) -> int:
-        """Write a header record plus one *decoded* row per sample.
-
-        The JSONL form trades the delta-encoded compactness of
-        :meth:`to_json` for line-per-row greppability, matching the
-        ``to_jsonl``/``from_jsonl`` pair every observer exporter
-        shares; returns the record count.
-        """
-        from repro.obs.export import write_jsonl
-
-        def records():
-            yield {"record": "header", "columns": self.columns,
-                   "rows": self._rows}
-            for row in self.rows():
-                yield {"record": "row", **row}
-
-        return write_jsonl(path, records())
-
-    @classmethod
-    def from_jsonl(cls, path) -> "TelemetryTable":
-        """Rebuild a table from a :meth:`to_jsonl` export.
-
-        Round-trips the decoded values (re-encoding the deltas on
-        append), so ``rows()`` matches the source table.  Non-row
-        records after the header — the live stream's ``anomaly`` event
-        and ``end`` markers (:class:`repro.obs.stream.JsonlLiveSink`)
-        — are skipped, so a finished ``--live-export`` file loads with
-        the same call.
-        """
-        from repro.obs.export import read_jsonl
-
-        records = read_jsonl(path)
-        if not records or records[0].get("record") != "header":
-            raise ValueError(f"{path}: missing telemetry header record")
-        table = cls()
-        for record in records[1:]:
-            if record.get("record") != "row":
-                continue  # event/end marker from a live export
-            values = {k: float(v) for k, v in record.items()
-                      if k not in ("record", "t")
-                      and isinstance(v, (int, float))}
-            table.append(float(record["t"]), values)
-        return table
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TelemetryTable(rows={self._rows}, columns={len(self._deltas)})"
+__all__ = ["TelemetrySampler"]
 
 
 class TelemetrySampler:
-    """Periodically snapshots simulator state into a :class:`TelemetryTable`.
+    """Periodically snapshots simulator state onto a :class:`TelemetryBus`.
 
     Parameters
     ----------
@@ -211,18 +46,11 @@ class TelemetrySampler:
         Stop rescheduling once the next sample would land past this
         time (defaults to unbounded; ``Simulator.run(until=...)`` also
         bounds it naturally).
-    on_sample:
-        Optional ``(t, values)`` callback fired after each row is
-        appended — the anomaly-trigger hook
-        (:class:`~repro.obs.anomaly.AnomalyWatcher.check`).  Like
-        ``collect`` it must be a pure observer of simulation state
-        (dumping a flight-recorder bundle is fine: that writes to the
-        filesystem, not the simulation).
-    bus:
-        Optional :class:`~repro.obs.stream.TelemetryBus` each sampled
-        row is published to, *before* ``on_sample`` runs — so in a live
-        export an anomaly event record always follows the row that
-        triggered it.
+
+    Each row is appended to :attr:`rows` and then published on
+    :attr:`bus`.  Bus consumers must be pure observers of simulation
+    state, like ``collect`` (dumping a flight-recorder bundle is fine:
+    that writes to the filesystem, not the simulation).
     """
 
     def __init__(
@@ -231,8 +59,6 @@ class TelemetrySampler:
         collect: Callable[[], Dict[str, float]],
         interval: float,
         until: Optional[float] = None,
-        on_sample: Optional[Callable[[float, Dict[str, float]], None]] = None,
-        bus=None,
     ):
         if interval <= 0:
             raise ValueError(f"telemetry interval must be positive: {interval!r}")
@@ -240,11 +66,9 @@ class TelemetrySampler:
         self._collect = collect
         self.interval = float(interval)
         self.until = until
-        self.on_sample = on_sample
-        self.bus = bus
-        self.table = TelemetryTable()
-        self.samples_taken = 0
-        self._last_sample_time: Optional[float] = None
+        self.bus = TelemetryBus()
+        #: Every sampled ``(t, values)`` row, in publication order.
+        self.rows: List[Tuple[float, Dict[str, float]]] = []
 
     def start(self) -> None:
         """Schedule the first sample one interval from now."""
@@ -253,13 +77,8 @@ class TelemetrySampler:
     def _sample(self) -> None:
         values = self._collect()
         now = self._sim.now
-        self.table.append(now, values)
-        self.samples_taken += 1
-        self._last_sample_time = now
-        if self.bus is not None:
-            self.bus.publish(now, values)
-        if self.on_sample is not None:
-            self.on_sample(now, values)
+        self.rows.append((now, values))
+        self.bus.publish(now, values)
 
     def _tick(self) -> None:
         self._sample()
@@ -271,14 +90,13 @@ class TelemetrySampler:
         """Take one last sample at engine-stop time, if the clock moved.
 
         A run shorter than the sample interval would otherwise finish
-        with an *empty* table (the first tick never fires); a run whose
+        with *no* rows (the first tick never fires); a run whose
         duration is not an interval multiple would silently drop its
         tail.  Called by the engine after the event loop drains; never
         reschedules.  Returns True when a row was added — a no-op when
         the last periodic tick already landed exactly at stop time.
         """
-        now = self._sim.now
-        if self._last_sample_time is not None and now <= self._last_sample_time:
+        if self.rows and self._sim.now <= self.rows[-1][0]:
             return False
         self._sample()
         return True
@@ -286,5 +104,5 @@ class TelemetrySampler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TelemetrySampler(interval={self.interval}, "
-            f"samples={self.samples_taken})"
+            f"samples={len(self.rows)})"
         )

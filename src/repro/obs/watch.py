@@ -68,8 +68,7 @@ def watch_file(
     Parameters
     ----------
     path:
-        The export to read (a ``--live-export`` file, or any
-        :meth:`TelemetryTable.to_jsonl` export).
+        The export to read (a ``--live-export`` file).
     follow:
         Keep polling for new records after EOF (``tail -f``) until the
         ``end`` record, ``timeout`` quiet wall-seconds, or Ctrl-C;

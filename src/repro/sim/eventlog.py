@@ -15,7 +15,6 @@ Events are plain records, queryable after the run::
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional
@@ -80,50 +79,6 @@ class EventLog:
     def clear(self) -> None:
         self._events.clear()
         self.dropped = 0
-
-    # -- persistence ------------------------------------------------------
-
-    def to_jsonl(self, path) -> int:
-        """Write the retained events as JSON Lines; returns the count.
-
-        The first line is a header object carrying the ring's ``dropped``
-        count, so truncation survives the round trip.  Non-JSON field
-        values are rendered with ``repr`` (lossy but never fails).
-        """
-        n = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"__eventlog__": 1, "dropped": self.dropped}))
-            fh.write("\n")
-            for event in self._events:
-                fh.write(json.dumps(
-                    {"time": event.time, "kind": event.kind,
-                     "fields": event.fields},
-                    sort_keys=True, default=repr))
-                fh.write("\n")
-                n += 1
-        return n
-
-    @classmethod
-    def from_jsonl(cls, path, capacity: Optional[int] = None) -> "EventLog":
-        """Rebuild an :class:`EventLog` from a :meth:`to_jsonl` file.
-
-        ``capacity`` defaults to unbounded so a loaded log is never
-        re-truncated; the header's ``dropped`` count is restored.
-        """
-        log = cls(capacity=capacity)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if "__eventlog__" in record:
-                    log.dropped = int(record.get("dropped", 0))
-                    continue
-                log._events.append(Event(
-                    float(record["time"]), str(record["kind"]),
-                    dict(record.get("fields", {}))))
-        return log
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventLog(n={len(self._events)}, dropped={self.dropped})"

@@ -125,6 +125,39 @@ class TestExecution:
         assert "flooding" in out and "precinct" in out
         assert out.count("\n") == 3  # header + two rows
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--regions", "0"], "n_regions"),
+        (["--area", "0"], "area_side"),
+        (["--area", "-600"], "area_side"),
+        (["--nodes", "0"], "n_nodes"),
+        (["--nodes", "20", "-3"], "n_nodes"),
+    ], ids=["regions-0", "area-0", "area-negative", "nodes-0",
+            "nodes-negative"])
+    def test_theory_bad_input_exits_2(self, capsys, argv, field):
+        # Used to end in a traceback (regions/area 0) or print energies
+        # for an impossible network.
+        assert main(["theory", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be positive")
+        assert captured.out == ""
+
+    def test_energy_negative_tolerance_exits_2(self, capsys):
+        # Used to run a reconciliation that could never pass.
+        assert main(["energy", "--tolerance", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance")
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--items", "0"], "n_items"),
+        (["--warmup", "-5"], "warmup"),
+    ], ids=["items-0", "warmup-negative"])
+    def test_run_bad_sizes_exit_2(self, capsys, argv, field):
+        # --items 0 failed inside PReCinCtNetwork with a traceback; a
+        # negative warmup ran and divided by a window longer than the run.
+        small = ["--nodes", "16", "--duration", "40", "--warmup", "5",
+                 "--items", "50", "--speed", "0"]
+        assert main(["run", *small, *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
     def test_run_command_small(self, capsys):
         rc = main(
             ["run", "--nodes", "20", "--duration", "120", "--warmup", "20",

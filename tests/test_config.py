@@ -52,6 +52,32 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("warmup", -5.0),
+        ("bandwidth_bps", 0.0),
+        ("bandwidth_bps", -1.0),
+        ("idle_power_mw", -5.0),
+        ("static_capacity_fraction", -1.0),
+        ("static_capacity_fraction", 0.0),
+        ("static_capacity_fraction", 1.5),
+        ("local_timeout", -1.0),
+        ("home_timeout", -1.0),
+        ("replica_timeout", -1.0),
+        ("poll_timeout", -1.0),
+        ("home_timeout", float("nan")),
+    ])
+    def test_rejects_values_that_crash_or_skew_a_run(self, field, value):
+        # Each used to die mid-run (bandwidth 0, a negative timeout), or
+        # run and skew the report (a negative warmup widened the window,
+        # a negative static capacity served nothing, a negative idle
+        # power read as zero).
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        SimulationConfig(warmup=0.0, static_capacity_fraction=1.0,
+                         local_timeout=0.0, idle_power_mw=0.0)
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             SimulationConfig(replacement_policy="arc")

@@ -44,39 +44,6 @@ class TestEventLog:
         log.clear()
         assert len(log) == 0
 
-    def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog()
-        log.record(1.0, "a", x=1, label="hi")
-        log.record(2.5, "b")
-        path = tmp_path / "events.jsonl"
-        assert log.to_jsonl(path) == 2
-        restored = EventLog.from_jsonl(path)
-        assert len(restored) == 2
-        assert restored.dropped == 0
-        events = list(restored)
-        assert events[0].time == 1.0
-        assert events[0].kind == "a"
-        assert events[0].fields == {"x": 1, "label": "hi"}
-        assert events[1].kind == "b" and events[1].fields == {}
-
-    def test_jsonl_preserves_dropped_count(self, tmp_path):
-        log = EventLog(capacity=2)
-        for i in range(5):
-            log.record(float(i), "k", i=i)
-        path = tmp_path / "events.jsonl"
-        log.to_jsonl(path)
-        restored = EventLog.from_jsonl(path)
-        assert restored.dropped == 3
-        assert [e.fields["i"] for e in restored] == [3, 4]
-
-    def test_jsonl_non_json_fields_reprd(self, tmp_path):
-        log = EventLog()
-        log.record(1.0, "k", obj={1, 2})  # a set is not JSON-able
-        path = tmp_path / "events.jsonl"
-        log.to_jsonl(path)
-        restored = EventLog.from_jsonl(path)
-        assert isinstance(list(restored)[0].fields["obj"], str)
-
 
 class TestProtocolTracing:
     def test_disabled_by_default(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.network import PReCinCtNetwork
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs import FlightRecorder, Observers, TelemetryTable, Tracer
+from repro.obs import FlightRecorder, Observers, Tracer
 from repro.sim.eventlog import EventLog
 from tests.conftest import tiny_config
 
@@ -23,12 +23,11 @@ class TestFlightRecorderUnit:
         tracer = Tracer(lambda: 9.0)
         trace = tracer.begin(1, 2)
         tracer.finish(trace, "failed")
-        table = TelemetryTable()
-        table.append(1.0, {"x": 1.0})
+        rows = [(1.0, {"x": 1.0})]
 
         recorder = FlightRecorder(
             tmp_path / "bundles", eventlog=log, tracer=tracer,
-            telemetry=table, last_events=4,
+            telemetry=rows, last_events=4,
         )
         bundle = recorder.dump(
             "request-failed", context={"peer": 1}, trace=trace, sim_time=9.0
@@ -106,6 +105,40 @@ class TestRecorderWiring:
         assert "request_id" in manifest["context"]
         # Tracing was on, so the offending request's trace is included.
         assert "trace.json" in manifest["contents"]
+
+    def test_telemetry_tail_is_the_last_published_rows(self, tmp_path):
+        """Each bundle's tail is the last <=50 rows the bus published
+        before the dump, exactly as they were published."""
+        plan = FaultPlan((
+            FaultSpec("drop", start=100.0, end=150.0, probability=0.9),
+        ))
+        net = PReCinCtNetwork(
+            tiny_config(fault_plan=plan, seed=41),
+            observers=Observers(
+                telemetry=True,
+                telemetry_interval=1.0,
+                recorder_dir=str(tmp_path),
+                recorder_max_dumps=3,
+            ),
+        )
+        published = []
+        net.observers.bus.add_listener(
+            lambda t, values: published.append({"t": t, **values})
+        )
+        seen_at_dump = []
+        dump = net.recorder.dump
+
+        def counting_dump(*args, **kwargs):
+            seen_at_dump.append(len(published))
+            return dump(*args, **kwargs)
+
+        net.recorder.dump = counting_dump
+        net.run()
+        bundles = net.recorder.dumps_written
+        assert len(bundles) == 3
+        for bundle, n in zip(bundles, seen_at_dump):
+            tail = json.loads((bundle / "telemetry_tail.json").read_text())
+            assert n > 50 and tail == published[:n][-50:]
 
     def test_recorder_is_digest_neutral(self, tmp_path):
         from repro.faults.audit import run_scenario

@@ -163,9 +163,9 @@ def test_live_streaming_and_dashboard_are_digest_neutral(
     assert observers.bus.events_published > 0  # the anomaly fired
     text = out.getvalue()
     assert "ANOMALY" in text and "\x1b[" not in text
-    # The finished export replays into an equal-length table.
-    from repro.obs import TelemetryTable
+    # The finished export replays every published row.
+    from repro.obs import watch_file
 
-    table = TelemetryTable.from_jsonl(tmp_path / "live.jsonl")
-    assert len(table) == observers.bus.rows_published
+    replay = watch_file(tmp_path / "live.jsonl", mode="plain", out=io.StringIO())
+    assert replay.rows == observers.bus.rows_published
 

@@ -35,7 +35,8 @@ class TestObserversAttach:
         net = PReCinCtNetwork(_quick_cfg(), observers=observers)
         assert observers.anomaly is not None
         assert observers.anomaly.recorder is observers.recorder
-        assert observers.telemetry.on_sample == observers.anomaly.check
+        assert observers.bus is observers.telemetry.bus
+        assert observers.bus._listeners == [observers.anomaly.check]
         net.run()
         assert observers.anomaly.triggers == 0  # absurd threshold
 
@@ -63,7 +64,7 @@ class TestOptionValidation:
         assert defaults == dict(
             tracing=False, trace_sample_rate=1.0, telemetry=False,
             telemetry_interval=5.0, recorder_dir=None, recorder_max_dumps=5,
-            energy_attribution=False, anomaly_rules=(), stream=False,
+            energy_attribution=False, anomaly_rules=(),
             live_export=None, metrics_snapshot=None, dashboard=False,
             dashboard_mode="auto", watch_interval=1.0, dashboard_out=None,
         )
@@ -81,30 +82,38 @@ class TestOptionValidation:
             ({"dashboard_mode": "fancy"}, "dashboard_mode"),
             ({"watch_interval": 0.0}, "watch_interval"),
             ({"watch_interval": -1.0}, "watch_interval"),
-            ({"anomaly_rules": ("mac.backlog_max_s>1",)}, "telemetry"),
             ({"telemetry": True, "anomaly_rules": ("not a rule",)},
              "anomaly rule"),
         ],
         ids=["rate-above-1", "telemetry-interval-zero", "max-dumps-zero",
              "dashboard-mode", "watch-interval-zero",
-             "watch-interval-negative", "rules-without-telemetry",
-             "bad-rule-spec"],
+             "watch-interval-negative", "bad-rule-spec"],
     )
     def test_bad_values_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):
             Observers(**bad)
 
     def test_anomaly_rules_satisfied_by_any_live_consumer(self):
-        # Telemetry is implied by every streaming consumer, so anomaly
-        # rules are valid with any of them (not only telemetry=True).
+        # Every bus consumer implies telemetry, rules included, so rules
+        # are valid alone or with any other consumer.
         rules = ("mac.backlog_max_s>5",)
-        Observers(anomaly_rules=rules, telemetry=True)
-        Observers(anomaly_rules=rules, stream=True)
-        Observers(anomaly_rules=rules, dashboard=True)
-        Observers(anomaly_rules=rules, live_export="x.jsonl")
-        Observers(anomaly_rules=rules, metrics_snapshot="m.prom")
-        with pytest.raises(ValueError, match="anomaly_rules"):
-            Observers(anomaly_rules=rules)
+        for extra in ({}, {"telemetry": True}, {"dashboard": True},
+                      {"live_export": "x.jsonl"},
+                      {"metrics_snapshot": "m.prom"}):
+            assert Observers(anomaly_rules=rules, **extra)._opts["telemetry"]
+
+    def test_anomaly_rules_alone_arm_the_sampler_and_fire(self):
+        observers = Observers(anomaly_rules=("energy.total_uj>1",))
+        net = PReCinCtNetwork(_quick_cfg(), observers=observers)
+        assert net.telemetry is not None
+        net.run()
+        # Fires early, re-arms when the warmup reset zeroes the ledger,
+        # and fires again.
+        assert observers.anomaly.triggers == 2
+        rows = dict(net.telemetry.rows)
+        for t, spec, value in observers.anomaly.fired:
+            assert spec == "energy.total_uj>1" and value > 1
+            assert rows[t]["energy.total_uj"] == value
 
     def test_valid_rules_accepted(self):
         from repro.obs.anomaly import AnomalyRule
@@ -117,6 +126,18 @@ class TestOptionValidation:
         assert [r.spec for r in observers.anomaly.rules] == [
             "mac.backlog_max_s>5", "energy.total_uj<1",
         ]
+
+
+class TestKeywordRatchet:
+    """Like ``SimulationConfig``'s field count: the surface only shrinks."""
+
+    def test_observers_keyword_count(self):
+        assert len(inspect.signature(Observers).parameters) <= 14
+
+    def test_stream_keyword_is_gone(self):
+        # Telemetry *is* the bus now; ``telemetry=True`` arms it.
+        with pytest.raises(TypeError):
+            Observers(stream=True)
 
 
 class TestObserverPathNeutrality:

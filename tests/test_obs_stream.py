@@ -1,5 +1,6 @@
 """Tests for the streaming telemetry bus (repro.obs.stream)."""
 
+import io
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from repro.obs.stream import (
     TelemetryBus,
     prometheus_name,
 )
-from repro.obs.telemetry import TelemetryTable
+from repro.obs.watch import watch_file
 from tests.conftest import tiny_config
 
 
@@ -106,9 +107,8 @@ class TestJsonlLiveSink:
         sink.on_event(1.0, "anomaly", {"rule": "a>0"})
         sink.on_row(2.0, {"a": 2.0})
         sink.close()
-        table = TelemetryTable.from_jsonl(path)
-        assert len(table) == 2
-        assert table.column("a") == pytest.approx([1.0, 2.0])
+        result = watch_file(path, mode="plain", out=io.StringIO())
+        assert (result.rows, result.events, result.ended) == (2, 1, True)
 
 
 class TestMetricsSnapshotWriter:
@@ -159,10 +159,14 @@ class TestRunIntegration:
         rows = [r for r in records if r["record"] == "row"]
         assert len(rows) == 15  # 150 s / 10 s
         assert records[-1]["rows"] == 15
-        # The anomaly event follows the row that triggered it.
-        anomaly_at = kinds.index("anomaly")
-        assert kinds[anomaly_at - 1] == "row"
-        assert records[anomaly_at]["rule"] == "energy.total_uj>1"
+        # Each anomaly record directly follows the row that fired it.
+        anomalies = [i for i, kind in enumerate(kinds) if kind == "anomaly"]
+        assert anomalies
+        for i in anomalies:
+            row, event = records[i - 1], records[i]
+            assert row["record"] == "row" and row["t"] == event["t"]
+            assert event["rule"] == "energy.total_uj>1"
+            assert row[event["series"]] == event["value"]
         assert net.observers.bus.rows_published == 15
         # The snapshot file holds the final row's gauges.
         assert "repro_sim_time_seconds 150" in prom.read_text()
@@ -170,10 +174,10 @@ class TestRunIntegration:
     def test_stream_implies_telemetry(self):
         from repro.obs.observers import Observers
 
+        # Telemetry is the stream: the sampler's rows are the bus's rows.
         net = PReCinCtNetwork(
-            tiny_config(seed=37), observers=Observers(stream=True)
+            tiny_config(seed=37), observers=Observers(telemetry=True)
         )
-        assert net.telemetry is not None
-        assert net.observers.bus is not None
+        assert net.observers.bus is net.telemetry.bus
         net.run()
-        assert net.observers.bus.rows_published == len(net.telemetry.table)
+        assert net.observers.bus.rows_published == len(net.telemetry.rows)

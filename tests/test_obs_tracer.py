@@ -192,7 +192,7 @@ class TestTracedRuns:
         assert observed.report == plain.report
         # ... and the observers actually observed something.
         assert len(net.tracer) > 0
-        assert len(net.telemetry.table) > 0
+        assert len(net.telemetry.rows) > 0
 
 
 class TestTraceCli:

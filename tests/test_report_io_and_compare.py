@@ -1,17 +1,12 @@
 """Tests for report persistence and comparison rendering."""
 
-import csv
 import math
 
 import pytest
 
 from repro.analysis.compare import compare_reports
 from repro.analysis.metrics import RequestMetrics, RunReport
-from repro.experiments.report_io import (
-    reports_from_json,
-    reports_to_csv,
-    reports_to_json,
-)
+from repro.experiments.report_io import reports_from_json, reports_to_json
 from repro.sim import StatRegistry
 
 
@@ -46,31 +41,6 @@ class TestJsonRoundTrip:
         path.write_text('{"not": "a list"}')
         with pytest.raises(ValueError):
             reports_from_json(path)
-
-
-class TestCsvExport:
-    def test_csv_columns_and_rows(self, tmp_path):
-        path = tmp_path / "reports.csv"
-        reports_to_csv([make_report("a"), make_report("b")], path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        header, *data = rows
-        assert "config_label" in header
-        assert "energy_per_request_mj" in header
-        assert "served_home" in header
-        assert "sent.request" in header
-        assert len(data) == 2
-        assert data[0][header.index("config_label")] == "a"
-
-    def test_derived_values_correct(self, tmp_path):
-        path = tmp_path / "reports.csv"
-        report = make_report("a", served=10)
-        reports_to_csv([report], path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        header, row = rows
-        got = float(row[header.index("energy_per_request_mj")])
-        assert got == pytest.approx(report.energy_per_request_mj)
 
 
 class TestCompare:
