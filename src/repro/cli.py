@@ -44,6 +44,7 @@ from repro.experiments.figures import (
     run_fig9a,
     run_fig9b,
 )
+from repro.experiments.orchestrator import make_runner
 
 __all__ = ["main", "build_parser"]
 
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="smaller/faster sweep (noisier curves)")
     fig_p.add_argument("--processes", type=int, default=1, metavar="N",
                        help="fan the figure's whole grid of runs out over "
-                            "N worker processes (default 1 = serial)")
+                            "N worker processes (default 1 = in-process)")
 
     th_p = sub.add_parser("theory", help="closed-form energy model (eqs. 11, 13)")
     th_p.add_argument("--nodes", type=int, nargs="+", default=[20, 40, 60, 80])
@@ -396,17 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     camp_sub = camp_p.add_subparsers(dest="campaign_cmd", required=True)
 
     def _campaign_exec_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--runner", choices=("inprocess", "pool"),
-            default="pool",
-            help="execution backend: sequential in-process or a "
-                 "contained process pool (default pool)",
-        )
         p.add_argument("--processes", type=int, default=None, metavar="N",
-                       help="pool width (default: CPU count)")
+                       help="width of the contained process pool "
+                            "(default: CPU count); 1 without --timeout "
+                            "runs in-process")
         p.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-job wall-clock timeout for the pool "
-                            "runner (default: none)")
+                       help="per-job wall-clock timeout; always runs "
+                            "the pool (default: none)")
         p.add_argument("--max-jobs", type=int, default=None, metavar="N",
                        help="stop after N job results this pass — a "
                             "deterministic interrupt; exits 3 when jobs "
@@ -610,6 +607,11 @@ def _run_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
+    try:
+        make_runner(args.processes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     quick = dict(QUICK_SCALE, seeds=(1,)) if args.quick else {}
     quick9 = dict(duration=400.0, warmup=80.0, seeds=(1,)) if args.quick else {}
     want = args.figure
@@ -862,12 +864,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _campaign_runner(args: argparse.Namespace):
-    """Build the Runtime the campaign flags describe."""
-    from repro.experiments.orchestrator import InProcessRunner, PoolRunner
-
-    if args.runner == "inprocess":
-        return InProcessRunner()
-    return PoolRunner(processes=args.processes, timeout=args.timeout)
+    """The runner the campaign flags describe; ``ValueError`` on bad flags."""
+    if args.max_jobs is not None and args.max_jobs < 0:
+        raise ValueError(f"--max-jobs must be >= 0, got {args.max_jobs}")
+    return make_runner(args.processes, args.timeout)
 
 
 def _campaign_execute(args: argparse.Namespace, root, name: str,
@@ -947,8 +947,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if existing is not None:
             seeds = existing["seeds"]
         name = f"{args.preset}-campaign"
-        # Bad input (a repeated seed, --processes 0) fails here, before
-        # campaign.json exists to poison every later command on DIR.
+        # Bad input (a repeated seed, --processes 0, --max-jobs -1)
+        # fails here, before campaign.json exists to poison every later
+        # command on DIR.
         try:
             graph = build_preset(args.preset, seeds)
             runner = _campaign_runner(args)

@@ -2,8 +2,9 @@
 
 The paper's figures are sweeps — (scenario × seed × policy) grids of
 independent simulations.  This package turns such a grid into a
-:class:`RunGraph` of :class:`JobSpec` s executed by pluggable runners
-behind one :class:`Runtime` interface, with:
+:class:`RunGraph`, a flat, insertion-ordered list of independent
+:class:`JobSpec` s, executed in-process or by a contained process pool
+(:func:`make_runner` picks which), with:
 
 * per-job artifact directories committed atomically the moment a job
   finishes (``jobs/<id>/{spec,report,result}.json``);
@@ -14,7 +15,7 @@ behind one :class:`Runtime` interface, with:
 * live progress on the standard :class:`~repro.obs.stream.TelemetryBus`
   (``repro campaign run --watch`` / ``repro watch``).
 
-See ``docs/EXPERIMENTS.md`` for the runtime interface, journal format,
+See ``docs/EXPERIMENTS.md`` for the two runners, journal format,
 artifact layout, and resume/verify semantics.
 """
 
@@ -47,7 +48,7 @@ from repro.experiments.orchestrator.presets import (
 from repro.experiments.orchestrator.runtime import (
     InProcessRunner,
     PoolRunner,
-    Runtime,
+    make_runner,
 )
 from repro.experiments.orchestrator.spec import (
     DEFAULT_ENTRY,
@@ -76,7 +77,6 @@ __all__ = [
     "PRESETS",
     "PoolRunner",
     "RunGraph",
-    "Runtime",
     "build_preset",
     "commit_artifact",
     "config_from_dict",
@@ -88,6 +88,7 @@ __all__ = [
     "job_dir",
     "load_artifact_report",
     "load_definition",
+    "make_runner",
     "replay_journal",
     "save_definition",
     "resolve_entry",

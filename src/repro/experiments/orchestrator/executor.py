@@ -7,21 +7,20 @@
    Verified artifacts are *reused* (journalled as ``reuse``); stale or
    corrupted ones are journalled (``stale``) and re-queued.  Resume is
    therefore just "execute the same graph at the same root again".
-2. **Schedule** — remaining jobs run in dependency waves through the
-   chosen :class:`~repro.experiments.orchestrator.runtime.Runtime`;
-   each transition lands in the journal (``start``/``done``/``fail``)
-   the moment it happens, and completed artifacts are committed by the
-   workers themselves, so a kill at any instant loses at most the jobs
-   in flight.
+2. **Run** — the pending jobs stream through the runner in graph
+   order; each transition lands in the journal (``start``/``done``/
+   ``fail``) the moment it happens, and completed artifacts are
+   committed by the workers themselves, so a kill at any instant loses
+   at most the jobs in flight.
 3. **Report** — per-job progress rows and failure events go to an
    optional :class:`~repro.obs.stream.TelemetryBus` (the same bus the
    live ``--watch`` dashboard and ``repro watch`` consume), with
    ``t = resolved jobs`` against ``duration = total jobs`` so progress
    bars and ETA come for free.
 
-``max_jobs`` bounds how many job *results* this pass consumes before
-stopping early (journalled as an interrupted ``end``) — the
-deterministic interrupt hook the crash-and-resume tests and the CI
+``max_jobs`` truncates the pending jobs this pass runs, so the pass
+stops early (journalled as an interrupted ``end``) — the deterministic
+interrupt hook the crash-and-resume tests and the CI
 kill-and-resume smoke are built on.
 
 :func:`run_graph` is the one-call form every multi-run caller (figures,
@@ -43,7 +42,7 @@ from repro.experiments.orchestrator.journal import Journal
 from repro.experiments.orchestrator.runtime import (
     InProcessRunner,
     PoolRunner,
-    Runtime,
+    make_runner,
 )
 from repro.experiments.orchestrator.worker import JobResult
 
@@ -51,9 +50,9 @@ __all__ = ["CampaignSummary", "execute_graph", "run_graph"]
 
 PathLike = Union[str, Path]
 
-#: Result statuses that resolve a job for dependency purposes.
+#: Final job statuses, by outcome.
 _SUCCESS = ("done", "reused")
-_FAILURE = ("failed", "crashed", "timeout", "blocked")
+_FAILURE = ("failed", "crashed", "timeout")
 
 
 @dataclass
@@ -62,7 +61,7 @@ class CampaignSummary:
 
     name: str
     #: job_id -> "done" | "reused" | "failed" | "crashed" | "timeout"
-    #: | "blocked" | "pending"
+    #: | "pending"
     statuses: Dict[str, str] = field(default_factory=dict)
     #: Reports of every successful job (fresh or verified-reused).
     reports: Dict[str, RunReport] = field(default_factory=dict)
@@ -110,7 +109,7 @@ class CampaignSummary:
 
 def execute_graph(
     graph: RunGraph,
-    runner: Runtime,
+    runner: Union[InProcessRunner, PoolRunner],
     root: PathLike,
     *,
     name: str = "campaign",
@@ -118,7 +117,6 @@ def execute_graph(
     max_jobs: Optional[int] = None,
 ) -> CampaignSummary:
     """Run (or resume) a campaign graph at ``root``; see module docs."""
-    graph.validate()
     if max_jobs is not None and max_jobs < 0:
         raise ValueError(f"max_jobs must be >= 0, got {max_jobs}")
     root = Path(root)
@@ -128,7 +126,6 @@ def execute_graph(
 
     with Journal(root / "journal.jsonl") as journal:
         journal.begin(name, len(graph))
-        succeeded: set = set()
 
         # -- 1. verify committed artifacts; reuse what survives --------
         pending: List[str] = []
@@ -139,7 +136,6 @@ def execute_graph(
                 summary.statuses[spec.job_id] = "reused"
                 summary.reports[spec.job_id] = check.report
                 summary.report_digests[spec.job_id] = check.report_digest
-                succeeded.add(spec.job_id)
             else:
                 if check.completed:
                     # A commit landed but no longer verifies: stale
@@ -166,88 +162,44 @@ def execute_graph(
 
         _publish()
 
-        # -- 2. dependency-wave scheduling ------------------------------
-        consumed = 0
-        interrupted = max_jobs is not None and consumed >= max_jobs
-        while pending and not interrupted:
-            ready = [
-                jid for jid in pending
-                if set(graph[jid].after) <= succeeded
-            ]
-            if not ready:
-                # Nothing runnable: in an acyclic graph that means a
-                # dependency failed.  Mark those jobs blocked (which
-                # cascades to their own dependents on the next pass).
-                for jid in pending:
-                    blockers = [
-                        dep for dep in graph[jid].after
-                        if summary.statuses.get(dep) in _FAILURE
-                    ]
-                    if blockers:
-                        journal.fail(
-                            jid, "blocked",
-                            f"dependency failed: {', '.join(blockers)}",
-                        )
-                        summary.statuses[jid] = "blocked"
-                        summary.errors[jid] = f"blocked on {', '.join(blockers)}"
-                        _publish("job-blocked", {"rule": f"{jid} blocked"})
-                pending = [
-                    jid for jid in pending
-                    if summary.statuses[jid] == "pending"
-                ]
-                continue
-            if max_jobs is not None:
-                ready = ready[: max(max_jobs - consumed, 0)]
-            specs = [graph[jid] for jid in ready]
-            stream = runner.run(
-                specs, root, on_start=lambda spec: journal.start(spec.job_id)
-            )
-            try:
-                for result in stream:
-                    _record(result, journal, summary, succeeded)
-                    if result.status in _FAILURE:
-                        _publish(
-                            "job-" + result.status,
-                            {"rule": f"{result.job_id} {result.status}",
-                             "error": (result.error or "")[:200]},
-                        )
-                    else:
-                        _publish()
-                    consumed += 1
-                    if max_jobs is not None and consumed >= max_jobs:
-                        interrupted = True
-                        break
-            finally:
-                stream.close()
-            pending = [
-                jid for jid in pending
-                if summary.statuses.get(jid) == "pending"
-            ]
+        # -- 2. stream the pending jobs through the runner --------------
+        stream = runner.run(
+            [graph[jid] for jid in pending[:max_jobs]], root,
+            on_start=lambda spec: journal.start(spec.job_id),
+        )
+        try:
+            for result in stream:
+                _record(result, journal, summary)
+                if result.status in _FAILURE:
+                    _publish(
+                        "job-" + result.status,
+                        {"rule": f"{result.job_id} {result.status}",
+                         "error": (result.error or "")[:200]},
+                    )
+                else:
+                    _publish()
+        finally:
+            stream.close()
 
-        interrupted = interrupted and bool(pending)
-        summary.interrupted = interrupted
+        summary.interrupted = summary.n_pending > 0
         journal.end(
             done=summary.n_done,
             failed=summary.n_failed,
             reused=summary.n_reused,
-            interrupted=interrupted,
+            interrupted=summary.interrupted,
         )
         _publish()
     return summary
 
 
 def _record(
-    result: JobResult,
-    journal: Journal,
-    summary: CampaignSummary,
-    succeeded: set,
+    result: JobResult, journal: Journal, summary: CampaignSummary
 ) -> None:
     """Fold one runner result into the journal and summary."""
     if result.status == "done":
         journal.done(result.job_id, result.report_digest, result.wall_s)
         summary.reports[result.job_id] = result.report
         summary.report_digests[result.job_id] = result.report_digest
-        succeeded.add(result.job_id)
     else:
         journal.fail(result.job_id, result.status, result.error or "")
         summary.errors[result.job_id] = result.error or result.status
@@ -261,19 +213,16 @@ def run_graph(
 ) -> Dict[str, RunReport]:
     """Run every job of ``graph``; return ``{job_id: report}``.
 
-    ``processes <= 1`` runs in-process, anything else through a
-    :class:`PoolRunner` of that width (``None`` = CPU count).  With a
+    ``processes`` picks the runner through :func:`make_runner`: 1 runs
+    in-process, more through a :class:`PoolRunner` of that width
+    (``None`` = CPU count), and fewer raises ``ValueError``.  With a
     ``root`` the journal and artifact tree are kept there, so calling
     again digest-verifies and reuses what is already done; without one
     they land in a throwaway directory.  A job that fails raises
     ``RuntimeError`` naming every failed job — after the surviving
     jobs' artifacts were committed.
     """
-    runner = (
-        InProcessRunner()
-        if processes is not None and processes <= 1
-        else PoolRunner(processes=processes)
-    )
+    runner = make_runner(processes)
     with tempfile.TemporaryDirectory(prefix="repro-graph-") as tmp:
         summary = execute_graph(graph, runner, tmp if root is None else root)
     if summary.errors:

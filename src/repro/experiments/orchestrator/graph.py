@@ -1,18 +1,17 @@
-"""The campaign run-graph: an ordered DAG of :class:`JobSpec` nodes.
+"""The campaign run-graph: a flat, insertion-ordered list of jobs.
 
-A :class:`RunGraph` is what every runner executes: a collection of
-uniquely-named jobs with optional ``after`` dependencies, validated at
-build time (unknown dependencies and cycles are definition errors, not
-runtime surprises).  :meth:`RunGraph.grid` builds the common case — the
-paper's (scenario × seed × policy) sweeps — from a base config and axis
-values, one job per Cartesian-product cell.
+A :class:`RunGraph` is what every runner executes: uniquely-named,
+independent :class:`JobSpec` s, run in the order they were added.
+:meth:`RunGraph.grid` builds the common case — the paper's (scenario ×
+seed × policy) sweeps — from a base config and axis values, one job per
+Cartesian-product cell.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.config import SimulationConfig
 from repro.experiments.orchestrator.spec import (
@@ -25,7 +24,7 @@ __all__ = ["RunGraph"]
 
 
 class RunGraph:
-    """An insertion-ordered set of jobs with acyclic dependencies."""
+    """An insertion-ordered set of independent jobs."""
 
     def __init__(self, jobs: Sequence[JobSpec] = ()):
         self._jobs: Dict[str, JobSpec] = {}
@@ -40,18 +39,9 @@ class RunGraph:
         config: SimulationConfig,
         *,
         entry: str = DEFAULT_ENTRY,
-        after: Sequence[str] = (),
-        timeout: Optional[float] = None,
     ) -> JobSpec:
         """Create and register one job; returns the spec."""
-        spec = JobSpec(
-            job_id=job_id,
-            config=config,
-            entry=entry,
-            after=tuple(after),
-            timeout=timeout,
-        )
-        return self.add_spec(spec)
+        return self.add_spec(JobSpec(job_id, config, entry))
 
     def add_spec(self, spec: JobSpec) -> JobSpec:
         if spec.job_id in self._jobs:
@@ -65,7 +55,6 @@ class RunGraph:
         base: SimulationConfig,
         *,
         entry: str = DEFAULT_ENTRY,
-        timeout: Optional[float] = None,
         **axes: Sequence,
     ) -> "RunGraph":
         """One job per Cartesian-product cell of the named config axes.
@@ -77,7 +66,7 @@ class RunGraph:
         """
         graph = cls()
         if not axes:
-            graph.add("cell", base, entry=entry, timeout=timeout)
+            graph.add("cell", base, entry=entry)
             return graph
         names = sorted(axes)
         for combo in itertools.product(*(axes[name] for name in names)):
@@ -86,7 +75,7 @@ class RunGraph:
                 f"s{value}" if name == "seed" else slugify(str(value))
                 for name, value in zip(names, combo)
             ]
-            graph.add("_".join(parts), cfg, entry=entry, timeout=timeout)
+            graph.add("_".join(parts), cfg, entry=entry)
         return graph
 
     # -- views ------------------------------------------------------------
@@ -106,35 +95,6 @@ class RunGraph:
     @property
     def job_ids(self) -> List[str]:
         return list(self._jobs)
-
-    # -- validation / scheduling ------------------------------------------
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on unknown dependencies or cycles."""
-        for spec in self:
-            for dep in spec.after:
-                if dep not in self._jobs:
-                    raise ValueError(
-                        f"job {spec.job_id!r} depends on unknown job {dep!r}"
-                    )
-        self.toposort()
-
-    def toposort(self) -> List[List[str]]:
-        """Dependency *waves*: every job in wave N depends only on jobs
-        in waves < N.  Raises ``ValueError`` on a cycle."""
-        remaining = {jid: set(spec.after) for jid, spec in self._jobs.items()}
-        waves: List[List[str]] = []
-        done: set = set()
-        while remaining:
-            ready = [jid for jid, deps in remaining.items() if deps <= done]
-            if not ready:
-                cyclic = ", ".join(sorted(remaining))
-                raise ValueError(f"dependency cycle among jobs: {cyclic}")
-            waves.append(ready)
-            done.update(ready)
-            for jid in ready:
-                del remaining[jid]
-        return waves
 
     def to_dict(self) -> Dict:
         return {"jobs": [spec.to_dict() for spec in self]}

@@ -14,7 +14,7 @@ Record grammar (one JSON object per line)::
     {"event": "begin", "campaign": ..., "jobs": N, "wall": ...}
     {"event": "start", "job": ID, "wall": ...}
     {"event": "done",  "job": ID, "report_digest": ..., "wall_s": ...}
-    {"event": "fail",  "job": ID, "status": "failed|crashed|timeout|blocked",
+    {"event": "fail",  "job": ID, "status": "failed|crashed|timeout",
                        "error": ...}
     {"event": "reuse", "job": ID, "report_digest": ...}
     {"event": "stale", "job": ID, "reason": "stale-spec|corrupt-report|..."}

@@ -1,22 +1,26 @@
-"""Pluggable runtimes: who actually executes the run-graph's jobs.
+"""The two runners: who actually executes a campaign's jobs.
 
-Every runner implements one interface (:class:`Runtime`): take a batch
-of ready :class:`JobSpec` s and an artifact root, lazily yield
-:class:`JobResult` s *as jobs complete* (not in submission order).  The
-orchestrator journals transitions around that stream; the runners own
-process management only.
+A runner's ``run(jobs, root, on_start)`` takes a batch of
+:class:`JobSpec` s and an artifact root and lazily yields one
+:class:`JobResult` per job *as jobs complete* (not in submission
+order).  ``on_start`` is invoked in the orchestrator process right
+before a job begins (the journal's ``start`` hook), and closing the
+iterator early releases any live workers.  The orchestrator journals
+transitions around that stream; the runners own process management
+only.
 
 * :class:`InProcessRunner` — sequential, same process.  Zero isolation,
-  zero overhead; the debugger/profiler runtime and the default for
-  single-process campaigns.
+  zero overhead; the debugger/profiler runtime.
 * :class:`PoolRunner` — one worker **process per job**, at most
-  ``processes`` alive at once.  Per-job wall-clock timeouts and full
-  crash containment: a job that raises, a worker that dies (OOM-kill,
-  SIGKILL, segfault), or a job that overruns its timeout marks *that
-  job* failed/crashed/timeout and the pool keeps serving the rest —
-  there is no shared executor to break.  Each worker commits its own
-  artifact before reporting back, so even the orchestrator dying right
-  after a job finishes loses nothing.
+  ``processes`` alive at once.  A runner-wide wall-clock timeout and
+  full crash containment: a job that raises, a worker that dies
+  (OOM-kill, SIGKILL, segfault), or a job that overruns the timeout
+  marks *that job* failed/crashed/timeout and the pool keeps serving
+  the rest — there is no shared executor to break.  Each worker commits
+  its own artifact before reporting back, so even the orchestrator
+  dying right after a job finishes loses nothing.
+
+:func:`make_runner` is the one place that chooses between them.
 """
 
 from __future__ import annotations
@@ -34,41 +38,19 @@ from repro.experiments.orchestrator.worker import (
     execute_job,
 )
 
-__all__ = [
-    "InProcessRunner",
-    "PoolRunner",
-    "Runtime",
-]
+__all__ = ["InProcessRunner", "PoolRunner", "make_runner"]
 
 PathLike = Union[str, Path]
 OnStart = Optional[Callable[[JobSpec], None]]
 
-
-class Runtime:
-    """Interface every runner implements."""
-
-    #: Human-readable runner name (journal/status output).
-    name: str = "runtime"
-
-    def run(
-        self,
-        jobs: Sequence[JobSpec],
-        root: PathLike,
-        on_start: OnStart = None,
-    ) -> Iterator[JobResult]:
-        """Lazily yield one :class:`JobResult` per job, as completed.
-
-        ``on_start`` is invoked in the orchestrator process immediately
-        before a job begins executing (the journal's ``start`` hook).
-        Closing the iterator early must release any live workers.
-        """
-        raise NotImplementedError
+#: Seconds the pool sleeps between scans of its live workers.
+POLL_INTERVAL = 0.02
+#: Seconds a terminated worker gets to exit before it is killed.
+TERM_GRACE = 5.0
 
 
-class InProcessRunner(Runtime):
+class InProcessRunner:
     """Sequential execution in the orchestrator process."""
-
-    name = "inprocess"
 
     def run(
         self,
@@ -82,32 +64,21 @@ class InProcessRunner(Runtime):
             yield execute_job(spec, root)
 
 
-class PoolRunner(Runtime):
+class PoolRunner:
     """One contained worker process per job, bounded concurrency."""
-
-    name = "pool"
 
     def __init__(
         self,
         processes: Optional[int] = None,
         timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
-        poll_interval: float = 0.02,
-        term_grace: float = 5.0,
     ):
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.processes = processes or multiprocessing.cpu_count()
-        #: Default per-job wall timeout; a spec's own ``timeout`` wins.
+        #: Wall-clock seconds any one job may run (None = no cap).
         self.timeout = timeout
-        self._ctx = multiprocessing.get_context(start_method)
-        self._poll = poll_interval
-        self._term_grace = term_grace
-
-    def _job_timeout(self, spec: JobSpec) -> Optional[float]:
-        return spec.timeout if spec.timeout is not None else self.timeout
 
     def run(
         self,
@@ -122,8 +93,8 @@ class PoolRunner(Runtime):
             while pending or active:
                 while pending and len(active) < self.processes:
                     spec = pending.pop()
-                    queue = self._ctx.SimpleQueue()
-                    proc = self._ctx.Process(
+                    queue = multiprocessing.SimpleQueue()
+                    proc = multiprocessing.Process(
                         target=_pool_job_main,
                         args=(spec, str(root), queue),
                         name=f"repro-job-{spec.job_id}",
@@ -136,7 +107,7 @@ class PoolRunner(Runtime):
                 if result is not None:
                     yield result
                 else:
-                    time.sleep(self._poll)
+                    time.sleep(POLL_INTERVAL)
         finally:
             for proc, (spec, queue, _) in active.items():
                 self._reap(proc)
@@ -170,14 +141,13 @@ class PoolRunner(Runtime):
                     ),
                     wall_s=now - started,
                 )
-            limit = self._job_timeout(spec)
-            if limit is not None and now - started > limit:
+            if self.timeout is not None and now - started > self.timeout:
                 self._reap(proc)
                 queue.close()
                 del active[proc]
                 return JobResult(
                     spec.job_id, "timeout",
-                    error=f"exceeded per-job timeout of {limit:g}s",
+                    error=f"exceeded per-job timeout of {self.timeout:g}s",
                     wall_s=now - started,
                 )
         return None
@@ -202,10 +172,23 @@ class PoolRunner(Runtime):
         """Terminate (then kill) one worker process."""
         if proc.is_alive():
             proc.terminate()
-            proc.join(self._term_grace)
+            proc.join(TERM_GRACE)
             if proc.is_alive():  # pragma: no cover - stuck in a syscall
                 proc.kill()
                 proc.join()
         else:
             proc.join()
 
+
+def make_runner(
+    processes: Optional[int] = None, timeout: Optional[float] = None
+) -> Union[InProcessRunner, PoolRunner]:
+    """The runner for ``processes`` workers (None = CPU count).
+
+    One process and no timeout runs in-process; anything else needs a
+    :class:`PoolRunner`, which rejects ``processes < 1`` and a
+    non-positive ``timeout`` with ``ValueError``.
+    """
+    if processes == 1 and timeout is None:
+        return InProcessRunner()
+    return PoolRunner(processes, timeout)

@@ -1,20 +1,18 @@
 """Job specifications: the serializable unit of campaign work.
 
-A :class:`JobSpec` names one simulation cell of a campaign run-graph —
-a :class:`~repro.config.SimulationConfig`, an *entry point* (the
-module-level function that executes the config), optional dependencies
-on other jobs, and an optional per-job wall-clock timeout.  Specs are
-frozen, picklable (so they cross process boundaries under any start
-method), and JSON-serializable (so each job's artifact directory
-records exactly what produced it).
+A :class:`JobSpec` names one simulation cell of a campaign — a
+:class:`~repro.config.SimulationConfig` and an *entry point* (the
+module-level function that executes the config).  Specs are frozen,
+picklable (so they cross into pool workers), and JSON-serializable (so
+each job's artifact directory records exactly what produced it).
 
 Two digests anchor the resume machinery:
 
-* :func:`spec_digest` fingerprints the result-*affecting* identity of a
-  job (entry point + full config).  A completed artifact whose recorded
-  spec digest no longer matches the graph's spec is **stale** — the
-  campaign definition changed under it — and is re-run on resume rather
-  than silently trusted.
+* :func:`spec_digest` fingerprints the identity of a job (id, entry
+  point and full config).  A completed artifact whose recorded spec
+  digest no longer matches the graph's spec is **stale** — the campaign
+  definition changed under it — and is re-run on resume rather than
+  silently trusted.
 * the report digest (:func:`repro.faults.audit.report_digest`) of the
   finished :class:`~repro.analysis.metrics.RunReport`, recorded next to
   the report so resume can detect a corrupted or hand-edited artifact.
@@ -25,8 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Mapping
 
 from repro.config import SimulationConfig
 from repro.faults.plan import FaultPlan
@@ -77,7 +75,7 @@ def config_from_dict(data: Mapping[str, Any]) -> SimulationConfig:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One node of a campaign run-graph."""
+    """One independent job of a campaign."""
 
     #: Unique, filesystem-safe id (names the job's artifact directory).
     job_id: str
@@ -86,11 +84,6 @@ class JobSpec:
     #: ``"module.path:function"`` executed as ``fn(config, artifact_dir)
     #: -> RunReport``.  Must be module-level (picklable by reference).
     entry: str = DEFAULT_ENTRY
-    #: Job ids that must complete successfully before this one starts.
-    after: Tuple[str, ...] = field(default_factory=tuple)
-    #: Wall-clock seconds a runner may let this job run (None = no cap;
-    #: only runners with containment, e.g. PoolRunner, can enforce it).
-    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not _ID_RE.match(self.job_id):
@@ -102,16 +95,11 @@ class JobSpec:
             raise ValueError(
                 f"entry must be 'module.path:function', got {self.entry!r}"
             )
-        object.__setattr__(self, "after", tuple(self.after))
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"job timeout must be positive, got {self.timeout}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "job_id": self.job_id,
             "entry": self.entry,
-            "after": list(self.after),
-            "timeout": self.timeout,
             "config": config_to_dict(self.config),
             "spec_digest": spec_digest(self),
         }
@@ -122,8 +110,6 @@ class JobSpec:
             job_id=data["job_id"],
             config=config_from_dict(data["config"]),
             entry=data.get("entry", DEFAULT_ENTRY),
-            after=tuple(data.get("after", ())),
-            timeout=data.get("timeout"),
         )
 
 
@@ -139,11 +125,7 @@ def _canonical(value: Any) -> Any:
 
 
 def spec_digest(spec: JobSpec) -> str:
-    """SHA-256 over the result-affecting identity of a job.
-
-    Covers the entry point and the full config — not ``after`` or
-    ``timeout``, which shape scheduling, never results.
-    """
+    """SHA-256 over the identity of a job: id, entry point and config."""
     payload = {
         "job_id": spec.job_id,
         "entry": spec.entry,

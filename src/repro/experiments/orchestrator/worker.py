@@ -62,7 +62,7 @@ class JobResult:
     """Outcome of one job attempt."""
 
     job_id: str
-    #: "done" | "failed" | "crashed" | "timeout" | "blocked"
+    #: "done" | "failed" | "crashed" | "timeout"
     status: str
     report: Optional[RunReport] = None
     report_digest: Optional[str] = None

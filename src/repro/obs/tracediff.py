@@ -276,12 +276,22 @@ class PhaseDelta:
     faults_b: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def rank_key(self) -> Tuple[float, float]:
-        return (self.p95_delta, self.total_delta)
+    def rank_key(self) -> Tuple[float, float, int, str]:
+        """Sort key, worst latency regression first; protocol phase
+        order breaks exact ties so the report (and its golden fixture)
+        is fully deterministic."""
+        return (-self.p95_delta, -self.total_delta, *self._phase_order())
 
     @property
-    def energy_rank_key(self) -> Tuple[float, float]:
-        return (self.p95_energy_delta, self.total_energy_delta)
+    def energy_rank_key(self) -> Tuple[float, float, int, str]:
+        """Sort key, worst energy regression first (uJ deltas)."""
+        return (-self.p95_energy_delta, -self.total_energy_delta,
+                *self._phase_order())
+
+    def _phase_order(self) -> Tuple[int, str]:
+        known = (PHASE_ORDER.index(self.phase)
+                 if self.phase in PHASE_ORDER else len(PHASE_ORDER))
+        return (known, self.phase)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -350,13 +360,7 @@ class TraceDiff:
 
     def energy_ranked(self) -> List[PhaseDelta]:
         """Phases ranked worst energy regression first (uJ deltas)."""
-        def order(stat: PhaseDelta) -> Tuple[float, float, int, str]:
-            known = (PHASE_ORDER.index(stat.phase)
-                     if stat.phase in PHASE_ORDER else len(PHASE_ORDER))
-            return (-stat.p95_energy_delta, -stat.total_energy_delta,
-                    known, stat.phase)
-
-        return sorted(self.phases, key=order)
+        return sorted(self.phases, key=lambda stat: stat.energy_rank_key)
 
     def energy_regressions(
         self, min_delta: float = DELTA_EPS
@@ -585,14 +589,7 @@ def diff_traces(
         )
         stat.p95_energy_delta = p95(per_phase_energy.get(phase, []))
 
-    # Rank worst-first; protocol phase order breaks exact ties so the
-    # report (and its golden fixture) is fully deterministic.
-    def order(stat: PhaseDelta) -> Tuple[float, float, int, str]:
-        known = (PHASE_ORDER.index(stat.phase)
-                 if stat.phase in PHASE_ORDER else len(PHASE_ORDER))
-        return (-stat.p95_delta, -stat.total_delta, known, stat.phase)
-
-    ranked = sorted(phase_stats.values(), key=order)
+    ranked = sorted(phase_stats.values(), key=lambda stat: stat.rank_key)
 
     return TraceDiff(
         label_a=label_a,

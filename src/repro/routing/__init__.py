@@ -18,7 +18,7 @@ application (peer protocol) layer.
 from repro.routing.envelopes import FloodEnvelope, GeoEnvelope
 from repro.routing.flooding import Flooder
 from repro.routing.gpsr import GpsrRouter
-from repro.routing.planarization import gabriel_neighbors, relative_neighborhood
+from repro.routing.planarization import gabriel_neighbors
 from repro.routing.stack import NetworkStack
 
 __all__ = [
@@ -28,5 +28,4 @@ __all__ = [
     "GpsrRouter",
     "NetworkStack",
     "gabriel_neighbors",
-    "relative_neighborhood",
 ]

@@ -13,17 +13,16 @@ planarizations a node can compute from its one-hop neighbor positions:
 GG keeps more edges (RNG is a subgraph of GG), giving shorter perimeter
 detours; GPSR works with either.  The router planarizes with Gabriel,
 through :func:`repro.routing.gpsr.gabriel_planar`, a scalar loop on
-Python floats; :func:`gabriel_neighbors` is the reference it is tested
-against, operation for operation.
-
-Both filters here are vectorized over the candidate neighbor set.
+Python floats; :func:`gabriel_neighbors`, vectorized over the candidate
+neighbor set, is the reference it is tested against, operation for
+operation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gabriel_neighbors", "relative_neighborhood"]
+__all__ = ["gabriel_neighbors"]
 
 
 def gabriel_neighbors(
@@ -56,26 +55,4 @@ def gabriel_neighbors(
     inside = dist_sq < radii_sq[:, None] * (1.0 - 1e-12)
     np.fill_diagonal(inside, False)  # v itself is on the circle, not a witness
     keep = ~inside.any(axis=1)
-    return neighbor_ids[keep]
-
-
-def relative_neighborhood(
-    self_pos: np.ndarray, neighbor_pos: np.ndarray, neighbor_ids: np.ndarray
-) -> np.ndarray:
-    """Relative-neighborhood-graph filter of a node's one-hop neighbors.
-
-    Edge (u, v) survives iff no witness w has
-    ``max(|u-w|, |v-w|) < |u-v|``.
-    """
-    k = neighbor_ids.shape[0]
-    if k <= 1:
-        return neighbor_ids
-    self_pos = np.asarray(self_pos, dtype=float)
-    d_uv_sq = np.sum((neighbor_pos - self_pos) ** 2, axis=1)  # (K,)
-    d_uw_sq = d_uv_sq  # distances from u to each neighbor, reused as witnesses
-    diff = neighbor_pos[None, :, :] - neighbor_pos[:, None, :]  # (K, K, 2)
-    d_vw_sq = np.sum(diff * diff, axis=2)  # (K, K): [v, w]
-    worse = np.maximum(d_uw_sq[None, :], d_vw_sq) < d_uv_sq[:, None] * (1.0 - 1e-12)
-    np.fill_diagonal(worse, False)
-    keep = ~worse.any(axis=1)
     return neighbor_ids[keep]

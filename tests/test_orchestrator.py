@@ -17,6 +17,7 @@ from repro.config import SimulationConfig
 from repro.experiments.orchestrator import (
     InProcessRunner,
     JobSpec,
+    PoolRunner,
     RunGraph,
     commit_artifact,
     config_from_dict,
@@ -24,6 +25,7 @@ from repro.experiments.orchestrator import (
     execute_graph,
     execute_job,
     job_dir,
+    make_runner,
     replay_journal,
     run_graph,
     slugify,
@@ -50,10 +52,10 @@ MINI = SimulationConfig(
 TINY = "tests.orchestrator_entries:tiny_report"
 
 
-def tiny_graph(n=3, **kwargs):
+def tiny_graph(n=3):
     graph = RunGraph()
     for i in range(n):
-        graph.add(f"job-{i}", replace(MINI, seed=i + 1), entry=TINY, **kwargs)
+        graph.add(f"job-{i}", replace(MINI, seed=i + 1), entry=TINY)
     return graph
 
 
@@ -89,7 +91,7 @@ class TestSpec:
             config_from_dict(data)
 
     def test_spec_round_trip(self):
-        spec = JobSpec("a-1", MINI, after=("b",), timeout=5.0)
+        spec = JobSpec("a-1", MINI, entry=TINY)
         again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         assert spec_digest(again) == spec_digest(spec)
@@ -101,16 +103,15 @@ class TestSpec:
             JobSpec("-leading", MINI)
         with pytest.raises(ValueError):
             JobSpec("ok", MINI, entry="no.colon.here")
-        with pytest.raises(ValueError):
-            JobSpec("ok", MINI, timeout=0.0)
 
     def test_digest_covers_config_and_entry_only(self):
         spec = JobSpec("j", MINI)
         assert spec_digest(spec) == spec_digest(JobSpec("j", MINI))
-        # Scheduling knobs don't affect the result identity...
-        assert spec_digest(spec) == spec_digest(
-            JobSpec("j", MINI, after=("x",), timeout=9.0)
-        )
+        # Extra keys in a stored spec (older campaign directories carry
+        # "after" and "timeout") don't enter the digest...
+        assert spec_digest(spec) == spec_digest(JobSpec.from_dict(
+            {**spec.to_dict(), "after": ["x"], "timeout": 9.0}
+        ))
         # ...but the config and entry do.
         assert spec_digest(spec) != spec_digest(
             JobSpec("j", replace(MINI, seed=99))
@@ -136,27 +137,6 @@ class TestRunGraph:
         graph = tiny_graph(1)
         with pytest.raises(ValueError, match="duplicate"):
             graph.add("job-0", MINI)
-
-    def test_unknown_dependency_rejected(self):
-        graph = RunGraph()
-        graph.add("a", MINI, after=("ghost",))
-        with pytest.raises(ValueError, match="unknown job"):
-            graph.validate()
-
-    def test_cycle_rejected(self):
-        graph = RunGraph()
-        graph.add("a", MINI, after=("b",))
-        graph.add("b", MINI, after=("a",))
-        with pytest.raises(ValueError, match="cycle"):
-            graph.validate()
-
-    def test_toposort_waves(self):
-        graph = RunGraph()
-        graph.add("a", MINI)
-        graph.add("b", MINI, after=("a",))
-        graph.add("c", MINI, after=("a",))
-        graph.add("d", MINI, after=("b", "c"))
-        assert graph.toposort() == [["a"], ["b", "c"], ["d"]]
 
     def test_round_trip(self):
         graph = tiny_graph(2)
@@ -239,6 +219,19 @@ class TestArtifacts:
         check = verify_artifact(tmp_path, changed)
         assert check.status == "stale-spec"
 
+    def test_older_spec_json_keys_still_verify_and_reuse(self, tmp_path):
+        """Campaign directories whose spec.json carries ``"after": []``
+        and ``"timeout": null`` resume with the job reused."""
+        spec, _ = self.run_one(tmp_path)
+        spec_path = job_dir(tmp_path, "cell") / "spec.json"
+        stored = {**json.loads(spec_path.read_text()),
+                  "after": [], "timeout": None}
+        spec_path.write_text(json.dumps(stored, indent=2, sort_keys=True))
+        assert JobSpec.from_dict(stored) == spec
+        assert verify_artifact(tmp_path, spec).ok
+        summary = execute_graph(RunGraph([spec]), InProcessRunner(), tmp_path)
+        assert summary.statuses == {"cell": "reused"}
+
     def test_incomplete_result_detected(self, tmp_path):
         spec, _ = self.run_one(tmp_path)
         result_path = job_dir(tmp_path, "cell") / "result.json"
@@ -304,29 +297,6 @@ class TestExecuteGraph:
         assert state.event_count("start", "job-2") == 1
         assert state.event_count("stale", "job-1") == 1
 
-    def test_failed_dependency_blocks_dependents(self, tmp_path):
-        graph = RunGraph()
-        graph.add("bad", MINI, entry="tests.orchestrator_entries:raising_entry")
-        graph.add("child", MINI, entry=TINY, after=("bad",))
-        summary = execute_graph(graph, InProcessRunner(), tmp_path)
-        assert summary.statuses == {"bad": "failed", "child": "blocked"}
-        assert "intentional job failure" in summary.errors["bad"]
-        assert not summary.ok
-
-    def test_dependency_order_respected(self, tmp_path):
-        graph = RunGraph()
-        graph.add("parent", MINI, entry=TINY)
-        graph.add("child", MINI, entry=TINY, after=("parent",))
-        execute_graph(graph, InProcessRunner(), tmp_path)
-        state = replay_journal(tmp_path / "journal.jsonl")
-        order = [
-            (r["event"], r["job"]) for r in state.records if "job" in r
-        ]
-        assert order == [
-            ("start", "parent"), ("done", "parent"),
-            ("start", "child"), ("done", "child"),
-        ]
-
 
 class TestCampaignPersistence:
     """``run_graph`` with a root: what finished stays finished."""
@@ -368,15 +338,13 @@ class TestCampaignPersistence:
         under the root and a second call reuses them."""
         graph = self.graph(seeds=(1, 2))
         graph.add("bad", MINI, entry="tests.orchestrator_entries:raising_entry")
-        graph.add("child", MINI, entry=TINY, after=("bad",))
         for attempt in (1, 2):
             with pytest.raises(RuntimeError) as err:
                 run_graph(graph, root=tmp_path)
             message = str(err.value)
-            assert "2 job(s) failed" in message
+            assert "1 job(s) failed" in message
             assert "bad: failed" in message
             assert "intentional job failure" in message
-            assert "child: blocked" in message
             assert "seed-1" not in message and "seed-2" not in message
             for job in ("seed-1", "seed-2"):
                 assert verify_artifact(tmp_path, graph[job]).ok
@@ -398,7 +366,7 @@ class TestCampaignCli:
         root = str(tmp_path / "camp")
         code = self.run_cli(
             "campaign", "run", root, "--seeds", "1",
-            "--runner", "inprocess", "--max-jobs", "2",
+            "--processes", "1", "--max-jobs", "2",
         )
         assert code == 3  # interrupted: jobs remain
 
@@ -407,7 +375,7 @@ class TestCampaignCli:
         assert "2/4 job(s) verified complete" in out
 
         assert self.run_cli(
-            "campaign", "resume", root, "--runner", "inprocess"
+            "campaign", "resume", root, "--processes", "1"
         ) == 0
         assert self.run_cli("campaign", "verify", root, "--strict") == 0
         out = capsys.readouterr().out
@@ -417,7 +385,7 @@ class TestCampaignCli:
         root = tmp_path / "camp"
         assert self.run_cli(
             "campaign", "run", str(root), "--seeds", "1",
-            "--runner", "inprocess",
+            "--processes", "1",
         ) == 0
         [report_path] = list(root.glob("jobs/0.02_gd-ld_s1/report.json"))
         data = json.loads(report_path.read_text())
@@ -430,7 +398,7 @@ class TestCampaignCli:
 
         # Resume re-runs exactly the tampered job, then verify is clean.
         assert self.run_cli(
-            "campaign", "resume", str(root), "--runner", "inprocess"
+            "campaign", "resume", str(root), "--processes", "1"
         ) == 0
         assert self.run_cli("campaign", "verify", str(root), "--strict") == 0
         state = replay_journal(root / "journal.jsonl")
@@ -440,7 +408,7 @@ class TestCampaignCli:
     def test_run_refuses_mismatched_definition(self, tmp_path, capsys):
         root = str(tmp_path / "camp")
         assert self.run_cli(
-            "campaign", "run", root, "--seeds", "1", "--runner", "inprocess",
+            "campaign", "run", root, "--seeds", "1", "--processes", "1",
         ) == 0
         assert self.run_cli(
             "campaign", "run", root, "--preset", "consistency",
@@ -451,14 +419,14 @@ class TestCampaignCli:
     def test_bad_run_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         root = tmp_path / "camp"
         for bad in (["--seeds", "1", "1"],
-                    ["--seeds", "1", "--runner", "pool", "--processes", "0"]):
+                    ["--seeds", "1", "--processes", "0"]):
             assert self.run_cli("campaign", "run", str(root), *bad) == 2
             assert "error:" in capsys.readouterr().err
             assert not root.exists()
         # The directory stays usable: a good run starts it afresh.
         assert self.run_cli(
             "campaign", "run", str(root), "--seeds", "1",
-            "--runner", "inprocess",
+            "--processes", "1",
         ) == 0
         assert self.run_cli(
             "campaign", "resume", str(root), "--processes", "0",
@@ -470,6 +438,102 @@ class TestCampaignCli:
         for sub in ("status", "verify", "resume"):
             assert self.run_cli("campaign", sub, str(tmp_path)) == 2
         assert "no campaign.json" in capsys.readouterr().err
+
+    def exit_code(self, *argv):
+        """The exit status, whether ``main`` returns it or argparse
+        raises it."""
+        try:
+            return self.run_cli(*argv)
+        except SystemExit as exc:
+            return exc.code
+
+    def test_run_rejects_negative_max_jobs_before_writing(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "camp"
+        assert self.exit_code(
+            "campaign", "run", str(root), "--seeds", "1", "--processes", "1",
+            "--max-jobs", "-1",
+        ) == 2
+        assert "error: --max-jobs must be >= 0" in capsys.readouterr().err
+        assert not (root / "campaign.json").exists()
+
+    def test_resume_rejects_negative_max_jobs(self, tmp_path, capsys):
+        root = tmp_path / "camp"
+        assert self.run_cli(
+            "campaign", "run", str(root), "--seeds", "1", "--processes", "1",
+            "--max-jobs", "0",
+        ) == 3
+        assert self.exit_code(
+            "campaign", "resume", str(root), "--max-jobs", "-1",
+        ) == 2
+        assert "error: --max-jobs must be >= 0" in capsys.readouterr().err
+        assert replay_journal(root / "journal.jsonl").event_count("start") == 0
+
+    @pytest.mark.parametrize("runner_flags", [
+        ["--processes", "1", "--timeout", "0"],
+        ["--processes", "1", "--timeout", "-5"],
+        # The spelling that once ran in-process, ignoring the timeout.
+        ["--runner", "inprocess", "--timeout", "0"],
+    ])
+    def test_bad_timeout_rejected_before_anything_is_written(
+        self, tmp_path, capsys, runner_flags
+    ):
+        root = tmp_path / "camp"
+        assert self.exit_code(
+            "campaign", "run", str(root), "--seeds", "1", *runner_flags,
+        ) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (root / "campaign.json").exists()
+
+    @pytest.mark.parametrize("processes", ["0", "-3"])
+    def test_fig_rejects_bad_processes_before_simulating(
+        self, monkeypatch, capsys, processes
+    ):
+        def must_not_run(**kwargs):
+            raise AssertionError("a simulation ran on bad input")
+
+        monkeypatch.setattr("repro.cli.run_fig9b", must_not_run)
+        assert self.run_cli("fig", "9b", "--quick", "--processes",
+                            processes) == 2
+        assert "error: processes must be >= 1" in capsys.readouterr().err
+
+
+class TestCampaignsAreFlatLists:
+    """Ratchet: no job dependencies, no per-job timeouts, one runner
+    choice from ``--processes``."""
+
+    def test_jobspec_pool_runner_and_cli_surface(self):
+        from inspect import signature
+
+        from repro.cli import build_parser
+
+        assert [f.name for f in fields(JobSpec)] == ["job_id", "config",
+                                                     "entry"]
+        assert list(signature(PoolRunner.__init__).parameters) == [
+            "self", "processes", "timeout",
+        ]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["campaign", "run", "x", "--runner", "pool"]
+            )
+
+    def test_make_runner_rule(self):
+        assert isinstance(make_runner(1), InProcessRunner)
+        assert isinstance(make_runner(1, 5.0), PoolRunner)
+        assert make_runner(1, 5.0).timeout == 5.0
+        assert make_runner(3).processes == 3
+        assert isinstance(make_runner(None), PoolRunner)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="processes must be >= 1"):
+                make_runner(bad)
+        for bad in (0.0, -5.0):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                make_runner(1, bad)
+
+    def test_run_graph_rejects_bad_processes(self):
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            run_graph(tiny_graph(1), processes=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Crash containment for PoolRunner (satellite: hostile worker suite).
+"""Crash containment for PoolRunner (hostile worker suite).
 
 The pool must treat each worker failure class — an exception, a
-SIGKILLed worker, a job overrunning its timeout — as *that job's*
-failure: the pool keeps serving every other job, and a later resume
+SIGKILLed worker, a job overrunning the pool's timeout — as *that
+job's* failure: the pool keeps serving every other job, and a later resume
 pass retries exactly the failed ones.
 """
 
@@ -37,18 +37,16 @@ FAILURE_MODES = {
 }
 
 
-def pool(**kwargs):
-    kwargs.setdefault("processes", 2)
-    kwargs.setdefault("poll_interval", 0.01)
-    kwargs.setdefault("term_grace", 2.0)
-    return PoolRunner(**kwargs)
+def pool(processes=2, timeout=1.0):
+    """A pool whose runner-wide timeout catches the hung entries."""
+    return PoolRunner(processes, timeout)
 
 
-def hostile_graph(entry, timeout=None):
+def hostile_graph(entry):
     """Two healthy jobs sandwiching one hostile job."""
     graph = RunGraph()
     graph.add("ok-1", replace(MINI, seed=1), entry=f"{ENTRIES}:tiny_report")
-    graph.add("bad", replace(MINI, seed=2), entry=entry, timeout=timeout)
+    graph.add("bad", replace(MINI, seed=2), entry=entry)
     graph.add("ok-2", replace(MINI, seed=3), entry=f"{ENTRIES}:tiny_report")
     return graph
 
@@ -56,8 +54,7 @@ def hostile_graph(entry, timeout=None):
 @pytest.mark.parametrize("mode", sorted(FAILURE_MODES))
 def test_failure_contained_to_one_job(tmp_path, mode):
     entry, expected_status, _ = FAILURE_MODES[mode]
-    graph = hostile_graph(entry, timeout=1.0 if mode == "timeout" else None)
-    summary = execute_graph(graph, pool(), tmp_path)
+    summary = execute_graph(hostile_graph(entry), pool(), tmp_path)
 
     assert summary.statuses["bad"] == expected_status
     assert summary.statuses["ok-1"] == "done"
@@ -68,9 +65,7 @@ def test_failure_contained_to_one_job(tmp_path, mode):
 @pytest.mark.parametrize("mode", sorted(FAILURE_MODES))
 def test_failed_job_retried_on_resume(tmp_path, mode):
     _, expected_status, flaky_entry = FAILURE_MODES[mode]
-    graph = hostile_graph(
-        flaky_entry, timeout=1.0 if mode == "timeout" else None
-    )
+    graph = hostile_graph(flaky_entry)
     first = execute_graph(graph, pool(), tmp_path)
     assert first.statuses["bad"] == expected_status
     assert first.n_done == 2
@@ -94,7 +89,7 @@ def test_all_three_failure_classes_in_one_pool(tmp_path):
     graph.add("dies", replace(MINI, seed=3),
               entry=FAILURE_MODES["sigkill"][0])
     graph.add("hangs", replace(MINI, seed=4),
-              entry=FAILURE_MODES["timeout"][0], timeout=1.0)
+              entry=FAILURE_MODES["timeout"][0])
     summary = execute_graph(graph, pool(processes=4), tmp_path)
     assert summary.statuses == {
         "ok": "done",
@@ -108,24 +103,15 @@ def test_pool_default_timeout_applies(tmp_path):
     graph = RunGraph()
     graph.add("hangs", replace(MINI, seed=1),
               entry=FAILURE_MODES["timeout"][0])
-    summary = execute_graph(graph, pool(timeout=1.0), tmp_path)
+    summary = execute_graph(graph, pool(), tmp_path)
     assert summary.statuses == {"hangs": "timeout"}
     assert "timeout of 1" in summary.errors["hangs"]
-
-
-def test_spec_timeout_overrides_pool_default(tmp_path):
-    graph = RunGraph()
-    # Pool default would kill it instantly; the spec's cap is roomy.
-    graph.add("slowish", replace(MINI, seed=1),
-              entry=f"{ENTRIES}:tiny_report", timeout=30.0)
-    summary = execute_graph(graph, pool(timeout=0.000001), tmp_path)
-    assert summary.statuses == {"slowish": "done"}
 
 
 def test_pool_runs_real_simulations(tmp_path):
     """End-to-end: actual PReCinCt cells through the pool runner."""
     graph = RunGraph.grid(MINI, seed=[1, 2])
-    summary = execute_graph(graph, pool(), tmp_path)
+    summary = execute_graph(graph, pool(timeout=None), tmp_path)
     assert summary.ok and summary.n_done == 2
     for report in summary.reports.values():
         assert report.requests_issued > 0

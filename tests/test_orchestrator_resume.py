@@ -24,11 +24,11 @@ from repro.faults.audit import report_digest
 
 from repro.experiments.orchestrator import (
     InProcessRunner,
-    PoolRunner,
     RunGraph,
     definition_graph,
     execute_graph,
     load_definition,
+    make_runner,
     replay_journal,
 )
 
@@ -51,10 +51,8 @@ def dyadic_graph():
     )
 
 
-def make_runner(kind):
-    if kind == "inprocess":
-        return InProcessRunner()
-    return PoolRunner(processes=2, poll_interval=0.01)
+def runner_of(kind):
+    return make_runner(1 if kind == "inprocess" else 2)
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +76,12 @@ def test_resume_equals_fresh(tmp_path_factory, fresh_baseline,
     graph = dyadic_graph()
 
     first = execute_graph(
-        graph, make_runner(runner_kind), root, max_jobs=interrupt_at
+        graph, runner_of(runner_kind), root, max_jobs=interrupt_at
     )
     assert first.interrupted == (interrupt_at < N_JOBS)
     assert first.n_done == interrupt_at
 
-    resumed = execute_graph(graph, make_runner(runner_kind), root)
+    resumed = execute_graph(graph, runner_of(runner_kind), root)
     assert resumed.ok
     # Identical digests and identical report set (NaN-safe: reports
     # are compared through their content digests, not float ==).
@@ -128,8 +126,7 @@ def test_sigkilled_campaign_resumes_bit_identical(tmp_path):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "run",
-         str(killed_root), "--seeds", "1", "--runner", "pool",
-         "--processes", "2"],
+         str(killed_root), "--seeds", "1", "--processes", "2"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     # Let it get some (usually not all) jobs committed, then kill -9.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.routing import gabriel_neighbors, relative_neighborhood
+from repro.routing import gabriel_neighbors
 
 
 def gg_brute(self_pos, neighbor_pos, neighbor_ids):
@@ -56,28 +56,3 @@ class TestGabriel:
         kept = set(gabriel_neighbors(self_pos, neighbor_pos, ids).tolist())
         assert kept == {0, 1, 2, 3}
 
-
-class TestRNG:
-    def test_rng_subset_of_gabriel(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            k = int(rng.integers(2, 12))
-            self_pos = np.zeros(2)
-            neighbor_pos = rng.uniform(-100, 100, (k, 2))
-            ids = np.arange(k)
-            gg = set(gabriel_neighbors(self_pos, neighbor_pos, ids).tolist())
-            rn = set(relative_neighborhood(self_pos, neighbor_pos, ids).tolist())
-            assert rn <= gg
-
-    def test_lune_witness_removes_edge(self):
-        # w is close to both u and v: RNG removes (u, v).
-        self_pos = np.zeros(2)
-        neighbor_pos = np.array([[100.0, 0.0], [50.0, 10.0]])
-        ids = np.array([0, 1])
-        kept = set(relative_neighborhood(self_pos, neighbor_pos, ids).tolist())
-        assert kept == {1}
-
-    def test_single_neighbor_kept(self):
-        ids = np.array([3])
-        out = relative_neighborhood(np.zeros(2), np.array([[5.0, 5.0]]), ids)
-        assert out.tolist() == [3]
