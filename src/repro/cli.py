@@ -483,7 +483,11 @@ def _resilience_overrides(args: argparse.Namespace) -> dict:
     if args.retries is not None:
         out["resilience_retries"] = args.retries
     if args.deadline is not None:
-        out["request_deadline"] = args.deadline if args.deadline > 0 else None
+        if not args.deadline >= 0:
+            raise ValueError(
+                f"--deadline must be >= 0 (0 disables deadlines), got {args.deadline}"
+            )
+        out["request_deadline"] = args.deadline or None
     return out
 
 
@@ -515,6 +519,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "watch_interval": args.watch_interval,
     }
     try:
+        if args.slowest is not None and args.slowest < 0:
+            raise ValueError(f"--slowest must be >= 0, got {args.slowest}")
         cfg = _run_config(args)
         observers = Observers(
             tracing=tracing,
@@ -588,7 +594,7 @@ def _run_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig(
         n_nodes=args.nodes,
         n_regions=args.regions,
-        max_speed=args.speed if args.speed > 0 else None,
+        max_speed=args.speed or None,  # 0 = static
         mobility_model=args.mobility,
         cache_fraction=args.cache,
         replacement_policy=args.policy,

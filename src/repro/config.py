@@ -14,6 +14,7 @@ Experiments construct variations with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -225,6 +226,13 @@ class SimulationConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        # A negative or NaN speed fails every "> 0" test downstream and
+        # would silently run a static topology.
+        if self.max_speed is not None and not 0.0 <= self.max_speed < math.inf:
+            raise ValueError(
+                f"max_speed must be a finite speed >= 0 (0 or None selects a "
+                f"stationary topology), got {self.max_speed}"
+            )
         if self.warmup >= self.duration:
             raise ValueError(
                 f"warmup ({self.warmup}) must be shorter than duration ({self.duration})"

@@ -23,7 +23,7 @@ This is the main entry point of the library::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.core.messages import (
     UpdatePush,
 )
 from repro.core.peer import PHASE_HOME, PHASE_LOCAL, PHASE_POLL, PHASE_REPLICA, Peer
-from repro.core.regions import RegionTable
+from repro.core.regions import Region, RegionTable
 from repro.core.replacement import (
     GDLDPolicy,
     GDSizePolicy,
@@ -191,6 +191,13 @@ class PReCinCtNetwork:
             # regions.  (Under mobility nodes re-enter empty territory,
             # so the table keeps all regions there.)
             self._drop_empty_regions()
+        #: ``(home, replica)`` region pair of every key, indexed by key:
+        #: ``geohash.home_and_replica`` on the table, which is final from
+        #: here on (§2.2, §2.4).
+        self.key_regions: List[Tuple[Region, Region]] = [
+            self.geohash.home_and_replica(key, self.table)
+            for key in range(len(self.db))
+        ]
         self._assign_custodians()
         for item in self.db.items:
             item.ttr = self.scheme.initial_ttr(item)
@@ -402,9 +409,8 @@ class PReCinCtNetwork:
         closest to the key's hashed location within the home (replica)
         region (§2.2, §2.4)."""
         positions = self.network.positions()
-        for key in range(len(self.db)):
+        for key, (home, replica) in enumerate(self.key_regions):
             location = self.geohash.location_of(key)
-            home, replica = self.geohash.home_and_replica(key, self.table)
             targets = [home.region_id]
             if self.cfg.enable_replication and replica.region_id != home.region_id:
                 targets.append(replica.region_id)
@@ -560,7 +566,7 @@ class PReCinCtNetwork:
         """The Push phase (Fig. 2): deliver an update to the home and
         replica regions of ``key``."""
         item = self.db[key]
-        home, replica = self.geohash.home_and_replica(key, self.table)
+        home, replica = self.key_regions[key]
         targets = [home]
         if self.cfg.enable_replication and replica.region_id != home.region_id:
             targets.append(replica)

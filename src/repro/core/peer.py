@@ -330,7 +330,7 @@ class Peer:
             pending = PendingRequest(request_id, key, now, PHASE_HOME, size,
                                      trace=trace)
             self._register(pending, self._cfg.home_timeout)
-        home = self.host.geohash.home_region(key, self.host.table)
+        home = self.host.key_regions[key][0]
         pending = self.pending.get(request_id)
         if pending is not None and pending.trace is not None:
             self.host.tracer.point(
@@ -408,7 +408,7 @@ class Peer:
             self._fail(pending)
             return
         self._retarget(pending, PHASE_REPLICA, self._cfg.replica_timeout)
-        replica = self.host.geohash.replica_region(pending.key, self.host.table)
+        replica = self.host.key_regions[pending.key][1]
         if pending.trace is not None:
             self.host.tracer.point(
                 pending.trace, "failover.replica", peer=self.id,
@@ -422,9 +422,7 @@ class Peer:
     def _send_replica(self, pending: PendingRequest, replica=None) -> None:
         """(Re-)send the replica-phase request (first shot or retry)."""
         if replica is None:
-            replica = self.host.geohash.replica_region(
-                pending.key, self.host.table
-            )
+            replica = self.host.key_regions[pending.key][1]
         msg = HomeRequest(
             pending.request_id,
             self.id,
@@ -531,7 +529,7 @@ class Peer:
         now = self._sim.now
         res = self.host.resilience
         if phase == PHASE_HOME and res is not None and not pending.prefetch:
-            home = self.host.geohash.home_region(pending.key, self.host.table)
+            home = self.host.key_regions[pending.key][0]
             if home.region_id != self.current_region_id:
                 # One liveness datapoint for the failure detector.  A
                 # timed-out probe is the breaker's recovery verdict.
@@ -568,7 +566,7 @@ class Peer:
         now = self._sim.now
         res = self.host.resilience
         if res is not None and pending.phase == PHASE_HOME:
-            home = self.host.geohash.home_region(msg.key, self.host.table)
+            home = self.host.key_regions[msg.key][0]
             if (
                 msg.responder_region_id == home.region_id
                 and home.region_id != self.current_region_id
@@ -596,9 +594,7 @@ class Peer:
                 # A same-region peer intercepted the geo-routed request.
                 serve_class = "regional"
             else:
-                home, replica = self.host.geohash.home_and_replica(
-                    msg.key, self.host.table
-                )
+                home, replica = self.host.key_regions[msg.key]
                 target = home if pending.phase == PHASE_HOME else replica
                 if msg.responder_region_id != target.region_id:
                     # Served by an en-route cache on the GPSR path (§3.1).
@@ -685,9 +681,7 @@ class Peer:
         self._send_poll(pending)
 
     def _send_poll(self, pending: PendingRequest) -> None:
-        home, replica = self.host.geohash.home_and_replica(
-            pending.key, self.host.table
-        )
+        home, replica = self.host.key_regions[pending.key]
         # First attempt polls the home region; the retry polls the
         # replica region (§2.4 failover applies to all traffic classes).
         target = home if pending.poll_retries == 0 else replica
@@ -767,9 +761,7 @@ class Peer:
         if pending.poll_retries == 0 and self._cfg.enable_replication:
             pending.poll_retries = 1
             if pending.trace is not None:
-                replica = self.host.geohash.replica_region(
-                    pending.key, self.host.table
-                )
+                replica = self.host.key_regions[pending.key][1]
                 self.host.tracer.point(
                     pending.trace, "failover.replica", peer=self.id,
                     region=replica.region_id, poll=True,
@@ -936,7 +928,7 @@ class Peer:
         """Apply an arriving push (custodians and caching peers)."""
         item = self.host.db[msg.key]
         if msg.key in self.static_keys:
-            home = self.host.geohash.home_region(msg.key, self.host.table)
+            home = self.host.key_regions[msg.key][0]
             if home.region_id == self.current_region_id:
                 # Only the home custodian maintains the TTR estimate;
                 # the replica custodian stores the value but does not
@@ -988,7 +980,7 @@ class Peer:
             )
             return
         if arrived_by_geo:
-            home = self.host.geohash.home_region(msg.key, self.host.table)
+            home = self.host.key_regions[msg.key][0]
             tracer = self.host.tracer
             if tracer is not None:
                 tracer.point_by_request(

@@ -115,6 +115,8 @@ class EnergyLedger:
         self.observer = None
         # size -> (bcast_send, bcast_recv) cost, for charge_broadcast.
         self._bcast_costs: Dict[float, tuple] = {}
+        # size -> (p2p_send, discard, p2p_recv) cost, for charge_unicast.
+        self._p2p_costs: Dict[float, tuple] = {}
 
     # -- charging --------------------------------------------------------
 
@@ -166,6 +168,46 @@ class EnergyLedger:
             total = recv * len(receivers)
             if total != 0.0:
                 observer.on_charge("bcast_recv", total)
+
+    def charge_unicast(
+        self, src: int, dst: int, neighbors: Sequence[int], size: float
+    ) -> bool:
+        """Book one point-to-point transmission in one call.
+
+        :meth:`charge_p2p_send` at ``src``, then :meth:`charge_discard`
+        over every neighbor other than ``dst`` (in list order), then
+        :meth:`charge_p2p_recv` at ``dst`` only if ``dst`` is among the
+        neighbors — the same debits and observer notifications as those
+        three calls.  Returns whether ``dst`` is among the neighbors.
+        """
+        costs = self._p2p_costs.get(size)
+        if costs is None:
+            params = self.params
+            costs = self._p2p_costs[size] = (
+                params.p2p_send(size), params.discard(size), params.p2p_recv(size)
+            )
+        send, discard, recv = costs
+        self._by_category["p2p_send"][src] += send
+        ledger = self._by_category["discard"]
+        overheard = 0
+        for node in neighbors:
+            if node != dst:
+                ledger[node] += discard
+                overheard += 1
+        reached = overheard != len(neighbors)
+        if reached:
+            self._by_category["p2p_recv"][dst] += recv
+        observer = self.observer
+        if observer is not None:
+            if send != 0.0:
+                observer.on_charge("p2p_send", send)
+            if overheard:
+                total = discard * overheard
+                if total != 0.0:
+                    observer.on_charge("discard", total)
+            if reached and recv != 0.0:
+                observer.on_charge("p2p_recv", recv)
+        return reached
 
     def charge_discard(self, nodes: Sequence[int], size: float) -> float:
         """Charge overhearing nodes for a p2p message not addressed to them."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class WirelessNetwork:
         self._polygon_testers: dict = {}
         # (kind, category) -> cached Counter triple; see _new_sent_counters.
         self._sent_counters: dict = {}
+        # The "net.delivered" Counter, cached on the first delivery.
+        self._delivered = None
         self._refresh_positions(force=True)
 
     # -- wiring ----------------------------------------------------------
@@ -190,16 +192,6 @@ class WirelessNetwork:
         self._grid.rebuild(positions, self.alive)
         self._last_sample_time = self.sim.now
 
-    @property
-    def topology_generation(self) -> int:
-        """Monotone counter bumped on every spatial-index rebuild.
-
-        Query results (neighbor sets, positions, planarizations) are
-        pure functions of (generation, node); routing layers key their
-        per-topology caches on this.
-        """
-        return self._grid.generation
-
     def node_in_polygon(self, node_id: int, polygon) -> bool:
         """Is ``node_id`` (at its sampled position) inside ``polygon``?
 
@@ -227,7 +219,8 @@ class WirelessNetwork:
         Returns ``None`` for an unhashable polygon — callers then fall
         back to the scalar :func:`~repro.geom.point_in_polygon` test.
         """
-        self._refresh_positions()
+        if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
+            self._refresh_positions()
         gen = self._grid.generation
         if gen != self._polygon_cache_gen:
             self._unswept = list(self._polygon_cache)
@@ -336,6 +329,27 @@ class WirelessNetwork:
         self._refresh_positions()
         return self._grid.neighbors_of(node_id, self.radio.range_m)
 
+    def neighborhood(self, node_id: int) -> Tuple[List[int], Point, int]:
+        """``(neighbors_of(node_id), position_of(node_id), generation)``
+        after one staleness test.
+
+        A routing decision's whole read of the radio, taken from the
+        grid's memos directly on a hit.  The list is the memo's: callers
+        must not mutate it.  The generation is the spatial index's
+        monotone rebuild counter: query results (neighbor sets,
+        positions, planarizations) are pure functions of (generation,
+        node), so routing layers key their per-topology caches on it.
+        """
+        if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
+            self._refresh_positions()
+        grid = self._grid
+        neighbors = grid._neighbor_cache.get(node_id)
+        if neighbors is None:
+            neighbors = grid.neighbors_of(node_id, self.radio.range_m)
+        points = grid._points
+        here = points[node_id] if points is not None else grid.position_of(node_id)
+        return neighbors, here, grid.generation
+
     def nodes_near(self, point: Point) -> np.ndarray:
         """Live nodes within radio range of an arbitrary point."""
         self._refresh_positions()
@@ -399,7 +413,8 @@ class WirelessNetwork:
         flood — therefore queues, as on a real shared medium.
         """
         now = self.sim.now
-        start = max(now, self._busy_until[src])
+        busy = self._busy_until[src]
+        start = busy if busy > now else now  # max(now, busy)
         # The "mac" stream feeds nothing else, so its draws are fetched a
         # block at a time: ``rng.random(n)`` yields the same doubles as n
         # calls of ``rng.random()``, and scaling them elementwise gives
@@ -408,7 +423,10 @@ class WirelessNetwork:
         if not jitters:
             block = self.rng.random(_JITTER_BLOCK) * self.radio.max_jitter_s
             jitters = self._jitters = block[::-1].tolist()
-        end = start + self.radio.tx_delay(size_bytes) + jitters.pop()
+        radio = self.radio
+        # radio.tx_delay(size_bytes), inline (same float operations).
+        tx_delay = 8.0 * size_bytes / radio.bandwidth_bps + radio.mac_overhead_s
+        end = start + tx_delay + jitters.pop()
         self._busy_until[src] = end
         return end - now
 
@@ -497,6 +515,43 @@ class WirelessNetwork:
         as the aggregate.  Injected drops are silent — the method still
         returns True, and the loss surfaces as an upper-layer timeout.
         """
+        if self._dead or self._fault_filter is not None:
+            return self._unicast_checked(src, dst, packet)
+        # neighbors_of(src), reading the grid's memo directly on a hit.
+        if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
+            self._refresh_positions()
+        neighbors = self._grid._neighbor_cache.get(src)
+        if neighbors is None:
+            neighbors = self._grid.neighbors_of(src, self.radio.range_m)
+        size = packet.size_bytes
+        energy = self.energy
+        attributor = energy.observer
+        if attributor is None:
+            reached = energy.charge_unicast(src, dst, neighbors, size)
+        else:
+            attributor.open(packet, sender=src)
+            try:
+                reached = energy.charge_unicast(src, dst, neighbors, size)
+            finally:
+                attributor.close()
+        category = packet.category
+        c_kind, c_bytes, c_cat = self._sent_counters.get(
+            ("net.unicast_sent", category)
+        ) or self._new_sent_counters("net.unicast_sent", category)
+        c_kind.value += 1.0
+        c_bytes.value += size
+        c_cat.value += 1.0
+        if not reached:
+            self.stats.count("net.unicast_dropped")
+            self.stats.count("net.unicast_dropped.out_of_range")
+            return False
+        self.sim.schedule(self._hop_delay(src, size), self._deliver, dst, packet)
+        return True
+
+    def _unicast_checked(self, src: int, dst: int, packet: Packet) -> bool:
+        """:meth:`unicast` while a node is dead or a fault filter is
+        installed: the liveness tests and per-delivery filtering, with
+        one ledger call per traffic class."""
         if self._dead and not self.alive[src]:
             return False
         energy = self.energy
@@ -513,12 +568,7 @@ class WirelessNetwork:
             c_kind.value += 1.0
             c_bytes.value += size
             c_cat.value += 1.0
-            # neighbors_of(src), reading the grid's memo directly on a hit.
-            if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
-                self._refresh_positions()
-            neighbors = self._grid._neighbor_cache.get(src)
-            if neighbors is None:
-                neighbors = self._grid.neighbors_of(src, self.radio.range_m)
+            neighbors = self.neighbors_of(src)
             overhearers = [node for node in neighbors if node != dst]
             energy.charge_discard(overhearers, size)
             if self._dead and not self.alive[dst]:
@@ -563,10 +613,18 @@ class WirelessNetwork:
             return None
         return list(plan)
 
+    def _delivered_counter(self):
+        """The ``net.delivered`` Counter, created on the first delivery
+        (as ``stats.count`` would) and bumped in place from then on."""
+        counter = self._delivered
+        if counter is None:
+            counter = self._delivered = self.stats.counter("net.delivered")
+        return counter
+
     def _deliver(self, node_id: int, packet: Packet) -> None:
         if self._dead and not self.alive[node_id]:
             return  # died in flight
-        self.stats.count("net.delivered")
+        (self._delivered or self._delivered_counter()).value += 1.0
         if self._receive_handler is not None:
             self._receive_handler(node_id, packet)
 
@@ -589,7 +647,7 @@ class WirelessNetwork:
             receivers = [node for node in receivers if alive[node]]
             if not receivers:
                 return
-        self.stats.count("net.delivered", len(receivers))
+        (self._delivered or self._delivered_counter()).value += len(receivers)
         batch_handler = self._batch_receive_handler
         if batch_handler is not None and batch_handler(receivers, packet):
             return

@@ -62,6 +62,10 @@ class GpsrRouter:
         self._angle_cache: dict = {}
         self._nbr_pos_cache: dict = {}
         self._cache_generation = -1
+        # The "gpsr.hops" Counter, bumped in place from the first hop on
+        # (when stats.count would create it); StatRegistry.reset zeroes
+        # it in place, so the reference survives the warm-up reset.
+        self._hops = None
         #: Optional ``callback(src, dst, packet)`` fired on every hop
         #: decision — the tracer's ``gpsr.hop`` span hook.
         self.on_hop = None
@@ -92,43 +96,37 @@ class GpsrRouter:
         """Has the packet reached its routing destination at ``node_id``?"""
         if envelope.dest_node is not None:
             return node_id == envelope.dest_node
-        if envelope.region is not None:
-            return self.network.node_in_polygon(node_id, envelope.region)
+        region = envelope.region
+        if region is not None:
+            members = self.network.polygon_members(region)
+            if members is None:  # unhashable region: scalar test
+                return self.network.node_in_polygon(node_id, region)
+            return members[node_id]
         pos = self.network.position_of(node_id)
         return distance(pos, envelope.dest_point) <= envelope.arrival_radius
-
-    def handle(self, node_id: int, packet: Packet, arrived: bool) -> None:
-        """Process a geo-routed packet at a receiving node.
-
-        ``arrived`` is the caller's :meth:`arrived` verdict for this
-        reception (a pure function of topology generation, node and
-        envelope, so it is computed once).  An arrived packet is left
-        for the caller to deliver; otherwise it is forwarded (or
-        dropped).
-        """
-        packet.payload.path.append(node_id)
-        if not arrived:
-            self._forward(node_id, packet)
 
     # -- forwarding machinery ----------------------------------------------
 
     def _forward(self, node_id: int, packet: Packet) -> None:
+        """Take the forwarding decision for ``packet`` at ``node_id``
+        (whose path already ends at ``node_id``): transmit it one hop,
+        or drop it."""
         envelope: GeoEnvelope = packet.payload
         if envelope.hops_remaining <= 0:
             self._drop(node_id, packet, "hop_budget")
             return
         envelope.hops_remaining -= 1
 
-        neighbors = self.network.neighbors_of(node_id)
+        neighbors, here, generation = self.network.neighborhood(node_id)
         if not neighbors:
             self._drop(node_id, packet, "isolated")
             return
-
-        here = self.network.position_of(node_id)
+        if generation != self._cache_generation:
+            # The topology advanced: drop the per-generation memos.
+            self._cache_generation = generation
+            self._angle_cache.clear()
+            self._nbr_pos_cache.clear()
         dest = envelope.dest_point
-        # neighbors_of() above already refreshed the spatial index, so
-        # the generation is stable for the rest of this decision.
-        self._sync_caches()
 
         if envelope.mode == PERIMETER:
             # Escape back to greedy as soon as we beat the entry point.
@@ -161,14 +159,6 @@ class GpsrRouter:
             self._drop(node_id, packet, "unreachable")
             return
         self._transmit(node_id, next_hop, packet, reset_prev=False)
-
-    def _sync_caches(self) -> None:
-        """Reset per-generation memos when the topology advanced."""
-        generation = self.network.topology_generation
-        if generation != self._cache_generation:
-            self._cache_generation = generation
-            self._angle_cache.clear()
-            self._nbr_pos_cache.clear()
 
     def _greedy_next(
         self, node_id: int, here, dest, neighbors: List[int]
@@ -220,11 +210,16 @@ class GpsrRouter:
         if not planar_ids:
             return None
         # Reference direction: the edge we arrived on, or towards the
-        # destination when entering perimeter mode.
-        if envelope.prev_node is not None:
-            ref = angle_of(here, self.network.position_of(envelope.prev_node))
-        else:
+        # destination when entering perimeter mode.  The arrival edge is
+        # almost always planar here too (the Gabriel test is symmetric),
+        # and then its angle is already in the memo.
+        prev = envelope.prev_node
+        if prev is None:
             ref = angle_of(here, envelope.dest_point)
+        elif prev in planar_ids:
+            ref = angles[planar_ids.index(prev)]
+        else:
+            ref = angle_of(here, self.network.position_of(prev))
         best_id: Optional[int] = None
         best_angle = math.inf
         two_pi = 2.0 * math.pi
@@ -235,15 +230,16 @@ class GpsrRouter:
             if ccw < best_angle:
                 best_angle = ccw
                 best_id = nid
-        if best_id is None and planar_ids:
-            best_id = planar_ids[0]
         return best_id
 
     def _transmit(self, src: int, dst: int, packet: Packet, reset_prev: bool) -> None:
         envelope: GeoEnvelope = packet.payload
         envelope.prev_node = None if reset_prev else src
         hop = packet.next_hop_copy(src=src, dst=dst)
-        self.stats.count("gpsr.hops")
+        hops = self._hops
+        if hops is None:
+            hops = self._hops = self.stats.counter("gpsr.hops")
+        hops.value += 1.0
         if self.on_hop is not None:
             self.on_hop(src, dst, packet)
         if not self.network.unicast(src, dst, hop):

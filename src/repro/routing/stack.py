@@ -4,8 +4,9 @@ The :class:`~repro.net.network.WirelessNetwork` delivers every received
 packet to one handler.  :class:`NetworkStack` owns that handler and
 dispatches on envelope type:
 
-* :class:`GeoEnvelope` — handed to the GPSR router; if the router reports
-  arrival, the inner payload goes up to the application handler.
+* :class:`GeoEnvelope` — if the GPSR router reports arrival, the inner
+  payload goes up to the application handler; otherwise (unless the
+  application intercepts it) the router forwards it.
 * :class:`FloodEnvelope` — handed to the flooder; first reception at each
   in-scope node goes up to the application handler.
 * anything else — a bare one-hop message, delivered directly.
@@ -150,18 +151,19 @@ class NetworkStack:
     def _on_receive(self, node_id: int, packet: Packet) -> None:
         payload = packet.payload
         if isinstance(payload, GeoEnvelope):
-            arrived = self.router.arrived(node_id, payload)
-            if (
-                not arrived
-                and self._intercept_handler is not None
+            router = self.router
+            if router.arrived(node_id, payload):
+                payload.path.append(node_id)
+                self._app_handler(node_id, payload.inner, packet)
+            elif (
+                self._intercept_handler is not None
                 and self._intercept_handler(node_id, payload.inner, packet)
             ):
                 self.stats.count("stack.intercepted")
                 self._app_handler(node_id, payload.inner, packet)
-                return
-            self.router.handle(node_id, packet, arrived)
-            if arrived:
-                self._app_handler(node_id, payload.inner, packet)
+            else:
+                payload.path.append(node_id)
+                router._forward(node_id, packet)
         elif isinstance(payload, FloodEnvelope):
             if self.flooder.handle(node_id, packet):
                 # The envelope (with its reverse path) stays reachable via

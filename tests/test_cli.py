@@ -158,6 +158,22 @@ class TestExecution:
         assert main(["run", *small, *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--speed", "-3"], "error: max_speed"),
+        (["--speed", "nan"], "error: max_speed"),
+        (["--deadline", "-2"], "error: --deadline must be >= 0"),
+        (["--slowest", "-1"], "error: --slowest must be >= 0"),
+    ], ids=["speed-negative", "speed-nan", "deadline-negative", "slowest-negative"])
+    def test_run_bad_flags_exit_2_before_simulating(self, capsys, argv, message):
+        # Each used to run: a negative or NaN speed as a static topology,
+        # a negative deadline as "no deadline", a negative --slowest with
+        # tracing armed and nothing printed.
+        assert main(["run", "--nodes", "16", "--duration", "40", "--warmup", "5",
+                     "--items", "50", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "running:" not in captured.err and captured.out == ""
+
     def test_run_command_small(self, capsys):
         rc = main(
             ["run", "--nodes", "20", "--duration", "120", "--warmup", "20",

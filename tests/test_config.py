@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [-3.0, float("nan"), float("inf")])
+    def test_rejects_bad_max_speed(self, value):
+        # Negative and NaN speeds used to fail every "> 0" test and
+        # silently run the static topology of max_speed=0.
+        with pytest.raises(ValueError, match="max_speed"):
+            SimulationConfig(max_speed=value)
+
+    def test_zero_or_no_max_speed_is_static(self):
+        assert SimulationConfig(max_speed=0.0).max_speed == 0.0
+        assert SimulationConfig(max_speed=None).max_speed is None
+
     def test_accepts_boundary_values(self):
         SimulationConfig(warmup=0.0, static_capacity_fraction=1.0,
                          local_timeout=0.0, idle_power_mw=0.0)

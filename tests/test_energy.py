@@ -174,3 +174,61 @@ class TestListLedgerMatchesArrayLedger:
         a.charge_bcast_recv(np.array([3, 1, 3]), 70.0)
         b.charge_bcast_recv([3, 1, 3], 70.0)
         assert a.per_node().tolist() == b.per_node().tolist()
+
+
+# ---------------------------------------------------------------------------
+# charge_unicast against its three single-class charges, bit for bit
+# ---------------------------------------------------------------------------
+
+
+class RecordingObserver:
+    def __init__(self):
+        self.charges = []
+
+    def on_charge(self, category, cost_uj):
+        self.charges.append((category, cost_uj))
+
+    def on_reset(self):
+        self.charges.append(("reset", None))
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3,
+                                           allow_nan=False, allow_infinity=False))
+_PARAMS = st.builds(
+    EnergyParams,
+    m_p2p_send=_COEFF, b_p2p_send=_COEFF, m_p2p_recv=_COEFF, b_p2p_recv=_COEFF,
+    m_discard=_COEFF, b_discard=_COEFF,
+)
+#: (src, dst, neighbors, size): neighbor lists may be empty, repeat ids
+#: (dst included) or miss dst; sizes repeat so the cost memo is hit.
+_UNICAST = st.tuples(
+    _NODE, _NODE, st.lists(_NODE, max_size=30),
+    st.one_of(st.sampled_from([0.0, 64.0, 1500.0]), _SIZES),
+)
+
+
+class TestChargeUnicast:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(EnergyParams()), _PARAMS), st.lists(_UNICAST, max_size=40))
+    def test_equals_send_discard_recv(self, params, ops):
+        one, three = EnergyLedger(N_NODES, params), EnergyLedger(N_NODES, params)
+        one.observer, three.observer = RecordingObserver(), RecordingObserver()
+        for src, dst, neighbors, size in ops:
+            reached = one.charge_unicast(src, dst, neighbors, size)
+            three.charge_p2p_send(src, size)
+            three.charge_discard([node for node in neighbors if node != dst], size)
+            if dst in neighbors:
+                three.charge_p2p_recv(dst, size)
+            assert reached == (dst in neighbors)
+        for cat in EnergyLedger.CATEGORIES:
+            assert (np.asarray(one._by_category[cat]).tobytes()
+                    == np.asarray(three._by_category[cat]).tobytes()), cat
+        assert one.observer.charges == three.observer.charges
+
+    def test_out_of_range_destination_pays_no_receive(self):
+        ledger = EnergyLedger(4)
+        assert not ledger.charge_unicast(0, 3, [1, 2], 100.0)
+        assert ledger.total_by_category()["p2p_recv"] == 0.0
+        assert ledger.total_by_category()["discard"] == pytest.approx(2 * (0.5 * 100 + 24))
+        assert ledger.charge_unicast(0, 3, [], 100.0) is False
+        assert ledger.charge_unicast(0, 1, [1], 100.0) is True

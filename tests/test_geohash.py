@@ -99,3 +99,25 @@ class TestRegionMapping:
             home, replica = h.home_and_replica(key, table)
             assert home.region_id == h.home_region(key, table).region_id
             assert replica.region_id == h.replica_region(key, table).region_id
+
+
+class TestKeyRegionTable:
+    """``PReCinCtNetwork.key_regions`` is ``home_and_replica`` taken once."""
+
+    @pytest.mark.parametrize("n_regions", [1, 9, 64])
+    @pytest.mark.parametrize("replication", [True, False])
+    @pytest.mark.parametrize("max_speed", [None, 4.0], ids=["static", "mobile"])
+    def test_table_equals_home_and_replica(self, n_regions, replication, max_speed):
+        from repro import PReCinCtNetwork, SimulationConfig
+
+        net = PReCinCtNetwork(SimulationConfig(
+            n_nodes=40, n_regions=n_regions, n_items=120, duration=60.0,
+            warmup=10.0, max_speed=max_speed, enable_replication=replication,
+            seed=5,
+        ))
+        assert len(net.key_regions) == len(net.db)
+        for key, (home, replica) in enumerate(net.key_regions):
+            want_home, want_replica = net.geohash.home_and_replica(key, net.table)
+            assert home is want_home and replica is want_replica
+            assert home is net.geohash.home_region(key, net.table)
+            assert replica is net.geohash.replica_region(key, net.table)

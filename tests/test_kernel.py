@@ -21,8 +21,9 @@ so a divergence points at the responsible layer:
 * by count, that the radio's per-transmission path (broadcast,
   unicast, batch delivery, flood dedup and scoping) and a GPSR
   planarization miss make no numpy call once the topology generation's
-  memos are filled, that a flood hop stays inside its call budget with
-  one energy-ledger call per broadcast, and that the membership
+  memos are filled, that a flood hop and a GPSR hop stay inside their
+  call budgets with one energy-ledger call per broadcast or unicast,
+  and that the membership
   sweep's numpy calls do not grow with the number of regions;
 * and, by digest, that a run waking every timer kind replays the event
   sequence it had when the timers were generator processes.
@@ -721,6 +722,66 @@ class TestRadioPathMakesNoNumpyCalls:
         )
         assert ledger_calls == broadcasts
 
+    def test_geo_hop_call_budget(self):
+        """A GPSR hop costs about one call per layer once memos are warm:
+        at most 38 profiled calls per ``gpsr.hops`` (57.4 before the
+        router read the radio once per decision, the ledger took one
+        call per unicast and the stack forwarded without the router's
+        ``handle`` hop; 30.4 after), exactly one of them into the energy
+        ledger per unicast (10 before)."""
+        import cProfile
+        import pstats
+
+        from repro.energy import model as energy_model
+        from repro.mobility import StationaryModel
+        from repro.net import RadioParams, WirelessNetwork
+        from repro.routing.stack import NetworkStack
+        from repro.sim import Simulator
+
+        n, sends, side = 120, 40, 1500.0
+        rng = np.random.default_rng(17)
+        positions = rng.uniform(0.0, side, size=(n, 2))
+        mobility = StationaryModel(n, side, side, rng=rng, positions=positions)
+        sim = Simulator()
+        net = WirelessNetwork(sim, mobility, rng=np.random.default_rng(18),
+                              radio=RadioParams(position_refresh_s=1e9))
+        stack = NetworkStack(net)
+        stack.set_app_handler(lambda node, inner, packet: None)
+        region = ((1100.0, 1100.0), (1500.0, 1100.0), (1500.0, 1500.0),
+                  (1100.0, 1500.0))
+        centre = (1300.0, 1300.0)
+        far = [int(node) for node in np.argsort(-positions[:, 0] - positions[:, 1])]
+
+        def traffic():
+            for k in range(sends):
+                src = (7 * k) % n
+                stack.geo_send(src, ("region", k), 120.0, dest_point=centre,
+                               region=region)
+                dst = far[k % 10]
+                stack.geo_send(src, ("node", k), 120.0,
+                               dest_point=tuple(positions[dst].tolist()),
+                               dest_node=dst)
+            sim.run()
+
+        traffic()  # fills the neighbor, membership and GPSR memos
+        hops_before = net.stats.value("gpsr.hops")
+        sent = net.stats.value("net.unicast_sent")
+        profiler = cProfile.Profile()
+        profiler.enable()
+        traffic()
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        hops = net.stats.value("gpsr.hops") - hops_before
+        unicasts = net.stats.value("net.unicast_sent") - sent
+        assert hops > 4 * 2 * sends  # the routes were multi-hop
+        assert unicasts == hops
+        assert stats.total_calls / hops <= 38
+        ledger_calls = sum(
+            entry[1] for (path, _line, _name), entry in stats.stats.items()
+            if path == energy_model.__file__
+        )
+        assert ledger_calls == unicasts
+
     def test_perimeter_mode_miss(self):
         import cProfile
         import pstats
@@ -734,7 +795,6 @@ class TestRadioPathMakesNoNumpyCalls:
         # The generation's neighbor lists and position tuples are filled.
         hoods = [(node, net.position_of(node), net.neighbors_of(node))
                  for node in range(n)]
-        router._sync_caches()
         envelope = GeoEnvelope(inner=None, dest_point=(450.0, 450.0), mode=PERIMETER)
         profiler = cProfile.Profile()
         profiler.enable()
