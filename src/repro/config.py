@@ -214,12 +214,25 @@ class SimulationConfig:
             raise ValueError(f"n_regions must be positive, got {self.n_regions}")
         if not 0.0 <= self.cache_fraction <= 1.0:
             raise ValueError(f"cache_fraction must be in [0, 1], got {self.cache_fraction}")
-        if self.t_request <= 0:
-            raise ValueError(f"t_request must be positive, got {self.t_request}")
-        if self.t_update is not None and self.t_update <= 0:
+        # NaN and inf intervals crash the workload's uniform draws mid-run.
+        if not 0.0 < self.t_request < math.inf:
             raise ValueError(
-                f"t_update must be positive (None disables updates), "
-                f"got {self.t_update}"
+                f"t_request must be positive and finite, got {self.t_request}"
+            )
+        if self.t_update is not None and not 0.0 < self.t_update < math.inf:
+            raise ValueError(
+                f"t_update must be positive and finite (None disables "
+                f"updates), got {self.t_update}"
+            )
+        # A non-finite duration never reaches its stop time.
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
+        # NaN or a negative time cannot be scheduled; a shift at or past
+        # duration is legal and never fires.
+        if self.popularity_shift_at is not None and not self.popularity_shift_at >= 0:
+            raise ValueError(
+                f"popularity_shift_at must be >= 0 (None disables the shift), "
+                f"got {self.popularity_shift_at}"
             )
         for name in ("warmup", "idle_power_mw", "local_timeout", "home_timeout",
                      "replica_timeout", "poll_timeout"):

@@ -38,6 +38,7 @@ region and requests fail over to the replica region (§2.4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
@@ -173,7 +174,9 @@ class Peer:
         nearly full store still absorbs as much custody as possible.
         """
         db = self.host.db
-        budget = self.static_capacity() - self.static_bytes()
+        budget = self.static_capacity()
+        if budget != math.inf:
+            budget -= self.static_bytes()
         overflow = []
         for key in sorted(keys, key=db.size_of):
             if key in self.static_keys:

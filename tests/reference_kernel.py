@@ -20,17 +20,25 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
   :func:`repro.routing.planarization.gabriel_neighbors` instead of the
   router's scalar witness loop and its memo.
 
+:func:`per_key_construction` builds networks the way construction worked
+before it became one pass per table: one ``home_and_replica`` sort per
+key, and one membership scan plus one ``np.argsort`` walk per (key,
+region) placement.  :func:`run_reference_scenario` builds under it.
+
 The golden-digest suite requires a degraded run to fingerprint
 byte-identically to the production kernel on every canonical scenario.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 
 from repro.core.network import PReCinCtNetwork
 from repro.faults.audit import SCENARIOS, RunDigest, eventlog_digest, report_digest
-from repro.geom import angle_of
+from repro.geom import angle_of, distance
 from repro.routing.planarization import gabriel_neighbors
 
 
@@ -102,9 +110,50 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     return net
 
 
+def per_key_key_regions(net: PReCinCtNetwork, locations):
+    """``PReCinCtNetwork._key_region_table`` by one region sort per key."""
+    return [
+        net.geohash.home_and_replica(key, net.table) for key in range(len(net.db))
+    ]
+
+
+def per_key_custodians(net: PReCinCtNetwork, locations) -> None:
+    """``PReCinCtNetwork._assign_custodians`` with a fresh membership scan
+    and an ``np.argsort`` walk for every (key, region) placement."""
+    positions = net.network.positions()
+    for key, (home, replica) in enumerate(net.key_regions):
+        location = net.geohash.location_of(key)
+        targets = [home.region_id]
+        if net.cfg.enable_replication and replica.region_id != home.region_id:
+            targets.append(replica.region_id)
+        for region_id in targets:
+            members = net._peers_in_region(region_id)
+            placed = False
+            if members:
+                dists = [distance(tuple(positions[m]), location) for m in members]
+                for member in [members[i] for i in np.argsort(dists)]:
+                    if not net.peers[member].accept_static_keys([key]):
+                        placed = True
+                        break
+            if not placed:
+                net.stats.count("peer.keys_unplaced")
+                net._orphaned_keys.setdefault(region_id, set()).add(key)
+
+
+@contextmanager
+def per_key_construction():
+    """Networks built inside this block place keys one at a time."""
+    with mock.patch.object(
+        PReCinCtNetwork, "_key_region_table", per_key_key_regions
+    ), mock.patch.object(PReCinCtNetwork, "_assign_custodians", per_key_custodians):
+        yield
+
+
 def run_reference_scenario(name: str, seed: int = 42) -> RunDigest:
     """``repro.faults.audit.run_scenario`` on the degraded kernel."""
-    net = degrade(PReCinCtNetwork(SCENARIOS[name](seed)))
+    with per_key_construction():
+        net = PReCinCtNetwork(SCENARIOS[name](seed))
+    net = degrade(net)
     report = net.run()
     # A memo that filled means the oracle ran production paths.
     radio, router = net.network, net.stack.router

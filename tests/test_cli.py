@@ -1,6 +1,9 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +176,31 @@ class TestExecution:
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
         assert "running:" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_run_non_finite_t_update_exits_2(self, capsys, value):
+        # Used to crash mid-run with "OverflowError: high - low range
+        # exceeds valid bounds" (`args.t_update or None` keeps a NaN).
+        assert main(["run", "--nodes", "16", "--duration", "40", "--warmup", "5",
+                     "--items", "50", "--t-update", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: t_update")
+        assert "running:" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_run_non_finite_duration_exits_2(self, value):
+        # Used to simulate forever: the stop time never arrived.  A
+        # subprocess with a timeout keeps a regression from hanging.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--nodes", "16",
+             "--warmup", "5", "--items", "50", "--duration", value],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: duration")
+        assert "running:" not in result.stderr and result.stdout == ""
 
     def test_run_command_small(self, capsys):
         rc = main(

@@ -41,6 +41,31 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["t_request", "t_update"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrival_interval(self, field, value):
+        # Both passed "<= 0" and crashed the run inside the workload's
+        # first uniform draw.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_duration(self, value):
+        # The workload's stop time never arrived: the run never ended.
+        with pytest.raises(ValueError, match="duration"):
+            SimulationConfig(duration=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_rejects_bad_popularity_shift_at(self, value):
+        # Raised "cannot schedule into the past" when the run started.
+        with pytest.raises(ValueError, match="popularity_shift_at"):
+            SimulationConfig(popularity_shift_at=value)
+
+    @pytest.mark.parametrize("value", [0.0, 100.0, 500.0, float("inf")])
+    def test_shift_at_or_past_duration_is_legal(self, value):
+        cfg = SimulationConfig(duration=100.0, warmup=10.0, popularity_shift_at=value)
+        assert cfg.popularity_shift_at == value
+
     @pytest.mark.parametrize("field", [
         "gpsr_beacon_interval", "churn_uptime", "digest_interval",
         "prefetch_interval", "churn_downtime",

@@ -56,7 +56,8 @@ def test_reference_kernel_matches_golden(scenario, golden):
     Every golden scenario must fingerprint byte-identically on the
     test-side reference kernel (tests/reference_kernel.py: per-call
     neighbor walks, per-node flood handling, scalar point-in-polygon,
-    one delivery event per receiver, unmemoized GPSR) — it and the
+    one delivery event per receiver, unmemoized GPSR, keys placed one
+    at a time) — it and the
     production kernel must replay the exact same logical event sequence.
     """
     entry = golden[scenario]
