@@ -222,7 +222,7 @@ class FloodingRetrievalNetwork:
             if pending is None:
                 return
             if pending.timeout_handle is not None:
-                pending.timeout_handle.cancel()
+                self.sim.cancel(pending.timeout_handle)
             latency = self.sim.now - pending.issued_at
             self.metrics.on_served(
                 "home", latency, msg.data_size, stale=False, validated=True

@@ -214,6 +214,24 @@ class SimulationConfig:
             raise ValueError(f"n_regions must be positive, got {self.n_regions}")
         if not 0.0 <= self.cache_fraction <= 1.0:
             raise ValueError(f"cache_fraction must be in [0, 1], got {self.cache_fraction}")
+        # A NaN or infinite plane, range or item size got through and
+        # crashed construction inside numpy without naming the field
+        # (an infinite range ran as one grid cell holding every node).
+        for name in ("width", "height", "range_m", "min_item_bytes"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.min_item_bytes <= self.max_item_bytes < math.inf:
+            raise ValueError(
+                f"max_item_bytes must be finite and >= min_item_bytes "
+                f"({self.min_item_bytes}), got {self.max_item_bytes}"
+            )
+        # NaN passed "< 0" tests downstream and ran silently skewed: a NaN
+        # (or infinite) Zipf skew draws the same key every time.
+        for name in ("zipf_theta", "gdld_wr", "gdld_wd", "gdld_ws"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         # NaN and inf intervals crash the workload's uniform draws mid-run.
         if not 0.0 < self.t_request < math.inf:
             raise ValueError(
@@ -235,7 +253,7 @@ class SimulationConfig:
                 f"got {self.popularity_shift_at}"
             )
         for name in ("warmup", "idle_power_mw", "local_timeout", "home_timeout",
-                     "replica_timeout", "poll_timeout"):
+                     "replica_timeout", "poll_timeout", "pause_time", "default_ttr"):
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -303,19 +321,14 @@ class SimulationConfig:
             raise ValueError(
                 f"resilience_backoff_jitter must be in [0, 1], got {self.resilience_backoff_jitter}"
             )
-        if self.request_deadline is not None and self.request_deadline <= 0:
+        if self.request_deadline is not None and not self.request_deadline > 0:
             raise ValueError(
                 f"request_deadline must be positive, got {self.request_deadline}"
             )
-        if self.resilience_suspect_after <= 0:
-            raise ValueError(
-                f"resilience_suspect_after must be positive, got {self.resilience_suspect_after}"
-            )
-        if self.resilience_breaker_cooldown <= 0:
-            raise ValueError(
-                f"resilience_breaker_cooldown must be positive, got "
-                f"{self.resilience_breaker_cooldown}"
-            )
+        for name in ("resilience_suspect_after", "resilience_breaker_cooldown"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def cache_capacity_bytes_hint(self) -> float:

@@ -487,9 +487,9 @@ class PReCinCtNetwork:
         if not members:
             return None
         center = self.table.get(region_id).center
-        positions = self.network.positions()
-        dists = [distance(tuple(positions[m]), center) for m in members]
-        return members[int(np.argmin(dists))]
+        position_of = self.network.position_of
+        dists = [distance(position_of(m), center) for m in members]
+        return members[dists.index(min(dists))]
 
     def on_keys_orphaned(self, region_id: int, keys: List[int]) -> None:
         """A mover left an empty region: its keys have no home custodian

@@ -115,6 +115,7 @@ class Peer:
     def __init__(self, peer_id: int, host: "PReCinCtNetwork", cache: PeerCache):
         self.id = peer_id
         self.host = host
+        self._cfg = host.cfg
         self.cache = cache
         #: Keys this peer custodians (authoritative copies).
         self.static_keys: Set[int] = set()
@@ -135,10 +136,6 @@ class Peer:
     @property
     def _sim(self):
         return self.host.sim
-
-    @property
-    def _cfg(self):
-        return self.host.cfg
 
     def _note_access(self, key: int) -> int:
         """Record one observed access to ``key`` in this region."""
@@ -283,7 +280,7 @@ class Peer:
 
     def _retarget(self, pending: PendingRequest, phase: str, timeout: float) -> None:
         if pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
+            self._sim.cancel(pending.timeout_handle)
         pending.phase = phase
         pending.attempts = 0  # the retry budget is per phase
         pending.timeout_handle = self._sim.schedule(
@@ -296,7 +293,7 @@ class Peer:
     def _finish(self, request_id: int) -> Optional[PendingRequest]:
         pending = self.pending.pop(request_id, None)
         if pending is not None and pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
+            self._sim.cancel(pending.timeout_handle)
         res = self.host.resilience
         if res is not None:
             res.note_done(request_id)
@@ -1044,7 +1041,7 @@ class Peer:
             self.hand_off_keys(self.current_region_id)
         for pending in list(self.pending.values()):
             if pending.timeout_handle is not None:
-                pending.timeout_handle.cancel()
+                self._sim.cancel(pending.timeout_handle)
         self.pending.clear()
 
     def on_rejoin(self, new_region_id: int) -> None:

@@ -189,18 +189,17 @@ class EnergyLedger:
         send, discard, recv = costs
         self._by_category["p2p_send"][src] += send
         ledger = self._by_category["discard"]
-        overheard = 0
         for node in neighbors:
             if node != dst:
                 ledger[node] += discard
-                overheard += 1
-        reached = overheard != len(neighbors)
+        reached = dst in neighbors
         if reached:
             self._by_category["p2p_recv"][dst] += recv
         observer = self.observer
         if observer is not None:
             if send != 0.0:
                 observer.on_charge("p2p_send", send)
+            overheard = len(neighbors) - (neighbors.count(dst) if reached else 0)
             if overheard:
                 total = discard * overheard
                 if total != 0.0:

@@ -52,6 +52,9 @@ FaultFilter = Callable[[int, int, Packet], Optional[list]]
 #: closed ring, puts every point on the boundary.
 _SWEEP_MARGIN = 1.0
 
+#: The :class:`repro.geom.PolygonTester` edge constants the sweep reads.
+_EDGE_COLUMNS = ("_ax", "_ay", "_bx", "_by", "_seg_tol", "_seg_len_sq")
+
 
 def _sweep_box(polygon):
     """``(x_lo, x_hi, y_lo, y_hi)`` prefilter of ``polygon`` for the
@@ -132,14 +135,17 @@ class WirelessNetwork:
         self._fault_filter: Optional[FaultFilter] = None
         # Per-generation polygon-membership memo: polygon -> list[bool],
         # holding the polygons queried in this generation.  ``_swept``
-        # holds the sweep's answers for the ones not yet queried, and
-        # ``_unswept`` the last generation's polygons until the sweep
-        # runs.  Each polygon's tester and sweep box persist.
+        # holds the sweep's answers (bool rows) for the ones not yet
+        # queried, and ``_unswept`` the last generation's polygons until
+        # the sweep runs.  Each polygon's record (tester, sweep box and
+        # its rows in the edge table) persists, and so does the table:
+        # the edge constants of every swept polygon, one column each.
         self._polygon_cache: dict = {}
         self._polygon_cache_gen = -1
         self._swept: dict = {}
         self._unswept: list = []
         self._polygon_testers: dict = {}
+        self._edge_table = tuple(np.empty(0) for _ in _EDGE_COLUMNS)
         # (kind, category) -> cached Counter triple; see _new_sent_counters.
         self._sent_counters: dict = {}
         # The "net.delivered" Counter, cached on the first delivery.
@@ -235,60 +241,79 @@ class WirelessNetwork:
             if self._unswept:
                 self._swept = self._sweep(self._unswept)
                 self._unswept = []
-            members = self._swept.pop(polygon, None)
-            if members is None:
-                tester = self._polygon_record(polygon)[0]
-                members = tester.contains(self._grid.positions).tolist()
-            self._polygon_cache[polygon] = members
+            row = self._swept.pop(polygon, None)
+            if row is None:
+                row = self._polygon_record(polygon)[0].contains(self._grid.positions)
+            members = self._polygon_cache[polygon] = row.tolist()
         return members
 
     def _polygon_record(self, polygon):
-        """``(tester, sweep box)`` of a polygon; the box is None for a
-        degenerate polygon, which the sweep skips."""
+        """``(tester, sweep box, first edge row, edge count)`` of a
+        polygon.  The box is None for a degenerate polygon, which the
+        sweep skips; any other polygon's edges join the edge table."""
         record = self._polygon_testers.get(polygon)
         if record is None:
+            tester = PolygonTester(polygon)
+            box = _sweep_box(polygon)
+            first = self._edge_table[0].size
+            if box is not None:
+                self._edge_table = tuple(
+                    np.concatenate((column, getattr(tester, name)))
+                    for column, name in zip(self._edge_table, _EDGE_COLUMNS)
+                )
             record = self._polygon_testers[polygon] = (
-                PolygonTester(polygon), _sweep_box(polygon)
+                tester, box, first, self._edge_table[0].size - first
             )
         return record
 
     def _sweep(self, polygons) -> dict:
-        """Membership lists of many polygons in one numpy pass.
+        """Membership rows of many polygons in one numpy pass.
 
         Only (polygon, node) pairs whose node lies in the polygon's sweep
-        box are tested; every other node is outside.  Each pair is
-        repeated over its polygon's edges, and the edges run
-        :meth:`PolygonTester.contains`'s arithmetic elementwise on the
-        tester's own edge constants, so every comparison resolves as
-        there.  Per pair, ``reduceat`` ORs the boundary hits and XORs
-        the crossing toggles, as ``contains`` reduces over its edge axis.
+        box are tested; every other node is outside.  The pairs come from
+        the nodes sorted by x: each box's x range is one slice of that
+        order (``searchsorted``), then filtered by the box's y range.
+        Each pair is repeated over its polygon's rows of the edge table,
+        and the edges run :meth:`PolygonTester.contains`'s arithmetic
+        elementwise on the tester's own edge constants, so every
+        comparison resolves as there.  Per pair, ``reduceat`` ORs the
+        boundary hits and XORs the crossing toggles, as ``contains``
+        reduces over its edge axis.
+
+        Returns ``{polygon: bool row indexed by node id}``; the rows are
+        views of one matrix, turned into lists when first queried.
         """
-        polygons = [p for p in polygons if self._polygon_record(p)[1] is not None]
-        if not polygons:
+        records = [self._polygon_record(p) for p in polygons]
+        swept = [(p, r) for p, r in zip(polygons, records) if r[1] is not None]
+        if not swept:
             return {}
-        testers, boxes = zip(*(self._polygon_testers[p] for p in polygons))
-        ax, ay, bx, by, seg_tol, seg_len_sq = (
-            np.concatenate([getattr(t, name) for t in testers])
-            for name in ("_ax", "_ay", "_bx", "_by", "_seg_tol", "_seg_len_sq")
-        )
-        n_edges = np.array([t._ax.size for t in testers])
-        boxes = np.array(boxes)
-        positions = self._grid.positions
-        px, py = positions[:, 0], positions[:, 1]
-        in_box = (
-            (px >= boxes[:, 0:1]) & (px <= boxes[:, 1:2])
-            & (py >= boxes[:, 2:3]) & (py <= boxes[:, 3:4])
-        )
-        members = np.zeros(in_box.shape, dtype=bool)
-        poly, owner = np.nonzero(in_box)
+        polygons = [p for p, _ in swept]
+        boxes = np.array([r[1] for _, r in swept])
+        first_edge = np.array([r[2] for _, r in swept])
+        n_edges = np.array([r[3] for _, r in swept])
+        grid = self._grid
+        px, py = grid._xs, grid._ys
+        by_x = np.argsort(px, kind="stable")
+        sorted_x = px[by_x]
+        lo = sorted_x.searchsorted(boxes[:, 0], "left")
+        strip = sorted_x.searchsorted(boxes[:, 1], "right") - lo
+        slots = np.arange(strip.sum())
+        slots += np.repeat(lo - (np.cumsum(strip) - strip), strip)
+        poly = np.repeat(np.arange(len(polygons)), strip)
+        owner = by_x[slots]
+        y = py[owner]
+        in_box = (y >= boxes[poly, 2]) & (y <= boxes[poly, 3])
+        poly, owner = poly[in_box], owner[in_box]
+        members = np.zeros((len(polygons), px.size), dtype=bool)
         if owner.size:
             counts = n_edges[poly]
             ends = np.cumsum(counts)
             starts = ends - counts
-            first_edge = np.cumsum(n_edges) - n_edges
             edge = np.arange(ends[-1]) + np.repeat(first_edge[poly] - starts, counts)
             node = np.repeat(owner, counts)
-            ax, ay, bx, by = ax[edge], ay[edge], bx[edge], by[edge]
+            ax, ay, bx, by, seg_tol, seg_len_sq = (
+                column[edge] for column in self._edge_table
+            )
             px, py = px[node], py[node]
             eps = PolygonTester._EPS
             dbax = bx - ax
@@ -298,8 +323,7 @@ class WirelessNetwork:
             cross = dbax * dpay - dbay * dpax
             dot = dpax * dbax + dpay * dbay
             on_boundary = (
-                (np.abs(cross) <= seg_tol[edge]) & (dot >= -eps)
-                & (dot <= seg_len_sq[edge])
+                (np.abs(cross) <= seg_tol) & (dot >= -eps) & (dot <= seg_len_sq)
             )
             straddles = (ay > py) != (by > py)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,7 +333,14 @@ class WirelessNetwork:
                 np.logical_or.reduceat(on_boundary, starts)
                 | np.bitwise_xor.reduceat(toggles, starts)
             )
-        return dict(zip(polygons, members.tolist()))
+        return dict(zip(polygons, members))
+
+    def points(self) -> List[Point]:
+        """Every node's current (sampled) position as a tuple of Python
+        floats, indexed by node id: the spatial index's per-generation
+        list, shared (do not mutate)."""
+        self._refresh_positions()
+        return self._grid.points()
 
     def position_of(self, node_id: int) -> Point:
         """Current (sampled) position of a node."""

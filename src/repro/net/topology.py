@@ -16,12 +16,13 @@ contiguous slice.
 Each rebuild starts a new *topology generation* (monotone counter).
 Positions are frozen within a generation, so per-node query results are
 pure functions of (generation, node) — the grid memoizes
-:meth:`neighbors_of` per (generation, radius), filling every live node's
-list in one vectorized pass over the table the first time any node asks.
-That pass costs O(live nodes x block occupancy); nothing in it is N x N.
-Each answer is memoized as a plain ``list[int]``: the radio walks it
-once per transmission, which Python does faster than numpy can on
-neighborhoods of a dozen nodes.  For the same reason
+:meth:`neighbors_of` per (generation, radius), computing every live
+node's list in one vectorized pass over the table the first time any
+node asks.  That pass costs O(live nodes x block occupancy); nothing in
+it is N x N.  It leaves one flat ``list[int]``, and a node's answer is
+sliced out of it on the node's first query and memoized: the radio
+walks it once per transmission, which Python does faster than numpy
+can on neighborhoods of a dozen nodes.  For the same reason
 :meth:`position_of` answers from one per-generation list of ``(x, y)``
 tuples of Python floats.
 The cached lists are built by exactly the same candidate ordering and
@@ -65,6 +66,9 @@ class SpatialGrid:
         self.n_cols = max(1, int(np.ceil(width / cell_size)))
         self.n_rows = max(1, int(np.ceil(height / cell_size)))
         self._positions: Optional[np.ndarray] = None
+        # The x and y columns of _positions, contiguous.
+        self._xs: Optional[np.ndarray] = None
+        self._ys: Optional[np.ndarray] = None
         # The same positions as (x, y) tuples of Python floats, built on
         # the generation's first position_of() and dropped by rebuild().
         self._points: Optional[List[Point]] = None
@@ -76,6 +80,13 @@ class SpatialGrid:
         self._offsets: Optional[np.ndarray] = None
         self._neighbor_cache: Dict[int, List[int]] = {}
         self._cache_radius: Optional[float] = None
+        # The radius's one fill: every live node's neighbors in one flat
+        # list, node i's at _fill_flat[_fill_start[i]:_fill_end[i]]
+        # (start -1 for a dead node); sliced into _neighbor_cache on a
+        # node's first query.
+        self._fill_flat: List[int] = []
+        self._fill_start: List[int] = []
+        self._fill_end: List[int] = []
 
     # -- building --------------------------------------------------------
 
@@ -86,12 +97,20 @@ class SpatialGrid:
         from all queries (they neither receive nor forward).
         """
         positions = np.asarray(positions, dtype=float)
-        cols = np.clip((positions[:, 0] / self.cell_size).astype(np.intp), 0, self.n_cols - 1)
-        rows = np.clip((positions[:, 1] / self.cell_size).astype(np.intp), 0, self.n_rows - 1)
+        xs = np.ascontiguousarray(positions[:, 0])
+        ys = np.ascontiguousarray(positions[:, 1])
+        # np.clip(..., 0, n - 1), as two ufuncs (clip's wrapper costs more
+        # than the work on a few hundred cells).
+        cols = np.minimum(np.maximum((xs / self.cell_size).astype(np.intp), 0),
+                          self.n_cols - 1)
+        rows = np.minimum(np.maximum((ys / self.cell_size).astype(np.intp), 0),
+                          self.n_rows - 1)
         cell_of = rows * self.n_cols + cols
         live = np.arange(positions.shape[0]) if alive is None else np.flatnonzero(alive)
         live_cells = cell_of[live]
         self._positions = positions
+        self._xs = xs
+        self._ys = ys
         self._points = None
         self._cell_of = cell_of
         self._ids = live[np.argsort(live_cells, kind="stable")]
@@ -100,6 +119,9 @@ class SpatialGrid:
         self.generation += 1
         self._neighbor_cache = {}
         self._cache_radius = None
+        self._fill_flat = []
+        self._fill_start = []
+        self._fill_end = []
 
     # -- queries ---------------------------------------------------------
 
@@ -143,28 +165,35 @@ class SpatialGrid:
             # Single-radius memo: the owning network always queries at
             # radio range.  An off-radius query flushes and re-keys.
             self._check_radius(radius)
-            self._neighbor_cache = self._fill_neighbor_cache(radius)
+            self._fill_neighbor_cache(radius)
             self._cache_radius = radius
         cached = self._neighbor_cache.get(node_id)
         if cached is not None:
             return cached
+        start = self._fill_start[node_id]
+        if start >= 0:
+            cached = self._neighbor_cache[node_id] = self._fill_flat[
+                start:self._fill_end[node_id]
+            ]
+            return cached
         ids = self.within_range(self.position_of(node_id), radius)
         return ids[ids != node_id].tolist()
 
-    def _fill_neighbor_cache(self, radius: float) -> Dict[int, List[int]]:
+    def _fill_neighbor_cache(self, radius: float) -> None:
         """Every live node's neighbor list, in one pass over the cell table.
 
         Each node's candidates are its 3x3 block's three row slices of
         the cell-sorted table, enumerated node-major and block-row by
         block-row — already the walk's order (block row-major, ascending
         id within each cell), so nothing is sorted.  The distance filter
-        is the walk's elementwise float64 subtract/square/compare.
+        is the walk's elementwise float64 subtract/square/compare.  The
+        lists stay in one flat list until each node's first query.
         """
         ids, offsets = self._ids, self._offsets
         rows, cols = np.divmod(self._cell_of[ids], self.n_cols)
         block_rows = rows[:, None] + _BLOCK_ROWS
         in_plane = (block_rows >= 0) & (block_rows < self.n_rows)
-        bases = np.clip(block_rows, 0, self.n_rows - 1) * self.n_cols
+        bases = np.minimum(np.maximum(block_rows, 0), self.n_rows - 1) * self.n_cols
         starts = offsets[bases + np.maximum(cols - 1, 0)[:, None]]
         ends = offsets[bases + np.minimum(cols + 1, self.n_cols - 1)[:, None] + 1]
         lengths = np.where(in_plane, ends - starts, 0).ravel()
@@ -174,12 +203,20 @@ class SpatialGrid:
         cand = ids[slots]
         per_node = lengths.reshape(-1, 3).sum(axis=1)
         owner = np.repeat(ids, per_node)
-        diff = self._positions[cand] - self._positions[owner]
-        keep = (diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius) & (cand != owner)
+        xs, ys = self._xs, self._ys
+        dx = xs[cand] - xs[owner]
+        dy = ys[cand] - ys[owner]
+        keep = (dx ** 2 + dy ** 2 <= radius * radius) & (cand != owner)
         kept_before = np.concatenate(([0], np.cumsum(keep)))
-        bounds = kept_before[np.concatenate(([0], np.cumsum(per_node)))].tolist()
-        flat = cand[keep].tolist()
-        return {nid: flat[bounds[k]:bounds[k + 1]] for k, nid in enumerate(ids.tolist())}
+        bounds = kept_before[np.concatenate(([0], np.cumsum(per_node)))]
+        start = np.full(xs.size, -1, dtype=np.intp)
+        end = np.full(xs.size, -1, dtype=np.intp)
+        start[ids] = bounds[:-1]
+        end[ids] = bounds[1:]
+        self._fill_flat = cand[keep].tolist()
+        self._fill_start = start.tolist()
+        self._fill_end = end.tolist()
+        self._neighbor_cache = {}
 
     def position_of(self, node_id: int) -> Point:
         """``node_id``'s position as a tuple of Python floats.
@@ -189,8 +226,16 @@ class SpatialGrid:
         """
         points = self._points
         if points is None:
-            points = self._points = list(map(tuple, self.positions.tolist()))
+            points = self.points()
         return points[node_id]
+
+    def points(self) -> List[Point]:
+        """Every node's position as a tuple of Python floats, indexed by
+        node id: the generation's list, shared (do not mutate)."""
+        points = self._points
+        if points is None:
+            points = self._points = list(map(tuple, self.positions.tolist()))
+        return points
 
     @property
     def positions(self) -> np.ndarray:

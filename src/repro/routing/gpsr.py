@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.geom import angle_of, distance
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
@@ -42,6 +40,9 @@ from repro.routing.envelopes import GREEDY, PERIMETER, GeoEnvelope
 __all__ = ["GpsrRouter", "gabriel_planar"]
 
 DropHandler = Callable[[int, Packet], None]
+
+#: Memo-miss sentinel: a memoized perimeter decision may be None.
+_MISS = object()
 
 
 class GpsrRouter:
@@ -56,11 +57,15 @@ class GpsrRouter:
         self.on_drop = on_drop
         self.stats = network.stats
         # Memos keyed on the network's topology generation (positions
-        # are frozen within one): the planar neighbor set + its edge
-        # angles per node, and the gathered neighbor x and y columns per
-        # node.  Contents are bit-identical to a per-packet recompute.
-        self._angle_cache: dict = {}
+        # are frozen within one): every node's position as a Python
+        # complex, each node's neighbor positions as a list of them, the
+        # planar neighbor set + its edge angles per node, and the
+        # perimeter next hop per (node, arrival edge).  Contents are
+        # bit-identical to a per-packet recompute.
+        self._points: Optional[List[complex]] = None
         self._nbr_pos_cache: dict = {}
+        self._angle_cache: dict = {}
+        self._perimeter_cache: dict = {}
         self._cache_generation = -1
         # The "gpsr.hops" Counter, bumped in place from the first hop on
         # (when stats.count would create it); StatRegistry.reset zeroes
@@ -124,13 +129,17 @@ class GpsrRouter:
         if generation != self._cache_generation:
             # The topology advanced: drop the per-generation memos.
             self._cache_generation = generation
-            self._angle_cache.clear()
+            self._points = None
             self._nbr_pos_cache.clear()
+            self._angle_cache.clear()
+            self._perimeter_cache.clear()
         dest = envelope.dest_point
 
         if envelope.mode == PERIMETER:
-            # Escape back to greedy as soon as we beat the entry point.
-            if distance(here, dest) < envelope.entry_distance:
+            # Escape back to greedy as soon as we beat the entry point
+            # (distance(here, dest), inline: the same math.hypot).
+            here_to_dest = math.hypot(here[0] - dest[0], here[1] - dest[1])
+            if here_to_dest < envelope.entry_distance:
                 envelope.mode = GREEDY
                 envelope.entry_point = None
                 envelope.first_edge = None
@@ -165,22 +174,29 @@ class GpsrRouter:
     ) -> Optional[int]:
         """Neighbor strictly closer to dest than we are, else None.
 
-        Distances stay ``np.hypot``: ``math.hypot`` rounds differently in
-        the last bit on some inputs, and a different tie would split the
-        digests.
+        Neighbor distances are ``abs`` of Python complex differences:
+        CPython's complex ``abs`` and ``np.hypot`` both call the C
+        library's ``hypot`` on the same two coordinate differences, so
+        the distances (and the first minimum, hence ties) are the ones
+        a numpy step computes — up to overflow, which a plane of finite
+        size never reaches.  ``math.hypot`` rounds differently in the
+        last bit on some inputs and must not stand in for either.  The
+        distance from ``here`` stays :func:`repro.geom.distance`'s
+        ``math.hypot``, inline.
         """
-        columns = self._nbr_pos_cache.get(node_id)
-        if columns is None:
-            positions = self.network.positions()
-            columns = self._nbr_pos_cache[node_id] = (
-                positions[neighbors, 0],
-                positions[neighbors, 1],
-            )
-        xs, ys = columns
-        dists = np.hypot(xs - dest[0], ys - dest[1])
-        best = int(dists.argmin())
-        if dists[best] < distance(here, dest):
-            return neighbors[best]
+        nbr_points = self._nbr_pos_cache.get(node_id)
+        if nbr_points is None:
+            points = self._points
+            if points is None:
+                points = self._points = [
+                    complex(x, y) for x, y in self.network.points()
+                ]
+            nbr_points = self._nbr_pos_cache[node_id] = [points[n] for n in neighbors]
+        target = complex(dest[0], dest[1])
+        dists = list(map(abs, [p - target for p in nbr_points]))
+        best = min(dists)
+        if best < math.hypot(here[0] - dest[0], here[1] - dest[1]):
+            return neighbors[dists.index(best)]
         return None
 
     def _planar_with_angles(self, node_id: int, here, neighbors: List[int]):
@@ -205,21 +221,37 @@ class GpsrRouter:
     def _perimeter_next(
         self, node_id: int, here, envelope: GeoEnvelope, neighbors: List[int]
     ) -> Optional[int]:
-        """Right-hand-rule next hop on the planarized neighbor set."""
-        planar_ids, angles = self._planar_with_angles(node_id, here, neighbors)
-        if not planar_ids:
-            return None
-        # Reference direction: the edge we arrived on, or towards the
-        # destination when entering perimeter mode.  The arrival edge is
-        # almost always planar here too (the Gabriel test is symmetric),
-        # and then its angle is already in the memo.
+        """Right-hand-rule next hop on the planarized neighbor set.
+
+        The answer is a pure function of the generation, the node and
+        the reference direction, which is fixed by the arrival edge
+        ``prev_node`` — or, on entry, by the angle towards the
+        destination — so it is memoized per generation on that key.
+        """
         prev = envelope.prev_node
         if prev is None:
+            # Entering perimeter mode: the reference direction points at
+            # the destination.  Keyed on that angle itself, in a 3-tuple
+            # that never equals an arrival-edge key.
             ref = angle_of(here, envelope.dest_point)
-        elif prev in planar_ids:
-            ref = angles[planar_ids.index(prev)]
+            key = (node_id, None, ref)
         else:
-            ref = angle_of(here, self.network.position_of(prev))
+            key = (node_id, prev)
+        cached = self._perimeter_cache.get(key, _MISS)
+        if cached is not _MISS:
+            return cached
+        planar_ids, angles = self._planar_with_angles(node_id, here, neighbors)
+        if not planar_ids:
+            self._perimeter_cache[key] = None
+            return None
+        # Reference direction: the edge we arrived on.  It is almost
+        # always planar here too (the Gabriel test is symmetric), and
+        # then its angle is already in the memo.
+        if prev is not None:
+            if prev in planar_ids:
+                ref = angles[planar_ids.index(prev)]
+            else:
+                ref = angle_of(here, self.network.position_of(prev))
         best_id: Optional[int] = None
         best_angle = math.inf
         two_pi = 2.0 * math.pi
@@ -230,6 +262,7 @@ class GpsrRouter:
             if ccw < best_angle:
                 best_angle = ccw
                 best_id = nid
+        self._perimeter_cache[key] = best_id
         return best_id
 
     def _transmit(self, src: int, dst: int, packet: Packet, reset_prev: bool) -> None:

@@ -5,20 +5,19 @@ a priority queue of ``(time, sequence)``-ordered events whose
 callbacks are executed in nondecreasing virtual-time order.  There is one
 way to put work on the clock: :meth:`Simulator.schedule` /
 :meth:`Simulator.schedule_at` register a plain callable to run at a
-virtual time, and :meth:`Event.cancel` withdraws it.  A periodic or
+virtual time, and :meth:`Simulator.cancel` withdraws it.  A periodic or
 Poisson activity (a beacon, an arrival stream) is a callback that does
 its work and then schedules its own next wakeup.
 
 Event records
 -------------
-Every scheduled callback is one :class:`Event`: a list
-``[time, seq, callback, args]`` that *is* the heap entry, so
-:mod:`heapq` orders events by plain C-level list comparison and nothing
-else is allocated per event.  ``seq`` is unique, so comparison never
-reaches the callback slot.  :meth:`Simulator.schedule` returns the
-event; callers that may need to withdraw it keep the reference and call
-:meth:`Event.cancel`, everyone else (packet deliveries, batched
-broadcasts) drops it.
+Every scheduled callback is one plain list ``[time, seq, callback,
+args]`` that *is* the heap entry, so :mod:`heapq` orders events by
+C-level list comparison and nothing else is allocated per event.
+``seq`` is unique, so comparison never reaches the callback slot.
+:meth:`Simulator.schedule` returns the entry; callers that may need to
+withdraw it keep the reference and pass it to :meth:`Simulator.cancel`,
+everyone else (packet deliveries, batched broadcasts) drops it.
 
 Determinism
 -----------
@@ -36,7 +35,6 @@ import itertools
 from typing import Any, Callable, List, Optional
 
 __all__ = [
-    "Event",
     "SimulationError",
     "Simulator",
 ]
@@ -44,22 +42,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduler usage (e.g. scheduling in the past)."""
-
-
-class Event(list):
-    """A scheduled callback: the heap entry and its cancellation token.
-
-    Laid out as ``[time, seq, callback, args]``.  Cancellation
-    is lazy: the entry stays in the heap with its callback cleared and is
-    skipped when popped.  This is O(1) and avoids heap surgery.
-    """
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent, and a no-op
-        once the event has fired."""
-        self[2] = None
 
 
 class Simulator:
@@ -78,7 +60,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[list] = []
         self._sequence = itertools.count()
         self._running = False
         self.events_executed: int = 0
@@ -89,28 +71,38 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> list:
         """Run ``callback(*args)`` after ``delay`` units of virtual time.
 
         Insertion order breaks ties among same-time events.  The
-        returned :class:`Event` can be cancelled; ignoring it costs
+        returned entry can be passed to :meth:`cancel`; ignoring it costs
         nothing.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        event = Event((self.now + delay, next(self._sequence), callback, args))
+        event = [self.now + delay, next(self._sequence), callback, args]
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> list:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule into the past (time={time!r}, now={self.now!r})"
             )
-        event = Event((time, next(self._sequence), callback, args))
+        event = [time, next(self._sequence), callback, args]
         heapq.heappush(self._queue, event)
         return event
+
+    def cancel(self, event: list) -> None:
+        """Prevent a scheduled callback from running.  Idempotent, and a
+        no-op once the event has fired.
+
+        Cancellation is lazy: the entry stays in the heap with its
+        callback cleared and is skipped when popped.  This is O(1) and
+        avoids heap surgery.
+        """
+        event[2] = None
 
     # -- execution -------------------------------------------------------
 

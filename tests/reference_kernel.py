@@ -15,8 +15,11 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
   handled per node and HELLO beacons are dispatched per receiver,
 * MAC jitter is drawn one scalar ``rng.random()`` per hop instead of
   from the radio's block of pre-drawn values, and
-* GPSR recomputes neighbor positions per decision, and planarizes each
-  decision through the numpy filter
+* GPSR takes each greedy decision with numpy (a gather of the neighbor
+  columns, ``np.hypot`` and ``argmin``) instead of on its memoized
+  lists of Python complex positions, recomputes every perimeter
+  decision instead of reading its per-generation memo, and planarizes
+  each decision through the numpy filter
   :func:`repro.routing.planarization.gabriel_neighbors` instead of the
   router's scalar witness loop and its memo.
 
@@ -80,6 +83,18 @@ def numpy_planar_with_angles(grid, here, neighbors):
     return planar_ids, angles
 
 
+def numpy_greedy_next(grid, here, dest, neighbors):
+    """``GpsrRouter._greedy_next`` as one numpy step, recomputed on every
+    call: the first neighbor at the least ``np.hypot`` distance, if it
+    beats ``here``'s ``math.hypot`` distance."""
+    positions = grid._positions
+    dists = np.hypot(positions[neighbors, 0] - dest[0], positions[neighbors, 1] - dest[1])
+    best = int(dists.argmin())
+    if dists[best] < distance(here, dest):
+        return neighbors[best]
+    return None
+
+
 def _pass_through(src, dst, packet):
     return None  # deliver normally
 
@@ -95,6 +110,9 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     if radio._fault_filter is None:
         radio.set_fault_filter(_pass_through)
     router = net.stack.router
+    router._greedy_next = lambda node_id, here, dest, neighbors: (
+        numpy_greedy_next(grid, here, dest, neighbors)
+    )
     router._planar_with_angles = lambda node_id, here, neighbors: (
         numpy_planar_with_angles(grid, here, neighbors)
     )
@@ -104,7 +122,7 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
         try:
             forward(node_id, packet)
         finally:
-            router._nbr_pos_cache.clear()
+            router._perimeter_cache.clear()
 
     router._forward = forward_unmemoized
     return net
@@ -161,6 +179,7 @@ def run_reference_scenario(name: str, seed: int = 42) -> RunDigest:
     assert not radio._polygon_cache and not radio._swept and not radio._unswept
     assert not radio._jitters
     assert not router._angle_cache and not router._nbr_pos_cache
+    assert not router._perimeter_cache and router._points is None
     return RunDigest(
         scenario=name,
         seed=seed,

@@ -106,6 +106,46 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_speed"):
             SimulationConfig(max_speed=value)
 
+    @pytest.mark.parametrize("field", [
+        "zipf_theta", "gdld_wr", "gdld_wd", "gdld_ws", "default_ttr",
+        "pause_time", "request_deadline", "resilience_suspect_after",
+        "resilience_breaker_cooldown",
+    ])
+    def test_rejects_nan(self, field):
+        # Each passed a "<= 0" or "< 0" test and ran silently skewed:
+        # ZipfSampler(10, nan) drew key 8 every time.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", [
+        "width", "height", "range_m", "min_item_bytes", "max_item_bytes",
+        "zipf_theta", "gdld_wr", "gdld_wd", "gdld_ws",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_size_or_weight(self, field, value):
+        # The sizes crashed construction inside numpy ("cannot convert
+        # float NaN to integer", "high - low range exceeds valid
+        # bounds") without naming the field; an infinite range_m ran as
+        # one grid cell holding every node.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", 0.0), ("height", -1.0), ("range_m", 0.0),
+        ("min_item_bytes", 0.0), ("max_item_bytes", 512.0),
+        ("zipf_theta", -0.5), ("gdld_wd", -1.0), ("default_ttr", -1.0),
+        ("pause_time", -1.0), ("request_deadline", 0.0),
+        ("resilience_suspect_after", 0.0), ("resilience_breaker_cooldown", -1.0),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
+    def test_accepts_zero_skew_weights_and_pause(self):
+        SimulationConfig(zipf_theta=0.0, gdld_wr=0.0, gdld_wd=0.0, gdld_ws=0.0,
+                         pause_time=0.0, default_ttr=0.0,
+                         min_item_bytes=100.0, max_item_bytes=100.0)
+
     def test_zero_or_no_max_speed_is_static(self):
         assert SimulationConfig(max_speed=0.0).max_speed == 0.0
         assert SimulationConfig(max_speed=None).max_speed is None

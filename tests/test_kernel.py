@@ -10,7 +10,9 @@ so a divergence points at the responsible layer:
   degenerate polygons — and the radio's per-generation membership sweep
   vs both;
 * GPSR's scalar Gabriel witness loop vs the numpy ``gabriel_neighbors``,
-  list for list;
+  list for list; Python complex ``abs`` vs ``np.hypot``, bit for bit;
+  the greedy step on complex positions vs the numpy step (exact ties
+  included); and a memoized perimeter decision vs an uncached one;
 * the spatial grid's one-pass neighbor fill vs the ``within_range``
   cell walk — not just the same *sets*, the same *order* (neighbor order
   feeds RNG draw order downstream) — and, by bytes and by count, that
@@ -19,9 +21,9 @@ so a divergence points at the responsible layer:
   deliveries, same delivery order, same rebroadcast hops field by
   field, same duplicate/out-of-scope/rebroadcast counter totals;
 * by count, that the radio's per-transmission path (broadcast,
-  unicast, batch delivery, flood dedup and scoping) and a GPSR
-  planarization miss make no numpy call once the topology generation's
-  memos are filled, that a flood hop and a GPSR hop stay inside their
+  unicast, batch delivery, flood dedup and scoping), a GPSR
+  planarization miss, and warm greedy and perimeter decisions make no
+  numpy call once the topology generation's memos are filled, that a flood hop and a GPSR hop stay inside their
   call budgets with one energy-ledger call per broadcast or unicast,
   and that the membership
   sweep's numpy calls do not grow with the number of regions;
@@ -33,6 +35,8 @@ so a divergence points at the responsible layer:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -205,15 +209,15 @@ class TestMembershipSweep:
         for polygon in polygons:
             want = [point_in_polygon(pt, polygon) for pt in points]
             assert PolygonTester(polygon).contains(positions).tolist() == want
-            if polygon in swept:
-                assert swept[polygon] == want, polygon
+            if polygon in swept:  # a bool row, listed on first query
+                assert swept[polygon].tolist() == want, polygon
             # The generation's memo, first polygon filled by the sweep.
             assert net.polygon_members(polygon) == want, polygon
 
     def test_closed_ring_is_swept_unpruned(self):
         ring = ODD_POLYGONS[1]
         net = _radio_at([(5000.0, 5000.0), (150.0, 150.0), (-1.0, 7.0)], 6000.0)
-        assert net._sweep([ring])[ring] == [True, True, True]
+        assert net._sweep([ring])[ring].tolist() == [True, True, True]
 
     def test_a_polygon_not_queried_for_a_generation_retires(self):
         from repro.core.regions import RegionTable
@@ -292,6 +296,127 @@ class TestWitnessLoop:
             if "gabriel_neighbors(" in path.read_text(encoding="utf-8")
         ]
         assert callers == ["routing/planarization.py"]  # its definition
+
+
+# ---------------------------------------------------------------------------
+# GPSR's decisions on Python numbers vs the numpy step and an uncached loop
+# ---------------------------------------------------------------------------
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+#: Coordinates at the edges of float64: huge (differences overflow to
+#: inf), tiny and subnormal (differences underflow), and both zeros.
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+    1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308,
+    1.0, -1.0, 3200.0, 0.1,
+])
+_COORDS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+
+
+class TestComplexDistanceIsHypot:
+    @settings(max_examples=2000, deadline=None)
+    @given(_COORDS, _COORDS, _COORDS, _COORDS)
+    def test_abs_of_complex_difference_is_np_hypot_bit_for_bit(self, a, b, c, d):
+        with np.errstate(over="ignore"):
+            want = np.hypot(a - c, b - d)
+        try:
+            got = abs(complex(a, b) - complex(c, d))
+        except OverflowError:
+            # Where two finite differences have a distance past the
+            # largest double, CPython raises and numpy returns inf; on a
+            # plane of finite size no distance comes near.
+            assert np.isinf(want) and math.isfinite(a - c) and math.isfinite(b - d)
+            return
+        assert _bits(got) == _bits(want), (a, b, c, d)
+
+
+@st.composite
+def _routing_cases(draw):
+    """A static radio of 2-60 nodes — uniform, on a coarse lattice
+    (exact distance ties) or with duplicated positions — and
+    destination points on nodes, on lattice points and anywhere."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "lattice", "duplicates"]))
+    if kind == "uniform":
+        pts = rng.uniform(0.0, 900.0, size=(n, 2))
+    elif kind == "lattice":
+        pts = rng.integers(0, 8, size=(n, 2)) * 100.0
+    else:
+        base = rng.uniform(0.0, 600.0, size=(max(2, n // 4), 2))
+        pts = base[rng.integers(0, len(base), size=n)]
+    dests = [tuple(p) for p in pts[rng.integers(0, n, size=4)].tolist()]
+    dests += [tuple(p) for p in (rng.integers(0, 8, size=(4, 2)) * 100.0).tolist()]
+    dests += [tuple(p) for p in rng.uniform(-100.0, 1000.0, size=(4, 2)).tolist()]
+    return pts, dests
+
+
+def _router_on(pts):
+    from repro.routing.gpsr import GpsrRouter
+
+    net = _radio_at(pts, 1000.0)
+    router = GpsrRouter(net)
+    hoods = [(node,) + net.neighborhood(node)[:2] for node in range(len(pts))]
+    return net, router, [(node, neighbors, here) for node, neighbors, here in hoods
+                         if neighbors]
+
+
+class TestGpsrDecisions:
+    @settings(max_examples=150, deadline=None)
+    @given(_routing_cases())
+    def test_greedy_step_is_the_numpy_step(self, case):
+        from tests.reference_kernel import numpy_greedy_next
+
+        pts, dests = case
+        net, router, hoods = _router_on(pts)
+        grid = net._grid
+        for node, neighbors, here in hoods:
+            for dest in dests:
+                got = router._greedy_next(node, here, dest, neighbors)
+                assert got == numpy_greedy_next(grid, here, dest, neighbors), (
+                    node, dest)
+
+    def test_exact_ties_go_to_the_first_neighbor(self):
+        from tests.reference_kernel import numpy_greedy_next
+
+        # Nodes 1-4 share one position, 5 and 6 mirror each other about
+        # the line to the destination: both kinds of tie are exact.
+        pts = [(0.0, 0.0), (100.0, 0.0), (100.0, 0.0), (100.0, 0.0),
+               (100.0, 0.0), (50.0, 50.0), (50.0, -50.0)]
+        net, router, hoods = _router_on(pts)
+        node, neighbors, here = hoods[0]
+        assert neighbors == [1, 2, 3, 4, 5, 6]
+        for dest, want in (((300.0, 0.0), 1), ((0.0, 300.0), 5),
+                           ((0.0, -300.0), 6), ((200.0, 0.0), 1)):
+            assert router._greedy_next(node, here, dest, neighbors) == want
+            assert numpy_greedy_next(net._grid, here, dest, neighbors) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_routing_cases())
+    def test_memoized_perimeter_decision_is_the_uncached_one(self, case):
+        from repro.routing.envelopes import PERIMETER, GeoEnvelope
+
+        pts, dests = case
+        _, router, hoods = _router_on(pts)
+        _, fresh, _ = _router_on(pts)
+        queries = [
+            (node, neighbors, here, prev, dest)
+            for node, neighbors, here in hoods
+            for prev in [None] + neighbors[:3]
+            for dest in dests[::3]
+        ]
+        for repeat in range(2):  # the second pass answers from the memo
+            for node, neighbors, here, prev, dest in queries:
+                envelope = GeoEnvelope(inner=None, dest_point=dest, mode=PERIMETER,
+                                       prev_node=prev)
+                got = router._perimeter_next(node, here, envelope, neighbors)
+                fresh._perimeter_cache.clear()
+                want = fresh._perimeter_next(node, here, envelope, neighbors)
+                assert got == want, (node, prev, dest, repeat)
+        assert not queries or router._perimeter_cache
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +838,9 @@ def _numpy_calls(stats) -> dict:
     }
 
 
+_TOLIST = "~:<method 'tolist' of 'numpy.ndarray' objects>"
+
+
 class _CountingStream:
     """A ``Generator`` stand-in that counts ``random`` calls."""
 
@@ -904,6 +1032,40 @@ class TestRadioPathMakesNoNumpyCalls:
         assert sum(len(planar) for planar, _ in router._angle_cache.values()) > n
         assert _numpy_calls(pstats.Stats(profiler)) == {}
 
+    def test_warm_greedy_and_perimeter_decisions(self):
+        """Once the generation's memos are filled (complex positions,
+        neighbor positions, planarizations, perimeter answers), a
+        decision makes no numpy call."""
+        import cProfile
+        import pstats
+
+        from repro.routing.envelopes import PERIMETER, GeoEnvelope
+
+        n = 80
+        _, router, hoods = _router_on(
+            np.random.default_rng(21).uniform(0.0, 1000.0, size=(n, 2)))
+        dests = [(500.0, 500.0), (0.0, 1000.0), (1000.0, 0.0)]
+
+        def decisions():
+            for node, neighbors, here in hoods:
+                for dest in dests:
+                    router._greedy_next(node, here, dest, neighbors)
+                    for prev in (None, neighbors[0]):
+                        envelope = GeoEnvelope(inner=None, dest_point=dest,
+                                               mode=PERIMETER, prev_node=prev)
+                        router._perimeter_next(node, here, envelope, neighbors)
+
+        decisions()  # fills the memos
+        assert len(router._nbr_pos_cache) == len(hoods) > n // 2
+        assert len(router._perimeter_cache) >= len(hoods)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        decisions()
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        assert stats.total_calls > 6 * len(hoods)  # the profiler saw them
+        assert _numpy_calls(stats) == {}
+
     def test_membership_sweep_cost_does_not_grow_with_regions(self):
         import cProfile
         import pstats
@@ -925,7 +1087,10 @@ class TestRadioPathMakesNoNumpyCalls:
             profiler.disable()
             assert not net._swept  # every polygon came from the one sweep
             assert sum(map(sum, members)) == len(positions)  # a tiling
-            counts.append(_numpy_calls(pstats.Stats(profiler)))
+            calls = _numpy_calls(pstats.Stats(profiler))
+            # Each polygon's row becomes its list on its first query.
+            assert calls.pop(_TOLIST) == n_regions
+            counts.append(calls)
         assert sum(counts[0].values()) > 5  # the profiler saw the sweep
         assert counts[0] == counts[1]
 

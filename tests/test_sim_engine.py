@@ -56,14 +56,14 @@ class TestScheduling:
     def test_cancel_prevents_execution(self, sim):
         seen = []
         handle = sim.schedule(1.0, seen.append, "x")
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert seen == []
 
     def test_cancel_is_idempotent(self, sim):
         handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         sim.run()
 
     def test_events_scheduled_during_run_execute(self, sim):
@@ -103,7 +103,7 @@ class TestScheduling:
         h = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
-        h.cancel()
+        sim.cancel(h)
         assert sim.pending_events == 1
 
     def test_events_executed_counter(self, sim):
@@ -119,7 +119,7 @@ class TestSameTimestampFIFO:
     Every event draws its tiebreaker from ONE ``itertools.count``
     sequence, so events at the same time must always fire in
     insertion order — whether or not the caller kept the returned
-    :class:`Event` to cancel it, whichever of ``schedule`` /
+    entry to cancel it, whichever of ``schedule`` /
     ``schedule_at`` created it, and regardless of heap-internal sift
     order.
     """
@@ -167,7 +167,7 @@ class TestSameTimestampFIFO:
         sim.schedule(1.0, seen.append, 0)
         event = sim.schedule(1.0, seen.append, "cancelled")
         sim.schedule(1.0, seen.append, 1)
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert seen == [0, 1]
         assert sim.events_executed == 2
@@ -188,8 +188,8 @@ class TestSameTimestampFIFO:
         event = sim.schedule(1.0, seen.append, "x")
         sim.schedule(2.0, seen.append, "y")
         sim.run(until=1.5)
-        event.cancel()
-        event.cancel()
+        sim.cancel(event)
+        sim.cancel(event)
         assert sim.pending_events == 1
         sim.run()
         assert seen == ["x", "y"]
@@ -200,8 +200,8 @@ class TestSameTimestampFIFO:
         first = sim.schedule(1.0, seen.append, "first")
         sim.schedule(2.0, seen.append, "second")
         last = sim.schedule(3.0, seen.append, "last")
-        first.cancel()
-        last.cancel()
+        sim.cancel(first)
+        sim.cancel(last)
         assert sim.pending_events == 1
         sim.run()
         assert seen == ["second"]
