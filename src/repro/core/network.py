@@ -182,6 +182,7 @@ class PReCinCtNetwork:
         self.stack.set_app_batch_handler(self._dispatch_batch)
         self.stack.set_intercept_handler(self._intercept)
         self.stack.set_drop_handler(self._on_route_drop)
+        self.network.set_region_map(self.table)
 
         self._region_of_peer = np.full(cfg.n_nodes, -1, dtype=np.intp)
         #: Keys whose home region currently has no custodian, keyed by
@@ -374,12 +375,10 @@ class PReCinCtNetwork:
     # -- initial placement -------------------------------------------------------
 
     def _assign_initial_regions(self) -> None:
-        positions = self.network.positions()
-        ids = self.table.regions_of_points(positions)
-        for peer in self.peers:
-            rid = int(ids[peer.id])
-            peer.current_region_id = rid
-        self._region_of_peer = ids.copy()
+        column = self.network.region_column()
+        for peer, region_id in zip(self.peers, column):
+            peer.current_region_id = region_id
+        self._region_of_peer = np.array(column, dtype=np.intp)
 
     def _drop_empty_regions(self) -> None:
         """Delete unpopulated regions from the region table (§2.1).
@@ -638,7 +637,7 @@ class PReCinCtNetwork:
                     updater,
                     msg,
                     msg.size_bytes,
-                    region=region.vertices,
+                    region=region.region_id,
                     category=category,
                 )
             else:
@@ -647,7 +646,7 @@ class PReCinCtNetwork:
                     msg,
                     msg.size_bytes,
                     dest_point=region.center,
-                    region=region.vertices,
+                    region=region.region_id,
                     category=category,
                 )
         if utrace is not None:
@@ -844,14 +843,17 @@ class PReCinCtNetwork:
         downtime = float(rng.exponential(cfg.churn_downtime))
         self.sim.schedule(downtime, self._churn_rejoin, peer_id)
 
-    def _churn_rejoin(self, peer_id: int) -> None:
+    def _rejoin(self, peer_id: int) -> None:
+        """Reconnect a departed peer: revive its radio and, if it stands
+        in a region, rejoin it there (churn rejoins, fault recoveries)."""
         self.network.revive_node(peer_id)
-        positions = self.network.positions()
-        region_ids = self.table.regions_of_points(positions[peer_id : peer_id + 1])
-        new_region = int(region_ids[0])
+        new_region = self.network.region_column()[peer_id]
         if new_region >= 0:
             self._region_of_peer[peer_id] = new_region
             self.peers[peer_id].on_rejoin(new_region)
+
+    def _churn_rejoin(self, peer_id: int) -> None:
+        self._rejoin(peer_id)
         self.stats.count("churn.rejoins")
         self._churn_up(peer_id)
 
@@ -859,8 +861,7 @@ class PReCinCtNetwork:
 
     def _region_sweep(self) -> None:
         """Periodic position check for inter-region mobility (§2.3)."""
-        positions = self.network.positions()
-        ids = self.table.regions_of_points(positions)
+        ids = np.array(self.network.region_column(), dtype=np.intp)
         changed = np.flatnonzero(
             (ids != self._region_of_peer) & (ids >= 0) & self.network.alive
         )

@@ -307,12 +307,12 @@ class Peer:
                                  trace=trace)
         self._register(pending, self._cfg.local_timeout)
         msg = LocalRequest(request_id, self.id, self._position(), key)
-        region = self.host.table.get(self.current_region_id)
         if trace is not None:
             self.host.tracer.point(trace, "region.flood", peer=self.id,
                                    region=self.current_region_id)
         self.host.stack.flood_send(
-            self.id, msg, msg.size_bytes, region=region.vertices, category="request"
+            self.id, msg, msg.size_bytes, region=self.current_region_id,
+            category="request",
         )
 
     def _start_home_search(
@@ -386,7 +386,7 @@ class Peer:
                     self.id,
                     msg,
                     msg.size_bytes,
-                    region=home.vertices,
+                    region=home.region_id,
                     category=category,
                 )
                 if pending is not None and pending.phase == PHASE_HOME:
@@ -397,7 +397,7 @@ class Peer:
             msg,
             msg.size_bytes,
             dest_point=home.center,
-            region=home.vertices,
+            region=home.region_id,
             category=category,
         )
         if pending is not None and pending.phase == PHASE_HOME:
@@ -436,7 +436,7 @@ class Peer:
             msg,
             msg.size_bytes,
             dest_point=replica.center,
-            region=replica.vertices,
+            region=replica.region_id,
             category="request",
         )
         self._arm_retransmit(pending, PHASE_REPLICA)
@@ -703,7 +703,7 @@ class Peer:
                 self.id,
                 msg,
                 msg.size_bytes,
-                region=target.vertices,
+                region=target.region_id,
                 category="consistency",
             )
         else:
@@ -712,7 +712,7 @@ class Peer:
                 msg,
                 msg.size_bytes,
                 dest_point=target.center,
-                region=target.vertices,
+                region=target.region_id,
                 category="consistency",
             )
 
@@ -889,7 +889,6 @@ class Peer:
             self.serve(msg.request_id, msg.requester, msg.key)
             return
         if arrived_by_geo:
-            region = self.host.table.get(msg.target_region_id)
             tracer = self.host.tracer
             if tracer is not None:
                 tracer.point_by_request(
@@ -897,7 +896,8 @@ class Peer:
                     region=msg.target_region_id,
                 )
             self.host.stack.flood_send(
-                self.id, msg, msg.size_bytes, region=region.vertices, category="request"
+                self.id, msg, msg.size_bytes, region=msg.target_region_id,
+                category="request",
             )
 
     def try_intercept(self, msg: HomeRequest) -> bool:
@@ -944,12 +944,11 @@ class Peer:
         """Push arriving at its target region (geo arrival then flood)."""
         self.process_update_push(msg)
         if arrived_by_geo:
-            region = self.host.table.get(region_id)
             self.host.stack.flood_send(
                 self.id,
                 msg,
                 msg.size_bytes,
-                region=region.vertices,
+                region=region_id,
                 category="consistency",
             )
 
@@ -991,7 +990,7 @@ class Peer:
                 self.id,
                 msg,
                 msg.size_bytes,
-                region=home.vertices,
+                region=home.region_id,
                 category="consistency",
             )
 
@@ -1069,10 +1068,10 @@ class Peer:
         bloom.add_many(self.cache.entries.keys())
         if self.current_region_id < 0:
             return
-        region = self.host.table.get(self.current_region_id)
         msg = DigestAnnounce(self.id, self.current_region_id, bloom)
         self.host.stack.flood_send(
-            self.id, msg, msg.size_bytes, region=region.vertices, category="digest"
+            self.id, msg, msg.size_bytes, region=self.current_region_id,
+            category="digest",
         )
 
     def on_digest_announce(self, msg) -> None:

@@ -232,15 +232,7 @@ class FaultController:
             for node in self._targets(spec):
                 if host.network.is_alive(node):
                     continue
-                host.network.revive_node(node)
-                positions = host.network.positions()
-                region_ids = host.table.regions_of_points(
-                    positions[node : node + 1]
-                )
-                new_region = int(region_ids[0])
-                if new_region >= 0:
-                    host._region_of_peer[node] = new_region
-                    host.peers[node].on_rejoin(new_region)
+                host._rejoin(node)
                 host.stats.count("faults.recoveries")
                 host.trace("fault.recover", node=node)
         self._boundary(spec.kind)

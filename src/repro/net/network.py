@@ -4,6 +4,7 @@
 
 * the mobility model (sampled lazily into a :class:`SpatialGrid`),
 * per-node liveness (for failure-injection experiments),
+* every node's region id per topology generation (:meth:`region_column`),
 * the :class:`~repro.energy.EnergyLedger` charged on every transmission,
 * simple MAC timing: serialization delay ``8 * size / bandwidth`` plus a
   fixed channel-access overhead plus uniform contention jitter.
@@ -16,14 +17,13 @@ substitution is recorded in DESIGN.md §7.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.energy import EnergyLedger, EnergyParams
-from repro.geom import Point, PolygonTester, distance_sq, point_in_polygon
+from repro.geom import Point
 from repro.mobility.base import MobilityModel
 from repro.net.packet import Packet
 from repro.net.topology import SpatialGrid
@@ -42,35 +42,6 @@ ReceiveHandler = Callable[[int, Packet], None]
 #: drop, or a list of extra delays — one scheduled delivery per element
 #: (``[0.0, 0.01]`` = the original plus a duplicate 10 ms later).
 FaultFilter = Callable[[int, int, Packet], Optional[list]]
-
-#: Metres added around a polygon's bounding box to make its sweep box.
-#: A node outside the box is farther than this from every edge, so
-#: neither the boundary test (its band around an edge of length L is
-#: ``eps * max(1, L) / L`` wide) nor the crossing parity can place it
-#: inside — provided no edge is shorter than this.  A polygon with a
-#: shorter edge gets an unbounded box; a zero-length edge, as in a
-#: closed ring, puts every point on the boundary.
-_SWEEP_MARGIN = 1.0
-
-#: The :class:`repro.geom.PolygonTester` edge constants the sweep reads.
-_EDGE_COLUMNS = ("_ax", "_ay", "_bx", "_by", "_seg_tol", "_seg_len_sq")
-
-
-def _sweep_box(polygon):
-    """``(x_lo, x_hi, y_lo, y_hi)`` prefilter of ``polygon`` for the
-    membership sweep, or None for a polygon of fewer than 3 vertices."""
-    verts = list(polygon)
-    if len(verts) < 3:
-        return None
-    if min(distance_sq(a, b) for a, b in zip(verts, verts[1:] + verts[:1])) < (
-        _SWEEP_MARGIN * _SWEEP_MARGIN
-    ):
-        return (-math.inf, math.inf, -math.inf, math.inf)
-    xs = [x for x, _ in verts]
-    ys = [y for _, y in verts]
-    m = _SWEEP_MARGIN
-    return (min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m)
-
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -133,19 +104,12 @@ class WirelessNetwork:
         self._receive_handler: Optional[ReceiveHandler] = None
         self._batch_receive_handler = None
         self._fault_filter: Optional[FaultFilter] = None
-        # Per-generation polygon-membership memo: polygon -> list[bool],
-        # holding the polygons queried in this generation.  ``_swept``
-        # holds the sweep's answers (bool rows) for the ones not yet
-        # queried, and ``_unswept`` the last generation's polygons until
-        # the sweep runs.  Each polygon's record (tester, sweep box and
-        # its rows in the edge table) persists, and so does the table:
-        # the edge constants of every swept polygon, one column each.
-        self._polygon_cache: dict = {}
-        self._polygon_cache_gen = -1
-        self._swept: dict = {}
-        self._unswept: list = []
-        self._polygon_testers: dict = {}
-        self._edge_table = tuple(np.empty(0) for _ in _EDGE_COLUMNS)
+        # The region map (see set_region_map) and its per-generation
+        # column of region ids, with the (generation, map version) key
+        # the column was computed at.
+        self._regions = None
+        self._region_column: List[int] = []
+        self._region_column_key = None
         # (kind, category) -> cached Counter triple; see _new_sent_counters.
         self._sent_counters: dict = {}
         # The "net.delivered" Counter, cached on the first delivery.
@@ -179,6 +143,17 @@ class WirelessNetwork:
         """
         self._fault_filter = fault_filter
 
+    def set_region_map(self, regions) -> None:
+        """Install the region map that region-scoped sends resolve against.
+
+        ``regions`` answers ``regions_of_points((N, 2) array)`` with
+        ``(N,)`` region ids, -1 for a point in no region, and carries a
+        ``version`` counter bumped on every change: a
+        :class:`~repro.core.regions.RegionTable`.
+        """
+        self._regions = regions
+        self._region_column_key = None
+
     # -- topology --------------------------------------------------------
 
     def _refresh_positions(self, force: bool = False) -> None:
@@ -198,142 +173,26 @@ class WirelessNetwork:
         self._grid.rebuild(positions, self.alive)
         self._last_sample_time = self.sim.now
 
-    def node_in_polygon(self, node_id: int, polygon) -> bool:
-        """Is ``node_id`` (at its sampled position) inside ``polygon``?
+    def region_column(self) -> List[int]:
+        """Every node's region id at its sampled position, indexed by
+        node id; -1 for a node in no region.
 
-        Memoized per topology generation (see :meth:`polygon_members`)
-        — region membership is re-tested for every flood reception and
-        every route-to-region arrival check, almost always against the
-        same handful of region polygons.
-        """
-        members = self.polygon_members(polygon)
-        if members is None:
-            self._refresh_positions()
-            return point_in_polygon(self._grid.position_of(node_id), polygon)
-        return members[node_id]
-
-    def polygon_members(self, polygon):
-        """Per-generation membership list for ``polygon``, indexed by node id.
-
-        The generation's first miss classifies every polygon queried in
-        the previous generation in one pass (:meth:`_sweep`); a polygon
-        that generation did not query drops out of the next sweep.  A
-        polygon the sweep did not cover takes its own
-        :class:`repro.geom.PolygonTester` pass.  Both are elementwise
-        bit-identical to the scalar test.
-
-        Returns ``None`` for an unhashable polygon — callers then fall
-        back to the scalar :func:`~repro.geom.point_in_polygon` test.
+        The one region-membership rule: flood scope, route-to-region
+        arrival and a peer's own region all read it.  Computed once per
+        (topology generation, region-map version), so a table change
+        with no generation bump still takes effect, and shared until
+        then (do not mutate).
         """
         if self.sim.now - self._last_sample_time >= self.radio.position_refresh_s:
             self._refresh_positions()
-        gen = self._grid.generation
-        if gen != self._polygon_cache_gen:
-            self._unswept = list(self._polygon_cache)
-            self._polygon_cache = {}
-            self._swept = {}
-            self._polygon_cache_gen = gen
-        try:
-            members = self._polygon_cache.get(polygon)
-        except TypeError:  # unhashable polygon
-            return None
-        if members is None:
-            if self._unswept:
-                self._swept = self._sweep(self._unswept)
-                self._unswept = []
-            row = self._swept.pop(polygon, None)
-            if row is None:
-                row = self._polygon_record(polygon)[0].contains(self._grid.positions)
-            members = self._polygon_cache[polygon] = row.tolist()
-        return members
-
-    def _polygon_record(self, polygon):
-        """``(tester, sweep box, first edge row, edge count)`` of a
-        polygon.  The box is None for a degenerate polygon, which the
-        sweep skips; any other polygon's edges join the edge table."""
-        record = self._polygon_testers.get(polygon)
-        if record is None:
-            tester = PolygonTester(polygon)
-            box = _sweep_box(polygon)
-            first = self._edge_table[0].size
-            if box is not None:
-                self._edge_table = tuple(
-                    np.concatenate((column, getattr(tester, name)))
-                    for column, name in zip(self._edge_table, _EDGE_COLUMNS)
-                )
-            record = self._polygon_testers[polygon] = (
-                tester, box, first, self._edge_table[0].size - first
-            )
-        return record
-
-    def _sweep(self, polygons) -> dict:
-        """Membership rows of many polygons in one numpy pass.
-
-        Only (polygon, node) pairs whose node lies in the polygon's sweep
-        box are tested; every other node is outside.  The pairs come from
-        the nodes sorted by x: each box's x range is one slice of that
-        order (``searchsorted``), then filtered by the box's y range.
-        Each pair is repeated over its polygon's rows of the edge table,
-        and the edges run :meth:`PolygonTester.contains`'s arithmetic
-        elementwise on the tester's own edge constants, so every
-        comparison resolves as there.  Per pair, ``reduceat`` ORs the
-        boundary hits and XORs the crossing toggles, as ``contains``
-        reduces over its edge axis.
-
-        Returns ``{polygon: bool row indexed by node id}``; the rows are
-        views of one matrix, turned into lists when first queried.
-        """
-        records = [self._polygon_record(p) for p in polygons]
-        swept = [(p, r) for p, r in zip(polygons, records) if r[1] is not None]
-        if not swept:
-            return {}
-        polygons = [p for p, _ in swept]
-        boxes = np.array([r[1] for _, r in swept])
-        first_edge = np.array([r[2] for _, r in swept])
-        n_edges = np.array([r[3] for _, r in swept])
-        grid = self._grid
-        px, py = grid._xs, grid._ys
-        by_x = np.argsort(px, kind="stable")
-        sorted_x = px[by_x]
-        lo = sorted_x.searchsorted(boxes[:, 0], "left")
-        strip = sorted_x.searchsorted(boxes[:, 1], "right") - lo
-        slots = np.arange(strip.sum())
-        slots += np.repeat(lo - (np.cumsum(strip) - strip), strip)
-        poly = np.repeat(np.arange(len(polygons)), strip)
-        owner = by_x[slots]
-        y = py[owner]
-        in_box = (y >= boxes[poly, 2]) & (y <= boxes[poly, 3])
-        poly, owner = poly[in_box], owner[in_box]
-        members = np.zeros((len(polygons), px.size), dtype=bool)
-        if owner.size:
-            counts = n_edges[poly]
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            edge = np.arange(ends[-1]) + np.repeat(first_edge[poly] - starts, counts)
-            node = np.repeat(owner, counts)
-            ax, ay, bx, by, seg_tol, seg_len_sq = (
-                column[edge] for column in self._edge_table
-            )
-            px, py = px[node], py[node]
-            eps = PolygonTester._EPS
-            dbax = bx - ax
-            dbay = by - ay
-            dpax = px - ax
-            dpay = py - ay
-            cross = dbax * dpay - dbay * dpax
-            dot = dpax * dbax + dpay * dbay
-            on_boundary = (
-                (np.abs(cross) <= seg_tol) & (dot >= -eps) & (dot <= seg_len_sq)
-            )
-            straddles = (ay > py) != (by > py)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_cross = dbax * (py - ay) / dbay + ax
-            toggles = straddles & (px < x_cross)
-            members[poly, owner] = (
-                np.logical_or.reduceat(on_boundary, starts)
-                | np.bitwise_xor.reduceat(toggles, starts)
-            )
-        return dict(zip(polygons, members))
+        regions = self._regions
+        if regions is None:
+            raise RuntimeError("region-scoped send on a radio with no region map")
+        key = (self._grid.generation, regions.version)
+        if key != self._region_column_key:
+            self._region_column = regions.regions_of_points(self._grid.positions).tolist()
+            self._region_column_key = key
+        return self._region_column
 
     def points(self) -> List[Point]:
         """Every node's current (sampled) position as a tuple of Python

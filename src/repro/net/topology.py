@@ -19,12 +19,12 @@ pure functions of (generation, node) — the grid memoizes
 :meth:`neighbors_of` per (generation, radius), computing every live
 node's list in one vectorized pass over the table the first time any
 node asks.  That pass costs O(live nodes x block occupancy); nothing in
-it is N x N.  It leaves one flat ``list[int]``, and a node's answer is
-sliced out of it on the node's first query and memoized: the radio
-walks it once per transmission, which Python does faster than numpy
-can on neighborhoods of a dozen nodes.  For the same reason
-:meth:`position_of` answers from one per-generation list of ``(x, y)``
-tuples of Python floats.
+it is N x N.  It slices every live node's ``list[int]`` out of one flat
+list into the memo at once (almost every list is read in a
+generation): the radio walks a list once per transmission, which
+Python does faster than numpy can on neighborhoods of a dozen nodes.
+For the same reason :meth:`position_of` answers from one
+per-generation list of ``(x, y)`` tuples of Python floats.
 The cached lists are built by exactly the same candidate ordering and
 distance arithmetic as the :meth:`within_range` cell walk (3x3 cell
 block in row-major order, ascending node id within each cell, float64
@@ -80,13 +80,6 @@ class SpatialGrid:
         self._offsets: Optional[np.ndarray] = None
         self._neighbor_cache: Dict[int, List[int]] = {}
         self._cache_radius: Optional[float] = None
-        # The radius's one fill: every live node's neighbors in one flat
-        # list, node i's at _fill_flat[_fill_start[i]:_fill_end[i]]
-        # (start -1 for a dead node); sliced into _neighbor_cache on a
-        # node's first query.
-        self._fill_flat: List[int] = []
-        self._fill_start: List[int] = []
-        self._fill_end: List[int] = []
 
     # -- building --------------------------------------------------------
 
@@ -119,9 +112,6 @@ class SpatialGrid:
         self.generation += 1
         self._neighbor_cache = {}
         self._cache_radius = None
-        self._fill_flat = []
-        self._fill_start = []
-        self._fill_end = []
 
     # -- queries ---------------------------------------------------------
 
@@ -170,12 +160,6 @@ class SpatialGrid:
         cached = self._neighbor_cache.get(node_id)
         if cached is not None:
             return cached
-        start = self._fill_start[node_id]
-        if start >= 0:
-            cached = self._neighbor_cache[node_id] = self._fill_flat[
-                start:self._fill_end[node_id]
-            ]
-            return cached
         ids = self.within_range(self.position_of(node_id), radius)
         return ids[ids != node_id].tolist()
 
@@ -186,8 +170,8 @@ class SpatialGrid:
         the cell-sorted table, enumerated node-major and block-row by
         block-row — already the walk's order (block row-major, ascending
         id within each cell), so nothing is sorted.  The distance filter
-        is the walk's elementwise float64 subtract/square/compare.  The
-        lists stay in one flat list until each node's first query.
+        is the walk's elementwise float64 subtract/square/compare.  Each
+        live node's list is a slice of one flat list of the kept ids.
         """
         ids, offsets = self._ids, self._offsets
         rows, cols = np.divmod(self._cell_of[ids], self.n_cols)
@@ -208,15 +192,12 @@ class SpatialGrid:
         dy = ys[cand] - ys[owner]
         keep = (dx ** 2 + dy ** 2 <= radius * radius) & (cand != owner)
         kept_before = np.concatenate(([0], np.cumsum(keep)))
-        bounds = kept_before[np.concatenate(([0], np.cumsum(per_node)))]
-        start = np.full(xs.size, -1, dtype=np.intp)
-        end = np.full(xs.size, -1, dtype=np.intp)
-        start[ids] = bounds[:-1]
-        end[ids] = bounds[1:]
-        self._fill_flat = cand[keep].tolist()
-        self._fill_start = start.tolist()
-        self._fill_end = end.tolist()
-        self._neighbor_cache = {}
+        bounds = kept_before[np.concatenate(([0], np.cumsum(per_node)))].tolist()
+        flat = cand[keep].tolist()
+        self._neighbor_cache = {
+            node: flat[start:end]
+            for node, start, end in zip(ids.tolist(), bounds, bounds[1:])
+        }
 
     def position_of(self, node_id: int) -> Point:
         """``node_id``'s position as a tuple of Python floats.

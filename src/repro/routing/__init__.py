@@ -5,7 +5,7 @@ Implements the two retrieval substrates the paper evaluates:
 * :mod:`repro.routing.gpsr` — Greedy Perimeter Stateless Routing (Karp &
   Kung, MobiCom 2000), extended per the paper to route *to regions*: a
   packet targets a region's center and is considered delivered at the
-  first node found inside the region polygon ("point of broadcast").
+  first node found inside the region, by region id ("point of broadcast").
 * :mod:`repro.routing.flooding` — network-wide flooding with duplicate
   suppression, scoped (regional) flooding, and TTL-bounded flooding for
   the expanding-ring baseline.

@@ -5,9 +5,9 @@ messages in envelopes that tell the :class:`~repro.routing.stack.NetworkStack`
 how to move them:
 
 * :class:`GeoEnvelope` — geographic routing towards a point (optionally a
-  region polygon), via GPSR greedy/perimeter forwarding.
+  region, by id), via GPSR greedy/perimeter forwarding.
 * :class:`FloodEnvelope` — broadcast flooding with duplicate suppression,
-  optionally scoped to a region polygon and/or TTL-bounded.
+  optionally scoped to a region (by id) and/or TTL-bounded.
 
 Envelopes are mutable per logical packet (the same object travels with
 every hop copy); GPSR keeps its greedy/perimeter state here, mirroring
@@ -34,7 +34,7 @@ class GeoEnvelope:
     Delivery condition (checked at each receiving node, in order):
 
     1. ``dest_node`` is set and this node is it;
-    2. ``region`` is set and this node lies inside the polygon — the
+    2. ``region`` is set and this node's region id is it — the
        paper's route-to-region arrival ("the first node inside the
        destination region ... identified as the point of broadcast");
     3. neither is set and this node is within ``arrival_radius`` of
@@ -47,7 +47,7 @@ class GeoEnvelope:
     inner: Any
     dest_point: Point
     dest_node: Optional[int] = None
-    region: Optional[Tuple[Point, ...]] = None
+    region: Optional[int] = None
     arrival_radius: float = 1.0
     # -- GPSR header state --
     mode: str = GREEDY
@@ -69,7 +69,7 @@ class GeoEnvelope:
 class FloodEnvelope:
     """A payload being flooded.
 
-    ``region`` limits rebroadcast to nodes inside the polygon (the
+    ``region`` limits rebroadcast to nodes whose region id it is (the
     paper's *localized flooding*: nodes outside the home region drop the
     request without further processing).  ``ttl`` limits rebroadcast
     depth for the expanding-ring baseline; ``None`` means unbounded
@@ -89,7 +89,7 @@ class FloodEnvelope:
 
     inner: Any
     origin: int
-    region: Optional[Tuple[Point, ...]] = None
+    region: Optional[int] = None
     ttl: Optional[int] = None
     record_path: bool = False
     path: Tuple[int, ...] = ()

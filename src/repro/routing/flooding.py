@@ -6,7 +6,7 @@ Three uses in the reproduction:
   the invalidation transport of the Plain-Push consistency scheme;
 * **localized (regional) flooding** — PReCinCt's in-region resolution:
   after a request reaches its home region, it is flooded only among
-  nodes inside the region polygon ("Peers located outside the home
+  nodes whose region id is the flood's ("Peers located outside the home
   region drop the request message without further processing");
 * **TTL-bounded flooding** — the expanding-ring baseline (Lv et al.),
   which retries with growing TTLs until the data is found.
@@ -83,12 +83,10 @@ class Flooder:
         seen[node_id] = 1
 
         # Region scoping: out-of-region nodes drop without processing.
-        # Membership goes through the network's per-generation memo (the
-        # same polygon is re-tested by every member of a flooded region).
-        if envelope.region is not None:
-            if not self.network.node_in_polygon(node_id, envelope.region):
-                self.stats.count("flood.out_of_scope")
-                return False
+        region = envelope.region
+        if region is not None and self.network.region_column()[node_id] != region:
+            self.stats.count("flood.out_of_scope")
+            return False
 
         # Rebroadcast if TTL allows.
         ttl = envelope.ttl
@@ -125,11 +123,8 @@ class Flooder:
         network = self.network
         out_of_scope = 0
         if region is not None and fresh:
-            members = network.polygon_members(region)
-            if members is None:  # unhashable region: per-node test
-                in_scope = [n for n in fresh if network.node_in_polygon(n, region)]
-            else:
-                in_scope = [n for n in fresh if members[n]]
+            column = network.region_column()
+            in_scope = [n for n in fresh if column[n] == region]
             out_of_scope = len(fresh) - len(in_scope)
             fresh = in_scope
         ttl = envelope.ttl

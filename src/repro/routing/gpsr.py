@@ -21,10 +21,10 @@ test on crossing the ``Lp``–destination line is folded into the
 greedy-escape check; neighbor tables come from the ground-truth spatial
 index (perfect beaconing).
 
-Route-to-region: the envelope may carry a destination region polygon; the
-first node *inside* the polygon that receives the packet is the arrival
-point (the paper's "point of broadcast"), regardless of distance to the
-region center.
+Route-to-region: the envelope may carry a destination region id; the
+first node *inside* that region (by the radio's region column) that
+receives the packet is the arrival point (the paper's "point of
+broadcast"), regardless of distance to the region center.
 """
 
 from __future__ import annotations
@@ -103,10 +103,7 @@ class GpsrRouter:
             return node_id == envelope.dest_node
         region = envelope.region
         if region is not None:
-            members = self.network.polygon_members(region)
-            if members is None:  # unhashable region: scalar test
-                return self.network.node_in_polygon(node_id, region)
-            return members[node_id]
+            return self.network.region_column()[node_id] == region
         pos = self.network.position_of(node_id)
         return distance(pos, envelope.dest_point) <= envelope.arrival_radius
 

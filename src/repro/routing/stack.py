@@ -97,7 +97,7 @@ class NetworkStack:
         size_bytes: float,
         dest_point: Point,
         dest_node: Optional[int] = None,
-        region: Optional[tuple] = None,
+        region: Optional[int] = None,
         max_hops: int = 128,
         category: str = "data",
     ) -> GeoEnvelope:
@@ -117,7 +117,7 @@ class NetworkStack:
         src: int,
         inner: Any,
         size_bytes: float,
-        region: Optional[tuple] = None,
+        region: Optional[int] = None,
         ttl: Optional[int] = None,
         record_path: bool = False,
         category: str = "data",

@@ -6,8 +6,9 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
 
 * neighbor queries take the uncached 3x3 cell walk (the path dead nodes
   always take) instead of the per-generation memo,
-* region membership takes the scalar point-in-polygon test (the path an
-  unhashable polygon always takes) instead of the per-generation sweep,
+* region membership comes from a column rebuilt on every read by one
+  scalar ``RegionTable.region_of_point`` polygon scan per node (lowest
+  id wins a tie) instead of the radio's per-generation grid column,
 * positions are read from the grid's numpy array instead of its
   per-generation list of float tuples,
 * every broadcast schedules one delivery event per receiver (the path a
@@ -95,6 +96,15 @@ def numpy_greedy_next(grid, here, dest, neighbors):
     return None
 
 
+def scalar_region_column(radio, table):
+    """``WirelessNetwork.region_column`` by one polygon scan per node."""
+    column = []
+    for x, y in radio.positions().tolist():
+        region = table.region_of_point((x, y))
+        column.append(-1 if region is None else region.region_id)
+    return column
+
+
 def _pass_through(src, dst, packet):
     return None  # deliver normally
 
@@ -105,7 +115,8 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     grid = radio._grid
     grid.neighbors_of = lambda node_id, radius: walk_neighbors(grid, node_id, radius)
     grid.position_of = lambda node_id: array_position(grid, node_id)
-    radio.polygon_members = lambda polygon: None
+    radio._region_column_key = None
+    radio.region_column = lambda: scalar_region_column(radio, net.table)
     radio._hop_delay = lambda src, size_bytes: scalar_hop_delay(radio, src, size_bytes)
     if radio._fault_filter is None:
         radio.set_fault_filter(_pass_through)
@@ -176,7 +187,7 @@ def run_reference_scenario(name: str, seed: int = 42) -> RunDigest:
     # A memo that filled means the oracle ran production paths.
     radio, router = net.network, net.stack.router
     assert not radio._grid._neighbor_cache and radio._grid._points is None
-    assert not radio._polygon_cache and not radio._swept and not radio._unswept
+    assert radio._region_column_key is None
     assert not radio._jitters
     assert not router._angle_cache and not router._nbr_pos_cache
     assert not router._perimeter_cache and router._points is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.regions import RegionTable
 from repro.routing import FloodEnvelope, NetworkStack
 from tests.conftest import make_static_network, tiny_config
 
@@ -10,9 +11,14 @@ from tests.conftest import make_static_network, tiny_config
 # (and diagonals are at 283 m — out of the 250 m range).
 GRID9 = [[x * 200.0, y * 200.0] for y in range(3) for x in range(3)]
 
+#: Three 200 m wide columns of 600 m: region 0 holds GRID9's left
+#: column (nodes 0, 3, 6), whose x is 0.
+COLUMNS = RegionTable.grid(600.0, 600.0, 3)
+
 
 def run_flood(positions, origin, region=None, ttl=None, record_path=False, **kw):
     net = make_static_network(positions, width=3000.0, height=3000.0, **kw)
+    net.set_region_map(COLUMNS)
     stack = NetworkStack(net)
     delivered = []
     stack.set_app_handler(lambda node, inner, pkt: delivered.append((node, inner, pkt)))
@@ -64,17 +70,14 @@ class TestTTLFlood:
 
 class TestRegionalFlood:
     def test_out_of_region_nodes_drop_without_rebroadcast(self):
-        # Region covers only the left column (x <= 100).
-        region = ((-50.0, -50.0), (100.0, -50.0), (100.0, 450.0), (-50.0, 450.0))
-        delivered, net = run_flood(GRID9, origin=0, region=region)
+        delivered, net = run_flood(GRID9, origin=0, region=0)
         nodes = {n for n, _, _ in delivered}
         # Left column is nodes 0, 3, 6.
         assert nodes == {3, 6}
         assert net.stats.value("flood.out_of_scope") > 0
 
     def test_regional_flood_still_charges_out_of_scope_receivers(self):
-        region = ((-50.0, -50.0), (100.0, -50.0), (100.0, 450.0), (-50.0, 450.0))
-        _, net = run_flood(GRID9, origin=0, region=region)
+        _, net = run_flood(GRID9, origin=0, region=0)
         # Node 1 (out of region) still overheard broadcasts -> energy.
         assert net.energy.node_total(1) > 0
 

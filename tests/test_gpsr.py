@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.regions import RegionTable
 from repro.routing import GeoEnvelope, NetworkStack
 from tests.conftest import make_static_network
 
@@ -10,6 +11,8 @@ from tests.conftest import make_static_network
 def run_route(positions, src, dest_point, dest_node=None, region=None, range_m=250.0):
     """Route a payload and report (delivered_at, hops, drops)."""
     net = make_static_network(positions, range_m=range_m, width=3000.0, height=3000.0)
+    # Two regions: x below 350 (id 0) and from 350 to 700 (id 1).
+    net.set_region_map(RegionTable.grid(700.0, 100.0, 2))
     stack = NetworkStack(net)
     delivered = []
     dropped = []
@@ -52,12 +55,11 @@ class TestGreedy:
 
     def test_region_arrival_at_first_inside_node(self):
         positions = [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0], [600.0, 0.0]]
-        region = ((350.0, -50.0), (650.0, -50.0), (650.0, 50.0), (350.0, 50.0))
         delivered, dropped, _ = run_route(
-            positions, src=0, dest_point=(500.0, 0.0), region=region
+            positions, src=0, dest_point=(500.0, 0.0), region=1
         )
         assert len(delivered) == 1
-        # Node 2 (x=400) is the first node inside the region polygon.
+        # Node 2 (x=400) is the first node inside region 1.
         assert delivered[0][0] == 2
 
     def test_isolated_source_drops(self):

@@ -7,8 +7,7 @@ so a divergence points at the responsible layer:
 
 * ``PolygonTester`` / ``points_in_polygon`` vs the scalar
   ``point_in_polygon`` — including boundary points, vertices, and
-  degenerate polygons — and the radio's per-generation membership sweep
-  vs both;
+  degenerate polygons;
 * GPSR's scalar Gabriel witness loop vs the numpy ``gabriel_neighbors``,
   list for list; Python complex ``abs`` vs ``np.hypot``, bit for bit;
   the greedy step on complex positions vs the numpy step (exact ties
@@ -23,10 +22,9 @@ so a divergence points at the responsible layer:
 * by count, that the radio's per-transmission path (broadcast,
   unicast, batch delivery, flood dedup and scoping), a GPSR
   planarization miss, and warm greedy and perimeter decisions make no
-  numpy call once the topology generation's memos are filled, that a flood hop and a GPSR hop stay inside their
-  call budgets with one energy-ledger call per broadcast or unicast,
-  and that the membership
-  sweep's numpy calls do not grow with the number of regions;
+  numpy call once the topology generation's memos are filled, and that
+  a flood hop and a GPSR hop stay inside their call budgets with one
+  energy-ledger call per broadcast or unicast;
 * construction's one pass per table vs placing keys one at a time —
   the same custody, orphan and key → region tables — and, by count,
   that its numpy calls grow with the key table's chunks, not its keys;
@@ -106,135 +104,13 @@ class TestPointsInPolygon:
 
 
 # ---------------------------------------------------------------------------
-# The generation's membership sweep vs per-polygon and scalar tests
+# Radios at explicit positions
 # ---------------------------------------------------------------------------
-
-#: Polygons the sweep must not prune: fewer than 3 vertices, a closed
-#: ring (zero-length closing edge), a repeated vertex, an edge shorter
-#: than the sweep margin, a zero-area sliver, and one smaller than the margin.
-ODD_POLYGONS = [
-    ((5.0, 5.0), (9.0, 9.0)),
-    ((0.0, 0.0), (300.0, 0.0), (300.0, 300.0), (0.0, 300.0), (0.0, 0.0)),
-    ((100.0, 100.0), (400.0, 100.0), (400.0, 100.0), (400.0, 400.0)),
-    ((100.0, 100.0), (400.0, 100.0), (400.0, 100.5), (100.0, 400.0)),
-    ((0.0, 50.0), (100.0, 50.0), (200.0, 50.0)),
-    ((10.0, 10.0), (10.5, 10.0), (10.5, 10.5)),
-]
-
-
-def _box_points(polygon, margin):
-    """Vertices, edge midpoints, and points exactly on and a hair either
-    side of the polygon's bounding box +- ``margin``."""
-    xs = [x for x, _ in polygon]
-    ys = [y for _, y in polygon]
-    xlo, xhi = min(xs) - margin, max(xs) + margin
-    ylo, yhi = min(ys) - margin, max(ys) + margin
-    xmid, ymid = (xlo + xhi) / 2.0, (ylo + yhi) / 2.0
-    pts = list(polygon)
-    pts += [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-            for a, b in zip(polygon, polygon[1:] + polygon[:1])]
-    for x in (xlo, xhi):
-        for nudge in (-1.0, 0.0, 1.0):
-            x_n = np.nextafter(x, x + nudge) if nudge else x
-            pts += [(float(x_n), ymid), (float(x_n), ylo), (float(x_n), yhi)]
-    for y in (ylo, yhi):
-        for nudge in (-1.0, 1.0):
-            pts.append((xmid, float(np.nextafter(y, y + nudge))))
-        pts.append((xmid, y))
-    return pts
-
-
-@st.composite
-def _sweep_cases(draw):
-    """Grid rectangles, merged hulls, separated halves, random simple
-    (star-shaped) polygons and odd polygons, with nodes anywhere on the
-    plane, on every polygon's edges and vertices and at its box +- margin;
-    some nodes dead."""
-    from repro.core.regions import RegionTable
-    from repro.net.network import _SWEEP_MARGIN
-
-    side = draw(st.sampled_from([600.0, 1000.0, 1500.0]))
-    table = RegionTable.grid(side, side, draw(st.sampled_from([1, 4, 9, 12, 16])))
-    for _ in range(draw(st.integers(0, 3))):
-        ids = table.region_ids()
-        rid = draw(st.sampled_from(ids))
-        adjacent = [r.region_id for r in table.neighbors_of_region(rid)]
-        if adjacent and draw(st.booleans()):
-            table.merge(rid, draw(st.sampled_from(adjacent)))
-        else:
-            table.separate(rid, axis=draw(st.sampled_from("xy")))
-    polygons = [region.vertices for region in table]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for _ in range(draw(st.integers(0, 3))):
-        k = int(rng.integers(3, 10))
-        cx, cy = rng.uniform(0.0, side, 2)
-        angles = np.sort(rng.uniform(0.0, 2 * np.pi, k))
-        radii = rng.uniform(1.0, side / 3, k)
-        polygons.append(tuple(
-            (float(cx + r * np.cos(a)), float(cy + r * np.sin(a)))
-            for a, r in zip(angles, radii)
-        ))
-    polygons += draw(st.lists(st.sampled_from(ODD_POLYGONS), max_size=3, unique=True))
-    polygons = list(dict.fromkeys(polygons))
-    points = [tuple(p) for p in rng.uniform(-50.0, side + 50.0, size=(
-        draw(st.integers(0, 200)), 2)).tolist()]
-    for polygon in draw(st.lists(st.sampled_from(polygons), max_size=4)):
-        points += _box_points(polygon, _SWEEP_MARGIN)
-    if not points:
-        points = [(0.0, 0.0)]
-    dead = draw(st.lists(st.integers(0, len(points) - 1), max_size=5))
-    return side, polygons, points, dead
-
 
 def _radio_at(points, side):
     from tests.conftest import make_static_network
 
     return make_static_network(points, width=side, height=side)
-
-
-class TestMembershipSweep:
-    @settings(max_examples=120, deadline=None)
-    @given(_sweep_cases())
-    def test_sweep_equals_per_polygon_and_scalar_tests(self, case):
-        side, polygons, points, dead = case
-        net = _radio_at(points, side)
-        for polygon in polygons:  # first sight: one pass per polygon
-            net.polygon_members(polygon)
-        for node in dead:  # each failure starts a generation
-            net.fail_node(node)
-        net.revive_node(0)
-        swept = net._sweep(polygons)
-        assert set(swept) == {p for p in polygons if len(p) >= 3}
-        positions = np.asarray(points, dtype=float)
-        for polygon in polygons:
-            want = [point_in_polygon(pt, polygon) for pt in points]
-            assert PolygonTester(polygon).contains(positions).tolist() == want
-            if polygon in swept:  # a bool row, listed on first query
-                assert swept[polygon].tolist() == want, polygon
-            # The generation's memo, first polygon filled by the sweep.
-            assert net.polygon_members(polygon) == want, polygon
-
-    def test_closed_ring_is_swept_unpruned(self):
-        ring = ODD_POLYGONS[1]
-        net = _radio_at([(5000.0, 5000.0), (150.0, 150.0), (-1.0, 7.0)], 6000.0)
-        assert net._sweep([ring])[ring].tolist() == [True, True, True]
-
-    def test_a_polygon_not_queried_for_a_generation_retires(self):
-        from repro.core.regions import RegionTable
-
-        a, b, c = (r.vertices for r in RegionTable.grid(600.0, 600.0, 3))
-        net = _radio_at(np.random.default_rng(4).uniform(0, 600, (30, 2)), 600.0)
-        for polygon in (a, b, c):
-            net.polygon_members(polygon)
-        net.fail_node(0)  # generation 2 queries a and b: the sweep covers all three
-        net.polygon_members(a)
-        assert set(net._swept) == {b, c}
-        net.polygon_members(b)
-        net.revive_node(0)  # generation 3: c was not queried in generation 2
-        net.polygon_members(a)
-        assert set(net._swept) == {b}
-        net.polygon_members(c)  # back by its own pass; swept again next time
-        assert set(net._polygon_cache) == {a, c} and set(net._swept) == {b}
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +561,7 @@ class _StubNetwork:
     """Minimal WirelessNetwork stand-in for Flooder unit tests."""
 
     def __init__(self, n_nodes, members=None):
+        from repro.core.regions import RegionTable
         from repro.sim import Simulator
         from repro.sim.trace import StatRegistry
 
@@ -693,7 +570,12 @@ class _StubNetwork:
         self.stats = StatRegistry()
         self.broadcasts = []  # every rebroadcast hop, field by field
         self.masks = []  # the dedup mask each hop carries
-        self._members = members  # list[bool] or None
+        # Members stand in region 0 of a two-cell grid, the rest in 1.
+        if members is None:
+            members = [True] * n_nodes
+        points = [(100.0 if member else 300.0, 100.0) for member in members]
+        self._column = RegionTable.grid(400.0, 200.0, 2).regions_of_points(
+            points).tolist()
 
     def broadcast(self, origin, packet):
         env = packet.payload
@@ -706,11 +588,8 @@ class _StubNetwork:
         ))
         self.masks.append(env.seen)
 
-    def polygon_members(self, polygon):
-        return self._members
-
-    def node_in_polygon(self, node_id, polygon):
-        return self._members[node_id] if self._members is not None else True
+    def region_column(self):
+        return self._column
 
 
 def _flood_fixture(n=10, members=None, ttl=None, region=None, record_path=False):
@@ -731,7 +610,7 @@ def _flood_fixture(n=10, members=None, ttl=None, region=None, record_path=False)
 #: Flood shapes whose rebroadcast hops are compared field by field.
 _FLOODS = {
     "untimed_regional": dict(
-        region=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
+        region=0,
         members=[i != 5 for i in range(10)],
     ),
     "ttl_3": dict(ttl=3),
@@ -796,7 +675,7 @@ class TestHandleBatchEquivalence:
     def test_region_scoping_matches_scalar(self):
         members = [i in (1, 3, 5) for i in range(10)]
         batches = [[1, 2, 3], [4, 5]]
-        region = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
+        region = 0
         net_b, got = self._run(batches, members=members, region=region, ttl=2)
         net_s, want = self._run_scalar(
             batches, members=members, region=region, ttl=2
@@ -804,20 +683,6 @@ class TestHandleBatchEquivalence:
         assert got == want == [1, 3, 5]
         assert (net_b.stats.counter("flood.out_of_scope").value
                 == net_s.stats.counter("flood.out_of_scope").value == 2)
-
-    def test_unhashable_region_falls_back_to_scalar_membership(self):
-        members = [i in (4, 6) for i in range(10)]
-
-        net, flooder, packet = _flood_fixture(
-            members=members, ttl=None, region=((0.0, 0.0),)
-        )
-        net.polygon_members = lambda polygon: None  # e.g. unhashable region
-        delivered = []
-        flooder.handle_batch(
-            [4, 5, 6], packet, lambda nid, inner, pkt: delivered.append(nid),
-        )
-        assert delivered == [4, 6]
-        assert net.stats.counter("flood.out_of_scope").value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -838,9 +703,6 @@ def _numpy_calls(stats) -> dict:
     }
 
 
-_TOLIST = "~:<method 'tolist' of 'numpy.ndarray' objects>"
-
-
 class _CountingStream:
     """A ``Generator`` stand-in that counts ``random`` calls."""
 
@@ -858,6 +720,7 @@ class TestRadioPathMakesNoNumpyCalls:
         import cProfile
         import pstats
 
+        from repro.core.regions import RegionTable
         from repro.mobility import StationaryModel
         from repro.net import RadioParams, WirelessNetwork
         from repro.net.packet import Packet
@@ -873,10 +736,12 @@ class TestRadioPathMakesNoNumpyCalls:
         sim = Simulator()
         stream = _CountingStream(9)
         net = WirelessNetwork(sim, mobility, rng=stream, radio=radio)
+        # Region 0 of this map is the square (0, 0)-(450, 450).
+        net.set_region_map(RegionTable.grid(900.0, 900.0, 4))
         stack = NetworkStack(net)
         heard = []
         stack.set_app_handler(lambda node, inner, packet: heard.append(node))
-        region = ((0.0, 0.0), (450.0, 0.0), (450.0, 450.0), (0.0, 450.0))
+        region = 0
         pairs = [(src, net.neighbors_of(src)[0]) for src in range(n)
                  if net.neighbors_of(src)]
 
@@ -889,7 +754,7 @@ class TestRadioPathMakesNoNumpyCalls:
             stack.flood_send(1, ("flood",), 80.0)
             sim.run()
 
-        traffic()  # fills the neighbor and membership memos, draws jitter
+        traffic()  # fills the neighbor and region memos, draws jitter
         assert len(net._jitters) > 3 * rounds + 2 * n  # no refill below
         before, draws = len(heard), stream.calls
         profiler = cProfile.Profile()
@@ -911,6 +776,7 @@ class TestRadioPathMakesNoNumpyCalls:
         import pstats
 
         from repro.energy import model as energy_model
+        from repro.core.regions import RegionTable
         from repro.mobility import StationaryModel
         from repro.net import RadioParams, WirelessNetwork
         from repro.routing.stack import NetworkStack
@@ -923,9 +789,11 @@ class TestRadioPathMakesNoNumpyCalls:
         sim = Simulator()
         net = WirelessNetwork(sim, mobility, rng=np.random.default_rng(6),
                               radio=RadioParams(position_refresh_s=1e9))
+        # Region 0 of this map is the square (0, 0)-(600, 600).
+        net.set_region_map(RegionTable.grid(1200.0, 1200.0, 4))
         stack = NetworkStack(net)
         stack.set_app_handler(lambda node, inner, packet: None)
-        region = ((0.0, 0.0), (600.0, 0.0), (600.0, 600.0), (0.0, 600.0))
+        region = 0
 
         def traffic():
             for k in range(floods):
@@ -933,7 +801,7 @@ class TestRadioPathMakesNoNumpyCalls:
                 stack.flood_send(k + floods, ("global", k), 80.0)
             sim.run()
 
-        traffic()  # fills the neighbor and membership memos
+        traffic()  # fills the neighbor and region memos
         sent = net.stats.value("net.broadcast_sent")
         profiler = cProfile.Profile()
         profiler.enable()
@@ -960,6 +828,7 @@ class TestRadioPathMakesNoNumpyCalls:
         import pstats
 
         from repro.energy import model as energy_model
+        from repro.core.regions import RegionTable
         from repro.mobility import StationaryModel
         from repro.net import RadioParams, WirelessNetwork
         from repro.routing.stack import NetworkStack
@@ -972,11 +841,12 @@ class TestRadioPathMakesNoNumpyCalls:
         sim = Simulator()
         net = WirelessNetwork(sim, mobility, rng=np.random.default_rng(18),
                               radio=RadioParams(position_refresh_s=1e9))
+        # Region 8 of this map is the square (1000, 1000)-(1500, 1500).
+        net.set_region_map(RegionTable.grid(side, side, 9))
         stack = NetworkStack(net)
         stack.set_app_handler(lambda node, inner, packet: None)
-        region = ((1100.0, 1100.0), (1500.0, 1100.0), (1500.0, 1500.0),
-                  (1100.0, 1500.0))
-        centre = (1300.0, 1300.0)
+        region = 8
+        centre = (1250.0, 1250.0)
         far = [int(node) for node in np.argsort(-positions[:, 0] - positions[:, 1])]
 
         def traffic():
@@ -990,7 +860,7 @@ class TestRadioPathMakesNoNumpyCalls:
                                dest_node=dst)
             sim.run()
 
-        traffic()  # fills the neighbor, membership and GPSR memos
+        traffic()  # fills the neighbor, region and GPSR memos
         hops_before = net.stats.value("gpsr.hops")
         sent = net.stats.value("net.unicast_sent")
         profiler = cProfile.Profile()
@@ -1065,34 +935,6 @@ class TestRadioPathMakesNoNumpyCalls:
         stats = pstats.Stats(profiler)
         assert stats.total_calls > 6 * len(hoods)  # the profiler saw them
         assert _numpy_calls(stats) == {}
-
-    def test_membership_sweep_cost_does_not_grow_with_regions(self):
-        import cProfile
-        import pstats
-
-        from repro.core.regions import RegionTable
-
-        side = 1600.0
-        positions = np.random.default_rng(6).uniform(0.0, side, size=(300, 2))
-        counts = []
-        for n_regions in (9, 64):
-            net = _radio_at(positions, side)
-            polygons = [r.vertices for r in RegionTable.grid(side, side, n_regions)]
-            for polygon in polygons:
-                net.polygon_members(polygon)
-            net.fail_node(0)  # a new generation: its first miss sweeps
-            profiler = cProfile.Profile()
-            profiler.enable()
-            members = [net.polygon_members(polygon) for polygon in polygons]
-            profiler.disable()
-            assert not net._swept  # every polygon came from the one sweep
-            assert sum(map(sum, members)) == len(positions)  # a tiling
-            calls = _numpy_calls(pstats.Stats(profiler))
-            # Each polygon's row becomes its list on its first query.
-            assert calls.pop(_TOLIST) == n_regions
-            counts.append(calls)
-        assert sum(counts[0].values()) > 5  # the profiler saw the sweep
-        assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,128 @@ class TestLiveness:
         assert not offenders, offenders
 
 
+#: Three nodes, one per 200 m cell of a 600 m x 100 m three-cell map
+#: (region ids 0, 1, 2 from the left); 0-1 and 1-2 in range.
+CELLS = [[100.0, 50.0], [300.0, 50.0], [500.0, 50.0]]
+
+
+def _mapped_network():
+    from repro.core.regions import RegionTable
+
+    net = make_static_network(CELLS, width=600.0, height=100.0)
+    table = RegionTable.grid(600.0, 100.0, 3)
+    net.set_region_map(table)
+    return net, table
+
+
+class TestRegionColumn:
+    """The radio's one membership rule: a region id per node, computed
+    once per (topology generation, region-map version)."""
+
+    def test_reused_while_positions_hold(self):
+        net, _ = _mapped_network()
+        column = net.region_column()
+        assert column == [0, 1, 2]
+        net.sim.schedule(3 * net.radio.position_refresh_s, lambda: None)
+        net.sim.run()  # resampled, but nobody moved: same generation
+        assert net.region_column() is column
+
+    def test_follows_a_mobility_refresh(self):
+        net, _ = _mapped_network()
+        assert net.region_column() == [0, 1, 2]
+        net.mobility._positions = np.array([[100.0, 50.0], [450.0, 50.0],
+                                            [500.0, 50.0]])
+        net.sim.schedule(net.radio.position_refresh_s, lambda: None)
+        net.sim.run()
+        assert net.region_column() == [0, 2, 2]
+
+    def test_follows_fail_and_revive(self):
+        net, _ = _mapped_network()
+        assert net.region_column() == [0, 1, 2]
+        # Moved, but no resample is due: the generation and column hold
+        # until a liveness change rebuilds the index.
+        net.mobility._positions = np.array([[250.0, 50.0], [300.0, 50.0],
+                                            [500.0, 50.0]])
+        assert net.region_column() == [0, 1, 2]
+        net.fail_node(2)
+        assert net.region_column() == [1, 1, 2]
+        net.mobility._positions = np.array(CELLS)
+        net.revive_node(2)
+        assert net.region_column() == [0, 1, 2]
+
+    def test_a_node_in_a_deleted_cell_is_in_no_region(self):
+        net, table = _mapped_network()
+        assert net.region_column() == [0, 1, 2]
+        table.delete(1)  # a table change with no generation bump
+        assert net.region_column() == [0, -1, 2]
+
+    def test_a_deleted_cell_joins_no_regional_flood(self):
+        from repro.routing import NetworkStack
+
+        for deleted, want in ((False, [1]), (True, [])):
+            net, table = _mapped_network()
+            net.region_column()  # placed before the Delete, as at start-up
+            if deleted:
+                table.delete(1)
+            stack = NetworkStack(net)
+            heard = []
+            stack.set_app_handler(lambda node, inner, pkt: heard.append(node))
+            stack.flood_send(0, "m", 64, region=1)
+            net.sim.run()
+            assert heard == want
+
+    def test_a_deleted_cell_is_no_route_to_region_arrival(self):
+        from repro.routing import NetworkStack
+
+        for deleted, want in ((False, [1]), (True, [])):
+            net, table = _mapped_network()
+            net.region_column()  # placed before the Delete, as at start-up
+            if deleted:
+                table.delete(1)
+            stack = NetworkStack(net)
+            heard = []
+            stack.set_app_handler(lambda node, inner, pkt: heard.append(node))
+            stack.geo_send(0, "m", 64, dest_point=(300.0, 50.0), region=1)
+            net.sim.run()
+            assert heard == want
+            assert net.stats.value("gpsr.dropped") == (1 if deleted else 0)
+
+    def test_a_region_scoped_send_needs_a_region_map(self):
+        from repro.routing import NetworkStack
+
+        net = make_static_network(CELLS, width=600.0, height=100.0)
+        stack = NetworkStack(net)
+        stack.flood_send(0, "m", 64, region=1)
+        with pytest.raises(RuntimeError, match="no region map"):
+            net.sim.run()
+
+    def test_follows_the_table_version_across_a_startup_delete(self):
+        from unittest import mock
+
+        from repro.core.network import PReCinCtNetwork
+        from repro.core.regions import RegionTable
+        from tests.conftest import tiny_config
+
+        versions = []
+        lookup = RegionTable.regions_of_points
+
+        def spy(table, points):
+            versions.append(table.version)
+            return lookup(table, points)
+
+        with mock.patch.object(RegionTable, "regions_of_points", spy):
+            net = PReCinCtNetwork(tiny_config(
+                n_nodes=20, n_regions=25, max_speed=0.0, width=1000.0,
+                height=1000.0))
+            column = net.network.region_column()
+        deleted = net.stats.value("regions.deleted_empty")
+        assert deleted > 0 and net.table.version == deleted
+        # Placed at version 0, read again at the post-Delete version.
+        assert versions == [0, net.table.version]
+        assert column == [peer.current_region_id for peer in net.peers]
+        assert set(column) == set(net.table.region_ids())
+
+
 class TestRadioParams:
     def test_tx_delay(self):
         r = RadioParams(bandwidth_bps=1e6, mac_overhead_s=0.001)
