@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Optional
 
 from repro.faults.plan import FaultPlan
 
@@ -188,11 +188,6 @@ class SimulationConfig:
     resilience_suspect_after: float = 3.0
     #: Open-breaker cool-down before a half-open probe is let through (s).
     resilience_breaker_cooldown: float = 10.0
-    #: Constants, not fields (never set): first-retry delay (s), backoff
-    #: multiplier per attempt, suspicion decay on success (eq. 2's α).
-    resilience_backoff_base: ClassVar[float] = 0.5
-    resilience_backoff_factor: ClassVar[float] = 2.0
-    resilience_alpha: ClassVar[float] = 0.5
 
     # -- fault injection (repro.faults) ----------------------------------------------------------
     #: Declarative fault schedule (message drop/duplicate/delay/reorder,

@@ -140,8 +140,19 @@ class RegionTable:
     # -- management operations (§2.1) ---------------------------------------
 
     def add(self, vertices: Sequence[Point]) -> Region:
-        """Add a new region (network topology expansion)."""
-        region = Region.from_vertices(self._next_id, vertices)
+        """Add a new region (network topology expansion).
+
+        A ring may be given closed (the first vertex repeated last) or
+        with a vertex repeated back to back: the repeats are dropped,
+        since a zero-length edge would put every point on the boundary.
+        """
+        ring: List[Point] = []
+        for vertex in vertices:
+            if not ring or tuple(vertex) != ring[-1]:
+                ring.append(tuple(vertex))
+        if len(ring) > 1 and ring[-1] == ring[0]:
+            ring.pop()
+        region = Region.from_vertices(self._next_id, ring)
         self._insert(region)
         self.version += 1
         return region

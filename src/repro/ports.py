@@ -158,7 +158,7 @@ class CounterStatSink:
 
     Counters accumulate under their name; observations keep last value,
     running sum and count (enough for the service's gauge snapshots
-    without dragging in the simulator's Welford/TimeSeries machinery).
+    without dragging in the simulator's Welford machinery).
     """
 
     def __init__(self) -> None:

@@ -36,7 +36,14 @@ from typing import Dict, Optional
 
 from repro.ports import CounterStatSink
 from repro.resilience.backoff import BackoffPolicy
-from repro.resilience.breaker import HALF_OPEN, PASS, PROBE, STEER, CircuitBreaker
+from repro.resilience.breaker import (
+    CLOSED,
+    HALF_OPEN,
+    PASS,
+    PROBE,
+    STEER,
+    CircuitBreaker,
+)
 from repro.resilience.detector import RegionFailureDetector
 
 __all__ = ["ResilienceManager"]
@@ -45,6 +52,13 @@ __all__ = ["ResilienceManager"]
 ROUTE_HOME = "home"
 ROUTE_STEER = "steer"
 ROUTE_PROBE = "probe"
+
+#: Constants of :meth:`ResilienceManager.from_config` (never set per run):
+#: first-retry delay (s), backoff multiplier per attempt, and the
+#: suspicion decay on success (eq. 2's α).
+BACKOFF_BASE = 0.5
+BACKOFF_FACTOR = 2.0
+SUSPICION_ALPHA = 0.5
 
 
 class ResilienceManager:
@@ -113,8 +127,8 @@ class ResilienceManager:
         backoff = None
         if cfg.resilience_retries > 0:
             backoff = BackoffPolicy(
-                base=cfg.resilience_backoff_base,
-                factor=cfg.resilience_backoff_factor,
+                base=BACKOFF_BASE,
+                factor=BACKOFF_FACTOR,
                 jitter=cfg.resilience_backoff_jitter,
                 rng=rng,
             )
@@ -123,7 +137,7 @@ class ResilienceManager:
             deadline=cfg.request_deadline,
             backoff=backoff,
             suspect_after=cfg.resilience_suspect_after,
-            alpha=cfg.resilience_alpha,
+            alpha=SUSPICION_ALPHA,
             cooldown=cfg.resilience_breaker_cooldown,
             stats=stats,
             event_hook=event_hook,
@@ -160,6 +174,12 @@ class ResilienceManager:
         assert verdict == STEER
         self._stats.count("resilience.breaker_steered")
         return ROUTE_STEER
+
+    def tripped(self, region_id: int) -> bool:
+        """The region's breaker is open or half-open, so
+        :meth:`route_home` may steer.  Reads state, writes nothing."""
+        breaker = self._breakers.get(region_id)
+        return breaker is not None and breaker.state != CLOSED
 
     # -- detector feeding ----------------------------------------------------
 
@@ -216,8 +236,6 @@ class ResilienceManager:
     # -- telemetry (pure reader) ----------------------------------------------
 
     def breakers_open(self) -> int:
-        from repro.resilience.breaker import CLOSED
-
         return sum(1 for b in self._breakers.values() if b.state != CLOSED)
 
     def telemetry(self) -> Dict[str, float]:

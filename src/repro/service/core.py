@@ -12,9 +12,6 @@ of :mod:`repro.ports` with wall-clock adapters plugged in.
 Read path (mirrors Fig. 1 + §4):
 
 * **fresh hit** — the copy's TTR window is open: serve locally.
-  :meth:`CacheService.get_nowait` is this branch alone, synchronous,
-  for callers (the server's await-free path) that have nothing to
-  await; :meth:`CacheService.get` starts with it.
 * **validation** — TTR expired: poll the origin (the home-region poll
   of Push-with-Adaptive-Pull); matching version restarts the window,
   a lagging one refetches.
@@ -25,8 +22,13 @@ Read path (mirrors Fig. 1 + §4):
   (``stale-hit``; served class "degraded") rather than failing the
   request, else report ``unavailable``/``deadline``.
 
-The origin is awaited in the op's own task, under one timer armed for
-the request's absolute deadline (:class:`_Deadline`); a budget already
+:meth:`CacheService.get_nowait` serves every read that needs no wait
+(a fresh hit, and a miss or validation the origin answers at once),
+synchronously, for callers that have nothing to await: the server's
+await-free path.  :meth:`CacheService.get` starts with it; the rest
+waits on the origin in the op's own task, under one timer armed for
+the request's absolute deadline (:class:`_Deadline`), and both paths
+end in the same breaker verdict and settle step.  A budget already
 spent answers without calling the origin.  Concurrent gets for the
 same missing key coalesce on one origin fetch (dog-pile protection):
 the first waiter runs it and resolves a future the followers wait on,
@@ -40,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.cache import CachedCopy, PeerCache
 from repro.core.consistency import ConsistencyScheme, PushAdaptivePull
@@ -244,28 +246,58 @@ class CacheService:
     # -- read path -----------------------------------------------------------
 
     def get_nowait(
-        self, key: int, steered: bool = False
+        self,
+        key: int,
+        steered: bool = False,
+        deadline: Optional[float] = None,
     ) -> Optional[CacheResponse]:
-        """Serve a fresh hit synchronously, or return None.
+        """Serve a read that needs no wait synchronously, or return None.
 
-        None means the read needs the origin (miss, or TTR window
-        closed) and **nothing was booked**: the caller goes on to
-        :meth:`get`, which counts the request exactly once.
+        A fresh hit needs none.  A miss or a TTR validation needs none
+        when the origin answers at once (:attr:`InMemoryOrigin.instant`),
+        no fetch of the key is in flight (a follower follows its
+        leader), the budget (``deadline``, absolute) is not spent, and,
+        for a miss, the breaker is closed (a steered miss fails, and
+        only :meth:`get`'s caller fails it over).
+
+        None means the read must wait and **nothing was booked**: the
+        caller goes on to :meth:`get`, which counts the request exactly
+        once.
         """
         entry = self.cache.get(key)
-        if entry is None:
-            return None
+        if entry is None and not self.origin.instant:
+            return None  # a miss that waits costs no more than it did
         now = self.clock.now()
-        if self.scheme.needs_validation(entry, now):
+        if entry is not None and not self.scheme.needs_validation(entry, now):
+            self._book_get(key)
+            return self._serve_local(entry, now, "hit-fresh", steered)
+        if not (
+            self.origin.instant
+            and key not in self._inflight
+            and (deadline is None or deadline - now > 0.0)
+            and (
+                entry is not None
+                or steered
+                or self.resilience is None
+                or not self.resilience.tripped(self.shard_id)
+            )
+        ):
             return None
         self._book_get(key)
-        return self._serve_local(entry, now, "hit-fresh", steered)
+        degraded, probe = self._route_home(key, entry, now, steered)
+        if degraded is not None:
+            return degraded
+        if entry is not None:
+            item = self.origin.validate_nowait(key)
+        else:
+            self.stats.count("cache.origin_fetches")
+            item = self.origin.fetch_nowait(key)
+        return self._settle(key, entry, item, probe, steered)
 
     async def get(
         self,
         key: int,
         *,
-        probe: bool = False,
         steered: bool = False,
         deadline: Optional[float] = None,
     ) -> CacheResponse:
@@ -273,9 +305,10 @@ class CacheService:
 
         ``deadline`` is the request's absolute deadline when the caller
         already fixed one (a failover spending what the home attempt
-        left); by default the budget starts now.
+        left); by default the budget starts now.  What
+        :meth:`get_nowait` cannot serve waits here, on the origin.
         """
-        response = self.get_nowait(key, steered)
+        response = self.get_nowait(key, steered, deadline)
         if response is not None:
             return response
         now = self.clock.now()
@@ -283,16 +316,9 @@ class CacheService:
         if deadline is None and self.resilience is not None:
             deadline = self.resilience.deadline_for(now)
         entry = self.cache.get(key)
-
-        # The copy is absent or past its TTR window: origin interaction.
-        verdict = None
-        if self.resilience is not None and not probe and not steered:
-            verdict = self.resilience.route_home(self.shard_id, now)
-            if verdict == ROUTE_STEER:
-                return self._serve_degraded(
-                    key, entry, now, reason="breaker-open"
-                )
-            probe = verdict == ROUTE_PROBE
+        degraded, probe = self._route_home(key, entry, now, steered)
+        if degraded is not None:
+            return degraded
 
         try:
             # The op's one timer, armed for the origin interaction; the
@@ -321,27 +347,7 @@ class CacheService:
             now = self.clock.now()
             self._origin_outcome(False, probe, now)
             return self._serve_degraded(key, entry, now, reason="origin-error")
-        now = self.clock.now()
-        self._origin_outcome(True, probe, now)
-
-        if entry is not None and entry.version >= item.version:
-            # Validation succeeded: restart the TTR window (§4).
-            entry.validated_at = now
-            entry.ttr = item.ttr
-            self.stats.count("cache.validations")
-            return self._serve_local(entry, now, "hit-validated", steered)
-
-        # Miss (or stale copy superseded): admit the authoritative copy.
-        admitted = self._admit(item, now)
-        self.stats.count("cache.miss")
-        self.stats.count("cache.bytes_from_origin", item.size_bytes)
-        status = "miss" if entry is None else "refreshed"
-        return CacheResponse(
-            "get", key, status, self.shard_id,
-            version=item.version, size_bytes=item.size_bytes,
-            served_class="degraded" if steered else "origin",
-            extra={"admitted": admitted},
-        )
+        return self._settle(key, entry, item, probe, steered)
 
     # -- write path ----------------------------------------------------------
 
@@ -510,6 +516,57 @@ class CacheService:
             "get", entry.key, "stale-hit", self.shard_id,
             version=entry.version, size_bytes=entry.size_bytes,
             served_class="degraded", extra={"reason": reason},
+        )
+
+    def _route_home(
+        self, key: int, entry: Optional[CachedCopy], now: float, steered: bool
+    ) -> Tuple[Optional[CacheResponse], bool]:
+        """The breaker's verdict on a read bound for the origin.
+
+        Returns the degraded serve when the breaker steers away from a
+        suspected origin path, else None and whether this read is the
+        half-open probe.  A steered read (a failover) asks nothing.
+        """
+        if self.resilience is None or steered:
+            return None, False
+        verdict = self.resilience.route_home(self.shard_id, now)
+        if verdict == ROUTE_STEER:
+            return (
+                self._serve_degraded(key, entry, now, reason="breaker-open"),
+                False,
+            )
+        return None, verdict == ROUTE_PROBE
+
+    def _settle(
+        self,
+        key: int,
+        entry: Optional[CachedCopy],
+        item: DataItem,
+        probe: bool,
+        steered: bool,
+    ) -> CacheResponse:
+        """The origin answered: restart the copy's TTR window, or admit
+        the authoritative copy (§3.2-3.3, §4)."""
+        now = self.clock.now()
+        self._origin_outcome(True, probe, now)
+
+        if entry is not None and entry.version >= item.version:
+            # Validation succeeded: restart the TTR window (§4).
+            entry.validated_at = now
+            entry.ttr = item.ttr
+            self.stats.count("cache.validations")
+            return self._serve_local(entry, now, "hit-validated", steered)
+
+        # Miss (or stale copy superseded): admit the authoritative copy.
+        admitted = self._admit(item, now)
+        self.stats.count("cache.miss")
+        self.stats.count("cache.bytes_from_origin", item.size_bytes)
+        status = "miss" if entry is None else "refreshed"
+        return CacheResponse(
+            "get", key, status, self.shard_id,
+            version=item.version, size_bytes=item.size_bytes,
+            served_class="degraded" if steered else "origin",
+            extra={"admitted": admitted},
         )
 
     def _origin_outcome(self, success: bool, probe: bool, now: float) -> None:

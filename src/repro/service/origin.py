@@ -107,6 +107,18 @@ class InMemoryOrigin:
             self._stall_released.set()
             self._stall_released = None
 
+    @property
+    def instant(self) -> bool:
+        """A round trip right now would neither suspend nor draw an
+        error: not stalled, no latency, no brownout.  A read then needs
+        no wait — :meth:`fetch_nowait` / :meth:`validate_nowait` are
+        the whole of :meth:`fetch` / :meth:`validate`."""
+        return (
+            not self._stalled
+            and self.latency + self.extra_latency == 0.0
+            and self.error_rate == 0.0
+        )
+
     async def _maybe_stall(self) -> None:
         while self._stalled:
             await self._stall_released.wait()
@@ -132,12 +144,20 @@ class InMemoryOrigin:
     async def fetch(self, key: int) -> DataItem:
         """Authoritative item for ``key`` (full fetch: data + metadata)."""
         await self._round_trip()
-        self.fetches += 1
-        return self.db[key]
+        return self.fetch_nowait(key)
 
     async def validate(self, key: int) -> DataItem:
         """Version check (the TTR-expired poll); metadata-only weight."""
         await self._round_trip()
+        return self.validate_nowait(key)
+
+    def fetch_nowait(self, key: int) -> DataItem:
+        """:meth:`fetch` past its round trip (callers check :attr:`instant`)."""
+        self.fetches += 1
+        return self.db[key]
+
+    def validate_nowait(self, key: int) -> DataItem:
+        """:meth:`validate` past its round trip (callers check :attr:`instant`)."""
         self.validations += 1
         return self.db[key]
 

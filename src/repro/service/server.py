@@ -22,19 +22,22 @@ What the server adds around the core:
   spelling and the dict-shaped replies go through ``json`` as before;
 * **shard workers** — each shard admits its ops in arrival order, and
   every admitted op runs in the caller's task — the connection's
-  answer task — so an awaited op (miss, validation, failover,
-  invalidate) costs one task, while still counting in the shard's
-  load, its admission bound, its drain and its heartbeat.  An op with
+  answer task — so an awaited op (a miss or validation that waits on
+  the origin, failover, invalidate) costs one task, while still
+  counting in the shard's load, its admission bound, its drain and
+  its heartbeat.  An op with
   nothing ahead of it starts at once; one behind a wedge or earlier
   waiters first takes its turn on the shard's FIFO lock, so a slow
   origin wait never blocks other shards or the fresh hits behind it;
-* **the await-free path** — a fresh-hit get or a put whose home worker
-  is *idle* (:meth:`_ShardWorker.idle`: up and not draining, nothing
-  waiting and no wedge, in-flight below ``max_inflight``, no answer
-  task bound for the shard still unstarted; hot-key policy off for
-  gets) has nothing to await, so the server runs it in the read
-  callback: no task at all, heartbeat stamped.  Everything else takes
-  the awaitable ``_get``/``_put``/``_submit`` path in one answer task;
+* **the await-free path** — a put, or a get that needs no wait (a
+  fresh hit, or a miss or validation the origin answers at once; see
+  :meth:`CacheService.get_nowait`), whose home worker is *idle*
+  (:meth:`_ShardWorker.idle`: up and not draining, nothing waiting
+  and no wedge, in-flight below ``max_inflight``, no answer task bound
+  for the shard still unstarted; hot-key policy off for gets) has
+  nothing to await, so the server runs it in the read callback: no
+  task at all, heartbeat stamped.  Everything else takes the awaitable
+  ``_get``/``_put``/``_submit`` path in one answer task;
 * **write dissemination** — an in-process
   :class:`~repro.ports.ConsistencyTransport`: an UpdatePush is applied
   at the home shard first (which folds eq. 2 into the TTR) and then at
@@ -956,11 +959,12 @@ class EdgeCacheServer:
 
         The await-free path: when the home worker is
         :meth:`~_ShardWorker.idle` - it would start this op next and
-        would not refuse it - a fresh-hit get and a put need no task
-        or future, so the server runs them here and stamps the
-        worker's heartbeat.  Everything else becomes one task on the
-        awaitable ``_get``/``_put``/``_submit`` path, in which the
-        worker runs the op.
+        would not refuse it - a put and a get that needs no wait
+        (:meth:`CacheService.get_nowait`) need no task or future, so
+        the server runs them here and stamps the worker's heartbeat.
+        Everything else becomes one task on the awaitable
+        ``_get``/``_put``/``_submit`` path, in which the worker runs
+        the op.
         """
         home = self.directory.home_region(key)
         worker = self.workers[home]

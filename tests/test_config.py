@@ -3,10 +3,17 @@
 import inspect
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.obs import Observers
+from repro.resilience.manager import (
+    BACKOFF_BASE,
+    BACKOFF_FACTOR,
+    SUSPICION_ALPHA,
+    ResilienceManager,
+)
 
 
 class TestValidation:
@@ -198,10 +205,18 @@ class TestConfigIsTheRunIdentity:
                      "region_check_interval", "update_zipf_theta",
                      "resilience_backoff_base", "resilience_alpha"):
             assert gone not in names
-        # The resilience three are class constants: readable, not settable.
-        assert SimulationConfig().resilience_backoff_factor == 2.0
+        # The resilience three are constants beside the one reader,
+        # ResilienceManager.from_config: not settable from the config.
+        assert (BACKOFF_BASE, BACKOFF_FACTOR, SUSPICION_ALPHA) == (0.5, 2.0, 0.5)
+        assert not hasattr(SimulationConfig, "resilience_backoff_factor")
         with pytest.raises(TypeError):
             SimulationConfig(resilience_backoff_factor=3.0)
+        manager = ResilienceManager.from_config(
+            SimulationConfig(resilience_retries=2), rng=np.random.default_rng(0)
+        )
+        assert manager.backoff.base == BACKOFF_BASE
+        assert manager.backoff.factor == BACKOFF_FACTOR
+        assert manager.detector.alpha == SUSPICION_ALPHA
 
     def test_field_count_ratchet(self):
         # Only ever lower this bound (ROADMAP item 10).

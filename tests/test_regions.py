@@ -122,15 +122,19 @@ class TestManagementOperations:
         assert len(table) == 5
         assert table.region_of_point((1500, 300)).region_id == new.region_id
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known bug, ROADMAP 1(f) follow-up: a closed ring's zero-length "
-        "closing edge puts every point on its boundary",
-    )
     def test_closed_ring_does_not_contain_the_whole_plane(self):
         table = RegionTable.grid(1200, 1200, 4)
-        table.add([(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)])
+        added = table.add([(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)])
         assert table.region_of_point((5000.0, 5000.0)) is None
+        assert added.vertices == ((0, 0), (10, 0), (10, 10), (0, 10))
+
+    def test_repeated_vertices_are_dropped(self):
+        table = RegionTable.grid(1200, 1200, 4)
+        added = table.add([(2000, 0), (2000, 0), (2010, 0), (2010, 10),
+                           (2010, 10), (2000, 10), (2000, 0)])
+        assert added.vertices == ((2000, 0), (2010, 0), (2010, 10), (2000, 10))
+        assert table.region_of_point((5000.0, 5000.0)) is None
+        assert table.region_of_point((2005.0, 5.0)) is added
 
     def test_delete(self):
         table = RegionTable.grid(1200, 1200, 4)

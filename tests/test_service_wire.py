@@ -5,16 +5,19 @@ Three things are pinned here, all over a real loopback connection:
 * **the wire boundary** — key validation, non-object lines, the 64 KiB
   line bound, split and batched reads, read-pausing backpressure and
   per-connection response order;
-* **inline ≡ awaitable** — a get/put stream served over the wire (fresh
-  hits and puts run inline, no task) and the same stream driven through
-  ``await server._get/_put`` on a twin server produce the same responses
-  and the same counters, under every consistency scheme;
-* **the inline guard** — a wedged, crashed, drained or full shard and an
-  armed hot-key policy all keep the awaitable path;
-* **one task per awaited op** — a miss runs in its connection's answer
-  task (admitted in place, origin awaited there, one deadline timer):
-  pinned by count, with abort, drain, coalescing, deadline and failover
-  semantics each checked on that path.
+* **inline ≡ awaitable** — a get/put stream served over the wire (every
+  op that needs no wait runs inline, no task) and the same stream driven
+  through ``await server._get/_put`` on a twin server produce the same
+  responses and the same counters, under every consistency scheme, on an
+  instant and on a delayed origin;
+* **the inline guard** — a wedged, crashed, drained or full shard, an
+  armed hot-key policy, a key whose fetch is in flight and a slow or
+  browned-out origin all keep the awaitable path, and a tripped breaker
+  decides alike on both;
+* **one task per awaited op** — a miss that waits on the origin runs in
+  its connection's answer task (admitted in place, origin awaited there,
+  one deadline timer): pinned by count, with abort, drain, coalescing,
+  deadline and failover semantics each checked on that path.
 
 Waits are on events, futures and socket reads; a timeout only ever
 bounds a failure (see :func:`until`).
@@ -34,6 +37,7 @@ from repro.service import (
     ManualClock,
     ServiceConfig,
 )
+from repro.service.core import _Deadline
 from repro.service.server import (
     MAX_LINE,
     WorkerOverloaded,
@@ -393,14 +397,14 @@ class TestInlinePath:
         """Exactly one service.requests per line, inline or not."""
         async def scenario(server, client):
             spawned = spy_on_answer(server)
-            (miss,) = await client.ask({"op": "get", "key": 5})
-            assert miss["status"] == "miss" and len(spawned) == 1
             tasks = len(asyncio.all_tasks())
+            (miss,) = await client.ask({"op": "get", "key": 5})
+            assert miss["status"] == "miss"
             hit, put = await client.ask({"op": "get", "key": 5},
                                         {"op": "put", "key": 5})
             assert hit["status"] == "hit-fresh"
             assert put["status"] == "updated"
-            assert len(spawned) == 1
+            assert not spawned  # the origin answers at once: no waits
             assert len(asyncio.all_tasks()) == tasks
             (stats,) = await client.ask({"op": "stats"})
             assert stats["telemetry"]["service.requests"] == 4
@@ -409,45 +413,82 @@ class TestInlinePath:
 
         serve(scenario)
 
+    @staticmethod
+    async def count_tasks_and_timers(server, client, statuses):
+        """Send 8 gets (4 per shard) once per status in ``statuses``;
+        per round, the tasks, the timers of any kind and the deadline
+        timers among them it made.  Counted, not timed; the client side
+        makes none of them (bare readline)."""
+        loop = asyncio.get_running_loop()
+        tasks, timers, deadlines = [], [], []
+
+        def factory(loop, coro, **kwargs):
+            tasks.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        call_later = loop.call_later
+
+        def counted_call_later(delay, callback, *args, **kwargs):
+            timers.append(delay)
+            if isinstance(getattr(callback, "__self__", None), _Deadline):
+                deadlines.append(delay)
+            return call_later(delay, callback, *args, **kwargs)
+
+        loop.set_task_factory(factory)
+        loop.call_later = counted_call_later
+        counts = []
+        try:
+            keys = keys_homed_at(server, 0)[:4] + keys_homed_at(server, 1)[:4]
+            request = encode(*({"op": "get", "key": k} for k in keys))
+            for status in statuses:
+                del tasks[:], timers[:], deadlines[:]
+                client.writer.write(request)
+                responses = [json.loads(await client.reader.readline())
+                             for _ in keys]
+                assert [r["key"] for r in responses] == keys
+                assert {r["status"] for r in responses} == {status}
+                counts.append((len(tasks), len(timers), len(deadlines)))
+        finally:
+            loop.set_task_factory(None)
+            del loop.call_later
+        return counts
+
     def test_cold_get_costs_one_task_and_one_timer_a_fresh_hit_neither(self):
-        """Counted, not timed: N misses on an idle server make N tasks
-        (the answer tasks, nothing behind them) and arm at most N
-        deadline timers; the N fresh hits that follow make neither."""
+        """On an origin that takes time, N misses on an idle server make
+        N tasks (the answer tasks, nothing behind them) and arm at most
+        N deadline timers (the origin's own sleeps arm the rest); the N
+        fresh hits that follow make no task and no timer of any kind."""
         async def scenario(server, client):
-            loop = asyncio.get_running_loop()
-            tasks, timers = [], []
+            (miss, hit) = await self.count_tasks_and_timers(
+                server, client, ("miss", "hit-fresh")
+            )
+            tasks, _, deadlines = miss
+            assert tasks == 8 and 0 < deadlines <= 8
+            assert hit == (0, 0, 0)
 
-            def factory(loop, coro, **kwargs):
-                tasks.append(coro)
-                return asyncio.Task(coro, loop=loop, **kwargs)
+        server = serve(scenario, deadline=5.0, origin_latency=0.002)
+        assert server.origin.fetches == 8
+        assert server.stats.value("service.requests") == 16
 
-            call_later = loop.call_later
-            loop.set_task_factory(factory)
-            loop.call_later = lambda *args, **kwargs: (
-                timers.append(args), call_later(*args, **kwargs)
-            )[1]
-            try:
-                keys = keys_homed_at(server, 0)[:4] + keys_homed_at(server, 1)[:4]
-                request = encode(*({"op": "get", "key": k} for k in keys))
-                for status in ("miss", "hit-fresh"):
-                    del tasks[:], timers[:]
-                    client.writer.write(request)
-                    # bare readline: the client side makes no task or timer
-                    responses = [json.loads(await client.reader.readline())
-                                 for _ in keys]
-                    assert [r["key"] for r in responses] == keys
-                    assert {r["status"] for r in responses} == {status}
-                    if status == "miss":
-                        assert len(tasks) == len(keys)
-                        assert 0 < len(timers) <= len(keys)
-                    else:
-                        assert not tasks and not timers
-            finally:
-                loop.set_task_factory(None)
-                del loop.call_later
+    def test_an_instant_origin_costs_misses_and_validations_no_task_or_timer(
+        self,
+    ):
+        """The origin answers in its first step: a miss and a TTR
+        validation need no wait, so they run in the read callback like
+        a fresh hit, with no task and no timer of any kind."""
+        async def scenario(server, client):
+            clock = use_manual_clock(server)
+            (miss,) = await self.count_tasks_and_timers(
+                server, client, ("miss",)
+            )
+            clock.advance(1e6)  # every TTR window closed
+            (validated,) = await self.count_tasks_and_timers(
+                server, client, ("hit-validated",)
+            )
+            assert miss == validated == (0, 0, 0)
 
         server = serve(scenario, deadline=5.0)
-        assert server.origin.fetches == 8
+        assert server.origin.fetches == server.origin.validations == 8
         assert server.stats.value("service.requests") == 16
 
     def test_heartbeat_advances_under_inline_only_traffic(self):
@@ -617,10 +658,11 @@ class TestInlinePath:
         asyncio.run(main())
 
 
-def run_stream(scheme, ops, over_the_wire):
+def run_stream(scheme, ops, over_the_wire, origin_latency=0.0):
     """Serve ``ops`` on a fresh server; (responses, counters, tasks)."""
     server = EdgeCacheServer(wire_config(
         n_items=64, cache_fraction=0.08, consistency=scheme,
+        origin_latency=origin_latency,
     ))
     clock = use_manual_clock(server)
     spawned = spy_on_answer(server)
@@ -651,18 +693,25 @@ def run_stream(scheme, ops, over_the_wire):
 
 
 class TestInlineEqualsAwaitable:
+    @pytest.mark.parametrize("origin_latency", [0.0, 0.001],
+                             ids=["instant", "delayed"])
     @pytest.mark.parametrize(
         "scheme", ["push-adaptive-pull", "plain-push", "pull-every-time"]
     )
-    def test_wire_stream_matches_the_awaitable_twin(self, scheme):
+    def test_wire_stream_matches_the_awaitable_twin(self, scheme,
+                                                    origin_latency):
         rng = np.random.default_rng(20050404)
         n = 2000
         keys = np.minimum(rng.zipf(1.3, n) - 1, 63).tolist()
         ops = [("put" if p else "get", k)
                for p, k in zip((rng.random(n) < 0.3).tolist(), keys)]
 
-        wire, wire_counters, wire_tasks = run_stream(scheme, ops, True)
-        twin, twin_counters, twin_tasks = run_stream(scheme, ops, False)
+        wire, wire_counters, wire_tasks = run_stream(
+            scheme, ops, True, origin_latency
+        )
+        twin, twin_counters, twin_tasks = run_stream(
+            scheme, ops, False, origin_latency
+        )
 
         assert wire == twin
         # the wire run is the only one that saw lines and a connection
@@ -676,15 +725,18 @@ class TestInlineEqualsAwaitable:
         for name in ("service.get", "cache.hits", "origin.fetches",
                      disseminated):
             assert wire_counters[name] > 0
+        if scheme != "plain-push":  # plain push never validates
+            assert wire_counters["origin.validations"] > 0
         # ... and the only one that took the inline path: a task per op
-        # that awaited the origin, none for fresh hits and puts
-        inline = sum(r["status"] in ("hit-fresh", "updated") for r in wire)
+        # that waited on the origin, none for the rest
         assert twin_tasks == 0
-        assert wire_tasks == n - inline
-        assert inline >= sum(op == "put" for op, _ in ops)
+        if origin_latency:
+            inline = sum(r["status"] in ("hit-fresh", "updated") for r in wire)
+            assert wire_tasks == n - inline > 0
+        else:
+            assert wire_tasks == 0
         if scheme != "pull-every-time":
             assert any(r["status"] == "hit-fresh" for r in wire)
-        assert wire_tasks > 0
 
 
 class TestInlineGuard:
@@ -797,6 +849,134 @@ class TestInlineGuard:
                        hot_key_window=60.0)
         assert server.stats.value("service.shed.hot_key") == 1
 
+    def test_a_read_of_a_key_in_flight_waits_for_the_leader(self):
+        """The origin answers at once again, but a fetch of the key is
+        still in flight: the read waits for it instead of fetching, and
+        is served the copy the leader admitted."""
+        async def scenario(server, client):
+            key = keys_homed_at(server, 0)[0]
+            spawned = spy_on_answer(server)
+            server.origin.stall()
+            client.writer.write(encode({"op": "get", "key": key}))
+            await until(lambda: key in server.shards[0]._inflight)
+            server.origin.resume()
+            # the second read arrives before the leader has woken up
+            (connection,) = server._connections
+            connection.data_received(encode({"op": "get", "key": key}))
+            leader, follower = await client.read(2)
+            assert leader["status"] == "miss"
+            assert follower["status"] == "hit-fresh"
+            assert len(spawned) == 2
+
+        server = serve(scenario)
+        assert server.origin.fetches == 1
+
+    @staticmethod
+    def breaker_stream(origin_latency):
+        """Reads through a tripped, then half-open breaker; the
+        responses, every counter, and the answer tasks made."""
+        server = EdgeCacheServer(wire_config(
+            deadline=5.0, suspect_after=2.0, breaker_cooldown=10.0,
+            origin_latency=origin_latency,
+        ))
+        clock = use_manual_clock(server)
+        spawned = spy_on_answer(server)
+        warm, cold, probe = keys_homed_at(server, 0, replica=1)[:3]
+        responses = []
+
+        async def ask(client, *keys):
+            for key in keys:
+                (response,) = await client.ask({"op": "get", "key": key})
+                del response["latency_ms"]
+                responses.append(response)
+
+        async def main():
+            await server.start()
+            client = await Client.connect(server)
+            await ask(client, warm)
+            clock.advance(server.shards[0].cache.get(warm).ttr + 1.0)
+            for _ in range(2):
+                server.resilience.on_home_timeout(0, clock.now())
+            assert server.resilience.tripped(0)
+            await ask(client, warm, cold)  # steered: stale-hit, failover
+            clock.advance(10.0)
+            await ask(client, warm, warm)  # the probe validates, closes
+            for _ in range(2):
+                server.resilience.on_home_timeout(0, clock.now())
+            clock.advance(10.0)
+            await ask(client, probe, cold)  # a miss probes, closes; home
+            # never admitted ``cold`` (the replica served it)
+            client.close()
+            await server.shutdown()
+
+        asyncio.run(main())
+        counters = dict(server.stats.snapshot())
+        counters.update(fetches=server.origin.fetches,
+                        validations=server.origin.validations)
+        return responses, counters, len(spawned)
+
+    def test_a_tripped_or_half_open_breaker_decides_alike_inline_or_awaited(
+        self,
+    ):
+        inline, inline_counters, inline_tasks = self.breaker_stream(0.0)
+        awaited, awaited_counters, awaited_tasks = self.breaker_stream(0.001)
+        assert inline == awaited
+        assert inline_counters == awaited_counters
+        assert [r["status"] for r in inline] == [
+            "miss", "stale-hit", "miss", "hit-validated", "hit-fresh",
+            "miss", "miss",
+        ]
+        assert inline[1]["reason"] == "breaker-open"
+        assert inline[2]["failover"] == "replica"
+        for name, value in (("resilience.breaker_open", 2),
+                            ("resilience.breaker_steered", 2),
+                            ("resilience.probe", 2),
+                            ("resilience.breaker_close", 2)):
+            assert inline_counters[name] == value
+        # only the steered miss (to fail over) and the miss probing a
+        # half-open breaker wait for a task when the origin is instant
+        assert inline_tasks == 2 and awaited_tasks == 6
+
+    @pytest.mark.parametrize("fault", ["error-rate", "latency-spike"])
+    def test_a_browned_out_origin_keeps_the_awaited_path(self, fault):
+        """Every read waits, and each origin round trip draws one
+        brownout number (retries included), as before."""
+        class CountingRng:
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(5), 0
+
+            def random(self):
+                self.draws += 1
+                return self.rng.random()
+
+        rng = CountingRng()
+
+        async def scenario(server, client):
+            keys = keys_homed_at(server, 0)[:6]
+            await client.ask(*({"op": "get", "key": k} for k in keys[:3]))
+            use_manual_clock(server).advance(1e6)  # every TTR window closed
+            spawned = spy_on_answer(server)
+            if fault == "error-rate":
+                server.origin.set_error_rate(0.5, rng)
+            else:
+                server.origin.set_extra_latency(0.001)
+            responses = await client.ask(
+                *({"op": "get", "key": k} for k in keys)
+            )
+            assert len(spawned) == len(keys)
+            assert {r["status"] for r in responses} <= {
+                "miss", "hit-validated", "stale-hit", "unavailable",
+            }
+
+        server = serve(scenario, origin_retries=1, suspect_after=100.0)
+        origin = server.origin
+        attempts = origin.fetches + origin.validations + origin.errors - 3
+        if fault == "error-rate":
+            assert origin.errors > 0
+            assert rng.draws == attempts >= 6
+        else:
+            assert rng.draws == origin.errors == 0
+
     def test_an_op_that_raises_answers_one_error_line_inline_or_awaited(
         self, monkeypatch, caplog
     ):
@@ -822,8 +1002,9 @@ class TestInlineGuard:
             assert not spawned and len(reported) == 1
             assert reported[0]["message"] == "edge-cache: op failed"
             assert isinstance(reported[0]["exception"], RuntimeError)
-            # behind a miss that has not begun its shard is not idle:
-            # the same put, on the awaitable path
+            # behind a miss that waits on the origin and has not begun,
+            # its shard is not idle: the same put, on the awaitable path
+            server.origin.set_extra_latency(0.001)
             miss, awaited = await client.ask({"op": "get", "key": cold}, put)
             assert miss["status"] == "miss"
             assert len(spawned) == 2 and len(reported) == 2
@@ -1008,12 +1189,11 @@ class TestOneTaskPath:
 
     def test_pre_spent_budget_never_calls_the_origin(self):
         server, shard, clock, key = self.cold_shard(deadline=1.0)
-        fetches = count_calls(server.origin, "fetch")
-        validations = count_calls(server.origin, "validate")
+        origin = server.origin
 
         async def main():
             cold = await shard.get(key, deadline=clock.now())
-            assert cold.status == "deadline" and not fetches
+            assert cold.status == "deadline" and origin.fetches == 0
             assert (await shard.get(key)).status == "miss"
             clock.advance(shard.cache.get(key).ttr + 1.0)  # window closed
             stale = await shard.get(key, deadline=clock.now() - 1.0)
@@ -1021,7 +1201,7 @@ class TestOneTaskPath:
             assert stale.extra["reason"] == "deadline"
 
         asyncio.run(main())
-        assert len(fetches) == 1 and not validations
+        assert origin.fetches == 1 and origin.validations == 0
         assert shard.stats.value("resilience.deadline_exceeded") == 2
 
     def test_deadline_trip_books_once_per_op(self):
