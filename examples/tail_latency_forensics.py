@@ -53,7 +53,7 @@ def main() -> None:
     hot_keys = Counter(e.fields["key"] for e in tail).most_common(5)
     print("\nrepeat offenders (key, tail serves):")
     for key, count in hot_keys:
-        home = net.geohash.home_region(key, net.table)
+        home = net.key_regions[key][0]
         print(f"  key {key:<5} x{count}  home region {home.region_id}")
 
     failed = net.log.of_kind("request.failed")

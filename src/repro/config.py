@@ -15,6 +15,7 @@ Experiments construct variations with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -203,6 +204,12 @@ class SimulationConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        # A float count crashed construction deep in the grid tiling or
+        # numpy; a bool passed as a count of 1.
+        for name in ("n_nodes", "n_regions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
         if self.n_regions <= 0:

@@ -1,10 +1,11 @@
-"""Geographic hash: key -> location -> home/replica region (paper §2.2).
+"""Geographic hash: key -> location (paper §2.2).
 
 The paper's scheme hashes each key ``k_i`` to a location ``L_j`` in the
 plane; the *home region* of the key is the region whose center is
-closest to that location, and the *replica region* the second closest.
-The hash must be (i) deterministic and identical at every peer, and
-(ii) uniform over the plane so keys spread evenly across regions.
+closest to that location, and the *replica region* the second closest
+(:meth:`repro.core.regions.RegionTable.home_and_replica`).  The hash
+must be (i) deterministic and identical at every peer, and (ii) uniform
+over the plane so keys spread evenly across regions.
 
 We use a SplitMix64-style integer mixer — a small, dependency-free,
 high-quality avalanche function — to derive two uniform coordinates from
@@ -14,9 +15,6 @@ agreed-upon uniform hash works.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from repro.core.regions import Region, RegionTable
 from repro.geom import Point
 
 __all__ = ["GeographicHash"]
@@ -51,37 +49,6 @@ class GeographicHash:
             self.width * x_bits / 2**32,
             self.height * y_bits / 2**32,
         )
-
-    def home_region(self, key: int, table: RegionTable) -> Region:
-        """The region whose center is closest to ``h(key)`` (§2.2)."""
-        return table.closest_region(self.location_of(key))
-
-    def replica_region(self, key: int, table: RegionTable) -> Region:
-        """The second-closest region — the key's replica region (§2.4).
-
-        With a single region in the table there is nowhere to replicate;
-        the home region doubles as the replica (degenerate but legal).
-        """
-        ordered = table.regions_by_center_distance(self.location_of(key))
-        return ordered[1] if len(ordered) > 1 else ordered[0]
-
-    def home_and_replica(self, key: int, table: RegionTable) -> Tuple[Region, Region]:
-        """Both regions with one distance computation."""
-        ordered = table.regions_by_center_distance(self.location_of(key))
-        home = ordered[0]
-        replica = ordered[1] if len(ordered) > 1 else ordered[0]
-        return home, replica
-
-    def keys_of_region(self, region_id: int, n_keys: int, table: RegionTable) -> List[int]:
-        """All keys in ``[0, n_keys)`` whose home region is ``region_id``.
-
-        Used when (re)assigning static stores after region-table changes.
-        """
-        return [
-            key
-            for key in range(n_keys)
-            if self.home_region(key, table).region_id == region_id
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GeographicHash({self.width:g}x{self.height:g}, salt={self.salt})"

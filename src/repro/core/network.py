@@ -70,9 +70,6 @@ __all__ = ["PReCinCtNetwork", "build_radio"]
 REGION_CHECK_INTERVAL = 1.0
 #: How often orphaned keys are retried for custody repair, s.
 CUSTODY_REPAIR_INTERVAL = 10.0
-#: (key, region centre) distances per chunk of the key -> region
-#: table: the pass's two float temporaries stay under 2 MiB each.
-KEY_TABLE_CHUNK_CELLS = 1 << 18
 #: Zipf skew of the *update* key distribution.  The paper specifies
 #: Zipf for accesses only; updates are uniform.
 UPDATE_ZIPF_THETA = 0.0
@@ -196,12 +193,13 @@ class PReCinCtNetwork:
             # so the table keeps all regions there.)
             self._drop_empty_regions()
         locations = [self.geohash.location_of(key) for key in range(len(self.db))]
-        #: ``(home, replica)`` region pair of every key, indexed by key:
-        #: ``geohash.home_and_replica`` on the table, which is final from
-        #: here on (§2.2, §2.4).
-        self.key_regions: List[Tuple[Region, Region]] = self._key_region_table(
-            locations
-        )
+        #: ``(home, replica)`` region pair of every key, indexed by key,
+        #: from the table, which is final from here on (§2.2, §2.4).
+        homes, replicas = self.table.home_and_replica(locations)
+        region = self.table.get
+        self.key_regions: List[Tuple[Region, Region]] = [
+            (region(h), region(r)) for h, r in zip(homes.tolist(), replicas.tolist())
+        ]
         self._assign_custodians(locations)
         for item in self.db.items:
             item.ttr = self.scheme.initial_ttr(item)
@@ -404,37 +402,6 @@ class PReCinCtNetwork:
             int(p)
             for p in members
             if p != exclude and self.peers[int(p)].current_region_id == region_id
-        ]
-
-    def _key_region_table(self, locations: List[Point]) -> List[Tuple[Region, Region]]:
-        """Every key's ``(home, replica)`` pair in one chunked pass.
-
-        The distances are ``RegionTable.regions_by_center_distance``'s
-        floats (``centre - location``, then ``np.hypot``), so the
-        first-occurrence minimum is that stable sort's first entry, and
-        the first-occurrence minimum with the home masked out its second.
-        """
-        regions = [self.table.get(rid) for rid in self.table.region_ids()]
-        centers = np.array([region.center for region in regions], dtype=float)
-        points = np.array(locations, dtype=float)
-        n_keys = len(points)
-        homes = np.empty(n_keys, dtype=np.intp)
-        # With one region the home doubles as the replica.
-        replicas = np.empty(n_keys, dtype=np.intp) if len(regions) > 1 else homes
-        chunk = max(1, KEY_TABLE_CHUNK_CELLS // len(regions))
-        rows = np.arange(min(chunk, n_keys))
-        for start in range(0, n_keys, chunk):
-            block = points[start:start + chunk]
-            dx = centers[:, 0] - block[:, 0:1]
-            dists = np.hypot(dx, centers[:, 1] - block[:, 1:2], out=dx)
-            home = homes[start:start + chunk]
-            dists.argmin(axis=1, out=home)
-            if len(regions) > 1:
-                dists[rows[:len(block)], home] = np.inf
-                dists.argmin(axis=1, out=replicas[start:start + chunk])
-        return [
-            (regions[h], regions[r])
-            for h, r in zip(homes.tolist(), replicas.tolist())
         ]
 
     def _assign_custodians(self, locations: List[Point]) -> None:

@@ -1,29 +1,18 @@
 """Planar geometry helpers shared by mobility, routing and regions.
 
-Positions are 2-D points in metres.  Scalar helpers operate on
-``(x, y)`` tuples; vectorized helpers operate on ``(N, 2)`` float arrays
-and are used on the hot paths (neighbor queries, greedy forwarding).
+Positions are 2-D points in metres, given as ``(x, y)`` tuples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 Point = Tuple[float, float]
 
 __all__ = [
     "Point",
     "distance",
-    "distance_sq",
-    "distances_to",
-    "midpoint",
-    "point_in_polygon",
-    "points_in_polygon",
-    "PolygonTester",
-    "polygon_centroid",
     "angle_of",
     "normalize_angle",
 ]
@@ -32,170 +21,6 @@ __all__ = [
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def distance_sq(a: Point, b: Point) -> float:
-    """Squared Euclidean distance (avoids the sqrt on comparison paths)."""
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy
-
-
-def distances_to(points: np.ndarray, target: Point) -> np.ndarray:
-    """Vectorized distances from each row of ``points`` (N, 2) to ``target``."""
-    diff = points - np.asarray(target, dtype=float)
-    return np.hypot(diff[:, 0], diff[:, 1])
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-
-
-def polygon_centroid(vertices: Sequence[Point]) -> Point:
-    """Area-weighted centroid of a simple polygon (shoelace formula).
-
-    Falls back to the vertex mean for degenerate (zero-area) polygons.
-    """
-    verts = list(vertices)
-    if len(verts) < 3:
-        xs = sum(v[0] for v in verts) / len(verts)
-        ys = sum(v[1] for v in verts) / len(verts)
-        return (xs, ys)
-    area2 = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(len(verts)):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % len(verts)]
-        cross = x0 * y1 - x1 * y0
-        area2 += cross
-        cx += (x0 + x1) * cross
-        cy += (y0 + y1) * cross
-    if abs(area2) < 1e-12:
-        xs = sum(v[0] for v in verts) / len(verts)
-        ys = sum(v[1] for v in verts) / len(verts)
-        return (xs, ys)
-    return (cx / (3.0 * area2), cy / (3.0 * area2))
-
-
-def point_in_polygon(point: Point, vertices: Sequence[Point]) -> bool:
-    """Ray-casting point-in-polygon test (boundary counts as inside).
-
-    Robust for the convex rectangular regions used by PReCinCt and for
-    general simple polygons produced by region Merge operations.
-    """
-    x, y = point
-    verts = list(vertices)
-    n = len(verts)
-    if n < 3:
-        return False
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        # Boundary check: point on segment (i, j).
-        if _on_segment((x, y), (xi, yi), (xj, yj)):
-            return True
-        if (yi > y) != (yj > y):
-            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
-
-
-class PolygonTester:
-    """Precomputed edge constants for repeated vectorized polygon tests.
-
-    Build once per polygon, then :meth:`contains` classifies an
-    ``(N, 2)`` point array with results **bit-identical** elementwise to
-    :func:`point_in_polygon`: per-edge constants stay Python floats
-    computed by the same scalar helpers, and the point-dependent terms
-    use the same elementwise float64 subtract/multiply/divide, so every
-    comparison resolves exactly as in the scalar loop.  (The scalar
-    version early-returns on a boundary hit; boundary points are inside
-    regardless of the remaining parity toggles, so accumulating both
-    masks over all edges yields the same answer.)
-    """
-
-    __slots__ = ("_ax", "_ay", "_bx", "_by", "_seg_tol", "_seg_len_sq", "_degenerate")
-
-    _EPS = 1e-9
-
-    def __init__(self, vertices: Sequence[Point]):
-        verts = list(vertices)
-        n = len(verts)
-        self._degenerate = n < 3
-        if self._degenerate:
-            return
-        eps = self._EPS
-        # Edge-constant arrays (shape (E,)) for segments (verts[i],
-        # verts[j]).  The segment-level scalars (distance, distance_sq)
-        # come from the scalar helpers so their rounding matches the
-        # scalar path exactly.
-        self._ax = ax = np.empty(n)
-        self._ay = ay = np.empty(n)
-        self._bx = bx = np.empty(n)
-        self._by = by = np.empty(n)
-        self._seg_tol = seg_tol = np.empty(n)
-        self._seg_len_sq = seg_len_sq = np.empty(n)
-        j = n - 1
-        for i in range(n):
-            a = verts[i]
-            b = verts[j]
-            ax[i], ay[i] = a
-            bx[i], by[i] = b
-            seg_tol[i] = eps * max(1.0, distance(a, b))
-            seg_len_sq[i] = distance_sq(a, b) + eps
-            j = i
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean membership for each row of ``points`` (N, 2)."""
-        points = np.asarray(points, dtype=float)
-        if self._degenerate:
-            return np.zeros(points.shape[0], dtype=bool)
-        eps = self._EPS
-        ax, ay, bx, by = self._ax, self._ay, self._bx, self._by
-        px = points[:, 0:1]  # (N, 1) against (E,) edge constants
-        py = points[:, 1:2]
-        dbax = bx - ax
-        dbay = by - ay
-        dpax = px - ax
-        dpay = py - ay
-        # Boundary: same cross/dot arithmetic as _on_segment.
-        cross = dbax * dpay - dbay * dpax
-        dot = dpax * dbax + dpay * dbay
-        on_boundary = (
-            (np.abs(cross) <= self._seg_tol) & (dot >= -eps) & (dot <= self._seg_len_sq)
-        )
-        # Crossing-parity toggles, guarded exactly like the scalar branch
-        # (XOR over edges is order-independent, so one reduction is exact).
-        straddles = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = dbax * (py - ay) / dbay + ax
-        inside = np.bitwise_xor.reduce(straddles & (px < x_cross), axis=1)
-        return on_boundary.any(axis=1) | inside
-
-
-def points_in_polygon(points: np.ndarray, vertices: Sequence[Point]) -> np.ndarray:
-    """Vectorized :func:`point_in_polygon` over an ``(N, 2)`` array.
-
-    One-shot convenience over :class:`PolygonTester`; build the tester
-    yourself when the same polygon is queried repeatedly.
-    """
-    return PolygonTester(vertices).contains(points)
-
-
-def _on_segment(p: Point, a: Point, b: Point, eps: float = 1e-9) -> bool:
-    """True if p lies on segment ab (within eps)."""
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if abs(cross) > eps * max(1.0, distance(a, b)):
-        return False
-    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    if dot < -eps:
-        return False
-    return dot <= distance_sq(a, b) + eps
 
 
 def angle_of(origin: Point, target: Point) -> float:

@@ -82,11 +82,9 @@ class ShardDirectory:
     def _placement(self, key: int) -> Tuple[int, int, Point]:
         cached = self._home_cache.get(key)
         if cached is None:
-            home, replica = self.geohash.home_and_replica(key, self.table)
-            cached = (
-                home.region_id, replica.region_id,
-                self.geohash.location_of(key),
-            )
+            location = self.geohash.location_of(key)
+            homes, replicas = self.table.home_and_replica([location])
+            cached = (int(homes[0]), int(replicas[0]), location)
             self._home_cache[key] = cached
         return cached
 

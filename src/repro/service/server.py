@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import numbers
 import re
 import signal
 import sys
@@ -205,6 +206,11 @@ class ServiceConfig:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # A float shard count ran int(n_shards) shards and reported the float.
+        if isinstance(self.n_shards, bool) or not isinstance(
+            self.n_shards, numbers.Integral
+        ):
+            raise ValueError(f"n_shards must be an integer, got {self.n_shards!r}")
         if self.n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {self.n_shards}")
         if self.n_items <= 0:

@@ -7,7 +7,7 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
 * neighbor queries take the uncached 3x3 cell walk (the path dead nodes
   always take) instead of the per-generation memo,
 * region membership comes from a column rebuilt on every read by one
-  scalar ``RegionTable.region_of_point`` polygon scan per node (lowest
+  scalar scan per node over the table's live closed rectangles (lowest
   id wins a tie) instead of the radio's per-generation grid column,
 * positions are read from the grid's numpy array instead of its
   per-generation list of float tuples,
@@ -25,9 +25,10 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
   router's scalar witness loop and its memo.
 
 :func:`per_key_construction` builds networks the way construction worked
-before it became one pass per table: one ``home_and_replica`` sort per
-key, and one membership scan plus one ``np.argsort`` walk per (key,
-region) placement.  :func:`run_reference_scenario` builds under it.
+before it became one pass per table: one stable ``np.argsort`` of the
+region centres per key for its home and replica, and one membership
+scan plus one ``np.argsort`` walk per (key, region) placement.
+:func:`run_reference_scenario` builds under it.
 
 The golden-digest suite requires a degraded run to fingerprint
 byte-identically to the production kernel on every canonical scenario.
@@ -41,6 +42,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.network import PReCinCtNetwork
+from repro.core.regions import RegionTable
 from repro.faults.audit import SCENARIOS, RunDigest, eventlog_digest, report_digest
 from repro.geom import angle_of, distance
 from repro.routing.planarization import gabriel_neighbors
@@ -96,13 +98,19 @@ def numpy_greedy_next(grid, here, dest, neighbors):
     return None
 
 
+def scalar_region_of(table, x: float, y: float) -> int:
+    """The lowest live region id whose closed rectangle holds ``(x, y)``,
+    or -1 (off the plane, NaN, or in a deleted cell)."""
+    for region in table:
+        (x0, y0), _, (x1, y1), _ = region.vertices
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            return region.region_id
+    return -1
+
+
 def scalar_region_column(radio, table):
-    """``WirelessNetwork.region_column`` by one polygon scan per node."""
-    column = []
-    for x, y in radio.positions().tolist():
-        region = table.region_of_point((x, y))
-        column.append(-1 if region is None else region.region_id)
-    return column
+    """``WirelessNetwork.region_column`` by one scalar scan per node."""
+    return [scalar_region_of(table, x, y) for x, y in radio.positions().tolist()]
 
 
 def _pass_through(src, dst, packet):
@@ -139,11 +147,19 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     return net
 
 
-def per_key_key_regions(net: PReCinCtNetwork, locations):
-    """``PReCinCtNetwork._key_region_table`` by one region sort per key."""
-    return [
-        net.geohash.home_and_replica(key, net.table) for key in range(len(net.db))
-    ]
+def per_point_home_and_replica(table: RegionTable, locations):
+    """``RegionTable.home_and_replica`` by one stable sort of the region
+    centres' ``np.hypot`` distances per location: index 0 is the home,
+    index 1 the replica (the home again with one region)."""
+    ids = table.region_ids()
+    centers = np.array([table.get(rid).center for rid in ids], dtype=float)
+    homes, replicas = [], []
+    for location in locations:
+        diff = centers - np.asarray(location, dtype=float)
+        order = np.argsort(np.hypot(diff[:, 0], diff[:, 1]), kind="stable")
+        homes.append(ids[order[0]])
+        replicas.append(ids[order[min(1, len(order) - 1)]])
+    return np.array(homes, dtype=np.intp), np.array(replicas, dtype=np.intp)
 
 
 def per_key_custodians(net: PReCinCtNetwork, locations) -> None:
@@ -173,7 +189,7 @@ def per_key_custodians(net: PReCinCtNetwork, locations) -> None:
 def per_key_construction():
     """Networks built inside this block place keys one at a time."""
     with mock.patch.object(
-        PReCinCtNetwork, "_key_region_table", per_key_key_regions
+        RegionTable, "home_and_replica", per_point_home_and_replica
     ), mock.patch.object(PReCinCtNetwork, "_assign_custodians", per_key_custodians):
         yield
 

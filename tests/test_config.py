@@ -31,6 +31,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(n_regions=-1)
 
+    @pytest.mark.parametrize("name", ["n_nodes", "n_regions"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "9"])
+    def test_rejects_non_integer_counts(self, name, value):
+        # 2.5 regions died in the grid tiling with ZeroDivisionError,
+        # 4.0 with TypeError and 20.0 nodes inside numpy.
+        with pytest.raises(ValueError, match=name):
+            SimulationConfig(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = SimulationConfig(n_nodes=np.int64(20), n_regions=np.int32(4))
+        assert (cfg.n_nodes, cfg.n_regions) == (20, 4)
+
     def test_rejects_cache_fraction_out_of_range(self):
         with pytest.raises(ValueError):
             SimulationConfig(cache_fraction=1.5)

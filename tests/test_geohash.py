@@ -43,13 +43,19 @@ class TestLocationHash:
             GeographicHash(0, 100)
 
 
+def _home_and_replica(table, h, keys):
+    """Each key's (home, replica) Region pair from one batched call."""
+    homes, replicas = table.home_and_replica([h.location_of(key) for key in keys])
+    return [(table.get(a), table.get(b))
+            for a, b in zip(homes.tolist(), replicas.tolist())]
+
+
 class TestRegionMapping:
     def test_home_region_is_closest_center(self):
         table = RegionTable.grid(1200, 1200, 9)
         h = GeographicHash(1200, 1200)
-        for key in range(100):
+        for key, (home, _) in enumerate(_home_and_replica(table, h, range(100))):
             loc = h.location_of(key)
-            home = h.home_region(key, table)
             dist_home = np.hypot(home.center[0] - loc[0], home.center[1] - loc[1])
             for region in table:
                 dist = np.hypot(region.center[0] - loc[0], region.center[1] - loc[1])
@@ -58,18 +64,22 @@ class TestRegionMapping:
     def test_replica_is_second_closest_and_distinct(self):
         table = RegionTable.grid(1200, 1200, 9)
         h = GeographicHash(1200, 1200)
-        for key in range(100):
-            home, replica = h.home_and_replica(key, table)
+        for key, (home, replica) in enumerate(_home_and_replica(table, h, range(100))):
             assert home.region_id != replica.region_id
             loc = h.location_of(key)
             d_home = np.hypot(home.center[0] - loc[0], home.center[1] - loc[1])
             d_rep = np.hypot(replica.center[0] - loc[0], replica.center[1] - loc[1])
             assert d_home <= d_rep
+            for region in table:
+                if region.region_id != home.region_id:
+                    dist = np.hypot(region.center[0] - loc[0],
+                                    region.center[1] - loc[1])
+                    assert d_rep <= dist + 1e-9
 
     def test_single_region_degenerate_replica(self):
         table = RegionTable.grid(100, 100, 1)
         h = GeographicHash(100, 100)
-        home, replica = h.home_and_replica(0, table)
+        [(home, replica)] = _home_and_replica(table, h, [0])
         assert home.region_id == replica.region_id == 0
 
     def test_keys_spread_across_regions(self):
@@ -77,41 +87,35 @@ class TestRegionMapping:
         h = GeographicHash(1200, 1200)
         counts = {rid: 0 for rid in table.region_ids()}
         n_keys = 900
-        for key in range(n_keys):
-            counts[h.home_region(key, table).region_id] += 1
+        for home, _ in _home_and_replica(table, h, range(n_keys)):
+            counts[home.region_id] += 1
         # Every region homes a reasonable share (uniform would be 100).
         for rid, count in counts.items():
             assert 40 <= count <= 180, (rid, count)
 
-    def test_keys_of_region_partition(self):
-        table = RegionTable.grid(1200, 1200, 4)
-        h = GeographicHash(1200, 1200)
-        n_keys = 100
-        all_keys = []
-        for rid in table.region_ids():
-            all_keys.extend(h.keys_of_region(rid, n_keys, table))
-        assert sorted(all_keys) == list(range(n_keys))
-
     def test_home_and_replica_consistent_with_individual_calls(self):
+        # The service places one key per call, the simulator all at once.
         table = RegionTable.grid(1200, 1200, 9)
         h = GeographicHash(1200, 1200)
+        batched = _home_and_replica(table, h, range(20))
         for key in range(20):
-            home, replica = h.home_and_replica(key, table)
-            assert home.region_id == h.home_region(key, table).region_id
-            assert replica.region_id == h.replica_region(key, table).region_id
+            assert _home_and_replica(table, h, [key]) == [batched[key]]
 
 
 class TestKeyRegionTable:
-    """``PReCinCtNetwork.key_regions`` is ``home_and_replica`` taken once."""
+    """``PReCinCtNetwork.key_regions`` is the per-key stable sort, taken once."""
 
     @staticmethod
     def _assert_table_matches(net):
+        from tests.reference_kernel import per_point_home_and_replica
+
         assert len(net.key_regions) == len(net.db)
+        homes, replicas = per_point_home_and_replica(
+            net.table, [net.geohash.location_of(key) for key in range(len(net.db))]
+        )
         for key, (home, replica) in enumerate(net.key_regions):
-            want_home, want_replica = net.geohash.home_and_replica(key, net.table)
-            assert home is want_home and replica is want_replica
-            assert home is net.geohash.home_region(key, net.table)
-            assert replica is net.geohash.replica_region(key, net.table)
+            assert home is net.table.get(int(homes[key]))
+            assert replica is net.table.get(int(replicas[key]))
 
     @pytest.mark.parametrize("n_regions", [1, 9, 64])
     @pytest.mark.parametrize("replication", [True, False])
@@ -127,13 +131,13 @@ class TestKeyRegionTable:
 
     @pytest.mark.parametrize("n_regions", [1, 9, 64])
     def test_table_over_many_chunks(self, n_regions, monkeypatch):
-        import repro.core.network
+        import repro.core.regions
         from repro import PReCinCtNetwork, SimulationConfig
 
         # Seven keys per chunk: 120 keys make 17 full chunks and a last
         # chunk of one key.
         monkeypatch.setattr(
-            repro.core.network, "KEY_TABLE_CHUNK_CELLS", 7 * n_regions
+            repro.core.regions, "KEY_TABLE_CHUNK_CELLS", 7 * n_regions
         )
         net = PReCinCtNetwork(SimulationConfig(
             n_nodes=40, n_regions=n_regions, n_items=120, duration=60.0,

@@ -2,83 +2,14 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.geom import (
-    angle_of,
-    distance,
-    distance_sq,
-    distances_to,
-    midpoint,
-    normalize_angle,
-    point_in_polygon,
-    polygon_centroid,
-)
-
-SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
-TRIANGLE = ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
+from repro.geom import angle_of, distance, normalize_angle
 
 
 class TestDistances:
     def test_distance_3_4_5(self):
         assert distance((0, 0), (3, 4)) == 5.0
-
-    def test_distance_sq(self):
-        assert distance_sq((1, 1), (4, 5)) == 25.0
-
-    def test_distances_to_vectorized(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
-        d = distances_to(pts, (0.0, 0.0))
-        assert np.allclose(d, [0.0, 5.0, 10.0])
-
-    def test_midpoint(self):
-        assert midpoint((0, 0), (4, 6)) == (2.0, 3.0)
-
-
-class TestPolygonCentroid:
-    def test_square_centroid(self):
-        assert polygon_centroid(SQUARE) == pytest.approx((5.0, 5.0))
-
-    def test_triangle_centroid(self):
-        cx, cy = polygon_centroid(TRIANGLE)
-        assert (cx, cy) == pytest.approx((4.0 / 3.0, 1.0))
-
-    def test_centroid_invariant_to_vertex_rotation(self):
-        rolled = SQUARE[2:] + SQUARE[:2]
-        assert polygon_centroid(rolled) == pytest.approx(polygon_centroid(SQUARE))
-
-    def test_degenerate_two_points_falls_back_to_mean(self):
-        assert polygon_centroid([(0, 0), (2, 2)]) == (1.0, 1.0)
-
-
-class TestPointInPolygon:
-    def test_interior_point(self):
-        assert point_in_polygon((5, 5), SQUARE)
-
-    def test_exterior_point(self):
-        assert not point_in_polygon((15, 5), SQUARE)
-
-    def test_boundary_counts_as_inside(self):
-        assert point_in_polygon((10, 5), SQUARE)
-        assert point_in_polygon((0, 0), SQUARE)
-
-    def test_just_outside_edges(self):
-        assert not point_in_polygon((10.001, 5), SQUARE)
-        assert not point_in_polygon((-0.001, 5), SQUARE)
-
-    def test_triangle_hypotenuse_side(self):
-        assert point_in_polygon((1.0, 1.0), TRIANGLE)
-        assert not point_in_polygon((3.0, 3.0), TRIANGLE)
-
-    def test_concave_polygon(self):
-        # L-shape: the notch at top-right is outside.
-        lshape = ((0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4))
-        assert point_in_polygon((1, 3), lshape)
-        assert not point_in_polygon((3, 3), lshape)
-
-    def test_degenerate_polygon_rejects_everything(self):
-        assert not point_in_polygon((0, 0), [(0, 0), (1, 1)])
 
 
 class TestAngles:

@@ -44,6 +44,21 @@ sys.meta_path.insert(0, Blocker())
 """
 
 
+#: Every ``repro`` module ``import repro.service.server,
+#: repro.service.loadgen`` loads, sorted.
+SERVICE_IMPORT_SET = [
+    "repro", "repro.core", "repro.core.cache", "repro.core.consistency",
+    "repro.core.geohash", "repro.core.messages", "repro.core.regions",
+    "repro.core.replacement", "repro.geom", "repro.ports", "repro.resilience",
+    "repro.resilience.backoff", "repro.resilience.breaker",
+    "repro.resilience.detector", "repro.resilience.manager", "repro.service",
+    "repro.service.chaos", "repro.service.clock", "repro.service.core",
+    "repro.service.faultplan", "repro.service.loadgen", "repro.service.origin",
+    "repro.service.routing", "repro.service.server", "repro.service.supervision",
+    "repro.workload", "repro.workload.database", "repro.workload.zipf",
+]
+
+
 def run_blocked(body: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", BLOCKER + body],
@@ -101,6 +116,22 @@ class TestCoreImportIsolation:
         )
         assert result.returncode == 0, result.stderr
         assert "SERVICE-CLEAN" in result.stdout
+
+    def test_service_import_set_is_pinned(self):
+        """The ``repro`` modules a served process loads, exactly.
+
+        Any byte changed in one of these can move the service's
+        latency mode (ROADMAP item 1(f)), so a change that adds or
+        drops one has to update this list and say so.
+        """
+        result = run_blocked(
+            "import sys\n"
+            "import repro.service.server, repro.service.loadgen\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m == 'repro' or m.startswith('repro.'))))\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == SERVICE_IMPORT_SET
 
     def test_survival_layer_imports_without_sim_or_net(self):
         """Supervision, chaos, and fault plans live service-side only."""

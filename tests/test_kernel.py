@@ -5,9 +5,6 @@ divergence from the test-side reference kernel end-to-end; the tests
 here pin each layer against the scalar primitive that stays in ``src/``,
 so a divergence points at the responsible layer:
 
-* ``PolygonTester`` / ``points_in_polygon`` vs the scalar
-  ``point_in_polygon`` — including boundary points, vertices, and
-  degenerate polygons;
 * GPSR's scalar Gabriel witness loop vs the numpy ``gabriel_neighbors``,
   list for list; Python complex ``abs`` vs ``np.hypot``, bit for bit;
   the greedy step on complex positions vs the numpy step (exact ties
@@ -41,66 +38,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geom import PolygonTester, point_in_polygon, points_in_polygon
 from repro.net.topology import SpatialGrid
 from tests.reference_kernel import walk_neighbors
-
-
-# ---------------------------------------------------------------------------
-# Vectorized point-in-polygon
-# ---------------------------------------------------------------------------
-
-SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
-CONCAVE = [(0.0, 0.0), (8.0, 0.0), (8.0, 8.0), (4.0, 3.0), (0.0, 8.0)]
-TRIANGLE = [(1.0, 1.0), (9.0, 2.0), (5.0, 9.0)]
-
-
-class TestPointsInPolygon:
-    @pytest.mark.parametrize("verts", [SQUARE, CONCAVE, TRIANGLE])
-    def test_matches_scalar_on_fuzz(self, verts):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-2.0, 12.0, size=(400, 2))
-        got = points_in_polygon(pts, verts)
-        want = np.array(
-            [point_in_polygon((x, y), verts) for x, y in pts.tolist()]
-        )
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("verts", [SQUARE, CONCAVE, TRIANGLE])
-    def test_matches_scalar_on_boundary_points(self, verts):
-        # Vertices, edge midpoints, and points a hair off each edge —
-        # exactly where the eps-banded boundary test could diverge.
-        pts = []
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            pts.append((ax, ay))
-            pts.append(((ax + bx) / 2.0, (ay + by) / 2.0))
-            pts.append(((ax + bx) / 2.0 + 1e-12, (ay + by) / 2.0))
-            pts.append((ax + 0.25 * (bx - ax), ay + 0.25 * (by - ay)))
-        arr = np.asarray(pts)
-        got = points_in_polygon(arr, verts)
-        want = np.array([point_in_polygon(p, verts) for p in pts])
-        np.testing.assert_array_equal(got, want)
-
-    def test_degenerate_polygons(self):
-        for verts in ([], [(1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)]):
-            pts = np.array([[1.0, 1.0], [5.0, 5.0]])
-            got = points_in_polygon(pts, verts)
-            want = np.array([point_in_polygon((x, y), verts)
-                             for x, y in pts.tolist()])
-            np.testing.assert_array_equal(got, want)
-
-    def test_tester_reusable_across_batches(self):
-        tester = PolygonTester(CONCAVE)
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            pts = rng.uniform(-1.0, 9.0, size=(50, 2))
-            want = np.array([point_in_polygon((x, y), CONCAVE)
-                             for x, y in pts.tolist()])
-            np.testing.assert_array_equal(tester.contains(pts), want)
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +439,12 @@ class TestOnePassConstruction:
     @pytest.mark.parametrize("n_regions", [9, 64])
     @pytest.mark.parametrize("capacity", [None, 0.05], ids=["unbounded", "cap0.05"])
     def test_matches_over_many_chunks(self, n_regions, capacity, monkeypatch):
-        import repro.core.network
+        import repro.core.regions
 
         # Seven keys per chunk: 200 keys make 28 full chunks and a last
         # chunk of four keys.
         monkeypatch.setattr(
-            repro.core.network, "KEY_TABLE_CHUNK_CELLS", 7 * n_regions
+            repro.core.regions, "KEY_TABLE_CHUNK_CELLS", 7 * n_regions
         )
         self._assert_same_tables(dict(
             n_nodes=40, n_regions=n_regions, n_items=200, max_speed=4.0,
@@ -533,7 +472,7 @@ class TestConstructionCost:
         import pstats
 
         from repro import PReCinCtNetwork, SimulationConfig
-        from repro.core.network import KEY_TABLE_CHUNK_CELLS
+        from repro.core.regions import KEY_TABLE_CHUNK_CELLS
 
         counts = []
         for n_items in (200, 2000, 8000):

@@ -109,7 +109,7 @@ class TestUpdatePushPaths:
         net = make_static()
         # Find a key homed where some peer resides.
         for key in range(len(net.db)):
-            home = net.geohash.home_region(key, net.table)
+            home = net.key_regions[key][0]
             members = net._peers_in_region(home.region_id)
             if members:
                 updater = members[0]

@@ -31,7 +31,7 @@ def make_net(**overrides) -> PReCinCtNetwork:
 
 def custodian_of(net: PReCinCtNetwork, key: int):
     """A peer in the key's home region holding it statically."""
-    home = net.geohash.home_region(key, net.table)
+    home = net.key_regions[key][0]
     for peer in net.peers:
         if key in peer.static_keys and peer.current_region_id == home.region_id:
             return peer
@@ -39,7 +39,7 @@ def custodian_of(net: PReCinCtNetwork, key: int):
 
 
 def replica_custodian_of(net: PReCinCtNetwork, key: int):
-    replica = net.geohash.replica_region(key, net.table)
+    replica = net.key_regions[key][1]
     for peer in net.peers:
         if key in peer.static_keys and peer.current_region_id == replica.region_id:
             return peer
@@ -50,7 +50,7 @@ def pick_cross_region_case(net: PReCinCtNetwork):
     """(requester, key): requester outside the key's home region, key
     custodied, requester not holding it."""
     for key in range(len(net.db)):
-        home = net.geohash.home_region(key, net.table)
+        home = net.key_regions[key][0]
         if custodian_of(net, key) is None:
             continue
         for peer in net.peers:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from repro.core.cache import CachedCopy, PeerCache
 from repro.core.geohash import GeographicHash
 from repro.core.regions import RegionTable
 from repro.core.replacement import GDLDPolicy, GDSizePolicy
-from repro.geom import point_in_polygon, polygon_centroid
 from repro.net import SpatialGrid
 from repro.sim import Simulator, WelfordAccumulator
 
@@ -155,7 +155,8 @@ def test_home_region_minimizes_center_distance(key, n_regions):
     table = RegionTable.grid(1200, 1200, n_regions)
     h = GeographicHash(1200, 1200, salt=7)
     loc = h.location_of(key)
-    home = h.home_region(key, table)
+    homes, _ = table.home_and_replica([loc])
+    home = table.get(int(homes[0]))
     d_home = math.hypot(home.center[0] - loc[0], home.center[1] - loc[1])
     for region in table:
         d = math.hypot(region.center[0] - loc[0], region.center[1] - loc[1])
@@ -171,25 +172,34 @@ def test_hash_location_in_plane(key):
 
 
 # ---------------------------------------------------------------------------
-# Geometry: centroid of a rectangle lies inside it, for any rectangle
+# Region grid: one membership rule (the grid arithmetic plus the
+# deleted-cell mask) and one home/replica rule
 # ---------------------------------------------------------------------------
 
-@given(
-    st.floats(min_value=-1e4, max_value=1e4),
-    st.floats(min_value=-1e4, max_value=1e4),
-    st.floats(min_value=0.1, max_value=1e4),
-    st.floats(min_value=0.1, max_value=1e4),
-)
-def test_rectangle_centroid_inside(x0, y0, w, hgt):
-    rect = ((x0, y0), (x0 + w, y0), (x0 + w, y0 + hgt), (x0, y0 + hgt))
-    c = polygon_centroid(rect)
-    assert point_in_polygon(c, rect)
+_PLANES = st.sampled_from([600.0, 1000.0, 1200.0, 3200.0])
 
 
-# ---------------------------------------------------------------------------
-# Region grid: the tiling partitions the plane (every interior point in
-# exactly one region, modulo shared boundaries)
-# ---------------------------------------------------------------------------
+def _table_with_deletions(side, n_regions, seed):
+    """A grid table with a random set of its cells deleted (never all)."""
+    table = RegionTable.grid(side, side, n_regions)
+    rng = np.random.default_rng(seed)
+    n_deleted = int(rng.integers(0, n_regions))
+    for region_id in rng.choice(n_regions, size=n_deleted, replace=False).tolist():
+        table.delete(region_id)
+    return table, rng
+
+
+def _holders(table, x, y):
+    """Every cell, live or deleted, whose closed rectangle holds (x, y)."""
+    held = []
+    for r in range(table.rows):
+        for c in range(table.cols):
+            x0, x1 = c * table.width / table.cols, (c + 1) * table.width / table.cols
+            y0, y1 = r * table.height / table.rows, (r + 1) * table.height / table.rows
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                held.append(r * table.cols + c)
+    return held
+
 
 @given(
     st.integers(min_value=1, max_value=20),
@@ -199,6 +209,72 @@ def test_rectangle_centroid_inside(x0, y0, w, hgt):
 @settings(max_examples=80)
 def test_grid_tiling_covers_plane(n_regions, x, y):
     table = RegionTable.grid(1200, 1200, n_regions)
-    region = table.region_of_point((x, y))
-    assert region is not None
-    assert region.contains((x, y))
+    [region_id] = table.regions_of_points(np.array([[x, y]])).tolist()
+    assert region_id >= 0
+    assert region_id in _holders(table, x, y)
+
+
+@given(st.integers(min_value=1, max_value=64), _PLANES,
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_regions_of_points_equals_the_scalar_scan(n_regions, side, seed):
+    from tests.reference_kernel import scalar_region_of
+
+    table, rng = _table_with_deletions(side, n_regions, seed)
+    points = np.concatenate([
+        rng.uniform(0.0, side, (200, 2)),          # on the plane
+        rng.uniform(-side, 2.0 * side, (100, 2)),  # around and off it
+        rng.uniform(0.0, side, (20, 2)),
+    ])
+    points[-20:-10, 0] = np.nan
+    points[-10:, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = table.regions_of_points(points).tolist()
+    want = [scalar_region_of(table, x, y) for x, y in points.tolist()]
+    assert got == want
+
+
+@given(st.integers(min_value=1, max_value=64), _PLANES,
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_shared_edge_points_land_in_a_cell_that_holds_them(n_regions, side, seed):
+    """Rounding decides which neighbour an exact shared edge goes to, so
+    only this much holds: the answer is a live cell whose closed
+    rectangle holds the point, or -1 when one of those cells is deleted."""
+    table, rng = _table_with_deletions(side, n_regions, seed)
+    rows, cols = table.rows, table.cols
+    xs = [c * side / cols for c in range(cols + 1)]
+    ys = [r * side / rows for r in range(rows + 1)]
+    points = [(x, float(rng.uniform(0.0, side))) for x in xs]
+    points += [(float(rng.uniform(0.0, side)), y) for y in ys]
+    points += [(x, y) for x in xs for y in ys]  # cell corners
+    got = table.regions_of_points(np.array(points)).tolist()
+    live = set(table.region_ids())
+    for (x, y), region_id in zip(points, got):
+        held = _holders(table, x, y)
+        if region_id >= 0:
+            assert region_id in held and region_id in live, (x, y, region_id)
+        else:
+            assert not live.issuperset(held), (x, y)
+
+
+@pytest.mark.parametrize("n_regions", [1, 9, 64])
+@given(side=_PLANES, seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_home_and_replica_equals_the_per_point_stable_sort(n_regions, side, seed):
+    from tests.reference_kernel import per_point_home_and_replica
+
+    table, rng = _table_with_deletions(side, n_regions, seed)
+    step = side / table.cols, side / table.rows
+    locations = rng.uniform(0.0, side, (150, 2)).tolist()
+    # Cell corners and centres: equidistant from two or four centres.
+    locations += [
+        (i * step[0] / 2.0, j * step[1] / 2.0)
+        for i in range(2 * table.cols + 1) for j in range(2 * table.rows + 1)
+    ]
+    homes, replicas = table.home_and_replica(locations)
+    want_homes, want_replicas = per_point_home_and_replica(table, locations)
+    assert homes.tolist() == want_homes.tolist()
+    assert replicas.tolist() == want_replicas.tolist()
+    if len(table) > 1:
+        assert (homes != replicas).all()

@@ -60,8 +60,8 @@ def build_faulted(**overrides) -> PReCinCtNetwork:
 
 def assert_case_preconditions(net: PReCinCtNetwork) -> int:
     """Validate the pinned topology; return the replica region id."""
-    home = net.geohash.home_region(KEY, net.table)
-    replica = net.geohash.replica_region(KEY, net.table)
+    home = net.key_regions[KEY][0]
+    replica = net.key_regions[KEY][1]
     requester = net.peers[REQUESTER]
     assert home.region_id == HOME_RID, "topology changed; re-pin the case"
     assert replica.region_id != HOME_RID
@@ -133,7 +133,7 @@ def test_failover_serves_current_version_after_update():
 
 def test_without_replication_whole_region_crash_fails_requests():
     net = build_faulted(enable_replication=False)
-    home = net.geohash.home_region(KEY, net.table)
+    home = net.key_regions[KEY][0]
     assert home.region_id == HOME_RID
     net.sim.run(until=CRASH_AT + 1.0)
     requester = net.peers[REQUESTER]

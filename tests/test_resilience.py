@@ -366,8 +366,8 @@ def pick_far_case(net):
     replica regions, key custodied in both — the full three-phase
     ladder is reachable."""
     for key in range(len(net.db)):
-        home = net.geohash.home_region(key, net.table)
-        replica = net.geohash.replica_region(key, net.table)
+        home = net.key_regions[key][0]
+        replica = net.key_regions[key][1]
         if custodian_of(net, key) is None or replica_custodian_of(net, key) is None:
             continue
         for peer in net.peers:
@@ -384,7 +384,7 @@ def pick_home_resident_case(net):
     """(requester, key): the requester's region IS the key's home
     region, but the requester itself does not custody the key."""
     for key in range(len(net.db)):
-        home = net.geohash.home_region(key, net.table)
+        home = net.key_regions[key][0]
         if custodian_of(net, key) is None:
             continue
         for peer in net.peers:
@@ -562,7 +562,7 @@ class TestBreakerEndToEnd:
         replica.  Caching is off so every request walks the ladder."""
         probe_net = make_net(enable_cache=False)
         requester, key = pick_far_case(probe_net)
-        home_rid = probe_net.geohash.home_region(key, probe_net.table).region_id
+        home_rid = probe_net.key_regions[key][0].region_id
         holders = tuple(
             p.id for p in probe_net.peers
             if key in p.static_keys and p.current_region_id == home_rid

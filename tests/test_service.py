@@ -77,6 +77,23 @@ class TestShardRouting:
             assert a.replica_region(key) == b.replica_region(key)
             assert a.home_region(key) != a.replica_region(key)
 
+    def test_placement_is_the_simulators_home_and_replica_rule(self):
+        from tests.reference_kernel import per_point_home_and_replica
+
+        d = ShardDirectory(9, salt=3)
+        locations = [d.geohash.location_of(key) for key in range(300)]
+        homes, replicas = per_point_home_and_replica(d.table, locations)
+        for key in range(300):
+            placement = (d.home_region(key), d.replica_region(key))
+            assert placement == (homes[key], replicas[key])
+            assert all(type(region) is int for region in placement)
+
+    @pytest.mark.parametrize("n_shards", [2.5, 2.0, True])
+    def test_config_rejects_non_integer_shard_counts(self, n_shards):
+        # 2.5 shards ran 2 and reported "shards": 2.5 in its stats.
+        with pytest.raises(ValueError, match="n_shards"):
+            ServiceConfig(n_shards=n_shards)
+
     def test_salt_rebalances(self):
         a, b = ShardDirectory(4, salt=0), ShardDirectory(4, salt=99)
         assert any(
