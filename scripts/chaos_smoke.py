@@ -155,7 +155,7 @@ async def _serve(layer_on: bool, seed: int, out_dir: Path) -> dict:
         hedge_after=0.15 if layer_on else None,
         max_inflight=16 if layer_on else None,
         supervise=layer_on,
-        heartbeat_timeout=0.4, restart_backoff_base=0.05,
+        heartbeat_timeout=0.4,
         fault_plan=ServiceFaultPlan.parse(SERVICE_PLAN),
         telemetry_interval=0.5,
         live_export=str(out_dir / f"{'on' if layer_on else 'off'}-live.jsonl"),

@@ -324,14 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds a shard may keep ops waiting "
                             "without progress before it is declared "
                             "wedged (default 1.0)")
-    srv_p.add_argument("--hot-key-policy", choices=["off", "shed", "coalesce"],
-                       default="off",
-                       help="hot-key protection: shed or coalesce keys "
-                            "over the rate threshold (default off)")
-    srv_p.add_argument("--hot-key-threshold", type=int, default=50,
-                       metavar="N",
-                       help="requests per window that make a key hot "
-                            "(default 50)")
     srv_p.add_argument("--service-fault", action="append", default=[],
                        metavar="SPEC", dest="service_faults",
                        help="scripted chaos event, e.g. "
@@ -800,8 +792,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight if args.max_inflight > 0 else None,
             supervise=not args.no_supervise,
             heartbeat_timeout=args.heartbeat_timeout,
-            hot_key_policy=args.hot_key_policy,
-            hot_key_threshold=args.hot_key_threshold,
             fault_plan=fault_plan,
             telemetry_interval=args.telemetry_interval,
             live_export=args.live_export,

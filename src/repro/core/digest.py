@@ -82,15 +82,6 @@ class BloomFilter:
         bits = (self._words[(pos // 64).astype(np.intp)] >> (pos % 64)) & np.uint64(1)
         return bool(bits.all())
 
-    def merge(self, other: "BloomFilter") -> "BloomFilter":
-        """Union of two same-shape filters."""
-        if other.n_bits != self.n_bits or other.n_hashes != self.n_hashes:
-            raise ValueError("cannot merge Bloom filters of different shapes")
-        merged = BloomFilter(self.n_bits, self.n_hashes)
-        merged._words = self._words | other._words
-        merged.n_added = self.n_added + other.n_added
-        return merged
-
     @property
     def fill_ratio(self) -> float:
         """Fraction of set bits (false-positive proxy)."""

@@ -15,19 +15,11 @@ agreed-upon uniform hash works.
 
 from __future__ import annotations
 
-from repro.geom import Point
+import numpy as np
 
 __all__ = ["GeographicHash"]
 
 _MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    """One round of the SplitMix64 mixer (public-domain constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 class GeographicHash:
@@ -40,15 +32,24 @@ class GeographicHash:
         self.height = float(height)
         self.salt = int(salt)
 
-    def location_of(self, key: int) -> Point:
-        """The plane location ``L = h(k)`` for a key."""
-        h = _splitmix64((key << 1) ^ self.salt)
-        x_bits = h & 0xFFFFFFFF
-        y_bits = (h >> 32) & 0xFFFFFFFF
-        return (
-            self.width * x_bits / 2**32,
-            self.height * y_bits / 2**32,
-        )
+    def locations(self, n: int) -> np.ndarray:
+        """The plane locations ``L = h(k)`` of keys ``0..n-1``, ``(n, 2)``.
+
+        One SplitMix64 round over ``(k << 1) ^ salt`` in wrapping
+        ``uint64`` arithmetic; the low 32 bits scale to x, the high 32
+        bits to y.
+        """
+        u = np.uint64
+        x = np.arange(n, dtype=u) << u(1)
+        x ^= u(self.salt & _MASK64)
+        x += u(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
+        x ^= x >> u(31)
+        out = np.empty((n, 2))
+        out[:, 0] = self.width * (x & u(0xFFFFFFFF)).astype(float) / 2**32
+        out[:, 1] = self.height * (x >> u(32)).astype(float) / 2**32
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GeographicHash({self.width:g}x{self.height:g}, salt={self.salt})"

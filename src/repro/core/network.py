@@ -192,7 +192,7 @@ class PReCinCtNetwork:
             # regions.  (Under mobility nodes re-enter empty territory,
             # so the table keeps all regions there.)
             self._drop_empty_regions()
-        locations = [self.geohash.location_of(key) for key in range(len(self.db))]
+        locations = self.geohash.locations(len(self.db))
         #: ``(home, replica)`` region pair of every key, indexed by key,
         #: from the table, which is final from here on (§2.2, §2.4).
         homes, replicas = self.table.home_and_replica(locations)
@@ -200,7 +200,7 @@ class PReCinCtNetwork:
         self.key_regions: List[Tuple[Region, Region]] = [
             (region(h), region(r)) for h, r in zip(homes.tolist(), replicas.tolist())
         ]
-        self._assign_custodians(locations)
+        self._assign_custodians(locations.tolist())
         for item in self.db.items:
             item.ttr = self.scheme.initial_ttr(item)
 

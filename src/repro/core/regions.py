@@ -148,8 +148,11 @@ class RegionTable:
         x = points[:, 0]
         y = points[:, 1]
         inside = (x >= 0) & (x <= width) & (y >= 0) & (y <= height)
-        col = np.clip((x * cols / width).astype(np.intp), 0, cols - 1)
-        row = np.clip((y * rows / height).astype(np.intp), 0, rows - 1)
+        # Off-plane points are zeroed first: NaN or huge ones warn in the cast.
+        x = np.where(inside, x, 0.0)
+        y = np.where(inside, y, 0.0)
+        col = np.minimum((x * cols / width).astype(np.intp), cols - 1)
+        row = np.minimum((y * rows / height).astype(np.intp), rows - 1)
         ids = row * cols + col
         if len(self._regions) < rows * cols:
             inside &= self._live[ids]

@@ -117,8 +117,9 @@ class PeerDirectory(Protocol):
         """All region ids currently in the table."""
         ...  # pragma: no cover - protocol
 
-    def region_distance(self, region_a: int, region_b: int) -> float:
-        """Distance between two regions' centers (GD-LD's reg_dst term)."""
+    def key_distance(self, key: int, region_id: int) -> float:
+        """Distance from the key's hashed location to a region's center
+        (GD-LD's reg_dst term)."""
         ...  # pragma: no cover - protocol
 
 

@@ -416,13 +416,7 @@ class CacheService:
         """
         if key in self.cache:
             return False
-        distance = getattr(self.directory, "key_distance", None)
-        reg_dst = (
-            distance(key, self.shard_id) if distance is not None
-            else self.directory.region_distance(
-                self.directory.replica_region(key), self.shard_id
-            )
-        )
+        reg_dst = self.directory.key_distance(key, self.shard_id)
         clone = CachedCopy(
             key=key,
             size_bytes=copy.size_bytes,
@@ -581,13 +575,7 @@ class CacheService:
 
     def _admit(self, item: DataItem, now: float) -> bool:
         """Admission + replacement for an authoritative copy (§3.2-3.3)."""
-        distance = getattr(self.directory, "key_distance", None)
-        reg_dst = (
-            distance(item.key, self.shard_id) if distance is not None
-            else self.directory.region_distance(
-                self.directory.replica_region(item.key), self.shard_id
-            )
-        )
+        reg_dst = self.directory.key_distance(item.key, self.shard_id)
         entry = CachedCopy(
             key=item.key,
             size_bytes=item.size_bytes,

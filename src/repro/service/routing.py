@@ -16,11 +16,10 @@ paper's reg_dst heuristic.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.geohash import GeographicHash
 from repro.core.regions import RegionTable
-from repro.geom import Point
 
 __all__ = ["ShardDirectory"]
 
@@ -38,35 +37,37 @@ class ShardDirectory:
     n_shards:
         Number of region shards; the plane is grid-tiled exactly as
         the simulation tiles it (most-square rows x cols factoring).
+    n_items:
+        Number of keys (``0..n_items-1``); every key is placed once,
+        at construction.
     salt:
         Hash salt (the service's seed) so deployments can re-balance
         by re-salting, mirroring ``GeographicHash(salt=seed)``.
     """
 
-    def __init__(self, n_shards: int, salt: int = 0):
+    def __init__(self, n_shards: int, n_items: int, salt: int = 0):
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         self.n_shards = int(n_shards)
         self.table = RegionTable.grid(PLANE_SIDE, PLANE_SIDE, self.n_shards)
         self.geohash = GeographicHash(PLANE_SIDE, PLANE_SIDE, salt=salt)
-        #: key -> (home, replica, hashed location); one entry per item.
-        self._home_cache: Dict[int, Tuple[int, int, Point]] = {}
+        locations = self.geohash.locations(n_items)
+        homes, replicas = self.table.home_and_replica(locations)
+        #: Per key, indexed by key: home, replica, hashed location.
+        self._homes: List[int] = homes.tolist()
+        self._replicas: List[int] = replicas.tolist()
+        self._locations: List[List[float]] = locations.tolist()
 
     # -- PeerDirectory protocol ---------------------------------------------
 
     def home_region(self, key: int) -> int:
-        return self._placement(key)[0]
+        return self._homes[key]
 
     def replica_region(self, key: int) -> int:
-        return self._placement(key)[1]
+        return self._replicas[key]
 
     def region_ids(self) -> List[int]:
         return self.table.region_ids()
-
-    def region_distance(self, region_a: int, region_b: int) -> float:
-        return self.table.center_distance(region_a, region_b)
-
-    # -- service extras ------------------------------------------------------
 
     def key_distance(self, key: int, region_id: int) -> float:
         """Distance from the key's hashed location to a region center.
@@ -75,18 +76,9 @@ class ShardDirectory:
         entries: how far the authoritative location of the key lies
         from the shard serving it.
         """
-        loc = self._placement(key)[2]
+        loc = self._locations[key]
         center = self.table.get(region_id).center
         return math.hypot(loc[0] - center[0], loc[1] - center[1])
-
-    def _placement(self, key: int) -> Tuple[int, int, Point]:
-        cached = self._home_cache.get(key)
-        if cached is None:
-            location = self.geohash.location_of(key)
-            homes, replicas = self.table.home_and_replica([location])
-            cached = (int(homes[0]), int(replicas[0]), location)
-            self._home_cache[key] = cached
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardDirectory(n_shards={self.n_shards})"

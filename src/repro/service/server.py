@@ -34,10 +34,10 @@ What the server adds around the core:
   :meth:`CacheService.get_nowait`), whose home worker is *idle*
   (:meth:`_ShardWorker.idle`: up and not draining, nothing waiting
   and no wedge, in-flight below ``max_inflight``, no answer task bound
-  for the shard still unstarted; hot-key policy off for gets) has
-  nothing to await, so the server runs it in the read callback: no
-  task at all, heartbeat stamped.  Everything else takes the awaitable
-  ``_get``/``_put``/``_submit`` path in one answer task;
+  for the shard still unstarted) has nothing to await, so the server
+  runs it in the read callback: no task at all, heartbeat stamped.
+  Everything else takes the awaitable ``_get``/``_put``/``_submit``
+  path in one answer task;
 * **write dissemination** — an in-process
   :class:`~repro.ports.ConsistencyTransport`: an UpdatePush is applied
   at the home shard first (which folds eq. 2 into the TTR) and then at
@@ -53,8 +53,7 @@ What the server adds around the core:
 * **overload shedding** — each shard bounds its admitted-but-unfinished
   work (``max_inflight``); past the bound, ops are refused with an
   explicit ``overloaded`` response (served class ``shed``) instead of
-  admitting without bound.  Optional hot-key protection sheds
-  or coalesces keys that exceed a request-rate threshold;
+  admitting without bound;
 * **telemetry** — a sampler task publishes one row per interval to a
   :class:`~repro.obs.TelemetryBus`, feeding the same live-export /
   metrics-snapshot / ``--watch`` sinks the simulation uses, with the
@@ -127,11 +126,11 @@ __all__ = [
     "build_scheme",
 ]
 
-#: Hot-key protection policies (``off`` disables the tracker).
-HOT_KEY_POLICIES = ("off", "shed", "coalesce")
-
 #: First origin-retry backoff (seconds) when ``origin_retries > 0``.
 RETRY_BACKOFF_BASE = 0.05
+
+#: First-restart backoff (seconds) for a failed shard.
+RESTART_BACKOFF_BASE = 0.05
 
 #: Wire-protocol schemes -> constructors.
 _SCHEMES = {
@@ -186,14 +185,6 @@ class ServiceConfig:
     #: Seconds a worker may keep ops waiting without progress before
     #: the supervisor declares it wedged.
     heartbeat_timeout: float = 1.0
-    #: First-restart backoff (seconds) for a failed shard.
-    restart_backoff_base: float = 0.05
-    #: Hot-key protection: "off", "shed", or "coalesce".
-    hot_key_policy: str = "off"
-    #: Requests per window that make a key hot.
-    hot_key_threshold: int = 50
-    #: Hot-key counting window (seconds).
-    hot_key_window: float = 1.0
     #: Scripted chaos schedule executed on the server's clock.
     fault_plan: Optional[ServiceFaultPlan] = None
     #: Telemetry sampling interval (wall seconds).
@@ -245,25 +236,6 @@ class ServiceConfig:
             raise ValueError(
                 f"heartbeat_timeout must be positive, "
                 f"got {self.heartbeat_timeout}"
-            )
-        if self.restart_backoff_base <= 0:
-            raise ValueError(
-                f"restart_backoff_base must be positive, "
-                f"got {self.restart_backoff_base}"
-            )
-        if self.hot_key_policy not in HOT_KEY_POLICIES:
-            raise ValueError(
-                f"unknown hot_key_policy {self.hot_key_policy!r} "
-                f"(choose from {HOT_KEY_POLICIES})"
-            )
-        if self.hot_key_threshold <= 0:
-            raise ValueError(
-                f"hot_key_threshold must be positive, "
-                f"got {self.hot_key_threshold}"
-            )
-        if self.hot_key_window <= 0:
-            raise ValueError(
-                f"hot_key_window must be positive, got {self.hot_key_window}"
             )
         if (
             self.fault_plan is not None
@@ -508,39 +480,6 @@ class _ShardWorker:
         self.start()
 
 
-class HotKeyTracker:
-    """Fixed-window request counter flagging keys over a rate threshold.
-
-    ``observe(key, now)`` returns True when the key has already been
-    seen ``threshold`` times inside the current window — the server
-    then sheds or coalesces the request per its hot-key policy.  One
-    window of hysteresis (a key hot in the previous window stays hot)
-    keeps the verdict from flapping at every window boundary.
-    """
-
-    def __init__(self, threshold: int, window: float):
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.threshold = int(threshold)
-        self.window = float(window)
-        self._counts: Dict[int, int] = {}
-        self._hot_last_window: Set[int] = set()
-        self._window_end = self.window
-
-    def observe(self, key: int, now: float) -> bool:
-        if now >= self._window_end:
-            self._hot_last_window = {
-                k for k, n in self._counts.items() if n >= self.threshold
-            }
-            self._counts = {}
-            self._window_end = now + self.window
-        count = self._counts.get(key, 0) + 1
-        self._counts[key] = count
-        return count >= self.threshold or key in self._hot_last_window
-
-
 class _ShardTransport:
     """ConsistencyTransport adapter: in-process shard delivery.
 
@@ -722,7 +661,7 @@ class EdgeCacheServer:
         self.cfg = cfg
         self.clock = WallClock()
         self.stats = CounterStatSink()
-        self.directory = ShardDirectory(cfg.n_shards, salt=cfg.seed)
+        self.directory = ShardDirectory(cfg.n_shards, cfg.n_items, salt=cfg.seed)
         rng = np.random.default_rng(cfg.seed)
         self.database = Database(cfg.n_items, rng)
         self.origin = InMemoryOrigin(self.database, latency=cfg.origin_latency)
@@ -781,7 +720,7 @@ class EdgeCacheServer:
                 clock=self.clock,
                 stats=self.stats,
                 backoff=BackoffPolicy(
-                    base=cfg.restart_backoff_base, jitter=0.1,
+                    base=RESTART_BACKOFF_BASE, jitter=0.1,
                     rng=service_rng,
                 ),
                 heartbeat_timeout=cfg.heartbeat_timeout,
@@ -797,12 +736,6 @@ class EdgeCacheServer:
             rng=chaos_rng,
             event_hook=self._resilience_event,
         )
-        self._hot_keys: Optional[HotKeyTracker] = (
-            HotKeyTracker(cfg.hot_key_threshold, cfg.hot_key_window)
-            if cfg.hot_key_policy != "off" else None
-        )
-        #: Hot-key coalescing: key -> shared future of the lead request.
-        self._hot_inflight: Dict[int, asyncio.Future] = {}
         self.port = cfg.port  # rebound to the real port after start()
         self.bus = None
         self._dashboard = None
@@ -976,7 +909,7 @@ class EdgeCacheServer:
         worker = self.workers[home]
         if worker.idle():
             served = None
-            if op == "get" and self._hot_keys is None:
+            if op == "get":
                 served = self.shards[home].get_nowait(key)
             elif op == "put":
                 served = self.shards[home].put(key, updater=-1)
@@ -1049,42 +982,6 @@ class EdgeCacheServer:
             )
 
     async def _get(self, key: int) -> CacheResponse:
-        if self._hot_keys is not None and self._hot_keys.observe(
-            key, self.clock.now()
-        ):
-            if self.cfg.hot_key_policy == "shed":
-                self.stats.count("service.shed")
-                self.stats.count("service.shed.hot_key")
-                return CacheResponse(
-                    "get", key, "overloaded",
-                    self.directory.home_region(key),
-                    served_class="shed", extra={"reason": "hot-key"},
-                )
-            # Coalesce: followers of a hot key share the lead
-            # request's response instead of each crossing the shard.
-            lead = self._hot_inflight.get(key)
-            if lead is not None:
-                self.stats.count("service.hot_key_coalesced")
-                return await asyncio.shield(lead)
-            future = asyncio.get_running_loop().create_future()
-            future.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None
-            )
-            self._hot_inflight[key] = future
-            try:
-                response = await self._routed_get(key)
-                future.set_result(response)
-                return response
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
-            finally:
-                self._hot_inflight.pop(key, None)
-                if not future.done():  # pragma: no cover - defensive
-                    future.cancel()
-        return await self._routed_get(key)
-
-    async def _routed_get(self, key: int) -> CacheResponse:
         home = self.directory.home_region(key)
         # One latency budget per request: a failover spends what the
         # home attempt left of it, not a fresh one.

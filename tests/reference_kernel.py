@@ -25,9 +25,11 @@ built :class:`~repro.core.network.PReCinCtNetwork` instance so that
   router's scalar witness loop and its memo.
 
 :func:`per_key_construction` builds networks the way construction worked
-before it became one pass per table: one stable ``np.argsort`` of the
-region centres per key for its home and replica, and one membership
-scan plus one ``np.argsort`` walk per (key, region) placement.
+before it became one pass per table: one scalar SplitMix64 round in
+Python integers per key for its hashed location (:func:`location_of`),
+one stable ``np.argsort`` of the region centres per key for its home
+and replica, and one membership scan plus one ``np.argsort`` walk per
+(key, region) placement.
 :func:`run_reference_scenario` builds under it.
 
 The golden-digest suite requires a degraded run to fingerprint
@@ -41,10 +43,11 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core.geohash import GeographicHash
 from repro.core.network import PReCinCtNetwork
 from repro.core.regions import RegionTable
 from repro.faults.audit import SCENARIOS, RunDigest, eventlog_digest, report_digest
-from repro.geom import angle_of, distance
+from repro.geom import Point, angle_of, distance
 from repro.routing.planarization import gabriel_neighbors
 
 
@@ -147,6 +150,24 @@ def degrade(net: PReCinCtNetwork) -> PReCinCtNetwork:
     return net
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def location_of(h: GeographicHash, key: int) -> Point:
+    """One key's ``GeographicHash.locations`` row, by one SplitMix64
+    round in Python integers."""
+    x = (((key << 1) ^ h.salt) + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return (h.width * (x & 0xFFFFFFFF) / 2**32, h.height * (x >> 32) / 2**32)
+
+
+def scalar_locations(h: GeographicHash, n: int) -> np.ndarray:
+    """``GeographicHash.locations`` by :func:`location_of`, key by key."""
+    return np.array([location_of(h, key) for key in range(n)], dtype=float).reshape(n, 2)
+
+
 def per_point_home_and_replica(table: RegionTable, locations):
     """``RegionTable.home_and_replica`` by one stable sort of the region
     centres' ``np.hypot`` distances per location: index 0 is the home,
@@ -167,7 +188,7 @@ def per_key_custodians(net: PReCinCtNetwork, locations) -> None:
     and an ``np.argsort`` walk for every (key, region) placement."""
     positions = net.network.positions()
     for key, (home, replica) in enumerate(net.key_regions):
-        location = net.geohash.location_of(key)
+        location = location_of(net.geohash, key)
         targets = [home.region_id]
         if net.cfg.enable_replication and replica.region_id != home.region_id:
             targets.append(replica.region_id)
@@ -189,6 +210,8 @@ def per_key_custodians(net: PReCinCtNetwork, locations) -> None:
 def per_key_construction():
     """Networks built inside this block place keys one at a time."""
     with mock.patch.object(
+        GeographicHash, "locations", scalar_locations
+    ), mock.patch.object(
         RegionTable, "home_and_replica", per_point_home_and_replica
     ), mock.patch.object(PReCinCtNetwork, "_assign_custodians", per_key_custodians):
         yield

@@ -284,6 +284,14 @@ class TestExecution:
         assert exit_info.value.code == 2
         assert "--dynamic-regions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--hot-key-policy", "shed"],
+                                      ["--hot-key-threshold", "3"]])
+    def test_serve_rejects_the_removed_hot_key_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", "--duration", "0.1", *argv])
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
     def test_run_t_update_zero_is_read_only(self, capsys):
         # --t-update 0 used to reach PoissonArrivals and die mid-run.
         rc = main(

@@ -31,18 +31,6 @@ class TestBloomFilter:
         assert all(k not in bloom for k in range(100))
         assert bloom.fill_ratio == 0.0
 
-    def test_merge_is_union(self):
-        a = BloomFilter(512, 3)
-        b = BloomFilter(512, 3)
-        a.add(1)
-        b.add(2)
-        merged = a.merge(b)
-        assert 1 in merged and 2 in merged
-
-    def test_merge_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            BloomFilter(512, 3).merge(BloomFilter(1024, 3))
-
     def test_size_bytes(self):
         assert BloomFilter(2048, 4).size_bytes == 256.0
 

@@ -11,26 +11,23 @@ class TestLocationHash:
     def test_deterministic(self):
         h1 = GeographicHash(1200, 1200, salt=5)
         h2 = GeographicHash(1200, 1200, salt=5)
-        for key in range(50):
-            assert h1.location_of(key) == h2.location_of(key)
+        assert np.array_equal(h1.locations(50), h2.locations(50))
 
     def test_salt_changes_locations(self):
         h1 = GeographicHash(1200, 1200, salt=1)
         h2 = GeographicHash(1200, 1200, salt=2)
-        diffs = sum(h1.location_of(k) != h2.location_of(k) for k in range(50))
+        diffs = (h1.locations(50) != h2.locations(50)).any(axis=1).sum()
         assert diffs >= 45
 
     def test_locations_within_plane(self):
         h = GeographicHash(1200, 800)
-        for key in range(500):
-            x, y = h.location_of(key)
-            assert 0 <= x < 1200
-            assert 0 <= y < 800
+        xs, ys = h.locations(500).T
+        assert ((0 <= xs) & (xs < 1200)).all()
+        assert ((0 <= ys) & (ys < 800)).all()
 
     def test_locations_roughly_uniform(self):
         h = GeographicHash(1000, 1000)
-        xs = np.array([h.location_of(k)[0] for k in range(5000)])
-        ys = np.array([h.location_of(k)[1] for k in range(5000)])
+        xs, ys = h.locations(5000).T
         # Mean of uniform(0, 1000) is 500 +- a few percent at n=5000.
         assert abs(xs.mean() - 500) < 25
         assert abs(ys.mean() - 500) < 25
@@ -43,9 +40,9 @@ class TestLocationHash:
             GeographicHash(0, 100)
 
 
-def _home_and_replica(table, h, keys):
-    """Each key's (home, replica) Region pair from one batched call."""
-    homes, replicas = table.home_and_replica([h.location_of(key) for key in keys])
+def _home_and_replica(table, locations):
+    """Each location's (home, replica) Region pair from one batched call."""
+    homes, replicas = table.home_and_replica(locations)
     return [(table.get(a), table.get(b))
             for a, b in zip(homes.tolist(), replicas.tolist())]
 
@@ -53,9 +50,8 @@ def _home_and_replica(table, h, keys):
 class TestRegionMapping:
     def test_home_region_is_closest_center(self):
         table = RegionTable.grid(1200, 1200, 9)
-        h = GeographicHash(1200, 1200)
-        for key, (home, _) in enumerate(_home_and_replica(table, h, range(100))):
-            loc = h.location_of(key)
+        locations = GeographicHash(1200, 1200).locations(100)
+        for loc, (home, _) in zip(locations, _home_and_replica(table, locations)):
             dist_home = np.hypot(home.center[0] - loc[0], home.center[1] - loc[1])
             for region in table:
                 dist = np.hypot(region.center[0] - loc[0], region.center[1] - loc[1])
@@ -63,10 +59,9 @@ class TestRegionMapping:
 
     def test_replica_is_second_closest_and_distinct(self):
         table = RegionTable.grid(1200, 1200, 9)
-        h = GeographicHash(1200, 1200)
-        for key, (home, replica) in enumerate(_home_and_replica(table, h, range(100))):
+        locations = GeographicHash(1200, 1200).locations(100)
+        for loc, (home, replica) in zip(locations, _home_and_replica(table, locations)):
             assert home.region_id != replica.region_id
-            loc = h.location_of(key)
             d_home = np.hypot(home.center[0] - loc[0], home.center[1] - loc[1])
             d_rep = np.hypot(replica.center[0] - loc[0], replica.center[1] - loc[1])
             assert d_home <= d_rep
@@ -78,28 +73,27 @@ class TestRegionMapping:
 
     def test_single_region_degenerate_replica(self):
         table = RegionTable.grid(100, 100, 1)
-        h = GeographicHash(100, 100)
-        [(home, replica)] = _home_and_replica(table, h, [0])
+        locations = GeographicHash(100, 100).locations(1)
+        [(home, replica)] = _home_and_replica(table, locations)
         assert home.region_id == replica.region_id == 0
 
     def test_keys_spread_across_regions(self):
         table = RegionTable.grid(1200, 1200, 9)
-        h = GeographicHash(1200, 1200)
         counts = {rid: 0 for rid in table.region_ids()}
-        n_keys = 900
-        for home, _ in _home_and_replica(table, h, range(n_keys)):
+        locations = GeographicHash(1200, 1200).locations(900)
+        for home, _ in _home_and_replica(table, locations):
             counts[home.region_id] += 1
         # Every region homes a reasonable share (uniform would be 100).
         for rid, count in counts.items():
             assert 40 <= count <= 180, (rid, count)
 
     def test_home_and_replica_consistent_with_individual_calls(self):
-        # The service places one key per call, the simulator all at once.
+        # A location's placement does not depend on the batch around it.
         table = RegionTable.grid(1200, 1200, 9)
-        h = GeographicHash(1200, 1200)
-        batched = _home_and_replica(table, h, range(20))
+        locations = GeographicHash(1200, 1200).locations(20)
+        batched = _home_and_replica(table, locations)
         for key in range(20):
-            assert _home_and_replica(table, h, [key]) == [batched[key]]
+            assert _home_and_replica(table, locations[key:key + 1]) == [batched[key]]
 
 
 class TestKeyRegionTable:
@@ -111,7 +105,7 @@ class TestKeyRegionTable:
 
         assert len(net.key_regions) == len(net.db)
         homes, replicas = per_point_home_and_replica(
-            net.table, [net.geohash.location_of(key) for key in range(len(net.db))]
+            net.table, net.geohash.locations(len(net.db))
         )
         for key, (home, replica) in enumerate(net.key_regions):
             assert home is net.table.get(int(homes[key]))

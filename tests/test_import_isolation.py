@@ -109,7 +109,7 @@ class TestCoreImportIsolation:
         result = run_blocked(
             "import repro.service\n"
             "from repro.service import CacheService, ShardDirectory\n"
-            "d = ShardDirectory(4)\n"
+            "d = ShardDirectory(4, 8)\n"
             "assert sorted(d.region_ids()) == [0, 1, 2, 3]\n"
             "assert d.home_region(7) != d.replica_region(7)\n"
             "print('SERVICE-CLEAN')\n"
@@ -168,7 +168,7 @@ class TestCoreImportIsolation:
 
         from repro.service.routing import ShardDirectory
 
-        assert isinstance(ShardDirectory(4), PeerDirectory)
+        assert isinstance(ShardDirectory(4, 8), PeerDirectory)
 
     def test_service_adapters_satisfy_the_ports(self):
         from repro.ports import Clock, StatSink, CounterStatSink, NullStatSink

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,12 +150,11 @@ def test_spatial_grid_equals_brute_force(n, seed):
 # Geographic hash: determinism and home-region optimality
 # ---------------------------------------------------------------------------
 
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=16))
+@given(st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=16))
 @settings(max_examples=60)
 def test_home_region_minimizes_center_distance(key, n_regions):
     table = RegionTable.grid(1200, 1200, n_regions)
-    h = GeographicHash(1200, 1200, salt=7)
-    loc = h.location_of(key)
+    loc = GeographicHash(1200, 1200, salt=7).locations(key + 1)[key]
     homes, _ = table.home_and_replica([loc])
     home = table.get(int(homes[0]))
     d_home = math.hypot(home.center[0] - loc[0], home.center[1] - loc[1])
@@ -163,12 +163,26 @@ def test_home_region_minimizes_center_distance(key, n_regions):
         assert d_home <= d + 1e-9
 
 
-@given(st.integers(min_value=0, max_value=10**9))
-def test_hash_location_in_plane(key):
-    h = GeographicHash(640, 480, salt=3)
-    x, y = h.location_of(key)
-    assert 0 <= x < 640
-    assert 0 <= y < 480
+@given(st.integers(min_value=-2**70, max_value=2**70))
+def test_hash_location_in_plane(salt):
+    xs, ys = GeographicHash(640, 480, salt=salt).locations(300).T
+    assert ((0 <= xs) & (xs < 640)).all()
+    assert ((0 <= ys) & (ys < 480)).all()
+
+
+@given(st.integers(min_value=-2**70, max_value=2**70),
+       st.integers(min_value=0, max_value=300),
+       st.sampled_from([(1200.0, 1200.0), (640.0, 480.0), (1.0, 3.5)]))
+@settings(max_examples=80)
+def test_locations_equal_the_scalar_hash(salt, n, plane):
+    """The uint64 hash wraps exactly as the Python-integer one masks,
+    negative and over-wide salts included: every bit of every location."""
+    from tests.reference_kernel import scalar_locations
+
+    h = GeographicHash(*plane, salt=salt)
+    got = h.locations(n)
+    assert got.shape == (n, 2)
+    assert np.array_equal(got, scalar_locations(h, n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +242,11 @@ def test_regions_of_points_equals_the_scalar_scan(n_regions, side, seed):
     ])
     points[-20:-10, 0] = np.nan
     points[-10:, 1] = np.nan
-    with np.errstate(invalid="ignore"):
+    huge = [1e300, -1e300, np.inf, -np.inf, 1e19]
+    points[-30:-25, 0] = huge
+    points[-25:-20, 1] = huge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NaN or huge points warned in the cast
         got = table.regions_of_points(points).tolist()
     want = [scalar_region_of(table, x, y) for x, y in points.tolist()]
     assert got == want

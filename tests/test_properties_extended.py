@@ -30,21 +30,6 @@ def test_bloom_no_false_negatives(keys, n_bits, n_hashes):
         assert key in bloom
 
 
-@given(st.sets(st.integers(min_value=0, max_value=10**12), max_size=100))
-@settings(max_examples=30)
-def test_bloom_merge_superset(keys):
-    """The merge of two filters contains everything either contained."""
-    half = len(keys) // 2
-    listed = sorted(keys)
-    a = BloomFilter(1024, 4)
-    b = BloomFilter(1024, 4)
-    a.add_many(listed[:half])
-    b.add_many(listed[half:])
-    merged = a.merge(b)
-    for key in keys:
-        assert key in merged
-
-
 # ---------------------------------------------------------------------------
 # P2 quantile: estimate always within the sample range
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def make_shard(shard_id=0, *, n_shards=2, capacity=1e9, clock=None,
     return CacheService(
         shard_id, capacity,
         clock=clock,
-        directory=ShardDirectory(n_shards),
+        directory=ShardDirectory(n_shards, len(origin.db)),
         origin=origin,
         scheme=scheme,
         resilience=resilience,
@@ -71,7 +71,7 @@ def make_shard(shard_id=0, *, n_shards=2, capacity=1e9, clock=None,
 
 class TestShardRouting:
     def test_home_and_replica_are_deterministic_and_distinct(self):
-        a, b = ShardDirectory(4, salt=3), ShardDirectory(4, salt=3)
+        a, b = ShardDirectory(4, 200, salt=3), ShardDirectory(4, 200, salt=3)
         for key in range(200):
             assert a.home_region(key) == b.home_region(key)
             assert a.replica_region(key) == b.replica_region(key)
@@ -80,9 +80,10 @@ class TestShardRouting:
     def test_placement_is_the_simulators_home_and_replica_rule(self):
         from tests.reference_kernel import per_point_home_and_replica
 
-        d = ShardDirectory(9, salt=3)
-        locations = [d.geohash.location_of(key) for key in range(300)]
-        homes, replicas = per_point_home_and_replica(d.table, locations)
+        d = ShardDirectory(9, 300, salt=3)
+        homes, replicas = per_point_home_and_replica(
+            d.table, d.geohash.locations(300)
+        )
         for key in range(300):
             placement = (d.home_region(key), d.replica_region(key))
             assert placement == (homes[key], replicas[key])
@@ -95,29 +96,30 @@ class TestShardRouting:
             ServiceConfig(n_shards=n_shards)
 
     def test_salt_rebalances(self):
-        a, b = ShardDirectory(4, salt=0), ShardDirectory(4, salt=99)
+        a, b = ShardDirectory(4, 200, salt=0), ShardDirectory(4, 200, salt=99)
         assert any(
             a.home_region(k) != b.home_region(k) for k in range(200)
         )
 
     def test_keys_spread_over_all_shards(self):
-        d = ShardDirectory(4)
+        d = ShardDirectory(4, 400)
         homes = {d.home_region(k) for k in range(400)}
         assert homes == set(d.region_ids())
 
     def test_key_distance_feeds_gdld(self):
-        d = ShardDirectory(4)
-        assert d.key_distance(1, 0) >= 0.0
-        assert d.region_distance(0, 0) == 0.0
-        # The hashed location is memoized beside home/replica: the same
-        # bits as hashing afresh (GD-LD priorities must not move), one
-        # entry per key however many shards ask.
+        from tests.reference_kernel import location_of
+
+        d = ShardDirectory(4, 50)
+        # Every key is placed at construction; its distance to a shard
+        # has the bits of the scalar hash's location (GD-LD priorities
+        # must not move).
         for key in range(50):
-            x, y = d.geohash.location_of(key)
+            x, y = location_of(d.geohash, key)
             for region in d.region_ids():
                 cx, cy = d.table.get(region).center
-                assert d.key_distance(key, region) == math.hypot(x - cx, y - cy)
-        assert len(d._home_cache) == 50
+                distance = d.key_distance(key, region)
+                assert type(distance) is float
+                assert distance == math.hypot(x - cx, y - cy)
 
 
 class TestCacheServiceReads:

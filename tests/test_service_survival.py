@@ -3,7 +3,7 @@
 Covers the four tentpole pillars and their satellites: scripted fault
 plans (parse / roundtrip / validation), shard supervision (crash
 restart + warm rebuild, wedge restart keeping the cache), overload
-shedding (bounded admission, shed-never-fails-over, hot-key policies),
+shedding (bounded admission, shed-never-fails-over),
 origin brownout budgets (retry ladder, hedged fetches), the structured
 ``chaos`` wire op, and the open-loop load generator's outcome
 accounting.
@@ -57,7 +57,7 @@ def make_shard(*, origin, scheme, resilience=None, stats=None,
     return CacheService(
         0, 1e9,
         clock=clock if clock is not None else ManualClock(),
-        directory=ShardDirectory(2),
+        directory=ShardDirectory(2, len(origin.db)),
         origin=origin,
         scheme=scheme,
         resilience=resilience,
@@ -137,7 +137,7 @@ def survival_config(**overrides):
     base = dict(
         port=0, n_shards=2, n_items=64, cache_fraction=1.0,
         deadline=None, supervise=True,
-        heartbeat_timeout=0.15, restart_backoff_base=0.01,
+        heartbeat_timeout=0.15,
     )
     base.update(overrides)
     return ServiceConfig(**base)
@@ -160,16 +160,19 @@ async def stop_workers(server):
 class TestShardSupervision:
     def test_supervision_has_no_never_set_knobs(self):
         """Always warm-rebuild, check every quarter heartbeat, reset the
-        backoff ladder after ten, start origin retries at 50 ms:
-        constants, not options."""
+        backoff ladder after ten, start origin retries and shard
+        restarts at 50 ms, no hot-key protection: constants, not
+        options."""
         import dataclasses
         import inspect
 
         from repro.service.supervision import ShardSupervisor
 
         names = {f.name for f in dataclasses.fields(ServiceConfig)}
-        assert len(names) <= 27
-        assert not names & {"warm_rebuild", "retry_backoff_base"}
+        assert len(names) <= 23
+        assert not names & {"warm_rebuild", "retry_backoff_base",
+                            "restart_backoff_base", "hot_key_policy",
+                            "hot_key_threshold", "hot_key_window"}
         keywords = set(inspect.signature(ShardSupervisor).parameters)
         assert len(keywords) <= 8
         assert not keywords & {"check_interval", "healthy_after",
@@ -296,48 +299,6 @@ class TestOverloadShedding:
         assert server.stats.value("service.shed") == 1.0
         assert server.stats.value("service.shed.queue_full") == 1.0
         assert server.stats.value("service.replica_failover") == 0.0
-
-    def test_hot_key_shed_policy(self):
-        server = EdgeCacheServer(survival_config(
-            supervise=False, hot_key_policy="shed",
-            hot_key_threshold=3, hot_key_window=60.0,
-        ))
-
-        async def scenario():
-            await start_workers(server)
-            key = key_homed_at(server, 0)
-            for _ in range(2):  # below the threshold: served normally
-                assert (await server._get(key)).ok
-            hot = await server._get(key)  # threshold-th sighting sheds
-            assert hot.status == "overloaded"
-            assert hot.served_class == "shed"
-            assert hot.extra["reason"] == "hot-key"
-            other = key_homed_at(server, 1)
-            assert (await server._get(other)).ok  # only the hot key sheds
-            await stop_workers(server)
-
-        asyncio.run(scenario())
-        assert server.stats.value("service.shed.hot_key") == 1.0
-
-    def test_hot_key_coalesce_policy_shares_the_lead_response(self):
-        server = EdgeCacheServer(survival_config(
-            supervise=False, hot_key_policy="coalesce",
-            hot_key_threshold=2, hot_key_window=60.0,
-            origin_latency=0.05,
-        ))
-
-        async def scenario():
-            await start_workers(server)
-            key = key_homed_at(server, 0)
-            results = await asyncio.gather(
-                *(server._get(key) for _ in range(6))
-            )
-            assert all(r.ok for r in results)
-            await stop_workers(server)
-
-        asyncio.run(scenario())
-        assert server.origin.fetches == 1
-        assert server.stats.value("service.hot_key_coalesced") >= 1.0
 
 
 class TestBrownoutBudgets:

@@ -10,10 +10,10 @@ Three things are pinned here, all over a real loopback connection:
   through ``await server._get/_put`` on a twin server produce the same
   responses and the same counters, under every consistency scheme, on an
   instant and on a delayed origin;
-* **the inline guard** — a wedged, crashed, drained or full shard, an
-  armed hot-key policy, a key whose fetch is in flight and a slow or
-  browned-out origin all keep the awaitable path, and a tripped breaker
-  decides alike on both;
+* **the inline guard** — a wedged, crashed, drained or full shard, a
+  key whose fetch is in flight and a slow or browned-out origin all
+  keep the awaitable path, and a tripped breaker decides alike on
+  both;
 * **one task per awaited op** — a miss that waits on the origin runs in
   its connection's answer task (admitted in place, origin awaited there,
   one deadline timer): pinned by count, with abort, drain, coalescing,
@@ -756,8 +756,7 @@ class TestInlineGuard:
             assert len(spawned) == 1
             assert worker.restarts == 1
 
-        server = serve(scenario, supervise=True, heartbeat_timeout=0.1,
-                       restart_backoff_base=0.01)
+        server = serve(scenario, supervise=True, heartbeat_timeout=0.1)
         assert server.stats.value("resilience.shard_restarts") == 1
 
     def test_a_wedge_shorter_than_the_timeout_on_an_idle_shard_is_no_failure(self):
@@ -774,8 +773,7 @@ class TestInlineGuard:
             assert waited["status"] == "hit-fresh"
             assert worker.restarts == 0
 
-        server = serve(scenario, supervise=True, heartbeat_timeout=0.3,
-                       restart_backoff_base=0.01)
+        server = serve(scenario, supervise=True, heartbeat_timeout=0.3)
         assert server.stats.value("resilience.shard_down") == 0
 
     def test_crashed_shard_fails_over_instead_of_serving_inline(self):
@@ -829,25 +827,6 @@ class TestInlineGuard:
             assert shed["reason"] == "queue-full"
 
         serve(scenario, max_inflight=2)
-
-    def test_hot_key_shed_policy_still_sheds_over_the_wire(self):
-        async def scenario(server, client):
-            key = keys_homed_at(server, 0)[0]
-            spawned = spy_on_answer(server)
-            (first,) = await client.ask({"op": "get", "key": key})
-            (second,) = await client.ask({"op": "get", "key": key})
-            (hot,) = await client.ask({"op": "get", "key": key})
-            assert first["status"] == "miss"
-            assert second["status"] == "hit-fresh"
-            assert hot["status"] == "overloaded"
-            assert hot["reason"] == "hot-key"
-            assert len(spawned) == 3  # no get is inline with the policy on
-            (put,) = await client.ask({"op": "put", "key": key})
-            assert put["status"] == "updated" and len(spawned) == 3
-
-        server = serve(scenario, hot_key_policy="shed", hot_key_threshold=3,
-                       hot_key_window=60.0)
-        assert server.stats.value("service.shed.hot_key") == 1
 
     def test_a_read_of_a_key_in_flight_waits_for_the_leader(self):
         """The origin answers at once again, but a fetch of the key is
