@@ -25,11 +25,14 @@ Read path (mirrors Fig. 1 + §4):
 :meth:`CacheService.get_nowait` serves every read that needs no wait
 (a fresh hit, and a miss or validation the origin answers at once),
 synchronously, for callers that have nothing to await: the server's
-await-free path.  :meth:`CacheService.get` starts with it; the rest
-waits on the origin in the op's own task, under one timer armed for
-the request's absolute deadline (:class:`_Deadline`), and both paths
-end in the same breaker verdict and settle step.  A budget already
-spent answers without calling the origin.  Concurrent gets for the
+await-free path.  A fresh hit there comes back as its wire line up to
+the latency stamp, memoized per cached copy: nothing in it changes
+between hits of one version of one copy.  :meth:`CacheService.get`
+starts with it; the rest waits on the origin in the op's own task,
+under one timer armed for the request's absolute deadline
+(:class:`_Deadline`), and both paths end in the same breaker verdict
+and settle step.  A budget already spent answers without calling the
+origin.  Concurrent gets for the
 same missing key coalesce on one origin fetch (dog-pile protection):
 the first waiter runs it and resolves a future the followers wait on,
 each under its own deadline; if the first waiter times out or is
@@ -42,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import CachedCopy, PeerCache
 from repro.core.consistency import ConsistencyScheme, PushAdaptivePull
@@ -112,6 +115,11 @@ class _Deadline:
 #: How the C JSON encoder prints a float, numpy scalars included
 #: (``repr`` of a ``numpy.float64`` is ``np.float64(...)``).
 _float_repr = float.__repr__
+
+#: What :meth:`CacheResponse.encode` writes after ``"latency_ms": ``
+#: when the latency is 0.0: a memoized hit line is ``encode(0.0)``
+#: without these bytes.
+_ZERO_LATENCY_END = len(b"0.0}\n")
 
 
 @dataclass
@@ -241,7 +249,12 @@ class CacheService:
         self._access_counts: Dict[int, int] = {}
         #: In-flight origin fetches, coalesced per key.
         self._inflight: Dict[int, asyncio.Future] = {}
-        self.requests = 0
+        #: Per cached key, the ``(version, size_bytes)`` of its copy and
+        #: that copy's fresh-hit line up to and including ``"latency_ms":
+        #: ``.  Dropped when the copy leaves the cache, so it never
+        #: outgrows ``cache.entries``; an in-place version bump (an
+        #: UpdatePush) rebuilds it on the next hit.
+        self._hit_lines: Dict[int, Tuple[int, float, bytes]] = {}
 
     # -- read path -----------------------------------------------------------
 
@@ -250,10 +263,14 @@ class CacheService:
         key: int,
         steered: bool = False,
         deadline: Optional[float] = None,
-    ) -> Optional[CacheResponse]:
+    ) -> Union[bytes, CacheResponse, None]:
         """Serve a read that needs no wait synchronously, or return None.
 
-        A fresh hit needs none.  A miss or a TTR validation needs none
+        A fresh hit needs none; unless ``steered`` it is served as its
+        memoized wire line, every byte of :meth:`CacheResponse.encode`
+        up to and including ``"latency_ms": `` (the caller stamps the
+        latency and ``}\\n``), and any other read as a
+        :class:`CacheResponse`.  A miss or a TTR validation needs none
         when the origin answers at once (:attr:`InMemoryOrigin.instant`),
         no fetch of the key is in flight (a follower follows its
         leader), the budget (``deadline``, absolute) is not spent, and,
@@ -270,7 +287,22 @@ class CacheService:
         now = self.clock.now()
         if entry is not None and not self.scheme.needs_validation(entry, now):
             self._book_get(key)
-            return self._serve_local(entry, now, "hit-fresh", steered)
+            if steered:
+                return self._serve_local(entry, now, "hit-fresh", True)
+            self._refresh(entry, now)
+            memo = self._hit_lines.get(key)
+            if (
+                memo is None
+                or memo[0] != entry.version
+                or memo[1] != entry.size_bytes
+            ):
+                line = self._local_response(entry, "hit-fresh", False).encode(
+                    0.0
+                )[:-_ZERO_LATENCY_END]
+                memo = self._hit_lines[key] = (
+                    entry.version, entry.size_bytes, line,
+                )
+            return memo[2]
         if not (
             self.origin.instant
             and key not in self._inflight
@@ -309,6 +341,12 @@ class CacheService:
         :meth:`get_nowait` cannot serve waits here, on the origin.
         """
         response = self.get_nowait(key, steered, deadline)
+        if type(response) is bytes:
+            # A fresh hit, booked and served: the caller awaiting an
+            # object gets the response its line encodes.
+            return self._local_response(
+                self.cache.get(key), "hit-fresh", False
+            )
         if response is not None:
             return response
         now = self.clock.now()
@@ -371,7 +409,7 @@ class CacheService:
     def invalidate(self, key: int) -> CacheResponse:
         """Evict the local copy (the shard-side half of a purge)."""
         self.stats.count("service.invalidate")
-        evicted = self.cache.evict(key)
+        evicted = self.purge(key)
         return CacheResponse(
             "invalidate", key, "invalidated" if evicted else "absent",
             self.shard_id, served_class="local",
@@ -384,6 +422,7 @@ class CacheService:
         consistency scheme — a purge removes the copy under every
         scheme, including those whose invalidation hook is a no-op.
         """
+        self._hit_lines.pop(key, None)
         return self.cache.evict(key)
 
     # -- supervision hooks (driven by the shard supervisor) ------------------
@@ -403,6 +442,7 @@ class CacheService:
                 shared.set_result(None)  # followers start over
         self._inflight.clear()
         self._access_counts.clear()
+        self._hit_lines.clear()
         self.cache.clear()
 
     def warm_admit(self, key: int, copy: CachedCopy, now: float) -> bool:
@@ -427,9 +467,7 @@ class CacheService:
             validated_at=copy.validated_at,
             last_access=now,
         )
-        evicted = self.cache.insert(clone, now)
-        if evicted:
-            self.stats.count("cache.evictions", float(len(evicted)))
+        self._evicted(self.cache.insert(clone, now))
         return key in self.cache
 
     # -- custodian hooks (driven by the server's transport adapter) ----------
@@ -462,6 +500,8 @@ class CacheService:
     def apply_invalidation(self, msg: Invalidation) -> None:
         """A flooded invalidation notice arrived at this shard."""
         self.scheme.on_invalidation_received(self.cache, msg)
+        if msg.key not in self.cache:
+            self._hit_lines.pop(msg.key, None)
         self.stats.count("consistency.invalidation_applied")
 
     # -- telemetry (pure reader) ---------------------------------------------
@@ -475,22 +515,30 @@ class CacheService:
     # -- internals -----------------------------------------------------------
 
     def _book_get(self, key: int) -> None:
-        self.requests += 1
         self.stats.count("service.get")
         self._access_counts[key] = self._access_counts.get(key, 0) + 1
 
-    def _serve_local(
-        self, entry: CachedCopy, now: float, status: str, steered: bool
-    ) -> CacheResponse:
+    def _refresh(self, entry: CachedCopy, now: float) -> None:
+        """A local serve: GD-LD popularity and priority, hit counters."""
         entry.access_count = self._access_counts.get(entry.key, 1)
         self.cache.hit(entry.key, now)
         self.stats.count("cache.hits")
         self.stats.count("cache.bytes_hit", entry.size_bytes)
+
+    def _local_response(
+        self, entry: CachedCopy, status: str, steered: bool
+    ) -> CacheResponse:
         return CacheResponse(
             "get", entry.key, status, self.shard_id,
             version=entry.version, size_bytes=entry.size_bytes,
             served_class="degraded" if steered else "local",
         )
+
+    def _serve_local(
+        self, entry: CachedCopy, now: float, status: str, steered: bool
+    ) -> CacheResponse:
+        self._refresh(entry, now)
+        return self._local_response(entry, status, steered)
 
     def _serve_degraded(
         self, key: int, entry: Optional[CachedCopy], now: float, reason: str
@@ -586,10 +634,16 @@ class CacheService:
             validated_at=now,
             last_access=now,
         )
-        evicted = self.cache.insert(entry, now)
-        if evicted:
-            self.stats.count("cache.evictions", float(len(evicted)))
+        self._hit_lines.pop(item.key, None)  # re-admission: a new copy
+        self._evicted(self.cache.insert(entry, now))
         return item.key in self.cache
+
+    def _evicted(self, keys: List[int]) -> None:
+        """Copies an admission pushed out of the cache."""
+        if keys:
+            self.stats.count("cache.evictions", float(len(keys)))
+            for key in keys:
+                self._hit_lines.pop(key, None)
 
     async def _fetch_coalesced(self, key: int) -> DataItem:
         """One origin fetch per key, however many waiters pile on.
@@ -696,7 +750,4 @@ class CacheService:
                     task.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheService(shard={self.shard_id}, {self.cache!r}, "
-            f"requests={self.requests})"
-        )
+        return f"CacheService(shard={self.shard_id}, {self.cache!r})"

@@ -8,18 +8,22 @@ object per line, ordered per connection.
 
 What the server adds around the core:
 
-* **connections** — one :class:`asyncio.Protocol` per client, working
-  per *read*: every buffered line is parsed once and dispatched, its
-  encoded response or its op's task goes on a per-connection deque,
-  and the completed head of the deque leaves in one
-  ``transport.write`` (a task's done-callback flushes the rest), so
-  responses keep request order.  A full write buffer pauses reading
-  until the client drains it; a request line is bounded at 64 KiB.
-  A get/put/invalidate line in the two-member spelling below is read
-  off a compiled pattern and every shard-op response writes its own
-  line (:meth:`CacheResponse.encode`), byte for byte what ``json``
-  would read and write, so a hit makes no ``json`` call; any other
-  spelling and the dict-shaped replies go through ``json`` as before;
+* **connections** — one :class:`asyncio.BufferedProtocol` per client,
+  reading into one buffer it keeps and working per *read*: every
+  buffered line is parsed once and dispatched, its encoded response or
+  its op's task goes on a per-connection deque, and the completed head
+  of the deque leaves in one ``transport.write`` (a task's
+  done-callback flushes the rest), so responses keep request order.
+  The read also counts its lines in ``service.requests`` and stamps
+  the heartbeat of each shard that ran an op inline, once each.  A
+  full write buffer pauses reading until the client drains it; a
+  request line is bounded at 64 KiB.  A get/put/invalidate line in the
+  two-member spelling below is read off a compiled pattern and every
+  shard-op response writes its own line (:meth:`CacheResponse.encode`;
+  a fresh hit's line is memoized per cached copy), byte for byte what
+  ``json`` would read and write, so a hit makes no ``json`` call; any
+  other spelling and the dict-shaped replies go through ``json`` as
+  before;
 * **shard workers** — each shard admits its ops in arrival order, and
   every admitted op runs in the caller's task — the connection's
   answer task — so an awaited op (a miss or validation that waits on
@@ -35,7 +39,8 @@ What the server adds around the core:
   (:meth:`_ShardWorker.idle`: up and not draining, nothing waiting
   and no wedge, in-flight below ``max_inflight``, no answer task bound
   for the shard still unstarted) has nothing to await, so the server
-  runs it in the read callback: no task at all, heartbeat stamped.
+  runs it in the read callback: no task at all, heartbeat stamped at
+  the end of the read.
   Everything else takes the awaitable ``_get``/``_put``/``_submit``
   path in one answer task;
 * **write dissemination** — an in-process
@@ -85,6 +90,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import numbers
 import re
 import signal
@@ -150,6 +156,27 @@ def build_scheme(name: str) -> ConsistencyScheme:
         ) from None
 
 
+#: ``ServiceConfig``'s numbers: field, integral, whether 0 is allowed,
+#: and what None means where None is a setting.
+_NUMERIC_FIELDS = (
+    ("port", True, True, None),  # 0: any free port
+    ("n_shards", True, False, None),
+    ("n_items", True, False, None),
+    ("cache_fraction", False, False, None),
+    ("seed", True, True, None),
+    ("origin_latency", False, True, None),  # 0: an instant origin
+    ("deadline", False, False, "no request deadline"),
+    ("suspect_after", False, False, None),
+    ("breaker_cooldown", False, False, None),
+    ("origin_retries", True, True, None),  # 0: no in-request retries
+    ("hedge_after", False, False, "no hedged origin calls"),
+    ("max_inflight", True, False, "no admission bound"),
+    ("heartbeat_timeout", False, False, None),
+    ("telemetry_interval", False, False, None),
+    ("duration", False, False, "serve until signalled"),
+)
+
+
 @dataclass
 class ServiceConfig:
     """Everything ``repro serve`` needs to stand up an edge-cache tier."""
@@ -197,45 +224,35 @@ class ServiceConfig:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # A float shard count ran int(n_shards) shards and reported the float.
-        if isinstance(self.n_shards, bool) or not isinstance(
-            self.n_shards, numbers.Integral
-        ):
-            raise ValueError(f"n_shards must be an integer, got {self.n_shards!r}")
-        if self.n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {self.n_shards}")
-        if self.n_items <= 0:
-            raise ValueError(f"n_items must be positive, got {self.n_items}")
-        if self.cache_fraction <= 0:
-            raise ValueError(
-                f"cache_fraction must be positive, got {self.cache_fraction}"
-            )
-        if self.telemetry_interval <= 0:
-            raise ValueError(
-                f"telemetry_interval must be positive, "
-                f"got {self.telemetry_interval}"
-            )
+        # A float shard count ran int(n_shards) shards and reported the
+        # float.  No number here is a bool, none is negative, every real
+        # is finite, and None only stands where _NUMERIC_FIELDS says so.
+        for name, integral, zero_ok, none_means in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is None and none_means:
+                continue
+            kind = numbers.Integral if integral else numbers.Real
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, kind)
+                or not (integral or math.isfinite(value))
+            ):
+                raise ValueError(
+                    f"{name} must be "
+                    f"{'an integer' if integral else 'a finite number'}, "
+                    f"got {value!r}"
+                )
+            if value < 0 or (value == 0 and not zero_ok):
+                raise ValueError(
+                    f"{name} must be {'>= 0' if zero_ok else 'positive'}, "
+                    f"got {value!r}"
+                )
+        if self.port > 65535:
+            raise ValueError(f"port must be <= 65535, got {self.port!r}")
         if self.consistency not in _SCHEMES:
             raise ValueError(
                 f"unknown consistency scheme {self.consistency!r} "
                 f"(choose from {sorted(_SCHEMES)})"
-            )
-        if self.origin_retries < 0:
-            raise ValueError(
-                f"origin_retries must be >= 0, got {self.origin_retries}"
-            )
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ValueError(
-                f"hedge_after must be positive, got {self.hedge_after}"
-            )
-        if self.max_inflight is not None and self.max_inflight <= 0:
-            raise ValueError(
-                f"max_inflight must be positive, got {self.max_inflight}"
-            )
-        if self.heartbeat_timeout <= 0:
-            raise ValueError(
-                f"heartbeat_timeout must be positive, "
-                f"got {self.heartbeat_timeout}"
             )
         if (
             self.fault_plan is not None
@@ -522,6 +539,10 @@ class _ShardTransport:
 #: Longest request line accepted, newline excluded (bytes).
 MAX_LINE = 2 ** 16
 
+#: Size of the one buffer each connection reads into (bytes).  A line
+#: longer than this arrives over several reads.
+READ_SIZE = 2 ** 16
+
 #: The spelling of a shard op every client in the tree sends:
 #: ``{"op": "get" | "put" | "invalidate", "key": N}``, exactly those two
 #: members in that order, JSON whitespace wherever JSON allows it (not
@@ -537,9 +558,12 @@ _SHARD_OP_LINE = re.compile(
 ).fullmatch
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: parse per read, answer in order, flush once.
 
+    The socket is read into one buffer the connection keeps
+    (:meth:`get_buffer`); asyncio's plain :class:`asyncio.Protocol`
+    would allocate a fresh 256 KiB ``bytes`` for every read instead.
     Every read is split into lines and each line handed to
     :meth:`EdgeCacheServer._process`, which returns either the encoded
     response or the task that will produce it.  Both go on one deque;
@@ -562,6 +586,8 @@ class _Connection(asyncio.Protocol):
         self.closed = asyncio.get_running_loop().create_future()
         #: Bytes received after the last newline.
         self._tail = b""
+        #: What every read lands in; see :meth:`get_buffer`.
+        self._buffer = memoryview(bytearray(READ_SIZE))
         #: Responses owed, oldest first: bytes, or a task resolving to them.
         self._owed: Deque[Union[bytes, "asyncio.Task[bytes]"]] = deque()
         #: Reads are ignored; the transport closes once ``_owed`` is flushed.
@@ -572,26 +598,49 @@ class _Connection(asyncio.Protocol):
         self.server._connections.add(self)
         self.server.stats.count("service.connections")
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._buffer[:nbytes])
+
+    def data_received(self, data) -> None:
+        """Serve every line ``data`` completes (``data``: bytes-like)."""
         if self._closing:
             return
         server = self.server
         started = server.clock.now()
-        lines = (self._tail + data).split(b"\n")
+        data = self._tail + data  # bytes, whatever ``data`` was
+        lines = data.split(b"\n")
         self._tail = lines.pop()
-        if len(self._tail) > MAX_LINE:
-            lines.append(self._tail)  # refused below, line end or not
+        if len(data) > MAX_LINE:
+            # A line over the bound, ended or not, gets one verdict and
+            # then the connection closes: there is no resynchronising on
+            # a stream with no line end in sight.
+            lines.append(self._tail)
+            for at, line in enumerate(lines):
+                if len(line) > MAX_LINE:
+                    del lines[at + 1:]
+                    self._tail = b""
+                    self._closing = True
+                    break
+            else:
+                lines.pop()
+        if not lines:
+            return
+        server.stats.count("service.requests", len(lines))
+        owed = self._owed
+        process = server._process
         for line in lines:
-            response = server._process(line, started)
-            if not isinstance(response, bytes):
+            response = process(line, started)
+            if type(response) is not bytes:
                 response.add_done_callback(self._flush)
-            self._owed.append(response)
-            if len(line) > MAX_LINE:
-                # No way to resynchronise on a stream with no line end
-                # in sight: that one verdict, then the connection closes.
-                self._tail = b""
-                self._closing = True
-                break
+            owed.append(response)
+        ran_inline = server._ran_inline
+        if ran_inline:
+            for worker in ran_inline:
+                worker.beat()
+            ran_inline.clear()
         self._flush()
 
     def eof_received(self) -> bool:
@@ -741,6 +790,9 @@ class EdgeCacheServer:
         self._dashboard = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
+        #: Workers that ran an op inline during the read being served;
+        #: the read stamps their heartbeats once it is done.
+        self._ran_inline: Set[_ShardWorker] = set()
         self._telemetry_task: Optional[asyncio.Task] = None
         self._duration_task: Optional[asyncio.Task] = None
         self._shutdown = asyncio.Event()
@@ -856,8 +908,10 @@ class EdgeCacheServer:
     def _process(
         self, line: bytes, started: float
     ) -> Union[bytes, "asyncio.Task[bytes]"]:
-        """One request line in; its encoded response, or the task owing it."""
-        self.stats.count("service.requests")
+        """One request line in; its encoded response, or the task owing it.
+
+        The connection counts the line in ``service.requests``.
+        """
         try:
             if len(line) > MAX_LINE:
                 raise ValueError(f"request line exceeds {MAX_LINE} bytes")
@@ -900,7 +954,9 @@ class EdgeCacheServer:
         :meth:`~_ShardWorker.idle` - it would start this op next and
         would not refuse it - a put and a get that needs no wait
         (:meth:`CacheService.get_nowait`) need no task or future, so
-        the server runs them here and stamps the worker's heartbeat.
+        the server runs them here; the read stamps the worker's
+        heartbeat (:attr:`_ran_inline`).  A fresh hit comes back as
+        its memoized line, to which only the latency is added.
         Everything else becomes one task on the awaitable
         ``_get``/``_put``/``_submit`` path, in which the worker runs
         the op.
@@ -914,7 +970,9 @@ class EdgeCacheServer:
             elif op == "put":
                 served = self.shards[home].put(key, updater=-1)
             if served is not None:
-                worker.beat()
+                self._ran_inline.add(worker)
+                if type(served) is bytes:
+                    return served + b"%r}\n" % self._latency_ms(started)
                 return served.encode(self._latency_ms(started))
         if op == "get":
             pending = self._get(key)

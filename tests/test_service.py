@@ -12,6 +12,7 @@ pytest-asyncio dependency); deterministic timing uses ManualClock.
 """
 
 import asyncio
+import dataclasses
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from repro.service import (
     ShardDirectory,
     run_loadgen,
 )
+from repro.service import server as server_module
 from repro.workload.database import Database
 from tests.conftest import wait_until
 
@@ -120,6 +122,62 @@ class TestShardRouting:
                 distance = d.key_distance(key, region)
                 assert type(distance) is float
                 assert distance == math.hypot(x - cx, y - cy)
+
+
+#: Every numeric ``ServiceConfig`` field, read off its annotation.
+NUMERIC_FIELDS = [
+    f.name for f in dataclasses.fields(ServiceConfig)
+    if f.type in ("int", "float", "Optional[int]", "Optional[float]")
+]
+#: Those where None is a setting (no deadline, no hedging, no admission
+#: bound, no auto-shutdown), each with its meaning in the server module.
+NONE_IS_A_SETTING = sorted(
+    name for name, _, _, none_means in server_module._NUMERIC_FIELDS
+    if none_means
+)
+INTEGRAL_FIELDS = [name for name, integral, _, _
+                   in server_module._NUMERIC_FIELDS if integral]
+
+
+class TestConfigNumbers:
+    def test_every_numeric_field_is_checked(self):
+        assert len(dataclasses.fields(ServiceConfig)) == 23
+        assert sorted(NUMERIC_FIELDS) == sorted(
+            name for name, _, _, _ in server_module._NUMERIC_FIELDS
+        )
+        assert NONE_IS_A_SETTING == sorted(
+            f.name for f in dataclasses.fields(ServiceConfig)
+            if f.type in ("Optional[int]", "Optional[float]")
+        )
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1, -1.5, True, "3", None],
+        ids=repr,
+    )
+    def test_a_bad_number_is_refused_by_name(self, name, bad):
+        if bad is None and name in NONE_IS_A_SETTING:
+            ServiceConfig(**{name: None})  # allowed: see _NUMERIC_FIELDS
+            return
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            ServiceConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", INTEGRAL_FIELDS)
+    def test_an_integer_field_refuses_a_fraction(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            ServiceConfig(**{name: 1.5})
+
+    def test_zero_where_it_means_something_and_the_port_range(self):
+        cfg = ServiceConfig(port=0, seed=0, origin_latency=0.0,
+                            origin_retries=0)
+        assert (cfg.port, cfg.seed, cfg.origin_retries) == (0, 0, 0)
+        for name in ("n_shards", "deadline", "heartbeat_timeout",
+                     "telemetry_interval", "duration"):
+            with pytest.raises(ValueError, match=rf"^{name} must be positive"):
+                ServiceConfig(**{name: 0})
+        ServiceConfig(port=65535)
+        with pytest.raises(ValueError, match="^port must be <= 65535"):
+            ServiceConfig(port=65536)
 
 
 class TestCacheServiceReads:

@@ -11,10 +11,14 @@ be told apart, on the wire, from ``json.loads`` and ``json.dumps``:
 * **encoder differential** - ``CacheResponse.encode(x)`` is byte for
   byte ``json.dumps`` of ``to_dict()`` plus ``latency_ms``;
 * **cost by count** - fresh hits and idle-shard puts make no ``json``
-  call at all, a miss at most one (its ``extra`` member).
+  call at all, a miss at most one (its ``extra`` member);
+* **the fresh-hit memo** - a fresh hit's memoized line is the line the
+  unmemoized path writes, through puts, UpdatePushes, evictions, purges
+  and TTR expiry, and the memo holds no key the cache does not.
 
-Servers are driven through ``EdgeCacheServer._process`` on a manual
-clock - no socket, and ``latency_ms`` is 0.0 on both sides.
+Servers are driven one line per read through a connection whose
+transport records what the server writes, on a manual clock - no
+socket, and ``latency_ms`` is 0.0 on both sides.
 """
 
 import asyncio
@@ -24,11 +28,26 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.service import CacheResponse, EdgeCacheServer
+from repro.core.consistency import PushAdaptivePull
+from repro.core.messages import UpdatePush
+from repro.service import (
+    CacheResponse,
+    CacheService,
+    EdgeCacheServer,
+    InMemoryOrigin,
+    ManualClock,
+    ShardDirectory,
+)
 from repro.service import core as core_module
 from repro.service import server as server_module
-from repro.service.server import MAX_LINE
-from tests.test_service_wire import use_manual_clock, wire_config
+from repro.service.server import MAX_LINE, _Connection
+from repro.workload.database import Database
+from tests.test_service_wire import (
+    Recorder,
+    until,
+    use_manual_clock,
+    wire_config,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -45,17 +64,21 @@ OPS = ("get", "put", "invalidate")
 
 def serve(scenario):
     """Run ``scenario(ask)`` on a fresh manual-clock server with its shard
-    workers up; ``await ask(lines)`` is the response line of each."""
+    workers up; ``await ask(lines)`` is the response line of each, each
+    line sent as one read on a connection of its own."""
     server = EdgeCacheServer(wire_config())
     use_manual_clock(server)
 
     async def ask(lines):
         responses = []
         for line in lines:
-            response = server._process(line, server.clock.now())
-            if not isinstance(response, bytes):
-                response = await response
-            responses.append(response)
+            transport = Recorder()
+            connection = _Connection(server)
+            connection.connection_made(transport)
+            connection.data_received(line + b"\n")
+            await until(lambda: transport.written)
+            responses.extend(transport.written)
+            connection.connection_lost(None)
         return responses
 
     async def main():
@@ -324,7 +347,11 @@ class TestEncoderDifferential:
 
     def test_every_response_the_server_builds_is_encoded_alike(self):
         """A mixed stream through a real server: each line on the wire
-        is the oracle's encoding of the response object behind it."""
+        is the oracle's encoding of the response object behind it.  A
+        fresh hit's line is memoized per cached copy: its response is
+        built and encoded at the copy's first hit, and a later hit of
+        the same copy writes that line again (which copy it is, the
+        memo's own property test pins)."""
         built = []
         encode = CacheResponse.encode
 
@@ -341,8 +368,21 @@ class TestEncoderDifferential:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CacheResponse, "encode", recording)
             wire, server = drive(lines)
-        assert len(built) == len(lines)
-        assert wire == [oracle(r, x) for r, x in built]
+        assert len(wire) == len(lines)
+        encoded = iter([oracle(r, x) for r, x in built])
+        hit_lines = {}
+        for line in wire:
+            response = json.loads(line)
+            fresh = response["status"] == "hit-fresh"
+            if fresh and hit_lines.get(response["key"]) == line:
+                continue
+            assert line == next(encoded)
+            if fresh:
+                hit_lines[response["key"]] = line
+            else:  # a put, purge or admission: not the same copy after it
+                hit_lines.pop(response["key"], None)
+        assert next(encoded, None) is None
+        assert len(built) < len(lines)  # the memo served hits
         statuses = {r.status for r, _ in built}
         assert {"miss", "hit-fresh", "updated", "invalidated"} <= statuses
 
@@ -388,3 +428,102 @@ class TestCostByCount:
         stats, server = serve(scenario)
         assert stats["telemetry"]["service.requests"] == 3 * 8 + 1
         assert server.origin.fetches == 8 and server.origin.puts == 8
+
+
+# -- (d) the fresh-hit memo -------------------------------------------------
+
+#: Few keys for the steps that hit, many for the ones that evict.
+MEMO_KEYS = st.integers(0, 2)
+MEMO_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), MEMO_KEYS, LATENCIES),
+        st.tuples(st.just("get"), MEMO_KEYS, LATENCIES),
+        st.tuples(st.just("put"), MEMO_KEYS),  # commit + UpdatePush here
+        st.tuples(st.just("commit"), MEMO_KEYS),  # the origin moves on alone
+        st.tuples(st.just("pressure"),
+                  st.lists(st.integers(0, 23), max_size=8)),
+        st.tuples(st.just("purge"), MEMO_KEYS),
+        st.tuples(st.just("invalidate"), MEMO_KEYS),
+        st.tuples(st.just("tick"), st.floats(0.0, 90.0)),
+    ),
+    min_size=8, max_size=40,
+)
+
+
+class PushHere:
+    """ConsistencyTransport delivering every UpdatePush to one shard."""
+
+    def __init__(self, shard):
+        self.shard = shard
+
+    def push_update_to_regions(self, updater, key, category):
+        item = self.shard.origin.db[key]
+        self.shard.apply_push(item, UpdatePush(
+            key=key, version=item.version, update_time=item.last_update_time,
+            updater=updater, data_size=item.size_bytes,
+            target_region_id=self.shard.shard_id,
+        ))
+
+
+def memo_shard():
+    """One shard with room for about a fifth of its 24 keys."""
+    database = Database(24, np.random.default_rng(3))
+    scheme = PushAdaptivePull()
+    for item in database.items:
+        item.ttr = scheme.initial_ttr(item)
+    shard = CacheService(
+        0, 0.2 * database.total_bytes,
+        clock=ManualClock(),
+        directory=ShardDirectory(2, 24),
+        origin=InMemoryOrigin(database),
+        scheme=scheme,
+    )
+    scheme.bind(PushHere(shard))
+    return shard
+
+
+class TestHitLineMemo:
+    """A fresh hit's memoized line is the line the unmemoized path writes,
+    whatever happened to the copy since the line was built, and the memo
+    holds no key the cache does not."""
+
+    @SETTINGS
+    @given(steps=MEMO_STEPS)
+    @example(steps=[("get", 1, 0.0), ("get", 1, 0.0), ("put", 1),
+                    ("get", 1, 0.5)])
+    @example(steps=[("get", 1, 0.0), ("get", 1, 0.0),
+                    ("pressure", list(range(24)))])
+    def test_a_hit_line_is_the_unmemoized_line(self, steps):
+        shard = memo_shard()
+        for step in steps:
+            op, arg = step[0], step[1]
+            if op == "get":
+                served = shard.get_nowait(arg)
+                if isinstance(served, bytes):
+                    entry = shard.cache.get(arg)
+                    unmemoized = CacheResponse(
+                        "get", arg, "hit-fresh", shard.shard_id,
+                        version=entry.version, size_bytes=entry.size_bytes,
+                        served_class="local",
+                    )
+                    assert served + b"%r}\n" % step[2] == oracle(
+                        unmemoized, step[2]
+                    )
+                else:
+                    assert served.status != "hit-fresh"
+            elif op == "put":
+                shard.put(arg)
+            elif op == "commit":
+                shard.origin.commit(arg, shard.clock.now())
+            elif op == "pressure":
+                for key in arg:
+                    shard.get_nowait(key)
+            elif op == "purge":
+                shard.purge(arg)
+            elif op == "invalidate":
+                shard.invalidate(arg)
+            else:
+                shard.clock.advance(arg)
+            memo = shard._hit_lines
+            assert len(memo) <= len(shard.cache.entries)
+            assert set(memo) <= set(shard.cache.entries)

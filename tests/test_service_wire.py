@@ -3,8 +3,10 @@
 Three things are pinned here, all over a real loopback connection:
 
 * **the wire boundary** — key validation, non-object lines, the 64 KiB
-  line bound, split and batched reads, read-pausing backpressure and
-  per-connection response order;
+  line bound, split and batched reads, reads into one kept buffer
+  (byte-per-segment requests, lines straddling a refill, writes larger
+  than the buffer), read-pausing backpressure and per-connection
+  response order;
 * **inline ≡ awaitable** — a get/put stream served over the wire (every
   op that needs no wait runs inline, no task) and the same stream driven
   through ``await server._get/_put`` on a twin server produce the same
@@ -40,8 +42,10 @@ from repro.service import (
 from repro.service.core import _Deadline
 from repro.service.server import (
     MAX_LINE,
+    READ_SIZE,
     WorkerOverloaded,
     WorkerUnavailable,
+    _Connection,
     _ShardWorker,
 )
 
@@ -255,6 +259,108 @@ class TestWireValidation:
             assert await client.reader.read() == b""
 
         serve(scenario)
+
+
+class Recorder:
+    """A transport keeping what the server writes."""
+
+    def __init__(self):
+        self.written = []
+
+    def write(self, data):
+        self.written.append(data)
+
+    def is_closing(self):
+        return False
+
+    def close(self):
+        pass
+
+
+class TestBufferedRead:
+    """Each connection reads into one buffer of READ_SIZE bytes; framing
+    must not care where a read ends."""
+
+    def test_a_request_sent_one_byte_per_segment_parses(self):
+        async def scenario(server, client):
+            line = encode({"op": "get", "key": 3})
+            await until(lambda: server._connections)
+            (connection,) = server._connections
+            for end in range(1, len(line)):
+                client.writer.write(line[end - 1:end])
+                await until(lambda: connection._tail == line[:end])
+            assert server.stats.value("service.requests") == 0
+            (response,) = await client.ask_raw(line[-1:])
+            assert response["status"] == "miss" and response["key"] == 3
+            assert server.stats.value("service.requests") == 1
+
+        serve(scenario)
+
+    def test_pipelined_requests_larger_than_the_buffer_answer_in_order(self):
+        keys = [(7 * i) % 50 for i in range(10_000)]
+        payload = encode(*({"op": "get", "key": k} for k in keys))
+        assert len(payload) > 3 * READ_SIZE
+
+        async def scenario(server, client):
+            responses = await client.ask_raw(payload, len(keys))
+            assert [r["key"] for r in responses] == keys
+            assert all(r["ok"] for r in responses)
+
+        server = serve(scenario)
+        assert server.stats.value("service.requests") == len(keys)
+
+    def test_a_line_straddling_a_buffer_refill_parses(self):
+        straddler = encode({"op": "get", "key": 2})
+        first = padded_line({"op": "get", "key": 1}, READ_SIZE - 10)
+        data = first + straddler + encode({"op": "get", "key": 3})
+
+        async def scenario(server, client):
+            transport = Recorder()
+            connection = _Connection(server)
+            connection.connection_made(transport)
+            try:
+                buffer = connection.get_buffer(-1)
+                assert len(buffer) == READ_SIZE
+                buffer[:] = data[:READ_SIZE]
+                connection.buffer_updated(READ_SIZE)
+                assert connection._tail == straddler[:10]
+                rest = data[READ_SIZE:]
+                connection.get_buffer(-1)[:len(rest)] = rest
+                connection.buffer_updated(len(rest))
+            finally:
+                connection.connection_lost(None)
+            lines = b"".join(transport.written).splitlines()
+            assert [json.loads(r)["key"] for r in lines] == [1, 2, 3]
+
+        serve(scenario)
+
+    def test_every_read_lands_in_the_same_buffer(self):
+        async def scenario(server, client):
+            await until(lambda: server._connections)
+            (connection,) = server._connections
+            handed = []
+            get_buffer = connection.get_buffer
+
+            def spy(sizehint):
+                handed.append(get_buffer(sizehint))
+                return handed[-1]
+
+            connection.get_buffer = spy
+            for key in range(3):
+                (response,) = await client.ask({"op": "get", "key": key})
+                assert response["key"] == key
+            assert len(handed) >= 3
+            assert all(buffer is handed[0] for buffer in handed)
+            assert len(handed[0]) == READ_SIZE
+
+        serve(scenario)
+
+
+def padded_line(payload, length):
+    """``payload``'s JSON padded with spaces: ``length`` bytes, newline
+    included."""
+    line = json.dumps(payload).encode()
+    return line + b" " * (length - 1 - len(line)) + b"\n"
 
 
 class TestConnectionOrderAndFlow:
