@@ -25,10 +25,16 @@ Read path (mirrors Fig. 1 + §4):
 :meth:`CacheService.get_nowait` serves every read that needs no wait
 (a fresh hit, and a miss or validation the origin answers at once),
 synchronously, for callers that have nothing to await: the server's
-await-free path.  A fresh hit there comes back as its wire line up to
-the latency stamp, memoized per cached copy: nothing in it changes
-between hits of one version of one copy.  :meth:`CacheService.get`
-starts with it; the rest waits on the origin in the op's own task,
+await-free path.  There an unsteered read — ``hit-fresh``, ``miss``,
+``refreshed``, ``hit-validated`` — and a put
+(``put(..., line=True)``) come back as their wire line up to the
+latency stamp, with no response object and no ``json`` call; a fresh
+hit's line is memoized per cached copy, since nothing in it changes
+between hits of one version of one copy.  Every other outcome is a
+:class:`CacheResponse`, and its :meth:`~CacheResponse.encode` calls the
+same writer, :func:`_line_head`, the one spelling of the member order.
+:meth:`CacheService.get` starts with :meth:`get_nowait`, asking for
+objects; the rest waits on the origin in the op's own task,
 under one timer armed for the request's absolute deadline
 (:class:`_Deadline`), and both paths end in the same breaker verdict
 and settle step.  A budget already spent answers without calling the
@@ -45,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import CachedCopy, PeerCache
@@ -116,20 +123,59 @@ class _Deadline:
 #: (``repr`` of a ``numpy.float64`` is ``np.float64(...)``).
 _float_repr = float.__repr__
 
-#: What :meth:`CacheResponse.encode` writes after ``"latency_ms": ``
-#: when the latency is 0.0: a memoized hit line is ``encode(0.0)``
-#: without these bytes.
-_ZERO_LATENCY_END = len(b"0.0}\n")
+#: Served classes whose response is not ``ok``.
+_NOT_OK = ("failed", "shed")
+
+
+def _line_head(
+    op: str,
+    key: int,
+    status: str,
+    shard: int,
+    served_class: str,
+    version: int = -1,
+    size_bytes: float = 0.0,
+    extra: Optional[Dict[str, Any]] = None,
+) -> bytes:
+    """A get/put/invalidate wire line up to and including ``"latency_ms": ``.
+
+    The one spelling of the member order: the six fixed members,
+    ``version`` and ``size_bytes`` when set, ``extra``, then the
+    latency the caller stamps (a float and ``}\\n``).  Byte for byte
+    what ``json.dumps`` writes: ``op``, ``status`` and ``served_class``
+    are this module's own plain words and go out as they are, a bool
+    ``extra`` value is ``true``/``false`` and a string goes through the
+    C string encoder ``json.dumps`` itself uses; only a value of some
+    other type reaches ``json.dumps``.
+    """
+    tail = ""
+    if version >= 0:
+        tail = f', "version": {version}'
+    if size_bytes:
+        tail += f', "size_bytes": {_float_repr(size_bytes)}'
+    if extra:
+        for name, value in extra.items():
+            if type(name) is str and type(value) is bool:
+                tail += f", {_json_str(name)}: {'true' if value else 'false'}"
+            elif type(name) is str and type(value) is str:
+                tail += f", {_json_str(name)}: {_json_str(value)}"
+            else:
+                tail += ", " + json.dumps({name: value})[1:-1]
+    return (
+        f'{{"op": "{op}", "key": {key}, "status": "{status}", '
+        f'"shard": {shard}, '
+        f'"ok": {"false" if served_class in _NOT_OK else "true"}, '
+        f'"served_class": "{served_class}"{tail}, "latency_ms": '
+    ).encode()
 
 
 @dataclass
 class CacheResponse:
     """Outcome of one service operation, wire-serializable.
 
-    :meth:`encode` writes the wire line itself - the six fixed members,
-    ``version`` and ``size_bytes`` when set, ``extra``, ``latency_ms``,
-    in that order - without building a dict or calling ``json``;
-    :meth:`to_dict` is the same response as a dict.
+    :meth:`encode` writes the wire line through :func:`_line_head`
+    without building a dict; :meth:`to_dict` is the same response as a
+    dict.
     """
 
     op: str
@@ -147,7 +193,7 @@ class CacheResponse:
 
     @property
     def ok(self) -> bool:
-        return self.served_class not in ("failed", "shed")
+        return self.served_class not in _NOT_OK
 
     def to_dict(self) -> Dict[str, Any]:
         out = {
@@ -169,25 +215,12 @@ class CacheResponse:
         """The response's wire line, ``latency_ms`` stamped last.
 
         Byte for byte ``json.dumps({**self.to_dict(), "latency_ms":
-        latency_ms}).encode() + b"\\n"``.  ``op``, ``status`` and
-        ``served_class`` are this module's own plain words and go out
-        as they are; ``extra`` can hold anything (a ``reason`` string)
-        and goes through ``json``.
+        latency_ms}).encode() + b"\\n"``.
         """
-        optional = ""
-        if self.version >= 0:
-            optional = f', "version": {self.version}'
-        if self.size_bytes:
-            optional += f', "size_bytes": {_float_repr(self.size_bytes)}'
-        if self.extra:
-            optional += ", " + json.dumps(self.extra)[1:-1]
-        return (
-            f'{{"op": "{self.op}", "key": {self.key}, '
-            f'"status": "{self.status}", "shard": {self.shard}, '
-            f'"ok": {"true" if self.ok else "false"}, '
-            f'"served_class": "{self.served_class}"{optional}, '
-            f'"latency_ms": {_float_repr(latency_ms)}}}\n'
-        ).encode()
+        return _line_head(
+            self.op, self.key, self.status, self.shard, self.served_class,
+            self.version, self.size_bytes, self.extra,
+        ) + (_float_repr(latency_ms) + "}\n").encode()
 
 
 class CacheService:
@@ -263,32 +296,41 @@ class CacheService:
         key: int,
         steered: bool = False,
         deadline: Optional[float] = None,
+        line: bool = True,
     ) -> Union[bytes, CacheResponse, None]:
         """Serve a read that needs no wait synchronously, or return None.
 
-        A fresh hit needs none; unless ``steered`` it is served as its
-        memoized wire line, every byte of :meth:`CacheResponse.encode`
-        up to and including ``"latency_ms": `` (the caller stamps the
-        latency and ``}\\n``), and any other read as a
-        :class:`CacheResponse`.  A miss or a TTR validation needs none
-        when the origin answers at once (:attr:`InMemoryOrigin.instant`),
-        no fetch of the key is in flight (a follower follows its
-        leader), the budget (``deadline``, absolute) is not spent, and,
-        for a miss, the breaker is closed (a steered miss fails, and
-        only :meth:`get`'s caller fails it over).
+        A fresh hit needs none.  A miss or a TTR validation needs none
+        when the origin answers at once (:attr:`InMemoryOrigin.instant`,
+        and then at the same instant: the read takes the clock once), no
+        fetch of the key is in flight (a follower follows its leader),
+        the budget (``deadline``, absolute) is not spent, and, for a
+        miss, the breaker is closed (a steered miss fails, and only
+        :meth:`get`'s caller fails it over).
+
+        With ``line``, an unsteered read served locally or from the
+        origin (``hit-fresh``, ``hit-validated``, ``miss``,
+        ``refreshed``) comes back as its wire line up to and including
+        ``"latency_ms": `` (:func:`_line_head`; the caller stamps the
+        latency and ``}\\n``), a fresh hit's memoized per cached copy;
+        any other outcome, and every outcome without ``line``, as a
+        :class:`CacheResponse`.
 
         None means the read must wait and **nothing was booked**: the
         caller goes on to :meth:`get`, which counts the request exactly
         once.
         """
-        entry = self.cache.get(key)
+        entry = self.cache.entries.get(key)  # PeerCache.get, without the call
         if entry is None and not self.origin.instant:
             return None  # a miss that waits costs no more than it did
         now = self.clock.now()
+        line = line and not steered
         if entry is not None and not self.scheme.needs_validation(entry, now):
             self._book_get(key)
-            if steered:
-                return self._serve_local(entry, now, "hit-fresh", True)
+            if not line:
+                return self._serve_local(
+                    entry, now, "hit-fresh", steered, False
+                )
             self._refresh(entry, now)
             memo = self._hit_lines.get(key)
             if (
@@ -296,15 +338,15 @@ class CacheService:
                 or memo[0] != entry.version
                 or memo[1] != entry.size_bytes
             ):
-                line = self._local_response(entry, "hit-fresh", False).encode(
-                    0.0
-                )[:-_ZERO_LATENCY_END]
                 memo = self._hit_lines[key] = (
-                    entry.version, entry.size_bytes, line,
+                    entry.version, entry.size_bytes, _line_head(
+                        "get", key, "hit-fresh", self.shard_id, "local",
+                        entry.version, entry.size_bytes,
+                    ),
                 )
             return memo[2]
         if not (
-            self.origin.instant
+            (entry is None or self.origin.instant)  # a miss read it above
             and key not in self._inflight
             and (deadline is None or deadline - now > 0.0)
             and (
@@ -316,15 +358,17 @@ class CacheService:
         ):
             return None
         self._book_get(key)
+        if entry is None:
+            # Steered, or no breaker open (checked above): _route_home
+            # would pass.
+            self.stats.count("cache.origin_fetches")
+            item = self.origin.fetch_nowait(key)
+            return self._settle(key, None, item, False, steered, now, line)
         degraded, probe = self._route_home(key, entry, now, steered)
         if degraded is not None:
             return degraded
-        if entry is not None:
-            item = self.origin.validate_nowait(key)
-        else:
-            self.stats.count("cache.origin_fetches")
-            item = self.origin.fetch_nowait(key)
-        return self._settle(key, entry, item, probe, steered)
+        item = self.origin.validate_nowait(key)
+        return self._settle(key, entry, item, probe, steered, now, line)
 
     async def get(
         self,
@@ -340,13 +384,7 @@ class CacheService:
         left); by default the budget starts now.  What
         :meth:`get_nowait` cannot serve waits here, on the origin.
         """
-        response = self.get_nowait(key, steered, deadline)
-        if type(response) is bytes:
-            # A fresh hit, booked and served: the caller awaiting an
-            # object gets the response its line encodes.
-            return self._local_response(
-                self.cache.get(key), "hit-fresh", False
-            )
+        response = self.get_nowait(key, steered, deadline, False)
         if response is not None:
             return response
         now = self.clock.now()
@@ -385,25 +423,30 @@ class CacheService:
             now = self.clock.now()
             self._origin_outcome(False, probe, now)
             return self._serve_degraded(key, entry, now, reason="origin-error")
-        return self._settle(key, entry, item, probe, steered)
+        return self._settle(
+            key, entry, item, probe, steered, self.clock.now(), False
+        )
 
     # -- write path ----------------------------------------------------------
 
-    def put(self, key: int, updater: int = -1) -> CacheResponse:
+    def put(
+        self, key: int, updater: int = -1, line: bool = False
+    ) -> Union[bytes, CacheResponse]:
         """Commit an update at the origin and disseminate (Push phase).
 
         Synchronous: the origin's authoritative state is in-process;
         dissemination fans out through the bound transport (the server
-        delivers pushes to the home and replica shards).
+        delivers pushes to the home and replica shards).  With ``line``
+        the answer is its wire line head, as :meth:`get_nowait` writes
+        it, else a :class:`CacheResponse`.
         """
         now = self.clock.now()
         self.stats.count("service.put")
         item = self.origin.commit(key, now)
         self.scheme.disseminate_update(updater, key)
-        return CacheResponse(
-            "put", key, "updated", self.shard_id,
-            version=item.version, size_bytes=item.size_bytes,
-            served_class="origin",
+        return self._respond(
+            line, "put", key, "updated", "origin",
+            item.version, item.size_bytes,
         )
 
     def invalidate(self, key: int) -> CacheResponse:
@@ -525,20 +568,44 @@ class CacheService:
         self.stats.count("cache.hits")
         self.stats.count("cache.bytes_hit", entry.size_bytes)
 
-    def _local_response(
-        self, entry: CachedCopy, status: str, steered: bool
-    ) -> CacheResponse:
+    def _respond(
+        self,
+        line: bool,
+        op: str,
+        key: int,
+        status: str,
+        served_class: str,
+        version: int = -1,
+        size_bytes: float = 0.0,
+        extra: Optional[Dict[str, Any]] = None,
+    ) -> Union[bytes, CacheResponse]:
+        """One outcome: its wire line head with ``line``, else its
+        :class:`CacheResponse` (whose :meth:`~CacheResponse.encode`
+        writes the same head)."""
+        if line:
+            return _line_head(
+                op, key, status, self.shard_id, served_class,
+                version, size_bytes, extra,
+            )
         return CacheResponse(
-            "get", entry.key, status, self.shard_id,
-            version=entry.version, size_bytes=entry.size_bytes,
-            served_class="degraded" if steered else "local",
+            op, key, status, self.shard_id, version, size_bytes,
+            served_class, {} if extra is None else extra,
         )
 
     def _serve_local(
-        self, entry: CachedCopy, now: float, status: str, steered: bool
-    ) -> CacheResponse:
+        self,
+        entry: CachedCopy,
+        now: float,
+        status: str,
+        steered: bool,
+        line: bool,
+    ) -> Union[bytes, CacheResponse]:
         self._refresh(entry, now)
-        return self._local_response(entry, status, steered)
+        return self._respond(
+            line, "get", entry.key, status,
+            "degraded" if steered else "local",
+            entry.version, entry.size_bytes,
+        )
 
     def _serve_degraded(
         self, key: int, entry: Optional[CachedCopy], now: float, reason: str
@@ -586,10 +653,11 @@ class CacheService:
         item: DataItem,
         probe: bool,
         steered: bool,
-    ) -> CacheResponse:
-        """The origin answered: restart the copy's TTR window, or admit
-        the authoritative copy (§3.2-3.3, §4)."""
-        now = self.clock.now()
+        now: float,
+        line: bool,
+    ) -> Union[bytes, CacheResponse]:
+        """The origin answered at ``now``: restart the copy's TTR window,
+        or admit the authoritative copy (§3.2-3.3, §4)."""
         self._origin_outcome(True, probe, now)
 
         if entry is not None and entry.version >= item.version:
@@ -597,18 +665,18 @@ class CacheService:
             entry.validated_at = now
             entry.ttr = item.ttr
             self.stats.count("cache.validations")
-            return self._serve_local(entry, now, "hit-validated", steered)
+            return self._serve_local(
+                entry, now, "hit-validated", steered, line
+            )
 
         # Miss (or stale copy superseded): admit the authoritative copy.
         admitted = self._admit(item, now)
         self.stats.count("cache.miss")
         self.stats.count("cache.bytes_from_origin", item.size_bytes)
-        status = "miss" if entry is None else "refreshed"
-        return CacheResponse(
-            "get", key, status, self.shard_id,
-            version=item.version, size_bytes=item.size_bytes,
-            served_class="degraded" if steered else "origin",
-            extra={"admitted": admitted},
+        return self._respond(
+            line, "get", key, "miss" if entry is None else "refreshed",
+            "degraded" if steered else "origin",
+            item.version, item.size_bytes, {"admitted": admitted},
         )
 
     def _origin_outcome(self, success: bool, probe: bool, now: float) -> None:
@@ -623,20 +691,21 @@ class CacheService:
 
     def _admit(self, item: DataItem, now: float) -> bool:
         """Admission + replacement for an authoritative copy (§3.2-3.3)."""
-        reg_dst = self.directory.key_distance(item.key, self.shard_id)
+        # Positional: a keyword call costs the dataclass about as much again.
         entry = CachedCopy(
-            key=item.key,
-            size_bytes=item.size_bytes,
-            version=item.version,
-            access_count=self._access_counts.get(item.key, 1),
-            region_distance=reg_dst,
-            ttr=item.ttr,
-            validated_at=now,
-            last_access=now,
+            item.key,
+            item.size_bytes,
+            item.version,
+            self._access_counts.get(item.key, 1),  # access_count
+            self.directory.key_distance(item.key, self.shard_id),  # reg_dst
+            item.ttr,
+            now,  # validated_at
+            0.0,  # priority: primed by the insert
+            now,  # last_access
         )
         self._hit_lines.pop(item.key, None)  # re-admission: a new copy
         self._evicted(self.cache.insert(entry, now))
-        return item.key in self.cache
+        return item.key in self.cache.entries
 
     def _evicted(self, keys: List[int]) -> None:
         """Copies an admission pushed out of the cache."""

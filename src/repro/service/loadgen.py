@@ -33,9 +33,27 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.service.clock import WallClock
+from repro.service.server import check_numbers
 from repro.workload.zipf import ZipfSampler
 
 __all__ = ["LoadGenConfig", "LoadSummary", "run_loadgen"]
+
+#: ``LoadGenConfig``'s numbers, in the rows of ``ServiceConfig``'s table
+#: (:func:`~repro.service.server.check_numbers`).
+_NUMERIC_FIELDS = (
+    ("port", True, False, None),
+    ("clients", True, False, None),
+    ("duration", False, False, None),
+    ("theta", False, True, None),  # 0: uniform keys
+    ("n_items", True, False, None),
+    ("seed", True, True, None),
+    ("put_ratio", False, True, None),
+    ("timeout", False, False, None),
+    ("rate", False, False, "the closed loop"),
+    ("expect_hit_ratio", False, True, "no hit-ratio floor"),
+)
+#: Upper bounds: a port number, and the two fractions.
+_AT_MOST = {"port": 65535, "put_ratio": 1.0, "expect_hit_ratio": 1.0}
 
 #: get statuses that count as a cache hit for the summary's hit ratio.
 _HIT_STATUSES = frozenset({"hit-fresh", "hit-validated", "stale-hit"})
@@ -64,18 +82,7 @@ class LoadGenConfig:
     expect_hit_ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.clients <= 0:
-            raise ValueError(f"clients must be positive, got {self.clients}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not 0.0 <= self.put_ratio <= 1.0:
-            raise ValueError(
-                f"put_ratio must be in [0, 1], got {self.put_ratio}"
-            )
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        check_numbers(self, _NUMERIC_FIELDS, _AT_MOST)
 
 
 @dataclass

@@ -18,12 +18,14 @@ What the server adds around the core:
   the heartbeat of each shard that ran an op inline, once each.  A
   full write buffer pauses reading until the client drains it; a
   request line is bounded at 64 KiB.  A get/put/invalidate line in the
-  two-member spelling below is read off a compiled pattern and every
-  shard-op response writes its own line (:meth:`CacheResponse.encode`;
-  a fresh hit's line is memoized per cached copy), byte for byte what
-  ``json`` would read and write, so a hit makes no ``json`` call; any
-  other spelling and the dict-shaped replies go through ``json`` as
-  before;
+  two-member spelling below is read off a compiled pattern, and every
+  shard-op response is written by the shard's one line writer: an
+  inline read or put returns its line (a fresh hit's memoized per
+  cached copy), any other outcome a :class:`CacheResponse` that
+  encodes through the same writer.  Both are byte for byte what
+  ``json`` would read and write, so a get or put makes no ``json``
+  call; any other spelling and the dict-shaped replies go through
+  ``json`` as before;
 * **shard workers** — each shard admits its ops in arrival order, and
   every admitted op runs in the caller's task — the connection's
   answer task — so an awaited op (a miss or validation that waits on
@@ -156,6 +158,40 @@ def build_scheme(name: str) -> ConsistencyScheme:
         ) from None
 
 
+def check_numbers(config, table, at_most: Dict[str, float]) -> None:
+    """Refuse a bad number in ``config`` by its field's name.
+
+    ``table`` rows are (field, integral, whether 0 is allowed, what None
+    means where None is a setting); ``at_most`` bounds fields from
+    above.  No number is a bool, none is negative, every real is
+    finite, and None only stands where its row says what it means.
+    """
+    for name, integral, zero_ok, none_means in table:
+        value = getattr(config, name)
+        if value is None and none_means:
+            continue
+        kind = numbers.Integral if integral else numbers.Real
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, kind)
+            or not (integral or math.isfinite(value))
+        ):
+            raise ValueError(
+                f"{name} must be "
+                f"{'an integer' if integral else 'a finite number'}, "
+                f"got {value!r}"
+            )
+        if value < 0 or (value == 0 and not zero_ok):
+            raise ValueError(
+                f"{name} must be {'>= 0' if zero_ok else 'positive'}, "
+                f"got {value!r}"
+            )
+        if name in at_most and value > at_most[name]:
+            raise ValueError(
+                f"{name} must be <= {at_most[name]}, got {value!r}"
+            )
+
+
 #: ``ServiceConfig``'s numbers: field, integral, whether 0 is allowed,
 #: and what None means where None is a setting.
 _NUMERIC_FIELDS = (
@@ -225,30 +261,8 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         # A float shard count ran int(n_shards) shards and reported the
-        # float.  No number here is a bool, none is negative, every real
-        # is finite, and None only stands where _NUMERIC_FIELDS says so.
-        for name, integral, zero_ok, none_means in _NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if value is None and none_means:
-                continue
-            kind = numbers.Integral if integral else numbers.Real
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, kind)
-                or not (integral or math.isfinite(value))
-            ):
-                raise ValueError(
-                    f"{name} must be "
-                    f"{'an integer' if integral else 'a finite number'}, "
-                    f"got {value!r}"
-                )
-            if value < 0 or (value == 0 and not zero_ok):
-                raise ValueError(
-                    f"{name} must be {'>= 0' if zero_ok else 'positive'}, "
-                    f"got {value!r}"
-                )
-        if self.port > 65535:
-            raise ValueError(f"port must be <= 65535, got {self.port!r}")
+        # float.
+        check_numbers(self, _NUMERIC_FIELDS, {"port": 65535})
         if self.consistency not in _SCHEMES:
             raise ValueError(
                 f"unknown consistency scheme {self.consistency!r} "
@@ -955,8 +969,9 @@ class EdgeCacheServer:
         would not refuse it - a put and a get that needs no wait
         (:meth:`CacheService.get_nowait`) need no task or future, so
         the server runs them here; the read stamps the worker's
-        heartbeat (:attr:`_ran_inline`).  A fresh hit comes back as
-        its memoized line, to which only the latency is added.
+        heartbeat (:attr:`_ran_inline`).  A put, and a read served
+        locally or by the origin, come back as their line, to which
+        only the latency is added; a degraded read as a response.
         Everything else becomes one task on the awaitable
         ``_get``/``_put``/``_submit`` path, in which the worker runs
         the op.
@@ -968,7 +983,7 @@ class EdgeCacheServer:
             if op == "get":
                 served = self.shards[home].get_nowait(key)
             elif op == "put":
-                served = self.shards[home].put(key, updater=-1)
+                served = self.shards[home].put(key, updater=-1, line=True)
             if served is not None:
                 self._ran_inline.add(worker)
                 if type(served) is bytes:

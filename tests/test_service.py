@@ -40,6 +40,7 @@ from repro.service import (
     ShardDirectory,
     run_loadgen,
 )
+from repro.service import loadgen as loadgen_module
 from repro.service import server as server_module
 from repro.workload.database import Database
 from tests.conftest import wait_until
@@ -178,6 +179,66 @@ class TestConfigNumbers:
         ServiceConfig(port=65535)
         with pytest.raises(ValueError, match="^port must be <= 65535"):
             ServiceConfig(port=65536)
+
+
+#: Every numeric ``LoadGenConfig`` field, read off its annotation.
+LOADGEN_NUMERIC_FIELDS = [
+    f.name for f in dataclasses.fields(LoadGenConfig)
+    if f.type in ("int", "float", "Optional[int]", "Optional[float]")
+]
+LOADGEN_NONE_IS_A_SETTING = sorted(
+    name for name, _, _, none_means in loadgen_module._NUMERIC_FIELDS
+    if none_means
+)
+
+
+class TestLoadGenConfigNumbers:
+    """``LoadGenConfig``'s numbers go through ``ServiceConfig``'s check."""
+
+    def test_every_numeric_field_is_checked(self):
+        assert len(LOADGEN_NUMERIC_FIELDS) == 10
+        assert sorted(LOADGEN_NUMERIC_FIELDS) == sorted(
+            name for name, _, _, _ in loadgen_module._NUMERIC_FIELDS
+        )
+        assert LOADGEN_NONE_IS_A_SETTING == sorted(
+            f.name for f in dataclasses.fields(LoadGenConfig)
+            if f.type in ("Optional[int]", "Optional[float]")
+        ) == ["expect_hit_ratio", "rate"]
+
+    @pytest.mark.parametrize("name", LOADGEN_NUMERIC_FIELDS)
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1, -1.5, True, "3", None],
+        ids=repr,
+    )
+    def test_a_bad_number_is_refused_by_name(self, name, bad):
+        if bad is None and name in LOADGEN_NONE_IS_A_SETTING:
+            LoadGenConfig(**{name: None})  # allowed: see _NUMERIC_FIELDS
+            return
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            LoadGenConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", [
+        name for name, integral, _, _ in loadgen_module._NUMERIC_FIELDS
+        if integral
+    ])
+    def test_an_integer_field_refuses_a_fraction(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            LoadGenConfig(**{name: 1.5})
+
+    def test_fractions_zero_and_the_port_range(self):
+        cfg = LoadGenConfig(theta=0.0, seed=0, put_ratio=0.0,
+                            expect_hit_ratio=0.0)
+        assert (cfg.theta, cfg.seed, cfg.put_ratio) == (0.0, 0, 0.0)
+        LoadGenConfig(put_ratio=1.0, expect_hit_ratio=1.0, port=65535)
+        for name in ("put_ratio", "expect_hit_ratio"):
+            with pytest.raises(ValueError, match=rf"^{name} must be <= 1"):
+                LoadGenConfig(**{name: 1.5})
+        for name in ("port", "clients", "n_items", "duration", "timeout",
+                     "rate"):
+            with pytest.raises(ValueError, match=rf"^{name} must be positive"):
+                LoadGenConfig(**{name: 0})
+        with pytest.raises(ValueError, match="^port must be <= 65535"):
+            LoadGenConfig(port=65536)
 
 
 class TestCacheServiceReads:

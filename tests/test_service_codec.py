@@ -9,9 +9,12 @@ be told apart, on the wire, from ``json.loads`` and ``json.dumps``:
   test: ``src/`` has no such switch), gets the same response bytes and
   leaves the same counters;
 * **encoder differential** - ``CacheResponse.encode(x)`` is byte for
-  byte ``json.dumps`` of ``to_dict()`` plus ``latency_ms``;
-* **cost by count** - fresh hits and idle-shard puts make no ``json``
-  call at all, a miss at most one (its ``extra`` member);
+  byte ``json.dumps`` of ``to_dict()`` plus ``latency_ms``, the members
+  written without ``json`` (bools, strings) included, and every line a
+  server writes, inline or not, is that encoding of the response its
+  awaitable twin returns;
+* **cost by count** - fresh hits, misses, validated hits and
+  idle-shard puts make no ``json`` call at all;
 * **the fresh-hit memo** - a fresh hit's memoized line is the line the
   unmemoized path writes, through puts, UpdatePushes, evictions, purges
   and TTR expiry, and the memo holds no key the cache does not.
@@ -62,11 +65,11 @@ SETTINGS = settings(
 OPS = ("get", "put", "invalidate")
 
 
-def serve(scenario):
+def serve(scenario, **overrides):
     """Run ``scenario(ask)`` on a fresh manual-clock server with its shard
     workers up; ``await ask(lines)`` is the response line of each, each
     line sent as one read on a connection of its own."""
-    server = EdgeCacheServer(wire_config())
+    server = EdgeCacheServer(wire_config(**overrides))
     use_manual_clock(server)
 
     async def ask(lines):
@@ -93,9 +96,38 @@ def serve(scenario):
     return asyncio.run(main()), server
 
 
-def drive(lines):
+def drive(lines, **overrides):
     """Feed ``lines`` to a fresh server; (response lines, server)."""
-    return serve(lambda ask: ask(lines))
+    return serve(lambda ask: ask(lines), **overrides)
+
+
+def twin(ops, **overrides):
+    """The awaitable twin of :func:`drive`: each ``(op, key)`` through
+    ``_get``/``_put``/the purge ``_shard_op`` submits, on a fresh
+    manual-clock server; the response objects."""
+    server = EdgeCacheServer(wire_config(**overrides))
+    use_manual_clock(server)
+
+    async def main():
+        for worker in server.workers.values():
+            worker.start()
+        responses = []
+        for op, key in ops:
+            if op == "get":
+                responses.append(await server._get(key))
+            elif op == "put":
+                responses.append(await server._put(key))
+            else:
+                home = server.directory.home_region(key)
+                responses.append(await server._submit(
+                    home, server._invalidate(key, home),
+                    op="invalidate", key=key,
+                ))
+        for worker in server.workers.values():
+            await worker.drain()
+        return responses
+
+    return asyncio.run(main())
 
 
 def counters(server):
@@ -298,6 +330,13 @@ EXTRAS = st.fixed_dictionaries({}, optional={
     "reason": REASONS,
     "failover": st.just("replica"),
 })
+#: Strings the encoder writes without ``json``: quotes, backslashes,
+#: control characters, non-ASCII text and lone surrogates among any text.
+JSON_FREE_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é",
+                     "\U0001f525", "\ud800", "\udfff"]),
+), max_size=12)
 LATENCIES = st.one_of(
     st.sampled_from([0.0, 1e-3, 12.346, 1e16]),
     st.floats(min_value=0.0, max_value=1e7).map(lambda x: round(x, 3)),
@@ -345,57 +384,70 @@ class TestEncoderDifferential:
     def test_encode_is_json_dumps_of_to_dict(self, response, latency_ms):
         assert response.encode(latency_ms) == oracle(response, latency_ms)
 
+    @SETTINGS
+    @given(
+        admitted=st.booleans(),
+        reason=JSON_FREE_TEXT,
+        failover=JSON_FREE_TEXT,
+        size=SIZES.map(np.float64),
+        latency_ms=LATENCIES,
+    )
+    @example(admitted=True, reason="\ud800", failover='"\\\x00\x1f\x7f',
+             size=np.float64(5e-324), latency_ms=0.0)
+    def test_members_written_without_json_are_json_dumps(
+        self, admitted, reason, failover, size, latency_ms
+    ):
+        """``admitted`` as ``true``/``false`` and ``reason``/``failover``
+        through the C string encoder, beside a ``numpy.float64`` size:
+        the line is ``json.dumps`` of the same members."""
+        for extra in (
+            {"admitted": admitted},
+            {"reason": reason},
+            {"admitted": admitted, "failover": failover},
+            {"reason": reason, "failover": failover},
+        ):
+            response = CacheResponse(
+                "get", 7, "miss", 1, version=3, size_bytes=size,
+                served_class="origin", extra=extra,
+            )
+            assert response.encode(latency_ms) == oracle(response, latency_ms)
+
     def test_every_response_the_server_builds_is_encoded_alike(self):
-        """A mixed stream through a real server: each line on the wire
-        is the oracle's encoding of the response object behind it.  A
-        fresh hit's line is memoized per cached copy: its response is
-        built and encoded at the copy's first hit, and a later hit of
-        the same copy writes that line again (which copy it is, the
-        memo's own property test pins)."""
-        built = []
-        encode = CacheResponse.encode
-
-        def recording(self, latency_ms):
-            built.append((self, latency_ms))
-            return encode(self, latency_ms)
-
+        """A mixed stream through a real server, under a scheme that
+        never validates within the stream and one that always does:
+        each wire line - written inline from the line writer, or from a
+        response object - is the oracle's encoding of the response its
+        awaitable twin returns for the same op, at the latency the line
+        carries."""
         rng = np.random.default_rng(20)
-        lines = [
-            json.dumps({"op": OPS[int(o)], "key": int(k)}).encode()
+        ops = [
+            (OPS[int(o)], int(k))
             for o, k in zip(rng.choice(3, 400, p=[0.7, 0.2, 0.1]),
                             rng.integers(0, 50, 400))
         ]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CacheResponse, "encode", recording)
-            wire, server = drive(lines)
-        assert len(wire) == len(lines)
-        encoded = iter([oracle(r, x) for r, x in built])
-        hit_lines = {}
-        for line in wire:
-            response = json.loads(line)
-            fresh = response["status"] == "hit-fresh"
-            if fresh and hit_lines.get(response["key"]) == line:
-                continue
-            assert line == next(encoded)
-            if fresh:
-                hit_lines[response["key"]] = line
-            else:  # a put, purge or admission: not the same copy after it
-                hit_lines.pop(response["key"], None)
-        assert next(encoded, None) is None
-        assert len(built) < len(lines)  # the memo served hits
-        statuses = {r.status for r, _ in built}
-        assert {"miss", "hit-fresh", "updated", "invalidated"} <= statuses
+        lines = [json.dumps({"op": op, "key": key}).encode()
+                 for op, key in ops]
+        statuses = set()
+        for scheme in ("push-adaptive-pull", "pull-every-time"):
+            wire, _ = drive(lines, consistency=scheme)
+            objects = twin(ops, consistency=scheme)
+            assert len(wire) == len(objects) == len(ops)
+            for line, response in zip(wire, objects):
+                assert line == oracle(response, json.loads(line)["latency_ms"])
+            statuses |= {r.status for r in objects}
+        assert {"miss", "hit-fresh", "hit-validated", "updated",
+                "invalidated"} <= statuses
 
 
 # -- (c) cost by count ------------------------------------------------------
 
 class TestCostByCount:
-    def test_hits_and_puts_make_no_json_call_a_miss_at_most_one(
+    def test_hits_misses_puts_and_validations_make_no_json_call(
         self, monkeypatch
     ):
         """Counted, not timed: the canonical spelling never reaches
-        ``json.loads`` and a shard-op response never ``json.dumps`` -
-        but for the ``extra`` member a miss carries."""
+        ``json.loads`` and no shard-op response reaches ``json.dumps`` -
+        a miss, a fresh hit, a put and a validated hit alike."""
         counting = mock.Mock(wraps=json)  # counts, then delegates
         monkeypatch.setattr(server_module, "json", counting)
         monkeypatch.setattr(core_module, "json", counting)
@@ -408,15 +460,13 @@ class TestCostByCount:
         def statuses(responses):
             return {json.loads(r)["status"] for r in responses}
 
+        def lines(op):
+            return [json.dumps({"op": op, "key": k}).encode()
+                    for k in range(8)]
+
         async def scenario(ask):
-            keys = list(range(8))
-
-            def lines(op):
-                return [json.dumps({"op": op, "key": k}).encode() for k in keys]
-
             assert statuses(await ask(lines("get"))) == {"miss"}
-            loads, dumps = take()
-            assert loads == 0 and 0 < dumps <= len(keys)
+            assert take() == (0, 0)
             assert statuses(await ask(lines("get"))) == {"hit-fresh"}
             assert take() == (0, 0)
             assert statuses(await ask(lines("put"))) == {"updated"}
@@ -428,6 +478,15 @@ class TestCostByCount:
         stats, server = serve(scenario)
         assert stats["telemetry"]["service.requests"] == 3 * 8 + 1
         assert server.origin.fetches == 8 and server.origin.puts == 8
+
+        async def validated(ask):
+            assert statuses(await ask(lines("get"))) == {"miss"}
+            assert statuses(await ask(lines("get"))) == {"hit-validated"}
+            return take()
+
+        calls, server = serve(validated, consistency="pull-every-time")
+        assert calls == (0, 0)
+        assert server.origin.validations == 8
 
 
 # -- (d) the fresh-hit memo -------------------------------------------------
@@ -482,10 +541,52 @@ def memo_shard():
     return shard
 
 
+def expected_read(shard, key):
+    """The response a read of ``key`` on ``shard`` must answer: its status
+    is decided from the shard's state before the read, and the returned
+    function reads the rest off the state after it."""
+    entry = shard.cache.get(key)
+    if entry is None:
+        status = "miss"
+    elif not shard.scheme.needs_validation(entry, shard.clock.now()):
+        status = "hit-fresh"
+    elif entry.version >= shard.origin.db[key].version:
+        status = "hit-validated"
+    else:
+        status = "refreshed"
+
+    def after():
+        if status in ("miss", "refreshed"):
+            item = shard.origin.db[key]
+            return CacheResponse(
+                "get", key, status, shard.shard_id, version=item.version,
+                size_bytes=item.size_bytes, served_class="origin",
+                extra={"admitted": key in shard.cache},
+            )
+        copy = shard.cache.get(key)
+        return CacheResponse(
+            "get", key, status, shard.shard_id, version=copy.version,
+            size_bytes=copy.size_bytes, served_class="local",
+        )
+
+    return after
+
+
+def read_line(shard, key, latency_ms):
+    """One inline read of ``key``: its line, checked against the oracle."""
+    expected = expected_read(shard, key)
+    served = shard.get_nowait(key)
+    assert type(served) is bytes
+    line = served + b"%r}\n" % latency_ms
+    assert line == oracle(expected(), latency_ms)
+    return line
+
+
 class TestHitLineMemo:
-    """A fresh hit's memoized line is the line the unmemoized path writes,
-    whatever happened to the copy since the line was built, and the memo
-    holds no key the cache does not."""
+    """Every line an inline read writes - a fresh hit's memoized one
+    included - is the oracle's line for what the shard's state says the
+    read must answer, whatever happened to the copy since a memo was
+    built, and the memo holds no key the cache does not."""
 
     @SETTINGS
     @given(steps=MEMO_STEPS)
@@ -493,31 +594,21 @@ class TestHitLineMemo:
                     ("get", 1, 0.5)])
     @example(steps=[("get", 1, 0.0), ("get", 1, 0.0),
                     ("pressure", list(range(24)))])
+    @example(steps=[("get", 1, 0.0), ("commit", 1), ("tick", 90.0),
+                    ("get", 1, 0.0), ("tick", 90.0), ("get", 1, 0.0)])
     def test_a_hit_line_is_the_unmemoized_line(self, steps):
         shard = memo_shard()
         for step in steps:
             op, arg = step[0], step[1]
             if op == "get":
-                served = shard.get_nowait(arg)
-                if isinstance(served, bytes):
-                    entry = shard.cache.get(arg)
-                    unmemoized = CacheResponse(
-                        "get", arg, "hit-fresh", shard.shard_id,
-                        version=entry.version, size_bytes=entry.size_bytes,
-                        served_class="local",
-                    )
-                    assert served + b"%r}\n" % step[2] == oracle(
-                        unmemoized, step[2]
-                    )
-                else:
-                    assert served.status != "hit-fresh"
+                read_line(shard, arg, step[2])
             elif op == "put":
                 shard.put(arg)
             elif op == "commit":
                 shard.origin.commit(arg, shard.clock.now())
             elif op == "pressure":
                 for key in arg:
-                    shard.get_nowait(key)
+                    read_line(shard, key, 0.0)
             elif op == "purge":
                 shard.purge(arg)
             elif op == "invalidate":

@@ -1068,7 +1068,7 @@ class TestInlineGuard:
         """Inline ≡ awaitable on failure too: the client is owed a line
         and the loop's exception handler one report, whether the op ran
         in the read callback or in an answer task."""
-        def broken_put(self, key, updater):
+        def broken_put(self, key, updater, line=False):
             raise RuntimeError("disk on fire")
 
         monkeypatch.setattr(CacheService, "put", broken_put)
