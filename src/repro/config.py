@@ -10,18 +10,75 @@ with defaults matching the paper's setup (§6.1):
 * Zipf popularity with skew theta.
 
 Experiments construct variations with :func:`dataclasses.replace`.
+
+Every numeric field is a row of ``_NUMERIC_FIELDS``, checked by the
+number rule the service's configs share
+(:func:`repro.checks.check_numbers`); a bad value is refused at
+construction by its field's name.  Parameters of the non-paper
+extensions that no run varies (the RPGM group count and radius, the
+Manhattan street count, the churn crash fraction, and the resilience
+layer's jitter, suspicion threshold and breaker cool-down) are module
+constants beside their one reader, not fields.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.checks import check_numbers
 from repro.faults.plan import FaultPlan
 
 __all__ = ["SimulationConfig"]
+
+#: The numbers of :class:`SimulationConfig`, checked by
+#: :func:`~repro.checks.check_numbers`: field, integral, whether 0 is
+#: allowed, and what None means where None is a setting.  A zero timer
+#: period would reschedule its timer at the same instant forever.
+_NUMERIC_FIELDS = (
+    ("width", False, False, None),
+    ("height", False, False, None),
+    ("n_regions", True, False, None),
+    ("n_nodes", True, False, None),
+    ("range_m", False, False, None),
+    ("bandwidth_bps", False, False, None),
+    ("idle_power_mw", False, True, None),
+    ("max_speed", False, True, "a stationary topology"),  # 0: likewise
+    ("pause_time", False, True, None),
+    ("churn_uptime", False, False, "no churn"),
+    ("churn_downtime", False, False, None),
+    ("n_items", True, False, None),
+    ("min_item_bytes", False, False, None),
+    ("max_item_bytes", False, False, None),
+    ("t_request", False, False, None),
+    ("t_update", False, False, "no updates"),
+    ("zipf_theta", False, True, None),  # 0: uniform keys
+    ("popularity_shift_at", False, True, "no shift"),  # inf: likewise
+    ("cache_fraction", False, True, None),
+    ("gdld_wr", False, True, None),
+    ("gdld_wd", False, True, None),
+    ("gdld_ws", False, True, None),
+    ("static_capacity_fraction", False, False, "unbounded custodial storage"),
+    ("ttr_alpha", False, True, None),
+    ("default_ttr", False, True, None),
+    ("gpsr_beacon_interval", False, False, "free, perfect beaconing"),
+    ("local_timeout", False, True, None),
+    ("home_timeout", False, True, None),
+    ("replica_timeout", False, True, None),
+    ("poll_timeout", False, True, None),
+    ("prefetch_interval", False, False, None),
+    ("digest_interval", False, False, None),
+    ("resilience_retries", True, True, None),  # 0: no in-phase retries
+    ("request_deadline", False, False, "no request deadline"),
+    ("duration", False, False, None),
+    ("warmup", False, True, None),
+    ("seed", True, True, None),
+)
+#: Upper bounds: the three fractions.
+_AT_MOST = {
+    "cache_fraction": 1.0, "static_capacity_fraction": 1.0, "ttr_alpha": 1.0,
+}
 
 
 @dataclass(frozen=True)
@@ -56,20 +113,12 @@ class SimulationConfig:
     #: Maximum node speed (m/s); 0 or None selects a stationary topology.
     max_speed: Optional[float] = 6.0
     pause_time: float = 5.0
-    #: RPGM parameters (mobility_model == "group").
-    group_count: int = 6
-    group_radius: float = 120.0
-    #: Manhattan parameter (mobility_model == "manhattan").
-    n_streets: int = 7
 
     # -- churn (node disconnections; paper future work §7) -------------------------
     #: Mean connected time per peer (s); None disables churn.
     churn_uptime: Optional[float] = None
     #: Mean disconnected time before rejoining (s).
     churn_downtime: float = 60.0
-    #: Fraction of departures that are sudden crashes (no key handoff);
-    #: the paper assumes "most users quit the network gracefully".
-    churn_crash_fraction: float = 0.1
 
     # -- data set ----------------------------------------------------------------
     n_items: int = 1000
@@ -173,10 +222,6 @@ class SimulationConfig:
     #: Retry budget per remote phase (home / replica); 0 disables
     #: in-phase retries.
     resilience_retries: int = 1
-    #: Jitter fraction in [0, 1]: each backoff delay is stretched by a
-    #: uniform factor in [1, 1 + jitter), drawn from the dedicated
-    #: "resilience" RNG stream (0 disables the draw entirely).
-    resilience_backoff_jitter: float = 0.1
     #: Total latency budget per request (s): once spent, the request
     #: fails fast instead of serially exhausting the remaining phase
     #: timers.  The default sits just under the full three-phase ladder
@@ -184,11 +229,6 @@ class SimulationConfig:
     #: only trims the exhausted tail and never starves the replica
     #: phase of its window.  None disables deadlines.
     request_deadline: Optional[float] = 6.0
-    #: Home-region suspicion threshold: consecutive home-phase timeouts
-    #: needed (each +1, α-decayed on success) before the breaker trips.
-    resilience_suspect_after: float = 3.0
-    #: Open-breaker cool-down before a half-open probe is let through (s).
-    resilience_breaker_cooldown: float = 10.0
 
     # -- fault injection (repro.faults) ----------------------------------------------------------
     #: Declarative fault schedule (message drop/duplicate/delay/reorder,
@@ -204,80 +244,19 @@ class SimulationConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        # A float count crashed construction deep in the grid tiling or
-        # numpy; a bool passed as a count of 1.
-        for name in ("n_nodes", "n_regions"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
-        if self.n_regions <= 0:
-            raise ValueError(f"n_regions must be positive, got {self.n_regions}")
-        if not 0.0 <= self.cache_fraction <= 1.0:
-            raise ValueError(f"cache_fraction must be in [0, 1], got {self.cache_fraction}")
-        # A NaN or infinite plane, range or item size got through and
-        # crashed construction inside numpy without naming the field
-        # (an infinite range ran as one grid cell holding every node).
-        for name in ("width", "height", "range_m", "min_item_bytes"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.min_item_bytes <= self.max_item_bytes < math.inf:
+        values = vars(self)
+        if self.popularity_shift_at == math.inf:
+            # A shift at or past duration is legal and never fires.
+            values = {**values, "popularity_shift_at": None}
+        check_numbers(values, _NUMERIC_FIELDS, _AT_MOST)
+        if self.max_item_bytes < self.min_item_bytes:
             raise ValueError(
-                f"max_item_bytes must be finite and >= min_item_bytes "
+                f"max_item_bytes must be >= min_item_bytes "
                 f"({self.min_item_bytes}), got {self.max_item_bytes}"
-            )
-        # NaN passed "< 0" tests downstream and ran silently skewed: a NaN
-        # (or infinite) Zipf skew draws the same key every time.
-        for name in ("zipf_theta", "gdld_wr", "gdld_wd", "gdld_ws"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        # NaN and inf intervals crash the workload's uniform draws mid-run.
-        if not 0.0 < self.t_request < math.inf:
-            raise ValueError(
-                f"t_request must be positive and finite, got {self.t_request}"
-            )
-        if self.t_update is not None and not 0.0 < self.t_update < math.inf:
-            raise ValueError(
-                f"t_update must be positive and finite (None disables "
-                f"updates), got {self.t_update}"
-            )
-        # A non-finite duration never reaches its stop time.
-        if not math.isfinite(self.duration):
-            raise ValueError(f"duration must be finite, got {self.duration}")
-        # NaN or a negative time cannot be scheduled; a shift at or past
-        # duration is legal and never fires.
-        if self.popularity_shift_at is not None and not self.popularity_shift_at >= 0:
-            raise ValueError(
-                f"popularity_shift_at must be >= 0 (None disables the shift), "
-                f"got {self.popularity_shift_at}"
-            )
-        for name in ("warmup", "idle_power_mw", "local_timeout", "home_timeout",
-                     "replica_timeout", "poll_timeout", "pause_time", "default_ttr"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        # A negative or NaN speed fails every "> 0" test downstream and
-        # would silently run a static topology.
-        if self.max_speed is not None and not 0.0 <= self.max_speed < math.inf:
-            raise ValueError(
-                f"max_speed must be a finite speed >= 0 (0 or None selects a "
-                f"stationary topology), got {self.max_speed}"
             )
         if self.warmup >= self.duration:
             raise ValueError(
                 f"warmup ({self.warmup}) must be shorter than duration ({self.duration})"
-            )
-        if not self.bandwidth_bps > 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {self.bandwidth_bps}")
-        if self.static_capacity_fraction is not None and not (
-            0.0 < self.static_capacity_fraction <= 1.0
-        ):
-            raise ValueError(
-                f"static_capacity_fraction must be in (0, 1] (None disables it), "
-                f"got {self.static_capacity_fraction}"
             )
         if self.replacement_policy not in ("gd-ld", "gd-size", "lru", "lfu"):
             raise ValueError(f"unknown replacement policy {self.replacement_policy!r}")
@@ -295,42 +274,10 @@ class SimulationConfig:
             "stationary",
         ):
             raise ValueError(f"unknown mobility model {self.mobility_model!r}")
-        # Timer periods: a zero period reschedules its timer at the same
-        # instant forever, so the clock never advances.
-        for name in ("gpsr_beacon_interval", "churn_uptime"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(
-                    f"{name} must be positive (None disables it), got {value}"
-                )
-        for name in ("digest_interval", "prefetch_interval", "churn_downtime"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 <= self.churn_crash_fraction <= 1.0:
-            raise ValueError(
-                f"churn_crash_fraction must be in [0, 1], got {self.churn_crash_fraction}"
-            )
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError(
                 f"fault_plan must be a repro.faults.FaultPlan, got {self.fault_plan!r}"
             )
-        if self.resilience_retries < 0:
-            raise ValueError(
-                f"resilience_retries must be >= 0, got {self.resilience_retries}"
-            )
-        if not 0.0 <= self.resilience_backoff_jitter <= 1.0:
-            raise ValueError(
-                f"resilience_backoff_jitter must be in [0, 1], got {self.resilience_backoff_jitter}"
-            )
-        if self.request_deadline is not None and not self.request_deadline > 0:
-            raise ValueError(
-                f"request_deadline must be positive, got {self.request_deadline}"
-            )
-        for name in ("resilience_suspect_after", "resilience_breaker_cooldown"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def cache_capacity_bytes_hint(self) -> float:

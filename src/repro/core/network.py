@@ -79,6 +79,14 @@ HELLO_BEACON_BYTES = 24.0
 #: needs before it is prefetch-worthy.
 PREFETCH_BATCH = 1
 PREFETCH_MIN_COUNT = 2
+#: RPGM groups and their radius (m) for ``mobility_model="group"``, and
+#: streets per axis for ``"manhattan"``.
+GROUP_COUNT = 6
+GROUP_RADIUS = 120.0
+N_STREETS = 7
+#: Fraction of churn departures that are sudden crashes (no key
+#: handoff); the paper assumes "most users quit the network gracefully".
+CHURN_CRASH_FRACTION = 0.1
 
 
 def build_radio(
@@ -107,7 +115,7 @@ def build_radio(
             cfg.width,
             cfg.height,
             rng=rngs.get("mobility"),
-            n_streets=cfg.n_streets,
+            n_streets=N_STREETS,
             max_speed=cfg.max_speed,
         )
     elif cfg.mobility_model == "group":
@@ -118,8 +126,8 @@ def build_radio(
             cfg.width,
             cfg.height,
             rng=rngs.get("mobility"),
-            n_groups=cfg.group_count,
-            group_radius=cfg.group_radius,
+            n_groups=GROUP_COUNT,
+            group_radius=GROUP_RADIUS,
             max_speed=cfg.max_speed,
             pause_time=cfg.pause_time,
         )
@@ -790,7 +798,7 @@ class PReCinCtNetwork:
     #
     # Each peer alternates between connected and disconnected states.
     # Up-times and down-times are exponential; each departure is graceful
-    # (keys handed off first) or a crash, per the configured crash fraction.
+    # (keys handed off first) or a crash, with probability CHURN_CRASH_FRACTION.
 
     def _churn_up(self, peer_id: int) -> None:
         """The peer is connected: draw its up-time, schedule its departure."""
@@ -801,7 +809,7 @@ class PReCinCtNetwork:
         cfg = self.cfg
         rng = self.rngs.get("churn")
         peer = self.peers[peer_id]
-        graceful = bool(rng.random() >= cfg.churn_crash_fraction)
+        graceful = bool(rng.random() >= CHURN_CRASH_FRACTION)
         peer.prepare_departure(graceful)
         self.network.fail_node(peer_id)
         self.stats.count("churn.departures")

@@ -28,7 +28,18 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
+from repro.checks import check_numbers
+
 __all__ = ["Observers"]
+
+#: The numeric options, in the rows of :func:`~repro.checks.check_numbers`:
+#: option, integral, whether 0 is allowed, and what None means.
+_NUMERIC_OPTIONS = (
+    ("trace_sample_rate", False, True, None),  # 0: trace nothing
+    ("telemetry_interval", False, False, None),
+    ("recorder_max_dumps", True, False, None),
+    ("watch_interval", False, False, None),
+)
 
 
 class Observers:
@@ -88,26 +99,11 @@ class Observers:
         watch_interval: float = 1.0,
         dashboard_out=None,
     ):
-        if not 0.0 <= trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in [0, 1], got {trace_sample_rate}"
-            )
-        if telemetry_interval <= 0:
-            raise ValueError(
-                f"telemetry_interval must be positive, got {telemetry_interval}"
-            )
-        if recorder_max_dumps <= 0:
-            raise ValueError(
-                f"recorder_max_dumps must be positive, got {recorder_max_dumps}"
-            )
+        check_numbers(locals(), _NUMERIC_OPTIONS, {"trace_sample_rate": 1.0})
         if dashboard_mode not in ("auto", "ansi", "plain"):
             raise ValueError(
                 f"dashboard_mode must be 'auto', 'ansi', or 'plain', "
                 f"got {dashboard_mode!r}"
-            )
-        if watch_interval <= 0:
-            raise ValueError(
-                f"watch_interval must be positive, got {watch_interval}"
             )
         if anomaly_rules:
             from repro.obs.anomaly import AnomalyRule

@@ -54,11 +54,18 @@ ROUTE_STEER = "steer"
 ROUTE_PROBE = "probe"
 
 #: Constants of :meth:`ResilienceManager.from_config` (never set per run):
-#: first-retry delay (s), backoff multiplier per attempt, and the
-#: suspicion decay on success (eq. 2's α).
+#: first-retry delay (s), backoff multiplier per attempt, the jitter
+#: fraction stretching each delay by a uniform factor in [1, 1 + jitter)
+#: (drawn from the "resilience" RNG stream), the suspicion decay on
+#: success (eq. 2's α), the home-region suspicion that trips the
+#: breaker (each home-phase timeout adds 1), and the open breaker's
+#: cool-down before a half-open probe (s).
 BACKOFF_BASE = 0.5
 BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.1
 SUSPICION_ALPHA = 0.5
+SUSPECT_AFTER = 3.0
+BREAKER_COOLDOWN = 10.0
 
 
 class ResilienceManager:
@@ -129,16 +136,16 @@ class ResilienceManager:
             backoff = BackoffPolicy(
                 base=BACKOFF_BASE,
                 factor=BACKOFF_FACTOR,
-                jitter=cfg.resilience_backoff_jitter,
+                jitter=BACKOFF_JITTER,
                 rng=rng,
             )
         return cls(
             retries=cfg.resilience_retries,
             deadline=cfg.request_deadline,
             backoff=backoff,
-            suspect_after=cfg.resilience_suspect_after,
+            suspect_after=SUSPECT_AFTER,
             alpha=SUSPICION_ALPHA,
-            cooldown=cfg.resilience_breaker_cooldown,
+            cooldown=BREAKER_COOLDOWN,
             stats=stats,
             event_hook=event_hook,
         )

@@ -32,14 +32,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.checks import check_numbers
 from repro.service.clock import WallClock
-from repro.service.server import check_numbers
 from repro.workload.zipf import ZipfSampler
 
 __all__ = ["LoadGenConfig", "LoadSummary", "run_loadgen"]
 
 #: ``LoadGenConfig``'s numbers, in the rows of ``ServiceConfig``'s table
-#: (:func:`~repro.service.server.check_numbers`).
+#: (:func:`~repro.checks.check_numbers`).
 _NUMERIC_FIELDS = (
     ("port", True, False, None),
     ("clients", True, False, None),
@@ -82,7 +82,7 @@ class LoadGenConfig:
     expect_hit_ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
-        check_numbers(self, _NUMERIC_FIELDS, _AT_MOST)
+        check_numbers(vars(self), _NUMERIC_FIELDS, _AT_MOST)
 
 
 @dataclass

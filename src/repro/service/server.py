@@ -92,8 +92,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
-import numbers
 import re
 import signal
 import sys
@@ -109,6 +107,7 @@ from repro.core.consistency import (
     PullEveryTime,
     PushAdaptivePull,
 )
+from repro.checks import check_numbers
 from repro.core.messages import Invalidation, UpdatePush
 from repro.ports import CounterStatSink
 from repro.resilience.backoff import BackoffPolicy
@@ -156,40 +155,6 @@ def build_scheme(name: str) -> ConsistencyScheme:
             f"unknown consistency scheme {name!r} "
             f"(choose from {sorted(_SCHEMES)})"
         ) from None
-
-
-def check_numbers(config, table, at_most: Dict[str, float]) -> None:
-    """Refuse a bad number in ``config`` by its field's name.
-
-    ``table`` rows are (field, integral, whether 0 is allowed, what None
-    means where None is a setting); ``at_most`` bounds fields from
-    above.  No number is a bool, none is negative, every real is
-    finite, and None only stands where its row says what it means.
-    """
-    for name, integral, zero_ok, none_means in table:
-        value = getattr(config, name)
-        if value is None and none_means:
-            continue
-        kind = numbers.Integral if integral else numbers.Real
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, kind)
-            or not (integral or math.isfinite(value))
-        ):
-            raise ValueError(
-                f"{name} must be "
-                f"{'an integer' if integral else 'a finite number'}, "
-                f"got {value!r}"
-            )
-        if value < 0 or (value == 0 and not zero_ok):
-            raise ValueError(
-                f"{name} must be {'>= 0' if zero_ok else 'positive'}, "
-                f"got {value!r}"
-            )
-        if name in at_most and value > at_most[name]:
-            raise ValueError(
-                f"{name} must be <= {at_most[name]}, got {value!r}"
-            )
 
 
 #: ``ServiceConfig``'s numbers: field, integral, whether 0 is allowed,
@@ -262,7 +227,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         # A float shard count ran int(n_shards) shards and reported the
         # float.
-        check_numbers(self, _NUMERIC_FIELDS, {"port": 65535})
+        check_numbers(vars(self), _NUMERIC_FIELDS, {"port": 65535})
         if self.consistency not in _SCHEMES:
             raise ValueError(
                 f"unknown consistency scheme {self.consistency!r} "

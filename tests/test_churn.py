@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core import network as network_module
 from repro.core.network import PReCinCtNetwork
 from tests.conftest import tiny_config
 
@@ -32,19 +33,22 @@ class TestChurn:
         assert report.requests_served > 0
         assert report.delivery_ratio > 0.5
 
-    def test_graceful_fraction_respected(self):
-        net, _ = run_churn(churn_crash_fraction=0.0)
+    def test_graceful_fraction_respected(self, monkeypatch):
+        monkeypatch.setattr(network_module, "CHURN_CRASH_FRACTION", 0.0)
+        net, _ = run_churn()
         assert net.stats.value("churn.graceful") == net.stats.value("churn.departures")
 
-    def test_all_crashes_allowed(self):
-        net, report = run_churn(churn_crash_fraction=1.0)
+    def test_all_crashes_allowed(self, monkeypatch):
+        monkeypatch.setattr(network_module, "CHURN_CRASH_FRACTION", 1.0)
+        net, report = run_churn()
         assert net.stats.value("churn.graceful") == 0
         assert report.requests_served > 0
 
-    def test_churn_generates_handoffs(self):
+    def test_churn_generates_handoffs(self, monkeypatch):
         """Custody moves around under churn: graceful departures hand
         keys off, and crashed peers re-deliver them on rejoin."""
-        net, _ = run_churn(churn_crash_fraction=0.0, duration=300.0, seed=31)
+        monkeypatch.setattr(network_module, "CHURN_CRASH_FRACTION", 0.0)
+        net, _ = run_churn(duration=300.0, seed=31)
         assert net.stats.value("peer.handoffs_received") > 0
 
     def test_custody_never_exceeds_initial(self):
@@ -60,7 +64,9 @@ class TestChurn:
         assert net.stats.value("churn.departures") == 0
 
     def test_crash_fraction_validation(self):
-        with pytest.raises(ValueError):
+        # A constant of the churn model, not settable per run.
+        assert network_module.CHURN_CRASH_FRACTION == 0.1
+        with pytest.raises(TypeError):
             SimulationConfig(churn_crash_fraction=1.5)
 
     def test_dead_peer_does_not_serve(self):

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core import network as network_module
 from repro.obs import Observers
 from repro.resilience.manager import (
     BACKOFF_BASE,
     BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BREAKER_COOLDOWN,
+    SUSPECT_AFTER,
     SUSPICION_ALPHA,
     ResilienceManager,
 )
@@ -127,8 +131,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", [
         "zipf_theta", "gdld_wr", "gdld_wd", "gdld_ws", "default_ttr",
-        "pause_time", "request_deadline", "resilience_suspect_after",
-        "resilience_breaker_cooldown",
+        "pause_time", "request_deadline",
     ])
     def test_rejects_nan(self, field):
         # Each passed a "<= 0" or "< 0" test and ran silently skewed:
@@ -154,7 +157,6 @@ class TestValidation:
         ("min_item_bytes", 0.0), ("max_item_bytes", 512.0),
         ("zipf_theta", -0.5), ("gdld_wd", -1.0), ("default_ttr", -1.0),
         ("pause_time", -1.0), ("request_deadline", 0.0),
-        ("resilience_suspect_after", 0.0), ("resilience_breaker_cooldown", -1.0),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -229,7 +231,22 @@ class TestConfigIsTheRunIdentity:
         assert manager.backoff.base == BACKOFF_BASE
         assert manager.backoff.factor == BACKOFF_FACTOR
         assert manager.detector.alpha == SUSPICION_ALPHA
+        # Seven extension knobs no run varied are constants at their one
+        # reader, each equal to the field's old default.
+        for gone in ("group_count", "group_radius", "n_streets",
+                     "churn_crash_fraction", "resilience_backoff_jitter",
+                     "resilience_suspect_after", "resilience_breaker_cooldown"):
+            assert gone not in names
+        with pytest.raises(TypeError):
+            SimulationConfig(resilience_suspect_after=5.0)
+        assert (network_module.GROUP_COUNT, network_module.GROUP_RADIUS,
+                network_module.N_STREETS,
+                network_module.CHURN_CRASH_FRACTION) == (6, 120.0, 7, 0.1)
+        assert (BACKOFF_JITTER, SUSPECT_AFTER, BREAKER_COOLDOWN) == (0.1, 3.0, 10.0)
+        assert manager.backoff.jitter == BACKOFF_JITTER
+        assert manager.detector.threshold == SUSPECT_AFTER
+        assert manager.cooldown == BREAKER_COOLDOWN
 
     def test_field_count_ratchet(self):
         # Only ever lower this bound (ROADMAP item 10).
-        assert len(fields(SimulationConfig)) <= 55
+        assert len(fields(SimulationConfig)) <= 48

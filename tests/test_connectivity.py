@@ -8,6 +8,7 @@ from repro.analysis.connectivity import (
     analyze_connectivity,
     components,
 )
+from repro.core import network as network_module
 from repro.core.network import PReCinCtNetwork
 from tests.conftest import make_static_network, tiny_config
 
@@ -72,15 +73,15 @@ class TestAnalyze:
         text = str(report)
         assert "2 component" in text and "80 %" in text
 
-    def test_group_mobility_partitions_more(self):
+    def test_group_mobility_partitions_more(self, monkeypatch):
         """The diagnosis behind the group-mobility delivery drop."""
+        monkeypatch.setattr(network_module, "GROUP_COUNT", 3)
+        monkeypatch.setattr(network_module, "GROUP_RADIUS", 80.0)
         rw = PReCinCtNetwork(tiny_config(max_speed=8.0, seed=61))
         grouped = PReCinCtNetwork(
             tiny_config(
                 max_speed=8.0,
                 mobility_model="group",
-                group_count=3,
-                group_radius=80.0,
                 seed=61,
             )
         )

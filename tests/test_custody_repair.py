@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import network as network_module
 from repro.core.network import PReCinCtNetwork
 from tests.conftest import tiny_config
 from tests.test_peer_protocol import make_net
@@ -71,12 +72,12 @@ class TestRepairMechanics:
 
 
 class TestRepairEndToEnd:
-    def test_churn_run_repairs_custody(self):
+    def test_churn_run_repairs_custody(self, monkeypatch):
+        monkeypatch.setattr(network_module, "CHURN_CRASH_FRACTION", 0.0)
         net = PReCinCtNetwork(
             tiny_config(
                 churn_uptime=60.0,
                 churn_downtime=30.0,
-                churn_crash_fraction=0.0,
                 duration=300.0,
                 warmup=50.0,
                 seed=43,

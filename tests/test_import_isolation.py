@@ -47,15 +47,16 @@ sys.meta_path.insert(0, Blocker())
 #: Every ``repro`` module ``import repro.service.server,
 #: repro.service.loadgen`` loads, sorted.
 SERVICE_IMPORT_SET = [
-    "repro", "repro.core", "repro.core.cache", "repro.core.consistency",
-    "repro.core.geohash", "repro.core.messages", "repro.core.regions",
-    "repro.core.replacement", "repro.geom", "repro.ports", "repro.resilience",
-    "repro.resilience.backoff", "repro.resilience.breaker",
-    "repro.resilience.detector", "repro.resilience.manager", "repro.service",
-    "repro.service.chaos", "repro.service.clock", "repro.service.core",
-    "repro.service.faultplan", "repro.service.loadgen", "repro.service.origin",
-    "repro.service.routing", "repro.service.server", "repro.service.supervision",
-    "repro.workload", "repro.workload.database", "repro.workload.zipf",
+    "repro", "repro.checks", "repro.core", "repro.core.cache",
+    "repro.core.consistency", "repro.core.geohash", "repro.core.messages",
+    "repro.core.regions", "repro.core.replacement", "repro.geom",
+    "repro.ports", "repro.resilience", "repro.resilience.backoff",
+    "repro.resilience.breaker", "repro.resilience.detector",
+    "repro.resilience.manager", "repro.service", "repro.service.chaos",
+    "repro.service.clock", "repro.service.core", "repro.service.faultplan",
+    "repro.service.loadgen", "repro.service.origin", "repro.service.routing",
+    "repro.service.server", "repro.service.supervision", "repro.workload",
+    "repro.workload.database", "repro.workload.zipf",
 ]
 
 

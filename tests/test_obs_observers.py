@@ -84,10 +84,15 @@ class TestOptionValidation:
             ({"watch_interval": -1.0}, "watch_interval"),
             ({"telemetry": True, "anomaly_rules": ("not a rule",)},
              "anomaly rule"),
+            ({"telemetry_interval": float("nan")}, "^telemetry_interval"),
+            ({"watch_interval": float("inf")}, "^watch_interval"),
+            ({"recorder_max_dumps": 2.5}, "^recorder_max_dumps"),
         ],
         ids=["rate-above-1", "telemetry-interval-zero", "max-dumps-zero",
              "dashboard-mode", "watch-interval-zero",
-             "watch-interval-negative", "bad-rule-spec"],
+             "watch-interval-negative", "bad-rule-spec",
+             "telemetry-interval-nan", "watch-interval-inf",
+             "max-dumps-fraction"],
     )
     def test_bad_values_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):

@@ -65,8 +65,8 @@ class TestSpec:
         cfg = replace(
             MINI,
             width=900.0, range_m=200.0, idle_power_mw=900.0,
-            mobility_model="group", group_count=3,
-            churn_uptime=300.0, churn_crash_fraction=0.5,
+            mobility_model="group", pause_time=2.0,
+            churn_uptime=300.0, churn_downtime=30.0,
             min_item_bytes=512.0,
             t_update=40.0, popularity_shift_at=30.0,
             cache_fraction=0.02, gdld_wd=0.5, static_capacity_fraction=0.1,

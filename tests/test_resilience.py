@@ -344,9 +344,8 @@ class TestResilienceManager:
     def test_from_config(self):
         cfg = SimulationConfig(
             resilience=True, resilience_retries=2, request_deadline=7.0,
-            resilience_backoff_jitter=0.0,
         )
-        mgr = ResilienceManager.from_config(cfg)
+        mgr = ResilienceManager.from_config(cfg, rng=np.random.default_rng(0))
         assert mgr.retries == 2
         assert mgr.deadline == 7.0
         assert mgr.backoff is not None
@@ -579,8 +578,6 @@ class TestBreakerEndToEnd:
             resilience=True,
             resilience_retries=0,
             request_deadline=None,
-            resilience_suspect_after=3.0,
-            resilience_breaker_cooldown=10.0,
         )
         for i in range(8):
             net.sim.schedule(1.0 + 4.0 * i, requester.request, key)

@@ -13,6 +13,7 @@ pytest-asyncio dependency); deterministic timing uses ManualClock.
 
 import asyncio
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -26,8 +27,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import config as config_module
+from repro.config import SimulationConfig
 from repro.core.consistency import PushAdaptivePull
 from repro.core.invariants import check_cache
+from repro.obs import Observers
+from repro.obs import observers as observers_module
 from repro.ports import CounterStatSink
 from repro.resilience.manager import ResilienceManager
 from repro.service import (
@@ -125,6 +130,47 @@ class TestShardRouting:
                 assert distance == math.hypot(x - cx, y - cy)
 
 
+#: Every config whose numbers go through ``repro.checks.check_numbers``,
+#: with its table of numeric fields.
+CHECKED_CONFIGS = {
+    "SimulationConfig": (SimulationConfig, config_module._NUMERIC_FIELDS),
+    "ServiceConfig": (ServiceConfig, server_module._NUMERIC_FIELDS),
+    "LoadGenConfig": (LoadGenConfig, loadgen_module._NUMERIC_FIELDS),
+    "Observers": (Observers, observers_module._NUMERIC_OPTIONS),
+}
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, -1, -1.5, True, "3", None]
+#: The probes a config accepts, each with its reason: None where its
+#: table row says what None means, and one legal infinity.
+ACCEPTED = {
+    **{(config, name, None): none_means
+       for config, (_, table) in CHECKED_CONFIGS.items()
+       for name, _, _, none_means in table if none_means},
+    ("SimulationConfig", "popularity_shift_at", math.inf):
+        "a shift at or past duration never fires",
+}
+
+
+def annotated_numbers(cls):
+    """Each numeric field (or keyword) of ``cls`` -> its annotation."""
+    if dataclasses.is_dataclass(cls):
+        pairs = [(f.name, f.type) for f in dataclasses.fields(cls)]
+    else:
+        pairs = [(p.name, p.annotation)
+                 for p in inspect.signature(cls).parameters.values()]
+    return {name: kind for name, kind in pairs
+            if kind in ("int", "float", "Optional[int]", "Optional[float]")}
+
+
+def probe(config, name, bad):
+    """``bad`` is accepted with a reason, or refused by ``name``."""
+    cls, _ = CHECKED_CONFIGS[config]
+    if (config, name, bad) in ACCEPTED:
+        cls(**{name: bad})
+        return
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        cls(**{name: bad})
+
+
 #: Every numeric ``ServiceConfig`` field, read off its annotation.
 NUMERIC_FIELDS = [
     f.name for f in dataclasses.fields(ServiceConfig)
@@ -141,6 +187,24 @@ INTEGRAL_FIELDS = [name for name, integral, _, _
 
 
 class TestConfigNumbers:
+    @pytest.mark.parametrize("config", sorted(CHECKED_CONFIGS))
+    def test_every_numeric_field_is_in_its_table(self, config):
+        cls, table = CHECKED_CONFIGS[config]
+        numbers = annotated_numbers(cls)
+        assert sorted(numbers) == sorted(name for name, _, _, _ in table)
+        for name, integral, _, none_means in table:
+            assert integral == ("int" in numbers[name]), name
+            assert bool(none_means) == numbers[name].startswith("Optional"), name
+
+    @pytest.mark.parametrize("config, name, bad", [
+        pytest.param(config, name, bad, id=f"{config}-{name}-{bad!r}")
+        for config, (_, table) in CHECKED_CONFIGS.items()
+        for name, _, _, _ in table
+        for bad in BAD_NUMBERS
+    ])
+    def test_every_config_refuses_a_bad_number_by_name(self, config, name, bad):
+        probe(config, name, bad)
+
     def test_every_numeric_field_is_checked(self):
         assert len(dataclasses.fields(ServiceConfig)) == 23
         assert sorted(NUMERIC_FIELDS) == sorted(
@@ -157,11 +221,7 @@ class TestConfigNumbers:
         ids=repr,
     )
     def test_a_bad_number_is_refused_by_name(self, name, bad):
-        if bad is None and name in NONE_IS_A_SETTING:
-            ServiceConfig(**{name: None})  # allowed: see _NUMERIC_FIELDS
-            return
-        with pytest.raises(ValueError, match=rf"^{name} must be"):
-            ServiceConfig(**{name: bad})
+        probe("ServiceConfig", name, bad)
 
     @pytest.mark.parametrize("name", INTEGRAL_FIELDS)
     def test_an_integer_field_refuses_a_fraction(self, name):
@@ -211,11 +271,7 @@ class TestLoadGenConfigNumbers:
         ids=repr,
     )
     def test_a_bad_number_is_refused_by_name(self, name, bad):
-        if bad is None and name in LOADGEN_NONE_IS_A_SETTING:
-            LoadGenConfig(**{name: None})  # allowed: see _NUMERIC_FIELDS
-            return
-        with pytest.raises(ValueError, match=rf"^{name} must be"):
-            LoadGenConfig(**{name: bad})
+        probe("LoadGenConfig", name, bad)
 
     @pytest.mark.parametrize("name", [
         name for name, integral, _, _ in loadgen_module._NUMERIC_FIELDS
