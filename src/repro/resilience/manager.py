@@ -129,8 +129,9 @@ class ResilienceManager:
         self._retry_attempts: Dict[int, int] = {}
 
     @classmethod
-    def from_config(cls, cfg, rng=None, stats=None, event_hook=None):
-        """Build from a :class:`repro.config.SimulationConfig`."""
+    def from_config(cls, cfg, rng, stats=None, event_hook=None):
+        """Build from a :class:`repro.config.SimulationConfig`; ``rng``
+        (the run's "resilience" stream) draws the backoff jitter."""
         backoff = None
         if cfg.resilience_retries > 0:
             backoff = BackoffPolicy(

@@ -30,15 +30,16 @@ await-free path.  There an unsteered read — ``hit-fresh``, ``miss``,
 (``put(..., line=True)``) come back as their wire line up to the
 latency stamp, with no response object and no ``json`` call; a fresh
 hit's line is memoized per cached copy, since nothing in it changes
-between hits of one version of one copy.  Every other outcome is a
-:class:`CacheResponse`, and its :meth:`~CacheResponse.encode` calls the
-same writer, :func:`_line_head`, the one spelling of the member order.
-:meth:`CacheService.get` starts with :meth:`get_nowait`, asking for
-objects; the rest waits on the origin in the op's own task,
-under one timer armed for the request's absolute deadline
-(:class:`_Deadline`), and both paths end in the same breaker verdict
-and settle step.  A budget already spent answers without calling the
-origin.  Concurrent gets for the
+between hits of one version of one copy, and a miss's fills a
+per-shard template.  Every other outcome is a :class:`CacheResponse`,
+and its :meth:`~CacheResponse.encode` calls the same writer,
+:func:`_line_head`, the one spelling of the member order (it writes the
+templates too).  :meth:`CacheService.get` starts with
+:meth:`get_nowait`, asking for objects; the rest waits on the origin
+in the op's own task, under one timer armed for the request's absolute
+deadline (:class:`_Deadline`).  A budget already spent answers without
+calling the origin.  Whatever the origin answers, inline or awaited,
+settles in one pass, :meth:`CacheService._settle`.  Concurrent gets for the
 same missing key coalesce on one origin fetch (dog-pile protection):
 the first waiter runs it and resolves a future the followers wait on,
 each under its own deadline; if the first waiter times out or is
@@ -52,7 +53,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.cache import CachedCopy, PeerCache
 from repro.core.consistency import ConsistencyScheme, PushAdaptivePull
@@ -147,12 +148,18 @@ def _line_head(
     ``extra`` value is ``true``/``false`` and a string goes through the
     C string encoder ``json.dumps`` itself uses; only a value of some
     other type reaches ``json.dumps``.
+
+    ``key``, ``version`` and ``size_bytes`` may each be a ``%`` slot (a
+    str such as ``"%d"``), written as is: the head is then a template
+    (given bool ``extra`` values only, it holds no other ``%``).
     """
     tail = ""
-    if version >= 0:
+    if type(version) is str or version >= 0:
         tail = f', "version": {version}'
     if size_bytes:
-        tail += f', "size_bytes": {_float_repr(size_bytes)}'
+        if type(size_bytes) is not str:
+            size_bytes = _float_repr(size_bytes)
+        tail += f', "size_bytes": {size_bytes}'
     if extra:
         for name, value in extra.items():
             if type(name) is str and type(value) is bool:
@@ -288,6 +295,19 @@ class CacheService:
         #: outgrows ``cache.entries``; an in-place version bump (an
         #: UpdatePush) rebuilds it on the next hit.
         self._hit_lines: Dict[int, Tuple[int, float, bytes]] = {}
+        #: Line heads of an unsteered read the origin served, by status
+        #: and admission verdict: templates of key, version, size text.
+        self._origin_lines = {
+            (status, admitted): _line_head(
+                "get", "%d", status, self.shard_id, "origin", "%d", "%b",
+                {"admitted": admitted},
+            )
+            for status in ("miss", "refreshed") for admitted in (False, True)
+        }
+        #: Each item size the origin served here, as the line writes it:
+        #: a float's repr costs more than the rest of a miss line.  At
+        #: most one entry per item, since sizes never change.
+        self._size_texts: Dict[float, bytes] = {}
 
     # -- read path -----------------------------------------------------------
 
@@ -357,13 +377,11 @@ class CacheService:
             )
         ):
             return None
-        self._book_get(key)
         if entry is None:
             # Steered, or no breaker open (checked above): _route_home
-            # would pass.
-            self.stats.count("cache.origin_fetches")
-            item = self.origin.fetch_nowait(key)
-            return self._settle(key, None, item, False, steered, now, line)
+            # would pass, and _settle books and fetches.
+            return self._settle(key, None, None, False, steered, now, line)
+        self._book_get(key)
         degraded, probe = self._route_home(key, entry, now, steered)
         if degraded is not None:
             return degraded
@@ -409,7 +427,7 @@ class CacheService:
         except DeadlineExceeded:
             now = self.clock.now()
             self.stats.count("resilience.deadline_exceeded")
-            self._origin_outcome(False, probe, now)
+            self._origin_failed(probe, now)
             if entry is not None:
                 return self._serve_degraded(key, entry, now, reason="deadline")
             self.stats.count("cache.deadline_miss")
@@ -421,7 +439,7 @@ class CacheService:
             # The retry budget is spent and every attempt failed: book
             # the brownout against the breaker and degrade the serve.
             now = self.clock.now()
-            self._origin_outcome(False, probe, now)
+            self._origin_failed(probe, now)
             return self._serve_degraded(key, entry, now, reason="origin-error")
         return self._settle(
             key, entry, item, probe, steered, self.clock.now(), False
@@ -510,8 +528,7 @@ class CacheService:
             validated_at=copy.validated_at,
             last_access=now,
         )
-        self._evicted(self.cache.insert(clone, now))
-        return key in self.cache
+        return self._admit(clone, now)
 
     # -- custodian hooks (driven by the server's transport adapter) ----------
 
@@ -537,7 +554,7 @@ class CacheService:
                 entry.ttr = item.ttr
             self.stats.count("consistency.push_refreshed")
         elif PeerCache.should_admit(home, self.shard_id):
-            self._admit(item, now)
+            self._admit(self._origin_copy(item, now), now)
             self.stats.count("consistency.push_admitted")
 
     def apply_invalidation(self, msg: Invalidation) -> None:
@@ -650,49 +667,68 @@ class CacheService:
         self,
         key: int,
         entry: Optional[CachedCopy],
-        item: DataItem,
+        item: Optional[DataItem],
         probe: bool,
         steered: bool,
         now: float,
         line: bool,
     ) -> Union[bytes, CacheResponse]:
-        """The origin answered at ``now``: restart the copy's TTR window,
-        or admit the authoritative copy (§3.2-3.3, §4)."""
-        self._origin_outcome(True, probe, now)
+        """The origin answered at ``now``, inline or awaited: book the
+        breaker success, then restart the copy's TTR window or admit the
+        authoritative copy (§3.2-3.3, §4), and answer.  ``item`` None is
+        an inline miss, booked and fetched here first."""
+        stats = self.stats
+        if item is None:
+            self._book_get(key)
+            stats.count("cache.origin_fetches")
+            item = self.origin.fetch_nowait(key)
+        resilience = self.resilience
+        if resilience is not None:
+            if probe:
+                resilience.on_probe_result(self.shard_id, True, now)
+            else:
+                resilience.on_home_success(self.shard_id, now)
 
         if entry is not None and entry.version >= item.version:
             # Validation succeeded: restart the TTR window (§4).
             entry.validated_at = now
             entry.ttr = item.ttr
-            self.stats.count("cache.validations")
+            stats.count("cache.validations")
             return self._serve_local(
                 entry, now, "hit-validated", steered, line
             )
 
         # Miss (or stale copy superseded): admit the authoritative copy.
-        admitted = self._admit(item, now)
-        self.stats.count("cache.miss")
-        self.stats.count("cache.bytes_from_origin", item.size_bytes)
+        admitted = self._admit(self._origin_copy(item, now), now)
+        size = item.size_bytes
+        stats.count("cache.miss")
+        stats.count("cache.bytes_from_origin", size)
+        status = "miss" if entry is None else "refreshed"
+        if line and size:
+            text = self._size_texts.get(size)
+            if text is None:
+                text = self._size_texts[size] = _float_repr(size).encode()
+            return self._origin_lines[status, admitted] % (
+                key, item.version, text
+            )
         return self._respond(
-            line, "get", key, "miss" if entry is None else "refreshed",
-            "degraded" if steered else "origin",
-            item.version, item.size_bytes, {"admitted": admitted},
+            line, "get", key, status, "degraded" if steered else "origin",
+            item.version, size, {"admitted": admitted},
         )
 
-    def _origin_outcome(self, success: bool, probe: bool, now: float) -> None:
+    def _origin_failed(self, probe: bool, now: float) -> None:
+        """Book an origin call that failed or ran out of budget."""
         if self.resilience is None:
             return
         if probe:
-            self.resilience.on_probe_result(self.shard_id, success, now)
-        elif success:
-            self.resilience.on_home_success(self.shard_id, now)
+            self.resilience.on_probe_result(self.shard_id, False, now)
         else:
             self.resilience.on_home_timeout(self.shard_id, now)
 
-    def _admit(self, item: DataItem, now: float) -> bool:
-        """Admission + replacement for an authoritative copy (§3.2-3.3)."""
+    def _origin_copy(self, item: DataItem, now: float) -> CachedCopy:
+        """A copy of the authoritative ``item``, validated at ``now``."""
         # Positional: a keyword call costs the dataclass about as much again.
-        entry = CachedCopy(
+        return CachedCopy(
             item.key,
             item.size_bytes,
             item.version,
@@ -703,16 +739,18 @@ class CacheService:
             0.0,  # priority: primed by the insert
             now,  # last_access
         )
-        self._hit_lines.pop(item.key, None)  # re-admission: a new copy
-        self._evicted(self.cache.insert(entry, now))
-        return item.key in self.cache.entries
 
-    def _evicted(self, keys: List[int]) -> None:
-        """Copies an admission pushed out of the cache."""
-        if keys:
-            self.stats.count("cache.evictions", float(len(keys)))
-            for key in keys:
-                self._hit_lines.pop(key, None)
+    def _admit(self, copy: CachedCopy, now: float) -> bool:
+        """Admission + replacement (§3.2-3.3); whether ``copy`` got in.
+        Its key's old hit line goes, and so do those of its victims."""
+        hit_lines = self._hit_lines
+        hit_lines.pop(copy.key, None)
+        evicted = self.cache.insert(copy, now)
+        if evicted:
+            self.stats.count("cache.evictions", float(len(evicted)))
+            for key in evicted:
+                hit_lines.pop(key, None)
+        return copy.key in self.cache.entries
 
     async def _fetch_coalesced(self, key: int) -> DataItem:
         """One origin fetch per key, however many waiters pile on.

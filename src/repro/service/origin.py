@@ -154,12 +154,12 @@ class InMemoryOrigin:
     def fetch_nowait(self, key: int) -> DataItem:
         """:meth:`fetch` past its round trip (callers check :attr:`instant`)."""
         self.fetches += 1
-        return self.db[key]
+        return self.db.items[key]
 
     def validate_nowait(self, key: int) -> DataItem:
         """:meth:`validate` past its round trip (callers check :attr:`instant`)."""
         self.validations += 1
-        return self.db[key]
+        return self.db.items[key]
 
     # -- writes (synchronous: the origin is in-process ground truth) ---------
 

@@ -54,14 +54,15 @@ class ShardDirectory:
         locations = self.geohash.locations(n_items)
         homes, replicas = self.table.home_and_replica(locations)
         #: Per key, indexed by key: home, replica, hashed location.
-        self._homes: List[int] = homes.tolist()
+        self.homes: List[int] = homes.tolist()
         self._replicas: List[int] = replicas.tolist()
         self._locations: List[List[float]] = locations.tolist()
+        self._centers = {r: self.table.get(r).center for r in self.region_ids()}
 
     # -- PeerDirectory protocol ---------------------------------------------
 
     def home_region(self, key: int) -> int:
-        return self._homes[key]
+        return self.homes[key]
 
     def replica_region(self, key: int) -> int:
         return self._replicas[key]
@@ -76,9 +77,9 @@ class ShardDirectory:
         entries: how far the authoritative location of the key lies
         from the shard serving it.
         """
-        loc = self._locations[key]
-        center = self.table.get(region_id).center
-        return math.hypot(loc[0] - center[0], loc[1] - center[1])
+        x, y = self._locations[key]
+        cx, cy = self._centers[region_id]
+        return math.hypot(x - cx, y - cy)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardDirectory(n_shards={self.n_shards})"

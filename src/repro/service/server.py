@@ -44,7 +44,8 @@ What the server adds around the core:
   runs it in the read callback: no task at all, heartbeat stamped at
   the end of the read.
   Everything else takes the awaitable ``_get``/``_put``/``_submit``
-  path in one answer task;
+  path in one answer task.  One function,
+  :meth:`EdgeCacheServer._process`, makes that choice for every line;
 * **write dissemination** — an in-process
   :class:`~repro.ports.ConsistencyTransport`: an UpdatePush is applied
   at the home shard first (which folds eq. 2 into the TTR) and then at
@@ -889,74 +890,67 @@ class EdgeCacheServer:
     ) -> Union[bytes, "asyncio.Task[bytes]"]:
         """One request line in; its encoded response, or the task owing it.
 
-        The connection counts the line in ``service.requests``.
+        The one dispatch of every line (the connection counts it in
+        ``service.requests``).  A get/put/invalidate, its op bytes and
+        key read off :data:`_SHARD_OP_LINE` (or ``json.loads``), goes
+        to its home shard.  If the home worker is
+        :meth:`~_ShardWorker.idle`, a put and a get that needs no wait
+        (:meth:`CacheService.get_nowait`) run right here, the read stamps
+        the worker's heartbeat (:attr:`_ran_inline`), and a line head
+        gets only its latency added.  Every other op becomes one task on
+        the awaitable ``_get``/``_put``/``_submit`` path.
         """
         try:
             if len(line) > MAX_LINE:
                 raise ValueError(f"request line exceeds {MAX_LINE} bytes")
             shard_op = _SHARD_OP_LINE(line)
             if shard_op is not None:
-                op, key = shard_op.group(1).decode(), int(shard_op.group(2))
+                op, key = shard_op.groups()
+                key = int(key)
             else:
                 request = json.loads(line)
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
                 op, key = request.get("op"), request.get("key")
-            if op in ("get", "put", "invalidate"):
-                if type(key) is not int or not 0 <= key < self.cfg.n_items:
-                    raise ValueError(
-                        f"key must be an integer in [0, {self.cfg.n_items}), "
-                        f"got {key!r}"
-                    )
-                try:
-                    return self._shard_op(op, key, started)
-                except Exception as exc:  # noqa: BLE001 - an inline op raised
-                    response = self._op_failed(exc)
-            elif op == "stats":
-                response = self.describe()
-            elif op == "ping":
-                response = {"op": "ping", "ok": True, "t": self.clock.now()}
-            elif op == "chaos":
-                response = self._chaos(request)
-            else:
-                raise ValueError(f"unknown op {op!r}")
+                if op == "stats":
+                    return self._reply(self.describe(), started)
+                if op == "ping":
+                    ping = {"op": "ping", "ok": True, "t": self.clock.now()}
+                    return self._reply(ping, started)
+                if op == "chaos":
+                    return self._reply(self._chaos(request), started)
+                if op not in ("get", "put", "invalidate"):
+                    raise ValueError(f"unknown op {op!r}")
+                op = op.encode()
+            if type(key) is not int or not 0 <= key < self.cfg.n_items:
+                raise ValueError(
+                    f"key must be an integer in [0, {self.cfg.n_items}), "
+                    f"got {key!r}"
+                )
         except (ValueError, RecursionError) as exc:  # malformed request
-            response = {"ok": False, "error": str(exc)}
-        return self._encode(response, started)
-
-    def _shard_op(
-        self, op: str, key: int, started: float
-    ) -> Union[bytes, "asyncio.Task[bytes]"]:
-        """Run a get/put/invalidate inline if nothing has to be awaited.
-
-        The await-free path: when the home worker is
-        :meth:`~_ShardWorker.idle` - it would start this op next and
-        would not refuse it - a put and a get that needs no wait
-        (:meth:`CacheService.get_nowait`) need no task or future, so
-        the server runs them here; the read stamps the worker's
-        heartbeat (:attr:`_ran_inline`).  A put, and a read served
-        locally or by the origin, come back as their line, to which
-        only the latency is added; a degraded read as a response.
-        Everything else becomes one task on the awaitable
-        ``_get``/``_put``/``_submit`` path, in which the worker runs
-        the op.
-        """
-        home = self.directory.home_region(key)
+            return self._reply({"ok": False, "error": str(exc)}, started)
+        home = self.directory.homes[key]
         worker = self.workers[home]
         if worker.idle():
             served = None
-            if op == "get":
-                served = self.shards[home].get_nowait(key)
-            elif op == "put":
-                served = self.shards[home].put(key, updater=-1, line=True)
+            try:
+                if op == b"get":
+                    served = self.shards[home].get_nowait(key)
+                elif op == b"put":
+                    served = self.shards[home].put(key, -1, True)
+            except Exception as exc:  # noqa: BLE001 - an inline op raised
+                return self._reply(self._op_failed(exc), started)
             if served is not None:
                 self._ran_inline.add(worker)
                 if type(served) is bytes:
-                    return served + b"%r}\n" % self._latency_ms(started)
-                return served.encode(self._latency_ms(started))
-        if op == "get":
+                    # The stamp _reply writes, appended to the line head.
+                    return served + b"%r}\n" % round(
+                        (self.clock.now() - started) * 1e3, 3
+                    )
+                return self._reply(served, started)
+        if op == b"get":
             pending = self._get(key)
-        elif op == "put":
+        elif op == b"put":
             pending = self._put(key)
         else:
             pending = self._submit(
@@ -973,9 +967,10 @@ class EdgeCacheServer:
         # look at the worker.
         worker.unstarted -= 1
         try:
-            return (await pending).encode(self._latency_ms(started))
+            response = await pending
         except Exception as exc:  # noqa: BLE001 - an awaited op raised
-            return self._encode(self._op_failed(exc), started)
+            response = self._op_failed(exc)
+        return self._reply(response, started)
 
     def _op_failed(self, exc: Exception) -> dict:
         """A shard op raised, inline or awaited: the client is owed a
@@ -985,13 +980,16 @@ class EdgeCacheServer:
         )
         return {"ok": False, "error": repr(exc)}
 
-    def _latency_ms(self, started: float) -> float:
-        return round((self.clock.now() - started) * 1e3, 3)
-
-    def _encode(self, response: dict, started: float) -> bytes:
-        """The dict-shaped replies: stats, ping, chaos and errors."""
-        response["latency_ms"] = self._latency_ms(started)
-        return json.dumps(response).encode() + b"\n"
+    def _reply(
+        self, response: Union[CacheResponse, dict], started: float
+    ) -> bytes:
+        """A response object, or a dict-shaped reply (stats, ping, chaos,
+        errors), as its wire line with ``latency_ms`` stamped last."""
+        latency_ms = round((self.clock.now() - started) * 1e3, 3)
+        if type(response) is dict:
+            response["latency_ms"] = latency_ms
+            return json.dumps(response).encode() + b"\n"
+        return response.encode(latency_ms)
 
     async def _submit(
         self, shard_id: int, coro, *, op: str, key: int

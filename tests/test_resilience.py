@@ -350,9 +350,12 @@ class TestResilienceManager:
         assert mgr.deadline == 7.0
         assert mgr.backoff is not None
         no_retry = ResilienceManager.from_config(
-            SimulationConfig(resilience=True, resilience_retries=0)
+            SimulationConfig(resilience=True, resilience_retries=0),
+            rng=np.random.default_rng(0),
         )
         assert no_retry.backoff is None
+        with pytest.raises(TypeError):
+            ResilienceManager.from_config(cfg)  # the rng is required
 
 
 # ==========================================================================

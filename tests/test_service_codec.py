@@ -103,7 +103,7 @@ def drive(lines, **overrides):
 
 def twin(ops, **overrides):
     """The awaitable twin of :func:`drive`: each ``(op, key)`` through
-    ``_get``/``_put``/the purge ``_shard_op`` submits, on a fresh
+    ``_get``/``_put``/the purge ``_process`` submits, on a fresh
     manual-clock server; the response objects."""
     server = EdgeCacheServer(wire_config(**overrides))
     use_manual_clock(server)

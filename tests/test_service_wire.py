@@ -11,7 +11,9 @@ Three things are pinned here, all over a real loopback connection:
   op that needs no wait runs inline, no task) and the same stream driven
   through ``await server._get/_put`` on a twin server produce the same
   responses and the same counters, under every consistency scheme, on an
-  instant and on a delayed origin;
+  instant and on a delayed origin; on a cold cache, an inline miss and
+  one that waits for the origin write the same bytes, the same ``stats``
+  line and the same cache and detector state;
 * **the inline guard** — a wedged, crashed, drained or full shard, a
   key whose fetch is in flight and a slow or browned-out origin all
   keep the awaitable path, and a tripped breaker decides alike on
@@ -36,6 +38,7 @@ import pytest
 from repro.service import (
     CacheService,
     EdgeCacheServer,
+    InMemoryOrigin,
     ManualClock,
     ServiceConfig,
 )
@@ -843,6 +846,139 @@ class TestInlineEqualsAwaitable:
             assert wire_tasks == 0
         if scheme != "pull-every-time":
             assert any(r["status"] == "hit-fresh" for r in wire)
+
+
+def cold_ops(n_items, n, seed):
+    """Uniform gets over ``n_items`` keys, about a third of them asked
+    twice in a row (a fresh hit whose memoized line later gets evicted),
+    and one put in ten."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for key in rng.integers(0, n_items, n).tolist():
+        ops.append(("put" if rng.random() < 0.1 else "get", key))
+        if rng.random() < 0.3:
+            ops.append(("get", key))
+    return ops
+
+
+def run_cold_stream(ops, mode, **overrides):
+    """Serve ``ops`` on a fresh manual-clock server; (lines, stats line,
+    server, tasks).
+
+    ``mode`` "inline" sends each op as a line; "awaited" does the same
+    with an origin that never reports itself instant, so every read the
+    origin answers waits for it in ``get()``; "objects" awaits
+    ``_get``/``_put`` and returns the response objects.  Each shard's
+    detector starts from one timeout, so each origin answer's success
+    shows in its score.
+    """
+    server = EdgeCacheServer(wire_config(**overrides))
+    clock = use_manual_clock(server)
+    spawned = spy_on_answer(server)
+    out = []
+
+    async def main():
+        await server.start()
+        for shard_id in server.shards:
+            server.resilience.on_home_timeout(shard_id, clock.now())
+        client = await Client.connect(server)
+        for op, key in ops:
+            clock.advance(0.05)
+            if mode == "objects":
+                call = server._get if op == "get" else server._put
+                out.append(await call(key))
+            else:
+                client.writer.write(encode({"op": op, "key": key}))
+                out.append(await client.reader.readline())
+        client.writer.write(encode({"op": "stats"}))
+        stats = await client.reader.readline()
+        client.close()
+        await server.shutdown()
+        return stats
+
+    with pytest.MonkeyPatch.context() as patch:
+        if mode == "awaited":
+            patch.setattr(InMemoryOrigin, "instant", property(lambda _: False))
+        stats = asyncio.run(main())
+    return out, stats, server, len(spawned)
+
+
+def cache_state(server):
+    """Per shard: its entries as (key, priority, seq), the inflation
+    floor, and the detector's score."""
+    return {
+        shard_id: (
+            [(k, e.priority, e.seq) for k, e in shard.cache.entries.items()],
+            shard.cache.inflation,
+            server.resilience.detector.score(shard_id),
+        )
+        for shard_id, shard in server.shards.items()
+    }
+
+
+class TestColdStreamEqualsAwaitable:
+    """The miss path: an inline miss and an awaited one settle alike."""
+
+    @pytest.mark.parametrize("cache_fraction", [0.002, 1e-5],
+                             ids=["cold", "nothing-fits"])
+    def test_lines_stats_and_state_match_the_awaited_twin(
+        self, cache_fraction
+    ):
+        config = dict(n_items=2400, n_shards=4, cache_fraction=cache_fraction)
+        ops = cold_ops(2400, 1500, seed=51)
+        wire, wire_stats, server, wire_tasks = run_cold_stream(
+            ops, "inline", **config
+        )
+        awaited, awaited_stats, twin, twin_tasks = run_cold_stream(
+            ops, "awaited", **config
+        )
+        objects, _, plain, _ = run_cold_stream(ops, "objects", **config)
+
+        # Same bytes: each line is its awaited twin's, and json.dumps of
+        # the response object plus the latency (0.0 on a manual clock).
+        assert wire == awaited
+        for line, response in zip(wire, objects):
+            assert line == json.dumps(
+                {**response.to_dict(), "latency_ms": 0.0}
+            ).encode() + b"\n"
+        assert wire_stats == awaited_stats  # key order included
+        # ... and the same cache, inflation and detector, every way.
+        assert cache_state(server) == cache_state(twin) == cache_state(plain)
+        for shard_id, shard in server.shards.items():
+            assert set(shard._hit_lines) <= set(shard.cache.entries)
+            # the size-text memo: one entry per item the origin served
+            assert len(shard._size_texts) <= len({
+                r.key for r in objects
+                if r.shard == shard_id and r.status in ("miss", "refreshed")
+            })
+
+        # The inline run took no task; its twin one per origin answer.
+        answers = [r for r in objects
+                   if r.status in ("miss", "refreshed", "hit-validated")]
+        assert wire_tasks == 0
+        assert twin_tasks == len(answers) > 0
+        # Each origin answer booked one breaker success.
+        alpha = server.resilience.detector.alpha
+        for shard_id in server.shards:
+            successes = sum(r.shard == shard_id for r in answers)
+            assert server.resilience.detector.score(shard_id) == (
+                alpha ** successes
+            )
+        # Admission is §3.2-3.3's verdict: a copy goes in iff it fits.
+        misses = [r for r in objects if r.status == "miss"]
+        capacity = server.shards[0].cache.capacity_bytes
+        assert all(
+            r.extra["admitted"] == (r.size_bytes <= capacity) for r in misses
+        )
+        evictions = sum(s.cache.evictions for s in server.shards.values())
+        if cache_fraction == 1e-5:
+            assert capacity < min(i.size_bytes for i in server.database.items)
+            assert evictions == 0 and not any(
+                r.extra["admitted"] for r in misses
+            )
+        else:
+            assert evictions > 0
+            assert any(r.status == "hit-fresh" for r in objects)
 
 
 class TestInlineGuard:
